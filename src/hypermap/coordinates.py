@@ -33,19 +33,28 @@ phitilde has no zeros; phitilde(0) ~ -2 pi k is negative and
 phitilde(1/2) ~ +2 pi k is positive; phitilde(delta^-+) = -+ sqrt(3)
 exactly (k-free); psi_c'(y) = -4 pi^2 k sin(2 pi y) carries a leading
 minus sign.
+
+Each field formula is written once and takes a float (evaluated with math)
+or an ndarray (evaluated elementwise with numpy).  The two agree exactly up
+to the angles, which may differ in the last ulp (numpy's arctan2 is not
+libm's atan2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, Union
+
+import numpy as np
 
 from .oracle import svd2
 from .stdmap import TWO_PI, DirAngle, MapParams, TorusPoint, orbit_jacobian
 
 FieldName = Literal["e1", "f1", "e-1", "f-1"]
 TimeDirection = Literal["forward", "backward"]
+#: A coordinate (y or ytilde) or a value derived from one: float or ndarray.
+Coord = Union[float, np.ndarray]
 
 
 class ConformalPointError(ValueError):
@@ -63,48 +72,47 @@ class ConformalPointError(ValueError):
         self.sigma = sigma
 
 
-def psi(
-    y: float,
-    params: MapParams,
-    kind: Literal["cos", "sin"] = "cos",
-    frame: Literal["standard", "diagonal"] = "standard",
-) -> float:
-    """2 pi k cos(2 pi y) or 2 pi k sin(2 pi y).
-
-    ``frame`` documents whether the argument is a y or a ytilde coordinate;
-    it does not change the value.
-    """
-    del frame
-    if kind == "cos":
-        return TWO_PI * params.k * math.cos(TWO_PI * y)
-    if kind == "sin":
-        return TWO_PI * params.k * math.sin(TWO_PI * y)
-    raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
+def psi(y: Coord, params: MapParams, kind: Literal["cos", "sin"] = "cos") -> Coord:
+    """2 pi k cos(2 pi y) or 2 pi k sin(2 pi y), at a y or a ytilde coordinate."""
+    arg = TWO_PI * y
+    try:  # math rejects arrays, which take the numpy path
+        if kind == "cos":
+            t = math.cos(arg)
+        elif kind == "sin":
+            t = math.sin(arg)
+        else:
+            raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
+    except TypeError:
+        t = np.cos(arg) if kind == "cos" else np.sin(arg)
+    return TWO_PI * params.k * t
 
 
-def psi_prime(y: float, params: MapParams) -> float:
+def psi_prime(y: Coord, params: MapParams) -> Coord:
     """d/dy of psi_c: -4 pi^2 k sin(2 pi y) (note the minus sign)."""
-    return -(TWO_PI**2) * params.k * math.sin(TWO_PI * y)
+    return -TWO_PI * psi(y, params, "sin")
 
 
-def extended_ratio(num: float, den: float) -> float:
+def extended_ratio(num: Coord, den: Coord) -> Coord:
     """num/den as an extended real: a zero denominator yields signed infinity.
 
     The sign follows the numerator, which never vanishes together with the
     denominator for either field.
     """
+    if isinstance(den, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den == 0.0, np.copysign(np.inf, num), num / den)
     if den == 0.0:
         return math.copysign(math.inf, num)
     return num / den
 
 
-def phi_parts(y: float, params: MapParams) -> tuple[float, float]:
+def phi_parts(y: Coord, params: MapParams) -> tuple[Coord, Coord]:
     """(numerator, denominator) of phi: (-P1'(psi_c), P1(psi_c))."""
     p = psi(y, params)
     return -(4.0 * p + 2.0), (2.0 * p + 2.0) * p - 1.0
 
 
-def phi(y: float, params: MapParams) -> float:
+def phi(y: Coord, params: MapParams) -> Coord:
     """tan(2 theta) of the forward contracted field, as an extended real.
 
     Returns a signed infinity at an exact asymptote (denominator zero);
@@ -114,7 +122,7 @@ def phi(y: float, params: MapParams) -> float:
     return extended_ratio(*phi_parts(y, params))
 
 
-def phi_prime(y: float, params: MapParams) -> float:
+def phi_prime(y: Coord, params: MapParams) -> Coord:
     """Analytic derivative of phi: 8 P2(psi_c) / P1(psi_c)^2 * psi_c'."""
     p = psi(y, params)
     p1 = (2.0 * p + 2.0) * p - 1.0
@@ -122,13 +130,13 @@ def phi_prime(y: float, params: MapParams) -> float:
     return 8.0 * p2 / (p1 * p1) * psi_prime(y, params)
 
 
-def phi_tilde_parts(ytilde: float, params: MapParams) -> tuple[float, float]:
+def phi_tilde_parts(ytilde: Coord, params: MapParams) -> tuple[Coord, Coord]:
     """(numerator, denominator) of phitilde: (-2 P2(psi_c), P2'(psi_c))."""
-    p = psi(ytilde, params, frame="diagonal")
+    p = psi(ytilde, params)
     return -2.0 * ((p + 1.0) * p + 1.0), 2.0 * p + 1.0
 
 
-def phi_tilde(ytilde: float, params: MapParams) -> float:
+def phi_tilde(ytilde: Coord, params: MapParams) -> Coord:
     """tan(2 theta) of the backward contracted field, as an extended real.
 
     Never zero (P2 has no real roots); asymptotes at delta^* and
@@ -141,17 +149,37 @@ def phi_tilde(ytilde: float, params: MapParams) -> float:
     return extended_ratio(*phi_tilde_parts(ytilde, params))
 
 
-def phi_tilde_prime(ytilde: float, params: MapParams) -> float:
+def phi_tilde_prime(ytilde: Coord, params: MapParams) -> Coord:
     """Analytic derivative of phitilde: -2 P1(psi_c) / P2'(psi_c)^2 * psi_c'.
 
     Both leading signs matter: psi_c' = -4 pi^2 k sin(2 pi ytilde) and the
     ratio derivative carries its own minus, so phitilde increases on
     (0, delta^-).
     """
-    p = psi(ytilde, params, frame="diagonal")
+    p = psi(ytilde, params)
     p1 = (2.0 * p + 2.0) * p - 1.0
     d2 = 2.0 * p + 1.0
     return -2.0 * p1 / (d2 * d2) * psi_prime(ytilde, params)
+
+
+def forward_angle(y: Coord, params: MapParams) -> Coord:
+    """Lifted forward contracted angle pi + atan2(-P1', P1)/2 (see theta_field)."""
+    num, den = phi_parts(y, params)
+    try:
+        half = 0.5 * math.atan2(num, den)
+    except TypeError:
+        half = 0.5 * np.arctan2(num, den)
+    return math.pi + half
+
+
+def backward_angle(ytilde: Coord, params: MapParams) -> Coord:
+    """Lifted backward contracted angle pi/2 + atan2(-2 P2, P2')/2 (see theta_field)."""
+    num, den = phi_tilde_parts(ytilde, params)
+    try:
+        half = 0.5 * math.atan2(num, den)
+    except TypeError:
+        half = 0.5 * np.arctan2(num, den)
+    return 0.5 * math.pi + half
 
 
 def theta_field(
@@ -167,11 +195,9 @@ def theta_field(
     ytilde = delta^*.  Both are continuous mod pi across all asymptotes.
     """
     if time == "forward":
-        num, den = phi_parts(coord, params)
-        return DirAngle(math.pi + 0.5 * math.atan2(num, den))
+        return DirAngle(forward_angle(coord, params))
     if time == "backward":
-        num, den = phi_tilde_parts(coord, params)
-        return DirAngle(0.5 * math.pi + 0.5 * math.atan2(num, den))
+        return DirAngle(backward_angle(coord, params))
     raise ValueError(f"time must be 'forward' or 'backward', got {time!r}")
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinates import critical_constants, phi_parts, phi_tilde_parts
+from .coordinates import backward_angle, critical_constants, forward_angle
 from .stdmap import MapParams, TorusPoint, mod1
 
 LEAF_FIELDS = ("E1", "F1", "E-1", "F-1")
@@ -86,27 +86,29 @@ class Leaf:
             px, py = pts[i - 1]
             qx, qy = pts[i]
             events: list[tuple[float, int, int]] = []  # (t, axis, direction)
-            for axis, (a, b) in enumerate(((px, qx), (py, qy))):
+            # Sides of the current square: a vertex on a side it leaves through crosses at t = 0.
+            for axis, (a, b, o) in enumerate(((px, qx, ox), (py, qy, oy))):
                 if b > a:
-                    c = math.floor(a) + 1
+                    c = o + 1
                     while c < b:
                         events.append(((c - a) / (b - a), axis, 1))
                         c += 1
                 elif b < a:
-                    c = math.ceil(a) - 1
+                    c = o
                     while c > b:
                         events.append(((c - a) / (b - a), axis, -1))
                         c -= 1
             for t, axis, direction in sorted(events):
-                mx = px + t * (qx - px)
-                my = py + t * (qy - py)
-                cur.append((mx - ox, my - oy))
+                seam = [px + t * (qx - px) - ox, py + t * (qy - py) - oy]
+                seam[axis] = 1.0 if direction > 0 else 0.0  # interpolation could round past the side
+                cur.append(tuple(seam))
                 segs.append(np.array(cur))
                 if axis == 0:
                     ox += direction
                 else:
                     oy += direction
-                cur = [(mx - ox, my - oy)]
+                seam[axis] = 1.0 - seam[axis]
+                cur = [tuple(seam)]
             cur.append((qx - ox, qy - oy))
         segs.append(np.array(cur))
         return segs
@@ -122,13 +124,11 @@ class Leaf:
 def _field_components(field_id: str, lx: float, ly: float, params: MapParams) -> tuple[float, float]:
     """Canonical unit direction of the field at a lifted plane point."""
     if field_id == "E1" or field_id == "F1":
-        num, den = phi_parts(mod1(ly), params)
-        ang = math.pi + 0.5 * math.atan2(num, den)
+        ang = forward_angle(mod1(ly), params)
         if field_id == "F1":
             ang += 0.5 * math.pi
     else:
-        num, den = phi_tilde_parts(mod1(ly - lx), params)
-        ang = 0.5 * math.pi + 0.5 * math.atan2(num, den)
+        ang = backward_angle(mod1(ly - lx), params)
         if field_id == "F-1":
             ang += 0.5 * math.pi
     return math.cos(ang), math.sin(ang)

@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from .coordinates import Coord, psi
 from .stdmap import TWO_PI, MapParams, TorusPoint, map_forward
 
 #: Samples are processed in fixed-size chunks with per-chunk derived seeds,
@@ -152,17 +153,19 @@ def push_vector(y: float, theta: float, params: MapParams) -> tuple[float, float
     height y is (cos + psi sin, cos + (1 + psi) sin); the angle comes from
     the two-argument arctangent of those components, so no quadrant is lost.
     """
-    p = TWO_PI * params.k * math.cos(TWO_PI * y)
-    c, s = math.cos(theta), math.sin(theta)
-    ix = c + p * s
-    iy = c + (1.0 + p) * s
+    ix, iy = _image(psi(y, params), math.cos(theta), math.sin(theta))
     return math.atan2(iy, ix), math.hypot(ix, iy)
 
 
+def _image(p: Coord, c: Coord, s: Coord) -> tuple[Coord, Coord]:
+    """Image (c + psi s, c + (1 + psi) s) of (c, s) under Df where psi_c = p."""
+    return c + p * s, c + (1.0 + p) * s
+
+
 def _cone_chunk(
-    args: tuple[np.random.SeedSequence, int, float, int, StripSpec, bool],
+    args: tuple[np.random.SeedSequence, int, MapParams, int, StripSpec, bool],
 ) -> tuple[int, int, int, float, float, float, list[tuple[float, float]]]:
-    seed_seq, count, k, m, strip, inside = args
+    seed_seq, count, params, m, strip, inside = args
     rng = np.random.default_rng(seed_seq)
     d_m, d_nm = strip.delta_m, strip.delta_neg_m
     if inside:
@@ -183,10 +186,7 @@ def _cone_chunk(
     lo, hi = math.atan(1.0 / m), math.atan(m)
     theta = lo + rng.random(count) * (hi - lo)
 
-    p = TWO_PI * k * np.cos(TWO_PI * y)
-    c, s = np.cos(theta), np.sin(theta)
-    ix = c + p * s
-    iy = c + (1.0 + p) * s
+    ix, iy = _image(psi(y, params), np.cos(theta), np.sin(theta))
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = iy / ix
     norm = np.hypot(ix, iy)
@@ -208,7 +208,10 @@ def _cone_chunk(
 def _worker_count() -> int:
     env = os.environ.get("HYPERMAP_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"HYPERMAP_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -238,7 +241,7 @@ def verify_cones(
     if n_samples % _CHUNK:
         counts.append(n_samples % _CHUNK)
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
-    jobs = [(ss, cnt, params.k, m, strip, inside_strip) for ss, cnt in zip(seeds, counts)]
+    jobs = [(ss, cnt, params, m, strip, inside_strip) for ss, cnt in zip(seeds, counts)]
     workers = min(_worker_count(), len(jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -2,12 +2,16 @@
 
 Everything renders into the unit-square viewBox "0 0 1 1" with the y-axis
 flipped so y increases upward.  Polylines must already be split at torus
-seams (see Leaf.segments); no plotting library is involved.
+seams: Leaf.segments interpolates seam points into a leaf's chords, and
+split_at_jumps cuts sampled curves without adding points off the curve; no
+plotting library is involved.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Point = tuple[float, float]
 
@@ -22,6 +26,13 @@ def polyline(points: Iterable[Point], stroke: str, width: float = 0.002) -> str:
         f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
         f'stroke-width="{width}" stroke-linejoin="round" stroke-linecap="round"/>'
     )
+
+
+def split_at_jumps(points: Sequence[Point] | np.ndarray, axis: int) -> list[list[list[float]]]:
+    """Pieces (of two or more points) between jumps of more than 1/2 in coordinate ``axis``."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    cuts = np.flatnonzero(np.abs(np.diff(pts[:, axis])) > 0.5) + 1
+    return [piece.tolist() for piece in np.split(pts, cuts) if len(piece) >= 2]
 
 
 def line(p: Point, q: Point, stroke: str, width: float = 0.002) -> str:

@@ -24,21 +24,25 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .coordinates import (
+    Coord,
     CriticalConstants,
+    backward_angle,
     critical_constants,
+    forward_angle,
     phi_tilde,
     psi,
     psi_prime,
-    theta_field,
 )
-from .stdmap import TWO_PI, MapParams, angle_dist_mod_pi
+from .stdmap import TWO_PI, MapParams
 
 #: Cushion used for interval membership at delta-boundaries.
 _EDGE_TOL = 1e-12
 
 
-class TangencySelectionError(RuntimeError):
+class TangencySelectionError(ValueError):
     """The region intersection did not produce exactly two values.
 
     Indicates k below the validity threshold of the strip constants.
@@ -71,26 +75,36 @@ class NoTangencyReport:
     at_ytilde: float
 
 
-def residual_angle(y: float, ytilde: float, params: MapParams) -> float:
+def residual_angle(y: Coord, ytilde: Coord, params: MapParams) -> Coord:
     """Angle between the forward field at y and the backward field at ytilde."""
-    return theta_field(y, params, "forward").dist(theta_field(ytilde, params, "backward"))
+    d = (forward_angle(y, params) % math.pi - backward_angle(ytilde, params) % math.pi) % math.pi
+    return np.minimum(d, math.pi - d) if isinstance(d, np.ndarray) else min(d, math.pi - d)
 
 
-def _polish_root(y: float, psi_target: float, params: MapParams) -> float:
-    """Newton-polish y so that psi_c(y) hits the exact quadratic root.
+def _inverse_branch(z: Coord, sign: float, params: MapParams) -> Coord:
+    """One quadratic branch of phi^{-1}(z): a root y in [0, 1/2], or NaN.
 
-    The closed form goes through an acos/cos round trip; one or two Newton
-    steps on psi_c(y) - psi_target remove that rounding.  Skipped where
-    psi_c' is too small to divide by (roots never sit there in practice).
+    Two Newton steps on psi_c(y) - psi_root remove the rounding of the
+    acos/cos round trip, except where psi_c' is too small to divide by.
     """
+    array = isinstance(z, np.ndarray)
+    psi_root = (-(z + 2.0) + sign * (np.sqrt if array else math.sqrt)(3.0 * z * z + 4.0)) / (2.0 * z)
+    arg = psi_root / (TWO_PI * params.k)
+    if array:
+        with np.errstate(invalid="ignore"):
+            y = np.arccos(arg) / TWO_PI
+    elif abs(arg) <= 1.0:
+        y = math.acos(arg) / TWO_PI
+    else:
+        return math.nan
     for _ in range(2):
         dp = psi_prime(y, params)
-        if abs(dp) < 1e-6 * params.k:
-            break
-        err = psi(y, params) - psi_target
-        if err == 0.0:
-            break
-        y -= err / dp
+        err = psi(y, params) - psi_root
+        move = (abs(dp) >= 1e-6 * params.k) & (err != 0.0)
+        if array:
+            y = y - np.where(move, err / np.where(move, dp, 1.0), 0.0)
+        elif move:
+            y -= err / dp
     return y
 
 
@@ -106,22 +120,34 @@ def phi_inverse(z: float, params: MapParams) -> list[float]:
         raise ValueError("phi_inverse is undefined at z = 0; the zero set of phi is {delta^*, 1 - delta^*}")
     if math.isinf(z):
         raise ValueError("phi_inverse expects finite z; asymptote preimages are delta^-+ by definition")
-    root = math.sqrt(3.0 * z * z + 4.0)
     out: list[float] = []
     for sign in (1.0, -1.0):
-        psi_root = (-(z + 2.0) + sign * root) / (2.0 * z)
-        arg = psi_root / (TWO_PI * params.k)
-        if abs(arg) > 1.0:
-            continue
-        y = math.acos(arg) / TWO_PI
-        y = _polish_root(y, psi_root, params)
-        out.append(y)
-        out.append(1.0 - y)
+        y = _inverse_branch(z, sign, params)
+        if not math.isnan(y):
+            out += [y, 1.0 - y]
     return sorted(out)
 
 
-def _in_union(y: float, intervals: list[tuple[float, float]]) -> bool:
-    return any(lo - _EDGE_TOL <= y <= hi + _EDGE_TOL for lo, hi in intervals)
+def _select(ytilde: Coord, params: MapParams, consts: CriticalConstants):
+    """Gamma at ytilde in [0, 1) as (lower, upper, ok); ok is False, and both NaN,
+    where the region intersection did not give exactly two values."""
+    dm, ds, dp = consts.delta_minus, consts.delta_star, consts.delta_plus
+    if dm is None or ds is None or dp is None:
+        raise TangencySelectionError(f"strip constants undefined for k = {params.k}")
+    at_asymptote = (abs(ytilde - ds) <= _EDGE_TOL) | (abs(ytilde - (1.0 - ds)) <= _EDGE_TOL)
+    outer = np.asarray((ytilde <= ds) | (ytilde >= 1.0 - ds))[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = [_inverse_branch(phi_tilde(ytilde, params), sign, params) for sign in (1.0, -1.0)]
+    cand = np.stack(roots + [1.0 - r for r in roots], axis=-1)
+
+    def within(lo: float, hi: float) -> np.ndarray:
+        return (cand >= lo - _EDGE_TOL) & (cand <= hi + _EDGE_TOL)
+
+    keep = np.where(outer, within(dm, dp) | within(1.0 - dp, 1.0 - dm), within(dp, 1.0 - dp))
+    ok = at_asymptote | (keep.sum(axis=-1) == 2)
+    lower = np.where(at_asymptote, dp, np.min(np.where(keep, cand, np.inf), axis=-1))
+    upper = np.where(at_asymptote, 1.0 - dp, np.max(np.where(keep, cand, -np.inf), axis=-1))
+    return np.where(ok, lower, np.nan), np.where(ok, upper, np.nan), ok
 
 
 def gamma(ytilde: float, params: MapParams) -> tuple[float, float]:
@@ -132,81 +158,59 @@ def gamma(ytilde: float, params: MapParams) -> tuple[float, float]:
     asymptotes of phitilde the limit values are the phi-asymptote preimages
     delta^+ and 1 - delta^+.  Returns (lower, upper) with lower < upper.
     """
-    consts = critical_constants(params)
-    dm, ds, dp = consts.delta_minus, consts.delta_star, consts.delta_plus
-    if dm is None or ds is None or dp is None:
-        raise TangencySelectionError(f"strip constants undefined for k = {params.k}")
-    if not 0.0 <= ytilde < 1.0:
-        ytilde %= 1.0
-
-    if abs(ytilde - ds) <= _EDGE_TOL or abs(ytilde - (1.0 - ds)) <= _EDGE_TOL:
-        return (dp, 1.0 - dp)
-
-    if ytilde <= ds or ytilde >= 1.0 - ds:
-        region = [(dm, dp), (1.0 - dp, 1.0 - dm)]
-    else:
-        region = [(dp, 1.0 - dp)]
-
-    z = phi_tilde(ytilde, params)
-    values = [y for y in phi_inverse(z, params) if _in_union(y, region)]
-    if len(values) != 2:
-        raise TangencySelectionError(
-            f"expected 2 tangency heights at ytilde = {ytilde}, k = {params.k}; got {values}"
-        )
-    return (values[0], values[1])
+    ytilde %= 1.0
+    lower, upper, ok = _select(ytilde, params, critical_constants(params))
+    if not ok:
+        raise TangencySelectionError(f"expected 2 tangency heights at ytilde = {ytilde}, k = {params.k}")
+    return float(lower), float(upper)
 
 
-def _refine_tangency(y: float, ytilde: float, params: MapParams) -> float:
+def _refine(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> np.ndarray:
     """Up to 3 secant steps on the field-angle difference along y.
 
     The closed-form roots are already accurate; this kills the last of the
     floating-point error so the residual contract (< 1e-8) holds with a
     wide margin.
     """
-    def diff(yy: float) -> float:
-        a = theta_field(yy, params, "forward").theta
-        b = theta_field(ytilde, params, "backward").theta
-        d = (a - b) % math.pi
-        return d - math.pi if d > math.pi / 2.0 else d
+    b = backward_angle(ytilde, params) % math.pi
+
+    def diff(yy: np.ndarray) -> np.ndarray:
+        d = (forward_angle(yy, params) % math.pi - b) % math.pi
+        return np.where(d > math.pi / 2.0, d - math.pi, d)
 
     h = 1e-9
+    active = np.ones(np.shape(y), dtype=bool)
     for _ in range(3):
         d0 = diff(y)
-        if abs(d0) < 1e-13:
-            break
-        d1 = diff(y + h)
-        slope = (d1 - d0) / h
-        if slope == 0.0:
-            break
-        step = -d0 / slope
-        if abs(step) > 1e-6:
-            break
-        y += step
+        slope = (diff(y + h) - d0) / h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -d0 / slope
+        active &= (np.abs(d0) >= 1e-13) & (slope != 0.0) & (np.abs(step) <= 1e-6)
+        y = np.where(active, y + step, y)
     return y
+
+
+def _tangency_points(y: np.ndarray, ytilde: np.ndarray, branch: str, params: MapParams) -> list[TangencyPoint]:
+    y = _refine(y, ytilde, params)
+    res = residual_angle(y, ytilde, params)
+    return [TangencyPoint(t, v, branch, r) for t, v, r in zip(ytilde.tolist(), y.tolist(), res.tolist())]
 
 
 def tangency_curve(params: MapParams, n_samples: int) -> tuple[list[TangencyPoint], list[TangencyPoint]]:
     """Sample both tangency curves over a uniform grid of ytilde.
 
-    Branch assignment is by continuity in y from sample to sample (which
-    coincides with the lower/upper split about y = 1/2 for this family).
+    The selector's two values are mirror images about y = 1/2, so the lower
+    one traces the lower curve and the upper one the upper curve.
     """
     if n_samples < 16:
         raise ValueError(f"n_samples must be >= 16, got {n_samples}")
-    lower: list[TangencyPoint] = []
-    upper: list[TangencyPoint] = []
-    prev: Optional[tuple[float, float]] = None
-    for i in range(n_samples):
-        ytilde = i / n_samples
-        lo, hi = gamma(ytilde, params)
-        if prev is not None and abs(lo - prev[1]) + abs(hi - prev[0]) < abs(lo - prev[0]) + abs(hi - prev[1]):
-            lo, hi = hi, lo
-        prev = (lo, hi)
-        lo = _refine_tangency(lo, ytilde, params)
-        hi = _refine_tangency(hi, ytilde, params)
-        lower.append(TangencyPoint(ytilde, lo, "lower", residual_angle(lo, ytilde, params)))
-        upper.append(TangencyPoint(ytilde, hi, "upper", residual_angle(hi, ytilde, params)))
-    return lower, upper
+    ytilde = np.arange(n_samples) / n_samples
+    lower, upper, ok = _select(ytilde, params, critical_constants(params))
+    if not ok.all():
+        bad = ytilde[~ok][0]
+        raise TangencySelectionError(f"expected 2 tangency heights at ytilde = {bad}, k = {params.k}")
+    return (_tangency_points(lower, ytilde, "lower", params),
+            _tangency_points(upper, ytilde, "upper", params))
 
 
 def tangency_landmarks(params: MapParams) -> list[Optional[TangencyPoint]]:
@@ -224,36 +228,22 @@ def tangency_landmarks(params: MapParams) -> list[Optional[TangencyPoint]]:
     A landmark whose diagonal coordinate is unavailable for this k is None.
     """
     c = critical_constants(params)
-    ytildes: list[Optional[float]] = [
-        0.0,
-        c.delta_minus,
-        c.delta_star,
-        c.delta_plus,
-        0.5,
-        None if c.delta_plus is None else 1.0 - c.delta_plus,
-        None if c.delta_star is None else 1.0 - c.delta_star,
-        None if c.delta_minus is None else 1.0 - c.delta_minus,
-    ]
-    out: list[Optional[TangencyPoint]] = []
-    for ytilde in ytildes:
-        if ytilde is None:
-            out.append(None)
-            continue
-        try:
-            y = gamma(ytilde, params)[0]  # lower branch: y < 1/2
-        except TangencySelectionError:
-            out.append(None)  # selector degenerates below the validity range
-            continue
-        y = _refine_tangency(y, ytilde, params)
-        out.append(TangencyPoint(ytilde, y, "lower", residual_angle(y, ytilde, params)))
-    return out
+    first = np.array([0.0, c.delta_minus, c.delta_star, c.delta_plus, 0.5], dtype=float)  # None -> NaN
+    ytilde = np.concatenate([first, 1.0 - first[3:0:-1]])
+    try:
+        lower, _, ok = _select(ytilde, params, c)
+    except TangencySelectionError:
+        return [None] * len(ytilde)
+    points = _tangency_points(lower, ytilde, "lower", params)
+    return [tp if good else None for tp, good in zip(points, ok)]
 
 
 def no_tangency_scan(params: MapParams, grid: int) -> NoTangencyReport:
     """Minimum angle between the two contracted fields over the strips
     y in [0, delta^-] and [1 - delta^-, 1], sampled on a grid x grid mesh.
 
-    The minimum is strictly positive: no tangencies occur there.
+    The minimum is strictly positive: no tangencies occur there.  Rows of
+    constant y are reduced one at a time, so memory stays O(grid).
     """
     if grid < 64:
         raise ValueError(f"grid must be >= 64, got {grid}")
@@ -264,24 +254,13 @@ def no_tangency_scan(params: MapParams, grid: int) -> NoTangencyReport:
     half = grid // 2
     ys = [dm * j / (half - 1) for j in range(half)]
     ys += [1.0 - y for y in ys]
+    x = np.arange(grid) / grid
     best = math.inf
     best_y = best_yt = 0.0
-    backward_cache: dict[float, float] = {}
     for y in ys:
-        th_f = theta_field(y, params, "forward").theta
-        for i in range(grid):
-            x = i / grid
-            yt = (y - x) % 1.0
-            th_b = backward_cache.get(yt)
-            if th_b is None:
-                th_b = theta_field(yt, params, "backward").theta
-                backward_cache[yt] = th_b
-            d = angle_dist_mod_pi(th_f, th_b)
-            if d < best:
-                best, best_y, best_yt = d, y, yt
+        yt = (y - x) % 1.0
+        d = residual_angle(y, yt, params)
+        i = int(np.argmin(d))
+        if d[i] < best:
+            best, best_y, best_yt = float(d[i]), y, float(yt[i])
     return NoTangencyReport(params.k, grid, best, best_y, best_yt)
-
-
-def delta_constants_with_tangency(params: MapParams) -> CriticalConstants:
-    """Convenience re-export: full constant set including delta_T^-+."""
-    return critical_constants(params)

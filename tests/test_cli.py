@@ -3,7 +3,7 @@
 import io
 import math
 import xml.etree.ElementTree as ET
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -158,6 +158,13 @@ class TestVerify:
         assert "FAIL" not in out.replace("result PASS", "")
 
 
+    def test_large_k_passes(self):
+        # The round-trip and E1*F1 tolerances scale with the rounding bounds.
+        code, out = run_capture(["verify", "--k-list", "50,200,1000"])
+        assert code == 0, out
+        assert "result PASS" in out
+
+
 class TestFigures:
     def test_writes_svg_set(self, tmp_path):
         outdir = tmp_path / "figs"
@@ -193,6 +200,30 @@ class TestFigures:
 class TestArgumentErrors:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2
+
+    @staticmethod
+    def run_error(argv):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run(argv)
+        return code, err.getvalue()
+
+    def test_tangency_below_validity_names_k(self):
+        code, err = self.run_error(["tangency", "--k", "0.3"])
+        assert code == 2
+        assert "k = 0.3" in err and "Traceback" not in err
+
+    def test_bad_thread_count_names_variable(self, monkeypatch):
+        monkeypatch.setenv("HYPERMAP_THREADS", "abc")
+        code, err = self.run_error(["cones", "--k", "25", "--samples", "1000"])
+        assert code == 2
+        assert "HYPERMAP_THREADS" in err
+
+    def test_empty_grid_rejected(self):
+        for grid in ("0", "-3"):
+            code, err = self.run_error(["field", "--k", "3", "--grid", grid])
+            assert code == 2
+            assert "grid" in err
 
     def test_bad_k(self):
         assert run(["constants", "--k", "-1"]) == 2

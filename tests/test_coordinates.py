@@ -8,10 +8,13 @@ is validated only against itself.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypermap.coordinates import (
+    backward_angle,
     critical_constants,
+    forward_angle,
     hyperbolic_frame,
     phi,
     phi_parts,
@@ -52,9 +55,15 @@ class TestPsi:
             4 * math.pi * math.sin(math.pi / 4), rel=1e-15
         )
 
-    def test_frame_is_documentation_only(self):
+    def test_one_formula_for_y_and_ytilde(self):
+        # The same psi_c is the shear entry of the forward derivative at
+        # height y and of the backward derivative at diagonal coordinate
+        # ytilde; psi takes no argument saying which one it is given.
         p = MapParams(3.0)
-        assert psi(0.3, p, frame="standard") == psi(0.3, p, frame="diagonal")
+        assert psi(0.3, p) == jacobian(TorusPoint(0.0, 0.3), p, "forward").a12
+        assert -psi(0.3, p) == jacobian(TorusPoint(0.0, 0.3), p, "backward").a12
+        with pytest.raises(TypeError):
+            psi(0.3, p, frame="diagonal")
 
     def test_on_strip_boundary(self):
         # psi_c at the Delta^(m) boundary cancels to exactly 2m analytically.
@@ -70,6 +79,43 @@ class TestPsi:
         assert psi_prime(0.1, p) < 0
         got = fd_derivative(lambda y: psi(y, p), 0.1, 1e-6)
         assert got == pytest.approx(psi_prime(0.1, p), rel=1e-7)
+
+
+class TestFloatOrArray:
+    """Array evaluation against the scalar (math) path, element by element."""
+
+    K_ARRAY = (0.6, 2.0, 10.0, 137.0)
+
+    @staticmethod
+    def _ys(k):
+        return np.random.default_rng(int(k * 10)).random(4096)
+
+    def test_psi_and_parts_exact(self):
+        for k in self.K_ARRAY:
+            p, ys = MapParams(k), self._ys(k)
+            for fn in (psi, psi_prime, lambda y, q: psi(y, q, kind="sin"), phi, phi_tilde):
+                got = fn(ys, p)
+                assert isinstance(got, np.ndarray)
+                assert np.array_equal(got, [fn(y, p) for y in ys.tolist()])
+            for fn in (phi_parts, phi_tilde_parts):
+                num, den = fn(ys, p)
+                want = np.array([fn(y, p) for y in ys.tolist()])
+                assert np.array_equal(num, want[:, 0]) and np.array_equal(den, want[:, 1])
+
+    def test_angles_within_one_ulp(self):
+        # numpy's arctan2 and libm's atan2 may differ in the last ulp.
+        for k in self.K_ARRAY:
+            p, ys = MapParams(k), self._ys(k)
+            for fn in (forward_angle, backward_angle):
+                got = fn(ys, p)
+                want = np.array([fn(y, p) for y in ys.tolist()])
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_array_ratio_signed_infinity(self):
+        from hypermap.coordinates import extended_ratio
+
+        got = extended_ratio(np.array([1.0, -2.0, 3.0]), np.array([0.0, 0.0, 2.0]))
+        assert got.tolist() == [math.inf, -math.inf, 1.5]
 
 
 class TestPhi:

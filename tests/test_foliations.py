@@ -191,12 +191,19 @@ class TestTraceLeaf:
         assert leaf.lifted[1, 0] > leaf.lifted[0, 0]
 
     def test_seam_segments_stay_in_unit_square(self):
-        p = MapParams(5.0)
-        leaf = trace_leaf("E1", TorusPoint(0.95, 0.6), p, step=1e-3, max_arc=0.5)
-        segs = leaf.segments()
-        assert len(segs) >= 2
-        for seg in segs:
-            assert np.all(seg >= -1e-9) and np.all(seg <= 1 + 1e-9)
+        leaves = [
+            trace_leaf("E1", TorusPoint(0.95, 0.6), MapParams(5.0), step=1e-3, max_arc=0.5),
+            # Interpolating this leaf's seam points once gave -1.36e-20.
+            trace_leaf("F-1", TorusPoint(0.8444218515250481, 0.7579544029403025),
+                       MapParams(13.3), max_arc=2.5),
+            # Starts on the bottom side and leaves through it.
+            trace_leaf("F-1", TorusPoint(0.125, 0.0), MapParams(1.0), max_arc=1.0),
+        ]
+        for leaf in leaves:
+            segs = leaf.segments()
+            assert len(segs) >= 2
+            for seg in segs:
+                assert np.all(seg >= 0.0) and np.all(seg <= 1.0)
 
     def test_csv_rows_shape(self):
         p = MapParams(5.0)

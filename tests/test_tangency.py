@@ -4,6 +4,7 @@ selector, the curves, the landmarks, and the tangency-free region."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypermap.coordinates import critical_constants, phi, phi_tilde, theta_field
@@ -26,6 +27,46 @@ SCAN_FIXTURE = {2.0: 0.5999198651748792, 10.0: 0.5413487062708713}
 
 def consts(k):
     return critical_constants(MapParams(k))
+
+
+def reference_scan_min(params, grid):
+    """The per-cell double loop no_tangency_scan replaced: (min, y, ytilde)."""
+    dm = consts(params.k).delta_minus
+    half = grid // 2
+    ys = [dm * j / (half - 1) for j in range(half)]
+    ys += [1.0 - y for y in ys]
+    best = (math.inf, 0.0, 0.0)
+    for y in ys:
+        th_f = theta_field(y, params, "forward").theta
+        for i in range(grid):
+            yt = (y - i / grid) % 1.0
+            d = angle_dist_mod_pi(th_f, theta_field(yt, params, "backward").theta)
+            if d < best[0]:
+                best = (d, y, yt)
+    return best
+
+
+def reference_refine(y, ytilde, params):
+    """Scalar secant refinement along y, one sample at a time."""
+    def diff(yy):
+        a = theta_field(yy, params, "forward").theta
+        b = theta_field(ytilde, params, "backward").theta
+        d = (a - b) % math.pi
+        return d - math.pi if d > math.pi / 2.0 else d
+
+    h = 1e-9
+    for _ in range(3):
+        d0 = diff(y)
+        if abs(d0) < 1e-13:
+            break
+        slope = (diff(y + h) - d0) / h
+        if slope == 0.0:
+            break
+        step = -d0 / slope
+        if abs(step) > 1e-6:
+            break
+        y += step
+    return y
 
 
 class TestPhiInverse:
@@ -174,6 +215,26 @@ class TestTangencyCurve:
         assert phi(y_min, params) == pytest.approx(-SQRT3, abs=1e-2)
         assert phi(y_max, params) == pytest.approx(SQRT3, abs=1e-2)
 
+    def test_matches_per_sample_reference(self):
+        for k in (0.6, 2.0, 10.0, 137.0):
+            params = MapParams(k)
+            n = 512
+            lower, upper = tangency_curve(params, n)
+            for i in range(n):
+                yt = i / n
+                lo, hi = gamma(yt, params)
+                assert lower[i].ytilde == upper[i].ytilde == yt
+                assert abs(lower[i].y - reference_refine(lo, yt, params)) <= 1e-12
+                assert abs(upper[i].y - reference_refine(hi, yt, params)) <= 1e-12
+                assert lower[i].residual == pytest.approx(
+                    residual_angle(lower[i].y, yt, params), abs=1e-15)
+
+    def test_selection_failure_is_a_value_error(self):
+        with pytest.raises(TangencySelectionError) as info:
+            tangency_curve(MapParams(0.3), 64)
+        assert isinstance(info.value, ValueError)
+        assert "k = 0.3" in str(info.value)
+
     def test_sample_count_floor(self):
         with pytest.raises(ValueError):
             tangency_curve(MapParams(2.0), 8)
@@ -252,6 +313,17 @@ class TestNoTangencyScan:
         with pytest.raises(ValueError):
             no_tangency_scan(MapParams(2.0), 32)
 
+    def test_matches_cell_loop(self):
+        for k in (0.6, 2.0, 10.0, 137.0):
+            for grid in (64, 128, 256):
+                rep = no_tangency_scan(MapParams(k), grid)
+                want, _, _ = reference_scan_min(MapParams(k), grid)
+                assert abs(rep.min_angle - want) <= 1e-15
+                assert angle_dist_mod_pi(
+                    theta_field(rep.at_y, MapParams(k), "forward").theta,
+                    theta_field(rep.at_ytilde, MapParams(k), "backward").theta,
+                ) == pytest.approx(rep.min_angle, abs=1e-15)
+
 
 class TestResidualAngle:
     def test_matches_field_difference(self):
@@ -264,6 +336,13 @@ class TestResidualAngle:
                 theta_field(yt, params, "backward").theta,
             )
             assert residual_angle(y, yt, params) == want
+
+    def test_array_matches_scalar(self):
+        params = MapParams(6.0)
+        rng = np.random.default_rng(41)
+        y, yt = rng.random(1000), rng.random(1000)
+        want = [residual_angle(a, b, params) for a, b in zip(y.tolist(), yt.tolist())]
+        assert np.max(np.abs(residual_angle(y, yt, params) - want)) <= 1e-15
 
 
 class TestAsymptotics:
