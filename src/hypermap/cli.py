@@ -97,8 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=float, default=1.0, help="family parameter k > 0")
         p.add_argument("--grid", type=int, default=_DEFAULTS["grid"])
         p.add_argument("--samples", type=int, default=_DEFAULTS["samples"])
-        p.add_argument("--step", type=float, default=_DEFAULTS["step"])
-        p.add_argument("--max-arc", type=float, default=_DEFAULTS["max_arc"])
+        p.add_argument("--step", type=float, default=_DEFAULTS["step"],
+                       help="largest spacing of leaf vertices (leaf, figures)")
+        p.add_argument("--max-arc", type=float, default=_DEFAULTS["max_arc"],
+                       help="arc length of the leaf (leaf)")
         p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "svg", "txt"], default=fmt)
@@ -368,15 +370,24 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
     return results
 
 
+def _k_list(text: str) -> list[MapParams]:
+    """Parse --k-list, naming the flag and the entry on a bad entry."""
+    out = []
+    for entry in text.split(","):
+        try:
+            out.append(MapParams(float(entry.strip())))
+        except ValueError as exc:
+            raise ValueError(f"--k-list entry {entry!r}: {exc}") from None
+    return out
+
+
 def _cmd_verify(cfg: RunConfig, k_list: str) -> int:
     lines = [cfg.header()]
     all_ok = True
-    for ks in k_list.split(","):
-        k = float(ks.strip())
-        params = MapParams(k)
+    for params in _k_list(k_list):
         for name, ok, detail in _verify_battery(params):
             all_ok &= ok
-            lines.append(f"{'ok  ' if ok else 'FAIL'} k={k:g} {name} ({detail})")
+            lines.append(f"{'ok  ' if ok else 'FAIL'} k={params.k:g} {name} ({detail})")
     lines.append("result " + ("PASS" if all_ok else "FAIL"))
     _emit(cfg, "\n".join(lines))
     return 0 if all_ok else 1
@@ -454,6 +465,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         params = MapParams(cfg.k)
         if cfg.grid < 1:
             raise ValueError(f"grid must be >= 1, got {cfg.grid}")
+        if cfg.subcommand in ("leaf", "figures"):
+            for flag, value in (("--step", cfg.step), ("--max-arc", cfg.max_arc)):
+                if not (math.isfinite(value) and value > 0.0):
+                    raise ValueError(f"{flag} must be positive and finite, got {value!r}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,46 +1,81 @@
 """Integral curves (leaves) of the four direction fields on the torus.
 
-Leaves are traced with a fourth-order explicit scheme on the unit direction
-field.  Direction fields are only defined mod pi, so every evaluation is
-flipped, when needed, to keep a positive inner product with the running
-tangent.  The step adapts to the distance from the critical strips around
-y = 1/4 and y = 3/4 (ytilde for the backward fields), where the fields
-turn on a scale of 1/k.
+Each field depends on one coordinate only, c = y for E1 and F1 and
+c = ytilde = y - x for E-1 and F-1, so every leaf solves a separable scalar
+ODE and is traced as a quadrature in c.  Let a(c) be the field angle
+(``forward_angle`` or ``backward_angle``, plus pi/2 for F1 and F-1) and
+w = dc/ds the rate at which a unit-speed leaf crosses the levels of c:
+w = sin a forward and sin a - cos a backward.  Then
 
-Closed leaves are known exactly: the expanded forward foliation F1 has the
-two horizontal lines y = delta^* and y = 1 - delta^*, and the contracted
-backward foliation E-1 has the two diagonals ytilde = delta^* and
-ytilde = 1 - delta^*.  (The diagonals sit exactly at delta^*, approaching
-ytilde = 1/4 and 3/4 only in the large-k limit.)  E1 and F-1 have no
-closed leaves; their leaves wrap around the torus and accumulate on the
-closed leaves of the orthogonal picture.
+    x(c) = x0 + int cos a / w dc,    s(c) = int 1 / |w| dc,
+
+and y = c forward, y = c + x backward.  Both integrands are unchanged when a
+moves by pi, so the mod-pi ambiguity of a direction field (and the jump of
+``forward_angle`` by pi at delta^*) never enters.  Along a leaf c moves
+monotonically, in the direction the start orientation gives it.
+
+w vanishes only for F1 and E-1, at c = delta^* and c = 1 - delta^*.  These
+levels are the closed leaves: the horizontal lines y = delta^*, 1 - delta^*
+of F1 and the diagonals ytilde = delta^*, 1 - delta^* of E-1.  Every other
+leaf of these two foliations runs towards the zero ahead of it and
+approaches that closed leaf exponentially.  The quadrature stops 1e-10 short
+of the zero, below which float evaluation of w is noise, and the leaf goes
+on analytically, |c - c*| = e1 exp(-lambda (s - s1)) with lambda = |w| / e1
+read one-sided at the stop, while x advances along the closed leaf.  E1 and
+F-1 have no closed leaves, nor have F1 and E-1 where delta^* is undefined
+(k < 1/(4 pi)): one period of c is integrated and tiled.  Leaves of E1 and
+F-1 accumulate on the closed leaves of the orthogonal picture.
+
+The quadrature runs 3-point Gauss-Legendre on a fine grid in c, refined
+until each interval is short in arc, in turn of the tangent and in relative
+change of w.  Output vertices are fine-grid nodes at most ``step`` apart in
+arc and about 0.01 rad apart in tangent angle; the last one lies at arc
+length ``max_arc`` exactly.  A leaf is ``closed`` only when it starts on a
+closed leaf (within 1e-10 in c) and ``max_arc`` covers one period of it; the
+trace is then that period and ends on its start point.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .coordinates import backward_angle, critical_constants, forward_angle
-from .stdmap import MapParams, TorusPoint, mod1
+from .coordinates import Coord, backward_angle, critical_constants, forward_angle
+from .stdmap import TWO_PI, MapParams, TorusPoint
 
 LEAF_FIELDS = ("E1", "F1", "E-1", "F-1")
 
-#: Declared closed when the trace returns this close to its start
-#: (fraction of the current step) with nearly parallel tangent.
-_CLOSE_TANGENT_DOT = 0.99
+#: Distance in c from a zero of w at which the quadrature hands over to the
+#: exponential tail; closer than this, float evaluation of w is noise.  A
+#: start this close to a zero lies on the closed leaf.
+_JOIN = 1e-10
+#: Largest tangent turn between output vertices, in radians.
+_MAX_TURN = 0.01
+#: Change of ln|w| that counts as one allowance in the refinement, keeping
+#: the 3-point rule accurate where ``step`` is coarse.
+_MAX_LOG_W = 0.25
+#: A fine interval uses at most 1/_FINE of one allowance: of the arc
+#: ``step``, the turn _MAX_TURN and the change _MAX_LOG_W summed as
+#: fractions.  Vertices picked from the nodes then keep to step and turn.
+_FINE = 4
+#: Refinement passes, and the most pieces one pass cuts an interval into.
+_PASSES = 10
+_MAX_SPLIT = 4096
+#: Initial grid: nodes per unit of c, spacing in asinh(psi) (the field turns
+#: where |psi| is of order one, a band of width ~1/k in c) and the ratio of
+#: successive distances from a zero of w.
+_PILOT_PER_UNIT = 256
+_PILOT_XI = 0.02
+_PILOT_RATIO = 1.05
+#: The largest max_arc / step accepted: the leaf has about that many vertices.
+_MAX_VERTICES = 10**7
 
-#: Largest per-step rotation of the field accepted before raising.  Under
-#: mod-pi continuity flipping a rotation just above pi/2 is indistinguishable
-#: from one just below, so pi/4 is the widest turn that can be trusted.
-_MAX_TURN_DOT = math.cos(0.25 * math.pi)
-
-
-class StepSizeError(RuntimeError):
-    """The field rotated too much between vertices for the requested step."""
+#: 3-point Gauss-Legendre nodes and weights on [0, 1].
+_GL_X = np.array([0.5 - 0.5 * math.sqrt(0.6), 0.5, 0.5 + 0.5 * math.sqrt(0.6)])
+_GL_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 @dataclass
@@ -121,25 +156,182 @@ class Leaf:
         return rows
 
 
-def _field_components(field_id: str, lx: float, ly: float, params: MapParams) -> tuple[float, float]:
-    """Canonical unit direction of the field at a lifted plane point."""
-    if field_id == "E1" or field_id == "F1":
-        ang = forward_angle(mod1(ly), params)
-        if field_id == "F1":
-            ang += 0.5 * math.pi
-    else:
-        ang = backward_angle(mod1(ly - lx), params)
-        if field_id == "F-1":
-            ang += 0.5 * math.pi
-    return math.cos(ang), math.sin(ang)
+@dataclass(frozen=True)
+class _LeafField:
+    """One field along its governing coordinate, at offsets C from c = base."""
+
+    forward: bool
+    perp: bool
+    params: MapParams
+    base: float
+
+    def angle(self, offset: Coord) -> Coord:
+        """Lifted field angle a at c = base + offset."""
+        c = self.base + offset
+        a = forward_angle(c, self.params) if self.forward else backward_angle(c, self.params)
+        return a + 0.5 * math.pi if self.perp else a
+
+    def speed(self, a: Coord) -> Coord:
+        """w = dc/ds of the unit tangent at angle a."""
+        return np.sin(a) if self.forward else np.sin(a) - np.cos(a)
+
+    def integrals(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, arc) increments over each interval [lo, hi] of C."""
+        h = hi - lo
+        a = self.angle(lo[:, None] + h[:, None] * _GL_X)
+        w = self.speed(a)
+        return h * ((np.cos(a) / w) @ _GL_W), np.abs(h) * ((1.0 / np.abs(w)) @ _GL_W)
 
 
-def _strip_distance(field_id: str, lx: float, ly: float) -> float:
-    """Circle distance of the field's governing coordinate from {1/4, 3/4}."""
-    c = mod1(ly) if field_id in ("E1", "F1") else mod1(ly - lx)
-    d = abs(c - 0.25)
-    d = min(d, abs(c - 0.75))
-    return min(d, 1.0 - abs(c - 0.75))
+@dataclass
+class _Grid:
+    """Fine grid of one stretch of a leaf: nodes C, cumulative x, arc and turn."""
+
+    c: np.ndarray
+    x: np.ndarray
+    s: np.ndarray
+    turn: np.ndarray
+    complete: bool
+
+
+def _pilot(f: _LeafField, length: float, sigma: float, ahead: Optional[float],
+           behind: Optional[float]) -> np.ndarray:
+    """Initial nodes at travel distances [0, length] from the start, as offsets C.
+
+    ``ahead`` and ``behind`` are the distances of the zeros of w in front of
+    and behind the start, when the field has zeros.
+    """
+    parts = [np.linspace(0.0, length, math.ceil(length * _PILOT_PER_UNIT) + 1)]
+    amp = TWO_PI * f.params.k
+    top = math.asinh(amp)
+    levels = np.sinh(np.linspace(-top, top, math.ceil(2.0 * top / _PILOT_XI) + 1)) / amp
+    v = np.arccos(np.clip(levels, -1.0, 1.0)) / TWO_PI
+    first = (sigma * (np.concatenate([v, 1.0 - v]) - f.base)) % 1.0
+    parts.append((first[:, None] + np.arange(math.ceil(length) + 1)).ravel())
+    if ahead is not None and behind is not None:
+        n = math.ceil(math.log(ahead / _JOIN) / math.log(_PILOT_RATIO)) + 1
+        parts.append(ahead - np.geomspace(_JOIN, ahead, n))
+        n = math.ceil(math.log((behind + length) / behind) / math.log(_PILOT_RATIO)) + 1
+        parts.append(np.geomspace(behind, behind + length, n) - behind)
+    d = np.concatenate(parts)
+    return sigma * np.unique(d[(d >= 0.0) & (d <= length)])
+
+
+def _subdivide(nodes: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """Cut interval i of ``nodes`` into pieces[i] equal parts."""
+    first = np.repeat(nodes[:-1], pieces)
+    width = np.repeat(np.diff(nodes) / pieces, pieces)
+    j = np.arange(first.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    return np.append(first + j * width, nodes[-1])
+
+
+def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Grid:
+    """Refine ``nodes`` until every interval is fine, dropping those past arc ``cap``."""
+    complete = True
+    for _ in range(_PASSES):
+        a = f.angle(nodes)
+        dx, ds = f.integrals(nodes[:-1], nodes[1:])
+        s = np.concatenate([[0.0], np.cumsum(ds)])
+        n = int(np.searchsorted(s[:-1], cap))
+        if n < len(ds):
+            complete = False
+            nodes, a, dx, ds, s = nodes[: n + 1], a[: n + 1], dx[:n], ds[:n], s[: n + 1]
+        turn = np.abs((np.diff(a) + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
+        log_w = np.abs(np.diff(np.log(np.abs(f.speed(a)))))
+        cost = ds / step + turn / _MAX_TURN + log_w / _MAX_LOG_W
+        if cost.max(initial=0.0) <= 1.0 / _FINE:
+            break
+        pieces = np.clip(np.ceil(1.25 * _FINE * cost), 1, _MAX_SPLIT).astype(np.int64)
+        nodes = _subdivide(nodes, pieces)
+    x = np.concatenate([[0.0], np.cumsum(dx)])
+    return _Grid(nodes, x, s, np.concatenate([[0.0], np.cumsum(turn)]), complete)
+
+
+def _vertices(grid: _Grid, step: float) -> np.ndarray:
+    """Indices of the nodes kept as vertices, first and last included.
+
+    A node is kept when it is the first to reach a multiple of 1 - 1/_FINE
+    in m = arc / step + turn / _MAX_TURN.  Each fine interval adds at most
+    1/_FINE to m, so consecutive vertices differ by less than 1 in m.
+    """
+    m = grid.s / step + grid.turn / _MAX_TURN
+    level = np.floor(m / (1.0 - 1.0 / _FINE))
+    keep = np.flatnonzero(np.diff(level[:-1]) > 0.0) + 1
+    return np.concatenate([[0], keep, [len(m) - 1]])
+
+
+def _arc_point(f: _LeafField, grid: _Grid, target: float) -> tuple[float, float]:
+    """(C, x) where the grid's leaf reaches arc ``target`` <= its end."""
+    i = min(int(np.searchsorted(grid.s, target, side="right")) - 1, len(grid.s) - 2)
+    lo, hi = grid.c[i], grid.c[i + 1]
+    if grid.s[i] == target:
+        return float(lo), float(grid.x[i])
+    sign = math.copysign(1.0, hi - lo)
+    c = lo + (hi - lo) * (target - grid.s[i]) / (grid.s[i + 1] - grid.s[i])
+    for _ in range(4):  # Newton on arc(c), whose slope is 1/|w|
+        _, ds = f.integrals(np.array([lo]), np.array([c]))
+        c -= sign * (grid.s[i] + ds[0] - target) * abs(f.speed(f.angle(c)))
+        c = min(max(c, min(lo, hi)), max(lo, hi))
+    dx, _ = f.integrals(np.array([lo]), np.array([c]))
+    return float(c), float(grid.x[i] + dx[0])
+
+
+def _tile(f: _LeafField, grid: _Grid, step: float, max_arc: float, sigma: float,
+          periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (C, x) up to arc max_arc, repeating the grid's period if ``periodic``."""
+    keep = _vertices(grid, step)
+    reps = int(max_arc // grid.s[-1]) if periodic and grid.complete else 0
+    rem = max_arc - reps * grid.s[-1]
+    head = keep[:-1]
+    shift = np.arange(reps)[:, None]
+    cs = [(grid.c[head] + sigma * shift).ravel()]
+    xs = [(grid.x[head] + grid.x[-1] * shift).ravel()]
+    part = keep[grid.s[keep] < rem]
+    end_c, end_x = _arc_point(f, grid, rem)
+    cs += [grid.c[part] + sigma * reps, [end_c + sigma * reps]]
+    xs += [grid.x[part] + grid.x[-1] * reps, [end_x + grid.x[-1] * reps]]
+    return np.concatenate(cs), np.concatenate(xs)
+
+
+def _tail(f: _LeafField, grid: _Grid, step: float, max_arc: float, sigma: float,
+          zero: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (C, x) of the exponential approach to the closed leaf c = base + zero."""
+    keep = _vertices(grid, step)
+    c1, x1, s1 = grid.c[-1], grid.x[-1], grid.s[-1]
+    e1 = abs(zero - c1)
+    a = f.angle(c1)
+    w = f.speed(a)
+    rate = abs(w) / e1
+    # Direction of travel along the closed leaf: the sign of the tangent's
+    # component along (1, 0) forward, (1, 1) backward.
+    along = math.copysign(1.0, sigma * w * (math.cos(a) + (0.0 if f.forward else math.sin(a))))
+    n = math.ceil((max_arc - s1) / step)
+    t = (max_arc - s1) * np.arange(1, n + 1) / n
+    c = zero - sigma * e1 * np.exp(-rate * t)
+    if f.forward:
+        x = x1 + along * t
+    else:  # dx/ds = (along sqrt(2 - w^2) - w) / 2, and w^2 < 1e-12 here
+        x = x1 + along * t / math.sqrt(2.0) - 0.5 * (c - c1)
+    return np.concatenate([grid.c[keep], c]), np.concatenate([grid.x[keep], x])
+
+
+def _closed_trace(field_id: str, start: TorusPoint, step: float, max_arc: float,
+                  along: float) -> Leaf:
+    """The closed leaf through ``start``, one period or max_arc long."""
+    period = 1.0 if field_id == "F1" else math.sqrt(2.0)
+    arc = min(max_arc, period)
+    n = math.ceil(arc / step)
+    t = along * np.linspace(0.0, arc, n + 1) / period
+    rise = 0.0 if field_id == "F1" else 1.0
+    lifted = np.column_stack([start.x + t, start.y + rise * t])
+    return _make_leaf(field_id, lifted, arc, closed=arc == period)
+
+
+def _make_leaf(field_id: str, lifted: np.ndarray, arc: float, closed: bool) -> Leaf:
+    """Leaf of a lifted polyline, with its torus points in [0, 1)."""
+    points = lifted - np.floor(lifted)
+    points[points >= 1.0 - 1e-15] = 0.0
+    return Leaf(field_id=field_id, points=points, lifted=lifted, arc_length=arc, closed=closed)
 
 
 def trace_leaf(
@@ -150,101 +342,64 @@ def trace_leaf(
     max_arc: float = 10.0,
     initial_direction: tuple[float, float] | None = None,
 ) -> Leaf:
-    """Trace one leaf from a starting point.
+    """Trace one leaf from a starting point over arc length ``max_arc``.
 
-    The base step shrinks by min(1, k * distance-to-critical-strip), floored
-    at 1/(1 + k) so the trace can cross and follow the strips.  Termination:
-    max_arc reached (the final step is clipped to land on it exactly),
-    or closure detected (the trace returns within half a step of the start
-    with nearly parallel tangent; the start vertex is then re-appended so
-    closed leaves end exactly where they began).
-
-    Raises StepSizeError when the field direction rotates more than pi/4
-    between consecutive vertices, which means the step cannot resolve the
-    field in that region.
+    The leaf is oriented by ``initial_direction`` when given (the tangent
+    has a non-negative inner product with it), otherwise so that x does not
+    decrease at the start.  ``step`` is the largest spacing between
+    consecutive vertices; vertices are also at most about 0.01 rad apart in
+    tangent angle.  The trace ends at arc ``max_arc`` exactly, unless it
+    starts on a closed leaf (within 1e-10 of its level); it is then that
+    leaf, one period long when max_arc allows, and ``closed``.
     """
     if field_id not in LEAF_FIELDS:
         raise ValueError(f"field_id must be one of {LEAF_FIELDS}, got {field_id!r}")
-    if step <= 0 or max_arc <= 0:
-        raise ValueError("step and max_arc must be positive")
+    for name, value in (("step", step), ("max_arc", max_arc)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if max_arc / step > _MAX_VERTICES:
+        raise ValueError(f"max_arc / step = {max_arc / step:.3g} exceeds {_MAX_VERTICES} vertices")
 
-    lx, ly = start.x, start.y
-    dx0, dy0 = _field_components(field_id, lx, ly, params)
+    forward = field_id in ("E1", "F1")
+    c0 = start.y if forward else start.y - start.x
+    f = _LeafField(forward, field_id[0] == "F", params, c0 - math.floor(c0))
+    a0 = f.angle(0.0)
+    tx, ty = math.cos(a0), math.sin(a0)
     if initial_direction is not None:
-        rx, ry = initial_direction
-        if dx0 * rx + dy0 * ry < 0.0:
-            dx0, dy0 = -dx0, -dy0
-    elif dx0 < 0.0 or (dx0 == 0.0 and dy0 < 0.0):
-        dx0, dy0 = -dx0, -dy0
-
-    xs = array("d", [lx])
-    ys = array("d", [ly])
-    rx, ry = dx0, dy0
-    arc = 0.0
-    closed = False
-    floor_factor = 1.0 / (1.0 + params.k)
-    max_steps = int(2 * max_arc / (step * floor_factor)) + 64
-
-    for _ in range(max_steps):
-        if arc >= max_arc:
-            break
-        factor = min(1.0, max(params.k * _strip_distance(field_id, lx, ly), floor_factor))
-        h = min(step * factor, max_arc - arc)
-
-        d1x, d1y = _field_components(field_id, lx, ly, params)
-        if d1x * rx + d1y * ry < 0.0:
-            d1x, d1y = -d1x, -d1y
-        d2x, d2y = _field_components(field_id, lx + 0.5 * h * d1x, ly + 0.5 * h * d1y, params)
-        if d2x * d1x + d2y * d1y < 0.0:
-            d2x, d2y = -d2x, -d2y
-        d3x, d3y = _field_components(field_id, lx + 0.5 * h * d2x, ly + 0.5 * h * d2y, params)
-        if d3x * d1x + d3y * d1y < 0.0:
-            d3x, d3y = -d3x, -d3y
-        d4x, d4y = _field_components(field_id, lx + h * d3x, ly + h * d3y, params)
-        if d4x * d1x + d4y * d1y < 0.0:
-            d4x, d4y = -d4x, -d4y
-
-        mx = (d1x + 2.0 * (d2x + d3x) + d4x) / 6.0
-        my = (d1y + 2.0 * (d2y + d3y) + d4y) / 6.0
-        nx, ny = lx + h * mx, ly + h * my
-
-        ndx, ndy = _field_components(field_id, nx, ny, params)
-        if ndx * d1x + ndy * d1y < 0.0:
-            ndx, ndy = -ndx, -ndy
-        if ndx * d1x + ndy * d1y < _MAX_TURN_DOT:
-            coord = mod1(ny) if field_id in ("E1", "F1") else mod1(ny - nx)
-            raise StepSizeError(
-                f"step {h:.3g} too large for {field_id} near "
-                f"{'y' if field_id in ('E1', 'F1') else 'ytilde'} = {coord:.6f}: "
-                "field direction turned by more than pi/4 between vertices"
-            )
-
-        # The field is unit speed, so parameter time is exact arc length;
-        # summing chord lengths instead would bias the endpoint by O(h^2).
-        arc += h
-        lx, ly, rx, ry = nx, ny, ndx, ndy
-        xs.append(lx)
-        ys.append(ly)
-
-        if arc > 3.0 * step:
-            ddx = lx - start.x
-            ddy = ly - start.y
-            tx = abs(ddx - round(ddx))
-            ty = abs(ddy - round(ddy))
-            if math.hypot(tx, ty) < 0.5 * h and rx * dx0 + ry * dy0 > _CLOSE_TANGENT_DOT:
-                xs.append(start.x + round(ddx))
-                ys.append(start.y + round(ddy))
-                closed = True
-                break
+        orient = -1.0 if tx * initial_direction[0] + ty * initial_direction[1] < 0.0 else 1.0
     else:
-        raise RuntimeError(
-            f"leaf trace exceeded {max_steps} steps before reaching arc {max_arc}"
-        )
+        orient = -1.0 if tx < 0.0 or (tx == 0.0 and ty < 0.0) else 1.0
 
-    lifted = np.column_stack([np.frombuffer(xs, dtype=float), np.frombuffer(ys, dtype=float)])
-    points = lifted - np.floor(lifted)
-    points[points >= 1.0 - 1e-15] = 0.0
-    return Leaf(field_id=field_id, points=points, lifted=lifted, arc_length=arc, closed=closed)
+    delta_star = critical_constants(params).delta_star if field_id in ("F1", "E-1") else None
+    if delta_star is None:
+        ahead = behind = None
+        sigma = math.copysign(1.0, orient * f.speed(a0))
+        length = 1.0
+    else:
+        zeros = (delta_star, 1.0 - delta_star)
+        up = min((z - f.base) % 1.0 for z in zeros)
+        down = min((f.base - z) % 1.0 for z in zeros)
+        if min(up, down) <= _JOIN:
+            along = orient * (tx + (0.0 if forward else ty))
+            return _closed_trace(field_id, start, step, max_arc, math.copysign(1.0, along))
+        sigma = math.copysign(1.0, orient * f.speed(a0))
+        ahead, behind = (up, down) if sigma > 0.0 else (down, up)
+        length = ahead - _JOIN
+
+    nodes = _pilot(f, length, sigma, ahead, behind)
+    cap = 1.25 * max_arc
+    grid = _fine_grid(f, nodes, step, cap)
+    while not grid.complete and grid.s[-1] < max_arc:  # the coarse arc estimate was high
+        cap *= 2.0
+        grid = _fine_grid(f, nodes, step, cap)
+
+    if ahead is None or grid.s[-1] >= max_arc:
+        c, x = _tile(f, grid, step, max_arc, sigma, periodic=ahead is None)
+    else:
+        c, x = _tail(f, grid, step, max_arc, sigma, sigma * ahead)
+    lx = start.x + x
+    ly = start.y + c + (0.0 if forward else x)
+    return _make_leaf(field_id, np.column_stack([lx, ly]), max_arc, closed=False)
 
 
 def fold_tips(params: MapParams) -> tuple[float, float]:
@@ -278,9 +433,5 @@ def closed_leaves(field_id: str, params: MapParams) -> list[Leaf]:
         else:
             lifted = np.array([[0.0, level], [1.0, level + 1.0]])
             arc = math.sqrt(2.0)
-        points = lifted - np.floor(lifted)
-        points[points >= 1.0 - 1e-15] = 0.0
-        leaves.append(
-            Leaf(field_id=field_id, points=points, lifted=lifted, arc_length=arc, closed=True)
-        )
+        leaves.append(_make_leaf(field_id, lifted, arc, closed=True))
     return leaves

@@ -186,6 +186,17 @@ class TestFigures:
         for p in outdir.glob("*.svg"):
             ET.parse(p)  # well-formed XML
 
+    @pytest.mark.parametrize("k", ["1", "10"])
+    def test_polylines_inside_unit_square(self, tmp_path, k):
+        outdir = tmp_path / "figs"
+        code, _ = run_capture(["figures", "--k", k, "--grid", "256", "--out", str(outdir)])
+        assert code == 0
+        for path in outdir.glob("*.svg"):
+            for el in ET.parse(path).iter():
+                if el.tag.endswith("polyline"):
+                    coords = [float(v) for pair in el.get("points").split() for v in pair.split(",")]
+                    assert 0.0 <= min(coords) and max(coords) <= 1.0, path.name
+
     def test_forward_foliation_shows_closed_leaves(self, tmp_path):
         # The bold closed leaves sit at render height 1 - delta^* and
         # delta^* (the y axis is flipped into screen coordinates).
@@ -224,6 +235,21 @@ class TestArgumentErrors:
             code, err = self.run_error(["field", "--k", "3", "--grid", grid])
             assert code == 2
             assert "grid" in err
+
+    def test_leaf_and_figures_name_bad_step_or_arc(self, tmp_path):
+        for sub in (["leaf"], ["figures", "--out", str(tmp_path / "figs")]):
+            for flag, value in (("--max-arc", "inf"), ("--step", "nan"), ("--step", "0"),
+                                ("--max-arc", "-1")):
+                code, err = self.run_error(sub + [flag, value])
+                assert code == 2, (sub, flag, value)
+                assert f"{flag} must be positive and finite" in err
+        assert not (tmp_path / "figs").exists()
+
+    def test_bad_k_list_entry_named(self):
+        for k_list, entry in (("abc", "'abc'"), ("1,,2", "''"), ("2,-1", "'-1'")):
+            code, err = self.run_error(["verify", "--k-list", k_list])
+            assert code == 2
+            assert f"--k-list entry {entry}" in err
 
     def test_bad_k(self):
         assert run(["constants", "--k", "-1"]) == 2

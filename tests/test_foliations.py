@@ -6,18 +6,62 @@ import numpy as np
 import pytest
 
 from hypermap.coordinates import critical_constants, theta_field, unit_vector
-from hypermap.foliations import (
-    StepSizeError,
-    closed_leaves,
-    fold_tips,
-    trace_leaf,
-)
-from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi
+from hypermap.foliations import closed_leaves, fold_tips, trace_leaf
+from hypermap.oracle import rk4_leaf, svd2
+from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi, jacobian
 
 
 def dist_mod1(a: np.ndarray, b: float) -> np.ndarray:
     d = np.abs(a - b) % 1.0
     return np.minimum(d, 1.0 - d)
+
+
+def polyline_distance(pts: np.ndarray, ref: np.ndarray, window: float = 2e-3) -> np.ndarray:
+    """Distance of each point to the polyline ``ref``, near the same arc position.
+
+    Both polylines start at the same point and are parametrised by summed
+    chord length; each point is compared with the ref segments within
+    ``window`` of its own position.
+    """
+    arc_ref = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(ref, axis=0).T))])
+    arc_pts = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+    out = np.empty(len(pts))
+    for i, (p, s) in enumerate(zip(pts, arc_pts)):
+        lo = max(int(np.searchsorted(arc_ref, s - window)) - 1, 0)
+        hi = min(int(np.searchsorted(arc_ref, s + window)) + 1, len(ref) - 1)
+        a, b = ref[lo:hi], ref[lo + 1:hi + 1]
+        d = b - a
+        t = np.clip(((p - a) * d).sum(1) / np.maximum((d * d).sum(1), 1e-300), 0.0, 1.0)
+        out[i] = np.hypot(*(a + t[:, None] * d - p).T).min()
+    return out
+
+
+def chord_excess(leaf, params: MapParams) -> float:
+    """Largest angle of a chord to the svd2 field at its midpoint, beyond its tolerance.
+
+    The field is the most contracted (E) or expanded (F) right-singular
+    direction of the Jacobian.  The tolerance is the perfbench leaf gate's:
+    a chord is the mean tangent along it, so it lies within twice the
+    field's turn between its midpoint and either end, plus 1e-9 and what
+    rounding of the coordinates allows.
+    """
+    time = "forward" if leaf.field_id in ("E1", "F1") else "backward"
+    pts = leaf.lifted[:-1] if leaf.closed else leaf.lifted
+
+    def direction(x: float, y: float) -> float:
+        s = svd2(jacobian(TorusPoint(x % 1.0, y % 1.0), params, time))
+        return (s.dir_min if leaf.field_id[0] == "E" else s.dir_max).theta
+
+    ends = [direction(x, y) for x, y in pts]
+    worst = -1.0
+    for i in range(len(pts) - 1):
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+        length = math.hypot(x1 - x0, y1 - y0)
+        mid = direction(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+        turn = max(angle_dist_mod_pi(ends[i], mid), angle_dist_mod_pi(ends[i + 1], mid))
+        tol = 1e-9 + 2.0 * turn + 4e-16 * (1.0 / length + 8.0 * math.pi**2 * (params.k + 1.0))
+        worst = max(worst, angle_dist_mod_pi(math.atan2(y1 - y0, x1 - x0), mid) - tol)
+    return worst
 
 
 class TestFoldTips:
@@ -156,26 +200,6 @@ class TestTraceLeaf:
             dy = dist_mod1(back.points[:, 1], y)
             assert np.hypot(dx, dy).min() < 2e-3
 
-    def test_step_halving_is_fourth_order(self):
-        # One clean halving above the rounding floor; beyond it the
-        # integrator saturates at ~1e-13 absolute on this segment.
-        p = MapParams(2.0)
-
-        def endpoint(h):
-            return trace_leaf("E1", TorusPoint(0.0, 0.6), p, step=h, max_arc=0.5).lifted[-1]
-
-        ref = endpoint(2.5e-4)
-        e1 = float(np.hypot(*(endpoint(1.6e-2) - ref)))
-        e2 = float(np.hypot(*(endpoint(8e-3) - ref)))
-        assert e1 / e2 >= 12.0
-        assert e2 < 1e-12
-
-    def test_step_size_error_names_region(self):
-        p = MapParams(20.0)
-        ds, _ = fold_tips(p)
-        with pytest.raises(StepSizeError, match="E1 near y"):
-            trace_leaf("E1", TorusPoint(0.5, ds), p, step=0.3, max_arc=2.0)
-
     def test_argument_validation(self):
         p = MapParams(1.0)
         with pytest.raises(ValueError):
@@ -184,6 +208,30 @@ class TestTraceLeaf:
             trace_leaf("E1", TorusPoint(0, 0), p, step=0.0)
         with pytest.raises(ValueError):
             trace_leaf("E1", TorusPoint(0, 0), p, max_arc=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="max_arc"):
+                trace_leaf("E1", TorusPoint(0, 0), p, max_arc=bad)
+            with pytest.raises(ValueError, match="step"):
+                trace_leaf("E1", TorusPoint(0, 0), p, step=bad)
+        with pytest.raises(ValueError, match="vertices"):
+            trace_leaf("E1", TorusPoint(0, 0), p, step=1e-9, max_arc=1e3)
+
+    @pytest.mark.parametrize("k", [2.3, 13.3, 100.0])
+    def test_f_minus1_leaves_do_not_close(self, k):
+        # F-1 has no closed leaves; a closure heuristic once stopped this
+        # leaf after one (1, -1) winding, at arc ~sqrt(2).
+        start = TorusPoint(0.8444218515250481, 0.7579544029403025)
+        leaf = trace_leaf("F-1", start, MapParams(k), max_arc=2.5)
+        assert not leaf.closed
+        assert leaf.arc_length == 2.5
+        assert leaf.winding() != (0, 0)
+
+    def test_closed_leaf_shorter_than_its_period(self):
+        p = MapParams(10.0)
+        ds, _ = fold_tips(p)
+        leaf = trace_leaf("F1", TorusPoint(0.3, ds), p, max_arc=0.25)
+        assert not leaf.closed and leaf.arc_length == 0.25
+        assert leaf.lifted[-1, 0] == pytest.approx(0.55, abs=1e-15)
 
     def test_orientation_seed_nonnegative_x(self):
         p = MapParams(5.0)
@@ -212,3 +260,44 @@ class TestTraceLeaf:
         assert len(rows) >= len(leaf)
         seg_ids = {r[0] for r in rows}
         assert seg_ids == set(range(len(seg_ids)))
+
+
+#: Fields and k for the comparison with the RK4 oracle; delta^* is undefined
+#: at k = 0.05, where F1 and E-1 have no closed leaves.
+RK4_CASES = [(f, k) for f in ("E1", "F1", "E-1", "F-1") for k in (0.6, 2.0, 10.0, 30.0, 100.0)]
+RK4_CASES += [("F1", 0.05), ("E-1", 0.05)]
+
+
+class TestAgainstRk4:
+    @pytest.mark.parametrize("field_id,k", RK4_CASES)
+    def test_matches_oracle(self, field_id, k):
+        p = MapParams(k)
+        # c = 0.37: F1 leaves from k = 2 on reach a closed leaf within the arc.
+        start = TorusPoint(0.3, 0.37) if field_id in ("E1", "F1") else TorusPoint(0.3, 0.67)
+        step = 1e-3
+        leaf = trace_leaf(field_id, start, p, step=step, max_arc=0.5)
+        ref = rk4_leaf(field_id, start, p, step=2.5e-4, max_arc=0.5)
+        assert leaf.arc_length == 0.5 and not leaf.closed
+        assert np.hypot(*(leaf.lifted[-1] - ref.lifted[-1])) < 1e-9
+        assert polyline_distance(leaf.lifted, ref.lifted).max() < 1e-6
+        chords = np.diff(leaf.lifted, axis=0)
+        assert np.hypot(*chords.T).max() <= step
+        turn = np.diff(np.arctan2(chords[:, 1], chords[:, 0]))
+        assert np.abs((turn + math.pi) % (2.0 * math.pi) - math.pi).max() <= 0.01
+        assert chord_excess(leaf, p) <= 0.0
+
+    @pytest.mark.parametrize("field_id", ["F1", "E-1"])
+    @pytest.mark.parametrize("k", [2.0, 100.0])
+    @pytest.mark.parametrize("offset", [1e-3, -1e-3])
+    def test_chords_follow_field_on_tail(self, field_id, k, offset):
+        # Started 1e-3 from the closed leaf c = delta^*, the leaf reaches it
+        # within arc ~0.2 and then follows the analytic tail.
+        p = MapParams(k)
+        ds, _ = fold_tips(p)
+        c = ds + offset
+        start = TorusPoint(0.1, c) if field_id == "F1" else TorusPoint(0.1, (0.1 + c) % 1.0)
+        leaf = trace_leaf(field_id, start, p, step=1e-3, max_arc=1.0)
+        end = leaf.points[-1]
+        assert dist_mod1(np.array([end[1] - (0.0 if field_id == "F1" else end[0])]), ds)[0] < 1e-12
+        assert chord_excess(leaf, p) <= 0.0
+        assert np.hypot(*np.diff(leaf.lifted, axis=0).T).max() <= 1e-3

@@ -7,12 +7,14 @@ with each other before anything else trusts them.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermap.oracle import fd_derivative, svd2, sweep_min_direction
-from hypermap.stdmap import Mat2, angle_dist_mod_pi
+from hypermap.foliations import fold_tips
+from hypermap.oracle import StepSizeError, fd_derivative, rk4_leaf, svd2, sweep_min_direction
+from hypermap.stdmap import MapParams, Mat2, TorusPoint, angle_dist_mod_pi
 
 SQRT5 = math.sqrt(5.0)
 
@@ -161,3 +163,25 @@ class TestFdDerivative:
     def test_h_must_be_positive(self):
         with pytest.raises(ValueError):
             fd_derivative(lambda y: y, 0.0, 0.0)
+
+
+class TestRk4Leaf:
+    def test_step_halving_is_fourth_order(self):
+        # One clean halving above the rounding floor; beyond it the
+        # integrator saturates at ~1e-13 absolute on this segment.
+        p = MapParams(2.0)
+
+        def endpoint(h):
+            return rk4_leaf("E1", TorusPoint(0.0, 0.6), p, step=h, max_arc=0.5).lifted[-1]
+
+        ref = endpoint(2.5e-4)
+        e1 = float(np.hypot(*(endpoint(1.6e-2) - ref)))
+        e2 = float(np.hypot(*(endpoint(8e-3) - ref)))
+        assert e1 / e2 >= 12.0
+        assert e2 < 1e-12
+
+    def test_step_size_error_names_region(self):
+        p = MapParams(20.0)
+        ds, _ = fold_tips(p)
+        with pytest.raises(StepSizeError, match="E1 near y"):
+            rk4_leaf("E1", TorusPoint(0.5, ds), p, step=0.3, max_arc=2.0)
