@@ -10,6 +10,7 @@ check command found failures, 2 on argument errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -80,14 +81,29 @@ def _emit(cfg: RunConfig, text: str) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _csv(cfg: RunConfig, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    lines = [cfg.header(), ",".join(columns)]
-    for row in rows:
-        cells = [_g(v) if isinstance(v, float) else str(v) for v in row]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
+    """CSV text of a table given as whole, equally long columns.
+
+    A float ndarray column is written ``%.17g`` and an integer ndarray
+    column ``%d``, each by the one %-format of the whole table; this is the
+    text of ``_g`` and ``str``.  Any other column is converted cell by cell,
+    floats with ``_g`` and everything else with ``str``.
+    """
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    formats = []
+    for j, col in enumerate(columns):
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else ""
+        if kind in ("f", "i", "u"):
+            formats.append("%.17g" if kind == "f" else "%d")
+            table[:, j] = col
+        else:
+            formats.append("%s")
+            table[:, j] = [_g(v) if isinstance(v, float) else str(v) for v in col]
+    rows = ("\n" + ",".join(formats)) * len(table) % tuple(table.ravel().tolist())
+    return f"{cfg.header()}\n{','.join(names)}{rows}\n"
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="hypermap", description=__doc__)
     top.add_argument("--version", action="version", version=f"hypermap {__version__}")
@@ -166,7 +182,7 @@ def _cmd_constants(cfg: RunConfig, params: MapParams) -> int:
         strip = delta_strip(cfg.m, params)
         rows.append((f"delta_({cfg.m})", strip.delta_m, "true"))
         rows.append((f"delta_(-{cfg.m})", strip.delta_neg_m, "true"))
-    _emit(cfg, _csv(cfg, ["name", "value", "defined"], rows))
+    _emit(cfg, _csv(cfg, ["name", "value", "defined"], list(zip(*rows))))
     return 0
 
 
@@ -180,9 +196,8 @@ def _field_columns(coord: np.ndarray, params: MapParams, time: str) -> tuple[np.
 def _cmd_field(cfg: RunConfig, params: MapParams, time: str) -> int:
     coord = np.arange(cfg.grid) / cfg.grid
     ratio, theta = _field_columns(coord, params, time)
-    columns = (coord, ratio, theta, np.cos(theta), np.sin(theta))
-    rows = zip(*(col.tolist() for col in columns))
-    _emit(cfg, _csv(cfg, ["coord", "phi", "theta", "e_x", "e_y"], rows))
+    columns = [coord, ratio, theta, np.cos(theta), np.sin(theta)]
+    _emit(cfg, _csv(cfg, ["coord", "phi", "theta", "e_x", "e_y"], columns))
     return 0
 
 
@@ -220,7 +235,10 @@ def _cmd_leaf(cfg: RunConfig, params: MapParams, field: str, x: float, y: float)
         elements = _strip_elements(params) + _leaf_elements([leaf], "#c03030")
         _emit(cfg, svgrender.document(elements))
         return 0
-    _emit(cfg, _csv(cfg, ["seg_id", "x", "y"], leaf.to_csv_rows()))
+    segs = leaf.segments()
+    points = np.concatenate(segs)
+    seg_id = np.repeat(np.arange(len(segs)), [len(seg) for seg in segs])
+    _emit(cfg, _csv(cfg, ["seg_id", "x", "y"], [seg_id, points[:, 0], points[:, 1]]))
     return 0
 
 
@@ -234,14 +252,13 @@ def _cmd_tangency(cfg: RunConfig, params: MapParams) -> int:
                 elements.append(svgrender.circle((tp.x, tp.y), 0.006, "#108010"))
         _emit(cfg, svgrender.document(elements))
         return 0
-    rows: list[tuple[object, ...]] = []
-    for branch in (lower, upper):
-        for tp in branch:
-            rows.append(("curve", "", tp.ytilde, tp.y, tp.x, tp.branch, tp.residual))
-    for i, tp in enumerate(landmarks, start=1):
-        if tp is not None:
-            rows.append(("landmark", f"P{i}", tp.ytilde, tp.y, tp.x, tp.branch, tp.residual))
-    _emit(cfg, _csv(cfg, ["kind", "name", "ytilde", "y", "x", "branch", "residual"], rows))
+    marks = [(f"P{i}", tp) for i, tp in enumerate(landmarks, start=1) if tp is not None]
+    points = lower + upper + [tp for _, tp in marks]
+    ytilde, y, x, residual = np.array([(tp.ytilde, tp.y, tp.x, tp.residual) for tp in points]).T
+    kind = ["curve"] * (len(lower) + len(upper)) + ["landmark"] * len(marks)
+    name = [""] * (len(lower) + len(upper)) + [name for name, _ in marks]
+    columns = [kind, name, ytilde, y, x, [tp.branch for tp in points], residual]
+    _emit(cfg, _csv(cfg, ["kind", "name", "ytilde", "y", "x", "branch", "residual"], columns))
     return 0
 
 
@@ -262,7 +279,7 @@ def _cmd_cones(cfg: RunConfig, params: MapParams, inside_strip: bool) -> int:
             ("slope_min", report.slope_range[0]),
             ("slope_max", report.slope_range[1]),
         ]
-        _emit(cfg, _csv(cfg, ["metric", "value"], rows))
+        _emit(cfg, _csv(cfg, ["metric", "value"], list(zip(*rows))))
     else:
         _emit(cfg, cfg.header() + "\n" + report.to_text())
     return 0 if report.failures == 0 else 1
@@ -440,7 +457,7 @@ def _cmd_figures(cfg: RunConfig, params: MapParams) -> int:
         lower, upper = tangency_curve(params, min(cfg.grid, 1024))
         plane = []
         for branch, color in ((lower, "#c03030"), (upper, "#3030c0")):
-            plane.append(svgrender.polyline([(tp.ytilde, tp.y) for tp in branch], color))
+            plane.append(svgrender.polyline(np.array([(tp.ytilde, tp.y) for tp in branch]), color))
         for i, tp in enumerate(tangency_landmarks(params), start=1):
             if tp is not None:
                 plane.append(svgrender.circle((tp.ytilde, tp.y), 0.006, "#108010"))

@@ -83,8 +83,10 @@ class Leaf:
     """An oriented polyline on the torus.
 
     ``points`` holds torus coordinates in [0, 1)^2 and ``lifted`` the
-    unwrapped plane copy used for winding queries and seam-free rendering;
-    the two have identical shape (n, 2).
+    unwrapped plane copy used for winding queries and rendering; the two
+    have identical shape (n, 2).  ``segments()`` cuts ``lifted`` at the torus
+    seams into one array of points in the unit square plus the offset at
+    which each piece starts, and returns the pieces as views of that array.
     """
 
     field_id: str
@@ -108,52 +110,68 @@ class Leaf:
     def segments(self) -> list[np.ndarray]:
         """Seam-split polylines in the unit square, for rendering.
 
-        Each returned array is (m, 2); consecutive arrays are separated by a
-        torus wrap.  Segment endpoints may touch the square boundary.
+        Each returned array is an (m, 2) view into the one array of all
+        pieces; consecutive arrays are separated by a torus wrap.  Segment
+        endpoints may touch the square boundary.
         """
-        pts = self.lifted
-        if len(pts) == 0:
-            return []
-        segs: list[np.ndarray] = []
-        ox, oy = math.floor(pts[0, 0]), math.floor(pts[0, 1])
-        cur: list[tuple[float, float]] = [(pts[0, 0] - ox, pts[0, 1] - oy)]
-        for i in range(1, len(pts)):
-            px, py = pts[i - 1]
-            qx, qy = pts[i]
-            events: list[tuple[float, int, int]] = []  # (t, axis, direction)
-            # Sides of the current square: a vertex on a side it leaves through crosses at t = 0.
-            for axis, (a, b, o) in enumerate(((px, qx, ox), (py, qy, oy))):
-                if b > a:
-                    c = o + 1
-                    while c < b:
-                        events.append(((c - a) / (b - a), axis, 1))
-                        c += 1
-                elif b < a:
-                    c = o
-                    while c > b:
-                        events.append(((c - a) / (b - a), axis, -1))
-                        c -= 1
-            for t, axis, direction in sorted(events):
-                seam = [px + t * (qx - px) - ox, py + t * (qy - py) - oy]
-                seam[axis] = 1.0 if direction > 0 else 0.0  # interpolation could round past the side
-                cur.append(tuple(seam))
-                segs.append(np.array(cur))
-                if axis == 0:
-                    ox += direction
-                else:
-                    oy += direction
-                seam[axis] = 1.0 - seam[axis]
-                cur = [tuple(seam)]
-            cur.append((qx - ox, qy - oy))
-        segs.append(np.array(cur))
-        return segs
+        points, starts = _split(self.lifted)
+        return np.split(points, starts[1:]) if len(points) else []
 
-    def to_csv_rows(self) -> list[tuple[int, float, float]]:
-        rows = []
-        for seg_id, seg in enumerate(self.segments()):
-            for x, y in seg:
-                rows.append((seg_id, float(x), float(y)))
-        return rows
+
+def _split(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A lifted polyline cut at the torus seams: all points in the unit
+    square as one (m, 2) array, and the index at which each piece starts.
+
+    Each vertex is drawn in the unit square at an integer offset o from the
+    plane.  Per axis, a chord moving up to b ends in the square o = ceil(b) - 1
+    and one moving down in o = floor(b); a chord that does not move keeps o,
+    so a vertex lying on a side stays in its square.  The chord crosses
+    |o_new - o_old| sides of that axis.  Crossings are taken in order of
+    (chord, t, axis): at each, the current piece ends on the side, at
+    p + t (q - p) - o with o the offset after the chord's earlier crossings,
+    and the next piece starts on the opposite side.  The side coordinate is
+    set to exactly 1 or 0, as interpolation could round past it.
+    """
+    n = len(lifted)
+    p, q = lifted[:-1], lifted[1:]
+    up, down = q > p, q < p
+    offset = np.floor(lifted)
+    offset[1:] = np.where(up, np.ceil(q) - 1.0, offset[1:])
+    # A vertex whose chord did not move on an axis takes the offset of the last one that did.
+    last_move = np.repeat(np.arange(n)[:, None], 2, axis=1)
+    last_move[1:][~(up | down)] = 0
+    offset = np.take_along_axis(offset, np.maximum.accumulate(last_move, axis=0), axis=0)
+
+    # One entry per side crossed, chord by chord and axis by axis.
+    crossed = offset[1:] - offset[:-1]
+    count = np.abs(crossed).astype(np.intp).ravel()
+    pair = np.repeat(np.arange(count.size), count)
+    if len(pair) == 0:
+        return lifted - offset, np.zeros(min(n, 1), dtype=np.intp)
+    chord, axis = np.divmod(pair, 2)
+    nth = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    sign = np.sign(crossed.ravel())[pair]
+    old = offset[:-1].ravel()[pair]
+    side = np.where(sign > 0, old + 1.0 + nth, old - nth)
+    a = p.ravel()[pair]
+    t = (side - a) / (q.ravel()[pair] - a)
+
+    # Events in drawing order; the offset at each is the start's plus all earlier moves.
+    order = np.lexsort((axis, t, chord))
+    chord, axis, sign, t = chord[order], axis[order], sign[order], t[order]
+    events = np.arange(len(t))
+    moves = np.zeros((len(t), 2))
+    moves[events, axis] = sign
+    seam = p[chord] + t[:, None] * (q[chord] - p[chord]) - (offset[0] + np.cumsum(moves, axis=0) - moves)
+    # Each event puts two points, the end of one piece and the start of the next, before its chord's end.
+    ends = chord + 1 + 2 * events
+    out = np.empty((n + 2 * len(t), 2))
+    out[np.arange(n) + 2 * np.searchsorted(chord, np.arange(n))] = lifted - offset
+    seam[events, axis] = np.where(sign > 0, 1.0, 0.0)
+    out[ends] = seam
+    seam[events, axis] = np.where(sign > 0, 0.0, 1.0)
+    out[ends + 1] = seam
+    return out, np.concatenate([[0], ends + 1])
 
 
 @dataclass(frozen=True)

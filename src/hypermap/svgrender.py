@@ -1,15 +1,16 @@
 """Plain-text SVG assembly for torus figures.
 
 Everything renders into the unit-square viewBox "0 0 1 1" with the y-axis
-flipped so y increases upward.  Polylines must already be split at torus
+flipped so y increases upward.  A polyline is an (n, 2) point array,
+formatted whole by one %-format.  Polylines must already be split at torus
 seams: Leaf.segments interpolates seam points into a leaf's chords, and
-split_at_jumps cuts sampled curves without adding points off the curve; no
-plotting library is involved.
+split_at_jumps cuts sampled curves without adding points off the curve; both
+return views into one array.  No plotting library is involved.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,19 +21,21 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def polyline(points: Iterable[Point], stroke: str, width: float = 0.002) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(1.0 - y)}" for x, y in points)
+def polyline(points: np.ndarray, stroke: str, width: float = 0.002) -> str:
+    """Polyline through the rows of an (n, 2) array; ``%.6f`` is the text of ``_fmt``."""
+    flat = np.column_stack([points[:, 0], 1.0 - points[:, 1]]).ravel().tolist()
+    coords = ("%.6f,%.6f " * len(points))[:-1] % tuple(flat)
     return (
         f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
         f'stroke-width="{width}" stroke-linejoin="round" stroke-linecap="round"/>'
     )
 
 
-def split_at_jumps(points: Sequence[Point] | np.ndarray, axis: int) -> list[list[list[float]]]:
+def split_at_jumps(points: Sequence[Point] | np.ndarray, axis: int) -> list[np.ndarray]:
     """Pieces (of two or more points) between jumps of more than 1/2 in coordinate ``axis``."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     cuts = np.flatnonzero(np.abs(np.diff(pts[:, axis])) > 0.5) + 1
-    return [piece.tolist() for piece in np.split(pts, cuts) if len(piece) >= 2]
+    return [piece for piece in np.split(pts, cuts) if len(piece) >= 2]
 
 
 def line(p: Point, q: Point, stroke: str, width: float = 0.002) -> str:

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from hypermap import __version__
+from hypermap import __version__, cli
 from hypermap.cli import run
 
 
@@ -211,6 +211,25 @@ class TestFigures:
 class TestArgumentErrors:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2
+
+    def test_parser_built_once_without_leaking_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_capture(["figures", "--k", "1", "--grid", "64", "--step", "0.05"])
+        assert code == 0 and (tmp_path / "figures" / "theta_forward.svg").is_file()
+        # figures defaults --out to "figures"; leaf must still write to stdout.
+        code, out = run_capture(["leaf", "--max-arc", "0.05"])
+        assert code == 0 and out.startswith("# hypermap") and "seg_id,x,y" in out
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parse_error_message_unchanged_by_reuse(self):
+        argv = ["leaf", "--field", "X9"]
+        fresh = io.StringIO()
+        with redirect_stderr(fresh), pytest.raises(SystemExit) as exc:
+            cli._build_parser.__wrapped__().parse_args(argv)
+        assert exc.value.code == 2 and "invalid choice: 'X9'" in fresh.getvalue()
+        for _ in range(2):
+            code, err = self.run_error(argv)
+            assert code == 2 and err == fresh.getvalue()
 
     @staticmethod
     def run_error(argv):

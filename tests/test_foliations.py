@@ -1,10 +1,13 @@
 """Tests for leaf tracing, closed leaves and fold tips."""
 
+import io
 import math
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
+from hypermap.cli import run
 from hypermap.coordinates import critical_constants, theta_field, unit_vector
 from hypermap.foliations import closed_leaves, fold_tips, trace_leaf
 from hypermap.oracle import rk4_leaf, svd2
@@ -256,10 +259,14 @@ class TestTraceLeaf:
     def test_csv_rows_shape(self):
         p = MapParams(5.0)
         leaf = trace_leaf("E1", TorusPoint(0.95, 0.6), p, step=1e-2, max_arc=0.3)
-        rows = leaf.to_csv_rows()
-        assert len(rows) >= len(leaf)
-        seg_ids = {r[0] for r in rows}
-        assert seg_ids == set(range(len(seg_ids)))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            run(["leaf", "--k", "5", "--x", "0.95", "--y", "0.6", "--step", "1e-2", "--max-arc", "0.3"])
+        lines = out.getvalue().splitlines()
+        assert lines[1] == "seg_id,x,y"
+        seg_ids = [int(line.split(",")[0]) for line in lines[2:]]
+        assert len(seg_ids) == len(leaf) + 2 * (len(leaf.segments()) - 1)
+        assert seg_ids == sorted(seg_ids) and set(seg_ids) == set(range(len(leaf.segments())))
 
 
 #: Fields and k for the comparison with the RK4 oracle; delta^* is undefined

@@ -2,8 +2,14 @@
 name it lists must still resolve, or every traced benchmark run fails."""
 
 import importlib.util
+import inspect
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from hypermap import svgrender
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -15,3 +21,13 @@ def test_every_traced_attribute_resolves(monkeypatch):
     spec.loader.exec_module(tracing)
     missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in tracing.TARGETS if not hasattr(mod, attr)]
     assert tracing.TARGETS and missing == []
+
+
+def test_polyline_takes_the_points_it_writes_first():
+    # The tracer's svg_points hook counts len() of polyline's first positional
+    # argument; that must be the number of points written.
+    assert next(iter(inspect.signature(svgrender.polyline).parameters)) == "points"
+    for n in (0, 1, 2, 37):
+        points = np.random.default_rng(n).random((n, 2))
+        written = re.search(r'points="([^"]*)"', svgrender.polyline(points, "#000")).group(1)
+        assert len(written.split()) == len(points) == n
