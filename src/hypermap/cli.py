@@ -67,6 +67,9 @@ class RunConfig:
         return "# " + " ".join(parts)
 
 
+_CSV_BLOCK = 1 << 13
+
+
 def _g(v: float) -> str:
     return f"{v:.17g}"
 
@@ -84,23 +87,36 @@ def _emit(cfg: RunConfig, text: str) -> None:
 def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
     """CSV text of a table given as whole, equally long columns.
 
-    A float ndarray column is written ``%.17g`` and an integer ndarray
-    column ``%d``, each by the one %-format of the whole table; this is the
-    text of ``_g`` and ``str``.  Any other column is converted cell by cell,
-    floats with ``_g`` and everything else with ``str``.
+    Each column becomes a byte matrix with one row per table row: a float
+    ndarray column through ``numfmt.g17``, which is ``%.17g`` exactly; an
+    integer ndarray column through ``astype("S")``, which is ``%d``; a
+    bytes ndarray column as it is; any other column cell by cell, floats
+    with ``_g`` and everything else with ``str``.  The matrices and the
+    ``,``/newline columns between them are joined side by side and their NUL
+    padding dropped with one mask, in blocks of ``_CSV_BLOCK`` rows so that
+    the work space stays small.
     """
-    table = np.empty((len(columns[0]), len(columns)), dtype=object)
-    formats = []
-    for j, col in enumerate(columns):
+    from . import numfmt  # only CSV tables need the kernel; other subcommands skip its set-up
+
+    cells = []
+    for col in columns:
         kind = col.dtype.kind if isinstance(col, np.ndarray) else ""
-        if kind in ("f", "i", "u"):
-            formats.append("%.17g" if kind == "f" else "%d")
-            table[:, j] = col
-        else:
-            formats.append("%s")
-            table[:, j] = [_g(v) if isinstance(v, float) else str(v) for v in col]
-    rows = ("\n" + ",".join(formats)) * len(table) % tuple(table.ravel().tolist())
-    return f"{cfg.header()}\n{','.join(names)}{rows}\n"
+        if kind not in ("f", "i", "u", "S"):
+            col = np.array([_g(v) if isinstance(v, float) else str(v) for v in col], dtype="S")
+        cells.append((kind, col))
+    chunks = [f"{cfg.header()}\n{','.join(names)}\n"]
+    n_rows = len(columns[0])
+    for start in range(0, n_rows, _CSV_BLOCK):
+        rows = slice(start, start + _CSV_BLOCK)
+        comma = np.full((min(_CSV_BLOCK, n_rows - start), 1), ord(","), dtype=np.uint8)
+        parts = []
+        for kind, col in cells:
+            part = numfmt.g17(col[rows]) if kind == "f" else col[rows].astype("S", copy=False)
+            parts += [part.view(np.uint8).reshape(len(part), -1), comma]
+        parts[-1] = np.full_like(comma, ord("\n"))
+        block = np.hstack(parts)
+        chunks.append(block[block != 0].tobytes().decode("ascii"))
+    return "".join(chunks)
 
 
 @functools.lru_cache(maxsize=1)
@@ -255,9 +271,11 @@ def _cmd_tangency(cfg: RunConfig, params: MapParams) -> int:
     marks = [(f"P{i}", tp) for i, tp in enumerate(landmarks, start=1) if tp is not None]
     points = lower + upper + [tp for _, tp in marks]
     ytilde, y, x, residual = np.array([(tp.ytilde, tp.y, tp.x, tp.residual) for tp in points]).T
-    kind = ["curve"] * (len(lower) + len(upper)) + ["landmark"] * len(marks)
-    name = [""] * (len(lower) + len(upper)) + [name for name, _ in marks]
-    columns = [kind, name, ytilde, y, x, [tp.branch for tp in points], residual]
+    n_curve = len(lower) + len(upper)
+    kind = np.repeat(np.array([b"curve", b"landmark"]), [n_curve, len(marks)])
+    name = np.array([""] * n_curve + [name for name, _ in marks], dtype="S")
+    branch = np.array([tp.branch for tp in points], dtype="S")
+    columns = [kind, name, ytilde, y, x, branch, residual]
     _emit(cfg, _csv(cfg, ["kind", "name", "ytilde", "y", "x", "branch", "residual"], columns))
     return 0
 
@@ -317,7 +335,7 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
         s = svd2(jacobian(p, params, "forward"))
         err = abs(s.sigma_max * s.sigma_min - 1.0)
         worst = max(worst, err)
-        worst_share = max(worst_share, err / (16.0 * math.ulp(1.0) * s.sigma_max**2))
+        worst_share = max(worst_share, err / (16.0 * math.ulp(1.0) * s.sigma_max * s.sigma_max))
     results.append(("E1_F1_product", worst_share <= 1.0,
                     f"max |E1*F1-1| {worst:.3g}, {worst_share:.3g} of 16 eps F1^2"))
 
@@ -402,7 +420,11 @@ def _cmd_verify(cfg: RunConfig, k_list: str) -> int:
     lines = [cfg.header()]
     all_ok = True
     for params in _k_list(k_list):
-        for name, ok, detail in _verify_battery(params):
+        try:
+            battery = _verify_battery(params)
+        except ValueError as exc:
+            raise ValueError(f"--k-list entry {params.k:g}: {exc}") from None
+        for name, ok, detail in battery:
             all_ok &= ok
             lines.append(f"{'ok  ' if ok else 'FAIL'} k={params.k:g} {name} ({detail})")
     lines.append("result " + ("PASS" if all_ok else "FAIL"))
@@ -486,6 +508,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             for flag, value in (("--step", cfg.step), ("--max-arc", cfg.max_arc)):
                 if not (math.isfinite(value) and value > 0.0):
                     raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+        if cfg.subcommand == "leaf":
+            for flag, value in (("--x", args.x), ("--y", args.y)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{flag} must be finite, got {value!r}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,7 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from .oracle import svd2
-from .stdmap import TWO_PI, DirAngle, MapParams, TorusPoint, orbit_jacobian
+from .stdmap import TWO_PI, DirAngle, MapParams, TorusPoint, orbit_determinant, orbit_jacobian
 
 FieldName = Literal["e1", "f1", "e-1", "f-1"]
 TimeDirection = Literal["forward", "backward"]
@@ -236,16 +236,23 @@ class HypFrame:
 
 
 def hyperbolic_frame(p: TorusPoint, params: MapParams, n: int) -> HypFrame:
-    """Numerical order-n frame from the SVD of the orbit Jacobian."""
+    """Numerical order-n frame from the SVD of the orbit Jacobian.
+
+    F and the directions come from the SVD.  E is |det| / F with the
+    determinant taken step by step (``orbit_determinant``), 1 up to
+    rounding: the smaller singular value of the computed product, like its
+    determinant, cancels to noise once F^2 outgrows 1/eps.
+    """
     m = orbit_jacobian(p, params, n)
     s = svd2(m)
     if s.degenerate or s.dir_min is None or s.dir_max is None:
         raise ConformalPointError(n, s.sigma_max)
+    e = abs(orbit_determinant(p, params, n)) / s.sigma_max
     return HypFrame(
         order=n,
         F=s.sigma_max,
-        E=s.sigma_min,
-        H=s.sigma_min / s.sigma_max,
+        E=e,
+        H=e / s.sigma_max,
         e_dir=s.dir_min,
         f_dir=s.dir_max,
     )

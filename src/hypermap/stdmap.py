@@ -103,8 +103,12 @@ class TorusPoint:
     y: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", mod1(self.x))
-        object.__setattr__(self, "y", mod1(self.y))
+        try:
+            object.__setattr__(self, "x", mod1(self.x))
+            object.__setattr__(self, "y", mod1(self.y))
+        except (OverflowError, ValueError):  # math.floor of inf or nan
+            name = "x" if not math.isfinite(self.x) else "y"
+            raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}") from None
 
     @property
     def ytilde(self) -> float:
@@ -225,19 +229,41 @@ def orbit_jacobian(
     For n > 0 this is D(f^n)_p, for n < 0 it is D(f^n)_p computed along the
     backward orbit.  |n| is capped (default 60) because entries grow like
     (2 pi k)^|n| and overflow double range beyond that for large k.
+
+    Rounding in the products moves the determinant by up to eps times the
+    square of the largest partial product, which exceeds the rounding of
+    the final entries when an orbit expands and then contracts.  So the
+    product is moved back along its cofactor matrix to the determinant
+    ``orbit_determinant`` gives.
     """
     if n == 0:
         raise ValueError("orbit_jacobian requires a nonzero order n")
     if abs(n) > cap:
         raise IterateDepthError(f"|n| = {abs(n)} exceeds the orbit cap {cap}")
-    acc = Mat2.identity()
-    q = p
-    if n > 0:
-        for _ in range(n):
-            acc = jacobian(q, params, "forward") @ acc
-            q = map_forward(q, params)
-    else:
-        for _ in range(-n):
-            acc = jacobian(q, params, "backward") @ acc
-            q = map_inverse(q, params)
-    return acc
+    time: TimeDirection = "forward" if n > 0 else "backward"
+    step = map_forward if n > 0 else map_inverse
+    acc, det = Mat2.identity(), 1.0
+    for _ in range(abs(n)):
+        m = jacobian(p, params, time)
+        acc = m @ acc
+        det *= m.det
+        p = step(p, params)
+    a, b, c, d = acc.entries()
+    t = (det - acc.det) / (a * a + b * b + c * c + d * d)
+    return Mat2(a + t * d, b - t * c, c - t * b, d + t * a) if math.isfinite(t) else acc
+
+
+def orbit_determinant(p: TorusPoint, params: MapParams, n: int) -> float:
+    """det D(f^n)_p as the product of the step determinants along the orbit.
+
+    Each step's determinant is 1 up to the rounding of 1 + psi, so the
+    product is 1 to within |n| such roundings, while the determinant of the
+    product matrix cancels to noise once its entries pass 1/sqrt(eps).
+    """
+    time: TimeDirection = "forward" if n > 0 else "backward"
+    step = map_forward if n > 0 else map_inverse
+    det = 1.0
+    for _ in range(abs(n)):
+        det *= jacobian(p, params, time).det
+        p = step(p, params)
+    return det

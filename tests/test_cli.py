@@ -264,6 +264,21 @@ class TestArgumentErrors:
                 assert f"{flag} must be positive and finite" in err
         assert not (tmp_path / "figs").exists()
 
+    def test_leaf_names_non_finite_start(self):
+        for flag in ("--x", "--y"):
+            for value in ("inf", "-inf", "nan"):
+                code, err = self.run_error(["leaf", f"{flag}={value}"])
+                assert code == 2, (flag, value)
+                assert f"{flag} must be finite" in err
+
+    def test_verify_huge_k_ends_without_traceback(self):
+        # sigma_max**2 once overflowed; beyond k ~ 1e154 phi itself
+        # overflows and the entry is named.
+        for k in ("1e100", "1e300"):
+            code, err = self.run_error(["verify", "--k-list", f"1,{k}"])
+            assert code in (1, 2) and "Traceback" not in err
+            assert code == 1 or f"--k-list entry {float(k):g}" in err
+
     def test_bad_k_list_entry_named(self):
         for k_list, entry in (("abc", "'abc'"), ("1,,2", "''"), ("2,-1", "'-1'")):
             code, err = self.run_error(["verify", "--k-list", k_list])

@@ -1,0 +1,78 @@
+"""Bounded fuzz of every subcommand: an exit code in {0, 1, 2}, never a traceback.
+
+Arguments are drawn around and beyond their valid ranges (k in (0, 1e4]
+and nan, inf, 0, -1, 1e300; small grids and sample counts so that one
+example stays in milliseconds) and run in this process, so that an
+uncaught exception fails the test where the command line would print a
+traceback.
+"""
+
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hypermap import cli
+
+SPECIAL = ["nan", "inf", "-inf", "0", "-1", "1e300"]
+
+
+def real(lo: float, hi: float) -> st.SearchStrategy[str]:
+    return st.one_of(st.floats(lo, hi).map(repr), st.sampled_from(SPECIAL))
+
+
+K = st.one_of(st.floats(0.0, 1e4, exclude_min=True).map(repr), st.sampled_from(SPECIAL))
+OPTIONS = {
+    "--k": K,
+    "--grid": st.integers(-2, 300).map(str),
+    "--samples": st.integers(-2, 2000).map(str),
+    "--m": st.integers(-2, 12).map(str),
+    "--step": real(1e-3, 3.0),
+    "--max-arc": real(1e-3, 20.0),
+    "--x": real(-3.0, 3.0),
+    "--y": real(-3.0, 3.0),
+    "--seed": st.integers(0, 2**31).map(str),
+    "--format": st.sampled_from(["csv", "svg", "txt"]),
+    "--time": st.sampled_from(["forward", "backward"]),
+    "--field": st.sampled_from(["E1", "F1", "E-1", "F-1"]),
+    "--k-list": st.lists(K, min_size=1, max_size=3).map(",".join),
+}
+ACCEPTS = {
+    "constants": ["--k", "--m", "--format"],
+    "field": ["--k", "--grid", "--time", "--format"],
+    "leaf": ["--k", "--field", "--x", "--y", "--step", "--max-arc", "--format"],
+    "tangency": ["--k", "--grid", "--format"],
+    "cones": ["--k", "--m", "--samples", "--seed", "--format"],
+    "verify": ["--k-list", "--format"],
+    "figures": ["--k", "--grid", "--step"],
+}
+
+
+@st.composite
+def invocations(draw) -> list[str]:
+    sub = draw(st.sampled_from(sorted(ACCEPTS)))
+    argv = [sub]
+    for flag in draw(st.lists(st.sampled_from(ACCEPTS[sub]), unique=True)):
+        argv.append(f"{flag}={draw(OPTIONS[flag])}")
+    if sub == "cones" and draw(st.booleans()):
+        argv.append("--inside-strip")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(invocations())
+@example(["leaf", "--y", "inf"])
+@example(["leaf", "--x", "nan"])
+@example(["verify", "--k-list", "1e300"])
+def test_every_input_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        if argv[0] == "figures":
+            argv = argv + ["--out", tmp]
+        rc = cli.run(argv)
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2 and not err.getvalue().startswith("usage"):
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())

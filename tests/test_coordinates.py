@@ -403,6 +403,44 @@ class TestHyperbolicFrame:
                 assert frame.e_dir.dist(hm_dir(np_min)) < 1e-6
 
 
+class TestHyperbolicFrameAgainstMpmath:
+    @pytest.mark.parametrize("k", [0.6, 2.0, 10.0, 100.0])
+    def test_orders_up_to_15(self, k):
+        # The step Jacobians along the computed orbit, exactly as the library
+        # forms them, multiplied and decomposed at 80 digits.  There the
+        # determinant is the product of the step determinants, and the
+        # smaller singular value is |det| / F; the float product's own
+        # smaller singular value cancels to noise once F^2 passes 1/eps.
+        mpmath = pytest.importorskip("mpmath")
+        from hypermap.stdmap import jacobian, map_forward, map_inverse
+
+        p = MapParams(k)
+        rng = random.Random(int(k * 10))
+        with mpmath.workdps(80):
+            for n in [*range(1, 16), *range(-15, 0)]:
+                z = TorusPoint(rng.random(), rng.random())
+                a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+                det = mpmath.mpf(1)
+                q = z
+                for _ in range(abs(n)):
+                    m = jacobian(q, p, "forward" if n > 0 else "backward")
+                    j11, j12, j21, j22 = (mpmath.mpf(v) for v in m.entries())
+                    a, b, c, d = j11 * a + j12 * c, j11 * b + j12 * d, j21 * a + j22 * c, j21 * b + j22 * d
+                    det *= j11 * j22 - j12 * j21
+                    q = map_forward(q, p) if n > 0 else map_inverse(q, p)
+                frob = a * a + b * b + c * c + d * d
+                big = mpmath.sqrt((frob + mpmath.sqrt(frob * frob - 4 * det * det)) / 2)
+                small = abs(det) / big
+                # Right singular vector of `small`: an eigenvector of M^T M.
+                mtm11, mtm12, mtm22 = a * a + c * c, a * b + c * d, b * b + d * d
+                u = (mtm12, small * small - mtm11)
+                w = (small * small - mtm22, mtm12)
+                ex, ey = max(u, w, key=lambda v: abs(v[0]) + abs(v[1]))
+                frame = hyperbolic_frame(z, p, n)
+                assert abs(frame.E - small) <= 1e-12 * small, (n, frame.E, float(small))
+                assert frame.e_dir.dist(hm_dir(float(mpmath.atan2(ey, ex)))) <= 1e-12, n
+
+
 def hm_dir(angle: float):
     from hypermap.stdmap import DirAngle
 

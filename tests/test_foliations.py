@@ -218,6 +218,12 @@ class TestTraceLeaf:
                 trace_leaf("E1", TorusPoint(0, 0), p, step=bad)
         with pytest.raises(ValueError, match="vertices"):
             trace_leaf("E1", TorusPoint(0, 0), p, step=1e-9, max_arc=1e3)
+        # A non-finite start is refused when its TorusPoint is built.
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="x must be finite"):
+                trace_leaf("E1", TorusPoint(bad, 0.5), p)
+            with pytest.raises(ValueError, match="y must be finite"):
+                trace_leaf("E1", TorusPoint(0.5, bad), p)
 
     @pytest.mark.parametrize("k", [2.3, 13.3, 100.0])
     def test_f_minus1_leaves_do_not_close(self, k):

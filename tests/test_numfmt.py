@@ -1,0 +1,149 @@
+"""``numfmt.g17`` and ``cli._csv`` against Python's per-number ``%.17g``.
+
+Every row of ``g17``, with its NUL bytes dropped, must be exactly
+``"%.17g" % v``; ``_csv`` must give the bytes of the per-cell render that
+``reference_csv`` keeps.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypermap import cli, numfmt
+from test_render_reference import reference_csv
+
+
+def formatted(values) -> list[str]:
+    rows = numfmt.g17(np.asarray(values, dtype=np.float64))
+    assert rows.dtype == np.uint8 and rows.shape == (len(values), numfmt.WIDTH)
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in rows]
+
+
+def assert_exact(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    for v, got in zip(values.tolist(), formatted(values)):
+        assert got == "%.17g" % v, (v, v.hex())
+
+
+def assert_exact_bulk(values: np.ndarray) -> None:
+    """Same as assert_exact, comparing one joined text first for speed."""
+    rows = numfmt.g17(values)
+    lines = np.hstack([rows, np.full((len(rows), 1), ord("\n"), dtype=np.uint8)])
+    got = lines[lines != 0].tobytes().decode("ascii")
+    if got != ("%.17g\n" * len(values)) % tuple(values.tolist()):
+        assert_exact(values)
+
+
+def bits(patterns) -> np.ndarray:
+    return np.asarray(patterns, dtype=np.uint64).view(np.float64)
+
+
+def neighbours(x: float, ulps: int = 2) -> list[float]:
+    out, lo, hi = [x], x, x
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def powers_of_ten() -> list[float]:
+    return [v for e in range(-330, 309) for v in neighbours(float(f"1e{e}"))]
+
+
+def edge_values() -> list[float]:
+    tiny = 5e-324
+    smallest_normal = 2.2250738585072014e-308
+    borders = [1e-5, 1e-4, 1e16, 1e17, numfmt._LO, numfmt._HI, 1.0, 0.1, 9.5, 99.5]
+    values = [0.0, math.inf, math.nan, tiny, smallest_normal, math.nextafter(smallest_normal, 0.0),
+              1.7976931348623157e308, 1 / 3, 2 / 3, 0.1 + 0.2]
+    for b in borders:
+        values += neighbours(b, 4)
+    # The 18th significant digit is an exact 5: m + 1/4 and m + 3/4 with 16
+    # integer digits, and j / 2^18, whose 18 decimals are all significant.
+    values += [m + f for m in (1234567890123456.0, 2000000000000001.0, 1000000000000000.0) for f in (0.25, 0.75)]
+    values += [j / 2**18 for j in range(26215, 27000, 2)]
+    # Near ties: the 18th digit is 5 followed by a little more or less.
+    values += [math.nextafter(v, s) for v in values[-400:] for s in (0.0, math.inf)]
+    return values + [-v for v in values]
+
+
+class TestG17:
+    def test_edge_values(self):
+        assert_exact(edge_values())
+
+    def test_powers_of_ten_and_neighbours(self):
+        assert_exact(powers_of_ten())
+
+    def test_edge_values_reach_every_branch(self):
+        # Guards on this test's own data: the fast range must hold a value
+        # that rounds up to the power of ten above it (the carry) and one
+        # just below a power of ten that does not (the exponent correction).
+        texts = {v: "%.17g" % v for v in map(abs, edge_values() + powers_of_ten())
+                 if numfmt._LO <= v < numfmt._HI}
+        carries = [v for v, t in texts.items()
+                   if t.startswith("1e") and Fraction(v) < Fraction(10) ** int(t[2:])]
+        assert carries
+        assert [t for t in texts.values() if t.startswith("9.999999999999999")]
+
+    def test_width_holds_every_text(self):
+        worst = [-2.2250738585072014e-308, -1.2345678901234567e-100, -1.2345678901234567e-5]
+        assert_exact(worst)
+        assert max(len("%.17g" % v) for v in worst) == numfmt.WIDTH
+
+    def test_empty(self):
+        assert numfmt.g17(np.empty(0)).shape == (0, numfmt.WIDTH)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261018)
+        assert_exact_bulk(bits(rng.integers(0, 2**64, 10**6, dtype=np.uint64)))
+
+    def test_random_values_in_fast_range(self):
+        # Uniform bit patterns fall in [1e-30, 1e30) only one time in ten;
+        # binary exponents within +-99 keep every value there.
+        rng = np.random.default_rng(7)
+        n = 3 * 10**5
+        mantissa = rng.integers(0, 2**52, n, dtype=np.uint64)
+        exponent = rng.integers(1023 - 99, 1023 + 99, n).astype(np.uint64)
+        sign = rng.integers(0, 2, n).astype(np.uint64)
+        assert_exact_bulk(bits(sign << 63 | exponent << 52 | mantissa))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, patterns):
+        assert_exact(bits(patterns))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=64))
+    def test_any_float(self, values):
+        assert_exact(values)
+
+
+class TestCsv:
+    CFG = cli.RunConfig("field", 2.0, None, 1024, 100_000, 1e-3, 10.0, 42, None, "csv")
+    NAMES = ["s", "none", "ints", "int_array", "floats", "bytes"]
+
+    def table(self, n: int):
+        rng = np.random.default_rng(n)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-40, 40, n)
+        floats[::7] = 0.0
+        return [
+            [f"row{i}" for i in range(n)],
+            [None] * n,
+            list(range(-n, n, 2)),
+            rng.integers(-(2**62), 2**62, n),
+            floats,
+            np.array([b"", b"curve", b"P1"] * n, dtype="S")[:n],
+        ]
+
+    def reference(self, columns) -> str:
+        rows = [[v.decode() if isinstance(v, bytes) else v for v in row] for row in zip(*columns)]
+        return reference_csv(self.CFG.header(), self.NAMES, rows)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, cli._CSV_BLOCK + 3])
+    def test_mixed_table_matches_per_cell_render(self, n):
+        columns = self.table(n)
+        assert cli._csv(self.CFG, self.NAMES, columns) == self.reference(columns)

@@ -16,6 +16,7 @@ from hypermap.stdmap import (
     map_forward,
     map_inverse,
     mod1,
+    orbit_determinant,
     orbit_jacobian,
     torus_dist,
 )
@@ -195,6 +196,15 @@ class TestOrbitJacobian:
             m = orbit_jacobian(p, params, n)
             scale = max(abs(e) for e in m.entries())
             assert abs(m.det - 1.0) < 1e-9 * abs(n) * max(1.0, scale * 1e-12)
+
+    def test_determinant_after_expansion_and_contraction(self):
+        # This backward orbit grows to |M| ~ 50 and shrinks back to |M| ~ 1.9.
+        # The rounding at the peak left the plain product's determinant 1.2e-13
+        # off, 40 times the rounding of the final entries.
+        p, params, n = TorusPoint(0.8241225073579889, 0.7440814700308107), MapParams(1.05154), -6
+        m = orbit_jacobian(p, params, n)
+        assert orbit_determinant(p, params, n) == 1.0
+        assert abs(m.det - 1.0) <= 4 * 2.0**-52 * sum(e * e for e in m.entries())
 
     def test_cap(self):
         with pytest.raises(IterateDepthError):
