@@ -33,7 +33,14 @@ from .stdmap import (
     map_forward,
     map_inverse,
 )
-from .tangency import TangencyPoint, phi_inverse, tangency_curve, tangency_landmarks
+from .tangency import (
+    MIN_CURVE_SAMPLES,
+    TangencyPoint,
+    curve_arrays,
+    phi_inverse,
+    tangency_curve,
+    tangency_landmarks,
+)
 
 _DEFAULTS = {"grid": 1024, "samples": 100_000, "step": 1e-3, "max_arc": 10.0, "seed": 42}
 
@@ -259,22 +266,26 @@ def _cmd_leaf(cfg: RunConfig, params: MapParams, field: str, x: float, y: float)
 
 
 def _cmd_tangency(cfg: RunConfig, params: MapParams) -> int:
-    lower, upper = tangency_curve(params, cfg.grid)
     landmarks = tangency_landmarks(params)
     if cfg.format == "svg":
-        elements = _torus_curves(params, lower, upper)
+        elements = _torus_curves(params, *tangency_curve(params, cfg.grid))
         for tp in landmarks:
             if tp is not None:
                 elements.append(svgrender.circle((tp.x, tp.y), 0.006, "#108010"))
         _emit(cfg, svgrender.document(elements))
         return 0
+    curve_ytilde, lower, upper = curve_arrays(params, cfg.grid)
     marks = [(f"P{i}", tp) for i, tp in enumerate(landmarks, start=1) if tp is not None]
-    points = lower + upper + [tp for _, tp in marks]
-    ytilde, y, x, residual = np.array([(tp.ytilde, tp.y, tp.x, tp.residual) for tp in points]).T
-    n_curve = len(lower) + len(upper)
-    kind = np.repeat(np.array([b"curve", b"landmark"]), [n_curve, len(marks)])
-    name = np.array([""] * n_curve + [name for name, _ in marks], dtype="S")
-    branch = np.array([tp.branch for tp in points], dtype="S")
+    n, n_marks = len(curve_ytilde), len(marks)
+    mark_cols = np.array([(tp.ytilde, tp.y, tp.residual) for _, tp in marks]).reshape(n_marks, 3).T
+    ytilde = np.concatenate([curve_ytilde, curve_ytilde, mark_cols[0]])
+    y = np.concatenate([lower[0], upper[0], mark_cols[1]])
+    residual = np.concatenate([lower[1], upper[1], mark_cols[2]])
+    x = (y - ytilde) % 1.0  # as TangencyPoint.x
+    kind = np.repeat(np.array([b"curve", b"landmark"]), [2 * n, n_marks])
+    name = np.concatenate([np.zeros(2 * n, dtype="S1"), np.array([name for name, _ in marks], dtype="S")])
+    branch = np.concatenate([np.repeat(np.array([b"lower", b"upper"]), n),
+                             np.array([tp.branch for _, tp in marks], dtype="S")])
     columns = [kind, name, ytilde, y, x, branch, residual]
     _emit(cfg, _csv(cfg, ["kind", "name", "ytilde", "y", "x", "branch", "residual"], columns))
     return 0
@@ -503,7 +514,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         params = MapParams(cfg.k)
         if cfg.grid < 1:
-            raise ValueError(f"grid must be >= 1, got {cfg.grid}")
+            raise ValueError(f"--grid must be >= 1, got {cfg.grid}")
+        if cfg.subcommand in ("constants", "tangency", "figures"):
+            try:
+                constants = critical_constants(params)
+            except ValueError as exc:
+                raise ValueError(f"--k {cfg.k:g}: strip constants not computable ({exc})") from None
+            draws_tangency = cfg.subcommand == "tangency" or constants.all_defined
+            if draws_tangency and cfg.grid < MIN_CURVE_SAMPLES:
+                raise ValueError(f"--grid must be >= {MIN_CURVE_SAMPLES} to sample the tangency "
+                                 f"curves, got {cfg.grid}")
         if cfg.subcommand in ("leaf", "figures"):
             for flag, value in (("--step", cfg.step), ("--max-arc", cfg.max_arc)):
                 if not (math.isfinite(value) and value > 0.0):

@@ -44,6 +44,8 @@ to even), that is zero, non-finite or subnormal, that lies outside
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 #: Bytes of one formatted value: the longest ``%.17g`` text.
@@ -170,24 +172,45 @@ def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n, d.clip(_D_MIN, _D_MAX, out=d), fast
 
 
+#: Values formatted per pass through the work words.
+_BLOCK = 1 << 13
+
+
+class _Workspace(threading.local):
+    """One thread's work words for a pass, reused so that formatting the
+    blocks of a table maps no fresh pages for them."""
+
+    def __init__(self) -> None:
+        self.i64 = np.empty((2, 4 * _BLOCK), dtype=np.int64)  # digit groups, their trailing zeros
+        self.u64 = np.empty((4, 4 * _BLOCK), dtype=np.uint64)  # digits, words, high words, scratch
+
+
+_WORK = _Workspace()
+
+
+def _work(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """A (rows, n) view of one work buffer."""
+    return buf[: rows * n].reshape(rows, n)
+
+
 def _digit_words(n: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sign and the 17 digits of N as (3, n) words, and the index of the last nonzero digit."""
     hi8 = n // 10**8
     lo8 = n - hi8 * 10**8
     lead = hi8 // 10**8
     hi8 -= lead * 10**8
-    groups = np.empty((4, len(n)), dtype=np.int64)
+    groups = _work(_WORK.i64[0], 4, len(n))
     np.floor_divide(hi8, 10**4, out=groups[0])
     np.floor_divide(lo8, 10**4, out=groups[2])
     np.subtract(hi8, groups[0] * 10**4, out=groups[1])
     np.subtract(lo8, groups[2] * 10**4, out=groups[3])
-    g = _DIGITS4.take(groups)
-    words = np.empty((3, len(n)), dtype=np.uint64)
+    g = _DIGITS4.take(groups, mode="clip", out=_work(_WORK.u64[0], 4, len(n)))
+    words = _work(_WORK.u64[1], 3, len(n))
     words[0] = negative * np.uint64(ord("-")) | (lead.astype(np.uint64) + ord("0")) << 8
     words[0] |= g[0] << 16 | g[1] << 48
     words[1] = g[1] >> 16 | g[2] << 16 | g[3] << 48
     words[2] = g[3] >> 16
-    tz = _TZ4.take(groups)
+    tz = _TZ4.take(groups, mode="clip", out=_work(_WORK.i64[1], 4, len(n)))
     tz_lo = tz[3] + (groups[3] == 0) * tz[2]
     tz_hi = tz[1] + (groups[1] == 0) * tz[0]
     return words, 16 - tz_lo - (lo8 == 0) * tz_hi
@@ -196,29 +219,36 @@ def _digit_words(n: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, np.nd
 def _lay_out(words: np.ndarray, last: np.ndarray, d: np.ndarray) -> None:
     """Lay the digit words out by the %g rule for exponent d, in place (step 4)."""
     i = d - _D_MIN
-    high = _HIGH_AT.take(i, axis=1)
+    high = _HIGH_AT.take(i, axis=1, mode="clip", out=_work(_WORK.u64[2], 3, len(d)))
     high &= words
-    words &= _LOW_AT.take(i, axis=1)
+    scratch = _work(_WORK.u64[3], 3, len(d))
+    words &= _LOW_AT.take(i, axis=1, mode="clip", out=scratch)
     bits = _BITS.take(i)
-    words[1:] |= high[:-1] >> (np.uint64(64) - bits)
+    words[1:] |= np.right_shift(high[:-1], np.uint64(64) - bits, out=scratch[:2])
     high <<= bits
     words |= high
-    words |= _FILL.take(i, axis=1)
+    words |= _FILL.take(i, axis=1, mode="clip", out=scratch)
     kept = np.maximum(last, _KEEP.take(i))
     end = kept + 2 + (kept + 1 >= _AT.take(i)) * _BY.take(i)
-    words &= _LOW.take(end, axis=1)
+    words &= _LOW.take(end, axis=1, mode="clip", out=scratch)
     words[2] |= _EXPO.take(i)
 
 
 def g17(values: np.ndarray) -> np.ndarray:
     """(n, WIDTH) uint8 rows that are ``"%.17g" % v`` once their NULs are dropped."""
     v = np.asarray(values, dtype=np.float64).ravel()
+    rows = np.empty((len(v), 3), dtype="<u8")
+    for start in range(0, len(v), _BLOCK):
+        _g17_block(v[start : start + _BLOCK], rows[start : start + _BLOCK])
+    return rows.view(np.uint8)
+
+
+def _g17_block(v: np.ndarray, rows: np.ndarray) -> None:
     n, d, fast = _significand(np.abs(v))
     words, last = _digit_words(n, np.signbit(v))
     _lay_out(words, last, d)
-    rows = np.ascontiguousarray(words.T, dtype="<u8")
+    rows[...] = words.T
     slow = np.flatnonzero(~fast)
     if len(slow):
         text = ["%.17g" % x for x in v[slow].tolist()]
         rows[slow] = np.array(text, dtype=f"S{WIDTH}").view("<u8").reshape(-1, 3)
-    return rows.view(np.uint8)

@@ -41,6 +41,9 @@ from .stdmap import TWO_PI, MapParams
 #: Cushion used for interval membership at delta-boundaries.
 _EDGE_TOL = 1e-12
 
+#: Fewest ytilde samples tangency_curve accepts.
+MIN_CURVE_SAMPLES = 16
+
 
 class TangencySelectionError(ValueError):
     """The region intersection did not produce exactly two values.
@@ -190,10 +193,28 @@ def _refine(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> np.ndarray:
     return y
 
 
-def _tangency_points(y: np.ndarray, ytilde: np.ndarray, branch: str, params: MapParams) -> list[TangencyPoint]:
+def _refined(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> tuple[np.ndarray, np.ndarray]:
+    """Polished heights and their residual angles."""
     y = _refine(y, ytilde, params)
-    res = residual_angle(y, ytilde, params)
+    return y, residual_angle(y, ytilde, params)
+
+
+def _points(ytilde: np.ndarray, y: np.ndarray, res: np.ndarray, branch: str) -> list[TangencyPoint]:
     return [TangencyPoint(t, v, branch, r) for t, v, r in zip(ytilde.tolist(), y.tolist(), res.tolist())]
+
+
+def curve_arrays(
+    params: MapParams, n_samples: int
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``tangency_curve`` as arrays: ytilde, then (y, residual) of each curve."""
+    if n_samples < MIN_CURVE_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
+    ytilde = np.arange(n_samples) / n_samples
+    lower, upper, ok = _select(ytilde, params, critical_constants(params))
+    if not ok.all():
+        bad = ytilde[~ok][0]
+        raise TangencySelectionError(f"expected 2 tangency heights at ytilde = {bad}, k = {params.k}")
+    return ytilde, _refined(lower, ytilde, params), _refined(upper, ytilde, params)
 
 
 def tangency_curve(params: MapParams, n_samples: int) -> tuple[list[TangencyPoint], list[TangencyPoint]]:
@@ -202,15 +223,8 @@ def tangency_curve(params: MapParams, n_samples: int) -> tuple[list[TangencyPoin
     The selector's two values are mirror images about y = 1/2, so the lower
     one traces the lower curve and the upper one the upper curve.
     """
-    if n_samples < 16:
-        raise ValueError(f"n_samples must be >= 16, got {n_samples}")
-    ytilde = np.arange(n_samples) / n_samples
-    lower, upper, ok = _select(ytilde, params, critical_constants(params))
-    if not ok.all():
-        bad = ytilde[~ok][0]
-        raise TangencySelectionError(f"expected 2 tangency heights at ytilde = {bad}, k = {params.k}")
-    return (_tangency_points(lower, ytilde, "lower", params),
-            _tangency_points(upper, ytilde, "upper", params))
+    ytilde, lower, upper = curve_arrays(params, n_samples)
+    return _points(ytilde, *lower, "lower"), _points(ytilde, *upper, "upper")
 
 
 def tangency_landmarks(params: MapParams) -> list[Optional[TangencyPoint]]:
@@ -234,7 +248,7 @@ def tangency_landmarks(params: MapParams) -> list[Optional[TangencyPoint]]:
         lower, _, ok = _select(ytilde, params, c)
     except TangencySelectionError:
         return [None] * len(ytilde)
-    points = _tangency_points(lower, ytilde, "lower", params)
+    points = _points(ytilde, *_refined(lower, ytilde, params), "lower")
     return [tp if good else None for tp, good in zip(points, ok)]
 
 

@@ -11,6 +11,7 @@ import io
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -61,18 +62,42 @@ def invocations(draw) -> list[str]:
     return argv
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(invocations())
-@example(["leaf", "--y", "inf"])
-@example(["leaf", "--x", "nan"])
-@example(["verify", "--k-list", "1e300"])
-def test_every_input_ends_in_an_exit_code(argv):
+def run(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
         if argv[0] == "figures":
             argv = argv + ["--out", tmp]
         rc = cli.run(argv)
+    return rc, err.getvalue()
+
+
+#: Inputs whose exit-2 message once named no flag, and the flag it must name.
+NAMED = [
+    (["tangency", "--grid", "8"], "--grid"),
+    (["figures", "--grid", "8"], "--grid"),
+    (["constants", "--k", "1e300"], "--k"),
+    (["figures", "--k", "1e300"], "--k"),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(invocations())
+@example(["leaf", "--y", "inf"])
+@example(["leaf", "--x", "nan"])
+@example(["verify", "--k-list", "1e300"])
+@example(NAMED[0][0])
+@example(NAMED[1][0])
+@example(NAMED[2][0])
+@example(NAMED[3][0])
+def test_every_input_ends_in_an_exit_code(argv):
+    rc, err = run(argv)
     assert rc in (0, 1, 2), (argv, rc)
-    assert "Traceback" not in err.getvalue()
-    if rc == 2 and not err.getvalue().startswith("usage"):
-        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+    assert "Traceback" not in err
+    if rc == 2 and not err.startswith("usage"):
+        assert err.startswith("error: "), (argv, err)
+
+
+@pytest.mark.parametrize("argv, flag", NAMED, ids=[" ".join(argv) for argv, _ in NAMED])
+def test_exit_2_names_the_flag(argv, flag):
+    rc, err = run(argv)
+    assert rc == 2 and err.startswith(f"error: {flag} "), err

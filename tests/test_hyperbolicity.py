@@ -165,6 +165,19 @@ class TestVerifyCones:
                 os.environ["HYPERMAP_THREADS"] = old
         assert a == c
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 10])
+    def test_filter_refines_few_samples_outside_the_strips(self, m):
+        # A loosened filter bound shows up here, not as a silent slowdown.
+        n = 200_000
+        for k in (max(5.0, 1.01 * m), 17.0, 60.0, 200.0):
+            rep = verify_cones(MapParams(k), m, n, seed=m)
+            assert 0 < rep.refined < 0.005 * n, (k, rep.refined)
+
+    def test_refined_count_stays_out_of_the_report(self):
+        rep = verify_cones(MapParams(25.0), 5, 50_000, seed=42)
+        assert rep.refined > 0
+        assert "refined" not in repr(rep) and "refined" not in rep.to_text()
+
     def test_seed_matters(self):
         params = MapParams(25.0)
         a = verify_cones(params, 2, 10_000, seed=1)

@@ -94,6 +94,24 @@ class TestG17:
         assert_exact(worst)
         assert max(len("%.17g" % v) for v in worst) == numfmt.WIDTH
 
+    def test_rows_outlive_later_calls_and_threads(self):
+        # g17 reuses per-thread work words; the rows it returns are its own.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(3)
+        batches = [rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n) for n in (5, 8192, 20000, 777)]
+        want = [[("%.17g" % v).encode() for v in b.tolist()] for b in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                rows = list(pool.map(numfmt.g17, batches * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, expected in zip(rows, want * 4):
+            assert [bytes(r).replace(b"\0", b"") for r in got] == expected
+
     def test_empty(self):
         assert numfmt.g17(np.empty(0)).shape == (0, numfmt.WIDTH)
 
