@@ -14,14 +14,14 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__, svgrender
 from .coordinates import backward_angle, critical_constants, forward_angle, phi, phi_tilde, theta_field
-from .foliations import LEAF_FIELDS, Leaf, closed_leaves, trace_leaf
+from .foliations import LEAF_FIELDS, MAX_VERTICES, Leaf, closed_leaves, trace_leaf
 from .hyperbolicity import delta_strip, push_vector, verify_cones
 from .oracle import svd2
 from .stdmap import (
@@ -42,7 +42,20 @@ from .tangency import (
     tangency_landmarks,
 )
 
-_DEFAULTS = {"grid": 1024, "samples": 100_000, "step": 1e-3, "max_arc": 10.0, "seed": 42}
+#: Options that several subcommands take, as (type, default, help).  Each
+#: subcommand registers only those it reads; the header echoes the default
+#: of the others.
+_OPTIONS = {
+    "--k": (float, 1.0, "family parameter k > 0"),
+    "--grid": (int, 1024, None),
+    "--samples": (int, 100_000, None),
+    "--step": (float, 1e-3, "largest spacing of leaf vertices"),
+    "--max-arc": (float, 10.0, "arc length of the leaf"),
+    "--seed": (int, 42, None),
+}
+
+#: Arc lengths of the E and F leaves in the foliation figures.
+_FIGURE_ARCS = (2.5, 6.0)
 
 
 @dataclass
@@ -132,63 +145,49 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"hypermap {__version__}")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, fmt: str = "csv") -> None:
-        p.add_argument("--k", type=float, default=1.0, help="family parameter k > 0")
-        p.add_argument("--grid", type=int, default=_DEFAULTS["grid"])
-        p.add_argument("--samples", type=int, default=_DEFAULTS["samples"])
-        p.add_argument("--step", type=float, default=_DEFAULTS["step"],
-                       help="largest spacing of leaf vertices (leaf, figures)")
-        p.add_argument("--max-arc", type=float, default=_DEFAULTS["max_arc"],
-                       help="arc length of the leaf (leaf)")
-        p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=["csv", "svg", "txt"], default=fmt)
+    def add(name: str, summary: str, options: Sequence[str], formats: Sequence[str] = ("csv",),
+            out: Optional[str] = None) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in options:
+            kind, default, text = _OPTIONS[flag]
+            p.add_argument(flag, type=kind, default=default, help=text)
+        p.add_argument("--out", default=out, help=f"output path (default: {out or 'stdout'})")
+        if len(formats) > 1:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        else:
+            p.set_defaults(format=formats[0])  # the one format written, echoed in the header
+        return p
 
-    p = sub.add_parser("constants", help="strip constants as CSV")
-    common(p)
+    p = add("constants", "strip constants as CSV", ["--k"])
     p.add_argument("--m", type=int, default=None, help="also emit delta^(+-m)")
 
-    p = sub.add_parser("field", help="grid dump of a direction field")
-    common(p)
+    p = add("field", "grid dump of a direction field", ["--k", "--grid"])
     p.add_argument("--time", choices=["forward", "backward"], default="forward")
 
-    p = sub.add_parser("leaf", help="trace one foliation leaf")
-    common(p)
+    p = add("leaf", "trace one foliation leaf", ["--k", "--step", "--max-arc"], formats=("csv", "svg"))
     p.add_argument("--field", choices=list(LEAF_FIELDS), default="E1")
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--y", type=float, default=0.6)
 
-    p = sub.add_parser("tangency", help="tangency curve, landmarks and residuals")
-    common(p)
+    add("tangency", "tangency curve, landmarks and residuals", ["--k", "--grid"], formats=("csv", "svg"))
 
-    p = sub.add_parser("cones", help="cone invariance sweep; exit 0 iff zero failures")
-    common(p, fmt="txt")
+    p = add("cones", "cone invariance sweep; exit 0 iff zero failures", ["--k", "--samples", "--seed"],
+            formats=("txt", "csv"))
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--inside-strip", action="store_true", help="negative control")
 
-    p = sub.add_parser("verify", help="invariant battery over a k-list")
-    common(p, fmt="txt")
+    p = add("verify", "invariant battery over a k-list", [], formats=("txt",))
     p.add_argument("--k-list", default="1,2,5,10", help="comma-separated k values")
 
-    p = sub.add_parser("figures", help="regenerate the SVG figure set")
-    common(p, fmt="svg")
-    p.set_defaults(out="figures")
+    add("figures", "regenerate the SVG figure set", ["--k", "--grid", "--step"], formats=("svg",),
+        out="figures")
     return top
 
 
 def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        k=args.k,
-        m=getattr(args, "m", None),
-        grid=args.grid,
-        samples=args.samples,
-        step=args.step,
-        max_arc=args.max_arc,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-    )
+    defaults = {flag[2:].replace("-", "_"): default for flag, (_, default, _) in _OPTIONS.items()}
+    given = {**defaults, "m": None, **vars(args)}
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +291,7 @@ def _cmd_tangency(cfg: RunConfig, params: MapParams) -> int:
 
 
 def _cmd_cones(cfg: RunConfig, params: MapParams, inside_strip: bool) -> int:
-    m = cfg.m if cfg.m is not None else 2
-    report = verify_cones(params, m, cfg.samples, cfg.seed, inside_strip=inside_strip)
+    report = verify_cones(params, cfg.m, cfg.samples, cfg.seed, inside_strip=inside_strip)
     if cfg.format == "csv":
         rows = [
             ("k", report.k),
@@ -453,12 +451,9 @@ def _figure_foliation(cfg: RunConfig, params: MapParams, time: str) -> str:
         e_field, f_field = "E-1", "F-1"
         e_starts = [TorusPoint(0.0, y) for y in (0.05, 0.35, 0.65, 0.95)]
         f_starts = [TorusPoint(x, 0.0) for x in (0.125, 0.375, 0.625, 0.875)]
-    e_leaves = [
-        trace_leaf(e_field, p, params, step=cfg.step, max_arc=2.5) for p in e_starts
-    ]
-    f_leaves = [
-        trace_leaf(f_field, p, params, step=cfg.step, max_arc=6.0) for p in f_starts
-    ]
+    e_arc, f_arc = _FIGURE_ARCS
+    e_leaves = [trace_leaf(e_field, p, params, step=cfg.step, max_arc=e_arc) for p in e_starts]
+    f_leaves = [trace_leaf(f_field, p, params, step=cfg.step, max_arc=f_arc) for p in f_starts]
     elements += _leaf_elements(e_leaves, "#c03030")
     elements += _leaf_elements(f_leaves, "#3030c0")
     closed_field = "F1" if time == "forward" else "E-1"
@@ -503,6 +498,46 @@ def _cmd_figures(cfg: RunConfig, params: MapParams) -> int:
     return 0
 
 
+def _checked_params(args: argparse.Namespace, cfg: RunConfig) -> Optional[MapParams]:
+    """Check the flags the subcommand takes; a bad value raises ValueError naming its flag."""
+    given = vars(args)
+    params = None
+    if "k" in given:
+        try:
+            params = MapParams(cfg.k)
+        except ValueError as exc:
+            raise ValueError(f"--k {cfg.k:g}: {exc}") from None
+    for flag, name in (("--grid", "grid"), ("--samples", "samples")):
+        if name in given and given[name] < 1:
+            raise ValueError(f"{flag} must be >= 1, got {given[name]}")
+    if given.get("m") is not None:
+        try:
+            delta_strip(cfg.m, params)
+        except ValueError as exc:
+            raise ValueError(f"--m {cfg.m}: {exc}") from None
+    if cfg.subcommand in ("constants", "tangency", "figures") or given.get("field") in ("F1", "E-1"):
+        try:
+            constants = critical_constants(params)
+        except ValueError as exc:
+            raise ValueError(f"--k {cfg.k:g}: strip constants not computable ({exc})") from None
+        draws_tangency = cfg.subcommand == "tangency" or constants.all_defined
+        if "grid" in given and draws_tangency and cfg.grid < MIN_CURVE_SAMPLES:
+            raise ValueError(f"--grid must be >= {MIN_CURVE_SAMPLES} to sample the tangency "
+                             f"curves, got {cfg.grid}")
+    for flag, name in (("--step", "step"), ("--max-arc", "max_arc")):
+        if name in given and not (math.isfinite(given[name]) and given[name] > 0.0):
+            raise ValueError(f"{flag} must be positive and finite, got {given[name]!r}")
+    if "max_arc" in given and cfg.max_arc / cfg.step > MAX_VERTICES:
+        raise ValueError(f"--max-arc must be at most {MAX_VERTICES} * --step = "
+                         f"{MAX_VERTICES * cfg.step:g}, got {cfg.max_arc!r}")
+    if cfg.subcommand == "figures" and max(_FIGURE_ARCS) / cfg.step > MAX_VERTICES:
+        raise ValueError(f"--step must be at least {max(_FIGURE_ARCS) / MAX_VERTICES:g}, got {cfg.step!r}")
+    for flag, name in (("--x", "x"), ("--y", "y")):
+        if name in given and not math.isfinite(given[name]):
+            raise ValueError(f"{flag} must be finite, got {given[name]!r}")
+    return params
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and execute one subcommand; returns the exit code."""
     parser = _build_parser()
@@ -512,30 +547,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     cfg = _cfg_from_args(args)
     try:
-        params = MapParams(cfg.k)
-        if cfg.grid < 1:
-            raise ValueError(f"--grid must be >= 1, got {cfg.grid}")
-        if cfg.subcommand in ("constants", "tangency", "figures"):
-            try:
-                constants = critical_constants(params)
-            except ValueError as exc:
-                raise ValueError(f"--k {cfg.k:g}: strip constants not computable ({exc})") from None
-            draws_tangency = cfg.subcommand == "tangency" or constants.all_defined
-            if draws_tangency and cfg.grid < MIN_CURVE_SAMPLES:
-                raise ValueError(f"--grid must be >= {MIN_CURVE_SAMPLES} to sample the tangency "
-                                 f"curves, got {cfg.grid}")
-        if cfg.subcommand in ("leaf", "figures"):
-            for flag, value in (("--step", cfg.step), ("--max-arc", cfg.max_arc)):
-                if not (math.isfinite(value) and value > 0.0):
-                    raise ValueError(f"{flag} must be positive and finite, got {value!r}")
-        if cfg.subcommand == "leaf":
-            for flag, value in (("--x", args.x), ("--y", args.y)):
-                if not math.isfinite(value):
-                    raise ValueError(f"{flag} must be finite, got {value!r}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        params = _checked_params(args, cfg)
         if cfg.subcommand == "constants":
             return _cmd_constants(cfg, params)
         if cfg.subcommand == "field":
@@ -548,13 +560,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_cones(cfg, params, args.inside_strip)
         if cfg.subcommand == "verify":
             return _cmd_verify(cfg, args.k_list)
-        if cfg.subcommand == "figures":
-            return _cmd_figures(cfg, params)
+        return _cmd_figures(cfg, params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.print_usage(sys.stderr)
-    return 2
 
 
 def main() -> None:

@@ -71,7 +71,7 @@ _PILOT_PER_UNIT = 256
 _PILOT_XI = 0.02
 _PILOT_RATIO = 1.05
 #: The largest max_arc / step accepted: the leaf has about that many vertices.
-_MAX_VERTICES = 10**7
+MAX_VERTICES = 10**7
 
 #: 3-point Gauss-Legendre nodes and weights on [0, 1].
 _GL_X = np.array([0.5 - 0.5 * math.sqrt(0.6), 0.5, 0.5 + 0.5 * math.sqrt(0.6)])
@@ -375,8 +375,8 @@ def trace_leaf(
     for name, value in (("step", step), ("max_arc", max_arc)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if max_arc / step > _MAX_VERTICES:
-        raise ValueError(f"max_arc / step = {max_arc / step:.3g} exceeds {_MAX_VERTICES} vertices")
+    if max_arc / step > MAX_VERTICES:
+        raise ValueError(f"max_arc / step = {max_arc / step:.3g} exceeds {MAX_VERTICES} vertices")
 
     forward = field_id in ("E1", "F1")
     c0 = start.y if forward else start.y - start.x

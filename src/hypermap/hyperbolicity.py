@@ -21,13 +21,15 @@ Two exact mapping facts hold at every point: horizontal vectors land on the
 slope-one diagonal, and at y = 1/4 or y = 3/4 (where psi_c = 0) the
 slope -1 diagonal lands on the horizontal.
 
-The sweep is a floating-point filter followed by exact refinement (after
-Shewchuk, Adaptive Precision Floating-Point Arithmetic and Fast Robust
-Geometric Predicates, 1997).  Each chunk draws its samples as before.  The
-filter takes cos 2 pi y, cos theta and sin theta in numpy's float32, each
-within eps = 2e-6 of the float64 value, rounding of the argument included
-(the worst error measured is 2.5e-7).  With K = 2 pi k, the image
-(c + psi s, c + (1 + psi) s) it forms in float64 is then within
+The sweep runs in the calling thread, one chunk of samples after another,
+each drawn from its own seed spawned from the root seed.  It is a
+floating-point filter followed by exact refinement (after Shewchuk,
+Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
+Predicates, 1997).  The filter takes cos 2 pi y, cos theta and sin theta
+in numpy's float32, each within eps = 2e-6 of the float64 value, rounding
+of the argument included (the worst error measured is 2.5e-7).  With
+K = 2 pi k, the image (c + psi s, c + (1 + psi) s) it forms in float64 is
+then within
 
     E = eps (2 + K + K eps) + K eps + 1e-12 (2 + K)
 
@@ -49,9 +51,7 @@ where E is comparable to the image itself, most samples are.
 from __future__ import annotations
 
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,8 +60,9 @@ import numpy as np
 from .coordinates import Coord, psi
 from .stdmap import TWO_PI, MapParams, TorusPoint, map_forward
 
-#: Samples are processed in fixed-size chunks with per-chunk derived seeds,
-#: so results do not depend on how many workers execute them.
+#: Samples are processed in fixed-size chunks, each drawn from its own seed
+#: spawned from the root seed: the chunks fix the sample stream, so a report
+#: depends only on its arguments, and they bound the work arrays.
 _CHUNK = 32768
 
 #: Failure records kept for replay; beyond this only the count grows.
@@ -346,16 +347,6 @@ def _cone_chunk(
     )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("HYPERMAP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"HYPERMAP_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def verify_cones(
     params: MapParams,
     m: int,
@@ -371,9 +362,10 @@ def verify_cones(
     formula.  With ``inside_strip`` the hypothesis is deliberately violated
     to demonstrate the check can fail.
 
-    Sampling is partitioned into fixed chunks with seeds derived from the
-    root seed, so the report is identical regardless of worker count
-    (HYPERMAP_THREADS caps the pool).
+    Sampling is partitioned into fixed chunks with seeds spawned from the
+    root seed, swept in order in the calling thread.  Each thread sweeps in
+    its own work arrays, so library callers may run sweeps from several
+    threads at once.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -382,13 +374,7 @@ def verify_cones(
     if n_samples % _CHUNK:
         counts.append(n_samples % _CHUNK)
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
-    jobs = [(ss, cnt, params, m, strip, inside_strip) for ss, cnt in zip(seeds, counts)]
-    workers = min(_worker_count(), len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_cone_chunk, jobs))
-    else:
-        parts = [_cone_chunk(j) for j in jobs]
+    parts = [_cone_chunk((ss, cnt, params, m, strip, inside_strip)) for ss, cnt in zip(seeds, counts)]
 
     failures = sum(p[0] for p in parts)
     slope_failures = sum(p[1] for p in parts)

@@ -1,9 +1,13 @@
 """Tests for the command-line front end: formats, determinism, exit codes."""
 
+import argparse
 import io
 import math
+import re
+import shlex
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -66,10 +70,12 @@ class TestField:
             assert theta[j] == pytest.approx(theta[8 - j], abs=1e-12)
 
     def test_header_records_parameters(self):
-        _, out = run_capture(["field", "--k", "3", "--grid", "4", "--seed", "99"])
+        _, out = run_capture(["field", "--k", "3", "--grid", "4"])
         head = out.splitlines()[0]
         assert f"hypermap {__version__}" in head
-        assert "k=3" in head and "seed=99" in head and "grid=4" in head
+        assert "k=3" in head and "grid=4" in head
+        _, out = run_capture(["cones", "--k", "25", "--samples", "100", "--seed", "99"])
+        assert "seed=99" in out.splitlines()[0]
 
 
 class TestDeterminism:
@@ -243,12 +249,6 @@ class TestArgumentErrors:
         assert code == 2
         assert "k = 0.3" in err and "Traceback" not in err
 
-    def test_bad_thread_count_names_variable(self, monkeypatch):
-        monkeypatch.setenv("HYPERMAP_THREADS", "abc")
-        code, err = self.run_error(["cones", "--k", "25", "--samples", "1000"])
-        assert code == 2
-        assert "HYPERMAP_THREADS" in err
-
     def test_empty_grid_rejected(self):
         for grid in ("0", "-3"):
             code, err = self.run_error(["field", "--k", "3", "--grid", grid])
@@ -256,9 +256,12 @@ class TestArgumentErrors:
             assert "grid" in err
 
     def test_leaf_and_figures_name_bad_step_or_arc(self, tmp_path):
-        for sub in (["leaf"], ["figures", "--out", str(tmp_path / "figs")]):
+        for sub, flags in ((["leaf"], ("--max-arc", "--step")),
+                           (["figures", "--out", str(tmp_path / "figs")], ("--step",))):
             for flag, value in (("--max-arc", "inf"), ("--step", "nan"), ("--step", "0"),
                                 ("--max-arc", "-1")):
+                if flag not in flags:
+                    continue
                 code, err = self.run_error(sub + [flag, value])
                 assert code == 2, (sub, flag, value)
                 assert f"{flag} must be positive and finite" in err
@@ -290,3 +293,90 @@ class TestArgumentErrors:
 
     def test_no_args(self):
         assert run([]) == 2
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def accepted_flags(sub: argparse.ArgumentParser) -> set[str]:
+    return {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+
+
+class TestEveryFlagChangesTheResult:
+    """A flag a subcommand accepts must change what it does: its output
+    after the header line, the files it writes, or its exit code."""
+
+    #: A quick invocation of each subcommand, as flag -> value.
+    BASE = {
+        "constants": {"--k": "10"},
+        "field": {"--k": "3", "--grid": "16"},
+        "leaf": {"--k": "10", "--max-arc": "0.5"},
+        "tangency": {"--k": "2", "--grid": "32"},
+        "cones": {"--k": "25", "--samples": "3000"},
+        "verify": {"--k-list": "1,5"},
+        "figures": {"--k": "1", "--grid": "64", "--step": "0.02", "--out": "{tmp}/figs"},
+    }
+    #: Two values of each flag; True and False put a switch in or leave it
+    #: out.  ``--format`` takes the first two of the subcommand's choices.
+    VALUES = {
+        "--k": ("10", "11"), "--m": ("2", "3"), "--grid": ("32", "33"), "--samples": ("3000", "3001"),
+        "--seed": ("1", "2"), "--step": ("0.02", "0.03"), "--max-arc": ("0.5", "0.6"),
+        "--time": ("forward", "backward"), "--field": ("E1", "F1"), "--x": ("0", "0.1"),
+        "--y": ("0.6", "0.7"), "--inside-strip": (False, True), "--k-list": ("1,5", "1,2"),
+        "--out": ("{tmp}/a", "{tmp}/b"),
+    }
+
+    @staticmethod
+    def outcome(sub: str, options: dict, tmp: Path) -> tuple[int, str, dict]:
+        argv = [sub]
+        for flag, value in options.items():
+            if value is True:
+                argv.append(flag)
+            elif value is not False:
+                argv += [flag, value.replace("{tmp}", str(tmp))]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = run(argv)
+        text = out.getvalue().replace(str(tmp), "{tmp}")
+        body = text.split("\n", 1)[-1] if text.startswith("# hypermap") else text
+        files = {p.relative_to(tmp).as_posix(): p.read_bytes() for p in tmp.rglob("*") if p.is_file()}
+        return code, body, files
+
+    @pytest.mark.parametrize("sub, flag", [(name, flag) for name, parser in subparsers().items()
+                                           for flag in sorted(accepted_flags(parser))])
+    def test_flag_changes_the_result(self, tmp_path, sub, flag):
+        if flag == "--format":
+            action = next(a for a in subparsers()[sub]._actions if flag in a.option_strings)
+            values = action.choices[:2]
+        else:
+            values = self.VALUES[flag]
+        results = []
+        for i, value in enumerate(values):
+            tmp = tmp_path / str(i)
+            tmp.mkdir()
+            results.append(self.outcome(sub, {**self.BASE[sub], flag: value}, tmp))
+        assert all(code in (0, 1) for code, _, _ in results), results
+        assert results[0] != results[1]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [shlex.split(line, comments=True)[1:]
+            for block in blocks for line in block.splitlines() if line.startswith("hypermap ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(tmp_path, monkeypatch, argv):
+    # Every file a command writes lands in a scratch directory.
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_capture(argv)
+    assert code in (0, 1)
+
+
+def test_readme_lists_commands():
+    assert {argv[0] for argv in readme_commands()} == set(subparsers())

@@ -7,6 +7,7 @@ uncaught exception fails the test where the command line would print a
 traceback.
 """
 
+import argparse
 import io
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -39,15 +40,19 @@ OPTIONS = {
     "--time": st.sampled_from(["forward", "backward"]),
     "--field": st.sampled_from(["E1", "F1", "E-1", "F-1"]),
     "--k-list": st.lists(K, min_size=1, max_size=3).map(",".join),
+    "--out": st.sampled_from(["-", "{tmp}/out"]),
+    "--inside-strip": st.just(None),  # a switch: present or absent
 }
+#: The flags each subcommand takes; test_accepts_is_what_each_parser_takes
+#: keeps this equal to the parsers.
 ACCEPTS = {
-    "constants": ["--k", "--m", "--format"],
-    "field": ["--k", "--grid", "--time", "--format"],
-    "leaf": ["--k", "--field", "--x", "--y", "--step", "--max-arc", "--format"],
-    "tangency": ["--k", "--grid", "--format"],
-    "cones": ["--k", "--m", "--samples", "--seed", "--format"],
-    "verify": ["--k-list", "--format"],
-    "figures": ["--k", "--grid", "--step"],
+    "constants": ["--k", "--m", "--out"],
+    "field": ["--k", "--grid", "--time", "--out"],
+    "leaf": ["--k", "--field", "--x", "--y", "--step", "--max-arc", "--format", "--out"],
+    "tangency": ["--k", "--grid", "--format", "--out"],
+    "cones": ["--k", "--m", "--samples", "--seed", "--inside-strip", "--format", "--out"],
+    "verify": ["--k-list", "--out"],
+    "figures": ["--k", "--grid", "--step", "--out"],
 }
 
 
@@ -56,19 +61,30 @@ def invocations(draw) -> list[str]:
     sub = draw(st.sampled_from(sorted(ACCEPTS)))
     argv = [sub]
     for flag in draw(st.lists(st.sampled_from(ACCEPTS[sub]), unique=True)):
-        argv.append(f"{flag}={draw(OPTIONS[flag])}")
-    if sub == "cones" and draw(st.booleans()):
-        argv.append("--inside-strip")
+        value = draw(OPTIONS[flag])
+        argv.append(flag if value is None else f"{flag}={value}")
     return argv
 
 
 def run(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
         if argv[0] == "figures":
             argv = argv + ["--out", tmp]
         rc = cli.run(argv)
     return rc, err.getvalue()
+
+
+def test_accepts_is_what_each_parser_takes():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    takes = {
+        name: sorted(flag for action in sub._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help"))
+        for name, sub in subparsers.choices.items()
+    }
+    assert takes == {name: sorted(flags) for name, flags in ACCEPTS.items()}
 
 
 #: Inputs whose exit-2 message once named no flag, and the flag it must name.
@@ -77,7 +93,23 @@ NAMED = [
     (["figures", "--grid", "8"], "--grid"),
     (["constants", "--k", "1e300"], "--k"),
     (["figures", "--k", "1e300"], "--k"),
+    (["cones", "--k", "5", "--m", "1"], "--m"),
+    (["cones", "--k", "5", "--m", "7"], "--m"),
+    (["constants", "--k", "3", "--m", "5"], "--m"),
+    (["cones", "--k", "5", "--samples", "0"], "--samples"),
+    (["field", "--k", "nan"], "--k"),
+    (["field", "--k", "0"], "--k"),
+    (["leaf", "--max-arc", "1e9"], "--max-arc"),
+    (["leaf", "--field", "F1", "--k", "1e300"], "--k"),
+    (["leaf", "--field", "E-1", "--k", "1e155"], "--k"),
+    (["figures", "--step", "1e-7"], "--step"),
 ]
+
+
+def with_named_examples(test):
+    for argv, _ in NAMED:
+        test = example(argv)(test)
+    return test
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -85,10 +117,7 @@ NAMED = [
 @example(["leaf", "--y", "inf"])
 @example(["leaf", "--x", "nan"])
 @example(["verify", "--k-list", "1e300"])
-@example(NAMED[0][0])
-@example(NAMED[1][0])
-@example(NAMED[2][0])
-@example(NAMED[3][0])
+@with_named_examples
 def test_every_input_ends_in_an_exit_code(argv):
     rc, err = run(argv)
     assert rc in (0, 1, 2), (argv, rc)

@@ -105,11 +105,6 @@ def test_chunks_on_many_threads_equal_the_reference():
     assert [repr(g[:7]) for g in got] == [repr(w) for w in want * 2]
 
 
-def _with_threads(monkeypatch, workers: int, *sweep) -> str:
-    monkeypatch.setenv("HYPERMAP_THREADS", str(workers))
-    return verify_cones(*sweep).to_text()
-
-
 SWEEPS = [
     (MapParams(2.1), 2, 100_000, 3, False),
     (MapParams(25.0), 5, 150_000, 42, False),
@@ -119,11 +114,10 @@ SWEEPS = [
 
 
 @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
-def test_reports_equal_the_reference_at_one_and_two_workers(monkeypatch, sweep):
-    one = _with_threads(monkeypatch, 1, *sweep)
-    two = _with_threads(monkeypatch, 2, *sweep)
+def test_reports_equal_the_reference(monkeypatch, sweep):
+    filtered = verify_cones(*sweep).to_text()
     monkeypatch.setattr(hyperbolicity, "_cone_chunk", lambda args: (*reference_cone_chunk(args), 0))
-    assert one == two == _with_threads(monkeypatch, 2, *sweep)
+    assert filtered == verify_cones(*sweep).to_text()
 
 
 @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
