@@ -10,6 +10,7 @@ check command found failures, 2 on argument errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -251,6 +252,15 @@ def _leaf_elements(leaves: Iterable[Leaf], color: str, width: float = 0.002) -> 
     return out
 
 
+@contextlib.contextmanager
+def _computable_at_k(k: float, what: str):
+    """Name --k in the domain error of a computation that depends on k alone."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"--k {k:g}: {what} not computable ({exc})") from None
+
+
 def _cmd_leaf(cfg: RunConfig, params: MapParams, field: str, x: float, y: float) -> int:
     leaf = trace_leaf(field, TorusPoint(x, y), params, step=cfg.step, max_arc=cfg.max_arc)
     if cfg.format == "svg":
@@ -430,6 +440,10 @@ def _cmd_verify(cfg: RunConfig, k_list: str) -> int:
     all_ok = True
     for params in _k_list(k_list):
         try:
+            critical_constants(params)  # fails before the battery overflows at huge k
+        except ValueError as exc:
+            raise ValueError(f"--k-list entry {params.k:g}: strip constants not computable ({exc})") from None
+        try:
             battery = _verify_battery(params)
         except ValueError as exc:
             raise ValueError(f"--k-list entry {params.k:g}: {exc}") from None
@@ -457,7 +471,8 @@ def _figure_foliation(cfg: RunConfig, params: MapParams, time: str) -> str:
     elements += _leaf_elements(e_leaves, "#c03030")
     elements += _leaf_elements(f_leaves, "#3030c0")
     closed_field = "F1" if time == "forward" else "E-1"
-    elements += _leaf_elements(closed_leaves(closed_field, params), "#108010", width=0.004)
+    with _computable_at_k(params.k, "closed leaves"):
+        elements += _leaf_elements(closed_leaves(closed_field, params), "#108010", width=0.004)
     return svgrender.document(elements)
 
 
@@ -527,9 +542,9 @@ def _checked_params(args: argparse.Namespace, cfg: RunConfig) -> Optional[MapPar
     for flag, name in (("--step", "step"), ("--max-arc", "max_arc")):
         if name in given and not (math.isfinite(given[name]) and given[name] > 0.0):
             raise ValueError(f"{flag} must be positive and finite, got {given[name]!r}")
-    if "max_arc" in given and cfg.max_arc / cfg.step > MAX_VERTICES:
-        raise ValueError(f"--max-arc must be at most {MAX_VERTICES} * --step = "
-                         f"{MAX_VERTICES * cfg.step:g}, got {cfg.max_arc!r}")
+    if "max_arc" in given and cfg.max_arc / min(cfg.step, 1.0) > MAX_VERTICES:
+        raise ValueError(f"--max-arc must be at most {MAX_VERTICES} * min(--step, 1) = "
+                         f"{MAX_VERTICES * min(cfg.step, 1.0):g}, got {cfg.max_arc!r}")
     if cfg.subcommand == "figures" and max(_FIGURE_ARCS) / cfg.step > MAX_VERTICES:
         raise ValueError(f"--step must be at least {max(_FIGURE_ARCS) / MAX_VERTICES:g}, got {cfg.step!r}")
     for flag, name in (("--x", "x"), ("--y", "y")):
@@ -555,7 +570,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if cfg.subcommand == "leaf":
             return _cmd_leaf(cfg, params, args.field, args.x, args.y)
         if cfg.subcommand == "tangency":
-            return _cmd_tangency(cfg, params)
+            with _computable_at_k(cfg.k, "tangency curves"):
+                return _cmd_tangency(cfg, params)
         if cfg.subcommand == "cones":
             return _cmd_cones(cfg, params, args.inside_strip)
         if cfg.subcommand == "verify":

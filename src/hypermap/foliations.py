@@ -375,8 +375,11 @@ def trace_leaf(
     for name, value in (("step", step), ("max_arc", max_arc)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if max_arc / step > MAX_VERTICES:
-        raise ValueError(f"max_arc / step = {max_arc / step:.3g} exceeds {MAX_VERTICES} vertices")
+    # A leaf keeps a vertex about every step of arc, and at least one per turn
+    # around the torus, a turn being at least 1 long.
+    if max_arc / min(step, 1.0) > MAX_VERTICES:
+        turns_or_steps = max_arc / min(step, 1.0)
+        raise ValueError(f"max_arc / min(step, 1) = {turns_or_steps:.3g} exceeds {MAX_VERTICES} vertices")
 
     forward = field_id in ("E1", "F1")
     c0 = start.y if forward else start.y - start.x

@@ -12,10 +12,16 @@ to a vector with slope in (1 - 1/m, 1 + 1/m); since that interval nests
 inside (1/m, m) for m >= 2, the cone field is forward invariant.  The
 image norm exceeds m over most of the hypothesis region, but not all of
 it: in thin layers where psi_c sits just past -2m (any m) or +2m (m >= 5)
-with entry slope near 1/m, the norm infimum is exactly 1, so the sweep in
-verify_cones reports norm failures there while the slope check stays
-clean.  Interior entry slopes restore the per-step bound (orbit_expansion
-exercises this).
+with entry slope near 1/m, it falls below m, so the sweep in verify_cones
+reports norm failures there while the slope check stays clean.  At
+psi_c -> -2m and slope 1/m the image of (1, 1/m) is (-1, 1/m - 1), so the
+norm ratio tends to
+
+    g(m) = sqrt((1 + (1 - 1/m)^2) / (1 + 1/m^2)),
+
+which is 1 at m = 2, 1.1402 at m = 3, 1.2558 at m = 5 and 1.3387 at m = 10;
+no sampled norm lies below it.  Interior entry slopes restore the per-step
+bound (orbit_expansion exercises this).
 
 Two exact mapping facts hold at every point: horizontal vectors land on the
 slope-one diagonal, and at y = 1/4 or y = 3/4 (where psi_c = 0) the
@@ -25,35 +31,71 @@ The sweep runs in the calling thread, one chunk of samples after another,
 each drawn from its own seed spawned from the root seed.  It is a
 floating-point filter followed by exact refinement (after Shewchuk,
 Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
-Predicates, 1997).  The filter takes cos 2 pi y, cos theta and sin theta
-in numpy's float32, each within eps = 2e-6 of the float64 value, rounding
-of the argument included (the worst error measured is 2.5e-7).  With
-K = 2 pi k, the image (c + psi s, c + (1 + psi) s) it forms in float64 is
-then within
+Predicates, 1997).  The filter runs in numpy's float32 throughout.  Its
+cos 2 pi y, cos theta and sin theta are each within eps = 2e-6 of the exact
+value, the float32 rounding of the argument included (the worst errors
+measured are 2.6e-7 for cos 2 pi y and 1.8e-7 for theta formed in float32
+from its draw), and at most a = 1 + eps in size.  With K = 2 pi k and
+every product and sum rounded to float32, with unit roundoff u = 2^-24, it
+forms
 
-    E = eps (2 + K + K eps) + K eps + 1e-12 (2 + K)
+    psi = cos(2 pi y) fl(K),  ix = cos + psi sin,  iy = ix + sin,
+    q = ix^2 + iy^2,  d = |ix| - m sin.
 
-of the exact one in each component; the last term covers float64 rounding
-in both evaluations.  So the norm is within 2E, and the slope within
-E (1 + |slope|) / (|ix| - E) where |ix| > 2E (unbounded otherwise).  The
-float64 expressions the sweep always used then evaluate again the samples
-whose slope or norm verdict these bounds cannot certify (a NaN certifies
-nothing: every comparison with it is false) and the candidates for
-min_norm, slope_min and slope_max, whose lower bound is at most the least
-upper bound over the chunk; the first MAX_FAILURE_RECORDS failures get
-their exact y for the records.  Every certified verdict equals the exact
-one and every extremum is attained in a refined sample, so the report is
-bit-identical to an all-float64 sweep.  For 5 <= k <= 200 outside the
-strips a few samples in 32768 are refined.  Inside the strips at large k,
-where E is comparable to the image itself, most samples are.
+Each rounding moves a result by at most u times itself.  So psi is within
+K eps + a K (2u + u^2) of its exact value and at most P = a K (1 + u)^2;
+ix is within E_x = eps + K eps + a (K eps + a K (2u + u^2)) + u a P +
+u a (1 + P (1 + u)) and at most B = a (1 + P (1 + u)) (1 + u); iy is within
+E_x + eps + u (B + a).  With 1e-12 (2 + K) added for the rounding of the
+float64 evaluation, which the refined samples use,
+
+    E = eps (2 + 2K) + u (3 + 5K) + 1e-12 (2 + K)   (to first order)
+
+bounds the distance of ix and iy from the float64 values, and the float64
+norm lies within 2E of sqrt(ix^2 + iy^2).  From these:
+
+- Norm.  q lies within a factor 1 - 2u to 1 + 3u of ix^2 + iy^2, so
+  q > (m + 2E)^2 (1 + 3u) certifies norm >= m and q < (m - 2E)^2 (1 - 2u)
+  certifies norm < m.
+- Slope, without a division.  theta lies in (atan 1/m, atan m), so sin > 0
+  and slope - 1 = sin / ix: the slope lies in (1 - 1/m, 1 + 1/m) exactly
+  when d > 0.  d is within E + m eps + m a (2u + u^2) + u (B + m a (1 + u)^2)
+  of its exact value, and the float64 verdict, which divides and rounds
+  1 +- 1/m, follows the sign of the exact d wherever |d| exceeds
+  1e-12 (2 + K)(2 + 2m) + m 2^-51 (1 + K).  |d| beyond the sum certifies.
+- Extrema.  slope - 1 lies within (eps' + |r| E') / (|ix| - E) of
+  r = fl(sin / ix), where eps' and E' exceed eps and E by the float32
+  rounding of r and of the width itself, and without bound where
+  |ix| <= E.  The candidates for min_norm, slope_min and slope_max are the
+  samples whose lower bound is at most the least upper bound over the
+  chunk.  Where every |ix| exceeds 2E, the chunk's widest width, at its
+  least |ix| and largest |r|, stands in for each sample's.  That holds
+  outside the strips whenever 2E < m / sqrt(1 + m^2), which bounds |ix|
+  from below there.
+
+Each threshold is computed in float64 with relative slack 1e-12 and then
+rounded outward to a float32, since numpy compares a float32 array with a
+Python float in float32.  The float64 expressions the sweep always used
+then evaluate again the samples whose verdicts these bounds cannot certify
+(a NaN certifies nothing: every comparison with it is false) and the
+extremum candidates; the first MAX_FAILURE_RECORDS failures of the sweep
+get their exact y for the records.  Every certified verdict equals the
+exact one and every extremum is attained in a refined sample, so the report
+is bit-identical to an all-float64 sweep.  For 5 <= k <= 200 outside the
+strips about one sample in 10^4 is refined.  Inside the strips the image is
+at most 1 + 2m long, and the share refined grows like E / m: about 64 % at
+k = 10^4, m = 2.  Where E > 0.15 m inside the strips, or where
+K >= 2^60 and float32 could overflow, a chunk is evaluated in float64 at
+once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -69,9 +111,26 @@ _CHUNK = 32768
 MAX_FAILURE_RECORDS = 1000
 
 #: Bound on the error of one float32 cos or sin value in the cone sweep's
-#: filter, rounding of the argument to float32 included (worst measured:
-#: 2.5e-7).
+#: filter, the float32 rounding of its argument included (worst measured:
+#: 2.6e-7).
 _TRIG32_ERR = 2e-6
+
+#: Unit roundoff of float32: each float32 sum or product is exact to within
+#: this share of its result.
+_U32 = 2.0**-24
+
+#: Slack for the float64 rounding of the few operations that compute each of
+#: the filter's thresholds.
+_SLACK = 1.0 + 1e-12
+
+#: Largest K = 2 pi k at which the filter's float32 image and squared norm
+#: stay finite.
+_K32_MAX = 2.0**60
+
+#: Inside the strips the image is at most 1 + 2m long, and once E exceeds
+#: this share of m the filter leaves so many samples open (over 70 % at
+#: 0.16 m) that evaluating the chunk in float64 at once is faster.
+_INSIDE_E_SHARE = 0.15
 
 
 @dataclass(frozen=True)
@@ -102,8 +161,8 @@ class ConeReport:
     ``failures`` counts samples violating either conclusion;
     ``slope_failures`` and ``norm_failures`` break that down.  The norm
     conclusion has a genuine thin failure layer at psi_c just below -2m
-    with entry slopes near 1/m, where the image norm approaches 1; see the
-    module tests for the exact corner.
+    with entry slopes near 1/m, where the image norm approaches g(m) of the
+    module docstring (1 at m = 2); see the module tests for the exact corner.
     """
 
     k: float
@@ -225,116 +284,261 @@ class _Workspace(threading.local):
     """One thread's work arrays for a chunk, reused so no chunk maps fresh pages."""
 
     def __init__(self) -> None:
-        self.draws = np.empty((2, _CHUNK))  # u and theta
-        self.f64 = np.empty((4, _CHUNK))
-        self.f32 = np.empty((3, _CHUNK), dtype=np.float32)
-        self.mask = np.empty(_CHUNK, dtype=bool)
+        self.draws = np.empty(2 * _CHUNK)  # the draws for the heights, then those for theta
+        self.f64 = np.empty(_CHUNK)
+        self.f32 = np.empty((6, _CHUNK), dtype=np.float32)
+        self.masks = np.empty((5, _CHUNK), dtype=bool)
+        self.pieces = np.empty(_CHUNK, dtype=np.uint8)
 
 
 _WORK = _Workspace()
 
 
-def _filter_bound(k: float) -> float:
-    """E: how far the filter's image components may lie from the exact ones."""
+def _least_draw(bound: float, length: float) -> float:
+    """The least draw r with r * length >= bound in float64, as _heights compares."""
+    r = bound / length
+    while r * length < bound:
+        r = math.nextafter(r, math.inf)
+    while math.nextafter(r, -math.inf) * length >= bound:
+        r = math.nextafter(r, -math.inf)
+    return r
+
+
+@np.errstate(over="ignore")  # beyond the float32 range the result is infinite
+def _f32(x: float, up: bool) -> np.float32:
+    """x rounded to a float32 upwards (``up``) or downwards, never inwards.
+
+    numpy compares a float32 array with a float in float32, so each of the
+    filter's thresholds is rounded here first, away from the side it
+    certifies.
+    """
+    f = np.float32(x)
+    if up and float(f) < x:
+        return np.nextafter(f, np.float32(math.inf))
+    if not up and float(f) > x:
+        return np.nextafter(f, np.float32(-math.inf))
+    return f
+
+
+class _Bounds(NamedTuple):
+    """The filter's error bound E and its float32 thresholds for one (k, m)."""
+
+    e: float
+    big_k: np.float32  # K rounded to float32
+    m: np.float32
+    slope_ok: np.float32  # d above this: the slope verdict is "inside"
+    slope_bad: np.float32  # d below this: "outside"
+    norm_ok: np.float32  # q above this: the norm is at least m
+    norm_bad: np.float32  # q below this: the norm is below m
+    width_r: np.float32  # the slope width is (width_eps + |r| width_r) / (|ix| - width_e)
+    width_eps: np.float32
+    width_e: np.float32
+
+    def near_min(self, q_min: float) -> np.float32:
+        """Least q whose norm may still be the chunk's least, q_min the least q."""
+        u = _U32
+        norm = math.sqrt(q_min * (1.0 + 3.0 * u)) + 4.0 * self.e
+        return _f32(_SLACK * (1.0 + 3.0 * u) * norm * norm, True)
+
+    def slope_candidates(self, r_min: float, r_max: float, ax_min: float) -> tuple[np.float32, np.float32]:
+        """(lo, hi): no r above lo can be the least slope - 1, none below hi the largest.
+
+        r_min and r_max are the chunk's least and largest r = s / ix, and
+        ax_min > 2E its least |ix|: every width is at most the one at the
+        largest |r| and least |ix|.
+        """
+        w = float(self.width_eps) + max(-r_min, r_max) * float(self.width_r)
+        w *= _SLACK / (ax_min - float(self.width_e))
+        return _f32(r_min + 2.0 * w, True), _f32(r_max - 2.0 * w, False)
+
+
+@functools.lru_cache(maxsize=64)
+def _filter_bounds(k: float, m: int, eps: float) -> Optional[_Bounds]:
+    """E and the thresholds derived in the module docstring, eps = _TRIG32_ERR.
+
+    None where the float32 image could overflow or E is not finite.
+    """
     big_k = TWO_PI * k
-    if not big_k < 1e150:  # the filter's squared norm could overflow
-        return math.inf
-    eps = _TRIG32_ERR
-    return eps * (2.0 + big_k + big_k * eps) + big_k * eps + 1e-12 * (2.0 + big_k)
+    u = _U32
+    a, v = 1.0 + eps, 1.0 + u  # |float32 cos or sin| <= a; one float32 rounding <= v
+    d_psi = big_k * eps + a * big_k * (v * v - 1.0)  # |psi~ - psi|
+    p = a * big_k * v * v  # >= |psi~|
+    e_x = eps + u * a * p + a * d_psi + big_k * eps + u * a * (1.0 + p * v)  # |ix~ - ix|
+    b = a * (1.0 + p * v) * v  # >= |ix~|
+    e_y = e_x + eps + u * (b + a)  # |iy~ - iy|
+    e64 = 1e-12 * (2.0 + big_k)  # the float64 evaluation's own error
+    e = (e_y + e64) * _SLACK
+    if not (big_k < _K32_MAX and e < math.inf):
+        return None
+    d = (
+        e + m * eps + m * a * (v * v - 1.0) + u * (b + m * a * v * v)  # |d~ - d|
+        + e64 * (2.0 + 2.0 * m) + m * 2.0**-51 * (1.0 + big_k)  # the float64 slope verdict
+    ) * _SLACK
+    below = m - 2.0 * e
+    return _Bounds(
+        e=e,
+        big_k=np.float32(big_k),
+        m=np.float32(m),
+        slope_ok=_f32(d, True),
+        slope_bad=_f32(-d, False),
+        norm_ok=_f32(_SLACK * (1.0 + 3.0 * u) * (m + 2.0 * e) * (m + 2.0 * e), True),
+        norm_bad=_f32((1.0 - 2.0 * u) * below * below / _SLACK if below > 0.0 else -math.inf, False),
+        width_r=_f32(_SLACK * (1.0 + 8.0 * u) * (1.0 + 2.0 * u) * (e + 2.0 * u * b), True),
+        width_eps=_f32(_SLACK * (1.0 + 8.0 * u) * (eps + 2.0 * e64), True),
+        width_e=_f32(e, True),
+    )
+
+
+def _image32(
+    r: np.ndarray,
+    t: np.ndarray,
+    region: tuple[float, list[tuple[float, float, float]]],
+    theta_range: tuple[float, float],
+    bounds: _Bounds,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The filter's float32 sin theta, ix, |ix|, q = ix^2 + iy^2 and d = |ix| - m sin theta.
+
+    ``r`` and ``t`` are the raw draws for the heights and for theta.  The
+    results are views of this thread's work arrays.
+    """
+    count = len(r)
+    y = _WORK.f64[:count]
+    cy, ct, st, ix, q, d = _WORK.f32[:, :count]
+    more, other = _WORK.masks[:2, :count]
+
+    # u = r length lies in piece j after j piece bounds, and the pieces'
+    # offsets are evenly spaced: y = length (r + (off_0 + j step) / length)
+    # up to float64 rounding.
+    length, pieces = region
+    offsets = [base - s1 - s2 for base, s1, s2 in pieces]
+    step = (offsets[-1] - offsets[0]) / (len(offsets) - 1)
+    np.greater_equal(r, _least_draw(pieces[1][1] + pieces[1][2], length), out=more)
+    j = more.view(np.uint8)
+    for _, s1, s2 in pieces[2:]:
+        np.greater_equal(r, _least_draw(s1 + s2, length), out=other)
+        j = np.add(j, other.view(np.uint8), out=_WORK.pieces[:count])
+    np.copyto(y, j)
+    y *= step / length
+    y += r
+    if offsets[0]:
+        y += offsets[0] / length
+    np.multiply(y, TWO_PI * length, out=cy, casting="same_kind")
+    np.cos(cy, out=cy)
+    lo, hi = theta_range
+    np.copyto(st, t, casting="same_kind")
+    st *= np.float32(hi - lo)
+    st += np.float32(lo)
+    np.cos(st, out=ct)
+    np.sin(st, out=st)
+
+    # The image (ix, iy) = (c + psi s, ix + s) and q = ix^2 + iy^2.
+    np.multiply(cy, bounds.big_k, out=cy)
+    np.multiply(cy, st, out=ix)
+    ix += ct
+    np.add(ix, st, out=q)
+    q *= q
+    np.multiply(ix, ix, out=d)
+    q += d
+    # slope - 1 = s / ix with s > 0, so the slope lies in (1 - 1/m, 1 + 1/m)
+    # exactly when d > 0.
+    ax = np.abs(ix, out=cy)
+    np.multiply(st, bounds.m, out=d)
+    np.subtract(ax, d, out=d)
+    return st, ix, ax, q, d
 
 
 @np.errstate(all="ignore")  # the filter decides nothing from a non-finite value
 def _filter(
-    u: np.ndarray, theta: np.ndarray, pieces: list[tuple[float, float, float]], k: float, m: int
+    r: np.ndarray,
+    t: np.ndarray,
+    region: tuple[float, list[tuple[float, float, float]]],
+    theta_range: tuple[float, float],
+    bounds: _Bounds,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slope and norm verdicts from float32 trigonometry, and what to refine.
+    """Slope and norm verdicts of the float32 image, and what to refine.
 
-    Returns (slope_ok, norm_ok, refine); the verdicts are certified wherever
-    ``refine`` is False.
+    Returns (slope_bad, norm_bad, refine); the verdicts are certified
+    wherever ``refine`` is False.
     """
-    count = len(u)
-    a, b, c, q = _WORK.f64[:, :count]
-    cy, ct, st = _WORK.f32[:, :count]
-    mask = _WORK.mask[:count]
-    e = _filter_bound(k)
-    offsets = [base - s1 - s2 for base, s1, s2 in pieces]  # y = u + offset up to rounding
-    np.add(u, offsets[0], out=a)  # the first piece starts at u = 0
-    for (_, s1, s2), step in zip(pieces[1:], np.diff(offsets)):
-        np.greater_equal(u, s1 + s2, out=mask)
-        np.multiply(mask, step, out=c)
-        a += c
-    a *= TWO_PI
-    np.copyto(cy, a, casting="same_kind")
-    np.cos(cy, out=cy)
-    np.copyto(ct, theta, casting="same_kind")
-    np.sin(ct, out=st)
-    np.cos(ct, out=ct)
-    np.multiply(cy, TWO_PI * k, out=a, dtype=np.float64)  # psi
-    a *= st
-    a += ct  # ix
-    np.add(a, st, out=b)  # iy = ix + sin theta
-    np.divide(b, a, out=c)  # slope
-    np.multiply(a, a, out=q)
-    b *= b
-    q += b  # squared norm
+    st, ix, ax, q, d = _image32(r, t, region, theta_range, bounds)
+    count = len(r)
+    sure, more, slope_ok, norm_ok, refine = _WORK.masks[:, :count]
+    b = bounds
+    np.greater(d, b.slope_ok, out=slope_ok)
+    np.less(d, b.slope_bad, out=sure)
+    sure |= slope_ok
+    np.greater(q, b.norm_ok, out=norm_ok)
+    np.less(q, b.norm_bad, out=more)
+    more |= norm_ok
+    sure &= more
+    np.invert(sure, out=refine)  # so NaN is refined
 
-    # The slope lies within E (1 + |slope|) / (|ix| - E) of the exact one
-    # where |ix| > 2E, anywhere otherwise.
-    np.abs(a, out=a)
-    a -= e
-    wide = ~(a > e)
-    np.abs(c, out=b)
-    b += 1.0
-    b *= e
-    b /= a
-    lb = np.subtract(c, b, out=a)
-    ub = np.add(c, b, out=b)
-    lb[wide] = -math.inf
-    ub[wide] = math.inf
-    s_lo, s_hi = 1.0 - 1.0 / m, 1.0 + 1.0 / m
-    slope_ok = (lb > s_lo) & (ub < s_hi)
-    slope_sure = slope_ok | (ub < s_lo) | (lb > s_hi)
-    # The norm lies within 2E of the exact one.
-    norm_ok = q > (m + 2.0 * e) ** 2
-    norm_sure = norm_ok | (q < ((m - 2.0 * e) ** 2 if m > 2.0 * e else -math.inf))
+    # Candidates for the extrema: lower bound <= least upper bound.  Any
+    # comparison with NaN counts a sample in.
+    def add_unless(above: np.ndarray) -> None:
+        np.bitwise_or(refine, np.invert(above, out=above), out=refine)
 
-    refine = ~(slope_sure & norm_sure)  # so NaN is refined
-    # Candidates for the extrema: lower bound <= least upper bound.
-    near_min = math.sqrt(q.min()) + 4.0 * e
-    refine |= q <= near_min * near_min
-    refine |= lb <= ub.min()
-    refine |= ub >= lb.max()
-    return slope_ok, norm_ok, refine
+    add_unless(np.greater(q, b.near_min(float(np.fmin.reduce(q))), out=more))
+    # slope - 1 lies within (width_eps + |r| width_r) / (|ix| - width_e) of
+    # r = s / ix, and without bound where |ix| <= width_e.
+    rs = np.divide(st, ix, out=_WORK.f32[1, :count])  # cos theta's array
+    ax_min = float(np.fmin.reduce(ax))
+    if ax_min > 2.0 * b.e:  # as outside the strips unless E is large
+        lo, hi = b.slope_candidates(float(np.fmin.reduce(rs)), float(np.fmax.reduce(rs)), ax_min)
+        add_unless(np.greater(rs, lo, out=more))
+        add_unless(np.less(rs, hi, out=more))
+    else:
+        w = np.abs(rs, out=d)
+        w *= b.width_r
+        w += b.width_eps
+        ax -= b.width_e
+        w /= np.maximum(ax, 0.0, out=ax)  # +0 where |ix| <= width_e, so w = +inf
+        lb = np.subtract(rs, w, out=ix)
+        ub = np.add(rs, w, out=w)
+        add_unless(np.greater(lb, np.fmin.reduce(ub), out=more))
+        add_unless(np.less(ub, np.fmax.reduce(lb), out=more))
+    return np.invert(slope_ok, out=slope_ok), np.invert(norm_ok, out=norm_ok), refine
 
 
 def _cone_chunk(
     args: tuple[np.random.SeedSequence, int, MapParams, int, StripSpec, bool],
+    budget: int = MAX_FAILURE_RECORDS,
 ) -> tuple[int, int, int, float, float, float, list[tuple[float, float]], int]:
+    """One chunk's counts, extrema, first ``budget`` failure records and refined count."""
     seed_seq, count, params, m, strip, inside = args
     rng = np.random.default_rng(seed_seq)
-    u, theta = _WORK.draws[:, :count]
+    draws = _WORK.draws[: 2 * count]
+    rng.random(2 * count, out=draws)  # the same stream as two calls of count draws
+    r, t = draws[:count], draws[count:]
     length, pieces = _region(strip, inside)
-    rng.random(count, out=u)
-    u *= length
     lo, hi = math.atan(1.0 / m), math.atan(m)
-    rng.random(count, out=theta)
-    theta *= hi - lo
-    theta += lo
-    slope_ok, norm_ok, refine = _filter(u, theta, pieces, params.k, m)
-    slope_bad, norm_bad = ~slope_ok, ~norm_ok
+    bounds = _filter_bounds(params.k, m, _TRIG32_ERR)
+    if bounds is None or (inside and bounds.e > _INSIDE_E_SHARE * m):
+        idx = np.arange(count)  # the filter would leave most samples open
+    else:
+        slope_bad, norm_bad, refine = _filter(r, t, (length, pieces), (lo, hi), bounds)
+        idx = np.flatnonzero(refine)
 
     # Exact float64 evaluation of the samples the filter leaves open.
-    idx = np.flatnonzero(refine)
-    y = _heights(u[idx], pieces)
-    ix, iy = _image(psi(y, params), np.cos(theta[idx]), np.sin(theta[idx]))
+    y = _heights(r[idx] * length, pieces)
+    theta = lo + t[idx] * (hi - lo)
+    ix, iy = _image(psi(y, params), np.cos(theta), np.sin(theta))
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = iy / ix
     norm = np.hypot(ix, iy)
-    slope_bad[idx] = ~((slope > 1.0 - 1.0 / m) & (slope < 1.0 + 1.0 / m))
-    norm_bad[idx] = ~(norm >= m)
+    exact_slope_bad = ~((slope > 1.0 - 1.0 / m) & (slope < 1.0 + 1.0 / m))
+    exact_norm_bad = ~(norm >= m)
+    if len(idx) == count:
+        slope_bad, norm_bad = exact_slope_bad, exact_norm_bad
+    else:
+        slope_bad[idx] = exact_slope_bad
+        norm_bad[idx] = exact_norm_bad
     bad = slope_bad | norm_bad
-    first = np.flatnonzero(bad)[:MAX_FAILURE_RECORDS]
-    records = list(zip(_heights(u[first], pieces).tolist(), theta[first].tolist()))
+    records: list[tuple[float, float]] = []
+    if budget > 0:
+        first = np.flatnonzero(bad)[:budget]
+        y_first, theta_first = _heights(r[first] * length, pieces), lo + t[first] * (hi - lo)
+        records = list(zip(y_first.tolist(), theta_first.tolist()))
     return (
         int(np.count_nonzero(bad)),
         int(np.count_nonzero(slope_bad)),
@@ -374,28 +578,21 @@ def verify_cones(
     if n_samples % _CHUNK:
         counts.append(n_samples % _CHUNK)
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
-    parts = [_cone_chunk((ss, cnt, params, m, strip, inside_strip)) for ss, cnt in zip(seeds, counts)]
-
-    failures = sum(p[0] for p in parts)
-    slope_failures = sum(p[1] for p in parts)
-    norm_failures = sum(p[2] for p in parts)
-    min_norm = min(p[3] for p in parts)
-    slope_lo = min(p[4] for p in parts)
-    slope_hi = max(p[5] for p in parts)
+    parts = []
     records: list[tuple[float, float]] = []
-    for p in parts:
-        if len(records) >= MAX_FAILURE_RECORDS:
-            break
-        records.extend(p[6][: MAX_FAILURE_RECORDS - len(records)])
+    for ss, cnt in zip(seeds, counts):
+        budget = MAX_FAILURE_RECORDS - len(records)
+        parts.append(_cone_chunk((ss, cnt, params, m, strip, inside_strip), budget))
+        records.extend(parts[-1][6][:budget])
     return ConeReport(
         k=params.k,
         m=m,
         samples=n_samples,
-        failures=failures,
-        slope_failures=slope_failures,
-        norm_failures=norm_failures,
-        min_norm=min_norm,
-        slope_range=(slope_lo, slope_hi),
+        failures=sum(p[0] for p in parts),
+        slope_failures=sum(p[1] for p in parts),
+        norm_failures=sum(p[2] for p in parts),
+        min_norm=min(p[3] for p in parts),
+        slope_range=(min(p[4] for p in parts), max(p[5] for p in parts)),
         seed=seed,
         inside_strip=inside_strip,
         failure_records=tuple(records),

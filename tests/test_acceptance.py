@@ -4,7 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines and
 timings.  Criterion 5 is expected RED in its norm half: the per-step
 image-norm bound >= m is mathematically false in thin layers where psi_c
 sits just past -2m (any m >= 2) or +2m (m >= 5) with entry slope near 1/m;
-the infimum of the image norm over the stated hypothesis set is exactly 1.
+the infimum of the image norm over the stated hypothesis set at a given m
+is g(m) = sqrt((1 + (1 - 1/m)^2) / (1 + 1/m^2)), exactly 1 at m = 2.
 The check is asserted verbatim anyway; the direction half and the negative
 control pass.  Exact counterexample: psi_c = -21/5, tan(theta) = 11/20,
 m = 2 gives image norm sqrt(22937/13025) ~ 1.327 < 2.

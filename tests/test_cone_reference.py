@@ -9,13 +9,14 @@ The filtered kernel must return the same chunk tuples, ``repr`` for
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypermap import hyperbolicity
 from hypermap.coordinates import psi
-from hypermap.hyperbolicity import MAX_FAILURE_RECORDS, StripSpec, _image, delta_strip, verify_cones
+from hypermap.hyperbolicity import MAX_FAILURE_RECORDS, StripSpec, _f32, _image, delta_strip, verify_cones
 from hypermap.stdmap import MapParams
 
 
@@ -116,7 +117,7 @@ SWEEPS = [
 @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
 def test_reports_equal_the_reference(monkeypatch, sweep):
     filtered = verify_cones(*sweep).to_text()
-    monkeypatch.setattr(hyperbolicity, "_cone_chunk", lambda args: (*reference_cone_chunk(args), 0))
+    monkeypatch.setattr(hyperbolicity, "_cone_chunk", lambda args, budget: (*reference_cone_chunk(args), 0))
     assert filtered == verify_cones(*sweep).to_text()
 
 
@@ -160,3 +161,131 @@ def test_float32_trig_is_within_a_quarter_of_the_filter_bound():
     for f32, f in ((np.cos, math.cos), (np.sin, math.sin)):
         want = np.fromiter(map(f, exact.tolist()), np.float64, len(exact))
         assert np.max(np.abs(f32(exact.astype(np.float32)).astype(np.float64) - want)) <= eps / 2
+    # The whole float32 image against the float64 one, strip edges and cone
+    # edges included: ix and iy within E / 4, d = |ix| - m sin theta within a
+    # quarter of its margin, and the norm sqrt(q) within a quarter of 2E.
+    n = 0
+    for m, k in [(m, k) for m in (2, 10, 50) for k in (1.01 * m, 200.0, 1e4)]:
+        for inside in (False, True):
+            n += _check_float32_image(MapParams(k), m, inside, rng)
+    assert n >= 1_000_000
+
+
+def _draws_near(points, steps: int = 64) -> np.ndarray:
+    """The float64 draws in [0, 1) within ``steps`` ulps of each point."""
+    out = []
+    for p in points:
+        for direction in (-math.inf, math.inf):
+            x = p
+            for _ in range(steps):
+                if 0.0 <= x < 1.0:
+                    out.append(x)
+                x = math.nextafter(x, direction)
+    return np.array(out)
+
+
+def _check_float32_image(params: MapParams, m: int, inside: bool, rng) -> int:
+    k = params.k
+    bounds = hyperbolicity._filter_bounds(k, m, hyperbolicity._TRIG32_ERR)
+    length, pieces = hyperbolicity._region(delta_strip(m, params), inside)
+    lo, hi = math.atan(1.0 / m), math.atan(m)
+    # Heights at the strip edges, and theta at the cone's edges and the
+    # float32 neighbours of both.
+    bounds_r = [hyperbolicity._least_draw(s1 + s2, length) for _, s1, s2 in pieces[1:]]
+    r_edges = _draws_near([0.0, 1.0] + bounds_r)
+    steps = np.arange(64)
+    t_edges = np.concatenate([
+        steps * float(np.spacing(np.float32(lo))) / (hi - lo),
+        1.0 - (steps + 1) * float(np.spacing(np.float32(hi))) / (hi - lo),
+        _draws_near([0.0, 1.0]),
+    ])
+    count = 55_000
+    r = np.concatenate([rng.random(count), r_edges, rng.random(len(t_edges))])
+    t = np.concatenate([rng.random(count), rng.random(len(r_edges)), t_edges])
+    e = bounds.e
+    for at in range(0, len(r), hyperbolicity._CHUNK):
+        rr, tt = r[at:at + hyperbolicity._CHUNK], t[at:at + hyperbolicity._CHUNK]
+        st, ix, _, q, d = hyperbolicity._image32(rr, tt, (length, pieces), (lo, hi), bounds)
+        iy = (ix + st).astype(np.float64)  # as the filter forms it
+        st, ix, q, d = (a.astype(np.float64) for a in (st, ix, q, d))
+        theta = lo + tt * (hi - lo)
+        want_x, want_y = _image(psi(hyperbolicity._heights(rr * length, pieces), params),
+                                np.cos(theta), np.sin(theta))
+        where = (k, m, inside)
+        assert np.max(np.abs(ix - want_x)) <= e / 4, where
+        assert np.max(np.abs(iy - want_y)) <= e / 4, where
+        want_d = np.abs(want_x) - m * np.sin(theta)
+        assert np.max(np.abs(d - want_d)) <= float(bounds.slope_ok) / 4, where
+        assert np.max(np.abs(np.sqrt(q) - np.hypot(want_x, want_y))) <= 2 * e / 4, where
+    return len(r)
+
+
+@pytest.mark.parametrize("m", [2, 3, 10, 50])
+def test_filter_thresholds_lie_outward_of_the_derived_bounds(m):
+    # The bounds of the module docstring in exact rational arithmetic: every
+    # float32 threshold must lie on the side of them that certifies less.
+    # A margin halved or a threshold rounded inwards fails here.
+    eps, u = Fraction(hyperbolicity._TRIG32_ERR), Fraction(1, 2**24)
+    a, v = 1 + eps, 1 + u
+    for k in (1.01 * m, 17.0, 200.0, 1e4):
+        b = hyperbolicity._filter_bounds(k, m, hyperbolicity._TRIG32_ERR)
+        big_k = Fraction(2 * math.pi) * Fraction(k)
+        p = a * big_k * v * v
+        d_psi = big_k * eps + a * big_k * (2 * u + u * u)
+        e_x = eps + big_k * eps + a * d_psi + u * a * p + u * a * (1 + p * v)
+        big_b = a * (1 + p * v) * v
+        e64 = Fraction(1e-12) * (2 + big_k)
+        e = e_x + eps + u * (big_b + a) + e64
+        d = (e + m * eps + m * a * (2 * u + u * u) + u * (big_b + m * a * v * v)
+             + e64 * (2 + 2 * m) + m * Fraction(1, 2**51) * (1 + big_k))
+        assert b.e >= e
+        assert Fraction(float(b.slope_ok)) >= d and Fraction(float(b.slope_bad)) <= -d
+        assert Fraction(float(b.norm_ok)) >= (m + 2 * e) ** 2 * (1 + 3 * u)
+        assert Fraction(float(b.norm_bad)) <= (m - 2 * e) ** 2 * (1 - 2 * u) and m > 2 * e
+        assert Fraction(float(b.width_e)) >= e
+        assert Fraction(float(b.width_eps)) >= (1 + 8 * u) * (eps + 2 * e64)
+        assert Fraction(float(b.width_r)) >= (1 + 8 * u) * (1 + 2 * u) * (e + 2 * u * big_b)
+        for q in (0.5, 17.25, 3e6):
+            root = Fraction(math.sqrt(q * (1 + 3 * 2.0**-24))) * (1 + Fraction(1, 2**50))  # >= the exact root
+            assert Fraction(float(b.near_min(q))) >= (1 + 3 * u) * (root + 4 * e) ** 2
+        for r_min, r_max, ax_min in ((-0.4, 0.45, 0.9), (-1 / m, 1 / m, 3.0), (0.01, 0.3, float(3 * e))):
+            r_big = max(-Fraction(r_min), Fraction(r_max))
+            w = (1 + 8 * u) * (eps + 2 * e64 + r_big * (1 + 2 * u) * (e + 2 * u * big_b)) / (ax_min - e)
+            lo, hi = b.slope_candidates(r_min, r_max, ax_min)
+            assert Fraction(float(lo)) >= r_min + 2 * w and Fraction(float(hi)) <= r_max - 2 * w
+
+
+def test_float32_rounding_never_rounds_inward():
+    rng = np.random.default_rng(9)
+    big = float(np.finfo(np.float32).max)
+    tiny = float(np.finfo(np.float32).smallest_subnormal)
+    xs = np.concatenate([
+        rng.standard_normal(20_000) * 10.0 ** rng.integers(-50, 50, 20_000),
+        rng.random(2000).astype(np.float32),  # already float32
+        [0.0, -0.0, tiny, -tiny, tiny / 3, -tiny / 3, big, -big, 2 * big, -2 * big, 1e300, -1e300,
+         math.inf, -math.inf],
+    ])
+    for x in xs.tolist():
+        up, down = _f32(x, True), _f32(x, False)
+        assert up.dtype == down.dtype == np.float32
+        assert float(down) <= x <= float(up)
+        # and no further than the next float32
+        with np.errstate(over="ignore"):
+            assert float(up) == x or float(np.nextafter(up, np.float32(-math.inf))) < x
+            assert float(down) == x or float(np.nextafter(down, np.float32(math.inf))) > x
+
+
+def test_least_draw_is_where_heights_change_piece():
+    rng = np.random.default_rng(10)
+    for bound, length in zip(rng.random(2000), rng.uniform(1e-6, 1.0, 2000)):
+        bound *= length
+        r = hyperbolicity._least_draw(bound, length)
+        assert r * length >= bound > math.nextafter(r, -math.inf) * length
+
+
+def test_chunks_with_no_record_budget_build_no_records():
+    for args in chunk_args(1, seed=31):
+        got = hyperbolicity._cone_chunk(args, 0)
+        want = reference_cone_chunk(args)
+        assert got[6] == []
+        assert repr(got[:6]) == repr(want[:6])

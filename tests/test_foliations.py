@@ -218,6 +218,8 @@ class TestTraceLeaf:
                 trace_leaf("E1", TorusPoint(0, 0), p, step=bad)
         with pytest.raises(ValueError, match="vertices"):
             trace_leaf("E1", TorusPoint(0, 0), p, step=1e-9, max_arc=1e3)
+        with pytest.raises(ValueError, match="vertices"):  # at least one vertex per turn
+            trace_leaf("E1", TorusPoint(0, 0), p, step=1e300, max_arc=1e300)
         # A non-finite start is refused when its TorusPoint is built.
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="x must be finite"):

@@ -3,7 +3,7 @@
 The direction half of the cone statement holds everywhere outside the
 strips; the per-step norm bound >= m genuinely fails in thin layers where
 psi_c sits just past -+2m with entry slope near 1/m (the image-norm infimum
-over the hypothesis set is exactly 1).  The tests here pin the true
+over the hypothesis set is g(m) of the module docstring, 1 at m = 2).  The tests here pin the true
 behavior of both halves; the acceptance module asserts the stated criterion
 verbatim and documents the red outcome.
 """
@@ -134,6 +134,19 @@ class TestVerifyCones:
         rep = verify_cones(params, m, 100_000, seed=42)
         assert rep.norm_failures > 0
         assert rep.min_norm > 1.0  # the true infimum over the region is 1
+
+    @pytest.mark.parametrize("m, g_rounded", [(2, 1.0), (3, 1.1402), (5, 1.2558), (10, 1.3387)])
+    def test_min_norm_is_above_the_boundary_layer_infimum(self, m, g_rounded):
+        # g(m): the norm ratio of Df (1, 1/m) at psi = -2m, in 50 digits.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            psi_edge, v = -2 * m, mpmath.matrix([1, mpmath.mpf(1) / m])
+            image = mpmath.matrix([[1, psi_edge], [1, 1 + psi_edge]]) * v
+            g = mpmath.norm(image) / mpmath.norm(v)
+        assert abs(g - g_rounded) < 5e-5
+        rep = verify_cones(MapParams(100.0), m, 200_000, seed=m)
+        assert rep.norm_failures > 0
+        assert rep.min_norm >= g
 
     def test_failure_records_replay(self):
         rep = verify_cones(MapParams(5.0), 2, 50_000, seed=42)
