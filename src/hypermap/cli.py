@@ -36,7 +36,6 @@ from .stdmap import (
 )
 from .tangency import (
     MIN_CURVE_SAMPLES,
-    TangencyPoint,
     curve_arrays,
     phi_inverse,
     tangency_curve,
@@ -109,10 +108,11 @@ def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object
     """CSV text of a table given as whole, equally long columns.
 
     Each column becomes a byte matrix with one row per table row: a float
-    ndarray column through ``numfmt.g17``, which is ``%.17g`` exactly; an
-    integer ndarray column through ``astype("S")``, which is ``%d``; a
+    ndarray column through ``numfmt.g17``, which is ``%.17g`` exactly; a
     bytes ndarray column as it is; any other column cell by cell, floats
-    with ``_g`` and everything else with ``str``.  The matrices and the
+    with ``_g`` and everything else with ``str``.  An integer column that
+    repeats few values, such as a leaf's segment numbers, is cheapest
+    passed as bytes made from its distinct values.  The matrices and the
     ``,``/newline columns between them are joined side by side and their NUL
     padding dropped with one mask, in blocks of ``_CSV_BLOCK`` rows so that
     the work space stays small.
@@ -122,7 +122,7 @@ def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object
     cells = []
     for col in columns:
         kind = col.dtype.kind if isinstance(col, np.ndarray) else ""
-        if kind not in ("f", "i", "u", "S"):
+        if kind not in ("f", "S"):
             col = np.array([_g(v) if isinstance(v, float) else str(v) for v in col], dtype="S")
         cells.append((kind, col))
     chunks = [f"{cfg.header()}\n{','.join(names)}\n"]
@@ -132,7 +132,7 @@ def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object
         comma = np.full((min(_CSV_BLOCK, n_rows - start), 1), ord(","), dtype=np.uint8)
         parts = []
         for kind, col in cells:
-            part = numfmt.g17(col[rows]) if kind == "f" else col[rows].astype("S", copy=False)
+            part = numfmt.g17(col[rows]) if kind == "f" else col[rows]
             parts += [part.view(np.uint8).reshape(len(part), -1), comma]
         parts[-1] = np.full_like(comma, ord("\n"))
         block = np.hstack(parts)
@@ -234,11 +234,16 @@ def _strip_elements(params: MapParams) -> list[str]:
     ]
 
 
-def _torus_curves(params: MapParams, lower: list[TangencyPoint], upper: list[TangencyPoint]) -> list[str]:
-    """Strip shading and both tangency curves on the torus, cut at the x seam."""
+#: Stroke colours of the lower and the upper tangency curve.
+_BRANCH_COLORS = ("#c03030", "#3030c0")
+
+
+def _torus_curves(params: MapParams, ytilde: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> list[str]:
+    """Strip shading and both tangency curves, heights y over ytilde, on the torus cut at the x seam."""
     elements = _strip_elements(params)
-    for branch, color in ((lower, "#c03030"), (upper, "#3030c0")):
-        pieces = svgrender.split_at_jumps([(tp.x, tp.y) for tp in branch], axis=0)
+    for y, color in zip((lower, upper), _BRANCH_COLORS):
+        x = (y - ytilde) % 1.0  # as TangencyPoint.x
+        pieces = svgrender.split_at_jumps(np.column_stack([x, y]), axis=0)
         elements += [svgrender.polyline(piece, color) for piece in pieces]
     return elements
 
@@ -269,7 +274,7 @@ def _cmd_leaf(cfg: RunConfig, params: MapParams, field: str, x: float, y: float)
         return 0
     segs = leaf.segments()
     points = np.concatenate(segs)
-    seg_id = np.repeat(np.arange(len(segs)), [len(seg) for seg in segs])
+    seg_id = np.repeat(np.array([b"%d" % i for i in range(len(segs))]), [len(seg) for seg in segs])
     _emit(cfg, _csv(cfg, ["seg_id", "x", "y"], [seg_id, points[:, 0], points[:, 1]]))
     return 0
 
@@ -277,7 +282,8 @@ def _cmd_leaf(cfg: RunConfig, params: MapParams, field: str, x: float, y: float)
 def _cmd_tangency(cfg: RunConfig, params: MapParams) -> int:
     landmarks = tangency_landmarks(params)
     if cfg.format == "svg":
-        elements = _torus_curves(params, *tangency_curve(params, cfg.grid))
+        ytilde, (lower, _), (upper, _) = curve_arrays(params, cfg.grid)
+        elements = _torus_curves(params, ytilde, lower, upper)
         for tp in landmarks:
             if tp is not None:
                 elements.append(svgrender.circle((tp.x, tp.y), 0.006, "#108010"))
@@ -497,15 +503,14 @@ def _cmd_figures(cfg: RunConfig, params: MapParams) -> int:
         "phi_backward.svg": _figure_graph(cfg, params, "phi", "backward"),
     }
     if critical_constants(params).all_defined:
-        lower, upper = tangency_curve(params, min(cfg.grid, 1024))
-        plane = []
-        for branch, color in ((lower, "#c03030"), (upper, "#3030c0")):
-            plane.append(svgrender.polyline(np.array([(tp.ytilde, tp.y) for tp in branch]), color))
+        ytilde, (lower, _), (upper, _) = curve_arrays(params, min(cfg.grid, 1024))
+        plane = [svgrender.polyline(np.column_stack([ytilde, y]), color)
+                 for y, color in zip((lower, upper), _BRANCH_COLORS)]
         for i, tp in enumerate(tangency_landmarks(params), start=1):
             if tp is not None:
                 plane.append(svgrender.circle((tp.ytilde, tp.y), 0.006, "#108010"))
         files["tangency_plane.svg"] = svgrender.document(plane)
-        files["tangency_torus.svg"] = svgrender.document(_torus_curves(params, lower, upper))
+        files["tangency_torus.svg"] = svgrender.document(_torus_curves(params, ytilde, lower, upper))
     for name, content in files.items():
         with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
             fh.write(content)

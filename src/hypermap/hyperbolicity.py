@@ -272,12 +272,16 @@ def _region(strip: StripSpec, inside: bool) -> tuple[float, list[tuple[float, fl
 
 
 def _heights(u: np.ndarray, pieces: list[tuple[float, float, float]]) -> np.ndarray:
-    """The heights y of draws u, each computed as the sweep always has."""
-    y = np.empty_like(u)
-    for base, s1, s2 in pieces:
-        sel = u >= s1 + s2
-        y[sel] = base + ((u[sel] - s1) - s2)
-    return y
+    """The heights y of draws u, each computed as the sweep always has.
+
+    The pieces' bounds s1 + s2 rise from 0, so the last piece a draw
+    reaches is the number of later bounds it reaches.
+    """
+    j = np.zeros(len(u), dtype=np.uint8)
+    for _, s1, s2 in pieces[1:]:
+        j += u >= s1 + s2
+    base, s1, s2 = (np.array(c).take(j) for c in zip(*pieces))
+    return base + ((u - s1) - s2)
 
 
 class _Workspace(threading.local):

@@ -283,6 +283,29 @@ def test_least_draw_is_where_heights_change_piece():
         assert r * length >= bound > math.nextafter(r, -math.inf) * length
 
 
+def reference_heights(u: np.ndarray, pieces) -> np.ndarray:
+    """``hyperbolicity._heights`` as a masked assignment per piece, as it was."""
+    y = np.empty_like(u)
+    for base, s1, s2 in pieces:
+        sel = u >= s1 + s2
+        y[sel] = base + ((u[sel] - s1) - s2)
+    return y
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_heights_equal_the_masked_loop(inside):
+    rng = np.random.default_rng(12)
+    for m, k in [(m, k) for m in (2, 5, 10) for k in (1.01 * m, 7.0, 101.5, 1e4)]:
+        if k <= m:
+            continue
+        length, pieces = hyperbolicity._region(delta_strip(m, MapParams(k)), inside)
+        bounds_r = [hyperbolicity._least_draw(s1 + s2, length) for _, s1, s2 in pieces[1:]]
+        r = np.concatenate([rng.random(20_000), _draws_near([0.0, 1.0] + bounds_r)])
+        u = r * length
+        got, want = hyperbolicity._heights(u, pieces), reference_heights(u, pieces)
+        assert got.tobytes() == want.tobytes(), (m, k, inside)
+
+
 def test_chunks_with_no_record_budget_build_no_records():
     for args in chunk_args(1, seed=31):
         got = hyperbolicity._cone_chunk(args, 0)

@@ -147,6 +147,57 @@ def test_percent_format_matches_f_string():
         assert ("%" + spec + " ") * len(values) % tuple(values) == "".join(f"{v:{spec}} " for v in values)
 
 
+def assert_polyline_matches(values) -> None:
+    """polyline of the points (v, v) and (v, 1 - v) for v in ``values`` against the
+    reference: the first writes x = v, the second 1 - y = v wherever 1 - v is exact."""
+    v = np.asarray(values, dtype=float)
+    for points in (np.column_stack([v, v]), np.column_stack([v, 1.0 - v])):
+        assert svgrender.polyline(points, "#000") == reference_polyline(points, "#000")
+
+
+def _ulps_around(values, steps: int = 2) -> list[float]:
+    out = []
+    for v in values:
+        out.append(v)
+        for direction in (-math.inf, math.inf):
+            x = v
+            for _ in range(steps):
+                x = math.nextafter(x, direction)
+                out.append(x)
+    return out
+
+
+class TestPolylineKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=40))
+    def test_unit_floats(self, values):
+        assert_polyline_matches(values)
+
+    def test_ties_and_their_neighbours(self):
+        # j / (2 10^6) for odd j lies near a tie of %.6f; a / 128 for odd a
+        # is an exact one, rounded half to even.
+        odd = np.random.default_rng(11).integers(0, 10**6, 2000) * 2 + 1
+        near = _ulps_around((odd / 2e6).tolist() + [0.0000005, 0.1349635, 0.9999995])
+        exact = _ulps_around([a / 128 for a in range(1, 128, 2)])
+        assert_polyline_matches(near)
+        assert_polyline_matches(exact)
+        assert_polyline_matches(near + exact)
+
+    def test_edges_of_the_unit_interval(self):
+        assert_polyline_matches([0.0, 1.0, 1.0 - 2**-53, 5e-324, 2**-1022, 0.5, 0.9999994, 0.9999996])
+
+    @pytest.mark.parametrize("odd", [-0.0, -5e-324, -1e-9, -0.25, 1.0 + 2**-52, 1.5, 1e300,
+                                     math.nan, math.inf, -math.inf])
+    def test_values_that_change_the_width(self, odd):
+        values = np.random.default_rng(12).random(50).tolist()
+        for at in (0, 25, 50):
+            assert_polyline_matches(values[:at] + [odd] + values[at:])
+        assert_polyline_matches([odd])
+
+    def test_no_points(self):
+        assert_polyline_matches([])
+
+
 LEAF_CASES = [
     (field_id, k, step, max_arc, start)
     for field_id in LEAF_FIELDS
@@ -200,11 +251,21 @@ def test_tangency_csv(k):
 def test_figures(tmp_path, monkeypatch, k):
     argv = ["figures", "--k", k, "--grid", "256"]
     run_capture(argv + ["--out", str(tmp_path / "new")])
+    calls = {"segments": 0, "polyline": 0, "split_at_jumps": 0}
+
+    def counted(name, reference):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return reference(*args, **kwargs)
+        return call
+
     with monkeypatch.context() as m:
-        m.setattr(Leaf, "segments", lambda leaf: reference_segments(leaf.lifted))
-        m.setattr(svgrender, "polyline", reference_polyline)
-        m.setattr(svgrender, "split_at_jumps", reference_split_at_jumps)
+        m.setattr(Leaf, "segments", counted("segments", lambda leaf: reference_segments(leaf.lifted)))
+        m.setattr(svgrender, "polyline", counted("polyline", reference_polyline))
+        m.setattr(svgrender, "split_at_jumps", counted("split_at_jumps", reference_split_at_jumps))
         run_capture(argv + ["--out", str(tmp_path / "ref")])
+    # Else the reference run shares the code under test and compares it with itself.
+    assert min(calls.values()) > 0, calls
     names = sorted(p.name for p in (tmp_path / "ref").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "new").iterdir()) and len(names) >= 6
     for name in names:

@@ -27,7 +27,10 @@ def test_polyline_takes_the_points_it_writes_first():
     # The tracer's svg_points hook counts len() of polyline's first positional
     # argument; that must be the number of points written.
     assert next(iter(inspect.signature(svgrender.polyline).parameters)) == "points"
-    for n in (0, 1, 2, 37):
-        points = np.random.default_rng(n).random((n, 2))
-        written = re.search(r'points="([^"]*)"', svgrender.polyline(points, "#000")).group(1)
-        assert len(written.split()) == len(points) == n
+    # Extra points send one value to each fallback: an exact tie of %.6f and
+    # a value outside [0, 1].
+    for extra in ([], [(1 / 128, 0.5)], [(-0.25, 0.5)]):
+        for n in (0, 1, 2, 37):
+            points = np.concatenate([np.random.default_rng(n).random((n, 2)), np.reshape(extra, (-1, 2))])
+            written = re.search(r'points="([^"]*)"', svgrender.polyline(points, "#000")).group(1)
+            assert len(written.split()) == len(points) == n + len(extra)
