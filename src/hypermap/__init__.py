@@ -1,99 +1,32 @@
 """Hyperbolic coordinates, foliations, tangency curves and cone fields for
-the standard map family on the torus."""
+the standard map family on the torus.
 
-from .coordinates import (
-    ConformalPointError,
-    CriticalConstants,
-    HypFrame,
-    critical_constants,
-    hyperbolic_frame,
-    phi,
-    phi_tilde,
-    psi,
-    theta_field,
-    unit_vector,
-)
-from .foliations import Leaf, closed_leaves, fold_tips, trace_leaf
-from .hyperbolicity import (
-    ConeReport,
-    ExpansionReport,
-    StripSpec,
-    delta_strip,
-    orbit_expansion,
-    push_vector,
-    verify_cones,
-)
-from .oracle import Svd2Result, fd_derivative, svd2, sweep_min_direction
-from .stdmap import (
-    DirAngle,
-    IterateDepthError,
-    MapParams,
-    Mat2,
-    TorusPoint,
-    angle_dist_mod_pi,
-    jacobian,
-    map_forward,
-    map_inverse,
-    mod1,
-    orbit_jacobian,
-)
-from .tangency import (
-    NoTangencyReport,
-    TangencyPoint,
-    TangencySelectionError,
-    gamma,
-    no_tangency_scan,
-    phi_inverse,
-    tangency_curve,
-    tangency_landmarks,
-)
+The package exports the library's top-level entry points and the errors
+they raise; every other name is imported from its submodule.
+"""
+
+from .coordinates import ConformalPointError, critical_constants, hyperbolic_frame, theta_field
+from .foliations import trace_leaf
+from .hyperbolicity import orbit_expansion, verify_cones
+from .stdmap import IterateDepthError, MapParams, TorusPoint
+from .tangency import TangencySelectionError, no_tangency_scan, tangency_curve, tangency_landmarks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConeReport",
     "ConformalPointError",
-    "CriticalConstants",
-    "DirAngle",
-    "ExpansionReport",
-    "HypFrame",
     "IterateDepthError",
-    "Leaf",
     "MapParams",
-    "Mat2",
-    "NoTangencyReport",
-    "StripSpec",
-    "Svd2Result",
-    "TangencyPoint",
     "TangencySelectionError",
     "TorusPoint",
-    "angle_dist_mod_pi",
-    "closed_leaves",
     "critical_constants",
-    "delta_strip",
-    "fd_derivative",
-    "fold_tips",
-    "gamma",
     "hyperbolic_frame",
-    "jacobian",
-    "map_forward",
-    "map_inverse",
-    "mod1",
     "no_tangency_scan",
     "orbit_expansion",
-    "orbit_jacobian",
-    "phi",
-    "phi_inverse",
-    "phi_tilde",
-    "psi",
-    "push_vector",
-    "svd2",
-    "sweep_min_direction",
     "tangency_curve",
     "tangency_landmarks",
     "theta_field",
     "trace_leaf",
-    "unit_vector",
     "verify_cones",
     "__version__",
 ]

@@ -34,13 +34,7 @@ from .stdmap import (
     map_forward,
     map_inverse,
 )
-from .tangency import (
-    MIN_CURVE_SAMPLES,
-    curve_arrays,
-    phi_inverse,
-    tangency_curve,
-    tangency_landmarks,
-)
+from .tangency import MIN_CURVE_SAMPLES, phi_inverse, tangency_curve, tangency_landmarks, torus_x
 
 #: Options that several subcommands take, as (type, default, help).  Each
 #: subcommand registers only those it reads; the header echoes the default
@@ -242,8 +236,7 @@ def _torus_curves(params: MapParams, ytilde: np.ndarray, lower: np.ndarray, uppe
     """Strip shading and both tangency curves, heights y over ytilde, on the torus cut at the x seam."""
     elements = _strip_elements(params)
     for y, color in zip((lower, upper), _BRANCH_COLORS):
-        x = (y - ytilde) % 1.0  # as TangencyPoint.x
-        pieces = svgrender.split_at_jumps(np.column_stack([x, y]), axis=0)
+        pieces = svgrender.split_at_jumps(np.column_stack([torus_x(ytilde, y), y]), axis=0)
         elements += [svgrender.polyline(piece, color) for piece in pieces]
     return elements
 
@@ -281,27 +274,25 @@ def _cmd_leaf(cfg: RunConfig, params: MapParams, field: str, x: float, y: float)
 
 def _cmd_tangency(cfg: RunConfig, params: MapParams) -> int:
     landmarks = tangency_landmarks(params)
+    curve_ytilde, (y_lower, res_lower), (y_upper, res_upper) = tangency_curve(params, cfg.grid)
     if cfg.format == "svg":
-        ytilde, (lower, _), (upper, _) = curve_arrays(params, cfg.grid)
-        elements = _torus_curves(params, ytilde, lower, upper)
+        elements = _torus_curves(params, curve_ytilde, y_lower, y_upper)
         for tp in landmarks:
             if tp is not None:
                 elements.append(svgrender.circle((tp.x, tp.y), 0.006, "#108010"))
         _emit(cfg, svgrender.document(elements))
         return 0
-    curve_ytilde, lower, upper = curve_arrays(params, cfg.grid)
     marks = [(f"P{i}", tp) for i, tp in enumerate(landmarks, start=1) if tp is not None]
     n, n_marks = len(curve_ytilde), len(marks)
     mark_cols = np.array([(tp.ytilde, tp.y, tp.residual) for _, tp in marks]).reshape(n_marks, 3).T
     ytilde = np.concatenate([curve_ytilde, curve_ytilde, mark_cols[0]])
-    y = np.concatenate([lower[0], upper[0], mark_cols[1]])
-    residual = np.concatenate([lower[1], upper[1], mark_cols[2]])
-    x = (y - ytilde) % 1.0  # as TangencyPoint.x
+    y = np.concatenate([y_lower, y_upper, mark_cols[1]])
+    residual = np.concatenate([res_lower, res_upper, mark_cols[2]])
     kind = np.repeat(np.array([b"curve", b"landmark"]), [2 * n, n_marks])
     name = np.concatenate([np.zeros(2 * n, dtype="S1"), np.array([name for name, _ in marks], dtype="S")])
-    branch = np.concatenate([np.repeat(np.array([b"lower", b"upper"]), n),
-                             np.array([tp.branch for _, tp in marks], dtype="S")])
-    columns = [kind, name, ytilde, y, x, branch, residual]
+    # The landmarks lie on the lower curve.
+    branch = np.repeat(np.array([b"lower", b"upper", b"lower"]), [n, n, n_marks])
+    columns = [kind, name, ytilde, y, torus_x(ytilde, y), branch, residual]
     _emit(cfg, _csv(cfg, ["kind", "name", "ytilde", "y", "x", "branch", "residual"], columns))
     return 0
 
@@ -406,10 +397,8 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
                         f"slope failures {rep.slope_failures}, min_norm {rep.min_norm:.4f}"))
 
     if c.all_defined:
-        worst = 0.0
-        lower, upper = tangency_curve(params, 128)
-        for tp in lower + upper:
-            worst = max(worst, tp.residual)
+        _, (_, res_lower), (_, res_upper) = tangency_curve(params, 128)
+        worst = float(max(res_lower.max(), res_upper.max()))
         results.append(("tangency_residual", worst < 1e-8, f"max {worst:.3g}"))
 
         worst = 0.0
@@ -503,7 +492,7 @@ def _cmd_figures(cfg: RunConfig, params: MapParams) -> int:
         "phi_backward.svg": _figure_graph(cfg, params, "phi", "backward"),
     }
     if critical_constants(params).all_defined:
-        ytilde, (lower, _), (upper, _) = curve_arrays(params, min(cfg.grid, 1024))
+        ytilde, (lower, _), (upper, _) = tangency_curve(params, min(cfg.grid, 1024))
         plane = [svgrender.polyline(np.column_stack([ytilde, y]), color)
                  for y, color in zip((lower, upper), _BRANCH_COLORS)]
         for i, tp in enumerate(tangency_landmarks(params), start=1):
@@ -535,13 +524,14 @@ def _checked_params(args: argparse.Namespace, cfg: RunConfig) -> Optional[MapPar
             delta_strip(cfg.m, params)
         except ValueError as exc:
             raise ValueError(f"--m {cfg.m}: {exc}") from None
-    if cfg.subcommand in ("constants", "tangency", "figures") or given.get("field") in ("F1", "E-1"):
+    # field needs the constants too: its polynomials overflow at coord 0 from the same k on.
+    if cfg.subcommand in ("constants", "field", "tangency", "figures") or given.get("field") in ("F1", "E-1"):
         try:
             constants = critical_constants(params)
         except ValueError as exc:
             raise ValueError(f"--k {cfg.k:g}: strip constants not computable ({exc})") from None
-        draws_tangency = cfg.subcommand == "tangency" or constants.all_defined
-        if "grid" in given and draws_tangency and cfg.grid < MIN_CURVE_SAMPLES:
+        draws_tangency = cfg.subcommand == "tangency" or cfg.subcommand == "figures" and constants.all_defined
+        if draws_tangency and cfg.grid < MIN_CURVE_SAMPLES:
             raise ValueError(f"--grid must be >= {MIN_CURVE_SAMPLES} to sample the tangency "
                              f"curves, got {cfg.grid}")
     for flag, name in (("--step", "step"), ("--max-arc", "max_arc")):

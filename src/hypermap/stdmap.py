@@ -24,7 +24,7 @@ from typing import Literal, Mapping
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
 
-#: Default cap on |n| for orbit Jacobian products.  Entries grow roughly like
+#: Cap on |n| for orbit Jacobian products.  Entries grow roughly like
 #: (2 pi k)^n, which exhausts double range near n = 60 for k of order 100.
 ORBIT_JACOBIAN_CAP = 60
 
@@ -218,17 +218,12 @@ def jacobian(p: TorusPoint, params: MapParams, time: TimeDirection = "forward") 
     raise ValueError(f"time must be 'forward' or 'backward', got {time!r}")
 
 
-def orbit_jacobian(
-    p: TorusPoint,
-    params: MapParams,
-    n: int,
-    cap: int = ORBIT_JACOBIAN_CAP,
-) -> Mat2:
+def orbit_jacobian(p: TorusPoint, params: MapParams, n: int) -> Mat2:
     """Chain-rule product of Jacobians along the orbit of p.
 
     For n > 0 this is D(f^n)_p, for n < 0 it is D(f^n)_p computed along the
-    backward orbit.  |n| is capped (default 60) because entries grow like
-    (2 pi k)^|n| and overflow double range beyond that for large k.
+    backward orbit.  |n| is capped at ``ORBIT_JACOBIAN_CAP`` because entries
+    grow like (2 pi k)^|n| and overflow double range beyond that for large k.
 
     Rounding in the products moves the determinant by up to eps times the
     square of the largest partial product, which exceeds the rounding of
@@ -238,8 +233,8 @@ def orbit_jacobian(
     """
     if n == 0:
         raise ValueError("orbit_jacobian requires a nonzero order n")
-    if abs(n) > cap:
-        raise IterateDepthError(f"|n| = {abs(n)} exceeds the orbit cap {cap}")
+    if abs(n) > ORBIT_JACOBIAN_CAP:
+        raise IterateDepthError(f"|n| = {abs(n)} exceeds the orbit cap {ORBIT_JACOBIAN_CAP}")
     time: TimeDirection = "forward" if n > 0 else "backward"
     step = map_forward if n > 0 else map_inverse
     acc, det = Mat2.identity(), 1.0

@@ -91,7 +91,14 @@ def polyline(points: np.ndarray, stroke: str, width: float = 0.002) -> str:
 
 
 def split_at_jumps(points: Sequence[Point] | np.ndarray, axis: int) -> list[np.ndarray]:
-    """Pieces (of two or more points) between jumps of more than 1/2 in coordinate ``axis``."""
+    """Pieces (of two or more points) between jumps of more than 1/2 in coordinate ``axis``.
+
+    No seam points are added, so a piece may stop up to one sample short of
+    the torus seam.  That is deliberate: the tangency curves and field graphs
+    cut here are sampled, and a point interpolated linearly onto the seam
+    would lie off the curve.  Leaves are traced vertex by vertex, and
+    ``Leaf.segments`` adds seam points on their chords.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     cuts = np.flatnonzero(np.abs(np.diff(pts[:, axis])) > 0.5) + 1
     return [piece for piece in np.split(pts, cuts) if len(piece) >= 2]
@@ -105,12 +112,12 @@ def line(p: Point, q: Point, stroke: str, width: float = 0.002) -> str:
     )
 
 
-def hband(y_lo: float, y_hi: float, fill: str, opacity: float = 0.25) -> str:
+def hband(y_lo: float, y_hi: float, fill: str) -> str:
     """Horizontal band between two heights (used to shade critical strips)."""
     lo, hi = min(y_lo, y_hi), max(y_lo, y_hi)
     return (
         f'<rect x="0" y="{_fmt(1.0 - hi)}" width="1" height="{_fmt(hi - lo)}" '
-        f'fill="{fill}" opacity="{opacity}"/>'
+        f'fill="{fill}" opacity="0.25"/>'
     )
 
 
@@ -118,11 +125,11 @@ def circle(p: Point, r: float, fill: str) -> str:
     return f'<circle cx="{_fmt(p[0])}" cy="{_fmt(1.0 - p[1])}" r="{_fmt(r)}" fill="{fill}"/>'
 
 
-def document(elements: Sequence[str], size: int = 640) -> str:
+def document(elements: Sequence[str]) -> str:
     body = "\n".join(f"  {e}" for e in elements)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         'viewBox="0 0 1 1">\n'
         '  <rect x="0" y="0" width="1" height="1" fill="white"/>\n'
         f"{body}\n"

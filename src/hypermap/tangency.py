@@ -54,17 +54,16 @@ class TangencySelectionError(ValueError):
 
 @dataclass(frozen=True)
 class TangencyPoint:
-    """One point on a tangency curve, in (ytilde, y) coordinates."""
+    """A landmark on the lower tangency curve, in (ytilde, y) coordinates."""
 
     ytilde: float
     y: float
-    branch: str  # "lower" | "upper"
     residual: float  # angle between the two contracted fields, radians
 
     @property
     def x(self) -> float:
-        """Torus x-coordinate, (y - ytilde) mod 1."""
-        return (self.y - self.ytilde) % 1.0
+        """Torus x-coordinate, ``torus_x(ytilde, y)``."""
+        return torus_x(self.ytilde, self.y)
 
 
 @dataclass(frozen=True)
@@ -199,14 +198,15 @@ def _refined(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> tuple[np.n
     return y, residual_angle(y, ytilde, params)
 
 
-def _points(ytilde: np.ndarray, y: np.ndarray, res: np.ndarray, branch: str) -> list[TangencyPoint]:
-    return [TangencyPoint(t, v, branch, r) for t, v, r in zip(ytilde.tolist(), y.tolist(), res.tolist())]
-
-
-def curve_arrays(
+def tangency_curve(
     params: MapParams, n_samples: int
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """``tangency_curve`` as arrays: ytilde, then (y, residual) of each curve."""
+    """Sample both tangency curves over a uniform grid of ytilde.
+
+    Returns ytilde, then (y, residual) of the lower curve (y < 1/2) and of
+    the upper curve (y > 1/2): the selector's two values, mirror images
+    about y = 1/2.
+    """
     if n_samples < MIN_CURVE_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
     ytilde = np.arange(n_samples) / n_samples
@@ -217,14 +217,9 @@ def curve_arrays(
     return ytilde, _refined(lower, ytilde, params), _refined(upper, ytilde, params)
 
 
-def tangency_curve(params: MapParams, n_samples: int) -> tuple[list[TangencyPoint], list[TangencyPoint]]:
-    """Sample both tangency curves over a uniform grid of ytilde.
-
-    The selector's two values are mirror images about y = 1/2, so the lower
-    one traces the lower curve and the upper one the upper curve.
-    """
-    ytilde, lower, upper = curve_arrays(params, n_samples)
-    return _points(ytilde, *lower, "lower"), _points(ytilde, *upper, "upper")
+def torus_x(ytilde: Coord, y: Coord) -> Coord:
+    """Torus x-coordinate of the tangency point (ytilde, y): (y - ytilde) mod 1."""
+    return (y - ytilde) % 1.0
 
 
 def tangency_landmarks(params: MapParams) -> list[Optional[TangencyPoint]]:
@@ -248,8 +243,9 @@ def tangency_landmarks(params: MapParams) -> list[Optional[TangencyPoint]]:
         lower, _, ok = _select(ytilde, params, c)
     except TangencySelectionError:
         return [None] * len(ytilde)
-    points = _points(ytilde, *_refined(lower, ytilde, params), "lower")
-    return [tp if good else None for tp, good in zip(points, ok)]
+    y, res = _refined(lower, ytilde, params)
+    return [TangencyPoint(*point) if good else None
+            for *point, good in zip(ytilde.tolist(), y.tolist(), res.tolist(), ok.tolist())]
 
 
 def no_tangency_scan(params: MapParams, grid: int) -> NoTangencyReport:

@@ -197,10 +197,10 @@ def test_criterion_8_tangency_curve_and_scan():
     for k in (2.0, 10.0):
         params = MapParams(k)
         c = critical_constants(params)
-        lower, upper = tangency_curve(params, 4096)
-        for tp in lower + upper:
-            worst_res = max(worst_res, tp.residual)
-            contained &= c.tangency_strip_contains(tp.y, slack=1e-12)
+        _, lower, upper = tangency_curve(params, 4096)
+        for y, res in (lower, upper):
+            worst_res = max(worst_res, float(res.max()))
+            contained &= all(c.tangency_strip_contains(v, slack=1e-12) for v in y.tolist())
     scan_ok = True
     scan_detail = []
     for k, want in SCAN_FIXTURE.items():

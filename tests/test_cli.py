@@ -77,6 +77,15 @@ class TestField:
         _, out = run_capture(["cones", "--k", "25", "--samples", "100", "--seed", "99"])
         assert "seed=99" in out.splitlines()[0]
 
+    def test_huge_k_below_the_overflow(self):
+        # phi(0) = -(8 pi k + 2) / (8 pi^2 k^2 + 4 pi k - 1) ~ -1/(pi k) until the
+        # denominator overflows at k ~ 1.509e153, from where field exits 2.
+        code, out = run_capture(["field", "--k", "1.5e153", "--grid", "4"])
+        assert code == 0
+        assert float(parse_csv(out)[1][0][1]) == pytest.approx(-1.0 / (math.pi * 1.5e153), rel=1e-12)
+        code, out = run_capture(["field", "--k", "1.5e153", "--grid", "4", "--time", "backward"])
+        assert code == 0 and math.isfinite(float(parse_csv(out)[1][0][1]))
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self):
@@ -154,6 +163,13 @@ class TestTangencyCommand:
         assert len(curve_rows) == 128  # both branches
         assert [r[1] for r in landmark_rows] == [f"P{i}" for i in range(1, 9)]
         assert all(float(r[6]) < 1e-8 for r in rows)
+
+    def test_partly_defined_k_range(self):
+        # delta_hat_T^+ is undefined at k = 0.4, but both curves and the landmarks are drawn.
+        code, out = run_capture(["tangency", "--k", "0.4", "--grid", "64"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) > 128 and all(float(r[6]) < 1e-8 for r in rows)
 
 
 class TestVerify:
@@ -376,6 +392,15 @@ def test_readme_command_runs(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, _ = run_capture(argv)
     assert code in (0, 1)
+
+
+def test_readme_python_blocks_run():
+    # The blocks run in order in one namespace, as in one session.
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert blocks and namespace["lower"][0].shape == (1024,)
 
 
 def test_readme_lists_commands():

@@ -93,6 +93,7 @@ NAMED = [
     (["figures", "--grid", "8"], "--grid"),
     (["constants", "--k", "1e300"], "--k"),
     (["figures", "--k", "1e300"], "--k"),
+    (["field", "--k", "1e300"], "--k"),
     (["cones", "--k", "5", "--m", "1"], "--m"),
     (["cones", "--k", "5", "--m", "7"], "--m"),
     (["constants", "--k", "3", "--m", "5"], "--m"),

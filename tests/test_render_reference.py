@@ -237,11 +237,13 @@ def test_field_csv(k, time):
 @pytest.mark.parametrize("k", [0.6, 10.0, 100.0])
 def test_tangency_csv(k):
     params = MapParams(k)
-    lower, upper = tangency_curve(params, 256)
-    rows = [("curve", "", tp.ytilde, tp.y, tp.x, tp.branch, tp.residual) for tp in lower + upper]
+    ytilde, *curves = tangency_curve(params, 256)
+    rows = [("curve", "", t, v, (v - t) % 1.0, branch, r)
+            for (y, res), branch in zip(curves, ("lower", "upper"))
+            for t, v, r in zip(ytilde.tolist(), y.tolist(), res.tolist())]
     for i, tp in enumerate(tangency_landmarks(params), start=1):
         if tp is not None:
-            rows.append(("landmark", f"P{i}", tp.ytilde, tp.y, tp.x, tp.branch, tp.residual))
+            rows.append(("landmark", f"P{i}", tp.ytilde, tp.y, (tp.y - tp.ytilde) % 1.0, "lower", tp.residual))
     want = reference_csv(header("tangency", k, grid=256),
                          ["kind", "name", "ytilde", "y", "x", "branch", "residual"], rows)
     assert run_capture(["tangency", "--k", repr(k), "--grid", "256"]) == want

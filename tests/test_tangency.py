@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from hypermap.coordinates import critical_constants, phi, phi_tilde, theta_field
-from hypermap.stdmap import MapParams, angle_dist_mod_pi
+from hypermap.oracle import svd2
+from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi, jacobian
 from hypermap.tangency import (
     TangencySelectionError,
     gamma,
@@ -181,36 +182,32 @@ class TestTangencyCurve:
         for k in (2.0, 10.0):
             params = MapParams(k)
             c = consts(k)
-            lower, upper = tangency_curve(params, 1024)
-            for branch in (lower, upper):
-                for tp in branch:
-                    assert tp.residual < 1e-8
-                    assert c.tangency_strip_contains(tp.y, slack=1e-12)
-                    # never inside the tangency-free strips
-                    assert not (tp.y <= c.delta_minus or tp.y >= 1 - c.delta_minus)
+            _, lower, upper = tangency_curve(params, 1024)
+            for y, res in (lower, upper):
+                assert np.all(res < 1e-8)
+                assert all(c.tangency_strip_contains(v, slack=1e-12) for v in y.tolist())
+                # never inside the tangency-free strips
+                assert not np.any((y <= c.delta_minus) | (y >= 1 - c.delta_minus))
 
     def test_branch_continuity(self):
         params = MapParams(5.0)
         n = 1024
-        lower, upper = tangency_curve(params, n)
-        for branch in (lower, upper):
-            ys = [tp.y for tp in branch]
-            for a, b in zip(ys, ys[1:]):
-                assert abs(b - a) < 10.0 / n
+        _, lower, upper = tangency_curve(params, n)
+        for y, _ in (lower, upper):
+            assert np.all(np.abs(np.diff(y)) < 10.0 / n)
 
     def test_branch_labels(self):
-        lower, upper = tangency_curve(MapParams(3.0), 64)
-        assert all(tp.branch == "lower" and tp.y < 0.5 for tp in lower)
-        assert all(tp.branch == "upper" and tp.y > 0.5 for tp in upper)
+        # The first curve is the lower one, the second the upper one.
+        _, (lower, _), (upper, _) = tangency_curve(MapParams(3.0), 64)
+        assert np.all(lower < 0.5) and np.all(upper > 0.5)
 
     def test_envelope_strictly_inside_hat_strip(self):
         # The extreme heights sit at the phi = -+sqrt(3) preimages, strictly
         # between the closed-form strip bounds (phi = -+sqrt(3)/2 preimages).
         params = MapParams(10.0)
         c = consts(10.0)
-        lower, _ = tangency_curve(params, 2048)
-        y_min = min(tp.y for tp in lower)
-        y_max = max(tp.y for tp in lower)
+        _, (lower, _), _ = tangency_curve(params, 2048)
+        y_min, y_max = float(lower.min()), float(lower.max())
         assert c.delta_hat_T_minus < y_min < y_max < c.delta_hat_T_plus
         assert phi(y_min, params) == pytest.approx(-SQRT3, abs=1e-2)
         assert phi(y_max, params) == pytest.approx(SQRT3, abs=1e-2)
@@ -219,15 +216,30 @@ class TestTangencyCurve:
         for k in (0.6, 2.0, 10.0, 137.0):
             params = MapParams(k)
             n = 512
-            lower, upper = tangency_curve(params, n)
+            ytilde, (lower, res_lower), (upper, _) = tangency_curve(params, n)
             for i in range(n):
                 yt = i / n
                 lo, hi = gamma(yt, params)
-                assert lower[i].ytilde == upper[i].ytilde == yt
-                assert abs(lower[i].y - reference_refine(lo, yt, params)) <= 1e-12
-                assert abs(upper[i].y - reference_refine(hi, yt, params)) <= 1e-12
-                assert lower[i].residual == pytest.approx(
-                    residual_angle(lower[i].y, yt, params), abs=1e-15)
+                assert ytilde[i] == yt
+                assert abs(lower[i] - reference_refine(lo, yt, params)) <= 1e-12
+                assert abs(upper[i] - reference_refine(hi, yt, params)) <= 1e-12
+                assert res_lower[i] == pytest.approx(residual_angle(float(lower[i]), yt, params), abs=1e-15)
+
+    @pytest.mark.parametrize("k", [0.35, 0.4, 0.45, 0.48, 0.49])
+    def test_partly_defined_k_range(self, k):
+        # Below k ~ 0.4931 delta_hat_T^+ is undefined, yet the selector finds
+        # both curves.  Each sampled point is a tangency of the contracted
+        # directions of the SVD oracle, not only of the closed-form fields.
+        params = MapParams(k)
+        assert consts(k).delta_hat_T_plus is None
+        ytilde, (lower, res_lower), (upper, res_upper) = tangency_curve(params, 1024)
+        assert max(res_lower.max(), res_upper.max()) < 1e-8
+        assert np.all(lower < 0.5) and np.all(upper > 0.5)
+        for curve in (lower, upper):
+            for yt, y in zip(ytilde[::16].tolist(), curve[::16].tolist()):
+                forward = svd2(jacobian(TorusPoint(0.0, y), params, "forward")).dir_min
+                backward = svd2(jacobian(TorusPoint(0.0, yt), params, "backward")).dir_min
+                assert forward.dist(backward) < 1e-8
 
     def test_selection_failure_is_a_value_error(self):
         with pytest.raises(TangencySelectionError) as info:

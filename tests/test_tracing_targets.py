@@ -1,14 +1,17 @@
 """The benchmark's tracer wraps module attributes of hypermap by name; every
 name it lists must still resolve, or every traced benchmark run fails."""
 
+import ast
 import importlib.util
 import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import hypermap
 from hypermap import svgrender
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -34,3 +37,54 @@ def test_polyline_takes_the_points_it_writes_first():
             points = np.concatenate([np.random.default_rng(n).random((n, 2)), np.reshape(extra, (-1, 2))])
             written = re.search(r'points="([^"]*)"', svgrender.polyline(points, "#000")).group(1)
             assert len(written.split()) == len(points) == n + len(extra)
+
+
+PERFBENCH = TRACING.parent
+
+
+def _dotted(node: ast.AST) -> list[str]:
+    """``a.b.c`` of a chain of attribute reads on a name, or [] for any other expression."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else []
+
+
+def benchmark_reads() -> set[str]:
+    """Every dotted hypermap name the benchmark's sources import or read.
+
+    The runner holds the package as ``hypermap`` and as ``self.hm``.
+    """
+    names = set()
+    for path in PERFBENCH.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hypermap":
+                names |= {f"{node.module}.{alias.name}" for alias in node.names}
+            chain = _dotted(node) if isinstance(node, ast.Attribute) else []
+            if chain[:2] == ["self", "hm"]:
+                chain = ["hypermap", *chain[2:]]
+            if chain[:1] == ["hypermap"] and len(chain) > 1:
+                names.add(".".join(chain))
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    names = benchmark_reads()
+    # The library jobs of perfbench/run.py call these through the package.
+    assert {"hypermap.MapParams", "hypermap.TorusPoint", "hypermap.no_tangency_scan",
+            "hypermap.tangency_landmarks", "hypermap.orbit_expansion", "hypermap.hyperbolic_frame",
+            "hypermap.cli.run"} <= names
+    assert [name for name in sorted(names) if not resolves(name)] == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in hypermap.__all__ if not hasattr(hypermap, name)] == []
