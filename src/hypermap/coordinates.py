@@ -49,7 +49,7 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from .oracle import svd2
-from .stdmap import TWO_PI, DirAngle, MapParams, TorusPoint, orbit_determinant, orbit_jacobian
+from .stdmap import TWO_PI, DirAngle, MapParams, ParameterError, TorusPoint, orbit_determinant, orbit_jacobian
 
 FieldName = Literal["e1", "f1", "e-1", "f-1"]
 TimeDirection = Literal["forward", "backward"]
@@ -338,7 +338,12 @@ def critical_constants(params: MapParams) -> CriticalConstants:
         # Local import: tangency builds on this module for everything else.
         from .tangency import phi_inverse
 
-        roots = [y for y in phi_inverse(phi_tilde(0.0, params), params) if dm <= y <= dp]
+        # phitilde(0) ~ -2 pi k; its P2(2 pi k) ~ (2 pi k)^2 overflows first.
+        z = phi_tilde(0.0, params)
+        if not math.isfinite(z):
+            raise ParameterError("k", f"{params.k:g}: strip constants not computable, "
+                                      "phitilde(0) overflows from k ~ 1.509e153 on")
+        roots = [y for y in phi_inverse(z, params) if dm <= y <= dp]
         if len(roots) == 1:
             dtm = roots[0]
         roots = [y for y in phi_inverse(phi_tilde(0.5, params), params) if dp <= y <= 0.5]

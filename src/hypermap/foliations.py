@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .coordinates import Coord, backward_angle, critical_constants, forward_angle
-from .stdmap import TWO_PI, MapParams, TorusPoint
+from .stdmap import TWO_PI, MapParams, ParameterError, TorusPoint
 
 LEAF_FIELDS = ("E1", "F1", "E-1", "F-1")
 
@@ -374,12 +374,12 @@ def trace_leaf(
         raise ValueError(f"field_id must be one of {LEAF_FIELDS}, got {field_id!r}")
     for name, value in (("step", step), ("max_arc", max_arc)):
         if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            raise ParameterError(name, f"must be positive and finite, got {value!r}")
     # A leaf keeps a vertex about every step of arc, and at least one per turn
     # around the torus, a turn being at least 1 long.
     if max_arc / min(step, 1.0) > MAX_VERTICES:
-        turns_or_steps = max_arc / min(step, 1.0)
-        raise ValueError(f"max_arc / min(step, 1) = {turns_or_steps:.3g} exceeds {MAX_VERTICES} vertices")
+        raise ParameterError("max_arc", f"must be at most {MAX_VERTICES} vertices * min(step, 1) = "
+                                        f"{MAX_VERTICES * min(step, 1.0):g}, got {max_arc!r}")
 
     forward = field_id in ("E1", "F1")
     c0 = start.y if forward else start.y - start.x
@@ -431,7 +431,7 @@ def fold_tips(params: MapParams) -> tuple[float, float]:
     """
     c = critical_constants(params)
     if c.delta_star is None:
-        raise ValueError(f"delta^* undefined for k = {params.k}")
+        raise ParameterError("k", f"{params.k:g}: delta^* is undefined below k = 1/(4 pi)")
     return (c.delta_star, 1.0 - c.delta_star)
 
 

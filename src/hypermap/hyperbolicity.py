@@ -100,7 +100,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .coordinates import Coord, psi
-from .stdmap import TWO_PI, MapParams, TorusPoint, map_forward
+from .stdmap import TWO_PI, MapParams, ParameterError, TorusPoint, map_forward
 
 #: Samples are processed in fixed-size chunks, each drawn from its own seed
 #: spawned from the root seed: the chunks fix the sample stream, so a report
@@ -226,9 +226,9 @@ class ExpansionReport:
 def delta_strip(m: int, params: MapParams) -> StripSpec:
     """Construct Delta^(m).  Requires 2 <= m < k."""
     if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+        raise ParameterError("m", f"must be >= 2, got {m}")
     if m >= params.k:
-        raise ValueError(f"m must be < k, got m = {m}, k = {params.k}")
+        raise ParameterError("m", f"must be < k, got m = {m}, k = {params.k}")
     arg = m / (math.pi * params.k)
     return StripSpec(
         m=m,
@@ -576,7 +576,9 @@ def verify_cones(
     threads at once.
     """
     if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+        raise ParameterError("n_samples", f"must be >= 1, got {n_samples}")
+    if seed < 0:
+        raise ParameterError("seed", f"must be >= 0, got {seed}")
     strip = delta_strip(m, params)
     counts = [_CHUNK] * (n_samples // _CHUNK)
     if n_samples % _CHUNK:

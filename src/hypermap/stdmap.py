@@ -41,7 +41,18 @@ _DELTA_COEFFS = {
 TimeDirection = Literal["forward", "backward"]
 
 
-class IterateDepthError(ValueError):
+class ParameterError(ValueError):
+    """A parameter outside the domain of the object it defines: ``name`` is its
+    name in the signature that took it, ``detail`` what is wrong with its value,
+    and ``str(exc)`` is ``f"{name} {detail}"``."""
+
+    def __init__(self, name: str, detail: str):
+        super().__init__(f"{name} {detail}")
+        self.name = name
+        self.detail = detail
+
+
+class IterateDepthError(ParameterError):
     """Requested orbit-Jacobian order exceeds the overflow-safe cap."""
 
 
@@ -81,9 +92,9 @@ class MapParams:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.k, (int, float)) and math.isfinite(self.k)):
-            raise ValueError(f"k must be a finite real, got {self.k!r}")
+            raise ParameterError("k", f"must be a finite real, got {self.k!r}")
         if self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+            raise ParameterError("k", f"must be positive, got {self.k}")
         flags = {
             name: abs(c) / (4.0 * math.pi * self.k) <= 1.0
             for name, c in _DELTA_COEFFS.items()
@@ -108,7 +119,7 @@ class TorusPoint:
             object.__setattr__(self, "y", mod1(self.y))
         except (OverflowError, ValueError):  # math.floor of inf or nan
             name = "x" if not math.isfinite(self.x) else "y"
-            raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}") from None
+            raise ParameterError(name, f"must be finite, got {getattr(self, name)!r}") from None
 
     @property
     def ytilde(self) -> float:
@@ -234,7 +245,7 @@ def orbit_jacobian(p: TorusPoint, params: MapParams, n: int) -> Mat2:
     if n == 0:
         raise ValueError("orbit_jacobian requires a nonzero order n")
     if abs(n) > ORBIT_JACOBIAN_CAP:
-        raise IterateDepthError(f"|n| = {abs(n)} exceeds the orbit cap {ORBIT_JACOBIAN_CAP}")
+        raise IterateDepthError("n", f"exceeds the orbit cap {ORBIT_JACOBIAN_CAP} in absolute value, got {n}")
     time: TimeDirection = "forward" if n > 0 else "backward"
     step = map_forward if n > 0 else map_inverse
     acc, det = Mat2.identity(), 1.0

@@ -12,10 +12,12 @@ multivalued inverse
 (the radicand 3 z^2 + 4 is always positive).  The selector Gamma intersects
 the inverse with a region that switches at ytilde = delta^*, and always
 contains exactly two values: one on the lower curve (y < 1/2), one on the
-upper (its mirror).  Both curves live inside the tangency strip
-Delta_hat_T; the horizontal strips y in [0, delta^-] and [1 - delta^-, 1]
-contain no tangencies at all because there the forward field points into
-the second quadrant while the backward field stays in the first.
+upper (its mirror).  Of the two roots in [0, 1/2] the region holds the
+larger; the smaller lies below delta^-, by only 1/(8 pi^3 k^2) at ytilde = 0.
+Both curves live inside the tangency strip Delta_hat_T; the horizontal
+strips y in [0, delta^-] and [1 - delta^-, 1] contain no tangencies at all
+because there the forward field points into the second quadrant while the
+backward field stays in the first.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .coordinates import (
     psi,
     psi_prime,
 )
-from .stdmap import TWO_PI, MapParams
+from .stdmap import TWO_PI, MapParams, ParameterError
 
 #: Cushion used for interval membership at delta-boundaries.
 _EDGE_TOL = 1e-12
@@ -44,11 +46,16 @@ _EDGE_TOL = 1e-12
 #: Fewest ytilde samples tangency_curve accepts.
 MIN_CURVE_SAMPLES = 16
 
+#: Largest k with tangency curves.  One ulp of a height near 1/4 turns the fields
+#: apart by ~1.1e-15 k rad; the curves' worst residual, ~1.8e-15 k (3.8e-9 at
+#: k = 2e6, 1.8e-8 at k = 1e7), must stay under 1e-8.
+MAX_CURVE_K = 2e6
 
-class TangencySelectionError(ValueError):
-    """The region intersection did not produce exactly two values.
 
-    Indicates k below the validity threshold of the strip constants.
+class TangencySelectionError(ParameterError):
+    """k lies outside the domain of the tangency selector: the strip
+    constants are undefined, k exceeds ``MAX_CURVE_K``, or the selected
+    height leaves its region (k below the validity threshold).
     """
 
 
@@ -132,24 +139,23 @@ def phi_inverse(z: float, params: MapParams) -> list[float]:
 
 def _select(ytilde: Coord, params: MapParams, consts: CriticalConstants):
     """Gamma at ytilde in [0, 1) as (lower, upper, ok); ok is False, and both NaN,
-    where the region intersection did not give exactly two values."""
+    where the larger root of phi^{-1} in [0, 1/2] leaves its region: [delta^-,
+    delta^+] where |ytilde - 1/2| >= 1/2 - delta^*, else [delta^+, 1/2]."""
     dm, ds, dp = consts.delta_minus, consts.delta_star, consts.delta_plus
     if dm is None or ds is None or dp is None:
-        raise TangencySelectionError(f"strip constants undefined for k = {params.k}")
+        raise TangencySelectionError("k", f"{params.k:g}: strip constants undefined below k = 0.2174")
+    if params.k > MAX_CURVE_K:
+        raise TangencySelectionError("k", f"{params.k:g}: tangency curves are computed only up to k = "
+                                          f"{MAX_CURVE_K:g}, where a float64 height still meets the "
+                                          "1e-8 residual")
     at_asymptote = (abs(ytilde - ds) <= _EDGE_TOL) | (abs(ytilde - (1.0 - ds)) <= _EDGE_TOL)
-    outer = np.asarray((ytilde <= ds) | (ytilde >= 1.0 - ds))[..., None]
+    outer = (ytilde <= ds) | (ytilde >= 1.0 - ds)
     with np.errstate(divide="ignore", invalid="ignore"):
-        roots = [_inverse_branch(phi_tilde(ytilde, params), sign, params) for sign in (1.0, -1.0)]
-    cand = np.stack(roots + [1.0 - r for r in roots], axis=-1)
-
-    def within(lo: float, hi: float) -> np.ndarray:
-        return (cand >= lo - _EDGE_TOL) & (cand <= hi + _EDGE_TOL)
-
-    keep = np.where(outer, within(dm, dp) | within(1.0 - dp, 1.0 - dm), within(dp, 1.0 - dp))
-    ok = at_asymptote | (keep.sum(axis=-1) == 2)
-    lower = np.where(at_asymptote, dp, np.min(np.where(keep, cand, np.inf), axis=-1))
-    upper = np.where(at_asymptote, 1.0 - dp, np.max(np.where(keep, cand, -np.inf), axis=-1))
-    return np.where(ok, lower, np.nan), np.where(ok, upper, np.nan), ok
+        lower = np.fmax(*(_inverse_branch(phi_tilde(ytilde, params), sign, params) for sign in (1.0, -1.0)))
+    lo, hi = np.where(outer, dm, dp), np.where(outer, dp, 0.5)
+    ok = at_asymptote | ((lower >= lo - _EDGE_TOL) & (lower <= hi + _EDGE_TOL))
+    lower = np.where(at_asymptote, dp, lower)
+    return np.where(ok, lower, np.nan), np.where(ok, 1.0 - lower, np.nan), ok
 
 
 def gamma(ytilde: float, params: MapParams) -> tuple[float, float]:
@@ -163,7 +169,8 @@ def gamma(ytilde: float, params: MapParams) -> tuple[float, float]:
     ytilde %= 1.0
     lower, upper, ok = _select(ytilde, params, critical_constants(params))
     if not ok:
-        raise TangencySelectionError(f"expected 2 tangency heights at ytilde = {ytilde}, k = {params.k}")
+        raise TangencySelectionError("k", f"{params.k:g}: expected 2 tangency heights at ytilde = {ytilde}, "
+                                          f"k = {params.k}")
     return float(lower), float(upper)
 
 
@@ -208,12 +215,13 @@ def tangency_curve(
     about y = 1/2.
     """
     if n_samples < MIN_CURVE_SAMPLES:
-        raise ValueError(f"n_samples must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
+        raise ParameterError("n_samples", f"must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
     ytilde = np.arange(n_samples) / n_samples
     lower, upper, ok = _select(ytilde, params, critical_constants(params))
     if not ok.all():
         bad = ytilde[~ok][0]
-        raise TangencySelectionError(f"expected 2 tangency heights at ytilde = {bad}, k = {params.k}")
+        raise TangencySelectionError("k", f"{params.k:g}: expected 2 tangency heights at ytilde = {bad}, "
+                                          f"k = {params.k}")
     return ytilde, _refined(lower, ytilde, params), _refined(upper, ytilde, params)
 
 

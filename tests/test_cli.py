@@ -164,6 +164,12 @@ class TestTangencyCommand:
         assert [r[1] for r in landmark_rows] == [f"P{i}" for i in range(1, 9)]
         assert all(float(r[6]) < 1e-8 for r in rows)
 
+    def test_large_k(self):
+        code, out = run_capture(["tangency", "--k", "1e5", "--grid", "64"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 136 and all(float(r[6]) < 1e-8 for r in rows)
+
     def test_partly_defined_k_range(self):
         # delta_hat_T^+ is undefined at k = 0.4, but both curves and the landmarks are drawn.
         code, out = run_capture(["tangency", "--k", "0.4", "--grid", "64"])
@@ -185,6 +191,21 @@ class TestVerify:
         code, out = run_capture(["verify", "--k-list", "50,200,1000"])
         assert code == 0, out
         assert "result PASS" in out
+
+    def test_mapping_facts_bound_scales_with_k(self):
+        # psi(1/4) rounds to 2 pi k * 6.1e-17, turning negdiag->horiz by
+        # 1.15e-12 at k = 3000 and 1.15e-11 at k = 3e4.
+        code, out = run_capture(["verify", "--k-list", "3000,3e4"])
+        assert code == 0, out
+        assert "ok   k=3000 exact_mapping_facts" in out and "ok   k=30000 exact_mapping_facts" in out
+
+    def test_a_bound_of_half_a_turn_fails(self):
+        # From k ~ 4.7e6 on 16 eps (1 + k)(1 + 2 pi k) exceeds 1/2, the
+        # largest torus distance, so the round trip checks nothing.
+        code, out = run_capture(["verify", "--k-list", "5e6"])
+        assert code == 1
+        assert re.search(r"^FAIL k=5e\+06 round_trip \(max [^,]*, bound 0\.558\)$", out, re.M), out
+        assert "tangency_residual" not in out  # no tangency curves above MAX_CURVE_K
 
 
 class TestFigures:

@@ -4,7 +4,7 @@ Arguments are drawn around and beyond their valid ranges (k in (0, 1e4]
 and nan, inf, 0, -1, 1e300; small grids and sample counts so that one
 example stays in milliseconds) and run in this process, so that an
 uncaught exception fails the test where the command line would print a
-traceback.
+traceback.  Exit 2 must name a flag the subcommand takes.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypermap import cli
+from hypermap import ParameterError, cli
 
 SPECIAL = ["nan", "inf", "-inf", "0", "-1", "1e300"]
 
@@ -35,7 +35,7 @@ OPTIONS = {
     "--max-arc": real(1e-3, 20.0),
     "--x": real(-3.0, 3.0),
     "--y": real(-3.0, 3.0),
-    "--seed": st.integers(0, 2**31).map(str),
+    "--seed": st.integers(-2, 2**31).map(str),
     "--format": st.sampled_from(["csv", "svg", "txt"]),
     "--time": st.sampled_from(["forward", "backward"]),
     "--field": st.sampled_from(["E1", "F1", "E-1", "F-1"]),
@@ -87,7 +87,7 @@ def test_accepts_is_what_each_parser_takes():
     assert takes == {name: sorted(flags) for name, flags in ACCEPTS.items()}
 
 
-#: Inputs whose exit-2 message once named no flag, and the flag it must name.
+#: Inputs that must exit 2, and the flag their message must name.
 NAMED = [
     (["tangency", "--grid", "8"], "--grid"),
     (["figures", "--grid", "8"], "--grid"),
@@ -109,6 +109,11 @@ NAMED = [
     (["figures", "--k", "1e-6"], "--k"),
     (["leaf", "--step", "1e300", "--max-arc", "1e300"], "--max-arc"),
     (["verify", "--k-list", "1e300"], "--k-list"),
+    (["leaf", "--field", "E1", "--k", "1e300"], "--k"),
+    (["leaf", "--field", "F-1", "--k", "1e300"], "--k"),
+    (["cones", "--seed", "-1"], "--seed"),
+    (["figures", "--grid", "0"], "--grid"),
+    (["tangency", "--k", "1e7"], "--k"),
 ]
 
 
@@ -129,9 +134,25 @@ def test_every_input_ends_in_an_exit_code(argv):
     assert "Traceback" not in err
     if rc == 2 and not err.startswith("usage"):
         assert err.startswith("error: --"), (argv, err)
+        assert err.split()[1] in ACCEPTS[argv[0]], (argv, err)
 
 
 @pytest.mark.parametrize("argv, flag", NAMED, ids=[" ".join(argv) for argv, _ in NAMED])
 def test_exit_2_names_the_flag(argv, flag):
     rc, err = run(argv)
     assert rc == 2 and err.startswith(f"error: {flag} "), err
+
+
+def test_only_a_parameter_error_exits_2(monkeypatch):
+    # A plain ValueError inside a subcommand is a fault of the program: it
+    # propagates instead of being reported as a bad argument.
+    def fails(error):
+        def call(*args, **kwargs):
+            raise error
+        return call
+
+    monkeypatch.setattr(cli, "tangency_curve", fails(ValueError("not a parameter")))
+    with pytest.raises(ValueError, match="not a parameter"):
+        run(["tangency", "--grid", "16"])
+    monkeypatch.setattr(cli, "tangency_curve", fails(ParameterError("n_samples", "is wrong")))
+    assert run(["tangency", "--grid", "16"]) == (2, "error: --grid is wrong\n")

@@ -11,6 +11,7 @@ from hypermap.coordinates import critical_constants, phi, phi_tilde, theta_field
 from hypermap.oracle import svd2
 from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi, jacobian
 from hypermap.tangency import (
+    MAX_CURVE_K,
     TangencySelectionError,
     gamma,
     no_tangency_scan,
@@ -28,6 +29,20 @@ SCAN_FIXTURE = {2.0: 0.5999198651748792, 10.0: 0.5413487062708713}
 
 def consts(k):
     return critical_constants(MapParams(k))
+
+
+def assert_oracle_tangencies(params):
+    """Both curves have residuals < 1e-8 and lie on either side of 1/2, and
+    every 16th point is a tangency of the contracted directions of the SVD
+    oracle, not only of the closed-form fields."""
+    ytilde, (lower, res_lower), (upper, res_upper) = tangency_curve(params, 1024)
+    assert max(res_lower.max(), res_upper.max()) < 1e-8
+    assert np.all(lower < 0.5) and np.all(upper > 0.5)
+    for curve in (lower, upper):
+        for yt, y in zip(ytilde[::16].tolist(), curve[::16].tolist()):
+            forward = svd2(jacobian(TorusPoint(0.0, y), params, "forward")).dir_min
+            backward = svd2(jacobian(TorusPoint(0.0, yt), params, "backward")).dir_min
+            assert forward.dist(backward) < 1e-8
 
 
 def reference_scan_min(params, grid):
@@ -228,18 +243,23 @@ class TestTangencyCurve:
     @pytest.mark.parametrize("k", [0.35, 0.4, 0.45, 0.48, 0.49])
     def test_partly_defined_k_range(self, k):
         # Below k ~ 0.4931 delta_hat_T^+ is undefined, yet the selector finds
-        # both curves.  Each sampled point is a tangency of the contracted
-        # directions of the SVD oracle, not only of the closed-form fields.
-        params = MapParams(k)
+        # both curves.
         assert consts(k).delta_hat_T_plus is None
-        ytilde, (lower, res_lower), (upper, res_upper) = tangency_curve(params, 1024)
-        assert max(res_lower.max(), res_upper.max()) < 1e-8
-        assert np.all(lower < 0.5) and np.all(upper > 0.5)
-        for curve in (lower, upper):
-            for yt, y in zip(ytilde[::16].tolist(), curve[::16].tolist()):
-                forward = svd2(jacobian(TorusPoint(0.0, y), params, "forward")).dir_min
-                backward = svd2(jacobian(TorusPoint(0.0, yt), params, "backward")).dir_min
-                assert forward.dist(backward) < 1e-8
+        assert_oracle_tangencies(MapParams(k))
+
+    @pytest.mark.parametrize("k", [1e5, 1e6, MAX_CURVE_K])
+    def test_large_k_range(self, k):
+        # At ytilde = 0 the smaller root of phi^{-1} lies below delta^- by
+        # only 1/(8 pi^3 k^2), 4e-13 at k = 1e5, well inside a 1e-12 cushion.
+        c = consts(k)
+        assert 0.0 < c.delta_minus - phi_inverse(phi_tilde(0.0, MapParams(k)), MapParams(k))[0] < 1e-12
+        assert_oracle_tangencies(MapParams(k))
+
+    def test_no_curves_above_max_curve_k(self):
+        # At k = 1e7 one ulp of a height turns the fields apart by ~1e-8.
+        with pytest.raises(TangencySelectionError, match="k = 2e\\+06"):
+            tangency_curve(MapParams(1e7), 1024)
+        assert tangency_landmarks(MapParams(1e7)) == [None] * 8
 
     def test_selection_failure_is_a_value_error(self):
         with pytest.raises(TangencySelectionError) as info:
