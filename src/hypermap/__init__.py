@@ -8,14 +8,13 @@ they raise; every other name is imported from its submodule.
 from .coordinates import ConformalPointError, critical_constants, hyperbolic_frame, theta_field
 from .foliations import trace_leaf
 from .hyperbolicity import orbit_expansion, verify_cones
-from .stdmap import IterateDepthError, MapParams, ParameterError, TorusPoint
+from .stdmap import MapParams, ParameterError, TorusPoint
 from .tangency import TangencySelectionError, no_tangency_scan, tangency_curve, tangency_landmarks
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConformalPointError",
-    "IterateDepthError",
     "MapParams",
     "ParameterError",
     "TangencySelectionError",

@@ -23,7 +23,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__, svgrender
-from .coordinates import backward_angle, critical_constants, forward_angle, phi, phi_tilde, theta_field
+from .coordinates import (backward_angle, critical_constants, forward_angle, phi, phi_prime, phi_tilde,
+                          theta_field)
 from .foliations import LEAF_FIELDS, MAX_VERTICES, Leaf, closed_leaves, trace_leaf
 from .hyperbolicity import delta_strip, push_vector, verify_cones
 from .oracle import svd2
@@ -352,14 +353,17 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
     results.append(("unimodular", worst < 1e-12, f"max |det-1| {worst:.3g}"))
 
     # sigma_min = |h1 - h2|/2 cancels, costing about eps sigma_max^2 per sample.
-    worst = worst_share = 0.0
+    # A bound of 1 would pass an E1 that is all rounding noise.
+    worst = worst_share = widest = 0.0
     for _ in range(128):
         p = TorusPoint(rng.random(), rng.random())
         s = svd2(jacobian(p, params, "forward"))
         err = abs(s.sigma_max * s.sigma_min - 1.0)
+        bound = 16.0 * math.ulp(1.0) * s.sigma_max * s.sigma_max
         worst = max(worst, err)
-        worst_share = max(worst_share, err / (16.0 * math.ulp(1.0) * s.sigma_max * s.sigma_max))
-    results.append(("E1_F1_product", worst_share <= 1.0,
+        worst_share = max(worst_share, err / bound)
+        widest = max(widest, bound)
+    results.append(("E1_F1_product", worst_share <= 1.0 and widest < 1.0,
                     f"max |E1*F1-1| {worst:.3g}, {worst_share:.3g} of 16 eps F1^2"))
 
     worst = 0.0
@@ -379,12 +383,13 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
     results.append(("tan2theta_eq_phi", worst < 1e-9, f"max rel err {worst:.3g}"))
 
     if c.all_defined:
-        vals = [
-            c.delta_minus, 0.25, c.delta_star, c.delta_hat_T_minus, c.delta_T_minus,
-            c.delta_plus, c.delta_T_plus, c.delta_hat_T_plus,
-        ]
-        ok = all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))  # type: ignore[operator]
-        results.append(("constants_ordering", ok, "strict chain"))
+        chain = list(c.as_dict().items())
+        chain.insert(1, ("1/4", 0.25))
+        # From k ~ 1e7 on float64 ties neighbours, which a strict chain must report.
+        bad = [f"{a} >= {b}" for (a, u), (b, w) in zip(chain, chain[1:])
+               if not u < w]  # type: ignore[operator]
+        detail = "not strict: " + ", ".join(bad) if bad else "strict chain"
+        results.append(("constants_ordering", not bad, detail))
     else:
         results.append(("constants_ordering", True, "skipped: constants undefined at this k"))
 
@@ -411,7 +416,7 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
             worst = float(max(res_lower.max(), res_upper.max()))
             results.append(("tangency_residual", worst < 1e-8, f"max {worst:.3g}"))
 
-        worst = 0.0
+        worst = worst_share = 0.0
         for j in range(128):
             y = 0.05 + 0.9 * j / 128
             v = phi(y, params)
@@ -419,12 +424,17 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
                 continue
             roots = phi_inverse(v, params)
             if not roots:
-                worst = math.inf
+                worst = worst_share = math.inf
                 continue
-            # contract metric: phi at the recovered root matches z
+            # contract metric: phi at the recovered root matches z, to within phi's
+            # slope times the rounding of a float root plus phi's own rounding
             r = min(roots, key=lambda r: abs(r - y))
-            worst = max(worst, abs(phi(r, params) - v) / max(1.0, abs(v)))
-        results.append(("phi_inverse_residual", worst < 1e-10, f"max rel {worst:.3g}"))
+            scale = max(1.0, abs(v))
+            err = abs(phi(r, params) - v) / scale
+            bound = 16.0 * (abs(phi_prime(r, params)) * math.ulp(r) + math.ulp(1.0) * scale) / scale
+            worst = max(worst, err)
+            worst_share = max(worst_share, err / bound)
+        results.append(("phi_inverse_residual", worst_share <= 1.0, f"max rel {worst:.3g}"))
 
     return results
 

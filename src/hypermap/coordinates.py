@@ -35,21 +35,26 @@ exactly (k-free); psi_c'(y) = -4 pi^2 k sin(2 pi y) carries a leading
 minus sign.
 
 Each field formula is written once and takes a float (evaluated with math)
-or an ndarray (evaluated elementwise with numpy).  The two agree exactly up
-to the angles, which may differ in the last ulp (numpy's arctan2 is not
-libm's atan2).
+or an ndarray (evaluated elementwise with numpy).  So are psi_c, the
+polynomials P1 and P2, and ``psi_inverse``, the height in [0, 1/2] at which
+psi_c takes a given value, through which every strip constant, phi^{-1} and
+the leaf tracer's initial grid go.  The float and array paths agree exactly
+up to the angles and psi_inverse, which may differ in the last ulp (numpy's
+arctan2 and arccos are not libm's atan2 and acos).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
 import numpy as np
 
 from .oracle import svd2
-from .stdmap import TWO_PI, DirAngle, MapParams, ParameterError, TorusPoint, orbit_determinant, orbit_jacobian
+from .stdmap import (DELTA_LEVELS, TWO_PI, DirAngle, MapParams, ParameterError, TorusPoint, orbit_determinant,
+                     orbit_jacobian)
 
 FieldName = Literal["e1", "f1", "e-1", "f-1"]
 TimeDirection = Literal["forward", "backward"]
@@ -92,6 +97,25 @@ def psi_prime(y: Coord, params: MapParams) -> Coord:
     return -TWO_PI * psi(y, params, "sin")
 
 
+def psi_inverse(v: Coord, params: MapParams) -> Coord:
+    """The y in [0, 1/2] with psi_c(y) = v: acos(v / 2 pi k) / 2 pi, NaN where |v| > 2 pi k."""
+    arg = v / (TWO_PI * params.k)
+    if isinstance(arg, np.ndarray):
+        with np.errstate(invalid="ignore"):
+            return np.arccos(arg) / TWO_PI
+    return math.acos(arg) / TWO_PI if abs(arg) <= 1.0 else math.nan
+
+
+def _p1(p: Coord) -> Coord:
+    """P1(psi) = 2 psi^2 + 2 psi - 1."""
+    return (2.0 * p + 2.0) * p - 1.0
+
+
+def _p2(p: Coord) -> Coord:
+    """P2(psi) = psi^2 + psi + 1."""
+    return (p + 1.0) * p + 1.0
+
+
 def extended_ratio(num: Coord, den: Coord) -> Coord:
     """num/den as an extended real: a zero denominator yields signed infinity.
 
@@ -109,7 +133,7 @@ def extended_ratio(num: Coord, den: Coord) -> Coord:
 def phi_parts(y: Coord, params: MapParams) -> tuple[Coord, Coord]:
     """(numerator, denominator) of phi: (-P1'(psi_c), P1(psi_c))."""
     p = psi(y, params)
-    return -(4.0 * p + 2.0), (2.0 * p + 2.0) * p - 1.0
+    return -(4.0 * p + 2.0), _p1(p)
 
 
 def phi(y: Coord, params: MapParams) -> Coord:
@@ -125,15 +149,14 @@ def phi(y: Coord, params: MapParams) -> Coord:
 def phi_prime(y: Coord, params: MapParams) -> Coord:
     """Analytic derivative of phi: 8 P2(psi_c) / P1(psi_c)^2 * psi_c'."""
     p = psi(y, params)
-    p1 = (2.0 * p + 2.0) * p - 1.0
-    p2 = (p + 1.0) * p + 1.0
-    return 8.0 * p2 / (p1 * p1) * psi_prime(y, params)
+    p1 = _p1(p)
+    return 8.0 * _p2(p) / (p1 * p1) * psi_prime(y, params)
 
 
 def phi_tilde_parts(ytilde: Coord, params: MapParams) -> tuple[Coord, Coord]:
     """(numerator, denominator) of phitilde: (-2 P2(psi_c), P2'(psi_c))."""
     p = psi(ytilde, params)
-    return -2.0 * ((p + 1.0) * p + 1.0), 2.0 * p + 1.0
+    return -2.0 * _p2(p), 2.0 * p + 1.0
 
 
 def phi_tilde(ytilde: Coord, params: MapParams) -> Coord:
@@ -157,9 +180,8 @@ def phi_tilde_prime(ytilde: Coord, params: MapParams) -> Coord:
     (0, delta^-).
     """
     p = psi(ytilde, params)
-    p1 = (2.0 * p + 2.0) * p - 1.0
     d2 = 2.0 * p + 1.0
-    return -2.0 * p1 / (d2 * d2) * psi_prime(ytilde, params)
+    return -2.0 * _p1(p) / (d2 * d2) * psi_prime(ytilde, params)
 
 
 def forward_angle(y: Coord, params: MapParams) -> Coord:
@@ -242,17 +264,26 @@ def hyperbolic_frame(p: TorusPoint, params: MapParams, n: int) -> HypFrame:
     determinant taken step by step (``orbit_determinant``), 1 up to
     rounding: the smaller singular value of the computed product, like its
     determinant, cancels to noise once F^2 outgrows 1/eps.
+
+    An order whose H = E / F falls below the normal float64 range raises
+    ``ParameterError`` naming ``n`` (at (0.2, 0.3): from n = 56 at k = 200,
+    n = 29 at k = 1e5).  A normal H keeps F^2 under 4.5e307, so the
+    2 (ab + cd) ~ F^2 that svd2's direction formula forms stays finite.
     """
     m = orbit_jacobian(p, params, n)
     s = svd2(m)
     if s.degenerate or s.dir_min is None or s.dir_max is None:
         raise ConformalPointError(n, s.sigma_max)
     e = abs(orbit_determinant(p, params, n)) / s.sigma_max
+    h = e / s.sigma_max
+    if not h >= sys.float_info.min:
+        raise ParameterError("n", f"{n}: the order-n frame leaves float64 range at k = {params.k:g}, "
+                                  f"F = {s.sigma_max:.3g}")
     return HypFrame(
         order=n,
         F=s.sigma_max,
         E=e,
-        H=e / s.sigma_max,
+        H=h,
         e_dir=s.dir_min,
         f_dir=s.dir_max,
     )
@@ -301,37 +332,32 @@ class CriticalConstants:
         dm, dp = self.delta_minus, self.delta_plus
         if dm is None or dp is None:
             raise ValueError(f"Delta strip undefined for k = {self.k}")
-        return dm <= y <= dp or 1.0 - dp <= y <= 1.0 - dm
+        return strip_pair_contains(y, dm, dp)
 
     def tangency_strip_contains(self, y: float, slack: float = 0.0) -> bool:
         """Membership in Delta_hat_T, the strip containing both tangency curves."""
         lo, hi = self.delta_hat_T_minus, self.delta_hat_T_plus
         if lo is None or hi is None:
             raise ValueError(f"Delta_hat_T undefined for k = {self.k}")
-        lo, hi = lo - slack, hi + slack
-        return lo <= y <= hi or 1.0 - hi <= y <= 1.0 - lo
+        return strip_pair_contains(y, lo - slack, hi + slack)
 
 
-def _closed_form_delta(params: MapParams, name: str) -> Optional[float]:
-    if not params.defined[name]:
-        return None
-    return math.acos(params.acos_arg(name)) / TWO_PI
+def strip_pair_contains(y: float, lo: float, hi: float) -> bool:
+    """Membership in [lo, hi] union [1 - hi, 1 - lo], a strip and its mirror about y = 1/2."""
+    return lo <= y <= hi or 1.0 - hi <= y <= 1.0 - lo
 
 
 def critical_constants(params: MapParams) -> CriticalConstants:
     """Evaluate all strip constants for one parameter value.
 
-    The five closed-form constants are acos expressions; delta_T^-+ have no
-    closed form and are found by inverting phi on the stated intervals.
-    Constants whose defining expression leaves the domain of acos are
-    reported as None rather than clamped.
+    The five closed-form constants are psi_inverse of k-free levels of psi_c;
+    delta_T^-+ have no closed form and are found by inverting phi.
+    Constants whose level lies outside [-2 pi k, 2 pi k] are reported as
+    None rather than clamped.
     """
-    dm = _closed_form_delta(params, "delta_minus")
-    ds = _closed_form_delta(params, "delta_star")
-    dp = _closed_form_delta(params, "delta_plus")
-    dhm = _closed_form_delta(params, "delta_hat_T_minus")
-    dhp = _closed_form_delta(params, "delta_hat_T_plus")
-
+    closed = {name: psi_inverse(level, params) if params.defined[name] else None
+              for name, level in DELTA_LEVELS.items()}
+    dm, ds, dp = closed["delta_minus"], closed["delta_star"], closed["delta_plus"]
     dtm: Optional[float] = None
     dtp: Optional[float] = None
     if dm is not None and dp is not None:
@@ -343,20 +369,12 @@ def critical_constants(params: MapParams) -> CriticalConstants:
         if not math.isfinite(z):
             raise ParameterError("k", f"{params.k:g}: strip constants not computable, "
                                       "phitilde(0) overflows from k ~ 1.509e153 on")
-        roots = [y for y in phi_inverse(z, params) if dm <= y <= dp]
-        if len(roots) == 1:
-            dtm = roots[0]
-        roots = [y for y in phi_inverse(phi_tilde(0.5, params), params) if dp <= y <= 0.5]
-        if len(roots) == 1:
-            dtp = roots[0]
-
-    return CriticalConstants(
-        k=params.k,
-        delta_minus=dm,
-        delta_star=ds,
-        delta_plus=dp,
-        delta_hat_T_minus=dhm,
-        delta_hat_T_plus=dhp,
-        delta_T_minus=dtm,
-        delta_T_plus=dtp,
-    )
+        # Each phi^{-1} here has at most one root in [0, delta^*) and the wanted one
+        # in [delta^*, 1/2], below delta^+ for phitilde(0) and above it for
+        # phitilde(1/2).  From k ~ 1e7 on that root lies within an ulp of delta^+
+        # and may round to its other side, where it is moved onto delta^+.
+        roots = [y for y in phi_inverse(z, params) if ds <= y <= 0.5]
+        dtm = min(max(roots), dp) if roots else None
+        roots = [y for y in phi_inverse(phi_tilde(0.5, params), params) if ds <= y <= 0.5]
+        dtp = max(max(roots), dp) if roots else None
+    return CriticalConstants(k=params.k, **closed, delta_T_minus=dtm, delta_T_plus=dtp)

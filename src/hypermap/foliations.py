@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coordinates import Coord, backward_angle, critical_constants, forward_angle
+from .coordinates import Coord, backward_angle, critical_constants, forward_angle, psi_inverse
 from .stdmap import TWO_PI, MapParams, ParameterError, TorusPoint
 
 LEAF_FIELDS = ("E1", "F1", "E-1", "F-1")
@@ -222,8 +222,8 @@ def _pilot(f: _LeafField, length: float, sigma: float, ahead: Optional[float],
     parts = [np.linspace(0.0, length, math.ceil(length * _PILOT_PER_UNIT) + 1)]
     amp = TWO_PI * f.params.k
     top = math.asinh(amp)
-    levels = np.sinh(np.linspace(-top, top, math.ceil(2.0 * top / _PILOT_XI) + 1)) / amp
-    v = np.arccos(np.clip(levels, -1.0, 1.0)) / TWO_PI
+    levels = np.sinh(np.linspace(-top, top, math.ceil(2.0 * top / _PILOT_XI) + 1))
+    v = psi_inverse(np.clip(levels, -amp, amp), f.params)
     first = (sigma * (np.concatenate([v, 1.0 - v]) - f.base)) % 1.0
     parts.append((first[:, None] + np.arange(math.ceil(length) + 1)).ravel())
     if ahead is not None and behind is not None:
@@ -445,14 +445,5 @@ def closed_leaves(field_id: str, params: MapParams) -> list[Leaf]:
         raise ValueError(f"field_id must be one of {LEAF_FIELDS}, got {field_id!r}")
     if field_id in ("E1", "F-1"):
         return []
-    ds, ds_mirror = fold_tips(params)
-    leaves = []
-    for level in (ds, ds_mirror):
-        if field_id == "F1":
-            lifted = np.array([[0.0, level], [1.0, level]])
-            arc = 1.0
-        else:
-            lifted = np.array([[0.0, level], [1.0, level + 1.0]])
-            arc = math.sqrt(2.0)
-        leaves.append(_make_leaf(field_id, lifted, arc, closed=True))
-    return leaves
+    # One period from x = 0 in one step: a step and arc of 2 exceed either period.
+    return [_closed_trace(field_id, TorusPoint(0.0, level), 2.0, 2.0, 1.0) for level in fold_tips(params)]

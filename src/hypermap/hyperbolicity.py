@@ -99,7 +99,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .coordinates import Coord, psi
+from .coordinates import Coord, psi, psi_inverse, strip_pair_contains
 from .stdmap import TWO_PI, MapParams, ParameterError, TorusPoint, map_forward
 
 #: Samples are processed in fixed-size chunks, each drawn from its own seed
@@ -147,11 +147,7 @@ class StripSpec:
         return (self.delta_m, self.delta_neg_m, 1.0 - self.delta_neg_m, 1.0 - self.delta_m)
 
     def contains(self, y: float) -> bool:
-        y %= 1.0
-        return (
-            self.delta_m <= y <= self.delta_neg_m
-            or 1.0 - self.delta_neg_m <= y <= 1.0 - self.delta_m
-        )
+        return strip_pair_contains(y % 1.0, self.delta_m, self.delta_neg_m)
 
 
 @dataclass(frozen=True)
@@ -229,13 +225,8 @@ def delta_strip(m: int, params: MapParams) -> StripSpec:
         raise ParameterError("m", f"must be >= 2, got {m}")
     if m >= params.k:
         raise ParameterError("m", f"must be < k, got m = {m}, k = {params.k}")
-    arg = m / (math.pi * params.k)
-    return StripSpec(
-        m=m,
-        k=params.k,
-        delta_m=math.acos(arg) / TWO_PI,
-        delta_neg_m=math.acos(-arg) / TWO_PI,
-    )
+    # psi_c = +-2m on the strip's edges.
+    return StripSpec(m, params.k, delta_m=psi_inverse(2 * m, params), delta_neg_m=psi_inverse(-2 * m, params))
 
 
 def push_vector(y: float, theta: float, params: MapParams) -> tuple[float, float]:

@@ -19,23 +19,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Literal, Mapping
+from typing import Iterator, Literal, Mapping
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
 
-#: Cap on |n| for orbit Jacobian products.  Entries grow roughly like
-#: (2 pi k)^n, which exhausts double range near n = 60 for k of order 100.
-ORBIT_JACOBIAN_CAP = 60
-
-# Coefficients c such that the strip constant is acos(c / (4 pi k)) / (2 pi).
-# A constant is only defined while |c| / (4 pi k) <= 1.
-_DELTA_COEFFS = {
-    "delta_minus": SQRT3 - 1.0,
-    "delta_star": -1.0,
-    "delta_plus": -(1.0 + SQRT3),
-    "delta_hat_T_minus": -(1.0 + SQRT3 / 3.0),
-    "delta_hat_T_plus": -(1.0 + 3.0 * SQRT3),
+#: The value of psi_c = 2 pi k cos(2 pi y) at each closed-form strip constant,
+#: which is ``coordinates.psi_inverse`` of it: the roots of P1 (delta^-+), of
+#: P1' (delta^*), and of phi = -+ sqrt(3)/2 (delta_hat_T^-+).  A constant is
+#: only defined while |level| <= 2 pi k.
+DELTA_LEVELS = {
+    "delta_minus": (SQRT3 - 1.0) / 2.0,
+    "delta_star": -0.5,
+    "delta_plus": -(1.0 + SQRT3) / 2.0,
+    "delta_hat_T_minus": -(1.0 + SQRT3 / 3.0) / 2.0,
+    "delta_hat_T_plus": -(1.0 + 3.0 * SQRT3) / 2.0,
 }
 
 TimeDirection = Literal["forward", "backward"]
@@ -50,10 +48,6 @@ class ParameterError(ValueError):
         super().__init__(f"{name} {detail}")
         self.name = name
         self.detail = detail
-
-
-class IterateDepthError(ParameterError):
-    """Requested orbit-Jacobian order exceeds the overflow-safe cap."""
 
 
 def mod1(v: float) -> float:
@@ -82,8 +76,8 @@ class MapParams:
     """Parameter of the family, with per-constant validity flags.
 
     The strip constants delta^-, delta^*, delta^+ and the tangency-strip
-    constants require acos of a quantity proportional to 1/k; each flag in
-    ``defined`` records whether that argument lies in [-1, 1] for this k.
+    constants are heights where psi_c takes a k-free level; each flag in
+    ``defined`` records whether that level lies in [-2 pi k, 2 pi k].
     The most demanding constant needs k >= (1 + 3 sqrt 3)/(4 pi) ~ 0.4931.
     """
 
@@ -95,15 +89,8 @@ class MapParams:
             raise ParameterError("k", f"must be a finite real, got {self.k!r}")
         if self.k <= 0:
             raise ParameterError("k", f"must be positive, got {self.k}")
-        flags = {
-            name: abs(c) / (4.0 * math.pi * self.k) <= 1.0
-            for name, c in _DELTA_COEFFS.items()
-        }
+        flags = {name: abs(v) / (TWO_PI * self.k) <= 1.0 for name, v in DELTA_LEVELS.items()}
         object.__setattr__(self, "defined", MappingProxyType(flags))
-
-    def acos_arg(self, name: str) -> float:
-        """Signed acos argument for the named strip constant."""
-        return _DELTA_COEFFS[name] / (4.0 * math.pi * self.k)
 
 
 @dataclass(frozen=True)
@@ -229,12 +216,22 @@ def jacobian(p: TorusPoint, params: MapParams, time: TimeDirection = "forward") 
     raise ValueError(f"time must be 'forward' or 'backward', got {time!r}")
 
 
+def _orbit_steps(p: TorusPoint, params: MapParams, n: int) -> Iterator[Mat2]:
+    """The |n| step Jacobians along the orbit of p: forward for n > 0, else backward."""
+    time: TimeDirection = "forward" if n > 0 else "backward"
+    step = map_forward if n > 0 else map_inverse
+    for _ in range(abs(n)):
+        yield jacobian(p, params, time)
+        p = step(p, params)
+
+
 def orbit_jacobian(p: TorusPoint, params: MapParams, n: int) -> Mat2:
     """Chain-rule product of Jacobians along the orbit of p.
 
     For n > 0 this is D(f^n)_p, for n < 0 it is D(f^n)_p computed along the
-    backward orbit.  |n| is capped at ``ORBIT_JACOBIAN_CAP`` because entries
-    grow like (2 pi k)^|n| and overflow double range beyond that for large k.
+    backward orbit.  Entries grow like (2 pi k)^|n| on most orbits, and an
+    order whose product leaves float64 range raises ``ParameterError``
+    naming ``n`` (at (0.2, 0.3): n = 57 for k = 1e5, n = 37 for k = 1e8).
 
     Rounding in the products moves the determinant by up to eps times the
     square of the largest partial product, which exceeds the rounding of
@@ -244,16 +241,12 @@ def orbit_jacobian(p: TorusPoint, params: MapParams, n: int) -> Mat2:
     """
     if n == 0:
         raise ValueError("orbit_jacobian requires a nonzero order n")
-    if abs(n) > ORBIT_JACOBIAN_CAP:
-        raise IterateDepthError("n", f"exceeds the orbit cap {ORBIT_JACOBIAN_CAP} in absolute value, got {n}")
-    time: TimeDirection = "forward" if n > 0 else "backward"
-    step = map_forward if n > 0 else map_inverse
     acc, det = Mat2.identity(), 1.0
-    for _ in range(abs(n)):
-        m = jacobian(p, params, time)
+    for m in _orbit_steps(p, params, n):
         acc = m @ acc
         det *= m.det
-        p = step(p, params)
+        if not all(map(math.isfinite, acc.entries())):  # it stays so; stop at once
+            raise ParameterError("n", f"{n}: the orbit Jacobian overflows float64 at k = {params.k:g}")
     a, b, c, d = acc.entries()
     t = (det - acc.det) / (a * a + b * b + c * c + d * d)
     return Mat2(a + t * d, b - t * c, c - t * b, d + t * a) if math.isfinite(t) else acc
@@ -266,10 +259,7 @@ def orbit_determinant(p: TorusPoint, params: MapParams, n: int) -> float:
     product is 1 to within |n| such roundings, while the determinant of the
     product matrix cancels to noise once its entries pass 1/sqrt(eps).
     """
-    time: TimeDirection = "forward" if n > 0 else "backward"
-    step = map_forward if n > 0 else map_inverse
     det = 1.0
-    for _ in range(abs(n)):
-        det *= jacobian(p, params, time).det
-        p = step(p, params)
+    for m in _orbit_steps(p, params, n):
+        det *= m.det
     return det

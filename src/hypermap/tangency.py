@@ -36,9 +36,10 @@ from .coordinates import (
     forward_angle,
     phi_tilde,
     psi,
+    psi_inverse,
     psi_prime,
 )
-from .stdmap import TWO_PI, MapParams, ParameterError
+from .stdmap import MapParams, ParameterError
 
 #: Cushion used for interval membership at delta-boundaries.
 _EDGE_TOL = 1e-12
@@ -98,14 +99,7 @@ def _inverse_branch(z: Coord, sign: float, params: MapParams) -> Coord:
     """
     array = isinstance(z, np.ndarray)
     psi_root = (-(z + 2.0) + sign * (np.sqrt if array else math.sqrt)(3.0 * z * z + 4.0)) / (2.0 * z)
-    arg = psi_root / (TWO_PI * params.k)
-    if array:
-        with np.errstate(invalid="ignore"):
-            y = np.arccos(arg) / TWO_PI
-    elif abs(arg) <= 1.0:
-        y = math.acos(arg) / TWO_PI
-    else:
-        return math.nan
+    y = psi_inverse(psi_root, params)
     for _ in range(2):
         dp = psi_prime(y, params)
         err = psi(y, params) - psi_root
@@ -169,15 +163,21 @@ def gamma(ytilde: float, params: MapParams) -> tuple[float, float]:
     ytilde %= 1.0
     lower, upper, ok = _select(ytilde, params, critical_constants(params))
     if not ok:
-        raise TangencySelectionError("k", f"{params.k:g}: expected 2 tangency heights at ytilde = {ytilde}, "
-                                          f"k = {params.k}")
+        raise _no_heights(ytilde, params)
     return float(lower), float(upper)
 
 
-def _refine(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> np.ndarray:
-    """Up to 3 secant steps on the field-angle difference along y.
+def _no_heights(ytilde: float, params: MapParams) -> TangencySelectionError:
+    """The error for a ytilde where the selector finds no pair of heights."""
+    return TangencySelectionError("k", f"{params.k:g}: expected 2 tangency heights at ytilde = {ytilde}, "
+                                       f"k = {params.k}")
 
-    The closed-form roots are already accurate; this kills the last of the
+
+def _refined(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> tuple[np.ndarray, np.ndarray]:
+    """Polished heights and their residual angles.
+
+    Up to 3 secant steps on the field-angle difference along y.  The
+    closed-form roots are already accurate; this kills the last of the
     floating-point error so the residual contract (< 1e-8) holds with a
     wide margin.
     """
@@ -196,12 +196,6 @@ def _refine(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> np.ndarray:
             step = -d0 / slope
         active &= (np.abs(d0) >= 1e-13) & (slope != 0.0) & (np.abs(step) <= 1e-6)
         y = np.where(active, y + step, y)
-    return y
-
-
-def _refined(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> tuple[np.ndarray, np.ndarray]:
-    """Polished heights and their residual angles."""
-    y = _refine(y, ytilde, params)
     return y, residual_angle(y, ytilde, params)
 
 
@@ -219,9 +213,7 @@ def tangency_curve(
     ytilde = np.arange(n_samples) / n_samples
     lower, upper, ok = _select(ytilde, params, critical_constants(params))
     if not ok.all():
-        bad = ytilde[~ok][0]
-        raise TangencySelectionError("k", f"{params.k:g}: expected 2 tangency heights at ytilde = {bad}, "
-                                          f"k = {params.k}")
+        raise _no_heights(ytilde[~ok][0], params)
     return ytilde, _refined(lower, ytilde, params), _refined(upper, ytilde, params)
 
 

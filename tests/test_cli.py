@@ -207,6 +207,29 @@ class TestVerify:
         assert re.search(r"^FAIL k=5e\+06 round_trip \(max [^,]*, bound 0\.558\)$", out, re.M), out
         assert "tangency_residual" not in out  # no tangency curves above MAX_CURVE_K
 
+    def test_an_e1_f1_bound_of_one_fails(self):
+        # 16 eps F1^2 reaches 1 from k ~ 1.9e6 on, where a relative error of 1
+        # would pass an E1 that is all rounding noise.
+        code, out = run_capture(["verify", "--k-list", "1e6,1e8"])
+        assert code == 1
+        assert "ok   k=1e+06 E1_F1_product" in out
+        assert "FAIL k=1e+08 E1_F1_product (max |E1*F1-1| 45.5, 0.0272 of 16 eps F1^2)" in out
+
+    def test_phi_inverse_bound_scales_with_the_slope(self):
+        # phi moves by phi' ulp(r) between neighbouring floats r, up to 3.01e-10
+        # relative at k = 1e6 and 2.03e-8 at 5e6.
+        code, out = run_capture(["verify", "--k-list", "1e6,5e6"])
+        assert "ok   k=1e+06 phi_inverse_residual (max rel 3.01e-10)" in out
+        assert "ok   k=5e+06 phi_inverse_residual (max rel 2.03e-08)" in out
+
+    def test_constants_ordering_names_float64_ties(self):
+        # At k = 2e7 delta_T^-, delta^+ and delta_T^+ round to one float64.
+        code, out = run_capture(["verify", "--k-list", "2e7"])
+        assert code == 1
+        assert ("FAIL k=2e+07 constants_ordering (not strict: delta_T_minus >= delta_plus, "
+                "delta_plus >= delta_T_plus)") in out
+        assert "k=2e+07 phi_inverse_residual" in out
+
 
 class TestFigures:
     def test_writes_svg_set(self, tmp_path):

@@ -23,6 +23,7 @@ from hypermap.coordinates import (
     phi_tilde_parts,
     phi_tilde_prime,
     psi,
+    psi_inverse,
     psi_prime,
     theta_field,
     unit_vector,
@@ -30,9 +31,11 @@ from hypermap.coordinates import (
 from hypermap.oracle import fd_derivative, svd2, sweep_min_direction
 from hypermap.stdmap import (
     MapParams,
+    ParameterError,
     TorusPoint,
     angle_dist_mod_pi,
     jacobian,
+    map_forward,
     map_inverse,
 )
 
@@ -79,6 +82,61 @@ class TestPsi:
         assert psi_prime(0.1, p) < 0
         got = fd_derivative(lambda y: psi(y, p), 0.1, 1e-6)
         assert got == pytest.approx(psi_prime(0.1, p), rel=1e-7)
+
+
+class TestPsiInverse:
+    K_INV = (0.3, 1.0, 10.0, 3000.0, 1e5, 1e12)
+
+    def test_inverts_psi(self):
+        eps = 2.0**-52
+        for k in self.K_INV:
+            p, amp = MapParams(k), TWO_PI * k
+            for v in np.linspace(-amp, amp, 1025).tolist():
+                y = psi_inverse(v, p)
+                assert 0.0 <= y <= 0.5
+                assert abs(psi(y, p) - v) <= 4.0 * eps * amp
+        assert psi_inverse(TWO_PI, MapParams(1.0)) == 0.0
+        assert psi_inverse(-TWO_PI, MapParams(1.0)) == 0.5
+
+    def test_out_of_range_is_nan(self):
+        p = MapParams(2.0)
+        amp = TWO_PI * 2.0
+        for v in (math.nextafter(amp, math.inf), -math.nextafter(amp, math.inf), 1e300, -math.inf, math.nan):
+            assert math.isnan(psi_inverse(v, p))
+        got = psi_inverse(np.array([-1.01 * amp, -amp, 0.0, amp, 1.01 * amp]), p)
+        assert np.isnan(got).tolist() == [True, False, False, False, True]
+
+    def test_float_and_array_paths(self):
+        # Both take acos of the same argument; numpy's arccos may differ from
+        # libm's acos in the last ulp (about 8 % of arguments on an AVX-512
+        # build), which is two ulps of y where acos lies in [2, pi].
+        for k in self.K_INV:
+            p, amp = MapParams(k), TWO_PI * k
+            v = np.random.default_rng(int(k * 10)).uniform(-1.05 * amp, 1.05 * amp, 4096)
+            got = psi_inverse(v, p)
+            want = np.array([psi_inverse(x, p) for x in v.tolist()])
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            ok = ~np.isnan(want)
+            assert np.all(np.abs(got[ok] - want[ok]) <= 2.0 * np.spacing(want[ok]))
+
+    def test_closed_form_constants_bit_for_bit(self):
+        # The acos expressions the five constants were written as before psi_inverse.
+        coeffs = {
+            "delta_minus": SQRT3 - 1.0,
+            "delta_star": -1.0,
+            "delta_plus": -(1.0 + SQRT3),
+            "delta_hat_T_minus": -(1.0 + SQRT3 / 3.0),
+            "delta_hat_T_plus": -(1.0 + 3.0 * SQRT3),
+        }
+        for k in np.geomspace(0.05, 1e12, 1000).tolist():
+            p = MapParams(k)
+            c = critical_constants(p).as_dict()
+            for name, coeff in coeffs.items():
+                arg = coeff / (4.0 * math.pi * k)
+                assert p.defined[name] == (abs(arg) <= 1.0)
+                want = math.acos(arg) / TWO_PI if abs(arg) <= 1.0 else None
+                assert c[name] == want, (k, name)
 
 
 class TestFloatOrArray:
@@ -374,33 +432,48 @@ class TestHyperbolicFrame:
             # H1 = 1/2 is attained where psi_c = -1/2; never higher.
             assert worst <= 0.5 + 1e-12
 
-    def test_order_n_frame_against_numpy(self):
+    @staticmethod
+    def assert_frame_matches_numpy(z, p, n):
         # Independent route for |n| > 1: accumulate the product with numpy
         # matrices and decompose with numpy's SVD.
-        import numpy as np
+        acc = np.eye(2)
+        q = z
+        for _ in range(abs(n)):
+            time = "forward" if n > 0 else "backward"
+            m = jacobian(q, p, time)
+            acc = np.array([[m.a11, m.a12], [m.a21, m.a22]]) @ acc
+            q = map_forward(q, p) if n > 0 else map_inverse(q, p)
+        _, sig, vt = np.linalg.svd(acc)
+        frame = hyperbolic_frame(z, p, n)
+        assert frame.F == pytest.approx(float(sig[0]), rel=1e-10)
+        # sigma_min of an ill-conditioned product is only determined
+        # to ~eps * sigma_max absolute, whichever algorithm runs.
+        assert frame.E == pytest.approx(float(sig[1]), abs=1e-12 * frame.F)
+        np_min = math.atan2(float(vt[1, 1]), float(vt[1, 0]))
+        assert frame.e_dir.dist(hm_dir(np_min)) < 1e-6
 
-        from hypermap.stdmap import jacobian, map_forward, map_inverse
-
+    def test_order_n_frame_against_numpy(self):
         rng = random.Random(17)
         for k in (1.0, 6.0):
             p = MapParams(k)
             for n in (2, 5, -3, -7):
-                z = TorusPoint(rng.random(), rng.random())
-                acc = np.eye(2)
-                q = z
-                for _ in range(abs(n)):
-                    time = "forward" if n > 0 else "backward"
-                    m = jacobian(q, p, time)
-                    acc = np.array([[m.a11, m.a12], [m.a21, m.a22]]) @ acc
-                    q = map_forward(q, p) if n > 0 else map_inverse(q, p)
-                _, sig, vt = np.linalg.svd(acc)
-                frame = hyperbolic_frame(z, p, n)
-                assert frame.F == pytest.approx(float(sig[0]), rel=1e-10)
-                # sigma_min of an ill-conditioned product is only determined
-                # to ~eps * sigma_max absolute, whichever algorithm runs.
-                assert frame.E == pytest.approx(float(sig[1]), abs=1e-12 * frame.F)
-                np_min = math.atan2(float(vt[1, 1]), float(vt[1, 0]))
-                assert frame.e_dir.dist(hm_dir(np_min)) < 1e-6
+                self.assert_frame_matches_numpy(TorusPoint(rng.random(), rng.random()), p, n)
+
+    @pytest.mark.parametrize("n", [61, -61, 100, -100])
+    def test_orders_past_sixty_against_numpy(self, n):
+        # F is 9e26 at n = 60 and k = 1, far from the float64 limit.
+        self.assert_frame_matches_numpy(TorusPoint(0.2, 0.3), MapParams(1.0), n)
+
+    @pytest.mark.parametrize("k, last", [(200.0, 55), (200.0, -53), (1e5, 28), (1e5, -28)])
+    def test_order_limit(self, k, last):
+        # The last order whose H = E / F is a normal float64 still matches
+        # numpy.  The next one raises: its H is subnormal or 0, and e_dir
+        # would come out NaN or 0 at three of these four.
+        z, p = TorusPoint(0.2, 0.3), MapParams(k)
+        self.assert_frame_matches_numpy(z, p, last)
+        with pytest.raises(ParameterError) as info:
+            hyperbolic_frame(z, p, last + (1 if last > 0 else -1))
+        assert info.value.name == "n"
 
 
 class TestHyperbolicFrameAgainstMpmath:
@@ -511,6 +584,15 @@ class TestCriticalConstants:
             p = MapParams(k)
             assert phi(c.delta_T_minus, p) == pytest.approx(phi_tilde(0.0, p), rel=1e-9)
             assert phi(c.delta_T_plus, p) == pytest.approx(phi_tilde(0.5, p), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1.2e7, 2e7, 5e7, 1e8, 1e12])
+    def test_delta_T_defined_at_large_k(self, k):
+        # The root beside delta^+ lies within an ulp of it and may round past
+        # it, where it is moved onto delta^+; the other root of phitilde(0)
+        # may round onto delta^-, and is never taken.
+        c = consts(k)
+        assert c.all_defined
+        assert c.delta_star < c.delta_T_minus <= c.delta_plus <= c.delta_T_plus
 
     def test_strip_membership_helpers(self):
         c = consts(2.0)

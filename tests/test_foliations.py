@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from hypermap import foliations
 from hypermap.cli import run
 from hypermap.coordinates import critical_constants, theta_field, unit_vector
 from hypermap.foliations import closed_leaves, fold_tips, trace_leaf
@@ -129,6 +130,53 @@ class TestClosedLeaves:
     def test_unknown_field(self):
         with pytest.raises(ValueError):
             closed_leaves("X9", MapParams(1.0))
+
+    def test_two_vertex_arrays(self):
+        # The arrays closed_leaves built itself before it called the tracer.
+        for k in (0.1, 0.6, 2.0, 100.0, 1e5):
+            p = MapParams(k)
+            for field_id, rise, arc in (("F1", 0.0, 1.0), ("E-1", 1.0, math.sqrt(2.0))):
+                leaves = closed_leaves(field_id, p)
+                assert len(leaves) == 2
+                for leaf, level in zip(leaves, fold_tips(p)):
+                    lifted = np.array([[0.0, level], [1.0, level + rise]])
+                    points = lifted - np.floor(lifted)
+                    points[points >= 1.0 - 1e-15] = 0.0
+                    assert np.array_equal(leaf.lifted, lifted) and np.array_equal(leaf.points, points)
+                    assert (leaf.field_id, leaf.arc_length, leaf.closed) == (field_id, arc, True)
+
+
+def reference_pilot(f, length, sigma, ahead, behind):
+    """foliations._pilot as written before psi_inverse: the asinh-spaced levels
+    of psi_c divided by 2 pi k, clipped to [-1, 1], then arccos."""
+    parts = [np.linspace(0.0, length, math.ceil(length * foliations._PILOT_PER_UNIT) + 1)]
+    amp = 2 * math.pi * f.params.k
+    top = math.asinh(amp)
+    levels = np.sinh(np.linspace(-top, top, math.ceil(2.0 * top / foliations._PILOT_XI) + 1)) / amp
+    v = np.arccos(np.clip(levels, -1.0, 1.0)) / (2 * math.pi)
+    first = (sigma * (np.concatenate([v, 1.0 - v]) - f.base)) % 1.0
+    parts.append((first[:, None] + np.arange(math.ceil(length) + 1)).ravel())
+    if ahead is not None and behind is not None:
+        join, ratio = foliations._JOIN, foliations._PILOT_RATIO
+        n = math.ceil(math.log(ahead / join) / math.log(ratio)) + 1
+        parts.append(ahead - np.geomspace(join, ahead, n))
+        n = math.ceil(math.log((behind + length) / behind) / math.log(ratio)) + 1
+        parts.append(np.geomspace(behind, behind + length, n) - behind)
+    d = np.concatenate(parts)
+    return sigma * np.unique(d[(d >= 0.0) & (d <= length)])
+
+
+class TestPilot:
+    @pytest.mark.parametrize("k", [0.05, 0.6, 2.0, 100.0, 1e4])
+    def test_nodes_bit_for_bit(self, k):
+        p = MapParams(k)
+        for forward in (True, False):
+            for base in (0.0, 0.13, 0.6):
+                f = foliations._LeafField(forward, not forward, p, base)
+                for sigma in (1.0, -1.0):
+                    for length, ahead, behind in ((1.0, None, None), (0.3 - 1e-10, 0.3, 0.45)):
+                        got = foliations._pilot(f, length, sigma, ahead, behind)
+                        assert np.array_equal(got, reference_pilot(f, length, sigma, ahead, behind))
 
 
 class TestTraceLeaf:

@@ -12,6 +12,7 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from hypermap.hyperbolicity import (
@@ -32,6 +33,15 @@ class TestDeltaStrip:
         assert two_pi * 10 * math.cos(two_pi * strip.delta_neg_m) == pytest.approx(-6.0, rel=1e-12)
         assert strip.delta_m < 0.25 < strip.delta_neg_m < 0.5
         del p
+
+    def test_edges_bit_for_bit(self):
+        # The acos expressions delta^(+-m) were written as before psi_inverse.
+        for m in (2, 3, 5, 10):
+            for k in np.geomspace(1.0001 * m, 1e12, 1000).tolist():
+                strip = delta_strip(m, MapParams(k))
+                arg = m / (math.pi * k)
+                assert strip.delta_m == math.acos(arg) / (2 * math.pi), (m, k)
+                assert strip.delta_neg_m == math.acos(-arg) / (2 * math.pi), (m, k)
 
     def test_membership(self):
         strip = delta_strip(3, MapParams(10.0))

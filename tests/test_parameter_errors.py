@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from hypermap import IterateDepthError, MapParams, ParameterError, TangencySelectionError, TorusPoint
-from hypermap.coordinates import critical_constants
+from hypermap import MapParams, ParameterError, TangencySelectionError, TorusPoint
+from hypermap.coordinates import critical_constants, hyperbolic_frame
 from hypermap.foliations import fold_tips, trace_leaf
 from hypermap.hyperbolicity import delta_strip, verify_cones
 from hypermap.stdmap import orbit_jacobian
@@ -37,7 +37,10 @@ CHECKS = {
     "fold_tips k": (lambda: fold_tips(MapParams(0.01)), "k", ParameterError),
     "critical_constants overflow": (
         lambda: critical_constants(MapParams(math.nextafter(LAST_FINITE_K, math.inf))), "k", ParameterError),
-    "orbit_jacobian cap": (lambda: orbit_jacobian(START, P, 61), "n", IterateDepthError),
+    "orbit_jacobian overflow": (lambda: orbit_jacobian(TorusPoint(0.2, 0.3), MapParams(1e5), 57), "n",
+                                ParameterError),
+    "hyperbolic_frame underflow": (lambda: hyperbolic_frame(TorusPoint(0.2, 0.3), MapParams(1e5), 29), "n",
+                                   ParameterError),
 }
 
 

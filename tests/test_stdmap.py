@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermap.stdmap import (
-    IterateDepthError,
     MapParams,
     Mat2,
+    ParameterError,
     TorusPoint,
     jacobian,
     map_forward,
@@ -206,11 +206,15 @@ class TestOrbitJacobian:
         assert orbit_determinant(p, params, n) == 1.0
         assert abs(m.det - 1.0) <= 4 * 2.0**-52 * sum(e * e for e in m.entries())
 
-    def test_cap(self):
-        with pytest.raises(IterateDepthError):
-            orbit_jacobian(TorusPoint(0.1, 0.2), MapParams(1.0), 61)
-        with pytest.raises(IterateDepthError):
-            orbit_jacobian(TorusPoint(0.1, 0.2), MapParams(1.0), -61)
+    def test_overflow_names_n(self):
+        # (k, the last order with a finite product, forward and backward) at (0.2, 0.3).
+        p = TorusPoint(0.2, 0.3)
+        for k, last in ((1.0, 616), (1.0, -615), (200.0, 112), (200.0, -109), (1e5, 56), (1e5, -56)):
+            params = MapParams(k)
+            assert all(map(math.isfinite, orbit_jacobian(p, params, last).entries()))
+            with pytest.raises(ParameterError) as info:
+                orbit_jacobian(p, params, last + (1 if last > 0 else -1))
+            assert info.value.name == "n"
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
