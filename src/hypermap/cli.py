@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__, svgrender
-from .coordinates import (backward_angle, critical_constants, forward_angle, phi, phi_prime, phi_tilde,
+from .coordinates import (backward_angle, critical_constants, forward_angle, phi, phi_inverse, phi_prime, phi_tilde,
                           theta_field)
 from .foliations import LEAF_FIELDS, MAX_VERTICES, Leaf, closed_leaves, trace_leaf
 from .hyperbolicity import delta_strip, push_vector, verify_cones
@@ -38,7 +38,7 @@ from .stdmap import (
     map_forward,
     map_inverse,
 )
-from .tangency import MAX_CURVE_K, phi_inverse, tangency_curve, tangency_landmarks, torus_x
+from .tangency import MAX_CURVE_K, tangency_curve, tangency_landmarks, torus_x
 
 #: Options that several subcommands take, as (type, default, help).  Each
 #: subcommand registers only those it reads; the header echoes the default

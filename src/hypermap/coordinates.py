@@ -35,12 +35,15 @@ exactly (k-free); psi_c'(y) = -4 pi^2 k sin(2 pi y) carries a leading
 minus sign.
 
 Each field formula is written once and takes a float (evaluated with math)
-or an ndarray (evaluated elementwise with numpy).  So are psi_c, the
-polynomials P1 and P2, and ``psi_inverse``, the height in [0, 1/2] at which
-psi_c takes a given value, through which every strip constant, phi^{-1} and
-the leaf tracer's initial grid go.  The float and array paths agree exactly
-up to the angles and psi_inverse, which may differ in the last ulp (numpy's
-arctan2 and arccos are not libm's atan2 and acos).
+or an ndarray (evaluated elementwise with numpy).  So are the polynomials P1
+and P2, ``psi_inverse``, the height in [0, 1/2] at which psi_c takes a given
+value, through which every strip constant, phi^{-1} and the leaf tracer's
+initial grid go, and ``phi_inverse``, the heights at which phi takes a given
+value, which the strip constants delta_T^-+ and the tangency selector solve
+with.  psi_c itself is ``stdmap.psi``, shared with the Jacobians.  The float
+and array paths agree exactly up to the angles and psi_inverse, which may
+differ in the last ulp (numpy's arctan2 and arccos are not libm's atan2 and
+acos).
 """
 
 from __future__ import annotations
@@ -48,25 +51,20 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .oracle import svd2
-from .stdmap import (DELTA_LEVELS, TWO_PI, DirAngle, MapParams, ParameterError, TorusPoint, orbit_determinant,
-                     orbit_jacobian)
-
-FieldName = Literal["e1", "f1", "e-1", "f-1"]
-TimeDirection = Literal["forward", "backward"]
-#: A coordinate (y or ytilde) or a value derived from one: float or ndarray.
-Coord = Union[float, np.ndarray]
+from .stdmap import (DELTA_LEVELS, TWO_PI, Coord, DirAngle, MapParams, ParameterError, TimeDirection, TorusPoint,
+                     orbit_determinant, orbit_jacobian, psi)
 
 
 class ConformalPointError(ValueError):
     """Singular values coincide, so extremal directions are undefined.
 
-    Unreachable for this map at order +-1 (H_1 <= 1/2 everywhere), but kept
-    for API completeness at higher orders.
+    ``hyperbolic_frame`` raises it; unreachable for this map at order +-1
+    (H_1 <= 1/2 everywhere).
     """
 
     def __init__(self, order: int, sigma: float):
@@ -75,21 +73,6 @@ class ConformalPointError(ValueError):
         )
         self.order = order
         self.sigma = sigma
-
-
-def psi(y: Coord, params: MapParams, kind: Literal["cos", "sin"] = "cos") -> Coord:
-    """2 pi k cos(2 pi y) or 2 pi k sin(2 pi y), at a y or a ytilde coordinate."""
-    arg = TWO_PI * y
-    try:  # math rejects arrays, which take the numpy path
-        if kind == "cos":
-            t = math.cos(arg)
-        elif kind == "sin":
-            t = math.sin(arg)
-        else:
-            raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    except TypeError:
-        t = np.cos(arg) if kind == "cos" else np.sin(arg)
-    return TWO_PI * params.k * t
 
 
 def psi_prime(y: Coord, params: MapParams) -> Coord:
@@ -151,6 +134,46 @@ def phi_prime(y: Coord, params: MapParams) -> Coord:
     p = psi(y, params)
     p1 = _p1(p)
     return 8.0 * _p2(p) / (p1 * p1) * psi_prime(y, params)
+
+
+def phi_inverse_branch(z: Coord, sign: float, params: MapParams) -> Coord:
+    """One quadratic branch of phi^{-1}(z): a root y in [0, 1/2], or NaN.
+
+    Two Newton steps on psi_c(y) - psi_root remove the rounding of the
+    acos/cos round trip, except where psi_c' is too small to divide by.
+    """
+    array = isinstance(z, np.ndarray)
+    psi_root = (-(z + 2.0) + sign * (np.sqrt if array else math.sqrt)(3.0 * z * z + 4.0)) / (2.0 * z)
+    y = psi_inverse(psi_root, params)
+    for _ in range(2):
+        dp = psi_prime(y, params)
+        err = psi(y, params) - psi_root
+        move = (abs(dp) >= 1e-6 * params.k) & (err != 0.0)
+        if array:
+            y = y - np.where(move, err / np.where(move, dp, 1.0), 0.0)
+        elif move:
+            y -= err / dp
+    return y
+
+
+def phi_inverse(z: float, params: MapParams) -> list[float]:
+    """All y in [0, 1) with phi(y) = z, for z != 0.
+
+    Each quadratic branch whose acos argument lies in [-1, 1] contributes a
+    root y and its mirror 1 - y.  Roots are polished so that phi(y) matches
+    z to 1e-10 relative.  The z = 0 case is excluded (the formula divides
+    by z); callers use the known zero set {delta^*, 1 - delta^*} instead.
+    """
+    if z == 0.0:
+        raise ParameterError("z", "must be nonzero: the zero set of phi is {delta^*, 1 - delta^*}")
+    if math.isinf(z):
+        raise ParameterError("z", f"must be finite, got {z}: the asymptote preimages are delta^-+")
+    out: list[float] = []
+    for sign in (1.0, -1.0):
+        y = phi_inverse_branch(z, sign, params)
+        if not math.isnan(y):
+            out += [y, 1.0 - y]
+    return sorted(out)
 
 
 def phi_tilde_parts(ytilde: Coord, params: MapParams) -> tuple[Coord, Coord]:
@@ -221,23 +244,6 @@ def theta_field(
     if time == "backward":
         return DirAngle(backward_angle(coord, params))
     raise ValueError(f"time must be 'forward' or 'backward', got {time!r}")
-
-
-def unit_vector(field: FieldName, coord: float, params: MapParams) -> tuple[float, float]:
-    """Unit vector of one of the four direction fields at a 1-d coordinate.
-
-    e-fields are the contracted directions; f-fields are their rotations by
-    pi/2 (the most expanded direction is everywhere orthogonal).
-    """
-    if field in ("e1", "f1"):
-        ang = theta_field(coord, params, "forward")
-    elif field in ("e-1", "f-1"):
-        ang = theta_field(coord, params, "backward")
-    else:
-        raise ValueError(f"unknown field {field!r}")
-    if field in ("f1", "f-1"):
-        ang = ang.perp()
-    return ang.vector()
 
 
 @dataclass(frozen=True)
@@ -327,20 +333,6 @@ class CriticalConstants:
     def all_defined(self) -> bool:
         return all(getattr(self, name) is not None for name in self._ORDER)
 
-    def delta_strip_contains(self, y: float) -> bool:
-        """Membership in Delta union (1 - Delta), the phi-asymptote strips."""
-        dm, dp = self.delta_minus, self.delta_plus
-        if dm is None or dp is None:
-            raise ValueError(f"Delta strip undefined for k = {self.k}")
-        return strip_pair_contains(y, dm, dp)
-
-    def tangency_strip_contains(self, y: float, slack: float = 0.0) -> bool:
-        """Membership in Delta_hat_T, the strip containing both tangency curves."""
-        lo, hi = self.delta_hat_T_minus, self.delta_hat_T_plus
-        if lo is None or hi is None:
-            raise ValueError(f"Delta_hat_T undefined for k = {self.k}")
-        return strip_pair_contains(y, lo - slack, hi + slack)
-
 
 def strip_pair_contains(y: float, lo: float, hi: float) -> bool:
     """Membership in [lo, hi] union [1 - hi, 1 - lo], a strip and its mirror about y = 1/2."""
@@ -361,9 +353,6 @@ def critical_constants(params: MapParams) -> CriticalConstants:
     dtm: Optional[float] = None
     dtp: Optional[float] = None
     if dm is not None and dp is not None:
-        # Local import: tangency builds on this module for everything else.
-        from .tangency import phi_inverse
-
         # phitilde(0) ~ -2 pi k; its P2(2 pi k) ~ (2 pi k)^2 overflows first.
         z = phi_tilde(0.0, params)
         if not math.isfinite(z):

@@ -43,8 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coordinates import Coord, backward_angle, critical_constants, forward_angle, psi_inverse
-from .stdmap import TWO_PI, MapParams, ParameterError, TorusPoint
+from .coordinates import backward_angle, critical_constants, forward_angle, psi_inverse
+from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint
 
 LEAF_FIELDS = ("E1", "F1", "E-1", "F-1")
 
@@ -83,10 +83,10 @@ class Leaf:
     """An oriented polyline on the torus.
 
     ``points`` holds torus coordinates in [0, 1)^2 and ``lifted`` the
-    unwrapped plane copy used for winding queries and rendering; the two
-    have identical shape (n, 2).  ``segments()`` cuts ``lifted`` at the torus
-    seams into one array of points in the unit square plus the offset at
-    which each piece starts, and returns the pieces as views of that array.
+    unwrapped plane copy used for rendering; the two have identical shape
+    (n, 2).  ``segments()`` cuts ``lifted`` at the torus seams into one array
+    of points in the unit square plus the offset at which each piece starts,
+    and returns the pieces as views of that array.
     """
 
     field_id: str
@@ -94,18 +94,6 @@ class Leaf:
     lifted: np.ndarray
     arc_length: float
     closed: bool
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def vertex(self, i: int) -> TorusPoint:
-        return TorusPoint(float(self.points[i, 0]), float(self.points[i, 1]))
-
-    def winding(self) -> tuple[int, int]:
-        """Integer torus winding of a closed leaf (rounded lifted travel)."""
-        dx = self.lifted[-1, 0] - self.lifted[0, 0]
-        dy = self.lifted[-1, 1] - self.lifted[0, 1]
-        return (round(dx), round(dy))
 
     def segments(self) -> list[np.ndarray]:
         """Seam-split polylines in the unit square, for rendering.

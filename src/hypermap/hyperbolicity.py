@@ -99,8 +99,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .coordinates import Coord, psi, psi_inverse, strip_pair_contains
-from .stdmap import TWO_PI, MapParams, ParameterError, TorusPoint, map_forward
+from .coordinates import psi_inverse, strip_pair_contains
+from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, map_forward, psi
 
 #: Samples are processed in fixed-size chunks, each drawn from its own seed
 #: spawned from the root seed: the chunks fix the sample stream, so a report
@@ -138,13 +138,8 @@ class StripSpec:
     """One Delta^(m) strip pair and its membership predicate."""
 
     m: int
-    k: float
     delta_m: float  # below 1/4
     delta_neg_m: float  # above 1/4
-
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        return (self.delta_m, self.delta_neg_m, 1.0 - self.delta_neg_m, 1.0 - self.delta_m)
 
     def contains(self, y: float) -> bool:
         return strip_pair_contains(y % 1.0, self.delta_m, self.delta_neg_m)
@@ -174,10 +169,6 @@ class ConeReport:
     failure_records: tuple[tuple[float, float], ...] = field(repr=False, default=())
     #: Samples the filter could not settle and that were evaluated exactly.
     refined: int = field(repr=False, compare=False, default=0)
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
 
     def to_text(self) -> str:
         lines = [
@@ -211,10 +202,6 @@ class ExpansionReport:
     entered_strip_at: Optional[int]
 
     @property
-    def cumulative(self) -> float:
-        return math.prod(self.factors) if self.factors else 1.0
-
-    @property
     def steps(self) -> int:
         return len(self.factors)
 
@@ -226,7 +213,7 @@ def delta_strip(m: int, params: MapParams) -> StripSpec:
     if m >= params.k:
         raise ParameterError("m", f"must be < k, got m = {m}, k = {params.k}")
     # psi_c = +-2m on the strip's edges.
-    return StripSpec(m, params.k, delta_m=psi_inverse(2 * m, params), delta_neg_m=psi_inverse(-2 * m, params))
+    return StripSpec(m, delta_m=psi_inverse(2 * m, params), delta_neg_m=psi_inverse(-2 * m, params))
 
 
 def push_vector(y: float, theta: float, params: MapParams) -> tuple[float, float]:
@@ -612,13 +599,11 @@ def orbit_expansion(
     keeps every image slope inside automatically.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParameterError("n", f"must be >= 1, got {n}")
     strip = delta_strip(m, params)
     slope = math.tan(theta)
     if not (1.0 / m < slope < m):
-        raise ValueError(
-            f"initial slope tan(theta) = {slope} outside the cone (1/{m}, {m})"
-        )
+        raise ParameterError("theta", f"{theta}: the initial slope {slope} lies outside the cone (1/{m}, {m})")
     factors: list[float] = []
     point, ang = p, theta
     for i in range(n):

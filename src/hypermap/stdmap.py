@@ -8,7 +8,10 @@ with inverse
 
     f_k^{-1}(x, y) = (x - k sin(2 pi (y - x)), y - x)  mod 1.
 
-Every derivative matrix produced here is unimodular (det = 1).  The forward
+Every derivative matrix produced here is unimodular (det = 1).  Both
+Jacobians are written in psi_c = 2 pi k cos(2 pi y), whose one float64
+formula is ``psi`` here; the field formulas call it too, and only the cone
+sweep's float32 filter forms its own bounded approximation.  The forward
 Jacobian depends only on y; the backward Jacobian depends only on the
 diagonal coordinate ytilde = (y - x) mod 1, so both are constant along
 horizontal lines resp. lines of slope one.
@@ -19,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Literal, Mapping
+from typing import Iterator, Literal, Mapping, Union
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
@@ -37,6 +42,8 @@ DELTA_LEVELS = {
 }
 
 TimeDirection = Literal["forward", "backward"]
+#: A coordinate (y or ytilde) or a value derived from one: float or ndarray.
+Coord = Union[float, np.ndarray]
 
 
 class ParameterError(ValueError):
@@ -60,15 +67,6 @@ def mod1(v: float) -> float:
     if r >= 1.0 or 1.0 - r <= 1e-15:
         return 0.0
     return r
-
-
-def torus_dist(a: "TorusPoint", b: "TorusPoint") -> float:
-    """Euclidean distance on the torus (shortest representative)."""
-    dx = abs(a.x - b.x)
-    dy = abs(a.y - b.y)
-    dx = min(dx, 1.0 - dx)
-    dy = min(dy, 1.0 - dy)
-    return math.hypot(dx, dy)
 
 
 @dataclass(frozen=True)
@@ -131,14 +129,6 @@ class DirAngle:
             t = 0.0
         return t
 
-    def vector(self) -> tuple[float, float]:
-        """Unit vector (cos theta, sin theta) of the canonical representative."""
-        t = self.theta
-        return (math.cos(t), math.sin(t))
-
-    def perp(self) -> "DirAngle":
-        return DirAngle(self.lifted + 0.5 * math.pi)
-
     def dist(self, other: "DirAngle") -> float:
         return angle_dist_mod_pi(self.theta, other.theta)
 
@@ -166,10 +156,6 @@ class Mat2:
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
 
-    @property
-    def trace(self) -> float:
-        return self.a11 + self.a22
-
     def apply(self, vx: float, vy: float) -> tuple[float, float]:
         return (self.a11 * vx + self.a12 * vy, self.a21 * vx + self.a22 * vy)
 
@@ -181,12 +167,23 @@ class Mat2:
             self.a21 * other.a12 + self.a22 * other.a22,
         )
 
-    def inverse_unimodular(self) -> "Mat2":
-        """Adjugate inverse; exact for det = 1 matrices."""
-        return Mat2(self.a22, -self.a12, -self.a21, self.a11)
-
     def entries(self) -> tuple[float, float, float, float]:
         return (self.a11, self.a12, self.a21, self.a22)
+
+
+def psi(y: Coord, params: MapParams, kind: Literal["cos", "sin"] = "cos") -> Coord:
+    """2 pi k cos(2 pi y) or 2 pi k sin(2 pi y), at a y or a ytilde coordinate."""
+    arg = TWO_PI * y
+    try:  # math rejects arrays, which take the numpy path
+        if kind == "cos":
+            t = math.cos(arg)
+        elif kind == "sin":
+            t = math.sin(arg)
+        else:
+            raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
+    except TypeError:
+        t = np.cos(arg) if kind == "cos" else np.sin(arg)
+    return TWO_PI * params.k * t
 
 
 def map_forward(p: TorusPoint, params: MapParams) -> TorusPoint:
@@ -208,10 +205,10 @@ def jacobian(p: TorusPoint, params: MapParams, time: TimeDirection = "forward") 
     cancels to 1 except for one rounding in 1 + psi.
     """
     if time == "forward":
-        c = TWO_PI * params.k * math.cos(TWO_PI * p.y)
+        c = psi(p.y, params)
         return Mat2(1.0, c, 1.0, 1.0 + c)
     if time == "backward":
-        c = TWO_PI * params.k * math.cos(TWO_PI * p.ytilde)
+        c = psi(p.ytilde, params)
         return Mat2(1.0 + c, -c, -1.0, 1.0)
     raise ValueError(f"time must be 'forward' or 'backward', got {time!r}")
 
@@ -240,7 +237,7 @@ def orbit_jacobian(p: TorusPoint, params: MapParams, n: int) -> Mat2:
     ``orbit_determinant`` gives.
     """
     if n == 0:
-        raise ValueError("orbit_jacobian requires a nonzero order n")
+        raise ParameterError("n", "must be nonzero, got 0")
     acc, det = Mat2.identity(), 1.0
     for m in _orbit_steps(p, params, n):
         acc = m @ acc

@@ -5,7 +5,7 @@ A tangency at the point with coordinates (ytilde, y) means the forward
 field at y and the backward field at ytilde are the same undirected
 direction.  Inside the strips where both case formulas carry compatible
 offsets, this reduces to phi(y) = phitilde(ytilde), solved by the
-multivalued inverse
+multivalued inverse ``coordinates.phi_inverse``
 
     y = phi^{-1}(z) = acos((-(z+2) +- sqrt(3 z^2 + 4)) / (4 pi k z)) / (2 pi)
 
@@ -28,18 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .coordinates import (
-    Coord,
-    CriticalConstants,
-    backward_angle,
-    critical_constants,
-    forward_angle,
-    phi_tilde,
-    psi,
-    psi_inverse,
-    psi_prime,
-)
-from .stdmap import MapParams, ParameterError
+from .coordinates import (CriticalConstants, backward_angle, critical_constants, forward_angle, phi_inverse_branch,
+                          phi_tilde)
+from .stdmap import Coord, MapParams, ParameterError
 
 #: Cushion used for interval membership at delta-boundaries.
 _EDGE_TOL = 1e-12
@@ -91,46 +82,6 @@ def residual_angle(y: Coord, ytilde: Coord, params: MapParams) -> Coord:
     return np.minimum(d, math.pi - d) if isinstance(d, np.ndarray) else min(d, math.pi - d)
 
 
-def _inverse_branch(z: Coord, sign: float, params: MapParams) -> Coord:
-    """One quadratic branch of phi^{-1}(z): a root y in [0, 1/2], or NaN.
-
-    Two Newton steps on psi_c(y) - psi_root remove the rounding of the
-    acos/cos round trip, except where psi_c' is too small to divide by.
-    """
-    array = isinstance(z, np.ndarray)
-    psi_root = (-(z + 2.0) + sign * (np.sqrt if array else math.sqrt)(3.0 * z * z + 4.0)) / (2.0 * z)
-    y = psi_inverse(psi_root, params)
-    for _ in range(2):
-        dp = psi_prime(y, params)
-        err = psi(y, params) - psi_root
-        move = (abs(dp) >= 1e-6 * params.k) & (err != 0.0)
-        if array:
-            y = y - np.where(move, err / np.where(move, dp, 1.0), 0.0)
-        elif move:
-            y -= err / dp
-    return y
-
-
-def phi_inverse(z: float, params: MapParams) -> list[float]:
-    """All y in [0, 1) with phi(y) = z, for z != 0.
-
-    Each quadratic branch whose acos argument lies in [-1, 1] contributes a
-    root y and its mirror 1 - y.  Roots are polished so that phi(y) matches
-    z to 1e-10 relative.  The z = 0 case is excluded (the formula divides
-    by z); callers use the known zero set {delta^*, 1 - delta^*} instead.
-    """
-    if z == 0.0:
-        raise ValueError("phi_inverse is undefined at z = 0; the zero set of phi is {delta^*, 1 - delta^*}")
-    if math.isinf(z):
-        raise ValueError("phi_inverse expects finite z; asymptote preimages are delta^-+ by definition")
-    out: list[float] = []
-    for sign in (1.0, -1.0):
-        y = _inverse_branch(z, sign, params)
-        if not math.isnan(y):
-            out += [y, 1.0 - y]
-    return sorted(out)
-
-
 def _select(ytilde: Coord, params: MapParams, consts: CriticalConstants):
     """Gamma at ytilde in [0, 1) as (lower, upper, ok); ok is False, and both NaN,
     where the larger root of phi^{-1} in [0, 1/2] leaves its region: [delta^-,
@@ -145,7 +96,7 @@ def _select(ytilde: Coord, params: MapParams, consts: CriticalConstants):
     at_asymptote = (abs(ytilde - ds) <= _EDGE_TOL) | (abs(ytilde - (1.0 - ds)) <= _EDGE_TOL)
     outer = (ytilde <= ds) | (ytilde >= 1.0 - ds)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lower = np.fmax(*(_inverse_branch(phi_tilde(ytilde, params), sign, params) for sign in (1.0, -1.0)))
+        lower = np.fmax(*(phi_inverse_branch(phi_tilde(ytilde, params), sign, params) for sign in (1.0, -1.0)))
     lo, hi = np.where(outer, dm, dp), np.where(outer, dp, 0.5)
     ok = at_asymptote | ((lower >= lo - _EDGE_TOL) & (lower <= hi + _EDGE_TOL))
     lower = np.where(at_asymptote, dp, lower)
@@ -256,11 +207,10 @@ def no_tangency_scan(params: MapParams, grid: int) -> NoTangencyReport:
     constant y are reduced one at a time, so memory stays O(grid).
     """
     if grid < 64:
-        raise ValueError(f"grid must be >= 64, got {grid}")
-    c = critical_constants(params)
-    dm = c.delta_minus
+        raise ParameterError("grid", f"must be >= 64, got {grid}")
+    dm = critical_constants(params).delta_minus
     if dm is None:
-        raise ValueError(f"delta^- undefined for k = {params.k}")
+        raise ParameterError("k", f"{params.k:g}: delta^- is undefined below k = (sqrt(3) - 1)/(4 pi)")
     half = grid // 2
     ys = [dm * j / (half - 1) for j in range(half)]
     ys += [1.0 - y for y in ys]

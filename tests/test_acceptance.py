@@ -25,7 +25,7 @@ from hypermap.coordinates import (
     phi_tilde_prime,
     phi_parts,
     phi_tilde_parts,
-    psi,
+    strip_pair_contains,
     theta_field,
 )
 from hypermap.foliations import fold_tips, trace_leaf
@@ -36,6 +36,7 @@ from hypermap.stdmap import (
     TorusPoint,
     angle_dist_mod_pi,
     jacobian,
+    psi,
 )
 from hypermap.tangency import no_tangency_scan, tangency_curve, tangency_landmarks
 
@@ -178,7 +179,7 @@ def test_criterion_7_foliation_geometry():
     dev_diag = float(np.minimum(d, 1.0 - d).max())
 
     leaf = trace_leaf("F1", TorusPoint(0.0, 0.501), params, step=1e-3, max_arc=50.0)
-    tail = leaf.points[int(0.9 * len(leaf)):, 1]
+    tail = leaf.points[int(0.9 * len(leaf.points)):, 1]
     d1 = np.abs(tail - ds)
     d2 = np.abs(tail - (1 - ds))
     dev_acc = float(np.minimum(np.minimum(d1, 1 - d1), np.minimum(d2, 1 - d2)).max())
@@ -197,10 +198,11 @@ def test_criterion_8_tangency_curve_and_scan():
     for k in (2.0, 10.0):
         params = MapParams(k)
         c = critical_constants(params)
+        lo, hi = c.delta_hat_T_minus - 1e-12, c.delta_hat_T_plus + 1e-12
         _, lower, upper = tangency_curve(params, 4096)
         for y, res in (lower, upper):
             worst_res = max(worst_res, float(res.max()))
-            contained &= all(c.tangency_strip_contains(v, slack=1e-12) for v in y.tolist())
+            contained &= all(strip_pair_contains(v, lo, hi) for v in y.tolist())
     scan_ok = True
     scan_detail = []
     for k, want in SCAN_FIXTURE.items():

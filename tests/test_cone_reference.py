@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hypermap import hyperbolicity
-from hypermap.coordinates import psi
+from hypermap.stdmap import psi
 from hypermap.hyperbolicity import MAX_FAILURE_RECORDS, StripSpec, _f32, _image, delta_strip, verify_cones
 from hypermap.stdmap import MapParams
 

@@ -22,11 +22,10 @@ from hypermap.coordinates import (
     phi_tilde,
     phi_tilde_parts,
     phi_tilde_prime,
-    psi,
     psi_inverse,
     psi_prime,
+    strip_pair_contains,
     theta_field,
-    unit_vector,
 )
 from hypermap.oracle import fd_derivative, svd2, sweep_min_direction
 from hypermap.stdmap import (
@@ -37,6 +36,7 @@ from hypermap.stdmap import (
     jacobian,
     map_forward,
     map_inverse,
+    psi,
 )
 
 TWO_PI = 2 * math.pi
@@ -46,6 +46,12 @@ K_SET = (1.0, 2.0, 5.0, 10.0, 100.0)
 
 def consts(k):
     return critical_constants(MapParams(k))
+
+
+def forward_vectors(y, params):
+    """Unit vectors of the E1 field (theta_field) and the F1 field (pi/2 further) at y."""
+    t = theta_field(y, params).theta
+    return (math.cos(t), math.sin(t)), (math.cos(t + 0.5 * math.pi), math.sin(t + 0.5 * math.pi))
 
 
 class TestPsi:
@@ -362,7 +368,7 @@ class TestThetaField:
 class TestUnitVector:
     def test_f1_horizontal_at_delta_star(self):
         c = consts(10.0)
-        fx, fy = unit_vector("f1", c.delta_star, MapParams(10.0))
+        _, (fx, fy) = forward_vectors(c.delta_star, MapParams(10.0))
         assert abs(fy) < 1e-9 and abs(fx) == pytest.approx(1.0, abs=1e-12)
 
     def test_e_f_orthogonal(self):
@@ -370,8 +376,7 @@ class TestUnitVector:
         rng = random.Random(4)
         for _ in range(1000):
             y = rng.random()
-            ex, ey = unit_vector("e1", y, p)
-            fx, fy = unit_vector("f1", y, p)
+            (ex, ey), (fx, fy) = forward_vectors(y, p)
             assert abs(ex * fx + ey * fy) < 1e-12
 
     def test_backward_vector_minimises_image_norm(self):
@@ -385,10 +390,6 @@ class TestUnitVector:
             sweep = sweep_min_direction(m, grid=100_000)
             got = theta_field(yt, p, "backward")
             assert sweep.angle.dist(got) < 1e-6
-
-    def test_unknown_field(self):
-        with pytest.raises(ValueError):
-            unit_vector("g2", 0.1, MapParams(1.0))
 
 
 class TestHyperbolicFrame:
@@ -528,7 +529,7 @@ class TestDuality:
             for _ in range(500):
                 z = TorusPoint(rng.random(), rng.random())
                 w = map_inverse(z, p)
-                fx, fy = unit_vector("f1", w.y, p)
+                _, (fx, fy) = forward_vectors(w.y, p)
                 ix, iy = jacobian(w, p, "forward").apply(fx, fy)
                 pushed = math.atan2(iy, ix)
                 got = theta_field(z.ytilde, p, "backward").theta
@@ -596,7 +597,7 @@ class TestCriticalConstants:
 
     def test_strip_membership_helpers(self):
         c = consts(2.0)
-        assert c.delta_strip_contains(0.25)
-        assert not c.delta_strip_contains(0.1)
-        assert c.tangency_strip_contains(c.delta_hat_T_minus)
-        assert not c.tangency_strip_contains(0.25)
+        assert strip_pair_contains(0.25, c.delta_minus, c.delta_plus)
+        assert not strip_pair_contains(0.1, c.delta_minus, c.delta_plus)
+        assert strip_pair_contains(c.delta_hat_T_minus, c.delta_hat_T_minus, c.delta_hat_T_plus)
+        assert not strip_pair_contains(0.25, c.delta_hat_T_minus, c.delta_hat_T_plus)

@@ -211,7 +211,7 @@ class TestOrbitExpansion:
         _, norm = push_vector(p.y, theta, params)
         assert rep.steps == 1 and rep.entered_strip_at is None
         assert rep.factors[0] == norm
-        assert rep.cumulative == norm
+        assert math.prod(rep.factors) == norm
 
     def test_growth_outside_strip(self):
         params = MapParams(50.0)
@@ -227,7 +227,7 @@ class TestOrbitExpansion:
             # inner-cone entries clear the per-step bound even in the layer
             for f in rep.factors:
                 assert f >= 4.0
-            assert rep.cumulative >= 4.0 ** rep.steps * (1 - 1e-12)
+            assert math.prod(rep.factors) >= 4.0 ** rep.steps * (1 - 1e-12)
             ran += 1
         assert ran > 500
 
@@ -238,7 +238,7 @@ class TestOrbitExpansion:
         rep = orbit_expansion(TorusPoint(0.0, inside), math.atan(1.0), params, 4, 5)
         assert rep.entered_strip_at == 0
         assert rep.factors == ()
-        assert rep.cumulative == 1.0
+        assert math.prod(rep.factors) == 1.0
 
     def test_initial_slope_must_be_in_cone(self):
         with pytest.raises(ValueError):

@@ -65,7 +65,7 @@ class TestSvd2:
         if s.degenerate:
             return
         for ang, sigma in ((s.dir_min, s.sigma_min), (s.dir_max, s.sigma_max)):
-            vx, vy = ang.vector()
+            vx, vy = math.cos(ang.theta), math.sin(ang.theta)
             ix, iy = m.apply(vx, vy)
             assert math.hypot(ix, iy) == pytest.approx(sigma, rel=1e-12, abs=1e-13)
         assert s.dir_min.dist(s.dir_max) == pytest.approx(math.pi / 2, abs=1e-12)

@@ -6,11 +6,11 @@ import math
 import pytest
 
 from hypermap import MapParams, ParameterError, TangencySelectionError, TorusPoint
-from hypermap.coordinates import critical_constants, hyperbolic_frame
+from hypermap.coordinates import critical_constants, hyperbolic_frame, phi_inverse
 from hypermap.foliations import fold_tips, trace_leaf
-from hypermap.hyperbolicity import delta_strip, verify_cones
+from hypermap.hyperbolicity import delta_strip, orbit_expansion, verify_cones
 from hypermap.stdmap import orbit_jacobian
-from hypermap.tangency import MAX_CURVE_K, tangency_curve
+from hypermap.tangency import MAX_CURVE_K, no_tangency_scan, tangency_curve
 
 P = MapParams(1.0)
 START = TorusPoint(0.0, 0.6)
@@ -41,6 +41,16 @@ CHECKS = {
                                 ParameterError),
     "hyperbolic_frame underflow": (lambda: hyperbolic_frame(TorusPoint(0.2, 0.3), MapParams(1e5), 29), "n",
                                    ParameterError),
+    "orbit_jacobian zero order": (lambda: orbit_jacobian(START, P, 0), "n", ParameterError),
+    "hyperbolic_frame zero order": (lambda: hyperbolic_frame(START, P, 0), "n", ParameterError),
+    "no_tangency_scan grid": (lambda: no_tangency_scan(MapParams(2.0), 63), "grid", ParameterError),
+    "no_tangency_scan delta^- undefined": (lambda: no_tangency_scan(MapParams(0.05), 64), "k", ParameterError),
+    "orbit_expansion n": (lambda: orbit_expansion(START, math.atan(1.0), MapParams(5.0), 2, 0), "n",
+                          ParameterError),
+    "orbit_expansion slope": (lambda: orbit_expansion(START, math.atan(3.0), MapParams(5.0), 2, 1), "theta",
+                              ParameterError),
+    "phi_inverse zero": (lambda: phi_inverse(0.0, P), "z", ParameterError),
+    "phi_inverse infinite": (lambda: phi_inverse(-math.inf, P), "z", ParameterError),
 }
 
 

@@ -18,10 +18,17 @@ from hypermap.stdmap import (
     mod1,
     orbit_determinant,
     orbit_jacobian,
-    torus_dist,
+    psi,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def torus_dist(a: TorusPoint, b: TorusPoint) -> float:
+    """Euclidean distance on the torus (shortest representative)."""
+    dx, dy = abs(a.x - b.x), abs(a.y - b.y)
+    return math.hypot(min(dx, 1.0 - dx), min(dy, 1.0 - dy))
+
 
 coord = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 k_value = st.floats(min_value=0.05, max_value=200.0, allow_nan=False)
@@ -113,7 +120,7 @@ class TestJacobian:
             p = TorusPoint(rng.random(), rng.random())
             back = jacobian(p, params, "backward")
             fwd = jacobian(map_inverse(p, params), params, "forward")
-            inv = fwd.inverse_unimodular()
+            inv = Mat2(fwd.a22, -fwd.a12, -fwd.a21, fwd.a11)  # the adjugate: det = 1
             for got, want in zip(back.entries(), inv.entries()):
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -147,6 +154,17 @@ class TestJacobian:
     def test_bad_time(self):
         with pytest.raises(ValueError):
             jacobian(TorusPoint(0, 0), MapParams(1.0), "sideways")
+
+    def test_entries_are_psi_bit_for_bit(self):
+        # psi_c is written once: both Jacobians are built from psi itself.
+        rng = random.Random(16)
+        for _ in range(2000):
+            params = MapParams(10.0 ** rng.uniform(-1.0, 5.0))
+            p = TorusPoint(rng.random(), rng.random())
+            fwd, c = jacobian(p, params, "forward"), psi(p.y, params)
+            assert (fwd.a12, fwd.a22) == (c, 1.0 + c)
+            back, c = jacobian(p, params, "backward"), psi(p.ytilde, params)
+            assert (back.a11, back.a12) == (1.0 + c, -c)
 
 
 class TestOrbitJacobian:

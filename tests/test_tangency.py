@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from hypermap.coordinates import critical_constants, phi, phi_tilde, theta_field
+from hypermap.coordinates import critical_constants, phi, phi_inverse, phi_tilde, strip_pair_contains, theta_field
 from hypermap.oracle import svd2
 from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi, jacobian
 from hypermap.tangency import (
@@ -15,7 +15,6 @@ from hypermap.tangency import (
     TangencySelectionError,
     gamma,
     no_tangency_scan,
-    phi_inverse,
     residual_angle,
     tangency_curve,
     tangency_landmarks,
@@ -197,10 +196,11 @@ class TestTangencyCurve:
         for k in (2.0, 10.0):
             params = MapParams(k)
             c = consts(k)
+            lo, hi = c.delta_hat_T_minus - 1e-12, c.delta_hat_T_plus + 1e-12
             _, lower, upper = tangency_curve(params, 1024)
             for y, res in (lower, upper):
                 assert np.all(res < 1e-8)
-                assert all(c.tangency_strip_contains(v, slack=1e-12) for v in y.tolist())
+                assert all(strip_pair_contains(v, lo, hi) for v in y.tolist())
                 # never inside the tangency-free strips
                 assert not np.any((y <= c.delta_minus) | (y >= 1 - c.delta_minus))
 
