@@ -243,7 +243,7 @@ def theta_field(
         return DirAngle(forward_angle(coord, params))
     if time == "backward":
         return DirAngle(backward_angle(coord, params))
-    raise ValueError(f"time must be 'forward' or 'backward', got {time!r}")
+    raise ParameterError("time", f"must be 'forward' or 'backward', got {time!r}")
 
 
 @dataclass(frozen=True)

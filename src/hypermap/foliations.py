@@ -359,7 +359,7 @@ def trace_leaf(
     leaf, one period long when max_arc allows, and ``closed``.
     """
     if field_id not in LEAF_FIELDS:
-        raise ValueError(f"field_id must be one of {LEAF_FIELDS}, got {field_id!r}")
+        raise ParameterError("field_id", f"must be one of {LEAF_FIELDS}, got {field_id!r}")
     for name, value in (("step", step), ("max_arc", max_arc)):
         if not (math.isfinite(value) and value > 0.0):
             raise ParameterError(name, f"must be positive and finite, got {value!r}")
@@ -430,7 +430,7 @@ def closed_leaves(field_id: str, params: MapParams) -> list[Leaf]:
     diagonals ytilde = delta^* and 1 - delta^*.  E1 and F-1 have none.
     """
     if field_id not in LEAF_FIELDS:
-        raise ValueError(f"field_id must be one of {LEAF_FIELDS}, got {field_id!r}")
+        raise ParameterError("field_id", f"must be one of {LEAF_FIELDS}, got {field_id!r}")
     if field_id in ("E1", "F-1"):
         return []
     # One period from x = 0 in one step: a step and arc of 2 exceed either period.

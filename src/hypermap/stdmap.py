@@ -173,14 +173,11 @@ class Mat2:
 
 def psi(y: Coord, params: MapParams, kind: Literal["cos", "sin"] = "cos") -> Coord:
     """2 pi k cos(2 pi y) or 2 pi k sin(2 pi y), at a y or a ytilde coordinate."""
+    if kind != "cos" and kind != "sin":
+        raise ParameterError("kind", f"must be 'cos' or 'sin', got {kind!r}")
     arg = TWO_PI * y
     try:  # math rejects arrays, which take the numpy path
-        if kind == "cos":
-            t = math.cos(arg)
-        elif kind == "sin":
-            t = math.sin(arg)
-        else:
-            raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
+        t = math.cos(arg) if kind == "cos" else math.sin(arg)
     except TypeError:
         t = np.cos(arg) if kind == "cos" else np.sin(arg)
     return TWO_PI * params.k * t
@@ -210,7 +207,7 @@ def jacobian(p: TorusPoint, params: MapParams, time: TimeDirection = "forward") 
     if time == "backward":
         c = psi(p.ytilde, params)
         return Mat2(1.0 + c, -c, -1.0, 1.0)
-    raise ValueError(f"time must be 'forward' or 'backward', got {time!r}")
+    raise ParameterError("time", f"must be 'forward' or 'backward', got {time!r}")
 
 
 def _orbit_steps(p: TorusPoint, params: MapParams, n: int) -> Iterator[Mat2]:

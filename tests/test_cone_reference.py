@@ -3,7 +3,9 @@
 ``reference_cone_chunk`` is ``hyperbolicity._cone_chunk`` as it was before
 the float32 filter: every sample evaluated with the float64 image formula.
 The filtered kernel must return the same chunk tuples, ``repr`` for
-``repr``, so that every report byte is unchanged.
+``repr``, and ``verify_cones`` the report ``reference_report`` builds from
+them, whether it evaluates every chunk or only the band next to the
+strips, so that every report byte is unchanged.
 """
 
 import math
@@ -16,7 +18,8 @@ import pytest
 
 from hypermap import hyperbolicity
 from hypermap.stdmap import psi
-from hypermap.hyperbolicity import MAX_FAILURE_RECORDS, StripSpec, _f32, _image, delta_strip, verify_cones
+from hypermap.hyperbolicity import (MAX_FAILURE_RECORDS, ConeReport, StripSpec, _f32, _image, delta_strip,
+                                   verify_cones)
 from hypermap.stdmap import MapParams
 
 
@@ -106,19 +109,124 @@ def test_chunks_on_many_threads_equal_the_reference():
     assert [repr(g[:7]) for g in got] == [repr(w) for w in want * 2]
 
 
+def reference_report(params: MapParams, m: int, n: int, seed: int, inside: bool) -> ConeReport:
+    """The report of an all-float64 sweep: ``reference_cone_chunk`` over every chunk."""
+    counts = [hyperbolicity._CHUNK] * (n // hyperbolicity._CHUNK)
+    if n % hyperbolicity._CHUNK:
+        counts.append(n % hyperbolicity._CHUNK)
+    strip = delta_strip(m, params)
+    parts = [reference_cone_chunk((ss, count, params, m, strip, inside))
+             for ss, count in zip(np.random.SeedSequence(seed).spawn(len(counts)), counts)]
+    return ConeReport(
+        k=params.k,
+        m=m,
+        samples=n,
+        failures=sum(p[0] for p in parts),
+        slope_failures=sum(p[1] for p in parts),
+        norm_failures=sum(p[2] for p in parts),
+        min_norm=min(p[3] for p in parts),
+        slope_range=(min(p[4] for p in parts), max(p[5] for p in parts)),
+        seed=seed,
+        inside_strip=inside,
+        failure_records=tuple(rec for p in parts for rec in p[6])[:MAX_FAILURE_RECORDS],
+    )
+
+
+def assert_same_report(got: ConeReport, want: ConeReport) -> None:
+    assert got.to_text() == want.to_text()
+    assert repr(got) == repr(want)
+
+
+#: The last four sweeps add the benchmark's range (5 <= k <= 200,
+#: m in {2, 3, 5, 10}) at one chunk, one chunk and a sample, and 10^6
+#: samples.
 SWEEPS = [
     (MapParams(2.1), 2, 100_000, 3, False),
     (MapParams(25.0), 5, 150_000, 42, False),
     (MapParams(180.0), 10, 70_001, 7, True),
     (MapParams(1e4), 50, 40_000, 11, False),
+    (MapParams(17.5), 3, 32_768, 8, False),
+    (MapParams(60.0), 10, 32_769, 21, False),
+    (MapParams(143.0), 2, 1_000_000, 5, False),
+    (MapParams(88.0), 5, 1_000_000, 13, False),
 ]
+BAND_SWEEPS = [s for s in SWEEPS if 5.0 <= s[0].k <= 200.0 and not s[4]]
 
 
 @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
-def test_reports_equal_the_reference(monkeypatch, sweep):
-    filtered = verify_cones(*sweep).to_text()
-    monkeypatch.setattr(hyperbolicity, "_cone_chunk", lambda args, budget: (*reference_cone_chunk(args), 0))
-    assert filtered == verify_cones(*sweep).to_text()
+def test_reports_equal_the_reference(sweep):
+    assert_same_report(verify_cones(*sweep), reference_report(*sweep))
+
+
+@pytest.mark.parametrize("sweep", BAND_SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
+def test_benchmark_sweeps_need_no_chunk_by_chunk_sweep(monkeypatch, sweep):
+    # These sweeps are settled by the band alone, so the reference test
+    # above compares the band path, not the fallback, with the reference.
+    def no_fallback(args, budget):
+        raise AssertionError("the sweep fell back to the chunk-by-chunk path")
+
+    want = verify_cones(*sweep)
+    monkeypatch.setattr(hyperbolicity, "_cone_chunk", no_fallback)
+    assert_same_report(verify_cones(*sweep), want)
+
+
+def test_band_sweeps_on_many_threads_equal_the_reference():
+    # Each thread gathers its band in its own buffer across chunks; more
+    # threads than cores and a short switch interval interleave the sweeps.
+    jobs = [s for s in BAND_SWEEPS if s[2] <= 200_000] * 3
+    want = {s: reference_report(*s) for s in jobs}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda s: verify_cones(*s), jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for sweep, report in zip(jobs, got):
+        assert_same_report(report, want[sweep])
+
+
+#: Sweeps whose band misses one extremum of the whole sweep: min_norm,
+#: slope_min and slope_max in this order.  In each, only the check on that
+#: extremum sends the sweep back to the chunk-by-chunk path.  They expect
+#: fewer than _BAND_MIN_SAMPLES samples in the band, so the test lets them
+#: try the band first.
+FALLBACK_SWEEPS = [
+    (MapParams(152.98259095834024), 5, 3145, 880091738, False),
+    (MapParams(162.383228743755), 10, 64, 1542798978, False),
+    (MapParams(127.29869621691708), 2, 2113, 2081748800, False),
+]
+
+
+@pytest.mark.parametrize("sweep", FALLBACK_SWEEPS, ids=["min_norm", "slope_min", "slope_max"])
+def test_sweeps_whose_band_misses_an_extremum_equal_the_reference(monkeypatch, sweep):
+    monkeypatch.setattr(hyperbolicity, "_BAND_MIN_SAMPLES", 0)
+    assert_same_report(verify_cones(*sweep), reference_report(*sweep))
+
+
+def test_random_sweeps_equal_the_reference(monkeypatch):
+    # Sweeps the band settles and sweeps that run chunk by chunk (few
+    # samples, T_band beyond K, inside the strips, a band that misses an
+    # extremum), each against the all-float64 reference.
+    chunk_by_chunk = hyperbolicity._cone_chunk
+    fell_back = []
+
+    def counted(args, budget):
+        fell_back.append(args)
+        return chunk_by_chunk(args, budget)
+
+    monkeypatch.setattr(hyperbolicity, "_cone_chunk", counted)
+    rng = np.random.default_rng(18)
+    paths = {False: 0, True: 0}
+    for _ in range(150):
+        m = int(rng.choice(MS))
+        k = math.exp(rng.uniform(math.log(1.01 * m), math.log(1e4 if rng.random() < 0.5 else max(200.0, 2 * m))))
+        n = int(math.exp(rng.uniform(0.0, math.log(3e5))))
+        sweep = (MapParams(k), m, n, int(rng.integers(2**31)), bool(rng.random() < 0.1))
+        fell_back.clear()
+        assert_same_report(verify_cones(*sweep), reference_report(*sweep))
+        paths[bool(fell_back)] += 1
+    assert paths[False] >= 30 and paths[True] >= 30, paths
 
 
 @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")

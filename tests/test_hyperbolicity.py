@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from hypermap import hyperbolicity
 from hypermap.hyperbolicity import (
     delta_strip,
     orbit_expansion,
@@ -189,6 +190,41 @@ class TestVerifyCones:
         for k in (max(5.0, 1.01 * m), 17.0, 60.0, 200.0):
             rep = verify_cones(MapParams(k), m, n, seed=m)
             assert 0 < rep.refined < 0.005 * n, (k, rep.refined)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 10])
+    def test_filter_sees_little_more_than_the_band(self, monkeypatch, m):
+        # Outside the strips only the band next to Delta^(m) reaches the
+        # filter.  A band that silently falls back to the chunk-by-chunk
+        # sweep fails here instead of only running slow.
+        seen = []
+        evaluate = hyperbolicity._filter
+
+        def counted(r, *args):
+            seen.append(len(r))
+            return evaluate(r, *args)
+
+        monkeypatch.setattr(hyperbolicity, "_filter", counted)
+        n = 200_000
+        t = m + 1 + m * math.sqrt((1 + m * m) / 2)
+        for k in (17.0, 60.0, 200.0):
+            big_k = 2 * math.pi * k
+            edge = math.asin(2 * m / big_k)
+            measure = (math.asin(t / big_k) - edge) / (math.pi / 2 - edge)
+            seen.clear()
+            verify_cones(MapParams(k), m, n, seed=m)
+            assert 0 < sum(seen) <= 1.5 * measure * n, (k, sum(seen), measure)
+
+    def test_sweeps_expecting_few_band_samples_skip_the_band(self, monkeypatch):
+        # 1000 samples at k = 50, m = 3 expect ~4 in the band: too few to
+        # settle the extrema, so the sweep goes chunk by chunk at once.
+        def no_band(r, edges):
+            raise AssertionError("the sweep selected band draws")
+
+        want = verify_cones(MapParams(50.0), 3, 1000, seed=4)
+        monkeypatch.setattr(hyperbolicity, "_band_draws", no_band)
+        assert verify_cones(MapParams(50.0), 3, 1000, seed=4) == want
+        with pytest.raises(AssertionError, match="band draws"):
+            verify_cones(MapParams(50.0), 3, 100_000, seed=4)
 
     def test_refined_count_stays_out_of_the_report(self):
         rep = verify_cones(MapParams(25.0), 5, 50_000, seed=42)

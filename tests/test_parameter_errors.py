@@ -3,13 +3,14 @@ parameter, which is what the CLI reports under the parameter's flag."""
 
 import math
 
+import numpy as np
 import pytest
 
 from hypermap import MapParams, ParameterError, TangencySelectionError, TorusPoint
-from hypermap.coordinates import critical_constants, hyperbolic_frame, phi_inverse
-from hypermap.foliations import fold_tips, trace_leaf
+from hypermap.coordinates import critical_constants, hyperbolic_frame, phi_inverse, theta_field
+from hypermap.foliations import closed_leaves, fold_tips, trace_leaf
 from hypermap.hyperbolicity import delta_strip, orbit_expansion, verify_cones
-from hypermap.stdmap import orbit_jacobian
+from hypermap.stdmap import jacobian, orbit_jacobian, psi
 from hypermap.tangency import MAX_CURVE_K, no_tangency_scan, tangency_curve
 
 P = MapParams(1.0)
@@ -51,6 +52,12 @@ CHECKS = {
                               ParameterError),
     "phi_inverse zero": (lambda: phi_inverse(0.0, P), "z", ParameterError),
     "phi_inverse infinite": (lambda: phi_inverse(-math.inf, P), "z", ParameterError),
+    "theta_field time": (lambda: theta_field(0.3, P, "sideways"), "time", ParameterError),
+    "jacobian time": (lambda: jacobian(START, P, "sideways"), "time", ParameterError),
+    "psi kind": (lambda: psi(0.3, P, "tan"), "kind", ParameterError),
+    "psi kind on arrays": (lambda: psi(np.zeros(2), P, "tan"), "kind", ParameterError),
+    "trace_leaf field_id": (lambda: trace_leaf("E2", START, P), "field_id", ParameterError),
+    "closed_leaves field_id": (lambda: closed_leaves("E2", P), "field_id", ParameterError),
 }
 
 
