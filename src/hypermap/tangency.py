@@ -18,6 +18,33 @@ Both curves live inside the tangency strip Delta_hat_T; the horizontal
 strips y in [0, delta^-] and [1 - delta^-, 1] contain no tangencies at all
 because there the forward field points into the second quadrant while the
 backward field stays in the first.
+
+The scan of those strips uses the fields' quadrants and k-free turning
+values.  Let F = forward angle mod pi and B = backward angle mod pi.
+
+- On the strips F lies in [3 pi/4, pi): it falls from y = 0 to 3 pi/4 at
+  the asymptote delta^- of phi, and mirrors on [1 - delta^-, 1].
+- B lies in [pi/6, pi/3] at every k: phitilde = -+ sqrt(3) at delta^-+,
+  so B = pi/3 at psi_c = (sqrt(3) - 1)/2 and pi/6 at psi_c = -(1 +
+  sqrt(3))/2, its only turning values in psi_c.
+- So F - B lies in (0, pi), and a cell's residual min(F - B, pi - (F - B))
+  is the smaller of a nonincreasing and a nondecreasing function of B (float
+  subtraction keeps both monotone).  A row's minimum lies at its largest-B
+  or its smallest-B column.
+- psi_c(ytilde) is monotone between ytilde = 0 and 1/2, so B is monotone
+  between the turning points ytilde in {0, delta^-, delta^+, 1/2,
+  1 - delta^+, 1 - delta^-}.  Below k = (1 + sqrt(3))/(4 pi) delta^+ does
+  not exist and 1/2 is a minimum.
+- On each monotone piece the extreme columns are those nearest its ends.
+  So a row needs only the columns bracketing each turning point e,
+  floor((y - e) grid) + {-1, 0, 1, 2} mod grid: the nearest on each side
+  and one more on each for rounding, about 24 cells a row.
+- Ties go to the first row, then to the smallest column, as in a loop over
+  rows that evaluates every cell; the scan equals that loop bit for bit.
+
+Where delta^+ exists the infimum of the residual over the strips is
+pi/6 + atan2(4K + 2, 2K^2 + 2K - 1)/2 with K = 2 pi k, approached at
+y = 0 against ytilde = delta^+.
 """
 
 from __future__ import annotations
@@ -42,6 +69,11 @@ MIN_CURVE_SAMPLES = 16
 #: apart by ~1.1e-15 k rad; the curves' worst residual, ~1.8e-15 k (3.8e-9 at
 #: k = 2e6, 1.8e-8 at k = 1e7), must stay under 1e-8.
 MAX_CURVE_K = 2e6
+
+#: Columns no_tangency_scan evaluates around each turning point of the backward
+#: field, relative to the column floor((y - turn) grid) whose ytilde lies just
+#: above it: the nearest column on each side, and one more for rounding.
+_BRACKET = np.arange(-1, 3)
 
 
 class TangencySelectionError(ParameterError):
@@ -78,7 +110,12 @@ class NoTangencyReport:
 
 def residual_angle(y: Coord, ytilde: Coord, params: MapParams) -> Coord:
     """Angle between the forward field at y and the backward field at ytilde."""
-    d = (forward_angle(y, params) % math.pi - backward_angle(ytilde, params) % math.pi) % math.pi
+    return _angle_gap(forward_angle(y, params) % math.pi, backward_angle(ytilde, params) % math.pi)
+
+
+def _angle_gap(forward: Coord, backward: Coord) -> Coord:
+    """Distance mod pi between two canonical angles in [0, pi)."""
+    d = (forward - backward) % math.pi
     return np.minimum(d, math.pi - d) if isinstance(d, np.ndarray) else min(d, math.pi - d)
 
 
@@ -131,22 +168,37 @@ def _refined(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> tuple[np.n
     closed-form roots are already accurate; this kills the last of the
     floating-point error so the residual contract (< 1e-8) holds with a
     wide margin.
+
+    A sample leaves the iteration at its first failed check (difference
+    under 1e-13, zero slope or a step over 1e-6) and never re-enters, so
+    each step evaluates only the samples still active, and the loop ends
+    when none are.  Every sample sees the same elementwise operations on
+    the same values as in a full-array step, so the result is the same.
+    While more than half are active the step runs on the whole arrays,
+    where gathering them would cost more than it saves.
     """
+    y = np.array(y, dtype=float)
     b = backward_angle(ytilde, params) % math.pi
 
-    def diff(yy: np.ndarray) -> np.ndarray:
-        d = (forward_angle(yy, params) % math.pi - b) % math.pi
+    def diff(yy: np.ndarray, bb: np.ndarray) -> np.ndarray:
+        d = (forward_angle(yy, params) % math.pi - bb) % math.pi
         return np.where(d > math.pi / 2.0, d - math.pi, d)
 
     h = 1e-9
     active = np.ones(np.shape(y), dtype=bool)
     for _ in range(3):
-        d0 = diff(y)
-        slope = (diff(y + h) - d0) / h
+        n = np.count_nonzero(active)
+        if n == 0:
+            break
+        at = slice(None) if 2 * n > active.size else np.flatnonzero(active)
+        yy, bb = y[at], b[at]
+        d0 = diff(yy, bb)
+        slope = (diff(yy + h, bb) - d0) / h
         with np.errstate(divide="ignore", invalid="ignore"):
             step = -d0 / slope
-        active &= (np.abs(d0) >= 1e-13) & (slope != 0.0) & (np.abs(step) <= 1e-6)
-        y = np.where(active, y + step, y)
+        ok = active[at] & (np.abs(d0) >= 1e-13) & (slope != 0.0) & (np.abs(step) <= 1e-6)
+        active[at] = ok
+        y[at] = np.where(ok, yy + step, yy)
     return y, residual_angle(y, ytilde, params)
 
 
@@ -203,24 +255,31 @@ def no_tangency_scan(params: MapParams, grid: int) -> NoTangencyReport:
     """Minimum angle between the two contracted fields over the strips
     y in [0, delta^-] and [1 - delta^-, 1], sampled on a grid x grid mesh.
 
-    The minimum is strictly positive: no tangencies occur there.  Rows of
-    constant y are reduced one at a time, so memory stays O(grid).
+    The mesh has rows y_j = delta^- j / (grid/2 - 1) and their mirrors
+    1 - y_j, and columns x_i = i / grid at ytilde = (y - x_i) mod 1.  The
+    minimum is strictly positive: no tangencies occur there.
+
+    Only the cells next to a turning point of the backward field are
+    evaluated, about 24 a row; the module docstring shows why the minimum
+    lies among them.  Ties go to the first row, then to the smallest column,
+    so the report equals that of a loop over every cell bit for bit.
     """
     if grid < 64:
         raise ParameterError("grid", f"must be >= 64, got {grid}")
-    dm = critical_constants(params).delta_minus
+    c = critical_constants(params)
+    dm = c.delta_minus
     if dm is None:
         raise ParameterError("k", f"{params.k:g}: delta^- is undefined below k = (sqrt(3) - 1)/(4 pi)")
     half = grid // 2
     ys = [dm * j / (half - 1) for j in range(half)]
     ys += [1.0 - y for y in ys]
-    x = np.arange(grid) / grid
-    best = math.inf
-    best_y = best_yt = 0.0
-    for y in ys:
-        yt = (y - x) % 1.0
-        d = residual_angle(y, yt, params)
-        i = int(np.argmin(d))
-        if d[i] < best:
-            best, best_y, best_yt = float(d[i]), y, float(yt[i])
-    return NoTangencyReport(params.k, grid, best, best_y, best_yt)
+    turns = [0.0, dm, 0.5, 1.0 - dm] + ([] if c.delta_plus is None else [c.delta_plus, 1.0 - c.delta_plus])
+    y = np.array(ys)
+    near = np.floor(np.subtract.outer(y, turns) * grid).astype(np.int64)
+    cols = np.sort((near[:, :, None] + _BRACKET).reshape(len(ys), -1) % grid, axis=1)
+    yt = (y[:, None] - cols / grid) % 1.0
+    # math.atan2 row by row, not numpy's arctan2, which may differ in the last ulp
+    forward = np.array([forward_angle(v, params) % math.pi for v in ys])
+    d = _angle_gap(forward[:, None], backward_angle(yt, params) % math.pi)
+    i = int(np.argmin(d))  # row-major: first row, then smallest column
+    return NoTangencyReport(params.k, grid, float(d.flat[i]), ys[i // cols.shape[1]], float(yt.flat[i]))

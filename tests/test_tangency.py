@@ -4,14 +4,18 @@ selector, the curves, the landmarks, and the tangency-free region."""
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
-from hypermap.coordinates import critical_constants, phi, phi_inverse, phi_tilde, strip_pair_contains, theta_field
+from hypermap import tangency
+from hypermap.coordinates import (backward_angle, critical_constants, forward_angle, phi, phi_inverse, phi_tilde,
+                                  strip_pair_contains, theta_field)
 from hypermap.oracle import svd2
 from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi, jacobian
 from hypermap.tangency import (
     MAX_CURVE_K,
+    NoTangencyReport,
     TangencySelectionError,
     gamma,
     no_tangency_scan,
@@ -59,6 +63,88 @@ def reference_scan_min(params, grid):
             if d < best[0]:
                 best = (d, y, yt)
     return best
+
+
+def row_loop_scan(params, grid):
+    """no_tangency_scan as a loop over rows that evaluates every cell: the
+    reference the bracketed scan must equal bit for bit."""
+    dm = consts(params.k).delta_minus
+    half = grid // 2
+    ys = [dm * j / (half - 1) for j in range(half)]
+    ys += [1.0 - y for y in ys]
+    x = np.arange(grid) / grid
+    best = math.inf
+    best_y = best_yt = 0.0
+    for y in ys:
+        yt = (y - x) % 1.0
+        d = residual_angle(y, yt, params)
+        i = int(np.argmin(d))
+        if d[i] < best:
+            best, best_y, best_yt = float(d[i]), y, float(yt[i])
+    return NoTangencyReport(params.k, grid, best, best_y, best_yt)
+
+
+def scan_pairs(n, seed, grids=(64, 256)):
+    """(k, grid) pairs: k log-uniform on [0.06, 1e4], after four k next to
+    where delta^- (k ~ 0.0583) and delta^+ (k ~ 0.2174) appear; grids
+    uniform, odd ones included."""
+    rng = random.Random(seed)
+    ks = [0.06, 0.2, 0.2174, 0.22] + [math.exp(rng.uniform(math.log(0.06), math.log(1e4))) for _ in range(n - 4)]
+    return [(k, rng.randrange(*grids)) for k in ks]
+
+
+def scan_infimum(k):
+    """Infimum of the residual over the tangency-free strips where delta^+ exists,
+    in mpmath: pi/6 + atan2(4K + 2, 2K^2 + 2K - 1)/2 with K = 2 pi k, reached
+    at y = 0 against ytilde = delta^+ (where the backward field is pi/6)."""
+    with mpmath.workdps(30):
+        big_k = 2 * mpmath.pi * mpmath.mpf(k)
+        return +(mpmath.pi / 6 + mpmath.atan2(4 * big_k + 2, 2 * big_k**2 + 2 * big_k - 1) / 2)
+
+
+def mp_residual(y, ytilde, k):
+    """The residual angle of one cell, from the two field formulas in mpmath."""
+    with mpmath.workdps(30):
+        two_pi_k = 2 * mpmath.pi * mpmath.mpf(k)
+        p, q = two_pi_k * mpmath.cos(2 * mpmath.pi * y), two_pi_k * mpmath.cos(2 * mpmath.pi * ytilde)
+        forward = mpmath.pi + mpmath.atan2(-(4 * p + 2), 2 * p * p + 2 * p - 1) / 2
+        backward = mpmath.pi / 2 + mpmath.atan2(-2 * (q * q + q + 1), 2 * q + 1) / 2
+        d = (forward - backward) % mpmath.pi
+        return min(d, mpmath.pi - d)
+
+
+def full_array_refined(y, ytilde, params):
+    """_refined with every step on the whole arrays: the reference for the
+    polish that evaluates only the samples still active."""
+    b = backward_angle(ytilde, params) % math.pi
+
+    def diff(yy):
+        d = (forward_angle(yy, params) % math.pi - b) % math.pi
+        return np.where(d > math.pi / 2.0, d - math.pi, d)
+
+    h = 1e-9
+    active = np.ones(np.shape(y), dtype=bool)
+    for _ in range(3):
+        d0 = diff(y)
+        slope = (diff(y + h) - d0) / h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -d0 / slope
+        active &= (np.abs(d0) >= 1e-13) & (slope != 0.0) & (np.abs(step) <= 1e-6)
+        y = np.where(active, y + step, y)
+    return y, residual_angle(y, ytilde, params)
+
+
+def counting(monkeypatch, name):
+    """Replace tangency.<name> by a wrapper that counts the elements passed to it."""
+    seen = [0]
+    inner = getattr(tangency, name)
+
+    def counted(coord, params):
+        seen[0] += np.size(coord)
+        return inner(coord, params)
+
+    monkeypatch.setattr(tangency, name, counted)
+    return seen
 
 
 def reference_refine(y, ytilde, params):
@@ -240,6 +326,30 @@ class TestTangencyCurve:
                 assert abs(upper[i] - reference_refine(hi, yt, params)) <= 1e-12
                 assert res_lower[i] == pytest.approx(residual_angle(float(lower[i]), yt, params), abs=1e-15)
 
+    @pytest.mark.parametrize("k", [0.5, 0.6, 3.0, 20.0, 150.0, 200.0, 1e4, MAX_CURVE_K])
+    def test_polish_equals_full_array_steps(self, k):
+        # At k = 150 some samples stay active after the first step (a tenth of
+        # the lower curve, two thirds of the upper), so both paths run.
+        params = MapParams(k)
+        for n in (16, 1000, 4096):
+            ytilde, lower, upper = tangency_curve(params, n)
+            lo, hi, _ = tangency._select(ytilde, params, consts(k))
+            for got, start in ((lower, lo), (upper, hi)):
+                want = full_array_refined(start, ytilde, params)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (k, n)
+        c = consts(k)
+        ytilde = np.array([0.0, c.delta_minus, c.delta_star, c.delta_plus, 0.5])
+        want = full_array_refined(tangency._select(ytilde, params, c)[0], ytilde, params)
+        assert [(tp.y, tp.residual) for tp in tangency_landmarks(params)[:5]] == list(zip(*(w.tolist() for w in want)))
+
+    @pytest.mark.parametrize("k", [0.6, 3.0, 20.0])
+    def test_polish_stops_when_no_sample_moves(self, monkeypatch, k):
+        # One check and its slope, then the final residual: 3 evaluations a
+        # sample (7 with every step on the whole arrays).
+        seen = counting(monkeypatch, "forward_angle")
+        tangency_curve(MapParams(k), 4096)
+        assert seen[0] <= 2 * 3.1 * 4096
+
     @pytest.mark.parametrize("k", [0.35, 0.4, 0.45, 0.48, 0.49])
     def test_partly_defined_k_range(self, k):
         # Below k ~ 0.4931 delta_hat_T^+ is undefined, yet the selector finds
@@ -355,6 +465,76 @@ class TestNoTangencyScan:
                     theta_field(rep.at_y, MapParams(k), "forward").theta,
                     theta_field(rep.at_ytilde, MapParams(k), "backward").theta,
                 ) == pytest.approx(rep.min_angle, abs=1e-15)
+
+    def test_equals_the_row_loop_bit_for_bit(self):
+        # 300 seeded pairs, a few of them on large grids.
+        pairs = scan_pairs(296, seed=19) + scan_pairs(8, seed=20, grids=(1024, 2048))[4:]
+        for k, grid in pairs:
+            params = MapParams(k)
+            assert no_tangency_scan(params, grid) == row_loop_scan(params, grid), (k, grid)
+
+    def test_evaluates_o_grid_cells(self, monkeypatch):
+        seen = counting(monkeypatch, "backward_angle")
+        for k, grid in ((0.1, 64), (2.0, 256), (10.0, 1024), (137.0, 2047)):
+            seen[0] = 0
+            no_tangency_scan(MapParams(k), grid)
+            assert 0 < seen[0] <= 32 * grid, (k, grid, seen[0])
+
+
+class TestScanOracle:
+    """The scan against the mathematics, not against another scan: the ranges
+    of the two fields on the strips, and the exact infimum of the residual."""
+
+    #: delta^+ exists, and the backward field reaches pi/6, from k = (1 + sqrt 3)/(4 pi) ~ 0.217409 on.
+    K_PLUS = (1.0 + SQRT3) / (4.0 * math.pi)
+    KS = (0.2175, 0.35, 0.6, 2.0, 10.0, 137.0, 1e4)
+
+    def test_backward_range_is_pi6_to_pi3(self):
+        lo, hi = float(mpmath.pi / 6), float(mpmath.pi / 3)
+        for k in self.KS + (0.06, 0.2, 0.2174):
+            params = MapParams(k)
+            b = backward_angle(np.linspace(0.0, 1.0, 200_001), params) % math.pi
+            assert lo - 1e-15 <= b.min() and b.max() <= hi + 1e-15, k
+            if k >= self.K_PLUS:
+                c = consts(k)
+                assert backward_angle(c.delta_plus, params) == pytest.approx(lo, abs=1e-9)
+                assert backward_angle(c.delta_minus, params) == pytest.approx(hi, abs=1e-9)
+        # The turning values in mpmath: at psi_c = (sqrt 3 - 1)/2 and -(1 + sqrt 3)/2.
+        with mpmath.workdps(40):
+            for q, want in (((mpmath.sqrt(3) - 1) / 2, mpmath.pi / 3), (-(1 + mpmath.sqrt(3)) / 2, mpmath.pi / 6)):
+                got = mpmath.pi / 2 + mpmath.atan2(-2 * (q * q + q + 1), 2 * q + 1) / 2
+                assert mpmath.almosteq(got, want, 1e-35)
+
+    def test_forward_falls_to_3pi4_on_the_strip(self):
+        for k in self.KS + (0.06, 0.2, 0.2174):
+            params = MapParams(k)
+            dm = consts(k).delta_minus
+            assert forward_angle(dm, params) % math.pi == pytest.approx(3 * math.pi / 4, abs=1e-12 * max(1.0, k))
+            f = forward_angle(np.linspace(0.0, dm, 100_001), params) % math.pi
+            assert np.all(np.diff(f) <= 0.0) and f[0] < math.pi, k
+            g = forward_angle(1.0 - np.linspace(0.0, dm, 100_001), params) % math.pi
+            assert np.all(np.diff(g) <= 0.0) and g[0] < math.pi, k
+
+    def test_minimum_between_infimum_and_nearest_cell(self):
+        # Every scan lies at or above the infimum.  The row y = 0 holds the
+        # column nearest to ytilde = delta^+, so no scan lies above that cell
+        # by more than the rounding of the float fields (up to 4e-16 seen).
+        rng = random.Random(23)
+        for _ in range(60):
+            k = math.exp(rng.uniform(math.log(self.K_PLUS), math.log(1e4)))
+            grid = rng.randrange(64, 4097)
+            rep = no_tangency_scan(MapParams(k), grid)
+            dp = consts(k).delta_plus
+            j = math.floor(-dp * grid)
+            near = min(((0.0 - (i % grid) / grid) % 1.0 for i in range(j - 1, j + 3)), key=lambda yt: abs(yt - dp))
+            assert rep.min_angle >= scan_infimum(k), (k, grid)
+            assert rep.min_angle <= mp_residual(0.0, near, k) + 2e-15, (k, grid)
+
+    @pytest.mark.parametrize("k", [0.35, 0.6, 2.0, 5.0])
+    def test_fine_scan_reaches_the_infimum(self, k):
+        # Where one column moves psi_c near delta^+ by at most 4 pi^2 k / grid
+        # = 0.05, the grid-4096 minimum lies within 1e-4 of the infimum.
+        assert float(no_tangency_scan(MapParams(k), 4096).min_angle - scan_infimum(k)) < 1e-4
 
 
 class TestResidualAngle:
