@@ -174,8 +174,6 @@ def _refined(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> tuple[np.n
     each step evaluates only the samples still active, and the loop ends
     when none are.  Every sample sees the same elementwise operations on
     the same values as in a full-array step, so the result is the same.
-    While more than half are active the step runs on the whole arrays,
-    where gathering them would cost more than it saves.
     """
     y = np.array(y, dtype=float)
     b = backward_angle(ytilde, params) % math.pi
@@ -185,20 +183,18 @@ def _refined(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> tuple[np.n
         return np.where(d > math.pi / 2.0, d - math.pi, d)
 
     h = 1e-9
-    active = np.ones(np.shape(y), dtype=bool)
+    at = np.arange(y.size)  # the active samples
     for _ in range(3):
-        n = np.count_nonzero(active)
-        if n == 0:
+        if at.size == 0:
             break
-        at = slice(None) if 2 * n > active.size else np.flatnonzero(active)
         yy, bb = y[at], b[at]
         d0 = diff(yy, bb)
         slope = (diff(yy + h, bb) - d0) / h
         with np.errstate(divide="ignore", invalid="ignore"):
             step = -d0 / slope
-        ok = active[at] & (np.abs(d0) >= 1e-13) & (slope != 0.0) & (np.abs(step) <= 1e-6)
-        active[at] = ok
-        y[at] = np.where(ok, yy + step, yy)
+        ok = (np.abs(d0) >= 1e-13) & (slope != 0.0) & (np.abs(step) <= 1e-6)
+        at = at[ok]
+        y[at] = yy[ok] + step[ok]
     return y, residual_angle(y, ytilde, params)
 
 

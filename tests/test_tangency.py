@@ -329,7 +329,8 @@ class TestTangencyCurve:
     @pytest.mark.parametrize("k", [0.5, 0.6, 3.0, 20.0, 150.0, 200.0, 1e4, MAX_CURVE_K])
     def test_polish_equals_full_array_steps(self, k):
         # At k = 150 some samples stay active after the first step (a tenth of
-        # the lower curve, two thirds of the upper), so both paths run.
+        # the lower curve, two thirds of the upper), and at k >= 1e4 most run
+        # all three steps.
         params = MapParams(k)
         for n in (16, 1000, 4096):
             ytilde, lower, upper = tangency_curve(params, n)
