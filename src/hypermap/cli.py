@@ -23,8 +23,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__, svgrender
-from .coordinates import (backward_angle, critical_constants, forward_angle, phi, phi_inverse, phi_prime, phi_tilde,
-                          theta_field)
+from .coordinates import (backward_angle, critical_constants, forward_angle, mod_pi, phi, phi_inverse, phi_prime,
+                          phi_tilde, theta_field)
 from .foliations import LEAF_FIELDS, MAX_VERTICES, Leaf, closed_leaves, trace_leaf
 from .hyperbolicity import delta_strip, push_vector, verify_cones
 from .oracle import svd2
@@ -219,8 +219,8 @@ def _cmd_constants(cfg: RunConfig, params: MapParams) -> int:
 def _field_columns(coord: np.ndarray, params: MapParams, time: str) -> tuple[np.ndarray, np.ndarray]:
     """phi (phitilde backward) and the contracted angle in [0, pi) at each coordinate."""
     if time == "forward":
-        return phi(coord, params), forward_angle(coord, params) % math.pi
-    return phi_tilde(coord, params), backward_angle(coord, params) % math.pi
+        return phi(coord, params), mod_pi(forward_angle(coord, params))
+    return phi_tilde(coord, params), mod_pi(backward_angle(coord, params))
 
 
 def _cmd_field(cfg: RunConfig, params: MapParams, time: str) -> int:

@@ -176,10 +176,10 @@ def psi(y: Coord, params: MapParams, kind: Literal["cos", "sin"] = "cos") -> Coo
     if kind != "cos" and kind != "sin":
         raise ParameterError("kind", f"must be 'cos' or 'sin', got {kind!r}")
     arg = TWO_PI * y
-    try:  # math rejects arrays, which take the numpy path
-        t = math.cos(arg) if kind == "cos" else math.sin(arg)
-    except TypeError:
+    if type(y) is not float and isinstance(y, np.ndarray) and y.ndim:  # floats stop at the cheaper type() test
         t = np.cos(arg) if kind == "cos" else np.sin(arg)
+    else:
+        t = math.cos(arg) if kind == "cos" else math.sin(arg)
     return TWO_PI * params.k * t
 
 

@@ -41,6 +41,19 @@ values.  Let F = forward angle mod pi and B = backward angle mod pi.
   and one more on each for rounding, about 24 cells a row.
 - Ties go to the first row, then to the smallest column, as in a loop over
   rows that evaluates every cell; the scan equals that loop bit for bit.
+- The loop takes F from math's atan2 and cos, row by row; the scan takes F
+  for every row from numpy's, which may differ by an ulp (at most 4.4e-16
+  mod pi on the rows of 300 seeded scans) and so move a row's least cell
+  by under 1e-15.  The loop's row therefore lies within twice that of the
+  least row minimum under numpy, and the scan evaluates again with math
+  every row within 1e-12 of it (a row and its mirror about y = 1/2, which
+  tie to a few ulps, in all but one of those scans) and reports from them.
+
+Angles and torus offsets are reduced mod pi and mod 1 with the masked forms
+of ``coordinates``, which equal np.remainder bit for bit on the ranges their
+operands lie in: ``mod_pi`` for a forward angle in [pi/2, 3 pi/2] or a
+backward angle in [0, pi], ``gap_mod_pi`` for a difference of two angles
+in [0, pi), and ``mod_one`` for a torus offset y - ytilde in [-1, 1].
 
 Where delta^+ exists the infimum of the residual over the strips is
 pi/6 + atan2(4K + 2, 2K^2 + 2K - 1)/2 with K = 2 pi k, approached at
@@ -55,8 +68,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coordinates import (CriticalConstants, backward_angle, critical_constants, forward_angle, phi_inverse_branch,
-                          phi_tilde)
+from .coordinates import (CriticalConstants, backward_angle, critical_constants, forward_angle, gap_mod_pi, mod_one,
+                          mod_pi, phi_inverse_branch, phi_tilde)
 from .stdmap import Coord, MapParams, ParameterError
 
 #: Cushion used for interval membership at delta-boundaries.
@@ -74,6 +87,11 @@ MAX_CURVE_K = 2e6
 #: field, relative to the column floor((y - turn) grid) whose ytilde lies just
 #: above it: the nearest column on each side, and one more for rounding.
 _BRACKET = np.arange(-1, 3)
+
+#: no_tangency_scan evaluates again with math the rows whose least cell, with
+#: the forward angle from numpy, lies within this of the least one.  Numpy moves
+#: a row's least cell by under 1e-15 (module docstring).
+_RECHECK = 1e-12
 
 
 class TangencySelectionError(ParameterError):
@@ -110,19 +128,23 @@ class NoTangencyReport:
 
 def residual_angle(y: Coord, ytilde: Coord, params: MapParams) -> Coord:
     """Angle between the forward field at y and the backward field at ytilde."""
-    return _angle_gap(forward_angle(y, params) % math.pi, backward_angle(ytilde, params) % math.pi)
+    return _angle_gap(mod_pi(forward_angle(y, params)), mod_pi(backward_angle(ytilde, params)))
 
 
 def _angle_gap(forward: Coord, backward: Coord) -> Coord:
     """Distance mod pi between two canonical angles in [0, pi)."""
-    d = (forward - backward) % math.pi
+    d = gap_mod_pi(forward - backward)
     return np.minimum(d, math.pi - d) if isinstance(d, np.ndarray) else min(d, math.pi - d)
 
 
-def _select(ytilde: Coord, params: MapParams, consts: CriticalConstants):
-    """Gamma at ytilde in [0, 1) as (lower, upper, ok); ok is False, and both NaN,
-    where the larger root of phi^{-1} in [0, 1/2] leaves its region: [delta^-,
-    delta^+] where |ytilde - 1/2| >= 1/2 - delta^*, else [delta^+, 1/2]."""
+#: The signs of the two quadratic branches of phi^{-1}, one row each.
+_BRANCHES = np.array([[1.0], [-1.0]])
+
+
+def _select(ytilde: np.ndarray, params: MapParams, consts: CriticalConstants):
+    """Gamma at each ytilde in [0, 1) as (lower, upper, ok); ok is False, and both
+    NaN, where the larger root of phi^{-1} in [0, 1/2] leaves its region:
+    [delta^-, delta^+] where |ytilde - 1/2| >= 1/2 - delta^*, else [delta^+, 1/2]."""
     dm, ds, dp = consts.delta_minus, consts.delta_star, consts.delta_plus
     if dm is None or ds is None or dp is None:
         raise TangencySelectionError("k", f"{params.k:g}: strip constants undefined below k = 0.2174")
@@ -133,7 +155,7 @@ def _select(ytilde: Coord, params: MapParams, consts: CriticalConstants):
     at_asymptote = (abs(ytilde - ds) <= _EDGE_TOL) | (abs(ytilde - (1.0 - ds)) <= _EDGE_TOL)
     outer = (ytilde <= ds) | (ytilde >= 1.0 - ds)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lower = np.fmax(*(phi_inverse_branch(phi_tilde(ytilde, params), sign, params) for sign in (1.0, -1.0)))
+        lower = np.fmax(*phi_inverse_branch(phi_tilde(ytilde, params), _BRANCHES, params))
     lo, hi = np.where(outer, dm, dp), np.where(outer, dp, 0.5)
     ok = at_asymptote | ((lower >= lo - _EDGE_TOL) & (lower <= hi + _EDGE_TOL))
     lower = np.where(at_asymptote, dp, lower)
@@ -149,10 +171,10 @@ def gamma(ytilde: float, params: MapParams) -> tuple[float, float]:
     delta^+ and 1 - delta^+.  Returns (lower, upper) with lower < upper.
     """
     ytilde %= 1.0
-    lower, upper, ok = _select(ytilde, params, critical_constants(params))
-    if not ok:
+    lower, upper, ok = _select(np.array([ytilde]), params, critical_constants(params))
+    if not ok[0]:
         raise _no_heights(ytilde, params)
-    return float(lower), float(upper)
+    return float(lower[0]), float(upper[0])
 
 
 def _no_heights(ytilde: float, params: MapParams) -> TangencySelectionError:
@@ -161,8 +183,9 @@ def _no_heights(ytilde: float, params: MapParams) -> TangencySelectionError:
                                        f"k = {params.k}")
 
 
-def _refined(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> tuple[np.ndarray, np.ndarray]:
-    """Polished heights and their residual angles.
+def _refined(y: np.ndarray, b: np.ndarray, params: MapParams) -> tuple[np.ndarray, np.ndarray]:
+    """Polished heights against the canonical backward angles b, and their
+    residual angles.
 
     Up to 3 secant steps on the field-angle difference along y.  The
     closed-form roots are already accurate; this kills the last of the
@@ -171,31 +194,34 @@ def _refined(y: np.ndarray, ytilde: np.ndarray, params: MapParams) -> tuple[np.n
 
     A sample leaves the iteration at its first failed check (difference
     under 1e-13, zero slope or a step over 1e-6) and never re-enters, so
-    each step evaluates only the samples still active, and the loop ends
-    when none are.  Every sample sees the same elementwise operations on
-    the same values as in a full-array step, so the result is the same.
+    each step evaluates only the samples still active, at y and y + h in one
+    call, and the loop ends when none are.  The residual reuses the forward
+    angle a sample had at its last check; only the samples that moved in
+    the last step are evaluated again.  Every sample sees the same
+    elementwise operations on the same values as in a full-array step, so
+    the result is the same.
     """
     y = np.array(y, dtype=float)
-    b = backward_angle(ytilde, params) % math.pi
-
-    def diff(yy: np.ndarray, bb: np.ndarray) -> np.ndarray:
-        d = (forward_angle(yy, params) % math.pi - bb) % math.pi
-        return np.where(d > math.pi / 2.0, d - math.pi, d)
-
+    f = np.empty_like(y)  # the canonical forward angle at y, once a sample has stopped
     h = 1e-9
     at = np.arange(y.size)  # the active samples
     for _ in range(3):
         if at.size == 0:
             break
         yy, bb = y[at], b[at]
-        d0 = diff(yy, bb)
-        slope = (diff(yy + h, bb) - d0) / h
+        fh = mod_pi(forward_angle(np.concatenate([yy, yy + h]), params)).reshape(2, -1)  # at y and y + h
+        d = gap_mod_pi(fh - bb)
+        d0, d1 = np.where(d > math.pi / 2.0, d - math.pi, d)
+        slope = (d1 - d0) / h
         with np.errstate(divide="ignore", invalid="ignore"):
             step = -d0 / slope
         ok = (np.abs(d0) >= 1e-13) & (slope != 0.0) & (np.abs(step) <= 1e-6)
+        f[at] = fh[0]
         at = at[ok]
         y[at] = yy[ok] + step[ok]
-    return y, residual_angle(y, ytilde, params)
+    if at.size:
+        f[at] = mod_pi(forward_angle(y[at], params))
+    return y, _angle_gap(f, b)
 
 
 def tangency_curve(
@@ -213,12 +239,14 @@ def tangency_curve(
     lower, upper, ok = _select(ytilde, params, critical_constants(params))
     if not ok.all():
         raise _no_heights(ytilde[~ok][0], params)
-    return ytilde, _refined(lower, ytilde, params), _refined(upper, ytilde, params)
+    b = mod_pi(backward_angle(ytilde, params))
+    y, res = _refined(np.concatenate([lower, upper]), np.concatenate([b, b]), params)
+    return ytilde, (y[:n_samples], res[:n_samples]), (y[n_samples:], res[n_samples:])
 
 
 def torus_x(ytilde: Coord, y: Coord) -> Coord:
     """Torus x-coordinate of the tangency point (ytilde, y): (y - ytilde) mod 1."""
-    return (y - ytilde) % 1.0
+    return mod_one(y - ytilde)
 
 
 def tangency_landmarks(params: MapParams) -> list[Optional[TangencyPoint]]:
@@ -242,7 +270,7 @@ def tangency_landmarks(params: MapParams) -> list[Optional[TangencyPoint]]:
         lower, _, ok = _select(ytilde, params, c)
     except TangencySelectionError:
         return [None] * len(ytilde)
-    y, res = _refined(lower, ytilde, params)
+    y, res = _refined(lower, mod_pi(backward_angle(ytilde, params)), params)
     return [TangencyPoint(*point) if good else None
             for *point, good in zip(ytilde.tolist(), y.tolist(), res.tolist(), ok.tolist())]
 
@@ -257,8 +285,12 @@ def no_tangency_scan(params: MapParams, grid: int) -> NoTangencyReport:
 
     Only the cells next to a turning point of the backward field are
     evaluated, about 24 a row; the module docstring shows why the minimum
-    lies among them.  Ties go to the first row, then to the smallest column,
-    so the report equals that of a loop over every cell bit for bit.
+    lies among them.  The forward angle of every row comes from one numpy
+    call.  The rows whose least cell lies within 1e-12 of the least one
+    (the loop's row lies within 2e-15 of it) are evaluated again with math,
+    and the report comes from them.  Ties go to the first row, then to the
+    smallest column, so the report equals that of a loop over every cell
+    with math's forward angle bit for bit.
     """
     if grid < 64:
         raise ParameterError("grid", f"must be >= 64, got {grid}")
@@ -267,15 +299,18 @@ def no_tangency_scan(params: MapParams, grid: int) -> NoTangencyReport:
     if dm is None:
         raise ParameterError("k", f"{params.k:g}: delta^- is undefined below k = (sqrt(3) - 1)/(4 pi)")
     half = grid // 2
-    ys = [dm * j / (half - 1) for j in range(half)]
-    ys += [1.0 - y for y in ys]
+    low = dm * np.arange(half) / (half - 1)
+    y = np.concatenate([low, 1.0 - low])
     turns = [0.0, dm, 0.5, 1.0 - dm] + ([] if c.delta_plus is None else [c.delta_plus, 1.0 - c.delta_plus])
-    y = np.array(ys)
     near = np.floor(np.subtract.outer(y, turns) * grid).astype(np.int64)
-    cols = np.sort((near[:, :, None] + _BRACKET).reshape(len(ys), -1) % grid, axis=1)
-    yt = (y[:, None] - cols / grid) % 1.0
-    # math.atan2 row by row, not numpy's arctan2, which may differ in the last ulp
-    forward = np.array([forward_angle(v, params) % math.pi for v in ys])
-    d = _angle_gap(forward[:, None], backward_angle(yt, params) % math.pi)
-    i = int(np.argmin(d))  # row-major: first row, then smallest column
-    return NoTangencyReport(params.k, grid, float(d.flat[i]), ys[i // cols.shape[1]], float(yt.flat[i]))
+    cols = (near[:, :, None] + _BRACKET).reshape(y.size, -1) % grid
+    yt = mod_one(y[:, None] - cols / grid)
+    b = mod_pi(backward_angle(yt, params))
+    least = _angle_gap(mod_pi(forward_angle(y, params))[:, None], b).min(axis=1)
+    rows = np.flatnonzero(least <= least.min() + _RECHECK)
+    # Those rows again with math.atan2, as a loop over rows evaluates them.
+    d = _angle_gap(np.array([mod_pi(forward_angle(v, params)) for v in y[rows].tolist()])[:, None], b[rows])
+    # Among the cells at the minimum: the first row, then the smallest column.
+    key = np.where(d == d.min(), cols[rows] + grid * np.arange(rows.size)[:, None], grid * rows.size)
+    i, j = divmod(int(np.argmin(key)), d.shape[1])
+    return NoTangencyReport(params.k, grid, float(d[i, j]), float(y[rows[i]]), float(yt[rows[i], j]))

@@ -15,7 +15,10 @@ from hypermap.coordinates import (
     backward_angle,
     critical_constants,
     forward_angle,
+    gap_mod_pi,
     hyperbolic_frame,
+    mod_one,
+    mod_pi,
     phi,
     phi_parts,
     phi_prime,
@@ -175,11 +178,82 @@ class TestFloatOrArray:
                 want = np.array([fn(y, p) for y in ys.tolist()])
                 assert np.max(np.abs(got - want)) <= 1e-15
 
+    def test_scalars_take_the_math_path(self):
+        # Numpy scalars and 0-d arrays give the float result bit for bit.
+        p = MapParams(3.0)
+        for y in self._ys(3.0)[:200].tolist():
+            for fn in (forward_angle, backward_angle, psi):
+                want = fn(y, p)
+                assert fn(np.float64(y), p) == want and fn(np.array(y), p) == want
+
     def test_array_ratio_signed_infinity(self):
         from hypermap.coordinates import extended_ratio
 
         got = extended_ratio(np.array([1.0, -2.0, 3.0]), np.array([0.0, 0.0, 2.0]))
         assert got.tolist() == [math.inf, -math.inf, 1.5]
+
+
+def same_bits(got, want):
+    """Equal float64 arrays, sign bits included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def ulps_around(x, n=3):
+    """x and the n floats on each side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestReductions:
+    """The masked reductions equal np.remainder bit for bit on their domains."""
+
+    N = 10**6
+    PI = math.pi
+
+    def check(self, fn, period, values):
+        values = np.array(values, dtype=float)
+        assert same_bits(fn(values), np.remainder(values, period))
+        for v in values[:1000].tolist():  # floats give the bits of Python's %
+            got = fn(v)
+            assert isinstance(got, float) and same_bits(got, v % period)
+
+    def test_mod_pi_on_zero_to_two_pi(self):
+        rng = np.random.default_rng(51)
+        two_pi = 2.0 * self.PI
+        ends = [0.0, math.nextafter(two_pi, 0.0), math.nextafter(math.nextafter(two_pi, 0.0), 0.0)]
+        ends += ulps_around(self.PI / 2) + ulps_around(self.PI) + ulps_around(1.5 * self.PI)
+        self.check(mod_pi, self.PI, ends)
+        self.check(mod_pi, self.PI, rng.uniform(0.0, two_pi, self.N))
+        # The lifted angles themselves: forward in [pi/2, 3 pi/2], backward in [0, pi].
+        ys = rng.random(self.N // 4)
+        for k in (0.6, 137.0):
+            self.check(mod_pi, self.PI, forward_angle(ys, MapParams(k)))
+            self.check(mod_pi, self.PI, backward_angle(ys, MapParams(k)))
+
+    def test_gap_mod_pi_on_minus_pi_to_pi(self):
+        rng = np.random.default_rng(52)
+        inside = [math.nextafter(-self.PI, 0.0), math.nextafter(self.PI, 0.0)]
+        ends = [0.0, -0.0, 5e-324, -5e-324] + inside + ulps_around(self.PI / 2) + ulps_around(-self.PI / 2)
+        self.check(gap_mod_pi, self.PI, ends)
+        assert math.copysign(1.0, gap_mod_pi(np.array([-0.0, 1.0]))[0]) == 1.0
+        self.check(gap_mod_pi, self.PI, rng.uniform(-self.PI, self.PI, self.N))
+        # Differences of canonical angles in [0, pi).
+        a, b = (mod_pi(rng.uniform(0.0, 2.0 * self.PI, self.N)) for _ in range(2))
+        self.check(gap_mod_pi, self.PI, a - b)
+
+    def test_mod_one_on_minus_one_to_one(self):
+        rng = np.random.default_rng(53)
+        ends = [1.0, -1.0, 0.0, -0.0, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 2.0**-60, -(2.0**-60), -5e-324]
+        self.check(mod_one, 1.0, ends)
+        assert same_bits(mod_one(np.array([1.0, -1.0])), [0.0, 0.0])
+        self.check(mod_one, 1.0, rng.uniform(-1.0, 1.0, self.N))
+        # Differences of a height in [0, 1] and a column in [0, 1).
+        self.check(mod_one, 1.0, rng.random(self.N) - rng.integers(0, 2048, self.N) / 2048)
 
 
 class TestPhi:
