@@ -120,9 +120,9 @@ def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object
     with ``_g`` and everything else with ``str``.  An integer column that
     repeats few values, such as a leaf's segment numbers, is cheapest
     passed as bytes made from its distinct values.  The matrices and the
-    ``,``/newline columns between them are joined side by side and their NUL
-    padding dropped with one mask, in blocks of ``_CSV_BLOCK`` rows so that
-    the work space stays small.
+    ``,``/newline columns between them are joined side by side by
+    ``numfmt.join``, which drops their NUL padding, in blocks of
+    ``_CSV_BLOCK`` rows so that the work space stays small.
     """
     from . import numfmt  # only CSV tables need the kernel; other subcommands skip its set-up
 
@@ -139,11 +139,9 @@ def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object
         comma = np.full((min(_CSV_BLOCK, n_rows - start), 1), ord(","), dtype=np.uint8)
         parts = []
         for kind, col in cells:
-            part = numfmt.g17(col[rows]) if kind == "f" else col[rows]
-            parts += [part.view(np.uint8).reshape(len(part), -1), comma]
+            parts += [numfmt.g17(col[rows]) if kind == "f" else col[rows], comma]
         parts[-1] = np.full_like(comma, ord("\n"))
-        block = np.hstack(parts)
-        chunks.append(block[block != 0].tobytes().decode("ascii"))
+        chunks.append(numfmt.join(parts))
     return "".join(chunks)
 
 

@@ -27,8 +27,8 @@ Two exact mapping facts hold at every point: horizontal vectors land on the
 slope-one diagonal, and at y = 1/4 or y = 3/4 (where psi_c = 0) the
 slope -1 diagonal lands on the horizontal.
 
-The sweep runs in the calling thread, one chunk of samples after another,
-each drawn from its own seed spawned from the root seed.  It is a
+The sweep runs in the calling thread, in batches of at most _CHUNK
+samples whose draws the seed fixes (see the last paragraphs).  It is a
 floating-point filter followed by exact refinement (after Shewchuk,
 Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
 Predicates, 1997).  The filter runs in numpy's float32 throughout.  Its
@@ -108,26 +108,40 @@ sigma = 4 e64 + 1e-14 of [1 - 1/(T_band - m), 1 + 1/T_band], well inside
 (1 - 1/m, 1 + 1/m).  Outside Delta^(m), |psi_c| <= T_band + e64 is two
 intervals of the height draw, each from one side of a strip to the other;
 widened by 1e-12, far above the rounding of a height, they are the band.
-Outside the strips the sweep draws every chunk as before but evaluates
-only the draws in the band, gathered in sweep order into batches of
-_CHUNK samples for the filter and the refinement.  No sample outside the
-band fails, so the counts and the failure records are those of the whole
-sweep, and so are its extrema when the band's least norm lies below m, its
-least slope below 1 - 1/(T_band - m) - sigma and its largest slope above
-1 + 1/T_band + sigma.  Otherwise, or where no sample fell in the band, the
-sweep runs again chunk by chunk.  The band holds the share
+
+A sweep outside the strips draws the band alone.  ``random()`` gives
+r = j 2^-53 with j uniform on [0, 2^53), so of n draws the number n_band
+in the band is Binomial(n, p), p the count of those grid points in
+[a1, b1] or [a2, b2] over 2^53, and given n_band they are independent and
+uniform on those points (binomial splitting: L. Devroye, Non-Uniform
+Random Variate Generation, 1986).  One generator made from the seed draws
+n_band, then in batches of _CHUNK an integer uniform on the band's grid
+points, which gives r, and the draws t for theta; each batch is filtered
+and refined with what is left of the record budget.  No sample outside
+the band fails, so the counts and the failure records are those of the
+whole sweep, and so are its extrema when the band's least norm lies below
+m, its least slope below 1 - 1/(T_band - m) - sigma and its largest slope
+above 1 + 1/T_band + sigma.  Otherwise, n_band = 0 included, the sweep
+completes the same realisation: the same generator draws the other
+n - n_band samples uniform on the grid points outside the band, and they
+are evaluated and merged in the same way.  A fresh sweep drawn instead
+would change the law of the report, by choosing sweeps for their extrema.
+So the report has the law of a sweep of n uniform draws, and it is
+bit-identical to an all-float64 evaluation of the samples drawn.  The band
+holds the share
 
     (asin(T/K) - asin(2m/K)) / (pi/2 - asin(2m/K))
 
-of the samples, 11 % at k = 60, m = 10.  Sweeps inside the strips, sweeps
-where T_band + e64 reaches K, sweeps the filter has no bounds for and
-sweeps expecting fewer than _BAND_MIN_SAMPLES samples in the band run
-chunk by chunk from the start.
+of the samples, 11 % at k = 60, m = 10.  Sweeps inside the strips and
+sweeps without a band (T_band + e64 reaches K, or e64 >= 1e-3, which keeps
+K far below where the filter has no bounds) draw every sample, each chunk
+from its own seed spawned from the root seed, as all sweeps once did.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -138,9 +152,9 @@ import numpy as np
 from .coordinates import psi_inverse, strip_pair_contains
 from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, map_forward, psi
 
-#: Samples are processed in fixed-size chunks, each drawn from its own seed
-#: spawned from the root seed: the chunks fix the sample stream, so a report
-#: depends only on its arguments, and they bound the work arrays.
+#: Samples are drawn and evaluated in batches of at most this many, which
+#: bounds the work arrays; a sweep without a band draws each full chunk from
+#: its own seed spawned from the root seed, so the chunks fix its stream.
 _CHUNK = 32768
 
 #: Failure records kept for replay; beyond this only the count grows.
@@ -162,12 +176,6 @@ _SLACK = 1.0 + 1e-12
 #: Largest K = 2 pi k at which the filter's float32 image and squared norm
 #: stay finite.
 _K32_MAX = 2.0**60
-
-#: A sweep expected to draw fewer samples than this in the band next to
-#: Delta^(m) runs chunk by chunk: its band would most often miss an extremum
-#: (in random sweeps, 45 % of those expecting 16-32 samples fell back, 19 %
-#: at 32-64 and 4 % at 64-128) and leave the whole sweep to run twice.
-_BAND_MIN_SAMPLES = 64
 
 #: Inside the strips the image is at most 1 + 2m long, and once E exceeds
 #: this share of m the filter leaves so many samples open (over 70 % at
@@ -226,8 +234,13 @@ class ConeReport:
             f"slope_min {self.slope_range[0]:.17g}",
             f"slope_max {self.slope_range[1]:.17g}",
         ]
-        for y, theta in self.failure_records:
-            lines.append(f"failure y={y:.17g} theta={theta:.17g}")
+        if self.failure_records:
+            from . import numfmt  # only reports with failures need the kernel
+
+            n = len(self.failure_records)
+            y, theta = np.fromiter(itertools.chain.from_iterable(self.failure_records), float, 2 * n).reshape(n, 2).T
+            label, sep, end = (np.full(n, text, dtype=f"S{len(text)}") for text in (b"failure y=", b" theta=", b"\n"))
+            lines.append(numfmt.join([label, numfmt.g17(y), sep, numfmt.g17(theta), end])[:-1])
         return "\n".join(lines)
 
 
@@ -313,17 +326,6 @@ class _Workspace(threading.local):
         self.f32 = np.empty((6, _CHUNK), dtype=np.float32)
         self.masks = np.empty((5, _CHUNK), dtype=bool)
         self.pieces = np.empty(_CHUNK, dtype=np.uint8)
-        self.band: Optional[np.ndarray] = None  # see band_buffer
-
-    def band_buffer(self) -> np.ndarray:
-        """The band's draws for the heights and for theta, gathered across chunks.
-
-        Made on a thread's first band sweep, so a process that never sweeps
-        does not carry it.
-        """
-        if self.band is None:
-            self.band = np.empty((2, _CHUNK))
-        return self.band
 
 
 _WORK = _Workspace()
@@ -623,7 +625,6 @@ class _Band(NamedTuple):
 
     psi_bound: float  # T_band: the certificate holds wherever |psi_c| >= T_band
     edges: tuple[float, float, float, float]  # the open draws r lie in [a1, b1] or [a2, b2]
-    share: float  # of the draws, (b1 - a1) + (b2 - a2)
     slope_lo: float
     slope_hi: float
 
@@ -661,68 +662,57 @@ def _band(k: float, m: int) -> Optional[_Band]:
     if not u_edges[1] < u_edges[2]:
         return None
     a1, b1, a2, b2 = (_least_draw(u, length) for u in u_edges)
-    return _Band(t_band, (a1, b1, a2, b2), (b1 - a1) + (b2 - a2), slope_lo, slope_hi)
+    return _Band(t_band, (a1, b1, a2, b2), slope_lo, slope_hi)
 
 
-def _band_draws(r: np.ndarray, edges: tuple[float, float, float, float]) -> np.ndarray:
-    """Indices of the draws r in [a1, b1] or [a2, b2]: those past an odd number of edges."""
-    count = len(r)
-    odd, past = _WORK.masks[:2, :count]
-    a1, b1, a2, b2 = edges
-    np.greater_equal(r, a1, out=odd)
-    odd ^= np.greater(r, b1, out=past)
-    odd ^= np.greater_equal(r, a2, out=past)
-    odd ^= np.greater(r, b2, out=past)
-    return np.flatnonzero(odd)
+#: ``random()`` draws r = j / _GRID with j uniform on [0, _GRID).
+_GRID = 2**53
+
+
+def _grid_draws(rng: np.random.Generator, spans: list[tuple[int, int]], count: int) -> np.ndarray:
+    """``count`` draws r = j / _GRID, j uniform on the closed integer spans [lo, hi].
+
+    The spans rise and an empty one has hi = lo - 1.  The result is a view
+    of this thread's work arrays.
+    """
+    r = _WORK.draws[:count]
+    np.copyto(r, rng.integers(sum(hi + 1 - lo for lo, hi in spans), size=count))  # exact below 2^53
+    r += spans[0][0]
+    for (_, hi), (lo, _) in zip(spans, spans[1:]):
+        r += (r > hi) * float(lo - hi - 1)  # past a span, skip the gap to the next
+    r *= 1.0 / _GRID
+    return r
 
 
 def _band_sweep(
-    chunks: list[tuple[np.random.SeedSequence, int]], params: MapParams, m: int, strip: StripSpec
-) -> Optional[list[_Part]]:
-    """The sweep outside Delta^(m) with only the band's samples evaluated.
-
-    Each chunk's band samples join a buffer of _CHUNK samples in sweep
-    order, and each full buffer is filtered and refined as one batch.
-    None where the band's extrema do not lie beyond what the certificate
-    allows the other samples, where no sample fell in the band, or where
-    fewer than _BAND_MIN_SAMPLES are expected there: the report then needs
-    the per-chunk sweep.
-    """
-    band = _band(params.k, m)
-    if band is None or sum(count for _, count in chunks) * band.share < _BAND_MIN_SAMPLES:
-        return None
+    rng: np.random.Generator, n: int, params: MapParams, m: int, strip: StripSpec, band: _Band
+) -> list[_Part]:
+    """The sweep outside Delta^(m) of the module docstring: the band's
+    Binomial(n, p) samples, then the rest of the same n only where the
+    band's extrema do not settle the report."""
     region = _region(strip, False)
-    buffer = _WORK.band_buffer()
+    lo1, hi1, lo2, hi2 = (f(e * _GRID) for f, e in zip((math.ceil, math.floor) * 2, band.edges))
+    n_band = int(rng.binomial(n, (hi1 + 1 - lo1 + hi2 + 1 - lo2) / _GRID))
     parts: list[_Part] = []
-    budget, filled = MAX_FAILURE_RECORDS, 0
+    budget = MAX_FAILURE_RECORDS
 
-    def flush() -> None:
-        nonlocal budget, filled
-        parts.append(_evaluate(buffer[0, :filled], buffer[1, :filled], params, m, region, False, budget))
-        budget -= len(parts[-1][6])
-        filled = 0
+    def sweep(spans: list[tuple[int, int]], count: int) -> None:
+        nonlocal budget
+        for at in range(0, count, _CHUNK):
+            size = min(_CHUNK, count - at)
+            r = _grid_draws(rng, spans, size)
+            t = rng.random(size, out=_WORK.draws[size : 2 * size])
+            parts.append(_evaluate(r, t, params, m, region, False, budget))
+            budget -= len(parts[-1][6])
 
-    for ss, count in chunks:
-        r, t = _draws(ss, count)
-        idx = _band_draws(r, band.edges)
-        at = 0
-        while at < len(idx):
-            take = min(len(idx) - at, _CHUNK - filled)
-            np.take(r, idx[at : at + take], out=buffer[0, filled : filled + take])
-            np.take(t, idx[at : at + take], out=buffer[1, filled : filled + take])
-            filled += take
-            at += take
-            if filled == _CHUNK:
-                flush()
-    if filled:
-        flush()
+    sweep([(lo1, hi1), (lo2, hi2)], n_band)
     if not (
         parts
         and min(p[3] for p in parts) < m
         and min(p[4] for p in parts) < band.slope_lo
         and max(p[5] for p in parts) > band.slope_hi
     ):
-        return None
+        sweep([(0, lo1 - 1), (hi1 + 1, lo2 - 1), (hi2 + 1, _GRID - 1)], n - n_band)
     return parts
 
 
@@ -741,28 +731,28 @@ def verify_cones(
     formula.  With ``inside_strip`` the hypothesis is deliberately violated
     to demonstrate the check can fail.
 
-    Sampling is partitioned into fixed chunks with seeds spawned from the
-    root seed, swept in order in the calling thread.  Outside the strips
-    only the samples in the band next to Delta^(m) are evaluated, unless
-    the band's extrema do not settle the report (see the module docstring);
-    the report is the same either way.  Each thread sweeps in its own work
-    arrays, so library callers may run sweeps from several threads at once.
+    Outside the strips only the band next to Delta^(m) is drawn, and the
+    other samples only where the band's extrema do not settle the report;
+    the other sweeps go chunk by chunk (see the module docstring).  The
+    report depends only on the arguments.  Each thread sweeps in its own
+    work arrays, so library callers may run sweeps from several threads at
+    once.
     """
     if n_samples < 1:
         raise ParameterError("n_samples", f"must be >= 1, got {n_samples}")
     if seed < 0:
         raise ParameterError("seed", f"must be >= 0, got {seed}")
     strip = delta_strip(m, params)
-    counts = [_CHUNK] * (n_samples // _CHUNK)
-    if n_samples % _CHUNK:
-        counts.append(n_samples % _CHUNK)
-    chunks = list(zip(np.random.SeedSequence(seed).spawn(len(counts)), counts))
-    parts = None
-    if not inside_strip and _filter_bounds(params.k, m, _TRIG32_ERR) is not None:
-        parts = _band_sweep(chunks, params, m, strip)
-    if parts is None:
+    root = np.random.SeedSequence(seed)
+    band = None if inside_strip else _band(params.k, m)
+    if band is not None:
+        parts = _band_sweep(np.random.default_rng(root), n_samples, params, m, strip, band)
+    else:
+        counts = [_CHUNK] * (n_samples // _CHUNK)
+        if n_samples % _CHUNK:
+            counts.append(n_samples % _CHUNK)
         parts, budget = [], MAX_FAILURE_RECORDS
-        for ss, cnt in chunks:
+        for ss, cnt in zip(root.spawn(len(counts)), counts):
             parts.append(_cone_chunk((ss, cnt, params, m, strip, inside_strip), budget))
             budget -= len(parts[-1][6])
     return ConeReport(

@@ -252,3 +252,14 @@ def _g17_block(v: np.ndarray, rows: np.ndarray) -> None:
     if len(slow):
         text = ["%.17g" % x for x in v[slow].tolist()]
         rows[slow] = np.array(text, dtype=f"S{WIDTH}").view("<u8").reshape(-1, 3)
+
+
+def join(columns: list[np.ndarray]) -> str:
+    """ASCII text of byte-matrix columns laid side by side, NUL bytes dropped.
+
+    Each column holds one row per line of text: a uint8 matrix such as
+    ``g17`` returns, or a bytes (``S``) array.  One mask drops the NULs of
+    every row at once.
+    """
+    block = np.hstack([col.view(np.uint8).reshape(len(col), -1) for col in columns])
+    return block[block != 0].tobytes().decode("ascii")

@@ -3,9 +3,10 @@
 ``reference_cone_chunk`` is ``hyperbolicity._cone_chunk`` as it was before
 the float32 filter: every sample evaluated with the float64 image formula.
 The filtered kernel must return the same chunk tuples, ``repr`` for
-``repr``, and ``verify_cones`` the report ``reference_report`` builds from
-them, whether it evaluates every chunk or only the band next to the
-strips, so that every report byte is unchanged.
+``repr``.  ``reference_report`` draws a sweep's samples as the module
+docstring documents, chunk by chunk or the band alone and its completion,
+evaluates every sample drawn in float64, and ``verify_cones`` must return
+that report, ``repr`` for ``repr`` and byte for byte.
 """
 
 import math
@@ -22,31 +23,33 @@ from hypermap.hyperbolicity import (MAX_FAILURE_RECORDS, ConeReport, StripSpec, 
                                    verify_cones)
 from hypermap.stdmap import MapParams
 
+_Part = tuple[int, int, int, float, float, float, list[tuple[float, float]]]
 
-def reference_cone_chunk(
-    args: tuple[np.random.SeedSequence, int, MapParams, int, StripSpec, bool],
-) -> tuple[int, int, int, float, float, float, list[tuple[float, float]]]:
-    seed_seq, count, params, m, strip, inside = args
-    rng = np.random.default_rng(seed_seq)
+
+def reference_heights_of_draws(r: np.ndarray, strip: StripSpec, inside: bool) -> np.ndarray:
+    """The heights y of draws r in [0, 1), uniform over the sampled region."""
     d_m, d_nm = strip.delta_m, strip.delta_neg_m
     if inside:
         # Uniform over the two closed strips.
         width = d_nm - d_m
-        u = rng.random(count) * (2.0 * width)
-        y = np.where(u < width, d_m + u, 1.0 - d_nm + (u - width))
-    else:
-        # Uniform over the open complement [0,dm) u (dnm, 1-dnm) u (1-dm, 1).
-        l1 = d_m
-        l2 = 1.0 - 2.0 * d_nm
-        u = rng.random(count) * (2.0 * l1 + l2)
-        y = np.where(
-            u < l1,
-            u,
-            np.where(u < l1 + l2, d_nm + (u - l1), (1.0 - d_m) + (u - l1 - l2)),
-        )
-    lo, hi = math.atan(1.0 / m), math.atan(m)
-    theta = lo + rng.random(count) * (hi - lo)
+        u = r * (2.0 * width)
+        return np.where(u < width, d_m + u, 1.0 - d_nm + (u - width))
+    # Uniform over the open complement [0,dm) u (dnm, 1-dnm) u (1-dm, 1).
+    l1 = d_m
+    l2 = 1.0 - 2.0 * d_nm
+    u = r * (2.0 * l1 + l2)
+    return np.where(
+        u < l1,
+        u,
+        np.where(u < l1 + l2, d_nm + (u - l1), (1.0 - d_m) + (u - l1 - l2)),
+    )
 
+
+def reference_part(r: np.ndarray, t: np.ndarray, params: MapParams, m: int, strip: StripSpec, inside: bool) -> _Part:
+    """Counts, extrema and first failure records of the samples with draws r and t, all in float64."""
+    y = reference_heights_of_draws(r, strip, inside)
+    lo, hi = math.atan(1.0 / m), math.atan(m)
+    theta = lo + t * (hi - lo)
     ix, iy = _image(psi(y, params), np.cos(theta), np.sin(theta))
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = iy / ix
@@ -64,6 +67,13 @@ def reference_cone_chunk(
         float(np.nanmax(slope)),
         records,
     )
+
+
+def reference_cone_chunk(args: tuple[np.random.SeedSequence, int, MapParams, int, StripSpec, bool]) -> _Part:
+    seed_seq, count, params, m, strip, inside = args
+    rng = np.random.default_rng(seed_seq)
+    r = rng.random(count)
+    return reference_part(r, rng.random(count), params, m, strip, inside)
 
 
 MS = (2, 3, 5, 10, 50)
@@ -109,14 +119,69 @@ def test_chunks_on_many_threads_equal_the_reference():
     assert [repr(g[:7]) for g in got] == [repr(w) for w in want * 2]
 
 
-def reference_report(params: MapParams, m: int, n: int, seed: int, inside: bool) -> ConeReport:
-    """The report of an all-float64 sweep: ``reference_cone_chunk`` over every chunk."""
-    counts = [hyperbolicity._CHUNK] * (n // hyperbolicity._CHUNK)
-    if n % hyperbolicity._CHUNK:
-        counts.append(n % hyperbolicity._CHUNK)
+def reference_grid_draws(rng: np.random.Generator, spans, count: int) -> np.ndarray:
+    """Draws r = j 2^-53, j uniform on the closed integer spans [lo, hi] (an empty one has hi = lo - 1)."""
+    sizes = np.array([hi + 1 - lo for lo, hi in spans])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    i = rng.integers(int(sizes.sum()), size=count)
+    span = np.searchsorted(starts, i, side="right") - 1  # past any empty span
+    return (np.array([lo for lo, _ in spans])[span] + (i - starts[span])) * 2.0**-53
+
+
+def band_settles(parts: list[_Part], m: int, band) -> tuple[bool, bool, bool]:
+    """Whether the parts' min_norm, slope_min and slope_max each lie beyond
+    what the certificate allows the samples outside the band."""
+    if not parts:
+        return False, False, False
+    return (min(p[3] for p in parts) < m, min(p[4] for p in parts) < band.slope_lo,
+            max(p[5] for p in parts) > band.slope_hi)
+
+
+def reference_band_sweep(params: MapParams, m: int, n: int, seed: int) -> tuple[list[_Part], list[_Part]]:
+    """The band's batches and, unless they settle all three extrema, the completion's.
+
+    Binomial(n, p) band samples, p the band's share of the 2^53 grid
+    points, from one generator made from the seed, in batches of _CHUNK
+    (an index, then theta's draws); then the other samples, uniform on the
+    grid points outside the band, from the same generator.
+    """
     strip = delta_strip(m, params)
-    parts = [reference_cone_chunk((ss, count, params, m, strip, inside))
-             for ss, count in zip(np.random.SeedSequence(seed).spawn(len(counts)), counts)]
+    chunk, grid = hyperbolicity._CHUNK, 2**53
+    band = hyperbolicity._band(params.k, m)
+    a1, b1, a2, b2 = band.edges
+    lo1, hi1, lo2, hi2 = math.ceil(a1 * grid), math.floor(b1 * grid), math.ceil(a2 * grid), math.floor(b2 * grid)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n_band = int(rng.binomial(n, (hi1 - lo1 + 1 + hi2 - lo2 + 1) / grid))
+
+    def draw(spans, count: int) -> list[_Part]:
+        batches = []
+        for at in range(0, count, chunk):
+            size = min(chunk, count - at)
+            r = reference_grid_draws(rng, spans, size)
+            batches.append(reference_part(r, rng.random(size), params, m, strip, False))
+        return batches
+
+    parts = draw([(lo1, hi1), (lo2, hi2)], n_band)
+    if all(band_settles(parts, m, band)):
+        return parts, []
+    return parts, draw([(0, lo1 - 1), (hi1 + 1, lo2 - 1), (hi2 + 1, grid - 1)], n - n_band)
+
+
+def reference_report(params: MapParams, m: int, n: int, seed: int, inside: bool) -> ConeReport:
+    """The report of the documented sample stream, every sample drawn evaluated in float64.
+
+    Without a band, ``reference_cone_chunk`` over chunks seeded by
+    ``SeedSequence(seed).spawn``; with one, ``reference_band_sweep``.
+    """
+    if inside or hyperbolicity._band(params.k, m) is None:
+        chunk = hyperbolicity._CHUNK
+        counts = [chunk] * (n // chunk) + ([n % chunk] if n % chunk else [])
+        strip = delta_strip(m, params)
+        parts = [reference_cone_chunk((ss, count, params, m, strip, inside))
+                 for ss, count in zip(np.random.SeedSequence(seed).spawn(len(counts)), counts)]
+    else:
+        band_parts, completion = reference_band_sweep(params, m, n, seed)
+        parts = band_parts + completion
     return ConeReport(
         k=params.k,
         m=m,
@@ -133,13 +198,25 @@ def reference_report(params: MapParams, m: int, n: int, seed: int, inside: bool)
 
 
 def assert_same_report(got: ConeReport, want: ConeReport) -> None:
-    assert got.to_text() == want.to_text()
+    """Equal text and repr; a mismatch names its first line, not a diff of two long texts."""
+    got_lines, want_lines = got.to_text().split("\n"), want.to_text().split("\n")
+    if got_lines != want_lines:
+        at = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+                  min(len(got_lines), len(want_lines)))
+
+        def counts(rep: ConeReport) -> str:
+            return (f"failures {rep.failures} (slope {rep.slope_failures}, norm {rep.norm_failures}), "
+                    f"{len(rep.failure_records)} records")
+
+        pytest.fail(f"reports differ first at line {at + 1}: got {got_lines[at:at + 1]}, want "
+                    f"{want_lines[at:at + 1]}; got {counts(got)}, want {counts(want)}", pytrace=False)
     assert repr(got) == repr(want)
 
 
-#: The last four sweeps add the benchmark's range (5 <= k <= 200,
+#: The last five sweeps add the benchmark's range (5 <= k <= 200,
 #: m in {2, 3, 5, 10}) at one chunk, one chunk and a sample, and 10^6
-#: samples.
+#: samples; in the last, over 1000 failures spread over several batches of
+#: the band, so the record budget passes from batch to batch.
 SWEEPS = [
     (MapParams(2.1), 2, 100_000, 3, False),
     (MapParams(25.0), 5, 150_000, 42, False),
@@ -149,6 +226,7 @@ SWEEPS = [
     (MapParams(60.0), 10, 32_769, 21, False),
     (MapParams(143.0), 2, 1_000_000, 5, False),
     (MapParams(88.0), 5, 1_000_000, 13, False),
+    (MapParams(7.0), 3, 1_000_000, 9, False),
 ]
 BAND_SWEEPS = [s for s in SWEEPS if 5.0 <= s[0].k <= 200.0 and not s[4]]
 
@@ -158,21 +236,36 @@ def test_reports_equal_the_reference(sweep):
     assert_same_report(verify_cones(*sweep), reference_report(*sweep))
 
 
+def drawn_samples(monkeypatch) -> list[int]:
+    """The number of samples of each batch ``verify_cones`` evaluates from now on."""
+    evaluate, sizes = hyperbolicity._evaluate, []
+
+    def counted(r, *args):
+        sizes.append(len(r))
+        return evaluate(r, *args)
+
+    monkeypatch.setattr(hyperbolicity, "_evaluate", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("sweep", BAND_SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
 def test_benchmark_sweeps_need_no_chunk_by_chunk_sweep(monkeypatch, sweep):
-    # These sweeps are settled by the band alone, so the reference test
-    # above compares the band path, not the fallback, with the reference.
-    def no_fallback(args, budget):
-        raise AssertionError("the sweep fell back to the chunk-by-chunk path")
+    # These sweeps are settled by the band alone: they neither go chunk by
+    # chunk nor draw the completion, so the reference test above compares
+    # the band's stream with the reference.
+    def no_chunks(args, budget):
+        raise AssertionError("the sweep went chunk by chunk")
 
     want = verify_cones(*sweep)
-    monkeypatch.setattr(hyperbolicity, "_cone_chunk", no_fallback)
+    monkeypatch.setattr(hyperbolicity, "_cone_chunk", no_chunks)
+    sizes = drawn_samples(monkeypatch)
     assert_same_report(verify_cones(*sweep), want)
+    assert 0 < sum(sizes) < 0.5 * sweep[2]
 
 
 def test_band_sweeps_on_many_threads_equal_the_reference():
-    # Each thread gathers its band in its own buffer across chunks; more
-    # threads than cores and a short switch interval interleave the sweeps.
+    # Each thread draws its band into its own work arrays; more threads than
+    # cores and a short switch interval interleave the sweeps.
     jobs = [s for s in BAND_SWEEPS if s[2] <= 200_000] * 3
     want = {s: reference_report(*s) for s in jobs}
     interval = sys.getswitchinterval()
@@ -188,54 +281,57 @@ def test_band_sweeps_on_many_threads_equal_the_reference():
 
 #: Sweeps whose band misses one extremum of the whole sweep: min_norm,
 #: slope_min and slope_max in this order.  In each, only the check on that
-#: extremum sends the sweep back to the chunk-by-chunk path.  They expect
-#: fewer than _BAND_MIN_SAMPLES samples in the band, so the test lets them
-#: try the band first.
+#: extremum sends the sweep on to draw its completion.  Found by a seeded
+#: search over sweeps at m in {2, 3, 5, 10}, k log-uniform in
+#: [max(5, 1.01 m), 200] and n log-uniform in [100, 5 10^4], keeping the
+#: fewest samples for each extremum.
 FALLBACK_SWEEPS = [
-    (MapParams(152.98259095834024), 5, 3145, 880091738, False),
-    (MapParams(162.383228743755), 10, 64, 1542798978, False),
-    (MapParams(127.29869621691708), 2, 2113, 2081748800, False),
+    (MapParams(45.21283178708826), 5, 100, 1404550663, False),
+    (MapParams(36.04193650230176), 5, 130, 1434631563, False),
+    (MapParams(7.992549865077319), 2, 101, 332037904, False),
 ]
 
 
-@pytest.mark.parametrize("sweep", FALLBACK_SWEEPS, ids=["min_norm", "slope_min", "slope_max"])
-def test_sweeps_whose_band_misses_an_extremum_equal_the_reference(monkeypatch, sweep):
-    monkeypatch.setattr(hyperbolicity, "_BAND_MIN_SAMPLES", 0)
+@pytest.mark.parametrize("which", range(3), ids=["min_norm", "slope_min", "slope_max"])
+def test_sweeps_whose_band_misses_an_extremum_equal_the_reference(monkeypatch, which):
+    sweep = FALLBACK_SWEEPS[which]
+    band_parts, completion = reference_band_sweep(*sweep[:4])
+    band = hyperbolicity._band(sweep[0].k, sweep[1])
+    assert band_settles(band_parts, sweep[1], band) == tuple(i != which for i in range(3))
+    sizes = drawn_samples(monkeypatch)
     assert_same_report(verify_cones(*sweep), reference_report(*sweep))
+    assert sum(sizes) == sweep[2]  # the band and its completion
 
 
 def test_random_sweeps_equal_the_reference(monkeypatch):
-    # Sweeps the band settles and sweeps that run chunk by chunk (few
-    # samples, T_band beyond K, inside the strips, a band that misses an
-    # extremum), each against the all-float64 reference.
-    chunk_by_chunk = hyperbolicity._cone_chunk
-    fell_back = []
-
-    def counted(args, budget):
-        fell_back.append(args)
-        return chunk_by_chunk(args, budget)
-
-    monkeypatch.setattr(hyperbolicity, "_cone_chunk", counted)
+    # Sweeps the band settles, sweeps whose band is completed and sweeps
+    # that run chunk by chunk (T_band beyond K, inside the strips), each
+    # against the all-float64 reference.
+    sizes = drawn_samples(monkeypatch)
     rng = np.random.default_rng(18)
-    paths = {False: 0, True: 0}
+    paths = {"band": 0, "completed": 0, "chunks": 0}
     for _ in range(150):
         m = int(rng.choice(MS))
         k = math.exp(rng.uniform(math.log(1.01 * m), math.log(1e4 if rng.random() < 0.5 else max(200.0, 2 * m))))
         n = int(math.exp(rng.uniform(0.0, math.log(3e5))))
         sweep = (MapParams(k), m, n, int(rng.integers(2**31)), bool(rng.random() < 0.1))
-        fell_back.clear()
+        sizes.clear()
         assert_same_report(verify_cones(*sweep), reference_report(*sweep))
-        paths[bool(fell_back)] += 1
-    assert paths[False] >= 30 and paths[True] >= 30, paths
+        if sweep[4] or hyperbolicity._band(k, m) is None:
+            paths["chunks"] += 1
+        else:
+            paths["completed" if sum(sizes) == n else "band"] += 1
+    assert min(paths.values()) >= 30, paths
 
 
 @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
 def test_refining_every_sample_changes_nothing(monkeypatch, sweep):
     filtered = verify_cones(*sweep)
     monkeypatch.setattr(hyperbolicity, "_TRIG32_ERR", 1e300)
+    sizes = drawn_samples(monkeypatch)
     exact = verify_cones(*sweep)
-    assert exact.refined == sweep[2] > filtered.refined
-    assert exact.to_text() == filtered.to_text()
+    assert exact.refined == sum(sizes) > filtered.refined
+    assert_same_report(exact, filtered)
 
 
 def _float32_neighbours(points, steps: int = 64) -> np.ndarray:

@@ -23,6 +23,7 @@ from hypermap.hyperbolicity import (
     verify_cones,
 )
 from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi
+from test_cone_reference import assert_same_report, drawn_samples, reference_report
 
 
 class TestDeltaStrip:
@@ -194,8 +195,8 @@ class TestVerifyCones:
     @pytest.mark.parametrize("m", [2, 3, 5, 10])
     def test_filter_sees_little_more_than_the_band(self, monkeypatch, m):
         # Outside the strips only the band next to Delta^(m) reaches the
-        # filter.  A band that silently falls back to the chunk-by-chunk
-        # sweep fails here instead of only running slow.
+        # filter.  A sweep that silently draws its completion or goes chunk
+        # by chunk fails here instead of only running slow.
         seen = []
         evaluate = hyperbolicity._filter
 
@@ -214,17 +215,13 @@ class TestVerifyCones:
             verify_cones(MapParams(k), m, n, seed=m)
             assert 0 < sum(seen) <= 1.5 * measure * n, (k, sum(seen), measure)
 
-    def test_sweeps_expecting_few_band_samples_skip_the_band(self, monkeypatch):
+    def test_a_band_too_small_to_settle_is_completed(self, monkeypatch):
         # 1000 samples at k = 50, m = 3 expect ~4 in the band: too few to
-        # settle the extrema, so the sweep goes chunk by chunk at once.
-        def no_band(r, edges):
-            raise AssertionError("the sweep selected band draws")
-
-        want = verify_cones(MapParams(50.0), 3, 1000, seed=4)
-        monkeypatch.setattr(hyperbolicity, "_band_draws", no_band)
-        assert verify_cones(MapParams(50.0), 3, 1000, seed=4) == want
-        with pytest.raises(AssertionError, match="band draws"):
-            verify_cones(MapParams(50.0), 3, 100_000, seed=4)
+        # settle the extrema, so the sweep draws its other samples too.
+        sweep = (MapParams(50.0), 3, 1000, 4, False)
+        sizes = drawn_samples(monkeypatch)
+        assert_same_report(verify_cones(*sweep), reference_report(*sweep))
+        assert len(sizes) == 2 and 0 < sizes[0] < 20 and sum(sizes) == 1000, sizes
 
     def test_refined_count_stays_out_of_the_report(self):
         rep = verify_cones(MapParams(25.0), 5, 50_000, seed=42)

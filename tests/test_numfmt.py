@@ -1,8 +1,8 @@
-"""``numfmt.g17`` and ``cli._csv`` against Python's per-number ``%.17g``.
+"""``numfmt.g17``, ``cli._csv`` and ``ConeReport.to_text`` against Python's per-number ``%.17g``.
 
 Every row of ``g17``, with its NUL bytes dropped, must be exactly
 ``"%.17g" % v``; ``_csv`` must give the bytes of the per-cell render that
-``reference_csv`` keeps.
+``reference_csv`` keeps, and ``to_text`` the text of one f-string a line.
 """
 
 import math
@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermap import cli, numfmt
+from hypermap.hyperbolicity import ConeReport, verify_cones
+from hypermap.stdmap import MapParams
 from test_render_reference import reference_csv
 
 
@@ -165,3 +167,47 @@ class TestCsv:
     def test_mixed_table_matches_per_cell_render(self, n):
         columns = self.table(n)
         assert cli._csv(self.CFG, self.NAMES, columns) == self.reference(columns)
+
+
+def reference_text(rep: ConeReport) -> str:
+    """``ConeReport.to_text`` with every line an f-string, as it was before ``g17``."""
+    lines = [
+        f"k {rep.k:.17g}",
+        f"m {rep.m}",
+        f"samples {rep.samples}",
+        f"seed {rep.seed}",
+        f"region {'inside' if rep.inside_strip else 'outside'} Delta^(m)",
+        f"failures {rep.failures}",
+        f"slope_failures {rep.slope_failures}",
+        f"norm_failures {rep.norm_failures}",
+        f"min_norm {rep.min_norm:.17g}",
+        f"slope_min {rep.slope_range[0]:.17g}",
+        f"slope_max {rep.slope_range[1]:.17g}",
+    ]
+    for y, theta in rep.failure_records:
+        lines.append(f"failure y={y:.17g} theta={theta:.17g}")
+    return "\n".join(lines)
+
+
+class TestConeReportText:
+    """``ConeReport.to_text`` formats its failure records through ``g17`` and ``join``."""
+
+    @pytest.mark.parametrize("sweep, records", [
+        ((MapParams(100.0), 2, 20_000, 1, False), 0),
+        ((MapParams(100.0), 2, 20_000, 13, False), 1),
+        ((MapParams(25.0), 2, 10_000, 42, True), 1000),
+    ])
+    def test_sweeps_match_the_f_string_text(self, sweep, records):
+        rep = verify_cones(*sweep)
+        assert len(rep.failure_records) == records
+        assert rep.to_text() == reference_text(rep)
+
+    def test_values_outside_the_fast_path_match(self):
+        tiny = float(np.finfo(np.float64).smallest_subnormal)
+        values = [0.0, -0.0, tiny, -tiny, 3 * tiny, 2.2250738585072009e-308, 1e-300, -1e-300, 1e300, -1e300,
+                  0.25, 1e-30, 1e30, math.inf, -math.inf, math.nan]
+        for n in (1, 2, len(values)):
+            rep = ConeReport(k=1e300, m=2, samples=n, failures=n, slope_failures=0, norm_failures=n,
+                             min_norm=tiny, slope_range=(-1e-300, 1e300), seed=0, inside_strip=True,
+                             failure_records=tuple(zip(values[:n], values[::-1][:n])))
+            assert rep.to_text() == reference_text(rep)
