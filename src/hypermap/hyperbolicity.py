@@ -28,7 +28,7 @@ slope-one diagonal, and at y = 1/4 or y = 3/4 (where psi_c = 0) the
 slope -1 diagonal lands on the horizontal.
 
 The sweep runs in the calling thread, in batches of at most _CHUNK
-samples whose draws the seed fixes (see the last paragraphs).  It is a
+samples drawn from one seeded stream (see the last paragraphs).  It is a
 floating-point filter followed by exact refinement (after Shewchuk,
 Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
 Predicates, 1997).  The filter runs in numpy's float32 throughout.  Its
@@ -106,36 +106,45 @@ least m, the 1e-9 covering the rounding of theta's range, and since |ix|
 exceeds m / sqrt(2) there, the float64 slope lies within
 sigma = 4 e64 + 1e-14 of [1 - 1/(T_band - m), 1 + 1/T_band], well inside
 (1 - 1/m, 1 + 1/m).  Outside Delta^(m), |psi_c| <= T_band + e64 is two
-intervals of the height draw, each from one side of a strip to the other;
-widened by 1e-12, far above the rounding of a height, they are the band.
+intervals of y, each from one side of a strip to the other; widened by
+1e-12, far above the rounding of their ends, their grid points outside
+Delta^(m) (below) are the band.
 
-A sweep outside the strips draws the band alone.  ``random()`` gives
-r = j 2^-53 with j uniform on [0, 2^53), so of n draws the number n_band
-in the band is Binomial(n, p), p the count of those grid points in
-[a1, b1] or [a2, b2] over 2^53, and given n_band they are independent and
-uniform on those points (binomial splitting: L. Devroye, Non-Uniform
-Random Variate Generation, 1986).  One generator made from the seed draws
-n_band, then in batches of _CHUNK an integer uniform on the band's grid
-points, which gives r, and the draws t for theta; each batch is filtered
-and refined with what is left of the record budget.  No sample outside
-the band fails, so the counts and the failure records are those of the
-whole sweep, and so are its extrema when the band's least norm lies below
-m, its least slope below 1 - 1/(T_band - m) - sigma and its largest slope
-above 1 + 1/T_band + sigma.  Otherwise, n_band = 0 included, the sweep
-completes the same realisation: the same generator draws the other
-n - n_band samples uniform on the grid points outside the band, and they
-are evaluated and merged in the same way.  A fresh sweep drawn instead
-would change the law of the report, by choosing sweeps for their extrema.
-So the report has the law of a sweep of n uniform draws, and it is
-bit-identical to an all-float64 evaluation of the samples drawn.  The band
-holds the share
+Every sweep draws its heights as grid points y = j 2^-53 of [0, 1), the
+points ``random()`` draws from.  The sampled region is a list of closed
+spans of j.  Outside Delta^(m) they are the j with j 2^-53 < delta^(m),
+delta^(-m) < j 2^-53 < 1 - delta^(-m) or j 2^-53 > 1 - delta^(m); inside,
+the j of the two closed strips.  They come from the floats that
+StripSpec.contains compares, scaled by 2^53, which is exact, so a height is
+drawn exactly when contains puts it in the region.  One generator made from
+the seed draws, in batches of _CHUNK, an integer j uniform on the region's
+spans and then the draws t for theta; each batch is filtered and refined
+with what is left of the record budget.
+
+A sweep outside the strips draws the band alone.  Of n heights uniform on
+the region's grid points, the number n_band in the band is Binomial(n, p),
+p the band's share of those points, and given n_band they are independent
+and uniform on the band's points (binomial splitting: L. Devroye,
+Non-Uniform Random Variate Generation, 1986).  So the generator draws
+n_band first, then the band's samples.  No sample outside the band fails,
+so the counts and the failure records are those of the whole sweep, and so
+are its extrema when the band's least norm lies below m, its least slope
+below 1 - 1/(T_band - m) - sigma and its largest slope above
+1 + 1/T_band + sigma.  Otherwise, n_band = 0 included, the sweep completes
+the same realisation: the same generator draws the other n - n_band samples
+uniform on the region's grid points outside the band, and they are
+evaluated and merged in the same way.  A fresh sweep drawn instead would
+change the law of the report, by choosing sweeps for their extrema.  So the
+report has the law of a sweep of n heights uniform on the region's grid
+points, and it is bit-identical to an all-float64 evaluation of the samples
+drawn.  The band holds the share
 
     (asin(T/K) - asin(2m/K)) / (pi/2 - asin(2m/K))
 
 of the samples, 11 % at k = 60, m = 10.  Sweeps inside the strips and
 sweeps without a band (T_band + e64 reaches K, or e64 >= 1e-3, which keeps
-K far below where the filter has no bounds) draw every sample, each chunk
-from its own seed spawned from the root seed, as all sweeps once did.
+K far below where the filter has no bounds) draw all n samples on the
+region's spans.
 """
 
 from __future__ import annotations
@@ -153,8 +162,7 @@ from .coordinates import psi_inverse, strip_pair_contains
 from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, map_forward, psi
 
 #: Samples are drawn and evaluated in batches of at most this many, which
-#: bounds the work arrays; a sweep without a band draws each full chunk from
-#: its own seed spawned from the root seed, so the chunks fix its stream.
+#: bounds the work arrays.
 _CHUNK = 32768
 
 #: Failure records kept for replay; beyond this only the count grows.
@@ -287,58 +295,16 @@ def _image(p: Coord, c: Coord, s: Coord) -> tuple[Coord, Coord]:
     return c + p * s, c + (1.0 + p) * s
 
 
-def _region(strip: StripSpec, inside: bool) -> tuple[float, list[tuple[float, float, float]]]:
-    """Total length of the sampled y region and its pieces.
-
-    A draw u, uniform on [0, length), lands in the last piece (base, s1, s2)
-    with u >= s1 + s2, at y = base + ((u - s1) - s2).
-    """
-    d_m, d_nm = strip.delta_m, strip.delta_neg_m
-    if inside:
-        # Uniform over the two closed strips.
-        width = d_nm - d_m
-        return 2.0 * width, [(d_m, 0.0, 0.0), (1.0 - d_nm, width, 0.0)]
-    # Uniform over the open complement [0,dm) u (dnm, 1-dnm) u (1-dm, 1).
-    l1 = d_m
-    l2 = 1.0 - 2.0 * d_nm
-    return 2.0 * l1 + l2, [(0.0, 0.0, 0.0), (d_nm, l1, 0.0), (1.0 - d_m, l1, l2)]
-
-
-def _heights(u: np.ndarray, pieces: list[tuple[float, float, float]]) -> np.ndarray:
-    """The heights y of draws u, each computed as the sweep always has.
-
-    The pieces' bounds s1 + s2 rise from 0, so the last piece a draw
-    reaches is the number of later bounds it reaches.
-    """
-    j = np.zeros(len(u), dtype=np.uint8)
-    for _, s1, s2 in pieces[1:]:
-        j += u >= s1 + s2
-    base, s1, s2 = (np.array(c).take(j) for c in zip(*pieces))
-    return base + ((u - s1) - s2)
-
-
 class _Workspace(threading.local):
     """One thread's work arrays for a chunk, reused so no chunk maps fresh pages."""
 
     def __init__(self) -> None:
-        self.draws = np.empty(2 * _CHUNK)  # the draws for the heights, then those for theta
-        self.f64 = np.empty(_CHUNK)
+        self.draws = np.empty(2 * _CHUNK)  # the heights, then the draws for theta
         self.f32 = np.empty((6, _CHUNK), dtype=np.float32)
         self.masks = np.empty((5, _CHUNK), dtype=bool)
-        self.pieces = np.empty(_CHUNK, dtype=np.uint8)
 
 
 _WORK = _Workspace()
-
-
-def _least_draw(bound: float, length: float) -> float:
-    """The least draw r with r * length >= bound in float64, as _heights compares."""
-    r = bound / length
-    while r * length < bound:
-        r = math.nextafter(r, math.inf)
-    while math.nextafter(r, -math.inf) * length >= bound:
-        r = math.nextafter(r, -math.inf)
-    return r
 
 
 @np.errstate(over="ignore")  # beyond the float32 range the result is infinite
@@ -432,39 +398,16 @@ def _filter_bounds(k: float, m: int, eps: float) -> Optional[_Bounds]:
 
 
 def _image32(
-    r: np.ndarray,
-    t: np.ndarray,
-    region: tuple[float, list[tuple[float, float, float]]],
-    theta_range: tuple[float, float],
-    bounds: _Bounds,
+    y: np.ndarray, t: np.ndarray, theta_range: tuple[float, float], bounds: _Bounds
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The filter's float32 sin theta, ix, |ix|, q = ix^2 + iy^2 and d = |ix| - m sin theta.
 
-    ``r`` and ``t`` are the raw draws for the heights and for theta.  The
-    results are views of this thread's work arrays.
+    ``y`` are the heights and ``t`` the draws for theta.  The results are
+    views of this thread's work arrays.
     """
-    count = len(r)
-    y = _WORK.f64[:count]
+    count = len(y)
     cy, ct, st, ix, q, d = _WORK.f32[:, :count]
-    more, other = _WORK.masks[:2, :count]
-
-    # u = r length lies in piece j after j piece bounds, and the pieces'
-    # offsets are evenly spaced: y = length (r + (off_0 + j step) / length)
-    # up to float64 rounding.
-    length, pieces = region
-    offsets = [base - s1 - s2 for base, s1, s2 in pieces]
-    step = (offsets[-1] - offsets[0]) / (len(offsets) - 1)
-    np.greater_equal(r, _least_draw(pieces[1][1] + pieces[1][2], length), out=more)
-    j = more.view(np.uint8)
-    for _, s1, s2 in pieces[2:]:
-        np.greater_equal(r, _least_draw(s1 + s2, length), out=other)
-        j = np.add(j, other.view(np.uint8), out=_WORK.pieces[:count])
-    np.copyto(y, j)
-    y *= step / length
-    y += r
-    if offsets[0]:
-        y += offsets[0] / length
-    np.multiply(y, TWO_PI * length, out=cy, casting="same_kind")
+    np.multiply(y, TWO_PI, out=cy, casting="same_kind")
     np.cos(cy, out=cy)
     lo, hi = theta_range
     np.copyto(st, t, casting="same_kind")
@@ -491,19 +434,15 @@ def _image32(
 
 @np.errstate(all="ignore")  # the filter decides nothing from a non-finite value
 def _filter(
-    r: np.ndarray,
-    t: np.ndarray,
-    region: tuple[float, list[tuple[float, float, float]]],
-    theta_range: tuple[float, float],
-    bounds: _Bounds,
+    y: np.ndarray, t: np.ndarray, theta_range: tuple[float, float], bounds: _Bounds
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slope and norm verdicts of the float32 image, and what to refine.
 
     Returns (slope_bad, norm_bad, refine); the verdicts are certified
     wherever ``refine`` is False.
     """
-    st, ix, ax, q, d = _image32(r, t, region, theta_range, bounds)
-    count = len(r)
+    st, ix, ax, q, d = _image32(y, t, theta_range, bounds)
+    count = len(y)
     sure, more, slope_ok, norm_ok, refine = _WORK.masks[:, :count]
     b = bounds
     np.greater(d, b.slope_ok, out=slope_ok)
@@ -542,52 +481,26 @@ def _filter(
     return np.invert(slope_ok, out=slope_ok), np.invert(norm_ok, out=norm_ok), refine
 
 
-#: One chunk's or batch's counts (failures, slope, norm), extrema (min_norm,
+#: One batch's counts (failures, slope, norm), extrema (min_norm,
 #: slope_min, slope_max), first failure records and refined count.
 _Part = tuple[int, int, int, float, float, float, list[tuple[float, float]], int]
 
 
-def _draws(seed_seq: np.random.SeedSequence, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's draws for the heights and for theta, views of this thread's work arrays."""
-    draws = _WORK.draws[: 2 * count]
-    np.random.default_rng(seed_seq).random(2 * count, out=draws)  # the same stream as two calls of count draws
-    return draws[:count], draws[count:]
-
-
-def _cone_chunk(
-    args: tuple[np.random.SeedSequence, int, MapParams, int, StripSpec, bool],
-    budget: int = MAX_FAILURE_RECORDS,
-) -> _Part:
-    """One chunk's counts, extrema, first ``budget`` failure records and refined count."""
-    seed_seq, count, params, m, strip, inside = args
-    r, t = _draws(seed_seq, count)
-    return _evaluate(r, t, params, m, _region(strip, inside), inside, budget)
-
-
-def _evaluate(
-    r: np.ndarray,
-    t: np.ndarray,
-    params: MapParams,
-    m: int,
-    region: tuple[float, list[tuple[float, float, float]]],
-    inside: bool,
-    budget: int,
-) -> _Part:
-    """The part of the samples with draws ``r`` and ``t``: filtered, then refined in float64."""
-    count = len(r)
-    length, pieces = region
+def _evaluate(y: np.ndarray, t: np.ndarray, params: MapParams, m: int, inside: bool, budget: int) -> _Part:
+    """The part of the samples at heights ``y`` with theta's draws ``t``:
+    filtered, then refined in float64, with the first ``budget`` failure records."""
+    count = len(y)
     lo, hi = math.atan(1.0 / m), math.atan(m)
     bounds = _filter_bounds(params.k, m, _TRIG32_ERR)
     if bounds is None or (inside and bounds.e > _INSIDE_E_SHARE * m):
         idx = np.arange(count)  # the filter would leave most samples open
     else:
-        slope_bad, norm_bad, refine = _filter(r, t, region, (lo, hi), bounds)
+        slope_bad, norm_bad, refine = _filter(y, t, (lo, hi), bounds)
         idx = np.flatnonzero(refine)
 
     # Exact float64 evaluation of the samples the filter leaves open.
-    y = _heights(r[idx] * length, pieces)
     theta = lo + t[idx] * (hi - lo)
-    ix, iy = _image(psi(y, params), np.cos(theta), np.sin(theta))
+    ix, iy = _image(psi(y[idx], params), np.cos(theta), np.sin(theta))
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = iy / ix
     norm = np.hypot(ix, iy)
@@ -602,8 +515,7 @@ def _evaluate(
     records: list[tuple[float, float]] = []
     if budget > 0:
         first = np.flatnonzero(bad)[:budget]
-        y_first, theta_first = _heights(r[first] * length, pieces), lo + t[first] * (hi - lo)
-        records = list(zip(y_first.tolist(), theta_first.tolist()))
+        records = list(zip(y[first].tolist(), (lo + t[first] * (hi - lo)).tolist()))
     return (
         int(np.count_nonzero(bad)),
         int(np.count_nonzero(slope_bad)),
@@ -616,15 +528,36 @@ def _evaluate(
     )
 
 
+#: Heights are drawn as y = j / _GRID, j an integer in [0, _GRID), the
+#: points ``random()`` draws from.
+_GRID = 2**53
+
+#: Closed spans [lo, hi] of grid indices j, rising; an empty one has hi = lo - 1.
+_Spans = list[tuple[int, int]]
+
+
+def _spans(lo: float, hi: float) -> tuple[_Spans, _Spans]:
+    """The grid points j of [lo, hi] u [1 - hi, 1 - lo], compared as
+    strip_pair_contains compares y = j / _GRID, and the grid points outside.
+
+    Scaling a float by 2^53 is exact, so j lies in a span exactly when its
+    height lies in the span's interval.
+    """
+    pair = [(math.ceil(a * _GRID), math.floor(b * _GRID)) for a, b in ((lo, hi), (1.0 - hi, 1.0 - lo))]
+    ends = [(-1, -1), *pair, (_GRID, _GRID)]
+    return pair, [(a + 1, b - 1) for (_, a), (b, _) in zip(ends, ends[1:])]
+
+
 class _Band(NamedTuple):
-    """The draws the far-region certificate leaves open for one (k, m).
+    """The heights the far-region certificate leaves open for one (k, m).
 
     Every other sample has a float64 norm of at least m and a float64 slope
     in [slope_lo, slope_hi].
     """
 
     psi_bound: float  # T_band: the certificate holds wherever |psi_c| >= T_band
-    edges: tuple[float, float, float, float]  # the open draws r lie in [a1, b1] or [a2, b2]
+    spans: _Spans  # the band: the grid points outside Delta^(m) where |psi_c| <= T_band + e64, widened
+    rest: _Spans  # the grid points outside Delta^(m) and the band
     slope_lo: float
     slope_hi: float
 
@@ -646,74 +579,29 @@ def _band(k: float, m: int) -> Optional[_Band]:
         return None
     params = MapParams(k)
     strip = delta_strip(m, params)
-    length, pieces = _region(strip, False)
     # psi_c = +-(T_band + e64) at y_pos < 1/4 and y_neg > 1/4, and at 1 - y_pos
     # and 1 - y_neg.  The band runs from y_pos across the strip to y_neg
-    # and from 1 - y_neg across the other strip to 1 - y_pos; a draw u lies
-    # at u = (y - base) + s1 + s2 in a piece (base, s1, s2).
+    # and from 1 - y_neg across the other strip to 1 - y_pos.
     y_pos, y_neg = psi_inverse(t_band + e64, params), psi_inverse(-(t_band + e64), params)
-
-    def draw(y: float, piece: int) -> float:
-        base, s1, s2 = pieces[piece]
-        return (y - base) + s1 + s2
-
-    w = 1e-12  # far above the float64 rounding of a height, a few 2^-53
-    u_edges = (y_pos - w, draw(y_neg, 1) + w, draw(1.0 - y_neg, 1) - w, draw(1.0 - y_pos, 2) + w)
-    if not u_edges[1] < u_edges[2]:
-        return None
-    a1, b1, a2, b2 = (_least_draw(u, length) for u in u_edges)
-    return _Band(t_band, (a1, b1, a2, b2), slope_lo, slope_hi)
+    w = 1e-12  # far above the float64 rounding of y_pos and y_neg, a few 2^-53
+    cover, rest = _spans(y_pos - w, y_neg + w)
+    strips, _ = _spans(strip.delta_m, strip.delta_neg_m)
+    spans = [s for (a, b), (lo, hi) in zip(cover, strips) for s in ((a, lo - 1), (hi + 1, b))]
+    return _Band(t_band, spans, rest, slope_lo, slope_hi)
 
 
-#: ``random()`` draws r = j / _GRID with j uniform on [0, _GRID).
-_GRID = 2**53
+def _grid_draws(rng: np.random.Generator, spans: _Spans, count: int) -> np.ndarray:
+    """``count`` heights y = j / _GRID, j uniform on the grid points of ``spans``.
 
-
-def _grid_draws(rng: np.random.Generator, spans: list[tuple[int, int]], count: int) -> np.ndarray:
-    """``count`` draws r = j / _GRID, j uniform on the closed integer spans [lo, hi].
-
-    The spans rise and an empty one has hi = lo - 1.  The result is a view
-    of this thread's work arrays.
+    The result is a view of this thread's work arrays.
     """
-    r = _WORK.draws[:count]
-    np.copyto(r, rng.integers(sum(hi + 1 - lo for lo, hi in spans), size=count))  # exact below 2^53
-    r += spans[0][0]
+    y = _WORK.draws[:count]
+    np.copyto(y, rng.integers(sum(hi + 1 - lo for lo, hi in spans), size=count))  # exact below 2^53
+    y += spans[0][0]
     for (_, hi), (lo, _) in zip(spans, spans[1:]):
-        r += (r > hi) * float(lo - hi - 1)  # past a span, skip the gap to the next
-    r *= 1.0 / _GRID
-    return r
-
-
-def _band_sweep(
-    rng: np.random.Generator, n: int, params: MapParams, m: int, strip: StripSpec, band: _Band
-) -> list[_Part]:
-    """The sweep outside Delta^(m) of the module docstring: the band's
-    Binomial(n, p) samples, then the rest of the same n only where the
-    band's extrema do not settle the report."""
-    region = _region(strip, False)
-    lo1, hi1, lo2, hi2 = (f(e * _GRID) for f, e in zip((math.ceil, math.floor) * 2, band.edges))
-    n_band = int(rng.binomial(n, (hi1 + 1 - lo1 + hi2 + 1 - lo2) / _GRID))
-    parts: list[_Part] = []
-    budget = MAX_FAILURE_RECORDS
-
-    def sweep(spans: list[tuple[int, int]], count: int) -> None:
-        nonlocal budget
-        for at in range(0, count, _CHUNK):
-            size = min(_CHUNK, count - at)
-            r = _grid_draws(rng, spans, size)
-            t = rng.random(size, out=_WORK.draws[size : 2 * size])
-            parts.append(_evaluate(r, t, params, m, region, False, budget))
-            budget -= len(parts[-1][6])
-
-    sweep([(lo1, hi1), (lo2, hi2)], n_band)
-    if not (
-        parts
-        and min(p[3] for p in parts) < m
-        and min(p[4] for p in parts) < band.slope_lo
-        and max(p[5] for p in parts) > band.slope_hi
-    ):
-        sweep([(0, lo1 - 1), (hi1 + 1, lo2 - 1), (hi2 + 1, _GRID - 1)], n - n_band)
-    return parts
+        y += (y > hi) * float(lo - hi - 1)  # past a span, skip the gap to the next
+    y *= 1.0 / _GRID
+    return y
 
 
 def verify_cones(
@@ -726,35 +614,51 @@ def verify_cones(
     """Randomized check of cone invariance and minimum expansion.
 
     Draws (y outside Delta^(m), slope in (1/m, m)) pairs from a seeded
-    generator, uniform in y over the complement and uniform in the angle of
-    the slope, and verifies both conclusions through the exact image
-    formula.  With ``inside_strip`` the hypothesis is deliberately violated
-    to demonstrate the check can fail.
+    generator, uniform in y over the grid points y = j 2^-53 of the
+    complement and uniform in the angle of the slope, and verifies both
+    conclusions through the exact image formula.  With ``inside_strip`` the
+    hypothesis is deliberately violated to demonstrate the check can fail:
+    y is then uniform over the grid points of the strips.
 
     Outside the strips only the band next to Delta^(m) is drawn, and the
-    other samples only where the band's extrema do not settle the report;
-    the other sweeps go chunk by chunk (see the module docstring).  The
-    report depends only on the arguments.  Each thread sweeps in its own
-    work arrays, so library callers may run sweeps from several threads at
-    once.
+    other samples only where the band's extrema do not settle the report
+    (see the module docstring).  The report depends only on the arguments.
+    Each thread sweeps in its own work arrays, so library callers may run
+    sweeps from several threads at once.
     """
     if n_samples < 1:
         raise ParameterError("n_samples", f"must be >= 1, got {n_samples}")
     if seed < 0:
         raise ParameterError("seed", f"must be >= 0, got {seed}")
     strip = delta_strip(m, params)
-    root = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     band = None if inside_strip else _band(params.k, m)
-    if band is not None:
-        parts = _band_sweep(np.random.default_rng(root), n_samples, params, m, strip, band)
-    else:
-        counts = [_CHUNK] * (n_samples // _CHUNK)
-        if n_samples % _CHUNK:
-            counts.append(n_samples % _CHUNK)
-        parts, budget = [], MAX_FAILURE_RECORDS
-        for ss, cnt in zip(root.spawn(len(counts)), counts):
-            parts.append(_cone_chunk((ss, cnt, params, m, strip, inside_strip), budget))
+    parts: list[_Part] = []
+    budget = MAX_FAILURE_RECORDS
+
+    def sweep(spans: _Spans, count: int) -> None:
+        nonlocal budget
+        for at in range(0, count, _CHUNK):
+            size = min(_CHUNK, count - at)
+            y = _grid_draws(rng, spans, size)
+            t = rng.random(size, out=_WORK.draws[size : 2 * size])
+            parts.append(_evaluate(y, t, params, m, inside_strip, budget))
             budget -= len(parts[-1][6])
+
+    if band is None:
+        inside, outside = _spans(strip.delta_m, strip.delta_neg_m)
+        sweep(inside if inside_strip else outside, n_samples)
+    else:
+        band_size, rest_size = (sum(hi + 1 - lo for lo, hi in spans) for spans in (band.spans, band.rest))
+        n_band = int(rng.binomial(n_samples, band_size / (band_size + rest_size)))
+        sweep(band.spans, n_band)
+        if not (
+            parts
+            and min(p[3] for p in parts) < m
+            and min(p[4] for p in parts) < band.slope_lo
+            and max(p[5] for p in parts) > band.slope_hi
+        ):
+            sweep(band.rest, n_samples - n_band)
     return ConeReport(
         k=params.k,
         m=m,

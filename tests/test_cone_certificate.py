@@ -4,7 +4,7 @@ Where |psi_c| >= T(m) = m + 1 + m sqrt((1 + m^2) / 2), every unit vector
 with slope in (1/m, m) is mapped to a vector of norm at least m whose slope
 lies in [1 - 1/(T - m), 1 + 1/T].  Interval boxes over (psi, cot theta)
 prove both, at T(m) and at the sweep's slightly larger threshold.
-Bisection finds the least threshold for the norm, and the draws the sweep
+Bisection finds the least threshold for the norm, and the heights the sweep
 leaves out of its band are checked in float64 against its threshold.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hypermap import hyperbolicity
-from hypermap.hyperbolicity import _image, delta_strip
+from hypermap.hyperbolicity import _image
 from hypermap.stdmap import MapParams, psi
 
 mpmath = pytest.importorskip("mpmath")
@@ -127,37 +127,29 @@ def test_threshold_lies_within_a_quarter_of_the_least(m):
         assert least <= band.psi_bound <= 1.25 * least, (k, band.psi_bound, least)
 
 
-def _draws_near(points, steps: int = 64) -> np.ndarray:
-    out = []
-    for p in points:
-        for direction in (-math.inf, math.inf):
-            x = p
-            for _ in range(steps):
-                if 0.0 <= x < 1.0:
-                    out.append(x)
-                x = math.nextafter(x, direction)
-    return np.array(out)
-
-
 @pytest.mark.parametrize("m", [2, 5, 10, 50])
 def test_draws_outside_the_band_meet_the_certificate_in_float64(m):
     rng = np.random.default_rng(m)
     lo, hi = math.atan(1.0 / m), math.atan(m)
+    grid = 2**53
+    steps = np.arange(64)
     checked = 0
     for k in (1.01 * m, 17.0, 200.0, 3e3, 1e6):
         band = hyperbolicity._band(k, m)
         if band is None:
             continue
         params = MapParams(k)
-        length, pieces = hyperbolicity._region(delta_strip(m, params), False)
-        r = np.concatenate([rng.random(100_000), _draws_near(band.edges)])
-        steps = np.arange(64)
-        t = np.concatenate([rng.random(len(r) - 3 * 64), steps * 2.0**-53, 1.0 - (steps + 1) * 2.0**-53,
+        # Heights y = j 2^-53 uniform on [0, 1) and at the ends of the spans
+        # outside the band, with theta at the cone's edges.
+        j = np.concatenate([rng.integers(grid, size=100_000)] + [np.concatenate([a + steps, b - steps])
+                                                                 for a, b in band.rest])
+        t = np.concatenate([rng.random(len(j) - 3 * 64), steps * 2.0**-53, 1.0 - (steps + 1) * 2.0**-53,
                             rng.random(64)])
-        a1, b1, a2, b2 = band.edges
-        out = ~(((r >= a1) & (r <= b1)) | ((r >= a2) & (r <= b2)))
-        # Every draw outside the band lies where |psi_c| exceeds T_band.
-        p = psi(hyperbolicity._heights(r[out] * length, pieces), params)
+        out = np.zeros(len(j), dtype=bool)
+        for a, b in band.rest:
+            out |= (a <= j) & (j <= b)
+        # Every height outside the band lies where |psi_c| exceeds T_band.
+        p = psi(j[out] * 2.0**-53, params)
         assert np.all(np.abs(p) > band.psi_bound), k
         # The float64 image there, as the sweep evaluates it.
         theta = lo + t[out] * (hi - lo)

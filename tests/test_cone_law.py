@@ -1,10 +1,11 @@
-"""The band sweep's report has the law of the sweep that draws every sample.
+"""The sweep's sample stream has the law it documents.
 
 Outside the strips ``verify_cones`` draws Binomial(n, p) samples uniform on
 the band's grid points instead of n uniform draws; the reference tests check
 its arithmetic on that stream, and these check the stream itself: its
-failure counts against the chunk-by-chunk sweep's, its band count against
-n p, and its band draws against the uniform law on the band's grid.
+failure counts against the sweep that draws every sample, its band count
+against n p, and its heights against the uniform law on the grid points of
+each span list it draws from: the band, the strips and the whole complement.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from hypermap import hyperbolicity
-from hypermap.hyperbolicity import verify_cones
+from hypermap.hyperbolicity import delta_strip, verify_cones
 from hypermap.stdmap import MapParams
 
 #: (k, m): a narrow band, the widest m = 2 band of the benchmark's range,
@@ -43,36 +44,50 @@ def test_chi2_tail_matches_known_quantiles():
     assert chi2_sf(1.0, 63) == pytest.approx(1.0)
 
 
+def equal_count_bins(y: np.ndarray, spans, bins: int = 64) -> np.ndarray:
+    """The counts of heights y in each of ``bins`` bins of equal count over the
+    grid points of ``spans``, after checking that every y is one of them."""
+    j = y * GRID
+    assert np.array_equal(j, np.floor(j))  # on the grid
+    j = j.astype(np.int64)
+    lo, hi = (np.array(ends) for ends in zip(*spans))
+    starts = np.concatenate([[0], np.cumsum(hi + 1 - lo)[:-1]])
+    span = np.searchsorted(lo, j, side="right") - 1
+    assert np.all(span >= 0) and np.all(j <= hi[span])  # in the spans
+    rank = starts[span] + (j - lo[span])
+    return np.bincount((rank * bins) // int((hi + 1 - lo).sum()), minlength=bins)  # exact: rank < 2^53
+
+
+def assert_uniform(observed: np.ndarray) -> None:
+    """Chi-squared over equal-count bins accepts the uniform law at 1e-4."""
+    expected = observed.sum() / len(observed)
+    chi2 = float(((observed - expected) ** 2).sum() / expected)
+    assert chi2_sf(chi2, len(observed) - 1) > 1e-4, (chi2, observed.sum())
+
+
 @pytest.mark.parametrize("k, m", CASES, ids=[f"k{k:g}-m{m}" for k, m in CASES])
 def test_band_sweeps_keep_the_law_of_the_full_sweep(monkeypatch, k, m):
     params = MapParams(k)
-    # The band's grid points j (r = j 2^-53): two closed spans [lo1, hi1], [lo2, hi2].
-    a1, b1, a2, b2 = hyperbolicity._band(k, m).edges
-    lo1, hi1, lo2, hi2 = math.ceil(a1 * GRID), math.floor(b1 * GRID), math.ceil(a2 * GRID), math.floor(b2 * GRID)
-    size1, size = hi1 + 1 - lo1, hi1 + 1 - lo1 + hi2 + 1 - lo2
-    bins = 64
+    band = hyperbolicity._band(k, m)
+    size = sum(hi + 1 - lo for lo, hi in band.spans)
+    outside = size + sum(hi + 1 - lo for lo, hi in band.rest)
     draws = hyperbolicity._grid_draws
     band_counts: list[int] = []
-    observed = np.zeros(bins, dtype=np.int64)  # band draws in each of 64 bins of equal count
+    observed = np.zeros(64, dtype=np.int64)  # band draws in each of 64 bins of equal count
 
     def recorded(rng, spans, count):
-        r = draws(rng, spans, count)
-        if len(spans) == 2:  # the band's spans; the completion has three
+        y = draws(rng, spans, count)
+        if spans == band.spans:  # not the completion
             band_counts[-1] += count
-            j = r * GRID
-            assert np.array_equal(j, np.floor(j))  # on the grid
-            j = j.astype(np.int64)
-            assert np.all(((lo1 <= j) & (j <= hi1)) | ((lo2 <= j) & (j <= hi2)))  # in the band
-            rank = np.where(j <= hi1, j - lo1, size1 + (j - lo2))
-            observed[:] += np.bincount((rank * bins) // size, minlength=bins)  # exact: rank < 2^53
-        return r
+            observed[:] += equal_count_bins(y, spans)
+        return y
 
     monkeypatch.setattr(hyperbolicity, "_grid_draws", recorded)
     thinned = []
     for seed in SEEDS:
         band_counts.append(0)
         thinned.append(verify_cones(params, m, N, seed).norm_failures)
-    monkeypatch.setattr(hyperbolicity, "_band", lambda k, m: None)  # every sweep chunk by chunk
+    monkeypatch.setattr(hyperbolicity, "_band", lambda k, m: None)  # every sample drawn
     full = [verify_cones(params, m, N, seed).norm_failures for seed in SEEDS]
 
     # Mean norm failures agree within 4.5 combined standard errors.
@@ -80,12 +95,34 @@ def test_band_sweeps_keep_the_law_of_the_full_sweep(monkeypatch, k, m):
     se = math.sqrt((thinned.var(ddof=1) + full.var(ddof=1)) / len(SEEDS))
     assert abs(thinned.mean() - full.mean()) <= 4.5 * se, (thinned.mean(), full.mean(), se)
 
-    # The band count has mean n p, p the band's share of the grid.
-    p = size / GRID
+    # The band count has mean n p, p the band's share of the outside grid points.
+    p = size / outside
     counts = np.array(band_counts, float)
     assert abs(counts.mean() - N * p) <= 4.5 * math.sqrt(N * p * (1 - p) / len(SEEDS)), (counts.mean(), N * p)
 
-    # The band draws are uniform over its grid points: chi-squared accepts at 1e-4.
-    expected = observed.sum() / bins
-    chi2 = float(((observed - expected) ** 2).sum() / expected)
-    assert chi2_sf(chi2, bins - 1) > 1e-4, (chi2, observed.sum())
+    # The band draws are uniform over its grid points.
+    assert_uniform(observed)
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+def test_sweeps_that_draw_every_sample_draw_uniformly(monkeypatch, inside):
+    # Inside the strips, and outside them with no band, every height is
+    # drawn uniform on the region's grid points.
+    k, m = 40.0, 3
+    strip = delta_strip(m, MapParams(k))
+    region = hyperbolicity._spans(strip.delta_m, strip.delta_neg_m)[0 if inside else 1]
+    draws = hyperbolicity._grid_draws
+    observed = np.zeros(64, dtype=np.int64)
+
+    def recorded(rng, spans, count):
+        assert spans == region
+        y = draws(rng, spans, count)
+        observed[:] += equal_count_bins(y, spans)
+        return y
+
+    monkeypatch.setattr(hyperbolicity, "_grid_draws", recorded)
+    monkeypatch.setattr(hyperbolicity, "_band", lambda k, m: None)
+    for seed in range(10):
+        verify_cones(MapParams(k), m, N, seed, inside_strip=inside)
+    assert observed.sum() == 10 * N
+    assert_uniform(observed)

@@ -1,12 +1,12 @@
 """The filter-then-refine cone sweep against the all-float64 kernel it replaced.
 
-``reference_cone_chunk`` is ``hyperbolicity._cone_chunk`` as it was before
-the float32 filter: every sample evaluated with the float64 image formula.
-The filtered kernel must return the same chunk tuples, ``repr`` for
-``repr``.  ``reference_report`` draws a sweep's samples as the module
-docstring documents, chunk by chunk or the band alone and its completion,
-evaluates every sample drawn in float64, and ``verify_cones`` must return
-that report, ``repr`` for ``repr`` and byte for byte.
+``reference_part`` evaluates every sample with the float64 image formula,
+as the sweep did before the float32 filter; ``hyperbolicity._evaluate`` must
+return the same batch tuples, ``repr`` for ``repr``.  ``reference_report``
+draws a sweep's samples as the module docstring documents, heights on the
+region's grid spans, the band alone and its completion where there is a
+band, evaluates every sample drawn in float64, and ``verify_cones`` must
+return that report, ``repr`` for ``repr`` and byte for byte.
 """
 
 import math
@@ -24,30 +24,35 @@ from hypermap.hyperbolicity import (MAX_FAILURE_RECORDS, ConeReport, StripSpec, 
 from hypermap.stdmap import MapParams
 
 _Part = tuple[int, int, int, float, float, float, list[tuple[float, float]]]
+GRID = 2**53
 
 
-def reference_heights_of_draws(r: np.ndarray, strip: StripSpec, inside: bool) -> np.ndarray:
-    """The heights y of draws r in [0, 1), uniform over the sampled region."""
+def reference_spans(strip: StripSpec, inside: bool) -> list[tuple[int, int]]:
+    """The region's grid points j, y = j 2^-53, as the module docstring lists them."""
     d_m, d_nm = strip.delta_m, strip.delta_neg_m
-    if inside:
-        # Uniform over the two closed strips.
-        width = d_nm - d_m
-        u = r * (2.0 * width)
-        return np.where(u < width, d_m + u, 1.0 - d_nm + (u - width))
-    # Uniform over the open complement [0,dm) u (dnm, 1-dnm) u (1-dm, 1).
-    l1 = d_m
-    l2 = 1.0 - 2.0 * d_nm
-    u = r * (2.0 * l1 + l2)
-    return np.where(
-        u < l1,
-        u,
-        np.where(u < l1 + l2, d_nm + (u - l1), (1.0 - d_m) + (u - l1 - l2)),
-    )
+    if inside:  # the two closed strips
+        return [(math.ceil(d_m * GRID), math.floor(d_nm * GRID)),
+                (math.ceil((1.0 - d_nm) * GRID), math.floor((1.0 - d_m) * GRID))]
+    # The open complement [0, dm) u (dnm, 1 - dnm) u (1 - dm, 1).
+    return [(0, math.ceil(d_m * GRID) - 1), (math.floor(d_nm * GRID) + 1, math.ceil((1.0 - d_nm) * GRID) - 1),
+            (math.floor((1.0 - d_m) * GRID) + 1, GRID - 1)]
 
 
-def reference_part(r: np.ndarray, t: np.ndarray, params: MapParams, m: int, strip: StripSpec, inside: bool) -> _Part:
-    """Counts, extrema and first failure records of the samples with draws r and t, all in float64."""
-    y = reference_heights_of_draws(r, strip, inside)
+def span_size(spans) -> int:
+    return sum(hi + 1 - lo for lo, hi in spans)
+
+
+def reference_grid_draws(rng: np.random.Generator, spans, count: int) -> np.ndarray:
+    """Heights y = j 2^-53, j uniform on the closed integer spans [lo, hi] (an empty one has hi = lo - 1)."""
+    sizes = np.array([hi + 1 - lo for lo, hi in spans])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    i = rng.integers(int(sizes.sum()), size=count)
+    span = np.searchsorted(starts, i, side="right") - 1  # past any empty span
+    return (np.array([lo for lo, _ in spans])[span] + (i - starts[span])) * 2.0**-53
+
+
+def reference_part(y: np.ndarray, t: np.ndarray, params: MapParams, m: int) -> _Part:
+    """Counts, extrema and first failure records of the samples at heights y with theta's draws t, all in float64."""
     lo, hi = math.atan(1.0 / m), math.atan(m)
     theta = lo + t * (hi - lo)
     ix, iy = _image(psi(y, params), np.cos(theta), np.sin(theta))
@@ -69,19 +74,12 @@ def reference_part(r: np.ndarray, t: np.ndarray, params: MapParams, m: int, stri
     )
 
 
-def reference_cone_chunk(args: tuple[np.random.SeedSequence, int, MapParams, int, StripSpec, bool]) -> _Part:
-    seed_seq, count, params, m, strip, inside = args
-    rng = np.random.default_rng(seed_seq)
-    r = rng.random(count)
-    return reference_part(r, rng.random(count), params, m, strip, inside)
-
-
 MS = (2, 3, 5, 10, 50)
 COUNTS = (1, 7, 1000, 32768)
 
 
-def chunk_args(n_per_case: int, seed: int):
-    """Seeded chunks: k log-uniform in [1.01 m, 1e4], both regions, every count."""
+def batch_args(n_per_case: int, seed: int):
+    """Seeded batches on the region's grid: k log-uniform in [1.01 m, 1e4], both regions, every count."""
     rng = np.random.default_rng(seed)
     for m in MS:
         for inside in (False, True):
@@ -89,17 +87,22 @@ def chunk_args(n_per_case: int, seed: int):
                 for _ in range(n_per_case):
                     k = math.exp(rng.uniform(math.log(1.01 * m), math.log(1e4)))
                     params = MapParams(k)
-                    ss = np.random.SeedSequence(int(rng.integers(2**63)))
-                    yield ss, count, params, m, delta_strip(m, params), inside
+                    y = reference_grid_draws(rng, reference_spans(delta_strip(m, params), inside), count)
+                    yield y, rng.random(count), params, m, inside
+
+
+def evaluate(args, budget: int = MAX_FAILURE_RECORDS):
+    y, t, params, m, inside = args
+    return hyperbolicity._evaluate(y, t, params, m, inside, budget)
 
 
 def test_chunks_equal_the_reference():
     n = 0
-    for args in chunk_args(25, seed=2024):
-        got = hyperbolicity._cone_chunk(args)
-        want = reference_cone_chunk(args)
-        assert repr(got[:7]) == repr(want), (args[2].k, args[3], args[1], args[5])
-        assert 1 <= got[7] <= args[1]
+    for args in batch_args(25, seed=2024):
+        got = evaluate(args)
+        want = reference_part(*args[:4])
+        assert repr(got[:7]) == repr(want), (args[2].k, args[3], len(args[0]), args[4])
+        assert 1 <= got[7] <= len(args[0])
         n += 1
     assert n >= 1000
 
@@ -107,25 +110,58 @@ def test_chunks_equal_the_reference():
 def test_chunks_on_many_threads_equal_the_reference():
     # Each thread sweeps in its own workspace; more threads than cores and
     # a short switch interval interleave them as much as the interpreter can.
-    jobs = list(chunk_args(1, seed=77))
-    want = [reference_cone_chunk(args) for args in jobs]
+    jobs = list(batch_args(1, seed=77))
+    want = [reference_part(*args[:4]) for args in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(hyperbolicity._cone_chunk, jobs * 2, timeout=120))
+            got = list(pool.map(evaluate, jobs * 2, timeout=120))
     finally:
         sys.setswitchinterval(interval)
     assert [repr(g[:7]) for g in got] == [repr(w) for w in want * 2]
 
 
-def reference_grid_draws(rng: np.random.Generator, spans, count: int) -> np.ndarray:
-    """Draws r = j 2^-53, j uniform on the closed integer spans [lo, hi] (an empty one has hi = lo - 1)."""
-    sizes = np.array([hi + 1 - lo for lo, hi in spans])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    i = rng.integers(int(sizes.sum()), size=count)
-    span = np.searchsorted(starts, i, side="right") - 1  # past any empty span
-    return (np.array([lo for lo, _ in spans])[span] + (i - starts[span])) * 2.0**-53
+def test_chunks_with_no_record_budget_build_no_records():
+    for args in batch_args(1, seed=31):
+        got = evaluate(args, 0)
+        want = reference_part(*args[:4])
+        assert got[6] == []
+        assert repr(got[:6]) == repr(want[:6])
+
+
+def test_spans_are_the_strips():
+    # The region is defined twice, by StripSpec.contains and by the grid
+    # spans the sweep draws from: at every span end and its neighbours they
+    # agree, the band and the rest split the outside spans, and the spans
+    # are those the module docstring lists.
+    checked = 0
+    for m in MS:
+        for k in np.geomspace(1.01 * m, 1e6, 25).tolist():
+            strip = delta_strip(m, MapParams(k))
+            inside, outside = hyperbolicity._spans(strip.delta_m, strip.delta_neg_m)
+            assert inside == reference_spans(strip, True) and outside == reference_spans(strip, False)
+            for spans, contained in ((inside, True), (outside, False)):
+                for lo, hi in spans:
+                    assert lo <= hi
+                    for j in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1):
+                        if 0 <= j < GRID:
+                            # j lies in this region's spans exactly where contains says so.
+                            in_spans = any(a <= j <= b for a, b in spans)
+                            want = in_spans if contained else not in_spans
+                            assert strip.contains(j * 2.0**-53) == want, (m, k, j)
+                            checked += 1
+            band = hyperbolicity._band(k, m)
+            if band is not None:
+                pieces = sorted(s for s in band.spans + band.rest if s[0] <= s[1])
+                merged = pieces[:1]
+                for lo, hi in pieces[1:]:
+                    if lo == merged[-1][1] + 1:
+                        merged[-1] = (merged[-1][0], hi)
+                    else:
+                        merged.append((lo, hi))
+                assert merged == outside, (m, k)
+    assert checked > 1000
 
 
 def band_settles(parts: list[_Part], m: int, band) -> tuple[bool, bool, bool]:
@@ -137,51 +173,43 @@ def band_settles(parts: list[_Part], m: int, band) -> tuple[bool, bool, bool]:
             max(p[5] for p in parts) > band.slope_hi)
 
 
-def reference_band_sweep(params: MapParams, m: int, n: int, seed: int) -> tuple[list[_Part], list[_Part]]:
-    """The band's batches and, unless they settle all three extrema, the completion's.
+def reference_sweep(params: MapParams, m: int, n: int, seed: int, inside: bool) -> tuple[list[_Part], list[_Part]]:
+    """The batches of the first draw and, where the band leaves an extremum open, those of its completion.
 
-    Binomial(n, p) band samples, p the band's share of the 2^53 grid
-    points, from one generator made from the seed, in batches of _CHUNK
-    (an index, then theta's draws); then the other samples, uniform on the
-    grid points outside the band, from the same generator.
+    One generator made from the seed.  Without a band (inside the strips,
+    or where ``_band`` is None), n samples on the region's spans.  With
+    one, Binomial(n, p) samples on the band's spans, p the band's share of
+    the outside grid points, then, unless they settle all three extrema,
+    the other samples on the grid points outside the band.  Each batch of
+    _CHUNK draws its heights, then theta's draws.
     """
     strip = delta_strip(m, params)
-    chunk, grid = hyperbolicity._CHUNK, 2**53
-    band = hyperbolicity._band(params.k, m)
-    a1, b1, a2, b2 = band.edges
-    lo1, hi1, lo2, hi2 = math.ceil(a1 * grid), math.floor(b1 * grid), math.ceil(a2 * grid), math.floor(b2 * grid)
+    chunk = hyperbolicity._CHUNK
+    band = None if inside else hyperbolicity._band(params.k, m)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_band = int(rng.binomial(n, (hi1 - lo1 + 1 + hi2 - lo2 + 1) / grid))
 
     def draw(spans, count: int) -> list[_Part]:
         batches = []
         for at in range(0, count, chunk):
             size = min(chunk, count - at)
-            r = reference_grid_draws(rng, spans, size)
-            batches.append(reference_part(r, rng.random(size), params, m, strip, False))
+            y = reference_grid_draws(rng, spans, size)
+            batches.append(reference_part(y, rng.random(size), params, m))
         return batches
 
-    parts = draw([(lo1, hi1), (lo2, hi2)], n_band)
+    region = reference_spans(strip, inside)
+    if band is None:
+        return draw(region, n), []
+    n_band = int(rng.binomial(n, span_size(band.spans) / span_size(region)))
+    parts = draw(band.spans, n_band)
     if all(band_settles(parts, m, band)):
         return parts, []
-    return parts, draw([(0, lo1 - 1), (hi1 + 1, lo2 - 1), (hi2 + 1, grid - 1)], n - n_band)
+    return parts, draw(band.rest, n - n_band)
 
 
 def reference_report(params: MapParams, m: int, n: int, seed: int, inside: bool) -> ConeReport:
-    """The report of the documented sample stream, every sample drawn evaluated in float64.
-
-    Without a band, ``reference_cone_chunk`` over chunks seeded by
-    ``SeedSequence(seed).spawn``; with one, ``reference_band_sweep``.
-    """
-    if inside or hyperbolicity._band(params.k, m) is None:
-        chunk = hyperbolicity._CHUNK
-        counts = [chunk] * (n // chunk) + ([n % chunk] if n % chunk else [])
-        strip = delta_strip(m, params)
-        parts = [reference_cone_chunk((ss, count, params, m, strip, inside))
-                 for ss, count in zip(np.random.SeedSequence(seed).spawn(len(counts)), counts)]
-    else:
-        band_parts, completion = reference_band_sweep(params, m, n, seed)
-        parts = band_parts + completion
+    """The report of the documented sample stream, every sample drawn evaluated in float64."""
+    first, completion = reference_sweep(params, m, n, seed, inside)
+    parts = first + completion
     return ConeReport(
         k=params.k,
         m=m,
@@ -250,14 +278,10 @@ def drawn_samples(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("sweep", BAND_SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
 def test_benchmark_sweeps_need_no_chunk_by_chunk_sweep(monkeypatch, sweep):
-    # These sweeps are settled by the band alone: they neither go chunk by
-    # chunk nor draw the completion, so the reference test above compares
-    # the band's stream with the reference.
-    def no_chunks(args, budget):
-        raise AssertionError("the sweep went chunk by chunk")
-
+    # These sweeps are settled by the band alone: they draw neither every
+    # sample nor the completion, so the reference test above compares the
+    # band's stream with the reference.
     want = verify_cones(*sweep)
-    monkeypatch.setattr(hyperbolicity, "_cone_chunk", no_chunks)
     sizes = drawn_samples(monkeypatch)
     assert_same_report(verify_cones(*sweep), want)
     assert 0 < sum(sizes) < 0.5 * sweep[2]
@@ -295,7 +319,7 @@ FALLBACK_SWEEPS = [
 @pytest.mark.parametrize("which", range(3), ids=["min_norm", "slope_min", "slope_max"])
 def test_sweeps_whose_band_misses_an_extremum_equal_the_reference(monkeypatch, which):
     sweep = FALLBACK_SWEEPS[which]
-    band_parts, completion = reference_band_sweep(*sweep[:4])
+    band_parts, _ = reference_sweep(*sweep)
     band = hyperbolicity._band(sweep[0].k, sweep[1])
     assert band_settles(band_parts, sweep[1], band) == tuple(i != which for i in range(3))
     sizes = drawn_samples(monkeypatch)
@@ -305,11 +329,12 @@ def test_sweeps_whose_band_misses_an_extremum_equal_the_reference(monkeypatch, w
 
 def test_random_sweeps_equal_the_reference(monkeypatch):
     # Sweeps the band settles, sweeps whose band is completed and sweeps
-    # that run chunk by chunk (T_band beyond K, inside the strips), each
+    # that draw every sample (T_band beyond K, inside the strips), each
     # against the all-float64 reference.
     sizes = drawn_samples(monkeypatch)
     rng = np.random.default_rng(18)
-    paths = {"band": 0, "completed": 0, "chunks": 0}
+    paths = {"band": 0, "completed": 0, "every sample": 0}
+    kinds = {"inside": 0, "no band": 0}  # the sweeps that draw every sample
     for _ in range(150):
         m = int(rng.choice(MS))
         k = math.exp(rng.uniform(math.log(1.01 * m), math.log(1e4 if rng.random() < 0.5 else max(200.0, 2 * m))))
@@ -318,10 +343,11 @@ def test_random_sweeps_equal_the_reference(monkeypatch):
         sizes.clear()
         assert_same_report(verify_cones(*sweep), reference_report(*sweep))
         if sweep[4] or hyperbolicity._band(k, m) is None:
-            paths["chunks"] += 1
+            paths["every sample"] += 1
+            kinds["inside" if sweep[4] else "no band"] += 1
         else:
             paths["completed" if sum(sizes) == n else "band"] += 1
-    assert min(paths.values()) >= 30, paths
+    assert min(paths.values()) >= 30 and min(kinds.values()) >= 10, (paths, kinds)
 
 
 @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
@@ -376,7 +402,7 @@ def test_float32_trig_is_within_a_quarter_of_the_filter_bound():
 
 
 def _draws_near(points, steps: int = 64) -> np.ndarray:
-    """The float64 draws in [0, 1) within ``steps`` ulps of each point."""
+    """The floats in [0, 1) within ``steps`` ulps of each point."""
     out = []
     for p in points:
         for direction in (-math.inf, math.inf):
@@ -391,37 +417,37 @@ def _draws_near(points, steps: int = 64) -> np.ndarray:
 def _check_float32_image(params: MapParams, m: int, inside: bool, rng) -> int:
     k = params.k
     bounds = hyperbolicity._filter_bounds(k, m, hyperbolicity._TRIG32_ERR)
-    length, pieces = hyperbolicity._region(delta_strip(m, params), inside)
+    spans = reference_spans(delta_strip(m, params), inside)
     lo, hi = math.atan(1.0 / m), math.atan(m)
-    # Heights at the strip edges, and theta at the cone's edges and the
-    # float32 neighbours of both.
-    bounds_r = [hyperbolicity._least_draw(s1 + s2, length) for _, s1, s2 in pieces[1:]]
-    r_edges = _draws_near([0.0, 1.0] + bounds_r)
+    # Heights at the ends of the region's spans (the strip edges, 0 and
+    # 1 - 2^-53), and theta at the cone's edges and the float32 neighbours
+    # of both.
     steps = np.arange(64)
+    y_edges = np.concatenate([np.concatenate([a + steps, b - steps]) for a, b in spans]) * 2.0**-53
     t_edges = np.concatenate([
         steps * float(np.spacing(np.float32(lo))) / (hi - lo),
         1.0 - (steps + 1) * float(np.spacing(np.float32(hi))) / (hi - lo),
         _draws_near([0.0, 1.0]),
     ])
     count = 55_000
-    r = np.concatenate([rng.random(count), r_edges, rng.random(len(t_edges))])
-    t = np.concatenate([rng.random(count), rng.random(len(r_edges)), t_edges])
+    y = np.concatenate([reference_grid_draws(rng, spans, count), y_edges,
+                        reference_grid_draws(rng, spans, len(t_edges))])
+    t = np.concatenate([rng.random(count), rng.random(len(y_edges)), t_edges])
     e = bounds.e
-    for at in range(0, len(r), hyperbolicity._CHUNK):
-        rr, tt = r[at:at + hyperbolicity._CHUNK], t[at:at + hyperbolicity._CHUNK]
-        st, ix, _, q, d = hyperbolicity._image32(rr, tt, (length, pieces), (lo, hi), bounds)
+    for at in range(0, len(y), hyperbolicity._CHUNK):
+        yy, tt = y[at:at + hyperbolicity._CHUNK], t[at:at + hyperbolicity._CHUNK]
+        st, ix, _, q, d = hyperbolicity._image32(yy, tt, (lo, hi), bounds)
         iy = (ix + st).astype(np.float64)  # as the filter forms it
         st, ix, q, d = (a.astype(np.float64) for a in (st, ix, q, d))
         theta = lo + tt * (hi - lo)
-        want_x, want_y = _image(psi(hyperbolicity._heights(rr * length, pieces), params),
-                                np.cos(theta), np.sin(theta))
+        want_x, want_y = _image(psi(yy, params), np.cos(theta), np.sin(theta))
         where = (k, m, inside)
         assert np.max(np.abs(ix - want_x)) <= e / 4, where
         assert np.max(np.abs(iy - want_y)) <= e / 4, where
         want_d = np.abs(want_x) - m * np.sin(theta)
         assert np.max(np.abs(d - want_d)) <= float(bounds.slope_ok) / 4, where
         assert np.max(np.abs(np.sqrt(q) - np.hypot(want_x, want_y))) <= 2 * e / 4, where
-    return len(r)
+    return len(y)
 
 
 @pytest.mark.parametrize("m", [2, 3, 10, 50])
@@ -477,42 +503,3 @@ def test_float32_rounding_never_rounds_inward():
         with np.errstate(over="ignore"):
             assert float(up) == x or float(np.nextafter(up, np.float32(-math.inf))) < x
             assert float(down) == x or float(np.nextafter(down, np.float32(math.inf))) > x
-
-
-def test_least_draw_is_where_heights_change_piece():
-    rng = np.random.default_rng(10)
-    for bound, length in zip(rng.random(2000), rng.uniform(1e-6, 1.0, 2000)):
-        bound *= length
-        r = hyperbolicity._least_draw(bound, length)
-        assert r * length >= bound > math.nextafter(r, -math.inf) * length
-
-
-def reference_heights(u: np.ndarray, pieces) -> np.ndarray:
-    """``hyperbolicity._heights`` as a masked assignment per piece, as it was."""
-    y = np.empty_like(u)
-    for base, s1, s2 in pieces:
-        sel = u >= s1 + s2
-        y[sel] = base + ((u[sel] - s1) - s2)
-    return y
-
-
-@pytest.mark.parametrize("inside", [False, True])
-def test_heights_equal_the_masked_loop(inside):
-    rng = np.random.default_rng(12)
-    for m, k in [(m, k) for m in (2, 5, 10) for k in (1.01 * m, 7.0, 101.5, 1e4)]:
-        if k <= m:
-            continue
-        length, pieces = hyperbolicity._region(delta_strip(m, MapParams(k)), inside)
-        bounds_r = [hyperbolicity._least_draw(s1 + s2, length) for _, s1, s2 in pieces[1:]]
-        r = np.concatenate([rng.random(20_000), _draws_near([0.0, 1.0] + bounds_r)])
-        u = r * length
-        got, want = hyperbolicity._heights(u, pieces), reference_heights(u, pieces)
-        assert got.tobytes() == want.tobytes(), (m, k, inside)
-
-
-def test_chunks_with_no_record_budget_build_no_records():
-    for args in chunk_args(1, seed=31):
-        got = hyperbolicity._cone_chunk(args, 0)
-        want = reference_cone_chunk(args)
-        assert got[6] == []
-        assert repr(got[:6]) == repr(want[:6])

@@ -279,11 +279,14 @@ class TestGamma:
             assert lo == pytest.approx(c.delta_T_plus, abs=1e-10)
 
     def test_exactly_two_values(self):
+        # The selector behind gamma, one call a k: every sample has its pair
+        # (gamma raises where ok is False) and lower < upper.
+        ytilde = np.arange(4096) / 4096
         for k in (1.0, 5.0, 20.0):
             params = MapParams(k)
-            for j in range(4096):
-                lo, hi = gamma(j / 4096, params)
-                assert lo < hi
+            lower, upper, ok = tangency._select(ytilde, params, critical_constants(params))
+            assert ok.all(), ytilde[~ok][:5]
+            assert np.all(lower < upper), ytilde[~(lower < upper)][:5]
 
     def test_mirror_symmetry(self):
         params = MapParams(4.0)
