@@ -300,9 +300,10 @@ def hyperbolic_frame(p: TorusPoint, params: MapParams, n: int) -> HypFrame:
     """Numerical order-n frame from the SVD of the orbit Jacobian.
 
     F and the directions come from the SVD.  E is |det| / F with the
-    determinant taken step by step (``orbit_determinant``), 1 up to
-    rounding: the smaller singular value of the computed product, like its
-    determinant, cancels to noise once F^2 outgrows 1/eps.
+    determinant from a second walk of the orbit that forms only psi and
+    the map step (``orbit_determinant``), 1 up to rounding: the smaller
+    singular value of the computed product, like its determinant, cancels
+    to noise once F^2 outgrows 1/eps.
 
     An order whose H = E / F falls below the normal float64 range raises
     ``ParameterError`` naming ``n`` (at (0.2, 0.3): from n = 56 at k = 200,

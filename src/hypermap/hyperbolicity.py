@@ -159,7 +159,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .coordinates import psi_inverse, strip_pair_contains
-from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, map_forward, psi
+from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, map_step, mod1, psi
 
 #: Samples are drawn and evaluated in batches of at most this many, which
 #: bounds the work arrays.
@@ -696,11 +696,12 @@ def orbit_expansion(
     if not (1.0 / m < slope < m):
         raise ParameterError("theta", f"{theta}: the initial slope {slope} lies outside the cone (1/{m}, {m})")
     factors: list[float] = []
-    point, ang = p, theta
+    x, y, ang = p.x, p.y, theta
     for i in range(n):
-        if strip.contains(point.y):
+        if strip.contains(y):
             return ExpansionReport(tuple(factors), i)
-        ang, growth = push_vector(point.y, ang, params)
+        ang, growth = push_vector(y, ang, params)
         factors.append(growth)
-        point = map_forward(point, params)
+        x, y = map_step(x, y, params, True)
+        x, y = mod1(x), mod1(y)
     return ExpansionReport(tuple(factors), None)

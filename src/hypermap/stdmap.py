@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Literal, Mapping, Union
+from typing import Literal, Mapping, Union
 
 import numpy as np
 
@@ -148,24 +148,12 @@ class Mat2:
     a21: float
     a22: float
 
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
     @property
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
 
     def apply(self, vx: float, vy: float) -> tuple[float, float]:
         return (self.a11 * vx + self.a12 * vy, self.a21 * vx + self.a22 * vy)
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
 
     def entries(self) -> tuple[float, float, float, float]:
         return (self.a11, self.a12, self.a21, self.a22)
@@ -183,16 +171,27 @@ def psi(y: Coord, params: MapParams, kind: Literal["cos", "sin"] = "cos") -> Coo
     return TWO_PI * params.k * t
 
 
+def map_step(x: float, y: float, params: MapParams, forward: bool) -> tuple[float, float]:
+    """One step of f_k (``forward``) or of its inverse, before the reduction mod 1."""
+    if forward:
+        shift = params.k * math.sin(TWO_PI * y)
+        return x + shift, x + y + shift
+    return x - params.k * math.sin(TWO_PI * (y - x)), y - x
+
+
 def map_forward(p: TorusPoint, params: MapParams) -> TorusPoint:
     """One forward step of the standard map."""
-    shift = params.k * math.sin(TWO_PI * p.y)
-    return TorusPoint(p.x + shift, p.x + p.y + shift)
+    return TorusPoint(*map_step(p.x, p.y, params, True))
 
 
 def map_inverse(p: TorusPoint, params: MapParams) -> TorusPoint:
     """One backward step; map_inverse(map_forward(p)) == p up to rounding."""
-    yt = p.y - p.x
-    return TorusPoint(p.x - params.k * math.sin(TWO_PI * yt), yt)
+    return TorusPoint(*map_step(p.x, p.y, params, False))
+
+
+def _entries(c: float, forward: bool) -> tuple[float, float, float, float]:
+    """Row-major entries of the forward (or backward) Jacobian where psi = c."""
+    return (1.0, c, 1.0, 1.0 + c) if forward else (1.0 + c, -c, -1.0, 1.0)
 
 
 def jacobian(p: TorusPoint, params: MapParams, time: TimeDirection = "forward") -> Mat2:
@@ -202,30 +201,31 @@ def jacobian(p: TorusPoint, params: MapParams, time: TimeDirection = "forward") 
     cancels to 1 except for one rounding in 1 + psi.
     """
     if time == "forward":
-        c = psi(p.y, params)
-        return Mat2(1.0, c, 1.0, 1.0 + c)
+        return Mat2(*_entries(psi(p.y, params), True))
     if time == "backward":
-        c = psi(p.ytilde, params)
-        return Mat2(1.0 + c, -c, -1.0, 1.0)
+        return Mat2(*_entries(psi(p.ytilde, params), False))
     raise ParameterError("time", f"must be 'forward' or 'backward', got {time!r}")
 
 
-def _orbit_steps(p: TorusPoint, params: MapParams, n: int) -> Iterator[Mat2]:
-    """The |n| step Jacobians along the orbit of p: forward for n > 0, else backward."""
-    time: TimeDirection = "forward" if n > 0 else "backward"
-    step = map_forward if n > 0 else map_inverse
+def _orbit_psi(p: TorusPoint, params: MapParams, n: int) -> list[float]:
+    """psi at the |n| steps of p's orbit: at y forward for n > 0, else at ytilde backward."""
+    forward, x, y, out = n > 0, p.x, p.y, []
     for _ in range(abs(n)):
-        yield jacobian(p, params, time)
-        p = step(p, params)
+        out.append(psi(y if forward else mod1(y - x), params))
+        x, y = map_step(x, y, params, forward)
+        x, y = mod1(x), mod1(y)
+    return out
 
 
 def orbit_jacobian(p: TorusPoint, params: MapParams, n: int) -> Mat2:
     """Chain-rule product of Jacobians along the orbit of p.
 
     For n > 0 this is D(f^n)_p, for n < 0 it is D(f^n)_p computed along the
-    backward orbit.  Entries grow like (2 pi k)^|n| on most orbits, and an
-    order whose product leaves float64 range raises ``ParameterError``
-    naming ``n`` (at (0.2, 0.3): n = 57 for k = 1e5, n = 37 for k = 1e8).
+    backward orbit.  Its four entries and the product of the step
+    determinants are floats, each step's entries multiplied in from the
+    left.  Entries grow like (2 pi k)^|n| on most orbits, and an order whose
+    product leaves float64 range raises ``ParameterError`` naming ``n`` (at
+    (0.2, 0.3): n = 57 for k = 1e5, n = 37 for k = 1e8).
 
     Rounding in the products moves the determinant by up to eps times the
     square of the largest partial product, which exceeds the rounding of
@@ -235,15 +235,15 @@ def orbit_jacobian(p: TorusPoint, params: MapParams, n: int) -> Mat2:
     """
     if n == 0:
         raise ParameterError("n", "must be nonzero, got 0")
-    acc, det = Mat2.identity(), 1.0
-    for m in _orbit_steps(p, params, n):
-        acc = m @ acc
-        det *= m.det
-        if not all(map(math.isfinite, acc.entries())):  # it stays so; stop at once
+    a, b, c, d, det = 1.0, 0.0, 0.0, 1.0, 1.0
+    for s in _orbit_psi(p, params, n):
+        m11, m12, m21, m22 = _entries(s, n > 0)
+        a, b, c, d = m11 * a + m12 * c, m11 * b + m12 * d, m21 * a + m22 * c, m21 * b + m22 * d
+        det *= m11 * m22 - m12 * m21
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
             raise ParameterError("n", f"{n}: the orbit Jacobian overflows float64 at k = {params.k:g}")
-    a, b, c, d = acc.entries()
-    t = (det - acc.det) / (a * a + b * b + c * c + d * d)
-    return Mat2(a + t * d, b - t * c, c - t * b, d + t * a) if math.isfinite(t) else acc
+    t = (det - (a * d - b * c)) / (a * a + b * b + c * c + d * d)
+    return Mat2(a + t * d, b - t * c, c - t * b, d + t * a) if math.isfinite(t) else Mat2(a, b, c, d)
 
 
 def orbit_determinant(p: TorusPoint, params: MapParams, n: int) -> float:
@@ -253,7 +253,5 @@ def orbit_determinant(p: TorusPoint, params: MapParams, n: int) -> float:
     product is 1 to within |n| such roundings, while the determinant of the
     product matrix cancels to noise once its entries pass 1/sqrt(eps).
     """
-    det = 1.0
-    for m in _orbit_steps(p, params, n):
-        det *= m.det
-    return det
+    # (1 + psi) - psi is a11 a22 - a12 a21 of either direction's entries.
+    return math.prod(((1.0 + s) - s for s in _orbit_psi(p, params, n)), start=1.0)

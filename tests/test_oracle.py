@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypermap.foliations import fold_tips
 from hypermap.oracle import StepSizeError, fd_derivative, rk4_leaf, svd2, sweep_min_direction
 from hypermap.stdmap import MapParams, Mat2, TorusPoint, angle_dist_mod_pi
+from test_stdmap import IDENTITY, matmul
 
 SQRT5 = math.sqrt(5.0)
 
@@ -28,7 +29,7 @@ def rotation(alpha: float) -> Mat2:
 
 class TestSvd2:
     def test_identity_is_degenerate(self):
-        s = svd2(Mat2.identity())
+        s = svd2(IDENTITY)
         assert s.degenerate
         assert s.sigma_max == pytest.approx(1.0, abs=1e-15)
         assert s.sigma_min == pytest.approx(1.0, abs=1e-15)
@@ -88,7 +89,7 @@ class TestSvd2:
             if s.degenerate or s.sigma_min / s.sigma_max > 0.999:
                 continue
             alpha = rng.uniform(0, math.pi)
-            rotated = m @ rotation(alpha)
+            rotated = matmul(m, rotation(alpha))
             s2 = svd2(rotated)
             assert angle_dist_mod_pi(s2.dir_min.theta, s.dir_min.theta - alpha) < 1e-10
             assert angle_dist_mod_pi(s2.dir_max.theta, s.dir_max.theta - alpha) < 1e-10
@@ -143,7 +144,7 @@ class TestSweepMinDirection:
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
-            sweep_min_direction(Mat2.identity(), grid=999)
+            sweep_min_direction(IDENTITY, grid=999)
 
 
 class TestFdDerivative:
