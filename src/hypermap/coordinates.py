@@ -57,8 +57,9 @@ from typing import Optional
 import numpy as np
 
 from .oracle import svd2
-from .stdmap import (DELTA_LEVELS, TWO_PI, Coord, DirAngle, MapParams, ParameterError, TimeDirection, TorusPoint,
-                     orbit_determinant, orbit_jacobian, psi)
+from .stdmap import (DELTA_LEVELS, TWO_PI, Coord, DirAngle, MapParams, Mat2, ParameterError, TimeDirection,
+                     TorusPoint, orbit_entries, psi)
+from .stdmap import orbit_jacobian  # unused here; perfbench/tracing.py wraps it by name in this module
 
 
 class ConformalPointError(ValueError):
@@ -299,22 +300,23 @@ class HypFrame:
 def hyperbolic_frame(p: TorusPoint, params: MapParams, n: int) -> HypFrame:
     """Numerical order-n frame from the SVD of the orbit Jacobian.
 
-    F and the directions come from the SVD.  E is |det| / F with the
-    determinant from a second walk of the orbit that forms only psi and
-    the map step (``orbit_determinant``), 1 up to rounding: the smaller
-    singular value of the computed product, like its determinant, cancels
-    to noise once F^2 outgrows 1/eps.
+    One walk of the orbit (``orbit_entries``) gives the entries of
+    ``orbit_jacobian`` and the product of the step determinants that
+    ``orbit_determinant`` gives.  F and the directions come from ``svd2``
+    of the entries.  E is |det| / F with that determinant, 1 up to
+    rounding: the smaller singular value of the computed product, like its
+    determinant, cancels to noise once F^2 outgrows 1/eps.
 
     An order whose H = E / F falls below the normal float64 range raises
     ``ParameterError`` naming ``n`` (at (0.2, 0.3): from n = 56 at k = 200,
     n = 29 at k = 1e5).  A normal H keeps F^2 under 4.5e307, so the
     2 (ab + cd) ~ F^2 that svd2's direction formula forms stays finite.
     """
-    m = orbit_jacobian(p, params, n)
-    s = svd2(m)
+    a, b, c, d, det = orbit_entries(p, params, n)
+    s = svd2(Mat2(a, b, c, d))
     if s.degenerate or s.dir_min is None or s.dir_max is None:
         raise ConformalPointError(n, s.sigma_max)
-    e = abs(orbit_determinant(p, params, n)) / s.sigma_max
+    e = abs(det) / s.sigma_max
     h = e / s.sigma_max
     if not h >= sys.float_info.min:
         raise ParameterError("n", f"{n}: the order-n frame leaves float64 range at k = {params.k:g}, "

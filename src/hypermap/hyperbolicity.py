@@ -246,9 +246,11 @@ class ConeReport:
             from . import numfmt  # only reports with failures need the kernel
 
             n = len(self.failure_records)
-            y, theta = np.fromiter(itertools.chain.from_iterable(self.failure_records), float, 2 * n).reshape(n, 2).T
+            # One kernel call for both columns: g17 formats each value on its own row.
+            cells = numfmt.g17(np.fromiter(itertools.chain.from_iterable(self.failure_records), float, 2 * n))
+            y, theta = cells.reshape(n, 2, -1).transpose(1, 0, 2)
             label, sep, end = (np.full(n, text, dtype=f"S{len(text)}") for text in (b"failure y=", b" theta=", b"\n"))
-            lines.append(numfmt.join([label, numfmt.g17(y), sep, numfmt.g17(theta), end])[:-1])
+            lines.append(numfmt.join([label, y, sep, theta, end])[:-1])
         return "\n".join(lines)
 
 

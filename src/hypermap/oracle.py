@@ -6,6 +6,12 @@ fourth-order Runge-Kutta leaf tracer.  They are deliberately kept apart from
 the production formula paths so no identity is ever validated only against
 itself.
 
+The SVD's formula is written once, on four floats, as ``svd2_entries``;
+``svd2`` wraps it for a ``Mat2``.  Two production paths use it: the
+``verify`` battery checks the closed-form contracted field against the
+float form, and ``hyperbolic_frame`` takes its order-n singular values and
+directions from ``svd2``.
+
 Note on signs: the derivative of psi_c(y) = 2 pi k cos(2 pi y) is
 psi_c'(y) = -4 pi^2 k sin(2 pi y); the leading sign is negative.  The finite
 difference here pins that sign.
@@ -54,9 +60,36 @@ class SweepMinResult:
     degenerate: bool
 
 
-def _image_norm(m: Mat2, theta: float) -> float:
-    c, s = math.cos(theta), math.sin(theta)
-    return math.hypot(m.a11 * c + m.a12 * s, m.a21 * c + m.a22 * s)
+def _image_norm(a: float, b: float, c: float, d: float, theta: float) -> float:
+    """|M v(theta)| for M with row-major entries a, b, c, d."""
+    co, si = math.cos(theta), math.sin(theta)
+    return math.hypot(a * co + b * si, c * co + d * si)
+
+
+def svd2_entries(a: float, b: float, c: float, d: float) -> tuple[float, float, Optional[float], Optional[float]]:
+    """``svd2`` on the four row-major entries of a matrix, as plain floats.
+
+    Returns (sigma_max, sigma_min, lifted angle of dir_max, lifted angle of
+    dir_min); both angles are None where ``svd2`` calls the matrix
+    degenerate.  Raises ValueError unless every entry is finite.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise ValueError(f"svd2 requires finite entries, got {(a, b, c, d)!r}")
+    h1 = math.hypot(a + d, b - c)
+    h2 = math.hypot(a - d, b + c)
+    sigma_max = 0.5 * (h1 + h2)
+    sigma_min = 0.5 * abs(h1 - h2)
+    if h2 <= 1e-14 * max(h1, 1e-300) or sigma_max == 0.0:
+        return sigma_max, sigma_min, None, None
+    num = 2.0 * (a * b + c * d)
+    den = a * a + c * c - b * b - d * d
+    if num == 0.0 and den == 0.0:
+        return sigma_max, sigma_min, None, None
+    t0 = 0.5 * math.atan2(num, den)
+    t1 = t0 + 0.5 * math.pi
+    if _image_norm(a, b, c, d, t0) <= _image_norm(a, b, c, d, t1):
+        return sigma_max, sigma_min, t1, t0
+    return sigma_max, sigma_min, t0, t1
 
 
 def svd2(m: Mat2) -> Svd2Result:
@@ -70,28 +103,15 @@ def svd2(m: Mat2) -> Svd2Result:
     and the extremal right-singular directions from the stationarity relation
     tan(2 theta) = 2(ab + cd) / (a^2 + c^2 - b^2 - d^2).  Which of the two
     orthogonal solutions is most contracted is decided by direct evaluation
-    of |M v|, never by convention.
+    of |M v|, never by convention.  The formula is ``svd2_entries``.
     """
-    a, b, c, d = m.entries()
-    if not all(map(math.isfinite, (a, b, c, d))):
-        raise ValueError(f"svd2 requires finite entries, got {m!r}")
-    h1 = math.hypot(a + d, b - c)
-    h2 = math.hypot(a - d, b + c)
-    sigma_max = 0.5 * (h1 + h2)
-    sigma_min = 0.5 * abs(h1 - h2)
-    if h2 <= 1e-14 * max(h1, 1e-300) or sigma_max == 0.0:
+    try:
+        sigma_max, sigma_min, t_max, t_min = svd2_entries(*m.entries())
+    except ValueError:
+        raise ValueError(f"svd2 requires finite entries, got {m!r}") from None
+    if t_max is None or t_min is None:
         return Svd2Result(sigma_max, sigma_min, None, None, True)
-    num = 2.0 * (a * b + c * d)
-    den = a * a + c * c - b * b - d * d
-    if num == 0.0 and den == 0.0:
-        return Svd2Result(sigma_max, sigma_min, None, None, True)
-    t0 = 0.5 * math.atan2(num, den)
-    t1 = t0 + 0.5 * math.pi
-    if _image_norm(m, t0) <= _image_norm(m, t1):
-        dir_min, dir_max = DirAngle(t0), DirAngle(t1)
-    else:
-        dir_min, dir_max = DirAngle(t1), DirAngle(t0)
-    return Svd2Result(sigma_max, sigma_min, dir_max, dir_min, False)
+    return Svd2Result(sigma_max, sigma_min, DirAngle(t_max), DirAngle(t_min), False)
 
 
 def sweep_min_direction(m: Mat2, grid: int = 100_000) -> SweepMinResult:
@@ -115,24 +135,24 @@ def sweep_min_direction(m: Mat2, grid: int = 100_000) -> SweepMinResult:
     # Golden-section search on the bracketing interval.
     x1 = xb - _GOLDEN * (xb - xa)
     x2 = xa + _GOLDEN * (xb - xa)
-    f1, f2 = _image_norm(m, x1), _image_norm(m, x2)
+    f1, f2 = _image_norm(a, b, c, d, x1), _image_norm(a, b, c, d, x2)
     while xb - xa > 1e-10:
         if f1 <= f2:
             xb, x2, f2 = x2, x1, f1
             x1 = xb - _GOLDEN * (xb - xa)
-            f1 = _image_norm(m, x1)
+            f1 = _image_norm(a, b, c, d, x1)
         else:
             xa, x1, f1 = x1, x2, f2
             x2 = xa + _GOLDEN * (xb - xa)
-            f2 = _image_norm(m, x2)
+            f2 = _image_norm(a, b, c, d, x2)
     best = 0.5 * (xa + xb)
     # |M v(theta)|^2 is an exact sinusoid in 2 theta, so a three-point vertex
     # solve at well-separated samples removes the sqrt(eps) noise floor that
     # limits any purely comparison-based minimiser.
     h = width
-    f0 = _image_norm(m, best) ** 2
-    fp = _image_norm(m, best + h) ** 2
-    fm = _image_norm(m, best - h) ** 2
+    f0 = _image_norm(a, b, c, d, best) ** 2
+    fp = _image_norm(a, b, c, d, best + h) ** 2
+    fm = _image_norm(a, b, c, d, best - h) ** 2
     curvature = fp + fm - 2.0 * f0
     if curvature > 0.0:
         best -= 0.5 * math.atan(math.tan(h) * (fp - fm) / curvature)

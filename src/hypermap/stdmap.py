@@ -124,13 +124,18 @@ class DirAngle:
 
     @property
     def theta(self) -> float:
-        t = self.lifted % math.pi
-        if t >= math.pi:
-            t = 0.0
-        return t
+        return canonical_angle(self.lifted)
 
     def dist(self, other: "DirAngle") -> float:
         return angle_dist_mod_pi(self.theta, other.theta)
+
+
+def canonical_angle(lifted: float) -> float:
+    """The representative in [0, pi) of an undirected direction's lifted angle."""
+    t = lifted % math.pi
+    if t >= math.pi:
+        t = 0.0
+    return t
 
 
 def angle_dist_mod_pi(a: float, b: float) -> float:
@@ -189,7 +194,7 @@ def map_inverse(p: TorusPoint, params: MapParams) -> TorusPoint:
     return TorusPoint(*map_step(p.x, p.y, params, False))
 
 
-def _entries(c: float, forward: bool) -> tuple[float, float, float, float]:
+def jacobian_entries(c: float, forward: bool) -> tuple[float, float, float, float]:
     """Row-major entries of the forward (or backward) Jacobian where psi = c."""
     return (1.0, c, 1.0, 1.0 + c) if forward else (1.0 + c, -c, -1.0, 1.0)
 
@@ -201,9 +206,9 @@ def jacobian(p: TorusPoint, params: MapParams, time: TimeDirection = "forward") 
     cancels to 1 except for one rounding in 1 + psi.
     """
     if time == "forward":
-        return Mat2(*_entries(psi(p.y, params), True))
+        return Mat2(*jacobian_entries(psi(p.y, params), True))
     if time == "backward":
-        return Mat2(*_entries(psi(p.ytilde, params), False))
+        return Mat2(*jacobian_entries(psi(p.ytilde, params), False))
     raise ParameterError("time", f"must be 'forward' or 'backward', got {time!r}")
 
 
@@ -215,6 +220,28 @@ def _orbit_psi(p: TorusPoint, params: MapParams, n: int) -> list[float]:
         x, y = map_step(x, y, params, forward)
         x, y = mod1(x), mod1(y)
     return out
+
+
+def orbit_entries(p: TorusPoint, params: MapParams, n: int) -> tuple[float, float, float, float, float]:
+    """``orbit_jacobian``'s four entries and ``orbit_determinant``, from one walk of the orbit.
+
+    The product of the step determinants equals ``orbit_determinant`` bit
+    for bit: a11 a22 - a12 a21 of either direction's entries is
+    (1 + psi) - psi.
+    """
+    if n == 0:
+        raise ParameterError("n", "must be nonzero, got 0")
+    a, b, c, d, det = 1.0, 0.0, 0.0, 1.0, 1.0
+    for s in _orbit_psi(p, params, n):
+        m11, m12, m21, m22 = jacobian_entries(s, n > 0)
+        a, b, c, d = m11 * a + m12 * c, m11 * b + m12 * d, m21 * a + m22 * c, m21 * b + m22 * d
+        det *= m11 * m22 - m12 * m21
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+            raise ParameterError("n", f"{n}: the orbit Jacobian overflows float64 at k = {params.k:g}")
+    t = (det - (a * d - b * c)) / (a * a + b * b + c * c + d * d)
+    if math.isfinite(t):
+        a, b, c, d = a + t * d, b - t * c, c - t * b, d + t * a
+    return a, b, c, d, det
 
 
 def orbit_jacobian(p: TorusPoint, params: MapParams, n: int) -> Mat2:
@@ -231,19 +258,10 @@ def orbit_jacobian(p: TorusPoint, params: MapParams, n: int) -> Mat2:
     square of the largest partial product, which exceeds the rounding of
     the final entries when an orbit expands and then contracts.  So the
     product is moved back along its cofactor matrix to the determinant
-    ``orbit_determinant`` gives.
+    ``orbit_determinant`` gives.  The walk is ``orbit_entries``.
     """
-    if n == 0:
-        raise ParameterError("n", "must be nonzero, got 0")
-    a, b, c, d, det = 1.0, 0.0, 0.0, 1.0, 1.0
-    for s in _orbit_psi(p, params, n):
-        m11, m12, m21, m22 = _entries(s, n > 0)
-        a, b, c, d = m11 * a + m12 * c, m11 * b + m12 * d, m21 * a + m22 * c, m21 * b + m22 * d
-        det *= m11 * m22 - m12 * m21
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-            raise ParameterError("n", f"{n}: the orbit Jacobian overflows float64 at k = {params.k:g}")
-    t = (det - (a * d - b * c)) / (a * a + b * b + c * c + d * d)
-    return Mat2(a + t * d, b - t * c, c - t * b, d + t * a) if math.isfinite(t) else Mat2(a, b, c, d)
+    a, b, c, d, _ = orbit_entries(p, params, n)
+    return Mat2(a, b, c, d)
 
 
 def orbit_determinant(p: TorusPoint, params: MapParams, n: int) -> float:

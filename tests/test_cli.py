@@ -3,16 +3,23 @@
 import argparse
 import io
 import math
+import random
 import re
 import shlex
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypermap import __version__, cli
 from hypermap.cli import run
+from hypermap.coordinates import critical_constants, phi, phi_inverse, phi_prime, theta_field
+from hypermap.hyperbolicity import push_vector, verify_cones
+from hypermap.oracle import svd2
+from hypermap.stdmap import TWO_PI, MapParams, TorusPoint, angle_dist_mod_pi, jacobian, map_forward, map_inverse
+from hypermap.tangency import MAX_CURVE_K, tangency_curve
 
 
 def run_capture(argv):
@@ -178,7 +185,128 @@ class TestTangencyCommand:
         assert len(rows) > 128 and all(float(r[6]) < 1e-8 for r in rows)
 
 
+# The battery's checks on objects, as cli._verify_battery made them before it
+# walked plain floats.  Its rows must equal the battery's.
+
+
+def reference_verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
+    """cli._verify_battery with a TorusPoint, a Mat2 and svd2's result objects per sample."""
+    k = params.k
+    c = critical_constants(params)  # raises before the battery overflows at huge k
+    rng = random.Random(1234)
+    results: list[tuple[str, bool, str]] = []
+
+    worst = 0.0
+    for _ in range(128):
+        p = TorusPoint(rng.random(), rng.random())
+        q = map_inverse(map_forward(p, params), params)
+        d = max(abs(q.x - p.x) % 1.0, abs(q.y - p.y) % 1.0)
+        worst = max(worst, min(d, 1.0 - d))
+    # Rounding at the scale of k, amplified by up to 2 pi k in the inverse.  A
+    # bound of 1/2, the largest torus distance, would pass any round trip.
+    bound = 16.0 * math.ulp(1.0) * (1.0 + k) * (1.0 + TWO_PI * k)
+    results.append(("round_trip", worst <= bound < 0.5, f"max {worst:.3g}, bound {bound:.3g}"))
+
+    worst = 0.0
+    for _ in range(128):
+        p = TorusPoint(rng.random(), rng.random())
+        for time in ("forward", "backward"):
+            worst = max(worst, abs(jacobian(p, params, time).det - 1.0))  # type: ignore[arg-type]
+    results.append(("unimodular", worst < 1e-12, f"max |det-1| {worst:.3g}"))
+
+    # sigma_min = |h1 - h2|/2 cancels, costing about eps sigma_max^2 per sample.
+    # A bound of 1 would pass an E1 that is all rounding noise.
+    worst = worst_share = widest = 0.0
+    for _ in range(128):
+        p = TorusPoint(rng.random(), rng.random())
+        s = svd2(jacobian(p, params, "forward"))
+        err = abs(s.sigma_max * s.sigma_min - 1.0)
+        bound = 16.0 * math.ulp(1.0) * s.sigma_max * s.sigma_max
+        worst = max(worst, err)
+        worst_share = max(worst_share, err / bound)
+        widest = max(widest, bound)
+    results.append(("E1_F1_product", worst_share <= 1.0 and widest < 1.0,
+                    f"max |E1*F1-1| {worst:.3g}, {worst_share:.3g} of 16 eps F1^2"))
+
+    worst = 0.0
+    for j in range(256):
+        coord = j / 256
+        for time in ("forward", "backward"):
+            # TorusPoint(0, coord) has y = ytilde = coord, serving both times.
+            s = svd2(jacobian(TorusPoint(0.0, coord), params, time))  # type: ignore[arg-type]
+            if s.dir_min is None:
+                continue
+            worst = max(worst, theta_field(coord, params, time).dist(s.dir_min))  # type: ignore[arg-type]
+    results.append(("theta_vs_svd", worst < 1e-9, f"max angle err {worst:.3g}"))
+
+    v, t = cli._field_columns(np.arange(1, 256) / 256, params, "forward")
+    v, t = v[np.abs(v) <= 1e6], t[np.abs(v) <= 1e6]
+    worst = float(np.max(np.abs(np.tan(2.0 * t) - v) / np.maximum(1.0, np.abs(v)), initial=0.0))
+    results.append(("tan2theta_eq_phi", worst < 1e-9, f"max rel err {worst:.3g}"))
+
+    if c.all_defined:
+        chain = list(c.as_dict().items())
+        chain.insert(1, ("1/4", 0.25))
+        # From k ~ 1e7 on float64 ties neighbours, which a strict chain must report.
+        bad = [f"{a} >= {b}" for (a, u), (b, w) in zip(chain, chain[1:])
+               if not u < w]  # type: ignore[operator]
+        detail = "not strict: " + ", ".join(bad) if bad else "strict chain"
+        results.append(("constants_ordering", not bad, detail))
+    else:
+        results.append(("constants_ordering", True, "skipped: constants undefined at this k"))
+
+    worst = 0.0
+    for j in range(64):
+        out, _ = push_vector(j / 64, 0.0, params)
+        worst = max(worst, angle_dist_mod_pi(out, math.pi / 4.0))
+    out, _ = push_vector(0.25, 3.0 * math.pi / 4.0, params)
+    worst2 = angle_dist_mod_pi(out, 0.0)
+    # psi(1/4) = 2 pi k cos(pi/2) is 2 pi k * 6.1e-17 in floats, not 0, which
+    # turns the image by ~0.28 eps 2 pi k.
+    bound = 4.0 * math.ulp(1.0) * (1.0 + TWO_PI * k)
+    results.append(("exact_mapping_facts", max(worst, worst2) < bound < 0.5,
+                    f"horiz->diag {worst:.3g}, negdiag->horiz {worst2:.3g}"))
+
+    if k > 2:
+        rep = verify_cones(params, 2, 5000, seed=7)
+        results.append(("cone_slope_invariance", rep.slope_failures == 0 and rep.min_norm > 1.0,
+                        f"slope failures {rep.slope_failures}, min_norm {rep.min_norm:.4f}"))
+
+    if c.all_defined:
+        if k <= MAX_CURVE_K:
+            _, (_, res_lower), (_, res_upper) = tangency_curve(params, 128)
+            worst = float(max(res_lower.max(), res_upper.max()))
+            results.append(("tangency_residual", worst < 1e-8, f"max {worst:.3g}"))
+
+        worst = worst_share = 0.0
+        for j in range(128):
+            y = 0.05 + 0.9 * j / 128
+            v = phi(y, params)
+            if not math.isfinite(v) or abs(v) > 1e5 or v == 0.0:
+                continue
+            roots = phi_inverse(v, params)
+            if not roots:
+                worst = worst_share = math.inf
+                continue
+            # contract metric: phi at the recovered root matches z, to within phi's
+            # slope times the rounding of a float root plus phi's own rounding
+            r = min(roots, key=lambda r: abs(r - y))
+            scale = max(1.0, abs(v))
+            err = abs(phi(r, params) - v) / scale
+            bound = 16.0 * (abs(phi_prime(r, params)) * math.ulp(r) + math.ulp(1.0) * scale) / scale
+            worst = max(worst, err)
+            worst_share = max(worst_share, err / bound)
+        results.append(("phi_inverse_residual", worst_share <= 1.0, f"max rel {worst:.3g}"))
+
+    return results
+
+
 class TestVerify:
+    def test_battery_equals_object_level_reference(self):
+        for k in (0.05, 0.3, 0.49, 0.5, 1, 2.5, 5, 21, 100, 3000, 3e4, 1e6, 5e6, 2e7, 1e8):
+            params = MapParams(k)
+            assert cli._verify_battery(params) == reference_verify_battery(params), k
+
     def test_default_klist_passes(self):
         code, out = run_capture(["verify", "--k-list", "1,5"])
         assert code == 0

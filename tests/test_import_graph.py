@@ -8,9 +8,11 @@ import hypermap
 PACKAGE = Path(hypermap.__file__).resolve().parent
 
 #: Left out of the graph: ``oracle`` holds the independent references, and it
-#: reads the fields and leaves that it checks.  Production's one import from
-#: it, ``svd2`` in ``hyperbolic_frame``, goes away once the order-n frames
-#: get a batched SVD of their own.
+#: reads the fields and leaves that it checks.  Production imports its SVD in
+#: two modules: ``coordinates`` (``svd2`` in ``hyperbolic_frame``, which goes
+#: away once the order-n frames get a batched SVD of their own) and ``cli``
+#: (``svd2_entries`` in the ``verify`` battery, and ``svd2`` bound for the
+#: benchmark's tracer).
 EXCLUDED = {"oracle"}
 
 

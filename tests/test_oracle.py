@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermap.foliations import fold_tips
-from hypermap.oracle import StepSizeError, fd_derivative, rk4_leaf, svd2, sweep_min_direction
-from hypermap.stdmap import MapParams, Mat2, TorusPoint, angle_dist_mod_pi
+from hypermap.oracle import StepSizeError, fd_derivative, rk4_leaf, svd2, svd2_entries, sweep_min_direction
+from hypermap.stdmap import MapParams, Mat2, TorusPoint, angle_dist_mod_pi, jacobian_entries
 from test_stdmap import IDENTITY, matmul
 
 SQRT5 = math.sqrt(5.0)
@@ -112,6 +112,47 @@ class TestSvd2:
             np_max = math.atan2(float(vt[0, 1]), float(vt[0, 0]))
             assert angle_dist_mod_pi(s.dir_min.theta, np_min) < 1e-9
             assert angle_dist_mod_pi(s.dir_max.theta, np_max) < 1e-9
+
+
+class TestSvd2Entries:
+    """svd2 is svd2_entries on a Mat2's entries, bit for bit."""
+
+    @staticmethod
+    def hex_result(m: Mat2) -> tuple:
+        s = svd2(m)
+        angles = (None, None) if s.degenerate else (s.dir_max.lifted.hex(), s.dir_min.lifted.hex())
+        return s.sigma_max.hex(), s.sigma_min.hex(), *angles
+
+    @staticmethod
+    def hex_entries(m: Mat2) -> tuple:
+        return tuple(None if v is None else v.hex() for v in svd2_entries(*m.entries()))
+
+    def test_seeded_matrices(self):
+        rng = random.Random(31)
+        for _ in range(2000):
+            scale = 10.0 ** rng.uniform(-8, 8)
+            m = Mat2(*(scale * rng.uniform(-1, 1) for _ in range(4)))
+            assert self.hex_entries(m) == self.hex_result(m)
+        for _ in range(500):  # step Jacobians, forward and backward
+            m = Mat2(*jacobian_entries(rng.uniform(-1e4, 1e4), rng.random() < 0.5))
+            assert self.hex_entries(m) == self.hex_result(m)
+
+    def test_degenerate(self):
+        # Rotations (h2 = 0), the zero matrix (sigma_max = 0) and a reflection,
+        # whose stationarity relation is 0/0 (num = den = 0).
+        for m in [rotation(0.1 * j) for j in range(32)] + [Mat2(0.0, 0.0, 0.0, 0.0), Mat2(1.0, 0.0, 0.0, -1.0)]:
+            got = self.hex_entries(m)
+            assert got[2:] == (None, None) and got == self.hex_result(m)
+
+    def test_rejects_non_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(4):
+                entries = [1.0, 0.5, -0.25, 2.0]
+                entries[i] = bad
+                with pytest.raises(ValueError):
+                    svd2_entries(*entries)
+                with pytest.raises(ValueError, match="svd2 requires finite entries, got Mat2"):
+                    svd2(Mat2(*entries))
 
 
 class TestSweepMinDirection:

@@ -2,25 +2,29 @@
 
 import math
 import random
+import sys
 from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermap import coordinates
-from hypermap.coordinates import hyperbolic_frame
+from hypermap.coordinates import ConformalPointError, HypFrame, hyperbolic_frame
 from hypermap.hyperbolicity import ExpansionReport, delta_strip, orbit_expansion, push_vector
+from hypermap.oracle import svd2
 from hypermap.stdmap import (
+    DirAngle,
     MapParams,
     Mat2,
     ParameterError,
     TorusPoint,
+    canonical_angle,
     jacobian,
     map_forward,
     map_inverse,
     mod1,
     orbit_determinant,
+    orbit_entries,
     orbit_jacobian,
     psi,
 )
@@ -64,6 +68,19 @@ class TestMod1:
     @settings(max_examples=300, deadline=None)
     def test_range(self, v):
         assert 0.0 <= mod1(v) < 1.0
+
+
+class TestCanonicalAngle:
+    def test_a_turn_just_below_zero_is_zero(self):
+        # -1e-17 % pi rounds to pi itself, which is no representative in [0, pi).
+        assert -1e-17 % math.pi == math.pi
+        assert canonical_angle(-1e-17) == DirAngle(-1e-17).theta == 0.0
+
+    @given(st.floats(min_value=-100, max_value=100, allow_nan=False))
+    @settings(max_examples=300, deadline=None)
+    def test_range_and_dir_angle(self, a):
+        assert 0.0 <= canonical_angle(a) < math.pi
+        assert DirAngle(a).theta == canonical_angle(a)
 
 
 class TestMapParams:
@@ -186,7 +203,9 @@ class TestJacobian:
 # References for the float walks of orbit_jacobian, orbit_determinant and
 # orbit_expansion: the same orbits walked on a TorusPoint and a Mat2 per
 # step, multiplied as Mat2 products.  Each float walk must equal its
-# reference bit for bit.
+# reference bit for bit.  hyperbolic_frame walks its orbit once; its
+# reference walks it twice, through reference_orbit_jacobian and
+# reference_orbit_determinant.
 
 
 def reference_steps(p: TorusPoint, params: MapParams, n: int) -> Iterator[Mat2]:
@@ -219,6 +238,19 @@ def reference_orbit_determinant(p: TorusPoint, params: MapParams, n: int) -> flo
     return det
 
 
+def reference_hyperbolic_frame(p: TorusPoint, params: MapParams, n: int) -> HypFrame:
+    m = reference_orbit_jacobian(p, params, n)
+    s = svd2(m)
+    if s.degenerate or s.dir_min is None or s.dir_max is None:
+        raise ConformalPointError(n, s.sigma_max)
+    e = abs(reference_orbit_determinant(p, params, n)) / s.sigma_max
+    h = e / s.sigma_max
+    if not h >= sys.float_info.min:
+        raise ParameterError("n", f"{n}: the order-n frame leaves float64 range at k = {params.k:g}, "
+                                  f"F = {s.sigma_max:.3g}")
+    return HypFrame(order=n, F=s.sigma_max, E=e, H=h, e_dir=s.dir_min, f_dir=s.dir_max)
+
+
 def reference_orbit_expansion(p: TorusPoint, theta: float, params: MapParams, m: int, n: int) -> ExpansionReport:
     """orbit_expansion's push along TorusPoints, for arguments it accepts."""
     strip = delta_strip(m, params)
@@ -249,7 +281,7 @@ def bits(value) -> list[str]:
         return bits(value.entries())
     if isinstance(value, ExpansionReport):
         return bits(value.factors) + [repr(value.entered_strip_at)]
-    if isinstance(value, coordinates.HypFrame):
+    if isinstance(value, HypFrame):
         return bits((value.F, value.E, value.H, value.e_dir.lifted, value.f_dir.lifted)) + [repr(value.order)]
     if isinstance(value, tuple):
         return [b for v in value for b in bits(v)]
@@ -344,18 +376,22 @@ class TestOrbitJacobian:
 class TestFloatWalkEqualsReference:
     def test_orbit_jacobian_and_determinant(self):
         for p, params, n in seeded_orbits(600, 23):
-            assert bits(orbit_jacobian(p, params, n)) == bits(reference_orbit_jacobian(p, params, n))
-            assert bits(orbit_determinant(p, params, n)) == bits(reference_orbit_determinant(p, params, n))
+            want_m, want_det = reference_orbit_jacobian(p, params, n), reference_orbit_determinant(p, params, n)
+            assert bits(orbit_jacobian(p, params, n)) == bits(want_m)
+            assert bits(orbit_determinant(p, params, n)) == bits(want_det)
+            assert bits(orbit_entries(p, params, n)) == bits((*want_m.entries(), want_det))
 
-    def test_hyperbolic_frame(self, monkeypatch):
+    def test_hyperbolic_frame(self):
         cases = list(seeded_orbits(400, 24))
+        # The orders test_parameter_errors.py names at (0.2, 0.3), k = 1e5: H
+        # underflows from 29 on, the product overflows at 57, and 0 is no order.
+        cases += [(TorusPoint(0.2, 0.3), MapParams(1e5), n) for n in (28, 29, 56, 57, -57, 0)]
         got = [outcome(hyperbolic_frame, p, params, n) for p, params, n in cases]
-        monkeypatch.setattr(coordinates, "orbit_jacobian", reference_orbit_jacobian)
-        monkeypatch.setattr(coordinates, "orbit_determinant", reference_orbit_determinant)
-        want = [outcome(hyperbolic_frame, p, params, n) for p, params, n in cases]
+        want = [outcome(reference_hyperbolic_frame, p, params, n) for p, params, n in cases]
         assert [bits(g) for g in got] == [bits(w) for w in want]
-        raised = sum(isinstance(g, tuple) for g in got)
+        raised = sum(isinstance(g, tuple) for g in got[:400])
         assert 0 < raised < 100  # H leaves float64 range at some large orders and k
+        assert isinstance(got[-6], HypFrame) and all(g[0] is ParameterError for g in got[-5:])
 
     def test_orbit_expansion(self):
         rng = random.Random(25)
