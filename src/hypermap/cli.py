@@ -4,10 +4,10 @@ Subcommands: constants | field | leaf | tangency | cones | verify | figures.
 Every CSV starts with a comment line echoing the tool version and all
 effective parameters, so identical invocations produce byte-identical
 output (there are no timestamps).  Exit codes: 0 on success, 1 when a
-check command found failures, 2 on argument errors.  Exit 2 after parsing
-comes only from a ``ParameterError``, raised where the library checks the
-parameter and reported under the flag that set it; any other exception
-propagates.
+check command found failures, 2 on argument errors, 141 when the reader
+closed standard output early.  Exit 2 after parsing comes only from a
+``ParameterError``, raised where the library checks the parameter and
+reported under the flag that set it; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -555,8 +555,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+#: Exit code when the reader of standard output closes it early: 128 plus
+#: SIGPIPE's number, as a shell reports a command that signal ended.
+_EXIT_BROKEN_PIPE = 141
+
+
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # inside the try: a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; writing into os.devnull from
+        # now on keeps that flush from failing as well.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(_EXIT_BROKEN_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

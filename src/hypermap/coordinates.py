@@ -301,8 +301,8 @@ def hyperbolic_frame(p: TorusPoint, params: MapParams, n: int) -> HypFrame:
     """Numerical order-n frame from the SVD of the orbit Jacobian.
 
     One walk of the orbit (``orbit_entries``) gives the entries of
-    ``orbit_jacobian`` and the product of the step determinants that
-    ``orbit_determinant`` gives.  F and the directions come from ``svd2``
+    ``orbit_jacobian`` and the product of the step determinants, det
+    D(f^n)_p up to rounding.  F and the directions come from ``svd2``
     of the entries.  E is |det| / F with that determinant, 1 up to
     rounding: the smaller singular value of the computed product, like its
     determinant, cancels to noise once F^2 outgrows 1/eps.

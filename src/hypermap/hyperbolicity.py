@@ -82,7 +82,8 @@ extremum candidates; the first MAX_FAILURE_RECORDS failures of the sweep
 get their exact y for the records.  Every certified verdict equals the
 exact one and every extremum is attained in a refined sample, so the report
 is bit-identical to an all-float64 sweep.  For 5 <= k <= 200 outside the
-strips about one sample in 10^4 is refined.  Inside the strips the image is
+strips 0.04-1 % of the drawn samples are refined, the extremum candidates
+included: they lie next to the failure layers.  Inside the strips the image is
 at most 1 + 2m long, and the share refined grows like E / m: about 64 % at
 k = 10^4, m = 2.  Where E > 0.15 m inside the strips, or where
 K >= 2^60 and float32 could overflow, a chunk is evaluated in float64 at
@@ -110,41 +111,89 @@ intervals of y, each from one side of a strip to the other; widened by
 1e-12, far above the rounding of their ends, their grid points outside
 Delta^(m) (below) are the band.
 
-Every sweep draws its heights as grid points y = j 2^-53 of [0, 1), the
-points ``random()`` draws from.  The sampled region is a list of closed
-spans of j.  Outside Delta^(m) they are the j with j 2^-53 < delta^(m),
-delta^(-m) < j 2^-53 < 1 - delta^(-m) or j 2^-53 > 1 - delta^(m); inside,
-the j of the two closed strips.  They come from the floats that
-StripSpec.contains compares, scaled by 2^53, which is exact, so a height is
-drawn exactly when contains puts it in the region.  One generator made from
-the seed draws, in batches of _CHUNK, an integer j uniform on the region's
-spans and then the draws t for theta; each batch is filtered and refined
-with what is left of the record budget.
+Every sweep draws its samples as grid points: heights y = j 2^-53 of
+[0, 1), the points ``random()`` draws from, and theta's draws t = i 2^-53,
+theta = atan(1/m) + t (atan m - atan(1/m)).  The region's heights are a
+list of closed spans of j.  Outside Delta^(m) they are the j with
+j 2^-53 < delta^(m), delta^(-m) < j 2^-53 < 1 - delta^(-m) or
+j 2^-53 > 1 - delta^(m); inside, the j of the two closed strips.  They come
+from the floats that StripSpec.contains compares, scaled by 2^53, which is
+exact, so a height is drawn exactly when contains puts it in the region.
+t's top six bits are its bucket b, t = (b 2^47 + low) 2^-53, and each set
+of samples is a list of rows, one bucket over one span of j.  One
+generator made from the seed draws, in batches of _CHUNK, an integer
+uniform on the rows' grid points (j, b) laid end to end, then t's low 47
+bits; each batch is filtered and refined with what is left of the record
+budget.  Sweeps inside the strips and sweeps without a band (T_band + e64
+reaches K, or e64 >= 1e-3, which keeps K far below where the filter has no
+bounds) draw all n samples on every bucket of the region's spans.
 
-A sweep outside the strips draws the band alone.  Of n heights uniform on
-the region's grid points, the number n_band in the band is Binomial(n, p),
-p the band's share of those points, and given n_band they are independent
-and uniform on the band's points (binomial splitting: L. Devroye,
+Outside the strips most of the band is certified too, cell by cell.  At a
+fixed slope t = tan theta the norm is below m exactly where
+
+    Q(psi, t) = (2 psi^2 + 2 psi + 1 - m^2) t^2 + (4 psi + 2) t + 2 - m^2
+
+is negative.  For |psi| >= 2m it is negative at t = 0 and rises in t, so
+the norm fails exactly below its positive root t_root(psi).  Its
+derivative in psi, 2t (2 psi t + t + 2), has the sign of psi wherever
+t >= 1/m, so Q grows with |psi| on each side, and the norm is at least m
+at every slope of the cone above t_root(psi_a) wherever |psi| >= |psi_a|
+on psi_a's side.  The band's four half-sides, one on each side of each
+strip, are cut into cells of grid points at |psi_c| = 2m + h (below) and
+at 2m (T_band / 2m)^(i / _CELLS), i = 1, ..., _CELLS - 1.  A cell's
+|psi_c| is at least psi_lo = |fl(psi_c)| - e64 at its grid point next to
+the strip, and above its cut, the least bucket edge u_cut = b / 64 at or above
+u(t_root(psi_a)) + 1e-9 with psi_a = psi_lo - 4 e64 sqrt(1 + m^2), its
+float64 norm is at least m: the margins are those of T_band.  The cuts
+are made to fall outwards, each the largest of those beyond it.  From
+slope - 1 = 1 / (cot theta + psi), a cell's closed buckets [u_cut, u_top)
+have slope - 1 at most 1 / (psi_lo + cot theta_top) on the + side and at
+least -1 / (psi_lo - cot theta_cut) on the - side, theta widened by 1e-9
+of its range, and since |ix| > m / sqrt(1 + m^2) the float64 slope lies
+within sigma of them.  slope_lo and slope_hi are the least and largest of
+these and of the far region's bounds.
+
+The largest slope of a sweep lies near psi_c = +2m at large theta, where
+the cells are closed, so a box there stays open: on the + side the cells
+below |psi_c| = 2m + h, which is a cell edge too, are open from the bucket
+b_x on, the last bucket edge with cot theta >= 1/m + h.  h = 2.5 r, r the
+root of r^2 = a (1 + (1/m + r)^2) with a = 2.5e-5 pi K (atan m - atan(1/m)),
+capped at T_band - 2m and m - 1/m (no cap binds for k <= 200 and m <= 10).
+Each + half-side holds at least r / 2 pi K of y in psi_c in (2m, 2m + r],
+and cot theta in [1/m, 1/m + r] at least r / (1 + (1/m + r)^2) of theta,
+so at least the share 2.5e-5 of the region's samples lies there, with
+slopes above slope_hi: a sweep of 10^6 samples misses it with probability
+below e^-25.  As the cuts fall outwards and the box starts at the strip,
+the open grid points of each half-side at bucket b are the reach[b] next
+to the strip.  The open rows are, bucket by bucket, those four runs (below
+the first strip, above it, below the second, above it); the closed rows
+are, bucket by bucket, the three runs between them, the far region
+included.
+
+A sweep outside the strips draws the open rows alone.  Of n samples
+uniform on the region's grid points, the number n_open on the open rows is
+Binomial(n, p), p their share of those points, and given n_open they are
+independent and uniform on them (binomial splitting: L. Devroye,
 Non-Uniform Random Variate Generation, 1986).  So the generator draws
-n_band first, then the band's samples.  No sample outside the band fails,
-so the counts and the failure records are those of the whole sweep, and so
-are its extrema when the band's least norm lies below m, its least slope
-below 1 - 1/(T_band - m) - sigma and its largest slope above
-1 + 1/T_band + sigma.  Otherwise, n_band = 0 included, the sweep completes
-the same realisation: the same generator draws the other n - n_band samples
-uniform on the region's grid points outside the band, and they are
-evaluated and merged in the same way.  A fresh sweep drawn instead would
-change the law of the report, by choosing sweeps for their extrema.  So the
-report has the law of a sweep of n heights uniform on the region's grid
-points, and it is bit-identical to an all-float64 evaluation of the samples
-drawn.  The band holds the share
+n_open first, then the open samples as one stream.  No closed sample
+fails, so the counts and the failure records are those of the whole
+sweep, and so are its extrema when the open samples' least norm lies below
+m, their least slope below slope_lo and their largest slope above
+slope_hi.  Otherwise, n_open = 0 included, the sweep completes the same
+realisation: the same generator draws the other n - n_open samples
+uniform on the closed rows, and they are evaluated and merged in the same
+way.  A fresh sweep drawn instead would change the law of the report, by
+choosing sweeps for their extrema.  So the report has the law of a sweep
+of n samples uniform on the region's grid points, and it is bit-identical
+to an all-float64 evaluation of the samples drawn.  The band holds the
+share
 
     (asin(T/K) - asin(2m/K)) / (pi/2 - asin(2m/K))
 
-of the samples, 11 % at k = 60, m = 10.  Sweeps inside the strips and
-sweeps without a band (T_band + e64 reaches K, or e64 >= 1e-3, which keeps
-K far below where the filter has no bounds) draw all n samples on the
-region's spans.
+of the samples, 11 % at k = 60, m = 10 and 66 % at k = 14.6, m = 10, and
+its open rows 5-8 % of that for most (k, m) the benchmark draws (3.4 % of
+the samples at k = 14.6, m = 10), up to 20 % at k = 200, m = 2, where the
+box of slope_max holds most of them.
 """
 
 from __future__ import annotations
@@ -227,6 +276,8 @@ class ConeReport:
     failure_records: tuple[tuple[float, float], ...] = field(repr=False, default=())
     #: Samples the filter could not settle and that were evaluated exactly.
     refined: int = field(repr=False, compare=False, default=0)
+    #: Samples the sweep drew and evaluated; the others were settled unseen.
+    drawn: int = field(repr=False, compare=False, default=0)
 
     def to_text(self) -> str:
         lines = [
@@ -531,8 +582,24 @@ def _evaluate(y: np.ndarray, t: np.ndarray, params: MapParams, m: int, inside: b
 
 
 #: Heights are drawn as y = j / _GRID, j an integer in [0, _GRID), the
-#: points ``random()`` draws from.
+#: points ``random()`` draws from, and theta's draws as t = i / _GRID.
 _GRID = 2**53
+
+#: t's top six bits are its bucket b, t = (b _LOW + low) / _GRID: the
+#: cells' cuts are bucket edges b / _BUCKETS.
+_BUCKETS = 64
+_LOW = _GRID // _BUCKETS
+
+#: The band is cut into this many cells a side, geometric in |psi_c|
+#: between 2m and T_band, and once more at the slope_max box's edge.
+_CELLS = 12
+
+#: The least share of the region's samples that the box of slope_max
+#: holds above every slope the closed boxes allow (module docstring).
+_SETTLE_SHARE = 2.5e-5
+
+#: A box set's guide table has at most 2^_GUIDE_BITS slots.
+_GUIDE_BITS = 12
 
 #: Closed spans [lo, hi] of grid indices j, rising; an empty one has hi = lo - 1.
 _Spans = list[tuple[int, int]]
@@ -550,23 +617,122 @@ def _spans(lo: float, hi: float) -> tuple[_Spans, _Spans]:
     return pair, [(a + 1, b - 1) for (_, a), (b, _) in zip(ends, ends[1:])]
 
 
-class _Band(NamedTuple):
-    """The heights the far-region certificate leaves open for one (k, m).
+class _Boxes(NamedTuple):
+    """Grid points (j, t) as rows, each one bucket of t over a closed span of j.
 
-    Every other sample has a float64 norm of at least m and a float64 slope
-    in [slope_lo, slope_hi].
+    The rows lie end to end, in the order given, as the integers
+    [0, size): index x lies in the first row i with x < ends[i], and stands
+    for j = x + j_shift[i] and t's bucket, t_shift[i] = b _LOW.  The row of
+    x is found by a guide table (Devroye 1986, III.2.4): ``guide`` holds the
+    row of the first index of each slot of 2^shift indices, and no slot
+    holds more than ``passes`` row ends.
     """
 
-    psi_bound: float  # T_band: the certificate holds wherever |psi_c| >= T_band
-    spans: _Spans  # the band: the grid points outside Delta^(m) where |psi_c| <= T_band + e64, widened
-    rest: _Spans  # the grid points outside Delta^(m) and the band
+    size: int
+    ends: np.ndarray
+    j_shift: np.ndarray
+    t_shift: np.ndarray
+    guide: np.ndarray
+    shift: int
+    passes: int
+
+
+def _boxes(bucket: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Boxes:
+    """The rows (bucket, [lo, hi]) in this order, empty ones dropped."""
+    keep = hi >= lo
+    bucket, lo, hi = bucket[keep], lo[keep], hi[keep]
+    ends = np.cumsum(hi + 1 - lo)
+    size = int(ends[-1]) if len(ends) else 0  # below 2^59
+    shift = max(0, (size - 1).bit_length() - _GUIDE_BITS)
+    # Row i holds the first index of the slots from -(-start // 2^shift) on,
+    # and a slot holds the end e of a row when (e - 1) >> shift is the slot.
+    first = -(-ends // (1 << shift))
+    counts = first.copy()
+    counts[1:] -= first[:-1]
+    guide = np.repeat(np.arange(len(ends), dtype=np.int16), counts)  # rows: at most 4 x 64
+    passes = int(np.bincount((ends[:-1] - 1) >> shift).max(initial=0))
+    return _Boxes(size, ends, hi + 1 - ends, bucket * _LOW, guide, shift, passes)
+
+
+def _grid_boxes(spans: _Spans) -> _Boxes:
+    """Every bucket of t over the grid points of ``spans``."""
+    lo, hi = (np.array(ends, dtype=np.int64) for ends in zip(*spans))
+    return _boxes(np.repeat(np.arange(_BUCKETS), len(spans)), np.tile(lo, _BUCKETS), np.tile(hi, _BUCKETS))
+
+
+def _box_draws(rng: np.random.Generator, boxes: _Boxes, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` samples uniform on the grid points of ``boxes``: heights y and theta's draws t.
+
+    Each sample takes one integer uniform on [0, size), then t's low 47
+    bits.  The results are views of this thread's work arrays.
+    """
+    x = rng.integers(boxes.size, size=count)
+    row = boxes.guide[x >> boxes.shift].astype(np.intp)  # numpy gathers fastest by intp
+    for _ in range(boxes.passes):
+        row += x >= boxes.ends[row]
+    y, t = _WORK.draws[:count], _WORK.draws[count : 2 * count]
+    np.add(x, boxes.j_shift[row], out=y, casting="unsafe")  # exact below 2^53
+    np.add(rng.integers(_LOW, size=count), boxes.t_shift[row], out=t, casting="unsafe")
+    y *= 1.0 / _GRID
+    t *= 1.0 / _GRID
+    return y, t
+
+
+class _Cells(NamedTuple):
+    """The band's cells, one row per half-side: the grid points j = inner + step d,
+    0 <= d < edges[-1], on one side of one strip, d counted from the strip.
+
+    Cell i holds edges[i] <= d < edges[i + 1], where |psi_c| >= psi_lo[i];
+    its buckets cut <= b < top are closed, the others open.  ``reach[b]``
+    is the number of open grid points at bucket b, next to the strip.
+    """
+
+    inner: np.ndarray
+    step: np.ndarray
+    side: np.ndarray  # the sign of psi_c
+    edges: np.ndarray
+    psi_lo: np.ndarray
+    cut: np.ndarray
+    top: np.ndarray
+    reach: np.ndarray
+
+
+class _Band(NamedTuple):
+    """The boxes of the region outside Delta^(m) for one (k, m): ``open``,
+    the cells' open buckets, and ``closed``, the rows (bucket, lo, hi) of the
+    rest of the region, made a box set only for a sweep that completes.
+
+    Every grid point of ``closed`` has a float64 norm of at least m and a
+    float64 slope in [slope_lo, slope_hi].
+    """
+
+    psi_bound: float  # T_band: the far-region certificate holds wherever |psi_c| >= T_band
+    cells: _Cells
+    open: _Boxes
+    closed: tuple[np.ndarray, np.ndarray, np.ndarray]
+    size: int  # the region's grid points (j, bucket)
     slope_lo: float
     slope_hi: float
 
 
+def _cuts(psi_a: np.ndarray, m: int, lo: float, hi: float) -> np.ndarray:
+    """The least bucket edges above which the norm is at least m wherever psi_c
+    lies at psi_a or beyond it, psi_a signed and |psi_a| near 2m or above.
+
+    The norm is below m exactly for slopes t below the positive root of
+    (2 psi^2 + 2 psi + 1 - m^2) t^2 + (4 psi + 2) t + 2 - m^2.
+    """
+    a = (2.0 * psi_a + 2.0) * psi_a + 1.0 - m * m
+    b = 4.0 * psi_a + 2.0
+    t = (np.sqrt(b * b + 4.0 * (m * m - 2.0) * a) - b) / (2.0 * a)  # no cancellation: the root exceeds 1.2 |b|
+    u = (np.arctan(t) - lo) / (hi - lo)
+    return np.ceil(_BUCKETS * (u + 1e-9)).clip(0, _BUCKETS).astype(np.int64)
+
+
 @functools.lru_cache(maxsize=64)
 def _band(k: float, m: int) -> Optional[_Band]:
-    """The band of the module docstring: |psi_c| <= T_band outside Delta^(m).
+    """The cells and boxes of the module docstring: the band |psi_c| <= T_band
+    outside Delta^(m), its open buckets, and the rest of the region.
 
     None where T_band reaches K (the band would hold every sample), or
     where e64 or the certified slopes leave the certificate's margins.
@@ -576,8 +742,8 @@ def _band(k: float, m: int) -> Optional[_Band]:
     root = math.sqrt(1.0 + m * m)
     t_band = (1.0 + 1e-9) * (m + 1.0 + m * root / math.sqrt(2.0)) + 4.0 * e64 * root
     sigma = 4.0 * e64 + 1e-14
-    slope_lo, slope_hi = 1.0 - 1.0 / (t_band - m) - sigma, 1.0 + 1.0 / t_band + sigma
-    if not (t_band + e64 < big_k and e64 < 1e-3 and max(1.0 - slope_lo, slope_hi - 1.0) < 0.9 / m):
+    far_lo, far_hi = 1.0 - 1.0 / (t_band - m) - sigma, 1.0 + 1.0 / t_band + sigma
+    if not (t_band + e64 < big_k and e64 < 1e-3 and max(1.0 - far_lo, far_hi - 1.0) < 0.9 / m):
         return None
     params = MapParams(k)
     strip = delta_strip(m, params)
@@ -586,24 +752,64 @@ def _band(k: float, m: int) -> Optional[_Band]:
     # and from 1 - y_neg across the other strip to 1 - y_pos.
     y_pos, y_neg = psi_inverse(t_band + e64, params), psi_inverse(-(t_band + e64), params)
     w = 1e-12  # far above the float64 rounding of y_pos and y_neg, a few 2^-53
-    cover, rest = _spans(y_pos - w, y_neg + w)
-    strips, _ = _spans(strip.delta_m, strip.delta_neg_m)
-    spans = [s for (a, b), (lo, hi) in zip(cover, strips) for s in ((a, lo - 1), (hi + 1, b))]
-    return _Band(t_band, spans, rest, slope_lo, slope_hi)
+    (c1, c2), (c3, c4) = _spans(y_pos - w, y_neg + w)[0]
+    (s1, s2), (s3, s4) = _spans(strip.delta_m, strip.delta_neg_m)[0]
+    inner = np.array([s1 - 1, s2 + 1, s3 - 1, s4 + 1])
+    step = np.array([-1, 1, -1, 1])
+    side = np.array([1.0, -1.0, -1.0, 1.0])
+    size = np.array([s1 - c1, c2 - s2, s3 - c3, c4 - s4])
+    lo, hi = math.atan(1.0 / m), math.atan(m)
 
+    # The box of slope_max: psi_c within h of 2m, cot theta within h of 1/m.
+    a = _SETTLE_SHARE * math.pi * big_k * (hi - lo)
+    r = math.inf
+    if a < 1.0:
+        r = (a / m + math.sqrt(a * a / (m * m) + (1.0 - a) * a * (1.0 + 1.0 / (m * m)))) / (1.0 - a)
+    h = min(2.5 * r, t_band - 2.0 * m, m - 1.0 / m)
+    b_x = max(0, math.floor(_BUCKETS * (math.atan(1.0 / (1.0 / m + h)) - lo) / (hi - lo)))
 
-def _grid_draws(rng: np.random.Generator, spans: _Spans, count: int) -> np.ndarray:
-    """``count`` heights y = j / _GRID, j uniform on the grid points of ``spans``.
+    # Cell edges at |psi_c| = 2m (T_band / 2m)^(i / _CELLS) and at 2m + h,
+    # rising, so the distances d from the strip rise too.
+    levels = 2.0 * m * (t_band / (2.0 * m)) ** (np.arange(1, _CELLS) / _CELLS)
+    box = int(np.searchsorted(levels, 2.0 * m + h))  # cells 0 .. box lie below 2m + h
+    y = psi_inverse(np.outer(side, np.insert(levels, box, 2.0 * m + h)), params)
+    y[2:] = 1.0 - y[2:]  # the half-sides of the second strip
+    d = np.clip(np.floor((y * _GRID - inner[:, None]) * step[:, None]), 0, size[:, None])
+    edges = np.concatenate([np.zeros((4, 1)), d, size[:, None]], axis=1).astype(np.int64)
+    j = inner[:, None] + step[:, None] * np.minimum(edges[:, :-1], size[:, None] - 1)
+    psi_lo = np.abs(psi(j * (1.0 / _GRID), params)) - e64
+    cut = _cuts(side[:, None] * (psi_lo - 4.0 * e64 * root), m, lo, hi)
+    cut = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1]  # falling outwards
+    top = np.where((side[:, None] > 0.0) & (np.arange(_CELLS + 1) <= box), b_x, _BUCKETS)
+    buckets = np.arange(_BUCKETS)
+    opened = (buckets < cut[..., None]) | (buckets >= top[..., None])
+    reach = np.max(np.where(opened, edges[:, 1:, None], 0), axis=1)  # the open cells are a prefix
+    cells = _Cells(inner, step, side, edges, psi_lo, cut, top, reach)
 
-    The result is a view of this thread's work arrays.
-    """
-    y = _WORK.draws[:count]
-    np.copyto(y, rng.integers(sum(hi + 1 - lo for lo, hi in spans), size=count))  # exact below 2^53
-    y += spans[0][0]
-    for (_, hi), (lo, _) in zip(spans, spans[1:]):
-        y += (y > hi) * float(lo - hi - 1)  # past a span, skip the gap to the next
-    y *= 1.0 / _GRID
-    return y
+    # The closed buckets' slopes: theta at the bucket edges, widened by
+    # 1e-9 of theta's range for its float64 rounding.
+    eta = 1e-9 * (hi - lo)
+    closed = (cut < top) & (edges[:, 1:] > edges[:, :-1])
+    cot_hi = 1.0 / np.tan(lo + (hi - lo) * cut / _BUCKETS - eta)
+    cot_lo = 1.0 / np.tan(lo + (hi - lo) * top / _BUCKETS + eta)
+    below = 1.0 - 1.0 / (psi_lo - cot_hi) - sigma
+    above = 1.0 + 1.0 / (psi_lo + cot_lo) + sigma
+    slope_lo = min(far_lo, float(np.min(below, where=closed & (side[:, None] < 0.0), initial=far_lo)))
+    slope_hi = max(far_hi, float(np.max(above, where=closed & (side[:, None] > 0.0), initial=far_hi)))
+    if not max(1.0 - slope_lo, slope_hi - 1.0) < 0.9 / m:
+        return None
+
+    # Rows by bucket, then by j: the open grid points next to each strip
+    # edge, and the closed ones between them.
+    ins, back = inner[:, None], step[:, None] < 0
+    open_lo, open_hi = np.where(back, ins + 1 - reach, ins), np.where(back, ins, ins + reach - 1)
+    open_rows = _boxes(np.repeat(buckets, 4), open_lo.T.ravel(), open_hi.T.ravel())
+    gaps = np.array([[0, s2 + 1, s4 + 1], [s1 - 1, s3 - 1, _GRID - 1]])
+    lo_rows = gaps[0][:, None] + np.array([np.zeros(_BUCKETS, np.int64), reach[1], reach[3]])
+    hi_rows = gaps[1][:, None] - np.array([reach[0], reach[2], np.zeros(_BUCKETS, np.int64)])
+    closed_rows = (np.repeat(buckets, 3), lo_rows.T.ravel(), hi_rows.T.ravel())
+    region = (s1 + (s3 - s2 - 1) + (_GRID - 1 - s4)) * _BUCKETS
+    return _Band(t_band, cells, open_rows, closed_rows, region, slope_lo, slope_hi)
 
 
 def verify_cones(
@@ -622,8 +828,8 @@ def verify_cones(
     hypothesis is deliberately violated to demonstrate the check can fail:
     y is then uniform over the grid points of the strips.
 
-    Outside the strips only the band next to Delta^(m) is drawn, and the
-    other samples only where the band's extrema do not settle the report
+    Outside the strips only the open buckets of the band's cells are
+    drawn, and the other samples only where they do not settle the report
     (see the module docstring).  The report depends only on the arguments.
     Each thread sweeps in its own work arrays, so library callers may run
     sweeps from several threads at once.
@@ -636,31 +842,29 @@ def verify_cones(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     band = None if inside_strip else _band(params.k, m)
     parts: list[_Part] = []
-    budget = MAX_FAILURE_RECORDS
+    budget, drawn = MAX_FAILURE_RECORDS, 0
 
-    def sweep(spans: _Spans, count: int) -> None:
-        nonlocal budget
+    def sweep(boxes: _Boxes, count: int) -> None:
+        nonlocal budget, drawn
         for at in range(0, count, _CHUNK):
             size = min(_CHUNK, count - at)
-            y = _grid_draws(rng, spans, size)
-            t = rng.random(size, out=_WORK.draws[size : 2 * size])
+            y, t = _box_draws(rng, boxes, size)
             parts.append(_evaluate(y, t, params, m, inside_strip, budget))
             budget -= len(parts[-1][6])
+            drawn += size
 
     if band is None:
-        inside, outside = _spans(strip.delta_m, strip.delta_neg_m)
-        sweep(inside if inside_strip else outside, n_samples)
+        sweep(_grid_boxes(_spans(strip.delta_m, strip.delta_neg_m)[0 if inside_strip else 1]), n_samples)
     else:
-        band_size, rest_size = (sum(hi + 1 - lo for lo, hi in spans) for spans in (band.spans, band.rest))
-        n_band = int(rng.binomial(n_samples, band_size / (band_size + rest_size)))
-        sweep(band.spans, n_band)
+        n_open = int(rng.binomial(n_samples, band.open.size / band.size))
+        sweep(band.open, n_open)
         if not (
             parts
             and min(p[3] for p in parts) < m
             and min(p[4] for p in parts) < band.slope_lo
             and max(p[5] for p in parts) > band.slope_hi
         ):
-            sweep(band.rest, n_samples - n_band)
+            sweep(_boxes(*band.closed), n_samples - n_open)
     return ConeReport(
         k=params.k,
         m=m,
@@ -674,6 +878,7 @@ def verify_cones(
         inside_strip=inside_strip,
         failure_records=tuple(rec for p in parts for rec in p[6]),
         refined=sum(p[7] for p in parts),
+        drawn=drawn,
     )
 
 

@@ -223,11 +223,13 @@ def _orbit_psi(p: TorusPoint, params: MapParams, n: int) -> list[float]:
 
 
 def orbit_entries(p: TorusPoint, params: MapParams, n: int) -> tuple[float, float, float, float, float]:
-    """``orbit_jacobian``'s four entries and ``orbit_determinant``, from one walk of the orbit.
+    """``orbit_jacobian``'s four entries and det D(f^n)_p, from one walk of the orbit.
 
-    The product of the step determinants equals ``orbit_determinant`` bit
-    for bit: a11 a22 - a12 a21 of either direction's entries is
-    (1 + psi) - psi.
+    The determinant is the product of the step determinants along the
+    orbit, each a11 a22 - a12 a21 = (1 + psi) - psi of either direction's
+    entries.  Each is 1 up to the rounding of 1 + psi, so the product is 1
+    to within |n| such roundings, while the determinant of the product
+    matrix cancels to noise once its entries pass 1/sqrt(eps).
     """
     if n == 0:
         raise ParameterError("n", "must be nonzero, got 0")
@@ -257,19 +259,9 @@ def orbit_jacobian(p: TorusPoint, params: MapParams, n: int) -> Mat2:
     Rounding in the products moves the determinant by up to eps times the
     square of the largest partial product, which exceeds the rounding of
     the final entries when an orbit expands and then contracts.  So the
-    product is moved back along its cofactor matrix to the determinant
-    ``orbit_determinant`` gives.  The walk is ``orbit_entries``.
+    product is moved back along its cofactor matrix to the product of the
+    step determinants.  The walk is ``orbit_entries``.
     """
     a, b, c, d, _ = orbit_entries(p, params, n)
     return Mat2(a, b, c, d)
 
-
-def orbit_determinant(p: TorusPoint, params: MapParams, n: int) -> float:
-    """det D(f^n)_p as the product of the step determinants along the orbit.
-
-    Each step's determinant is 1 up to the rounding of 1 + psi, so the
-    product is 1 to within |n| such roundings, while the determinant of the
-    product matrix cancels to noise once its entries pass 1/sqrt(eps).
-    """
-    # (1 + psi) - psi is a11 a22 - a12 a21 of either direction's entries.
-    return math.prod(((1.0 + s) - s for s in _orbit_psi(p, params, n)), start=1.0)

@@ -3,9 +3,12 @@
 import argparse
 import io
 import math
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -577,3 +580,22 @@ def test_readme_python_blocks_run():
 
 def test_readme_lists_commands():
     assert {argv[0] for argv in readme_commands()} == set(subparsers())
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # The reader takes one line of a ~10 MB table and closes the pipe, as
+    # `| head -1` does; the next write fails with EPIPE.  Unbuffered, a
+    # write into the closed pipe ends short instead of failing, so the
+    # child runs with the default buffered stdout.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "hypermap", "field", "--k", "10", "--grid", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# hypermap")
+    proc.stdout.close()
+    code = proc.wait(timeout=60)  # a traceback fits in the stderr pipe's buffer
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert code == cli._EXIT_BROKEN_PIPE
+    assert b"Traceback" not in stderr and b"Error" not in stderr, stderr

@@ -23,7 +23,7 @@ from hypermap.hyperbolicity import (
     verify_cones,
 )
 from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi
-from test_cone_reference import assert_same_report, drawn_samples, reference_report
+from test_cone_reference import assert_same_report, reference_report, reference_sweep
 
 
 class TestDeltaStrip:
@@ -215,18 +215,20 @@ class TestVerifyCones:
             verify_cones(MapParams(k), m, n, seed=m)
             assert 0 < sum(seen) <= 1.5 * measure * n, (k, sum(seen), measure)
 
-    def test_a_band_too_small_to_settle_is_completed(self, monkeypatch):
-        # 1000 samples at k = 50, m = 3 expect ~4 in the band: too few to
-        # settle the extrema, so the sweep draws its other samples too.
+    def test_a_band_too_small_to_settle_is_completed(self):
+        # 1000 samples at k = 50, m = 3 expect ~1 in the open boxes: too few
+        # to settle the extrema, so the sweep draws its other samples too.
         sweep = (MapParams(50.0), 3, 1000, 4, False)
-        sizes = drawn_samples(monkeypatch)
-        assert_same_report(verify_cones(*sweep), reference_report(*sweep))
-        assert len(sizes) == 2 and 0 < sizes[0] < 20 and sum(sizes) == 1000, sizes
+        report = verify_cones(*sweep)
+        assert_same_report(report, reference_report(*sweep))
+        _, completion, n_open = reference_sweep(*sweep)
+        assert completion and 0 < n_open < 20 and report.drawn == 1000, (n_open, report.drawn)
 
     def test_refined_count_stays_out_of_the_report(self):
         rep = verify_cones(MapParams(25.0), 5, 50_000, seed=42)
-        assert rep.refined > 0
-        assert "refined" not in repr(rep) and "refined" not in rep.to_text()
+        assert rep.refined > 0 and rep.drawn > 0
+        for name in ("refined", "drawn"):
+            assert name not in repr(rep) and name not in rep.to_text()
 
     def test_seed_matters(self):
         params = MapParams(25.0)

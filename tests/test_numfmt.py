@@ -193,8 +193,8 @@ class TestConeReportText:
     """``ConeReport.to_text`` formats its failure records through ``g17`` and ``join``."""
 
     @pytest.mark.parametrize("sweep, records", [
-        ((MapParams(100.0), 2, 20_000, 1, False), 0),
-        ((MapParams(100.0), 2, 20_000, 13, False), 1),
+        ((MapParams(100.0), 2, 20_000, 29, False), 0),
+        ((MapParams(100.0), 2, 20_000, 3, False), 1),
         ((MapParams(25.0), 2, 10_000, 42, True), 1000),
     ])
     def test_sweeps_match_the_f_string_text(self, sweep, records):
