@@ -23,8 +23,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__, svgrender
-from .coordinates import (backward_angle, critical_constants, forward_angle, mod_pi, phi, phi_inverse, phi_prime,
-                          phi_tilde)
+from .coordinates import (backward_angle, critical_constants, forward_angle, mod_pi, phi, phi_inverse_branch,
+                          phi_prime, phi_tilde)
 from .foliations import LEAF_FIELDS, MAX_VERTICES, Leaf, closed_leaves, trace_leaf
 from .hyperbolicity import delta_strip, push_vector, verify_cones
 from .oracle import svd2_entries
@@ -32,14 +32,15 @@ from .stdmap import (TWO_PI, MapParams, ParameterError, TorusPoint, angle_dist_m
                      jacobian_entries, map_step, mod1, psi)
 from .tangency import MAX_CURVE_K, tangency_curve, tangency_landmarks, torus_x
 
-# Unused here: perfbench/tracing.py wraps these by name in this module.
-from .coordinates import theta_field
+# Unused here: perfbench/tracing.py wraps these by name in this module, as it
+# does push_vector and angle_dist_mod_pi, which the verify battery calls on arrays.
+from .coordinates import phi_inverse, theta_field
 from .oracle import svd2
 from .stdmap import jacobian, map_forward, map_inverse
 
 #: Options that several subcommands take, as (type, default, help).  Each
 #: subcommand registers only those it reads; the header echoes the default
-#: of the others.
+#: of the others, except verify's, which echoes only its --k-list.
 _OPTIONS = {
     "--k": (float, 1.0, "family parameter k > 0"),
     "--grid": (int, 1024, None),
@@ -74,21 +75,13 @@ class RunConfig:
     seed: int
     out: Optional[str]
     format: str
+    k_list: Optional[str] = None
 
     def header(self) -> str:
-        parts = [
-            f"hypermap {__version__}",
-            f"subcommand={self.subcommand}",
-            f"k={self.k:.17g}",
-            f"m={self.m if self.m is not None else '-'}",
-            f"grid={self.grid}",
-            f"samples={self.samples}",
-            f"step={self.step:.17g}",
-            f"max_arc={self.max_arc:.17g}",
-            f"seed={self.seed}",
-            f"format={self.format}",
-        ]
-        return "# " + " ".join(parts)
+        params = [f"k_list={self.k_list}"] if self.subcommand == "verify" else [  # all that verify reads
+            f"k={self.k:.17g}", f"m={self.m if self.m is not None else '-'}", f"grid={self.grid}",
+            f"samples={self.samples}", f"step={self.step:.17g}", f"max_arc={self.max_arc:.17g}", f"seed={self.seed}"]
+        return " ".join(["# hypermap", __version__, f"subcommand={self.subcommand}", *params, f"format={self.format}"])
 
 
 _CSV_BLOCK = 1 << 13
@@ -189,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
     defaults = {flag[2:].replace("-", "_"): default for flag, (_, default, _) in _OPTIONS.items()}
-    given = {**defaults, "m": None, **vars(args)}
+    given = {**defaults, "m": None, "k_list": None, **vars(args)}
     return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)})
 
 
@@ -320,8 +313,14 @@ def _cmd_cones(cfg: RunConfig, params: MapParams, inside_strip: bool) -> int:
     return 0 if report.failures == 0 else 1
 
 
+def _worst(values: np.ndarray) -> float:
+    """max(0.0, *values) as a running max() takes it: a NaN never replaces the maximum."""
+    return float(np.fmax.reduce(values, initial=0.0))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as float arithmetic, which rounds to inf or NaN silently
 def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
-    """Fast invariant battery for one k; returns (name, ok, detail) rows."""
+    """Fast invariant battery for one k; returns (name, ok, detail) rows, a per-sample loop's from array passes."""
     import random
 
     k = params.k
@@ -329,52 +328,43 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
     rng = random.Random(1234)
     results: list[tuple[str, bool, str]] = []
 
-    # Each sample draws a point's x and y, in that order, and reduces both
-    # with mod1 as a TorusPoint does, also where the check reads only y.
-    worst = 0.0
-    for _ in range(128):
-        x, y = mod1(rng.random()), mod1(rng.random())
-        fx, fy = map_step(x, y, params, True)
-        qx, qy = map_step(mod1(fx), mod1(fy), params, False)
-        d = max(abs(mod1(qx) - x) % 1.0, abs(mod1(qy) - y) % 1.0)
-        worst = max(worst, min(d, 1.0 - d))
+    # Three sets of 128 points, each point drawing its x and y in that order,
+    # reduced with mod1 as a TorusPoint does, also where a check reads only y.
+    points = mod1(np.array([rng.random() for _ in range(768)])).reshape(3, 128, 2)
+    x, y = points[0].T
+    fx, fy = map_step(x, y, params, True)
+    qx, qy = map_step(mod1(fx), mod1(fy), params, False)
+    d = np.maximum(abs(mod1(qx) - x) % 1.0, abs(mod1(qy) - y) % 1.0)
+    worst = _worst(np.minimum(d, 1.0 - d))
     # Rounding at the scale of k, amplified by up to 2 pi k in the inverse.  A
     # bound of 1/2, the largest torus distance, would pass any round trip.
     bound = 16.0 * math.ulp(1.0) * (1.0 + k) * (1.0 + TWO_PI * k)
     results.append(("round_trip", worst <= bound < 0.5, f"max {worst:.3g}, bound {bound:.3g}"))
 
+    x, y = points[1].T
     worst = 0.0
-    for _ in range(128):
-        x, y = mod1(rng.random()), mod1(rng.random())
-        for coord, forward in ((y, True), (mod1(y - x), False)):  # y forward, ytilde backward
-            a11, a12, a21, a22 = jacobian_entries(psi(coord, params), forward)
-            worst = max(worst, abs(a11 * a22 - a12 * a21 - 1.0))
+    for coord, forward in ((y, True), (mod1(y - x), False)):  # y forward, ytilde backward
+        a11, a12, a21, a22 = jacobian_entries(psi(coord, params), forward)
+        worst = max(worst, _worst(abs(a11 * a22 - a12 * a21 - 1.0)))
     results.append(("unimodular", worst < 1e-12, f"max |det-1| {worst:.3g}"))
 
     # sigma_min = |h1 - h2|/2 cancels, costing about eps sigma_max^2 per sample.
     # A bound of 1 would pass an E1 that is all rounding noise.
-    worst = worst_share = widest = 0.0
-    for _ in range(128):
-        rng.random()  # x, which the forward Jacobian does not read
-        sigma_max, sigma_min, _, _ = svd2_entries(*jacobian_entries(psi(mod1(rng.random()), params), True))
-        err = abs(sigma_max * sigma_min - 1.0)
-        bound = 16.0 * math.ulp(1.0) * sigma_max * sigma_max
-        worst = max(worst, err)
-        worst_share = max(worst_share, err / bound)
-        widest = max(widest, bound)
+    sigma_max, sigma_min, _, _ = svd2_entries(*jacobian_entries(psi(points[2, :, 1], params), True))
+    err = abs(sigma_max * sigma_min - 1.0)
+    bound = 16.0 * math.ulp(1.0) * sigma_max * sigma_max
+    worst, worst_share, widest = _worst(err), _worst(err / bound), _worst(bound)
     results.append(("E1_F1_product", worst_share <= 1.0 and widest < 1.0,
                     f"max |E1*F1-1| {worst:.3g}, {worst_share:.3g} of 16 eps F1^2"))
 
+    # The points (0, j/256) have y = ytilde = j/256, where mod1 is the identity.
+    coord = np.arange(256) / 256
+    level = psi(coord, params)
     worst = 0.0
-    for j in range(256):
-        # The point (0, j/256) has y = ytilde = j/256, where mod1 is the identity.
-        coord = j / 256
-        level = psi(coord, params)
-        for forward, angle in ((True, forward_angle), (False, backward_angle)):
-            _, _, _, t_min = svd2_entries(*jacobian_entries(level, forward))
-            if t_min is None:
-                continue
-            worst = max(worst, angle_dist_mod_pi(canonical_angle(angle(coord, params)), canonical_angle(t_min)))
+    for forward, angle in ((True, forward_angle), (False, backward_angle)):
+        _, _, _, t_min = svd2_entries(*jacobian_entries(level, forward))  # NaN where degenerate
+        theta = np.array([angle(v, params) for v in coord.tolist()])  # one float at a time: see forward_angle
+        worst = max(worst, _worst(angle_dist_mod_pi(canonical_angle(theta), canonical_angle(t_min))))
     results.append(("theta_vs_svd", worst < 1e-9, f"max angle err {worst:.3g}"))
 
     v, t = _field_columns(np.arange(1, 256) / 256, params, "forward")
@@ -393,10 +383,8 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
     else:
         results.append(("constants_ordering", True, "skipped: constants undefined at this k"))
 
-    worst = 0.0
-    for j in range(64):
-        out, _ = push_vector(j / 64, 0.0, params)
-        worst = max(worst, angle_dist_mod_pi(out, math.pi / 4.0))
+    out, _ = push_vector(np.arange(64) / 64, 0.0, params)
+    worst = _worst(angle_dist_mod_pi(out, math.pi / 4.0))
     out, _ = push_vector(0.25, 3.0 * math.pi / 4.0, params)
     worst2 = angle_dist_mod_pi(out, 0.0)
     # psi(1/4) = 2 pi k cos(pi/2) is 2 pi k * 6.1e-17 in floats, not 0, which
@@ -416,24 +404,20 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
             worst = float(max(res_lower.max(), res_upper.max()))
             results.append(("tangency_residual", worst < 1e-8, f"max {worst:.3g}"))
 
-        worst = worst_share = 0.0
-        for j in range(128):
-            y = 0.05 + 0.9 * j / 128
-            v = phi(y, params)
-            if not math.isfinite(v) or abs(v) > 1e5 or v == 0.0:
-                continue
-            roots = phi_inverse(v, params)
-            if not roots:
-                worst = worst_share = math.inf
-                continue
-            # contract metric: phi at the recovered root matches z, to within phi's
-            # slope times the rounding of a float root plus phi's own rounding
-            r = min(roots, key=lambda r: abs(r - y))
-            scale = max(1.0, abs(v))
-            err = abs(phi(r, params) - v) / scale
-            bound = 16.0 * (abs(phi_prime(r, params)) * math.ulp(r) + math.ulp(1.0) * scale) / scale
-            worst = max(worst, err)
-            worst_share = max(worst_share, err / bound)
+        y = 0.05 + 0.9 * np.arange(128) / 128
+        v = phi(y, params)
+        kept = np.isfinite(v) & (abs(v) <= 1e5) & (v != 0.0)
+        y, v = y[kept], v[kept]
+        branches = phi_inverse_branch(v, np.array([[1.0], [-1.0]]), params)
+        roots = np.concatenate([branches, 1.0 - branches])  # phi_inverse's roots, NaN where a branch has none
+        # The root r nearest y (the least of a tie, as min() over sorted roots; inf if none).  contract
+        # metric: phi(r) matches z to within phi's slope times r's rounding plus phi's own rounding
+        dist = abs(roots - y)
+        r = np.where(dist == np.fmin.reduce(dist), roots, math.inf).min(axis=0)
+        scale = np.maximum(1.0, abs(v))
+        err = abs(phi(r, params) - v) / scale
+        bound = 16.0 * (abs(phi_prime(r, params)) * np.spacing(abs(r)) + math.ulp(1.0) * scale) / scale
+        worst, worst_share = (_worst(err), _worst(err / bound)) if np.isfinite(r).all() else (math.inf, math.inf)
         results.append(("phi_inverse_residual", worst_share <= 1.0, f"max rel {worst:.3g}"))
 
     return results
@@ -450,10 +434,10 @@ def _k_list(text: str) -> list[MapParams]:
     return out
 
 
-def _cmd_verify(cfg: RunConfig, k_list: str) -> int:
+def _cmd_verify(cfg: RunConfig) -> int:
     lines = [cfg.header()]
     all_ok = True
-    for params in _k_list(k_list):
+    for params in _k_list(cfg.k_list):
         for name, ok, detail in _verify_battery(params):
             all_ok &= ok
             lines.append(f"{'ok  ' if ok else 'FAIL'} k={params.k:g} {name} ({detail})")
@@ -547,7 +531,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if cfg.subcommand == "cones":
             return _cmd_cones(cfg, params, args.inside_strip)
         if cfg.subcommand == "verify":
-            return _cmd_verify(cfg, args.k_list)
+            return _cmd_verify(cfg)
         return _cmd_figures(cfg, params)
     except ParameterError as exc:
         flag = _FLAGS.get((cfg.subcommand, exc.name), "--" + exc.name.replace("_", "-"))

@@ -42,9 +42,9 @@ initial grid go, and ``phi_inverse``, the heights at which phi takes a given
 value, which the strip constants delta_T^-+ and the tangency selector solve
 with.  psi_c itself is ``stdmap.psi``, shared with the Jacobians.  The float
 and array paths agree exactly up to the angles and psi_inverse, which may
-differ in the last ulp (numpy's arctan2 and arccos are not libm's atan2 and
-acos).  psi_c and the angles take numpy only for an array of at least one
-dimension; numpy scalars and 0-d arrays take math.
+differ in the last bits (numpy's arctan2 and arccos are not libm's; see
+forward_angle).  psi_c and the angles take numpy only for an array of at
+least one dimension; numpy scalars and 0-d arrays take math.
 """
 
 from __future__ import annotations
@@ -213,7 +213,14 @@ def phi_tilde_prime(ytilde: Coord, params: MapParams) -> Coord:
 
 
 def forward_angle(y: Coord, params: MapParams) -> Coord:
-    """Lifted forward contracted angle pi + atan2(-P1', P1)/2 (see theta_field), in [pi/2, 3 pi/2]."""
+    """Lifted forward contracted angle pi + atan2(-P1', P1)/2 (see theta_field), in [pi/2, 3 pi/2].
+
+    Floats take math.atan2, arrays numpy's arctan2, which differs by up to an
+    ulp (numpy 2.4, x86-64).  With -P1' and P1 shared bit for bit and halving
+    exact, the halves differ by at most ulp(pi)/2 = ulp(1), so the angles,
+    all >= pi/2, by at most one ulp.  The ``verify`` battery prints angle
+    errors down to ~1e-16, so it takes this angle one float at a time.
+    """
     num, den = phi_parts(y, params)
     array = type(y) is not float and isinstance(y, np.ndarray) and y.ndim  # as in stdmap.psi
     half = 0.5 * (np.arctan2(num, den) if array else math.atan2(num, den))
@@ -221,7 +228,12 @@ def forward_angle(y: Coord, params: MapParams) -> Coord:
 
 
 def backward_angle(ytilde: Coord, params: MapParams) -> Coord:
-    """Lifted backward contracted angle pi/2 + atan2(-2 P2, P2')/2 (see theta_field), in [0, pi]."""
+    """Lifted backward contracted angle pi/2 + atan2(-2 P2, P2')/2 (see theta_field), in [pi/6, pi/3].
+
+    Its paths differ as forward_angle's, by at most two ulps: 2 P2 >= sqrt(3)
+    |P2'| puts |atan2| in [pi/3, 2 pi/3], so the halves differ by up to two
+    ulps of an angle below 1, where pi/2 + half is exact, and half of one above.
+    """
     num, den = phi_tilde_parts(ytilde, params)
     array = type(ytilde) is not float and isinstance(ytilde, np.ndarray) and ytilde.ndim  # as in stdmap.psi
     half = 0.5 * (np.arctan2(num, den) if array else math.atan2(num, den))

@@ -208,7 +208,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .coordinates import psi_inverse, strip_pair_contains
-from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, map_step, mod1, psi
+from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, atan2_each, hypot_each, map_step, mod1, psi
 
 #: Samples are drawn and evaluated in batches of at most this many, which
 #: bounds the work arrays.
@@ -332,15 +332,19 @@ def delta_strip(m: int, params: MapParams) -> StripSpec:
     return StripSpec(m, delta_m=psi_inverse(2 * m, params), delta_neg_m=psi_inverse(-2 * m, params))
 
 
-def push_vector(y: float, theta: float, params: MapParams) -> tuple[float, float]:
+def push_vector(y: Coord, theta: float, params: MapParams) -> tuple[Coord, Coord]:
     """Direction angle and norm of the derivative applied to (cos t, sin t).
 
     The image of (cos theta, sin theta) under the forward derivative at
     height y is (cos + psi sin, cos + (1 + psi) sin); the angle comes from
     the two-argument arctangent of those components, so no quadrant is lost.
+    An array of heights gives arrays with the float path's bits.
     """
     ix, iy = _image(psi(y, params), math.cos(theta), math.sin(theta))
-    return math.atan2(iy, ix), math.hypot(ix, iy)
+    try:  # as in stdmap.mod1
+        return math.atan2(iy, ix), math.hypot(ix, iy)
+    except TypeError:
+        return atan2_each(iy, ix), hypot_each(ix, iy)
 
 
 def _image(p: Coord, c: Coord, s: Coord) -> tuple[Coord, Coord]:

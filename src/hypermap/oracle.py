@@ -6,11 +6,11 @@ fourth-order Runge-Kutta leaf tracer.  They are deliberately kept apart from
 the production formula paths so no identity is ever validated only against
 itself.
 
-The SVD's formula is written once, on four floats, as ``svd2_entries``;
-``svd2`` wraps it for a ``Mat2``.  Two production paths use it: the
-``verify`` battery checks the closed-form contracted field against the
-float form, and ``hyperbolic_frame`` takes its order-n singular values and
-directions from ``svd2``.
+The SVD's formula is written once, on four floats or arrays, as
+``svd2_entries``; ``svd2`` wraps it for a ``Mat2``.  Two production paths
+use it: the ``verify`` battery checks the closed-form contracted field
+against it on arrays, and ``hyperbolic_frame`` takes its order-n singular
+values and directions from ``svd2``.
 
 Note on signs: the derivative of psi_c(y) = 2 pi k cos(2 pi y) is
 psi_c'(y) = -4 pi^2 k sin(2 pi y); the leading sign is negative.  The finite
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .stdmap import DirAngle, MapParams, Mat2, TorusPoint, mod1
+from .stdmap import Coord, DirAngle, MapParams, Mat2, TorusPoint, atan2_each, hypot_each, mod1
 
 if TYPE_CHECKING:
     from .foliations import Leaf
@@ -60,36 +60,46 @@ class SweepMinResult:
     degenerate: bool
 
 
-def _image_norm(a: float, b: float, c: float, d: float, theta: float) -> float:
-    """|M v(theta)| for M with row-major entries a, b, c, d."""
-    co, si = math.cos(theta), math.sin(theta)
-    return math.hypot(a * co + b * si, c * co + d * si)
+def _image_norm(a: Coord, b: Coord, c: Coord, d: Coord, theta: Coord, cos=math.cos, sin=math.sin,
+                hypot=math.hypot) -> Coord:
+    """|M v(theta)| for M with row-major entries a, b, c, d; arrays pass svd2_entries's cos, sin and hypot."""
+    co, si = cos(theta), sin(theta)
+    return hypot(a * co + b * si, c * co + d * si)
 
 
-def svd2_entries(a: float, b: float, c: float, d: float) -> tuple[float, float, Optional[float], Optional[float]]:
-    """``svd2`` on the four row-major entries of a matrix, as plain floats.
+def svd2_entries(a: Coord, b: Coord, c: Coord, d: Coord) -> tuple[Coord, Coord, Optional[Coord], Optional[Coord]]:
+    """``svd2`` on the four row-major entries of a matrix, as floats or as broadcast arrays.
 
     Returns (sigma_max, sigma_min, lifted angle of dir_max, lifted angle of
-    dir_min); both angles are None where ``svd2`` calls the matrix
-    degenerate.  Raises ValueError unless every entry is finite.
+    dir_min); both angles are None (NaN in arrays) where ``svd2`` calls the
+    matrix degenerate.  Arrays take hypot and atan2 from math element by
+    element, so both paths agree bit for bit.  Raises ValueError unless
+    every entry is finite.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+    try:  # as in stdmap.mod1: math refuses an array
+        finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)
+        cos, sin, hypot, atan2 = math.cos, math.sin, math.hypot, math.atan2
+    except TypeError:
+        finite = all(np.isfinite(e).all() for e in (a, b, c, d))
+        cos, sin, hypot, atan2 = np.cos, np.sin, hypot_each, atan2_each
+    if not finite:
         raise ValueError(f"svd2 requires finite entries, got {(a, b, c, d)!r}")
-    h1 = math.hypot(a + d, b - c)
-    h2 = math.hypot(a - d, b + c)
+    h1 = hypot(a + d, b - c)
+    h2 = hypot(a - d, b + c)
     sigma_max = 0.5 * (h1 + h2)
     sigma_min = 0.5 * abs(h1 - h2)
-    if h2 <= 1e-14 * max(h1, 1e-300) or sigma_max == 0.0:
-        return sigma_max, sigma_min, None, None
     num = 2.0 * (a * b + c * d)
     den = a * a + c * c - b * b - d * d
-    if num == 0.0 and den == 0.0:
-        return sigma_max, sigma_min, None, None
-    t0 = 0.5 * math.atan2(num, den)
+    # h2 <= 1e-14 max(h1, 1e-300), or no direction singled out; | reads arrays too.
+    degenerate = (h2 <= 1e-14 * h1) | (h2 <= 1e-14 * 1e-300) | (sigma_max == 0.0) | (num == 0.0) & (den == 0.0)
+    t0 = 0.5 * atan2(num, den)
     t1 = t0 + 0.5 * math.pi
-    if _image_norm(a, b, c, d, t0) <= _image_norm(a, b, c, d, t1):
-        return sigma_max, sigma_min, t1, t0
-    return sigma_max, sigma_min, t0, t1
+    t0_min = _image_norm(a, b, c, d, t0, cos, sin, hypot) <= _image_norm(a, b, c, d, t1, cos, sin, hypot)
+    if isinstance(degenerate, np.ndarray):
+        return sigma_max, sigma_min, *np.where(degenerate, np.nan, np.where(t0_min, [t1, t0], [t0, t1]))
+    if degenerate:
+        return sigma_max, sigma_min, None, None
+    return (sigma_max, sigma_min, t1, t0) if t0_min else (sigma_max, sigma_min, t0, t1)
 
 
 def svd2(m: Mat2) -> Svd2Result:

@@ -57,16 +57,27 @@ class ParameterError(ValueError):
         self.detail = detail
 
 
-def mod1(v: float) -> float:
-    """Reduce a real number into [0, 1).
+def mod1(v: Coord) -> Coord:
+    """Reduce a real number, or each element of an array, into [0, 1).
 
     Values within 1e-15 of 1 snap to 0 so that leaf tracing stays stable
-    across the torus seam.
+    across the torus seam.  An array gets the float path's bits, -0.0
+    included; a non-finite float raises and a non-finite element gives NaN.
     """
-    r = v - math.floor(v)
+    try:  # math refuses an array; free for a float, where a type() test costs orbit walks ~10 %
+        r = v - math.floor(v)
+    except TypeError:
+        r = v - (np.floor(v) + 0.0)  # math.floor(-0.0) is 0, numpy's -0.0
+        return np.where((r >= 1.0) | (1.0 - r <= 1e-15), 0.0, r)
     if r >= 1.0 or 1.0 - r <= 1e-15:
         return 0.0
     return r
+
+
+#: math.atan2 and math.hypot element by element, ~0.15 us an element, for the float path's bits: numpy's arctan2
+#: and hypot differ from them in the last bit on ~8 % and ~0.6 % of uniform inputs (numpy 2.4, x86-64).
+atan2_each = np.vectorize(math.atan2, otypes=[float])
+hypot_each = np.vectorize(math.hypot, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -130,18 +141,16 @@ class DirAngle:
         return angle_dist_mod_pi(self.theta, other.theta)
 
 
-def canonical_angle(lifted: float) -> float:
-    """The representative in [0, pi) of an undirected direction's lifted angle."""
-    t = lifted % math.pi
-    if t >= math.pi:
-        t = 0.0
-    return t
+def canonical_angle(lifted: Coord) -> Coord:
+    """The representative in [0, pi) of an undirected direction's lifted angle, or of each of an array's."""
+    t = lifted % math.pi  # numpy's % is Python's, bit for bit
+    return t - t * (t >= math.pi)  # 0.0 where a lifted angle just below a multiple of pi rounds to pi
 
 
-def angle_dist_mod_pi(a: float, b: float) -> float:
-    """Distance between two undirected directions, in [0, pi/2]."""
+def angle_dist_mod_pi(a: Coord, b: Coord) -> Coord:
+    """Distance between two undirected directions, in [0, pi/2]; elementwise on arrays, with the same bits."""
     d = (a - b) % math.pi
-    return min(d, math.pi - d)
+    return np.minimum(d, math.pi - d) if isinstance(d, np.ndarray) else min(d, math.pi - d)
 
 
 @dataclass(frozen=True)
@@ -176,12 +185,16 @@ def psi(y: Coord, params: MapParams, kind: Literal["cos", "sin"] = "cos") -> Coo
     return TWO_PI * params.k * t
 
 
-def map_step(x: float, y: float, params: MapParams, forward: bool) -> tuple[float, float]:
-    """One step of f_k (``forward``) or of its inverse, before the reduction mod 1."""
+def map_step(x: Coord, y: Coord, params: MapParams, forward: bool) -> tuple[Coord, Coord]:
+    """One step of f_k (``forward``) or of its inverse, before the reduction mod 1; numpy's sin has math's bits."""
+    arg = y if forward else y - x
+    try:  # as in mod1: math refuses an array
+        shift = params.k * math.sin(TWO_PI * arg)
+    except TypeError:
+        shift = params.k * np.sin(TWO_PI * arg)
     if forward:
-        shift = params.k * math.sin(TWO_PI * y)
         return x + shift, x + y + shift
-    return x - params.k * math.sin(TWO_PI * (y - x)), y - x
+    return x - shift, arg
 
 
 def map_forward(p: TorusPoint, params: MapParams) -> TorusPoint:

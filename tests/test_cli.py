@@ -306,9 +306,21 @@ def reference_verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
 
 class TestVerify:
     def test_battery_equals_object_level_reference(self):
-        for k in (0.05, 0.3, 0.49, 0.5, 1, 2.5, 5, 21, 100, 3000, 3e4, 1e6, 5e6, 2e7, 1e8):
+        seeded = (10.0 ** np.random.default_rng(27).uniform(math.log10(0.05), 8.0, 64)).tolist()
+        # The seeded k reach every branch of the battery: constants undefined
+        # (k < 0.4931), no cone row (k <= 2), the benchmark's last k in
+        # [50, 200], and float64 ties in the constants (k >= 1e7).
+        for lo, hi in ((0.05, 0.4931), (0.4931, 2.0), (50.0, 200.0), (1e7, 1e8)):
+            assert any(lo <= k <= hi for k in seeded), (lo, hi)
+        for k in [0.05, 0.3, 0.49, 0.5, 1, 2.5, 5, 21, 100, 3000, 3e4, 1e6, 5e6, 2e7, 1e8] + seeded:
             params = MapParams(k)
             assert cli._verify_battery(params) == reference_verify_battery(params), k
+
+    def test_header_echoes_the_k_list_only(self):
+        for argv, k_list in ((["verify"], "1,2,5,10"), (["verify", "--k-list", "2, 0.5"], "2, 0.5")):
+            code, out = run_capture(argv)
+            assert code == 0
+            assert out.splitlines()[0] == f"# hypermap {__version__} subcommand=verify k_list={k_list} format=txt"
 
     def test_default_klist_passes(self):
         code, out = run_capture(["verify", "--k-list", "1,5"])

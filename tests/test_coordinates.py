@@ -178,6 +178,20 @@ class TestFloatOrArray:
                 want = np.array([fn(y, p) for y in ys.tolist()])
                 assert np.max(np.abs(got - want)) <= 1e-15
 
+    def test_angle_paths_within_their_ulp_bounds(self):
+        # The bounds the angles' docstrings derive: numpy's arctan2 is within
+        # an ulp of math.atan2, so forward angles differ by at most one ulp
+        # and backward angles, in [pi/6, pi/3], by at most two.
+        rng = np.random.default_rng(41)
+        worst = {forward_angle: 0.0, backward_angle: 0.0}
+        for k in 10.0 ** rng.uniform(math.log10(0.05), 6.0, 60):
+            p, ys = MapParams(float(k)), rng.random(1500)
+            for fn in worst:
+                want = np.array([fn(y, p) for y in ys.tolist()])
+                worst[fn] = max(worst[fn], float(np.max(np.abs(fn(ys, p) - want) / np.spacing(want))))
+        assert worst[forward_angle] <= 1.0 and worst[backward_angle] <= 2.0
+        assert worst[forward_angle] > 0.0 and worst[backward_angle] > 1.0  # the paths do differ
+
     def test_scalars_take_the_math_path(self):
         # Numpy scalars and 0-d arrays give the float result bit for bit.
         p = MapParams(3.0)

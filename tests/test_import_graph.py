@@ -11,8 +11,8 @@ PACKAGE = Path(hypermap.__file__).resolve().parent
 #: reads the fields and leaves that it checks.  Production imports its SVD in
 #: two modules: ``coordinates`` (``svd2`` in ``hyperbolic_frame``, which goes
 #: away once the order-n frames get a batched SVD of their own) and ``cli``
-#: (``svd2_entries`` in the ``verify`` battery, and ``svd2`` bound for the
-#: benchmark's tracer).
+#: (``svd2_entries`` on the ``verify`` battery's arrays, and ``svd2`` bound
+#: for the benchmark's tracer).
 EXCLUDED = {"oracle"}
 
 

@@ -155,6 +155,48 @@ class TestSvd2Entries:
                     svd2(Mat2(*entries))
 
 
+class TestSvd2EntriesOnArrays:
+    """The array path gives each matrix the float path's bits, NaN angles where it returns None."""
+
+    @staticmethod
+    def assert_matches_floats(entries):
+        got = svd2_entries(*entries)
+        for i, cols in enumerate(zip(*(np.broadcast_to(e, got[0].shape).tolist() for e in entries))):
+            want = svd2_entries(*cols)
+            assert [g[i].hex() for g in got[:2]] == [w.hex() for w in want[:2]]
+            if want[2] is None:
+                assert math.isnan(got[2][i]) and math.isnan(got[3][i])
+            else:
+                assert [g[i].hex() for g in got[2:]] == [w.hex() for w in want[2:]]
+
+    def test_seeded_matrices(self):
+        rng = np.random.default_rng(32)
+        scale = 10.0 ** rng.uniform(-8, 8, 3000)
+        self.assert_matches_floats(tuple(scale * rng.uniform(-1, 1, 3000) for _ in range(4)))
+        for forward in (True, False):  # step Jacobians, with float entries broadcast
+            self.assert_matches_floats(jacobian_entries(rng.uniform(-1e4, 1e4, 1000), forward))
+
+    def test_degenerate(self):
+        # The zero matrix, the identity, scaled rotations and a reflection, among ordinary matrices.
+        alpha, scale = np.arange(32) * 0.1, 10.0 ** np.arange(-4.0, 4.0, 0.25)
+        a = np.concatenate([[0.0, 1.0, 1.0, 2.0], scale * np.cos(alpha)])
+        b = np.concatenate([[0.0, 0.0, 0.0, 1.0], -scale * np.sin(alpha)])
+        c = np.concatenate([[0.0, 0.0, 0.0, 3.0], scale * np.sin(alpha)])
+        d = np.concatenate([[0.0, 1.0, -1.0, 4.0], scale * np.cos(alpha)])
+        sigma_max, sigma_min, t_max, t_min = svd2_entries(a, b, c, d)
+        assert np.isnan(t_max[:3]).all() and np.isnan(t_min[:3]).all() and not np.isnan(t_min[3])
+        assert np.isnan(t_min[4:]).all() and np.array_equal(sigma_max[4:], sigma_min[4:])
+        self.assert_matches_floats((a, b, c, d))
+
+    def test_rejects_non_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(4):
+                entries = [np.full(3, 1.0), 0.5, np.full(3, -0.25), 2.0]
+                entries[i] = np.array([1.0, bad, 2.0]) if i % 2 == 0 else bad
+                with pytest.raises(ValueError, match="svd2 requires finite entries"):
+                    svd2_entries(*entries)
+
+
 class TestSweepMinDirection:
     def test_matches_svd2_on_shear(self):
         m = Mat2(1.0, 0.0, 1.0, 1.0)

@@ -5,6 +5,7 @@ import random
 import sys
 from typing import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,15 +19,20 @@ from hypermap.stdmap import (
     Mat2,
     ParameterError,
     TorusPoint,
+    angle_dist_mod_pi,
+    atan2_each,
     canonical_angle,
+    hypot_each,
     jacobian,
     map_forward,
     map_inverse,
+    map_step,
     mod1,
     orbit_entries,
     orbit_jacobian,
     psi,
 )
+from test_coordinates import same_bits
 
 TWO_PI = 2 * math.pi
 
@@ -197,6 +203,76 @@ class TestJacobian:
             assert (fwd.a12, fwd.a22) == (c, 1.0 + c)
             back, c = jacobian(p, params, "backward"), psi(p.ytilde, params)
             assert (back.a11, back.a12) == (1.0 + c, -c)
+
+
+def per_element(fn, *arrays):
+    """fn on each element's floats, as the float path computes it."""
+    return np.array([fn(*v) for v in zip(*(a.tolist() for a in arrays))])
+
+
+class TestFloatAndArrayPathsAgree:
+    """Each function with an array path gives every element its float path's bits."""
+
+    #: Lifted values at several scales, near and at integers, and the seam's edge cases.
+    _rng = np.random.default_rng(2027)
+    LIFTED = np.concatenate([
+        _rng.uniform(-3.0, 3.0, 4000), _rng.uniform(-1e6, 1e6, 1000), np.arange(-20.0, 21.0),
+        np.arange(-20.0, 21.0) + _rng.choice([-1.0, 1.0], 41) * 10.0 ** _rng.uniform(-17, -13, 41),
+        [1.0 - 2.0 ** -53, 1.0 - 1e-15, 1.0 - 2e-15, -1e-16, -1e-20, 0.0, -0.0, 2.0 ** 53, -(2.0 ** 53) - 2.0],
+    ])
+
+    def test_mod1(self):
+        assert same_bits(mod1(self.LIFTED), per_element(mod1, self.LIFTED))
+        # The snap: 1 - 2^-53 and 1 - 1e-15 go to 0.0; -0.0 stays -0.0 on both paths.
+        edges = np.array([1.0 - 2.0 ** -53, 1.0 - 1e-15, -0.0])
+        assert same_bits(mod1(edges), [0.0, 0.0, -0.0])
+        assert same_bits([mod1(v) for v in edges.tolist()], [0.0, 0.0, -0.0])
+        assert same_bits(mod1(self.LIFTED[:5000].reshape(-1, 5)), mod1(self.LIFTED[:5000]).reshape(-1, 5))
+
+    def test_map_step(self):
+        rng = np.random.default_rng(28)
+        x, y = self.LIFTED, rng.permutation(self.LIFTED)
+        for k in 10.0 ** rng.uniform(-1.3, 6.0, 12):
+            params = MapParams(float(k))
+            for forward in (True, False):
+                fx, fy = map_step(x, y, params, forward)
+                want = per_element(lambda u, v: map_step(u, v, params, forward), x, y)
+                assert same_bits(fx, want[:, 0]) and same_bits(fy, want[:, 1])
+            # A float against an array broadcasts.
+            want = per_element(lambda v: map_step(0.25, v, params, False)[0], y)
+            assert same_bits(map_step(0.25, y, params, False)[0], want)
+
+    def test_canonical_angle_at_lifted_multiples_of_pi(self):
+        multiples = np.arange(-50, 51) * math.pi
+        lifted = np.concatenate([multiples, np.nextafter(multiples, math.inf), np.nextafter(multiples, -math.inf),
+                                 self.LIFTED, [-1e-17, -0.0]])
+        got = canonical_angle(lifted)
+        assert same_bits(got, per_element(canonical_angle, lifted))
+        assert np.all((0.0 <= got) & (got < math.pi))
+
+    def test_angle_dist_mod_pi(self):
+        rng = np.random.default_rng(29)
+        a, b = rng.uniform(-10.0, 10.0, (2, 5000))
+        b[:100] = a[:100] + math.pi * rng.integers(-3, 4, 100)  # equal directions
+        got = angle_dist_mod_pi(a, b)
+        assert same_bits(got, per_element(angle_dist_mod_pi, a, b))
+        assert same_bits(angle_dist_mod_pi(a, 0.25), per_element(lambda u: angle_dist_mod_pi(u, 0.25), a))
+
+    def test_push_vector(self):
+        ys = np.concatenate([np.random.default_rng(30).random(3000), np.arange(64) / 64])
+        for k in (0.3, 2.0, 45.0, 3e4):
+            params = MapParams(k)
+            for theta in (0.0, 0.7, 3.0 * math.pi / 4.0):
+                ang, norm = push_vector(ys, theta, params)
+                want = per_element(lambda y: push_vector(y, theta, params), ys)
+                assert same_bits(ang, want[:, 0]) and same_bits(norm, want[:, 1])
+
+    def test_math_each_broadcasts(self):
+        rng = np.random.default_rng(31)
+        a, b = rng.normal(size=(3, 1)), rng.normal(size=4)
+        for each, fn in ((atan2_each, math.atan2), (hypot_each, math.hypot)):
+            assert same_bits(each(a, b), [[fn(u, v) for v in b.tolist()] for u in a[:, 0].tolist()])
+            assert same_bits(each(np.empty(0), 1.0), np.empty(0))
 
 
 # References for the float walks of orbit_jacobian, orbit_entries and
