@@ -92,13 +92,24 @@ def _g(v: float) -> str:
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+    if not text.endswith("\n"):
+        text += "\n"
+    if cfg.out not in (None, "-"):
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+        return
+    out = sys.stdout
+    if not hasattr(out, "buffer"):  # a text stream such as io.StringIO
+        out.write(text)
+        return
+    # Unbuffered (PYTHONUNBUFFERED), the text layer writes to the raw file
+    # and drops what a short write leaves over, so a reader that closes the
+    # pipe would cut the output short without an error.  Resending the rest
+    # makes that close fail with EPIPE.
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[out.buffer.write(data) :]
 
 
 def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object]]) -> str:

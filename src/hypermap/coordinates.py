@@ -43,8 +43,9 @@ value, which the strip constants delta_T^-+ and the tangency selector solve
 with.  psi_c itself is ``stdmap.psi``, shared with the Jacobians.  The float
 and array paths agree exactly up to the angles and psi_inverse, which may
 differ in the last bits (numpy's arctan2 and arccos are not libm's; see
-forward_angle).  psi_c and the angles take numpy only for an array of at
-least one dimension; numpy scalars and 0-d arrays take math.
+forward_angle).  psi_c and the angles try math first, as stdmap.mod1 does,
+and take numpy where math refuses the argument: an array of at least one
+dimension.  Numpy scalars and 0-d arrays convert, so they take math.
 """
 
 from __future__ import annotations
@@ -222,8 +223,10 @@ def forward_angle(y: Coord, params: MapParams) -> Coord:
     errors down to ~1e-16, so it takes this angle one float at a time.
     """
     num, den = phi_parts(y, params)
-    array = type(y) is not float and isinstance(y, np.ndarray) and y.ndim  # as in stdmap.psi
-    half = 0.5 * (np.arctan2(num, den) if array else math.atan2(num, den))
+    try:  # as in stdmap.mod1: math refuses an array
+        half = 0.5 * math.atan2(num, den)
+    except TypeError:
+        half = 0.5 * np.arctan2(num, den)
     return math.pi + half
 
 
@@ -235,8 +238,10 @@ def backward_angle(ytilde: Coord, params: MapParams) -> Coord:
     ulps of an angle below 1, where pi/2 + half is exact, and half of one above.
     """
     num, den = phi_tilde_parts(ytilde, params)
-    array = type(ytilde) is not float and isinstance(ytilde, np.ndarray) and ytilde.ndim  # as in stdmap.psi
-    half = 0.5 * (np.arctan2(num, den) if array else math.atan2(num, den))
+    try:  # as in forward_angle
+        half = 0.5 * math.atan2(num, den)
+    except TypeError:
+        half = 0.5 * np.arctan2(num, den)
     return 0.5 * math.pi + half
 
 

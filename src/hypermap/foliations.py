@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .coordinates import backward_angle, critical_constants, forward_angle, psi_inverse
-from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint
+from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, mod1
 
 LEAF_FIELDS = ("E1", "F1", "E-1", "F-1")
 
@@ -335,9 +335,7 @@ def _closed_trace(field_id: str, start: TorusPoint, step: float, max_arc: float,
 
 def _make_leaf(field_id: str, lifted: np.ndarray, arc: float, closed: bool) -> Leaf:
     """Leaf of a lifted polyline, with its torus points in [0, 1)."""
-    points = lifted - np.floor(lifted)
-    points[points >= 1.0 - 1e-15] = 0.0
-    return Leaf(field_id=field_id, points=points, lifted=lifted, arc_length=arc, closed=closed)
+    return Leaf(field_id=field_id, points=mod1(lifted), lifted=lifted, arc_length=arc, closed=closed)
 
 
 def trace_leaf(

@@ -85,9 +85,9 @@ is bit-identical to an all-float64 sweep.  For 5 <= k <= 200 outside the
 strips 0.04-1 % of the drawn samples are refined, the extremum candidates
 included: they lie next to the failure layers.  Inside the strips the image is
 at most 1 + 2m long, and the share refined grows like E / m: about 64 % at
-k = 10^4, m = 2.  Where E > 0.15 m inside the strips, or where
-K >= 2^60 and float32 could overflow, a chunk is evaluated in float64 at
-once.
+k = 10^4, m = 2, 92 % at k = 2 10^4, where E = 0.27 m, and all of them at
+k = 10^5, where E = 1.35 m.  Where K >= 2^60 and float32 could overflow, a
+chunk is evaluated in float64 at once.
 
 Most samples outside the strips lie in the uniformly hyperbolic region,
 where a closed-form bound settles them without the filter.  A unit vector
@@ -198,10 +198,8 @@ box of slope_max holds most of them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -211,7 +209,7 @@ from .coordinates import psi_inverse, strip_pair_contains
 from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, atan2_each, hypot_each, map_step, mod1, psi
 
 #: Samples are drawn and evaluated in batches of at most this many, which
-#: bounds the work arrays.
+#: bounds each batch's temporary arrays.
 _CHUNK = 32768
 
 #: Failure records kept for replay; beyond this only the count grows.
@@ -233,11 +231,6 @@ _SLACK = 1.0 + 1e-12
 #: Largest K = 2 pi k at which the filter's float32 image and squared norm
 #: stay finite.
 _K32_MAX = 2.0**60
-
-#: Inside the strips the image is at most 1 + 2m long, and once E exceeds
-#: this share of m the filter leaves so many samples open (over 70 % at
-#: 0.16 m) that evaluating the chunk in float64 at once is faster.
-_INSIDE_E_SHARE = 0.15
 
 
 @dataclass(frozen=True)
@@ -352,18 +345,6 @@ def _image(p: Coord, c: Coord, s: Coord) -> tuple[Coord, Coord]:
     return c + p * s, c + (1.0 + p) * s
 
 
-class _Workspace(threading.local):
-    """One thread's work arrays for a chunk, reused so no chunk maps fresh pages."""
-
-    def __init__(self) -> None:
-        self.draws = np.empty(2 * _CHUNK)  # the heights, then the draws for theta
-        self.f32 = np.empty((6, _CHUNK), dtype=np.float32)
-        self.masks = np.empty((5, _CHUNK), dtype=bool)
-
-
-_WORK = _Workspace()
-
-
 @np.errstate(over="ignore")  # beyond the float32 range the result is infinite
 def _f32(x: float, up: bool) -> np.float32:
     """x rounded to a float32 upwards (``up``) or downwards, never inwards.
@@ -417,14 +398,13 @@ def _e64(big_k: float) -> float:
     return 1e-12 * (2.0 + big_k)
 
 
-@functools.lru_cache(maxsize=64)
-def _filter_bounds(k: float, m: int, eps: float) -> Optional[_Bounds]:
-    """E and the thresholds derived in the module docstring, eps = _TRIG32_ERR.
+def _filter_bounds(k: float, m: int) -> Optional[_Bounds]:
+    """E and the thresholds derived in the module docstring.
 
     None where the float32 image could overflow or E is not finite.
     """
     big_k = TWO_PI * k
-    u = _U32
+    u, eps = _U32, _TRIG32_ERR
     a, v = 1.0 + eps, 1.0 + u  # |float32 cos or sin| <= a; one float32 rounding <= v
     d_psi = big_k * eps + a * big_k * (v * v - 1.0)  # |psi~ - psi|
     p = a * big_k * v * v  # >= |psi~|
@@ -459,11 +439,9 @@ def _image32(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The filter's float32 sin theta, ix, |ix|, q = ix^2 + iy^2 and d = |ix| - m sin theta.
 
-    ``y`` are the heights and ``t`` the draws for theta.  The results are
-    views of this thread's work arrays.
+    ``y`` are the heights and ``t`` the draws for theta.
     """
-    count = len(y)
-    cy, ct, st, ix, q, d = _WORK.f32[:, :count]
+    cy, ct, st, ix, q, d = np.empty((6, len(y)), dtype=np.float32)
     np.multiply(y, TWO_PI, out=cy, casting="same_kind")
     np.cos(cy, out=cy)
     lo, hi = theta_range
@@ -499,8 +477,7 @@ def _filter(
     wherever ``refine`` is False.
     """
     st, ix, ax, q, d = _image32(y, t, theta_range, bounds)
-    count = len(y)
-    sure, more, slope_ok, norm_ok, refine = _WORK.masks[:, :count]
+    sure, more, slope_ok, norm_ok, refine = np.empty((5, len(y)), dtype=bool)
     b = bounds
     np.greater(d, b.slope_ok, out=slope_ok)
     np.less(d, b.slope_bad, out=sure)
@@ -519,7 +496,7 @@ def _filter(
     add_unless(np.greater(q, b.near_min(float(np.fmin.reduce(q))), out=more))
     # slope - 1 lies within (width_eps + |r| width_r) / (|ix| - width_e) of
     # r = s / ix, and without bound where |ix| <= width_e.
-    rs = np.divide(st, ix, out=_WORK.f32[1, :count])  # cos theta's array
+    rs = np.divide(st, ix, out=st)  # sin theta is not needed again
     ax_min = float(np.fmin.reduce(ax))
     if ax_min > 2.0 * b.e:  # as outside the strips unless E is large
         lo, hi = b.slope_candidates(float(np.fmin.reduce(rs)), float(np.fmax.reduce(rs)), ax_min)
@@ -543,14 +520,14 @@ def _filter(
 _Part = tuple[int, int, int, float, float, float, list[tuple[float, float]], int]
 
 
-def _evaluate(y: np.ndarray, t: np.ndarray, params: MapParams, m: int, inside: bool, budget: int) -> _Part:
+def _evaluate(y: np.ndarray, t: np.ndarray, params: MapParams, m: int, budget: int) -> _Part:
     """The part of the samples at heights ``y`` with theta's draws ``t``:
     filtered, then refined in float64, with the first ``budget`` failure records."""
     count = len(y)
     lo, hi = math.atan(1.0 / m), math.atan(m)
-    bounds = _filter_bounds(params.k, m, _TRIG32_ERR)
-    if bounds is None or (inside and bounds.e > _INSIDE_E_SHARE * m):
-        idx = np.arange(count)  # the filter would leave most samples open
+    bounds = _filter_bounds(params.k, m)
+    if bounds is None:
+        idx = np.arange(count)
     else:
         slope_bad, norm_bad, refine = _filter(y, t, (lo, hi), bounds)
         idx = np.flatnonzero(refine)
@@ -668,13 +645,13 @@ def _box_draws(rng: np.random.Generator, boxes: _Boxes, count: int) -> tuple[np.
     """``count`` samples uniform on the grid points of ``boxes``: heights y and theta's draws t.
 
     Each sample takes one integer uniform on [0, size), then t's low 47
-    bits.  The results are views of this thread's work arrays.
+    bits.
     """
     x = rng.integers(boxes.size, size=count)
     row = boxes.guide[x >> boxes.shift].astype(np.intp)  # numpy gathers fastest by intp
     for _ in range(boxes.passes):
         row += x >= boxes.ends[row]
-    y, t = _WORK.draws[:count], _WORK.draws[count : 2 * count]
+    y, t = np.empty((2, count))
     np.add(x, boxes.j_shift[row], out=y, casting="unsafe")  # exact below 2^53
     np.add(rng.integers(_LOW, size=count), boxes.t_shift[row], out=t, casting="unsafe")
     y *= 1.0 / _GRID
@@ -733,7 +710,6 @@ def _cuts(psi_a: np.ndarray, m: int, lo: float, hi: float) -> np.ndarray:
     return np.ceil(_BUCKETS * (u + 1e-9)).clip(0, _BUCKETS).astype(np.int64)
 
 
-@functools.lru_cache(maxsize=64)
 def _band(k: float, m: int) -> Optional[_Band]:
     """The cells and boxes of the module docstring: the band |psi_c| <= T_band
     outside Delta^(m), its open buckets, and the rest of the region.
@@ -835,7 +811,7 @@ def verify_cones(
     Outside the strips only the open buckets of the band's cells are
     drawn, and the other samples only where they do not settle the report
     (see the module docstring).  The report depends only on the arguments.
-    Each thread sweeps in its own work arrays, so library callers may run
+    A sweep keeps no state between calls, so library callers may run
     sweeps from several threads at once.
     """
     if n_samples < 1:
@@ -853,7 +829,7 @@ def verify_cones(
         for at in range(0, count, _CHUNK):
             size = min(_CHUNK, count - at)
             y, t = _box_draws(rng, boxes, size)
-            parts.append(_evaluate(y, t, params, m, inside_strip, budget))
+            parts.append(_evaluate(y, t, params, m, budget))
             budget -= len(parts[-1][6])
             drawn += size
 

@@ -44,8 +44,6 @@ to even), that is zero, non-finite or subnormal, that lies outside
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 #: Bytes of one formatted value: the longest ``%.17g`` text.
@@ -172,25 +170,8 @@ def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n, d.clip(_D_MIN, _D_MAX, out=d), fast
 
 
-#: Values formatted per pass through the work words.
+#: Values formatted per pass, which bounds each pass's temporary arrays.
 _BLOCK = 1 << 13
-
-
-class _Workspace(threading.local):
-    """One thread's work words for a pass, reused so that formatting the
-    blocks of a table maps no fresh pages for them."""
-
-    def __init__(self) -> None:
-        self.i64 = np.empty((2, 4 * _BLOCK), dtype=np.int64)  # digit groups, their trailing zeros
-        self.u64 = np.empty((4, 4 * _BLOCK), dtype=np.uint64)  # digits, words, high words, scratch
-
-
-_WORK = _Workspace()
-
-
-def _work(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """A (rows, n) view of one work buffer."""
-    return buf[: rows * n].reshape(rows, n)
 
 
 def _digit_words(n: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,18 +180,18 @@ def _digit_words(n: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, np.nd
     lo8 = n - hi8 * 10**8
     lead = hi8 // 10**8
     hi8 -= lead * 10**8
-    groups = _work(_WORK.i64[0], 4, len(n))
+    groups = np.empty((4, len(n)), dtype=np.int64)
     np.floor_divide(hi8, 10**4, out=groups[0])
     np.floor_divide(lo8, 10**4, out=groups[2])
     np.subtract(hi8, groups[0] * 10**4, out=groups[1])
     np.subtract(lo8, groups[2] * 10**4, out=groups[3])
-    g = _DIGITS4.take(groups, mode="clip", out=_work(_WORK.u64[0], 4, len(n)))
-    words = _work(_WORK.u64[1], 3, len(n))
+    g = _DIGITS4.take(groups, mode="clip")
+    words = np.empty((3, len(n)), dtype=np.uint64)
     words[0] = negative * np.uint64(ord("-")) | (lead.astype(np.uint64) + ord("0")) << 8
     words[0] |= g[0] << 16 | g[1] << 48
     words[1] = g[1] >> 16 | g[2] << 16 | g[3] << 48
     words[2] = g[3] >> 16
-    tz = _TZ4.take(groups, mode="clip", out=_work(_WORK.i64[1], 4, len(n)))
+    tz = _TZ4.take(groups, mode="clip")
     tz_lo = tz[3] + (groups[3] == 0) * tz[2]
     tz_hi = tz[1] + (groups[1] == 0) * tz[0]
     return words, 16 - tz_lo - (lo8 == 0) * tz_hi
@@ -219,9 +200,9 @@ def _digit_words(n: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, np.nd
 def _lay_out(words: np.ndarray, last: np.ndarray, d: np.ndarray) -> None:
     """Lay the digit words out by the %g rule for exponent d, in place (step 4)."""
     i = d - _D_MIN
-    high = _HIGH_AT.take(i, axis=1, mode="clip", out=_work(_WORK.u64[2], 3, len(d)))
+    high = _HIGH_AT.take(i, axis=1, mode="clip")
     high &= words
-    scratch = _work(_WORK.u64[3], 3, len(d))
+    scratch = np.empty((3, len(d)), dtype=np.uint64)
     words &= _LOW_AT.take(i, axis=1, mode="clip", out=scratch)
     bits = _BITS.take(i)
     words[1:] |= np.right_shift(high[:-1], np.uint64(64) - bits, out=scratch[:2])

@@ -178,10 +178,10 @@ def psi(y: Coord, params: MapParams, kind: Literal["cos", "sin"] = "cos") -> Coo
     if kind != "cos" and kind != "sin":
         raise ParameterError("kind", f"must be 'cos' or 'sin', got {kind!r}")
     arg = TWO_PI * y
-    if type(y) is not float and isinstance(y, np.ndarray) and y.ndim:  # floats stop at the cheaper type() test
-        t = np.cos(arg) if kind == "cos" else np.sin(arg)
-    else:
+    try:  # as in mod1: math refuses an array
         t = math.cos(arg) if kind == "cos" else math.sin(arg)
+    except TypeError:
+        t = np.cos(arg) if kind == "cos" else np.sin(arg)
     return TWO_PI * params.k * t
 
 

@@ -594,13 +594,16 @@ def test_readme_lists_commands():
     assert {argv[0] for argv in readme_commands()} == set(subparsers())
 
 
-def test_closed_stdout_ends_without_a_traceback():
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_without_a_traceback(unbuffered):
     # The reader takes one line of a ~10 MB table and closes the pipe, as
     # `| head -1` does; the next write fails with EPIPE.  Unbuffered, a
-    # write into the closed pipe ends short instead of failing, so the
-    # child runs with the default buffered stdout.
+    # write into the closing pipe can end short instead, and the output
+    # must not stop there without an error.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "hypermap", "field", "--k", "10", "--grid", "100000"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)

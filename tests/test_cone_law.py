@@ -82,7 +82,7 @@ def test_band_sweeps_keep_the_law_of_the_full_sweep(monkeypatch, k, m):
 
     def recorded(rng, boxes, count):
         y, t = draws(rng, boxes, count)
-        if boxes is band.open:  # not the completion
+        if box_rows(boxes) == open_rows:  # not the completion
             open_counts[-1] += count
             observed[:] += equal_count_bins(y, t, open_rows)
         return y, t

@@ -96,8 +96,8 @@ def batch_args(n_per_case: int, seed: int):
 
 
 def evaluate(args, budget: int = MAX_FAILURE_RECORDS):
-    y, t, params, m, inside = args
-    return hyperbolicity._evaluate(y, t, params, m, inside, budget)
+    y, t, params, m, _ = args
+    return hyperbolicity._evaluate(y, t, params, m, budget)
 
 
 def test_chunks_equal_the_reference():
@@ -112,8 +112,8 @@ def test_chunks_equal_the_reference():
 
 
 def test_chunks_on_many_threads_equal_the_reference():
-    # Each thread sweeps in its own workspace; more threads than cores and
-    # a short switch interval interleave them as much as the interpreter can.
+    # A chunk shares no arrays with another call; more threads than cores
+    # and a short switch interval interleave them as much as the interpreter can.
     jobs = list(batch_args(1, seed=77))
     want = [reference_part(*args[:4]) for args in jobs]
     interval = sys.getswitchinterval()
@@ -313,6 +313,7 @@ SWEEPS = [
     (MapParams(88.0), 5, 1_000_000, 13, False),
     (MapParams(7.0), 3, 1_000_000, 9, False),
     (MapParams(14.6), 10, 1_670_000, 17, False),
+    (MapParams(2e4), 2, 40_000, 19, True),
 ]
 BAND_SWEEPS = [s for s in SWEEPS if 5.0 <= s[0].k <= 200.0 and not s[4]]
 
@@ -334,8 +335,8 @@ def test_benchmark_sweeps_need_no_chunk_by_chunk_sweep(sweep):
 
 
 def test_band_sweeps_on_many_threads_equal_the_reference():
-    # Each thread draws its open boxes into its own work arrays; more
-    # threads than cores and a short switch interval interleave the sweeps.
+    # A sweep keeps no state between calls; more threads than cores and
+    # a short switch interval interleave the sweeps.
     jobs = [s for s in BAND_SWEEPS if s[2] <= 200_000] * 3
     want = {s: reference_report(*s) for s in jobs}
     interval = sys.getswitchinterval()
@@ -463,7 +464,7 @@ def _draws_near(points, steps: int = 64) -> np.ndarray:
 
 def _check_float32_image(params: MapParams, m: int, inside: bool, rng) -> int:
     k = params.k
-    bounds = hyperbolicity._filter_bounds(k, m, hyperbolicity._TRIG32_ERR)
+    bounds = hyperbolicity._filter_bounds(k, m)
     spans = reference_spans(delta_strip(m, params), inside)
     lo, hi = math.atan(1.0 / m), math.atan(m)
     # Heights at the ends of the region's spans (the strip edges, 0 and
@@ -505,7 +506,7 @@ def test_filter_thresholds_lie_outward_of_the_derived_bounds(m):
     eps, u = Fraction(hyperbolicity._TRIG32_ERR), Fraction(1, 2**24)
     a, v = 1 + eps, 1 + u
     for k in (1.01 * m, 17.0, 200.0, 1e4):
-        b = hyperbolicity._filter_bounds(k, m, hyperbolicity._TRIG32_ERR)
+        b = hyperbolicity._filter_bounds(k, m)
         big_k = Fraction(2 * math.pi) * Fraction(k)
         p = a * big_k * v * v
         d_psi = big_k * eps + a * big_k * (2 * u + u * u)

@@ -193,12 +193,16 @@ class TestFloatOrArray:
         assert worst[forward_angle] > 0.0 and worst[backward_angle] > 1.0  # the paths do differ
 
     def test_scalars_take_the_math_path(self):
-        # Numpy scalars and 0-d arrays give the float result bit for bit.
+        # Numpy scalars and 0-d arrays give the float result bit for bit.  A
+        # size-1 array of one dimension stays an array: math refuses it, and
+        # a numpy that converted it would send it down the float path.
         p = MapParams(3.0)
         for y in self._ys(3.0)[:200].tolist():
             for fn in (forward_angle, backward_angle, psi):
                 want = fn(y, p)
                 assert fn(np.float64(y), p) == want and fn(np.array(y), p) == want
+                one = fn(np.array([y]), p)
+                assert isinstance(one, np.ndarray) and one.shape == (1,)
 
     def test_array_ratio_signed_infinity(self):
         from hypermap.coordinates import extended_ratio

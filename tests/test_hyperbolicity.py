@@ -174,8 +174,8 @@ class TestVerifyCones:
         assert rep.failures > 0
 
     def test_deterministic_and_worker_independent(self):
-        # Library callers may sweep from several threads at once; each
-        # thread has its own work arrays, so the reports stay the same.
+        # Library callers may sweep from several threads at once; a sweep
+        # keeps no state between calls, so the reports stay the same.
         params = MapParams(25.0)
         a = verify_cones(params, 2, 70_000, seed=9)
         b = verify_cones(params, 2, 70_000, seed=9)

@@ -97,7 +97,8 @@ class TestG17:
         assert max(len("%.17g" % v) for v in worst) == numfmt.WIDTH
 
     def test_rows_outlive_later_calls_and_threads(self):
-        # g17 reuses per-thread work words; the rows it returns are its own.
+        # g17 keeps no state between calls: rows from interleaved calls on
+        # several threads stay each call's own.
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
