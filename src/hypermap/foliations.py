@@ -73,6 +73,11 @@ _PILOT_RATIO = 1.05
 #: The largest max_arc / step accepted: the leaf has about that many vertices.
 MAX_VERTICES = 10**7
 
+#: Intervals evaluated in one block of ``_LeafField.integrals``.  Its (n, 3)
+#: temporaries then take at most 96 KiB, below glibc's default 128 KiB mmap
+#: threshold, so a long grid does not map fresh pages for each of them.
+_ROWS = 4096
+
 #: 3-point Gauss-Legendre nodes and weights on [0, 1].
 _GL_X = np.array([0.5 - 0.5 * math.sqrt(0.6), 0.5, 0.5 + 0.5 * math.sqrt(0.6)])
 _GL_W = np.array([5.0, 8.0, 5.0]) / 18.0
@@ -182,11 +187,26 @@ class _LeafField:
         return np.sin(a) if self.forward else np.sin(a) - np.cos(a)
 
     def integrals(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, arc) increments over each interval [lo, hi] of C."""
+        """(x, arc) increments over each interval [lo, hi] of C.
+
+        Evaluated in near-equal blocks of at most _ROWS intervals, so a split
+        block holds more than _ROWS / 2.  A row's bits do not depend on the
+        block it is evaluated in, as long as that holds two rows or more.
+        """
+        blocks = -(-len(lo) // _ROWS)
+        if blocks <= 1:
+            return self._block_integrals(lo, hi)
+        parts = [self._block_integrals(*b) for b in zip(np.array_split(lo, blocks), np.array_split(hi, blocks))]
+        dx, ds = zip(*parts)
+        return np.concatenate(dx), np.concatenate(ds)
+
+    def _block_integrals(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``integrals`` in one block."""
         h = hi - lo
         a = self.angle(lo[:, None] + h[:, None] * _GL_X)
-        w = self.speed(a)
-        return h * ((np.cos(a) / w) @ _GL_W), np.abs(h) * ((1.0 / np.abs(w)) @ _GL_W)
+        cos_a = np.cos(a)
+        w = np.sin(a) if self.forward else np.sin(a) - cos_a  # ``speed``, with cos a taken once
+        return h * ((cos_a / w) @ _GL_W), np.abs(h) * ((1.0 / np.abs(w)) @ _GL_W)
 
 
 @dataclass
@@ -231,8 +251,33 @@ def _subdivide(nodes: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     return np.append(first + j * width, nodes[-1])
 
 
+def _turns(a: np.ndarray) -> np.ndarray:
+    """|change of the direction| between consecutive angles of ``a``, in [0, pi/2].
+
+    The change mod pi, folded into [-pi/2, pi/2).  A lifted field angle moves
+    by at most pi, so d = diff(a) + pi/2 lies in [-pi/2, 3 pi/2], where one
+    masked step gives ``d % pi`` bit for bit (as ``coordinates.mod_pi`` and
+    ``gap_mod_pi`` do) at a fraction of the cost of ``np.remainder``.
+    """
+    d = np.diff(a) + 0.5 * math.pi
+    d -= math.pi * (d >= math.pi)
+    d += math.pi * (d < 0.0)
+    d -= 0.5 * math.pi
+    return np.abs(d, out=d)
+
+
 def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Grid:
-    """Refine ``nodes`` until every interval is fine, dropping those past arc ``cap``."""
+    """Refine ``nodes`` until every interval is fine, dropping those past arc ``cap``.
+
+    Each pass keeps whole the interval that crosses ``cap`` on its own arc
+    estimate, so the grid ends at or past ``cap`` unless a later, finer pass
+    reads the arc up to that node lower by more than the margin of ``cap``
+    over the arc wanted.  The pilot's arc at its nodes agrees with the
+    refined grid's to better than 1e-8 relative (6.6e-9 at worst over seeded
+    leaves of all four fields, k in [0.06, 300]), so ``trace_leaf`` asks for
+    1e-6 past ``max_arc``; a grid that still falls short is not ``complete``
+    and is refined again with a doubled cap.
+    """
     complete = True
     for _ in range(_PASSES):
         a = f.angle(nodes)
@@ -242,7 +287,7 @@ def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Gr
         if n < len(ds):
             complete = False
             nodes, a, dx, ds, s = nodes[: n + 1], a[: n + 1], dx[:n], ds[:n], s[: n + 1]
-        turn = np.abs((np.diff(a) + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
+        turn = _turns(a)
         log_w = np.abs(np.diff(np.log(np.abs(f.speed(a)))))
         cost = ds / step + turn / _MAX_TURN + log_w / _MAX_LOG_W
         if cost.max(initial=0.0) <= 1.0 / _FINE:
@@ -394,9 +439,10 @@ def trace_leaf(
         length = ahead - _JOIN
 
     nodes = _pilot(f, length, sigma, ahead, behind)
-    cap = 1.25 * max_arc
+    cap = (1.0 + 1e-6) * max_arc
     grid = _fine_grid(f, nodes, step, cap)
-    while not grid.complete and grid.s[-1] < max_arc:  # the coarse arc estimate was high
+    # Short only if a finer pass read the arc lower than the pass that cut the grid.
+    while not grid.complete and grid.s[-1] < max_arc:
         cap *= 2.0
         grid = _fine_grid(f, nodes, step, cap)
 

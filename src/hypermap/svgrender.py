@@ -21,10 +21,13 @@ bytes, one little-endian 64-bit word:
 3. Each point is laid out as ``x,y`` and a space, 18 bytes with no NUL
    bytes, and the text is the bytes of the whole array less the last space.
 
+The kernel formats blocks of at most ``_BLOCK`` points, and their texts are
+joined by a space.
+
 **Fallbacks.**  A near tie, a v whose fraction of p lies within 2^-30 of
 1/2 (exact ties round half to even), still prints in eight bytes: its word
 is patched from Python's ``%.6f``.  A v outside [0, 1], -0.0 or NaN changes
-the width, so the whole polyline is formatted by one ``%``-format.
+the width, so the whole block is formatted by one ``%``-format.
 """
 
 from __future__ import annotations
@@ -55,12 +58,21 @@ _HEAD, _TAIL = _word_tables()
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 #: |p - rint(p)| above this: p's fraction lies within 2^-30 of 1/2.
 _NEAR_TIE = 0.5 - 2.0**-30
+#: Points formatted in one pass.  Each (n, 2) temporary of a pass is then at
+#: most 64 KiB, below glibc's default 128 KiB mmap threshold, so a long
+#: polyline does not map fresh pages for every temporary.
+_BLOCK = 4096
 #: One point of the text, ``x,y`` and a space.
 _POINT = np.dtype([("x", "<u8"), ("comma", "u1"), ("y", "<u8"), ("space", "u1")])
 
 
 def _coords(points: np.ndarray) -> str:
     """``%.6f,%.6f`` of x and 1 - y for each point, joined by spaces."""
+    return " ".join(_coords_block(points[i:i + _BLOCK]) for i in range(0, len(points), _BLOCK))
+
+
+def _coords_block(points: np.ndarray) -> str:
+    """``_coords`` of at most ``_BLOCK`` points."""
     n = len(points)
     v = np.empty((n, 2))
     v[:, 0] = points[:, 0]

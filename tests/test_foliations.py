@@ -10,7 +10,7 @@ import pytest
 from hypermap import foliations
 from hypermap.cli import run
 from hypermap.coordinates import critical_constants, theta_field
-from hypermap.foliations import closed_leaves, fold_tips, trace_leaf
+from hypermap.foliations import LEAF_FIELDS, closed_leaves, fold_tips, trace_leaf
 from hypermap.oracle import rk4_leaf, svd2
 from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi, jacobian
 
@@ -370,3 +370,146 @@ class TestAgainstRk4:
         assert dist_mod1(np.array([end[1] - (0.0 if field_id == "F1" else end[0])]), ds)[0] < 1e-12
         assert chord_excess(leaf, p) <= 0.0
         assert np.hypot(*np.diff(leaf.lifted, axis=0).T).max() <= 1e-3
+
+
+FINE_GRID = foliations._fine_grid
+
+
+def spy_fine_grid(monkeypatch, first_cap=None) -> list:
+    """Record (field, pilot nodes, cap, grid) of every ``_fine_grid`` call made
+    by ``trace_leaf``; ``first_cap(cap)`` replaces the cap of the first call."""
+    calls = []
+
+    def spy(f, nodes, step, cap):
+        if first_cap is not None and not calls:
+            cap = first_cap(cap)
+        grid = FINE_GRID(f, nodes, step, cap)
+        calls.append((f, nodes, cap, grid))
+        return grid
+
+    monkeypatch.setattr(foliations, "_fine_grid", spy)
+    return calls
+
+
+def seeded_leaves(seed: int, fields, n: int, k_range=(0.06, 300.0)):
+    """n (field, start, params) per field, k log-uniform on ``k_range``."""
+    rng = np.random.default_rng(seed)
+    lo, hi = math.log(k_range[0]), math.log(k_range[1])
+    for field_id in fields:
+        for _ in range(n):
+            k = math.exp(rng.uniform(lo, hi))
+            yield field_id, TorusPoint(rng.random(), rng.random()), MapParams(k)
+
+
+class TestArcCap:
+    """The fine grid stops at the arc the leaf prints."""
+
+    @pytest.mark.parametrize("max_arc", [1.0, 2.5, 5.0])
+    def test_no_refinement_past_max_arc(self, monkeypatch, max_arc):
+        # Nodes past max_arc are the refinement of the one pilot interval that
+        # crosses it; a grid capped at 1.25 max_arc runs on through many more.
+        calls = spy_fine_grid(monkeypatch)
+        past_total = 0
+        for field_id, start, p in seeded_leaves(29, ("E1", "E-1"), 6, (0.5, 30.0)):
+            calls.clear()
+            trace_leaf(field_id, start, p, max_arc=max_arc)
+            assert len(calls) == 1
+            _, pilot, _, grid = calls[0]
+            sigma = math.copysign(1.0, pilot[-1])
+            past = grid.s > max_arc
+            if not past.any():
+                assert grid.complete
+                continue
+            past_total += int(past.sum())
+            # The last pilot node in the grid at arc <= max_arc, then the next one.
+            i = int(np.searchsorted(sigma * pilot, sigma * grid.c[~past][-1], side="right")) - 1
+            assert pilot[i] in grid.c[~past]
+            assert (sigma * grid.c[past] <= sigma * pilot[i + 1]).all()
+        assert past_total > 0
+
+    def test_pilot_arc_agrees_with_refined(self, monkeypatch):
+        # The margin of 1e-6 past max_arc rests on this agreement; the worst
+        # seen over seeds 30-32 and max_arc 1, 5 and 10 is 6.6e-9.
+        calls = spy_fine_grid(monkeypatch)
+        for field_id, start, p in seeded_leaves(30, LEAF_FIELDS, 8):
+            trace_leaf(field_id, start, p, max_arc=5.0)
+        assert len(calls) == 4 * 8
+        worst, compared = 0.0, 0
+        for f, pilot, _, grid in calls:
+            _, ds = f.integrals(pilot[:-1], pilot[1:])
+            s_pilot = np.concatenate([[0.0], np.cumsum(ds)])
+            on_grid = np.isin(pilot, grid.c)
+            s_grid = grid.s[np.isin(grid.c, pilot)]
+            assert on_grid.sum() == len(s_grid)
+            # Node 0 is at arc 0; a grid may end inside the first pilot interval.
+            compared += len(s_grid) - 1
+            rel = np.abs(s_pilot[on_grid][1:] - s_grid[1:]) / s_grid[1:]
+            worst = max(worst, rel.max(initial=0.0))
+        assert compared > 10_000
+        assert worst <= 1e-7
+
+    @pytest.mark.parametrize("field_id", LEAF_FIELDS)
+    def test_short_first_grid_is_refined_again(self, monkeypatch, field_id):
+        # From this start every field's grid runs past arc 0.6: to max_arc, to
+        # the closed leaf ahead (F1) or over one period (F-1).
+        p, max_arc = MapParams(2.0), 1.0
+        start = TorusPoint(0.2, 0.8)
+        calls = spy_fine_grid(monkeypatch)
+        default = trace_leaf(field_id, start, p, max_arc=max_arc)
+        assert len(calls) == 1 and calls[0][3].s[-1] > 0.6
+        calls = spy_fine_grid(monkeypatch, first_cap=lambda cap: 0.5 * max_arc)
+        leaf = trace_leaf(field_id, start, p, max_arc=max_arc)
+        assert len(calls) == 2
+        short, again = calls[0][3], calls[1][3]
+        assert not short.complete and short.s[-1] < max_arc
+        assert again.complete or again.s[-1] >= max_arc
+        assert leaf.arc_length == max_arc
+        assert np.abs(leaf.lifted[-1] - default.lifted[-1]).max() <= 1e-12
+
+
+class TestIntegralsRowIndependent:
+    """Each row of ``_LeafField.integrals`` depends on its own interval only.
+
+    A grid capped at the printed arc evaluates a prefix of the rows a longer
+    cap evaluates, and long grids are evaluated in blocks, so vertices keep
+    their bits only if a row does not depend on how many rows share the
+    call, although ``@ _GL_W`` may go to BLAS.  One row is left out: numpy
+    forms a one-row product as a dot product, which may round differently
+    from the matrix-vector kernel.  No refinement pass evaluates one
+    interval where a longer cap evaluated more (an interval that is not yet
+    fine is cut into at least two), and no block holds one row.
+    """
+
+    @staticmethod
+    def same_bits(got, want) -> bool:
+        return all(np.array_equal(g.view(np.uint64), w.view(np.uint64)) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("forward,perp", [(True, False), (False, False), (False, True)])
+    def test_prefixes_and_blocks_bit_for_bit(self, forward, perp):
+        f = foliations._LeafField(forward, perp, MapParams(3.7), 0.123)
+        rows = foliations._ROWS
+        n = 2 * rows + 3
+        rng = np.random.default_rng(31)
+        lo = np.sort(rng.random(n)) * 0.9
+        hi = lo + rng.random(n) * 1e-3
+        whole = f._block_integrals(lo, hi)
+        assert self.same_bits(f.integrals(lo, hi), whole)  # three blocks
+        for m in (2, 3, 7, 8, 9, 1023, rows + 1):
+            assert self.same_bits(f.integrals(lo[:m], hi[:m]), [w[:m] for w in whole])
+        for i, j in ((5, 7), (1000, 1009), (rows - 1, rows + 1), (rows + 3, n)):
+            assert self.same_bits(f.integrals(lo[i:j], hi[i:j]), [w[i:j] for w in whole])
+
+
+def test_turns_match_remainder_bit_for_bit():
+    # Differences of lifted angles span [-pi, pi]: steps of every size, the
+    # jumps by pi of a forward angle, and values next to the fold points.
+    rng = np.random.default_rng(32)
+    edges = np.array([-math.pi, -0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi])
+    near = (edges[:, None] + np.array([-1e-12, -1e-15, 1e-15, 1e-12])).ravel()
+    d = np.concatenate([rng.uniform(-math.pi, math.pi, 200_000), rng.normal(0.0, 1e-3, 10_000),
+                        -np.logspace(-320, 0.49, 5000), np.logspace(-320, 0.49, 5000),
+                        edges, near.clip(-math.pi, math.pi)])
+    a = np.zeros(2 * len(d) + 1)
+    a[1::2] = d  # consecutive differences d and -d, exactly
+    want = np.abs((np.diff(a) + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
+    assert np.array_equal(foliations._turns(a).view(np.uint64), want.view(np.uint64))

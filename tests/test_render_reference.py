@@ -197,6 +197,15 @@ class TestPolylineKernel:
     def test_no_points(self):
         assert_polyline_matches([])
 
+    @pytest.mark.parametrize("odd", [None, 1.5, -0.0])
+    def test_blocks(self, odd):
+        # 20 000 points span five blocks; an odd value in the second block
+        # sends that block alone to the %-format.
+        points = np.random.default_rng(13).random((20_000, 2))
+        if odd is not None:
+            points[svgrender._BLOCK + 17, 0] = odd
+        assert svgrender.polyline(points, "#000") == reference_polyline(points, "#000")
+
 
 LEAF_CASES = [
     (field_id, k, step, max_arc, start)
