@@ -40,14 +40,14 @@ every product and sum rounded to float32, with unit roundoff u = 2^-24, it
 forms
 
     psi = cos(2 pi y) fl(K),  ix = cos + psi sin,  iy = ix + sin,
-    q = ix^2 + iy^2,  d = |ix| - m sin.
+    q = ix^2 + iy^2,  r = sin / ix.
 
 Each rounding moves a result by at most u times itself.  So psi is within
 K eps + a K (2u + u^2) of its exact value and at most P = a K (1 + u)^2;
 ix is within E_x = eps + K eps + a (K eps + a K (2u + u^2)) + u a P +
 u a (1 + P (1 + u)) and at most B = a (1 + P (1 + u)) (1 + u); iy is within
-E_x + eps + u (B + a).  With 1e-12 (2 + K) added for the rounding of the
-float64 evaluation, which the refined samples use,
+E_x + eps + u (B + a).  With e64 = 1e-12 (2 + K) added for the rounding of
+the float64 evaluation, which the refined samples use,
 
     E = eps (2 + 2K) + u (3 + 5K) + 1e-12 (2 + K)   (to first order)
 
@@ -57,37 +57,43 @@ norm lies within 2E of sqrt(ix^2 + iy^2).  From these:
 - Norm.  q lies within a factor 1 - 2u to 1 + 3u of ix^2 + iy^2, so
   q > (m + 2E)^2 (1 + 3u) certifies norm >= m and q < (m - 2E)^2 (1 - 2u)
   certifies norm < m.
-- Slope, without a division.  theta lies in (atan 1/m, atan m), so sin > 0
-  and slope - 1 = sin / ix: the slope lies in (1 - 1/m, 1 + 1/m) exactly
-  when d > 0.  d is within E + m eps + m a (2u + u^2) + u (B + m a (1 + u)^2)
-  of its exact value, and the float64 verdict, which divides and rounds
-  1 +- 1/m, follows the sign of the exact d wherever |d| exceeds
-  1e-12 (2 + K)(2 + 2m) + m 2^-51 (1 + K).  |d| beyond the sum certifies.
-- Extrema.  slope - 1 lies within (eps' + |r| E') / (|ix| - E) of
-  r = fl(sin / ix), where eps' and E' exceed eps and E by the float32
-  rounding of r and of the width itself, and without bound where
-  |ix| <= E.  The candidates for min_norm, slope_min and slope_max are the
+- Slope.  theta lies in (atan 1/m, atan m), so sin > 0 and slope - 1 =
+  sin / ix.  The float64 iy - ix lies within eps + 2 e64 of the float32
+  sin and ix within E, so the float64 slope - 1 lies within
+      w = (eps + 2 e64 + |r| (1 + 2u) (E + 2u B)) (1 + 8u) / (|ix| - E)
+  of r = fl(sin / ix): the 2u B covers the rounding of r and of the float64
+  quotient, the 1 + 8u that of w, formed in float32 too.  Where |ix| <= E,
+  w is +inf.  The float64 verdict "inside" is fl(1 - 1/m) < slope <
+  fl(1 + 1/m), that is A < slope - 1 < B with A = fl(1 - 1/m) - 1 and
+  B = fl(1 + 1/m) - 1, both exact (Sterbenz: fl(1 -+ 1/m) lies in
+  [1/2, 2]).  The float32 r - w and r + w are rounded to nearest, which
+  keeps order and so crosses no float32: r - w above A rounded up to a
+  float32 puts slope - 1 above A, r + w below A rounded down puts it below
+  A, and so for B.  [r - w, r + w] strictly inside (A, B) or wholly outside
+  it, tested against these four edges, certifies the verdict.
+- Extrema.  The candidates for min_norm, slope_min and slope_max are the
   samples whose lower bound is at most the least upper bound over the
-  chunk.  Where every |ix| exceeds 2E, the chunk's widest width, at its
-  least |ix| and largest |r|, stands in for each sample's.  That holds
-  outside the strips whenever 2E < m / sqrt(1 + m^2), which bounds |ix|
-  from below there.
+  chunk.  For the slope these are r - w and r + w, and for slope_max the
+  samples whose r + w is at least the largest r - w: as their rounding
+  keeps order, a sample left out has a float64 slope beyond another's.
 
-Each threshold is computed in float64 with relative slack 1e-12 and then
-rounded outward to a float32, since numpy compares a float32 array with a
-Python float in float32.  The float64 expressions the sweep always used
-then evaluate again the samples whose verdicts these bounds cannot certify
-(a NaN certifies nothing: every comparison with it is false) and the
-extremum candidates; the first MAX_FAILURE_RECORDS failures of the sweep
-get their exact y for the records.  Every certified verdict equals the
-exact one and every extremum is attained in a refined sample, so the report
-is bit-identical to an all-float64 sweep.  For 5 <= k <= 200 outside the
-strips 0.04-1 % of the drawn samples are refined, the extremum candidates
-included: they lie next to the failure layers.  Inside the strips the image is
-at most 1 + 2m long, and the share refined grows like E / m: about 64 % at
-k = 10^4, m = 2, 92 % at k = 2 10^4, where E = 0.27 m, and all of them at
-k = 10^5, where E = 1.35 m.  Where K >= 2^60 and float32 could overflow, a
-chunk is evaluated in float64 at once.
+A and B are exact; every other threshold is computed in float64 with
+relative slack 1e-12.  Each is then rounded outward to a float32, since
+numpy compares a float32 array with a Python float in float32.  The float64
+expressions the sweep always used then evaluate again the samples whose
+verdicts these bounds cannot certify (a NaN certifies nothing: every
+comparison with it is false) and the extremum candidates; the first
+MAX_FAILURE_RECORDS failures of the sweep get their exact y for the
+records.  Every certified verdict equals the exact one and every extremum
+is attained in a refined sample, so the report is bit-identical to an
+all-float64 sweep.  For 5 <= k <= 200 outside the strips 0.01-2.4 % of the
+drawn samples are refined, the extremum candidates included: they lie next
+to the failure layers.  Inside the strips the image is at most 1 + 2m long,
+and the share refined grows like E / m: 0.03-2.2 % for 5 <= k <= 200,
+12 % at k = 10^3, m = 2, 64 % at k = 10^4, 92 % at k = 2 10^4, where
+E = 0.27 m, and all of them at k = 10^5, where E = 1.35 m.  Where
+K >= 2^60 and float32 could overflow, a chunk is evaluated in float64 at
+once.
 
 Most samples outside the strips lie in the uniformly hyperbolic region,
 where a closed-form bound settles them without the filter.  A unit vector
@@ -366,9 +372,10 @@ class _Bounds(NamedTuple):
 
     e: float
     big_k: np.float32  # K rounded to float32
-    m: np.float32
-    slope_ok: np.float32  # d above this: the slope verdict is "inside"
-    slope_bad: np.float32  # d below this: "outside"
+    inside_lo: np.float32  # A rounded up: r - w above it puts slope - 1 above A
+    inside_hi: np.float32  # B rounded down: r + w below it puts slope - 1 below B
+    outside_lo: np.float32  # A rounded down: r + w below it puts slope - 1 below A
+    outside_hi: np.float32  # B rounded up: r - w above it puts slope - 1 above B
     norm_ok: np.float32  # q above this: the norm is at least m
     norm_bad: np.float32  # q below this: the norm is below m
     width_r: np.float32  # the slope width is (width_eps + |r| width_r) / (|ix| - width_e)
@@ -380,17 +387,6 @@ class _Bounds(NamedTuple):
         u = _U32
         norm = math.sqrt(q_min * (1.0 + 3.0 * u)) + 4.0 * self.e
         return _f32(_SLACK * (1.0 + 3.0 * u) * norm * norm, True)
-
-    def slope_candidates(self, r_min: float, r_max: float, ax_min: float) -> tuple[np.float32, np.float32]:
-        """(lo, hi): no r above lo can be the least slope - 1, none below hi the largest.
-
-        r_min and r_max are the chunk's least and largest r = s / ix, and
-        ax_min > 2E its least |ix|: every width is at most the one at the
-        largest |r| and least |ix|.
-        """
-        w = float(self.width_eps) + max(-r_min, r_max) * float(self.width_r)
-        w *= _SLACK / (ax_min - float(self.width_e))
-        return _f32(r_min + 2.0 * w, True), _f32(r_max - 2.0 * w, False)
 
 
 def _e64(big_k: float) -> float:
@@ -415,17 +411,16 @@ def _filter_bounds(k: float, m: int) -> Optional[_Bounds]:
     e = (e_y + e64) * _SLACK
     if not (big_k < _K32_MAX and e < math.inf):
         return None
-    d = (
-        e + m * eps + m * a * (v * v - 1.0) + u * (b + m * a * v * v)  # |d~ - d|
-        + e64 * (2.0 + 2.0 * m) + m * 2.0**-51 * (1.0 + big_k)  # the float64 slope verdict
-    ) * _SLACK
     below = m - 2.0 * e
+    # The float64 verdict's edges of slope - 1, exact by Sterbenz.
+    edge_a, edge_b = (1.0 - 1.0 / m) - 1.0, (1.0 + 1.0 / m) - 1.0
     return _Bounds(
         e=e,
         big_k=np.float32(big_k),
-        m=np.float32(m),
-        slope_ok=_f32(d, True),
-        slope_bad=_f32(-d, False),
+        inside_lo=_f32(edge_a, True),
+        inside_hi=_f32(edge_b, False),
+        outside_lo=_f32(edge_a, False),
+        outside_hi=_f32(edge_b, True),
         norm_ok=_f32(_SLACK * (1.0 + 3.0 * u) * (m + 2.0 * e) * (m + 2.0 * e), True),
         norm_bad=_f32((1.0 - 2.0 * u) * below * below / _SLACK if below > 0.0 else -math.inf, False),
         width_r=_f32(_SLACK * (1.0 + 8.0 * u) * (1.0 + 2.0 * u) * (e + 2.0 * u * b), True),
@@ -436,12 +431,12 @@ def _filter_bounds(k: float, m: int) -> Optional[_Bounds]:
 
 def _image32(
     y: np.ndarray, t: np.ndarray, theta_range: tuple[float, float], bounds: _Bounds
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The filter's float32 sin theta, ix, |ix|, q = ix^2 + iy^2 and d = |ix| - m sin theta.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The filter's float32 sin theta, ix, |ix| and q = ix^2 + iy^2.
 
     ``y`` are the heights and ``t`` the draws for theta.
     """
-    cy, ct, st, ix, q, d = np.empty((6, len(y)), dtype=np.float32)
+    cy, ct, st, ix, q = np.empty((5, len(y)), dtype=np.float32)
     np.multiply(y, TWO_PI, out=cy, casting="same_kind")
     np.cos(cy, out=cy)
     lo, hi = theta_range
@@ -457,14 +452,23 @@ def _image32(
     ix += ct
     np.add(ix, st, out=q)
     q *= q
-    np.multiply(ix, ix, out=d)
-    q += d
-    # slope - 1 = s / ix with s > 0, so the slope lies in (1 - 1/m, 1 + 1/m)
-    # exactly when d > 0.
-    ax = np.abs(ix, out=cy)
-    np.multiply(st, bounds.m, out=d)
-    np.subtract(ax, d, out=d)
-    return st, ix, ax, q, d
+    q += np.multiply(ix, ix, out=ct)
+    return st, ix, np.abs(ix, out=cy), q
+
+
+def _slope_width(st: np.ndarray, ix: np.ndarray, ax: np.ndarray, bounds: _Bounds) -> tuple[np.ndarray, np.ndarray]:
+    """r = s / ix and the width w of the module docstring, in the buffers of ``st`` and ``ix``.
+
+    The float64 slope - 1 lies within w of r; w is +inf where |ix| <= E.
+    ``ax`` (|ix|) is overwritten.
+    """
+    r = np.divide(st, ix, out=st)
+    w = np.abs(r, out=ix)
+    w *= bounds.width_r
+    w += bounds.width_eps
+    ax -= bounds.width_e
+    w /= np.maximum(ax, 0.0, out=ax)  # +0 where |ix| <= width_e, so w = +inf
+    return r, w
 
 
 @np.errstate(all="ignore")  # the filter decides nothing from a non-finite value
@@ -476,11 +480,17 @@ def _filter(
     Returns (slope_bad, norm_bad, refine); the verdicts are certified
     wherever ``refine`` is False.
     """
-    st, ix, ax, q, d = _image32(y, t, theta_range, bounds)
+    st, ix, ax, q = _image32(y, t, theta_range, bounds)
+    r, w = _slope_width(st, ix, ax, bounds)
+    # The float64 slope - 1 lies in [lb, ub]; NaN where r and w are infinite.
+    lb = np.subtract(r, w, out=ax)
+    ub = np.add(r, w, out=w)
     sure, more, slope_ok, norm_ok, refine = np.empty((5, len(y)), dtype=bool)
     b = bounds
-    np.greater(d, b.slope_ok, out=slope_ok)
-    np.less(d, b.slope_bad, out=sure)
+    np.greater(lb, b.inside_lo, out=slope_ok)
+    slope_ok &= np.less(ub, b.inside_hi, out=more)
+    np.less(ub, b.outside_lo, out=sure)
+    sure |= np.greater(lb, b.outside_hi, out=more)
     sure |= slope_ok
     np.greater(q, b.norm_ok, out=norm_ok)
     np.less(q, b.norm_bad, out=more)
@@ -494,24 +504,8 @@ def _filter(
         np.bitwise_or(refine, np.invert(above, out=above), out=refine)
 
     add_unless(np.greater(q, b.near_min(float(np.fmin.reduce(q))), out=more))
-    # slope - 1 lies within (width_eps + |r| width_r) / (|ix| - width_e) of
-    # r = s / ix, and without bound where |ix| <= width_e.
-    rs = np.divide(st, ix, out=st)  # sin theta is not needed again
-    ax_min = float(np.fmin.reduce(ax))
-    if ax_min > 2.0 * b.e:  # as outside the strips unless E is large
-        lo, hi = b.slope_candidates(float(np.fmin.reduce(rs)), float(np.fmax.reduce(rs)), ax_min)
-        add_unless(np.greater(rs, lo, out=more))
-        add_unless(np.less(rs, hi, out=more))
-    else:
-        w = np.abs(rs, out=d)
-        w *= b.width_r
-        w += b.width_eps
-        ax -= b.width_e
-        w /= np.maximum(ax, 0.0, out=ax)  # +0 where |ix| <= width_e, so w = +inf
-        lb = np.subtract(rs, w, out=ix)
-        ub = np.add(rs, w, out=w)
-        add_unless(np.greater(lb, np.fmin.reduce(ub), out=more))
-        add_unless(np.less(ub, np.fmax.reduce(lb), out=more))
+    add_unless(np.greater(lb, np.fmin.reduce(ub), out=more))
+    add_unless(np.less(ub, np.fmax.reduce(lb), out=more))
     return np.invert(slope_ok, out=slope_ok), np.invert(norm_ok, out=norm_ok), refine
 
 

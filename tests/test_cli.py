@@ -137,6 +137,14 @@ class TestCones:
         assert int(float(values["slope_failures"])) == 0
         assert 0.8 < float(values["slope_min"]) <= float(values["slope_max"]) < 1.2
 
+    def test_k_past_the_float32_filter(self):
+        # At K = 2 pi k >= 2^60 the float32 image could overflow, so every
+        # sample is evaluated in float64.
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_capture(["cones", "--k", "1e18", "--m", "3", "--samples", "20000", "--seed", "5"])
+        assert code == 0 and "failures 0" in out.splitlines() and err.getvalue() == ""
+
 
 class TestLeaf:
     def test_csv_columns(self):

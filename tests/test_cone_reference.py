@@ -55,16 +55,20 @@ def reference_grid_draws(rng: np.random.Generator, spans, count: int) -> np.ndar
     return (np.array([lo for lo, _ in spans])[span] + (i - starts[span])) * 2.0**-53
 
 
-def reference_part(y: np.ndarray, t: np.ndarray, params: MapParams, m: int) -> _Part:
-    """Counts, extrema and first failure records of the samples at heights y with theta's draws t, all in float64."""
+def reference_verdicts(y: np.ndarray, t: np.ndarray, params: MapParams, m: int):
+    """theta, slope, norm and the slope and norm verdicts (True: fails) of each sample, all in float64."""
     lo, hi = math.atan(1.0 / m), math.atan(m)
     theta = lo + t * (hi - lo)
     ix, iy = _image(psi(y, params), np.cos(theta), np.sin(theta))
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = iy / ix
     norm = np.hypot(ix, iy)
-    slope_bad = ~((slope > 1.0 - 1.0 / m) & (slope < 1.0 + 1.0 / m))
-    norm_bad = ~(norm >= m)
+    return theta, slope, norm, ~((slope > 1.0 - 1.0 / m) & (slope < 1.0 + 1.0 / m)), ~(norm >= m)
+
+
+def reference_part(y: np.ndarray, t: np.ndarray, params: MapParams, m: int) -> _Part:
+    """Counts, extrema and first failure records of the samples at heights y with theta's draws t, all in float64."""
+    theta, slope, norm, slope_bad, norm_bad = reference_verdicts(y, t, params, m)
     bad = slope_bad | norm_bad
     records = [(float(y[i]), float(theta[i])) for i in np.flatnonzero(bad)[:MAX_FAILURE_RECORDS]]
     return (
@@ -317,10 +321,22 @@ SWEEPS = [
 ]
 BAND_SWEEPS = [s for s in SWEEPS if 5.0 <= s[0].k <= 200.0 and not s[4]]
 
+#: Sweeps on paths the random sweeps do not reach: no band, as e64 >= 1e-3
+#: (k = 2e8, 1e12), and no float32 filter either, as K >= 2^60 (k = 2e17, 1e18).
+LARGE_K_SWEEPS = [(MapParams(k), m, 50_000, seed, inside) for seed, (k, m, inside) in enumerate([
+    (2e8, 2, False), (2e8, 3, True), (1e12, 3, False), (1e12, 2, True),
+    (2e17, 2, False), (2e17, 3, True), (1e18, 3, False), (1e18, 2, True)])]
 
-@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
+
+@pytest.mark.parametrize("sweep", SWEEPS + LARGE_K_SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
 def test_reports_equal_the_reference(sweep):
     assert_same_report(verify_cones(*sweep), reference_report(*sweep))
+
+
+def test_large_k_sweeps_take_the_float64_paths():
+    for params, m, *_ in LARGE_K_SWEEPS:
+        assert hyperbolicity._band(params.k, m) is None
+        assert (hyperbolicity._filter_bounds(params.k, m) is None) == (2 * math.pi * params.k >= 2.0**60)
 
 
 @pytest.mark.parametrize("sweep", BAND_SWEEPS, ids=lambda s: f"k{s[0].k:g}-m{s[1]}")
@@ -440,8 +456,9 @@ def test_float32_trig_is_within_a_quarter_of_the_filter_bound():
         want = np.fromiter(map(f, exact.tolist()), np.float64, len(exact))
         assert np.max(np.abs(f32(exact.astype(np.float32)).astype(np.float64) - want)) <= eps / 2
     # The whole float32 image against the float64 one, strip edges and cone
-    # edges included: ix and iy within E / 4, d = |ix| - m sin theta within a
-    # quarter of its margin, and the norm sqrt(q) within a quarter of 2E.
+    # edges included: ix and iy within E / 4, the float64 slope - 1 within
+    # w / 4 of r wherever w is finite, and the norm sqrt(q) within a quarter
+    # of 2E.
     n = 0
     for m, k in [(m, k) for m in (2, 10, 50) for k in (1.01 * m, 200.0, 1e4)]:
         for inside in (False, True):
@@ -462,14 +479,15 @@ def _draws_near(points, steps: int = 64) -> np.ndarray:
     return np.array(out)
 
 
-def _check_float32_image(params: MapParams, m: int, inside: bool, rng) -> int:
-    k = params.k
-    bounds = hyperbolicity._filter_bounds(k, m)
+def image_draws(params: MapParams, m: int, inside: bool, rng, count: int = 55_000) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` seeded samples on the region's grid, then its edge draws.
+
+    The edges are the heights at the ends of the region's spans (the strip
+    edges, 0 and 1 - 2^-53) and theta at the cone's edges and the float32
+    neighbours of both.
+    """
     spans = reference_spans(delta_strip(m, params), inside)
     lo, hi = math.atan(1.0 / m), math.atan(m)
-    # Heights at the ends of the region's spans (the strip edges, 0 and
-    # 1 - 2^-53), and theta at the cone's edges and the float32 neighbours
-    # of both.
     steps = np.arange(64)
     y_edges = np.concatenate([np.concatenate([a + steps, b - steps]) for a, b in spans]) * 2.0**-53
     t_edges = np.concatenate([
@@ -477,23 +495,33 @@ def _check_float32_image(params: MapParams, m: int, inside: bool, rng) -> int:
         1.0 - (steps + 1) * float(np.spacing(np.float32(hi))) / (hi - lo),
         _draws_near([0.0, 1.0]),
     ])
-    count = 55_000
     y = np.concatenate([reference_grid_draws(rng, spans, count), y_edges,
                         reference_grid_draws(rng, spans, len(t_edges))])
     t = np.concatenate([rng.random(count), rng.random(len(y_edges)), t_edges])
+    return y, t
+
+
+def _check_float32_image(params: MapParams, m: int, inside: bool, rng) -> int:
+    k = params.k
+    bounds = hyperbolicity._filter_bounds(k, m)
+    lo, hi = math.atan(1.0 / m), math.atan(m)
+    y, t = image_draws(params, m, inside, rng)
     e = bounds.e
     for at in range(0, len(y), hyperbolicity._CHUNK):
         yy, tt = y[at:at + hyperbolicity._CHUNK], t[at:at + hyperbolicity._CHUNK]
-        st, ix, _, q, d = hyperbolicity._image32(yy, tt, (lo, hi), bounds)
+        st, ix, ax, q = hyperbolicity._image32(yy, tt, (lo, hi), bounds)
         iy = (ix + st).astype(np.float64)  # as the filter forms it
-        st, ix, q, d = (a.astype(np.float64) for a in (st, ix, q, d))
-        theta = lo + tt * (hi - lo)
+        ix64, q = ix.astype(np.float64), q.astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r, w = (a.astype(np.float64) for a in hyperbolicity._slope_width(st, ix, ax, bounds))
+        theta, slope, _, _, _ = reference_verdicts(yy, tt, params, m)
         want_x, want_y = _image(psi(yy, params), np.cos(theta), np.sin(theta))
         where = (k, m, inside)
-        assert np.max(np.abs(ix - want_x)) <= e / 4, where
+        assert np.max(np.abs(ix64 - want_x)) <= e / 4, where
         assert np.max(np.abs(iy - want_y)) <= e / 4, where
-        want_d = np.abs(want_x) - m * np.sin(theta)
-        assert np.max(np.abs(d - want_d)) <= float(bounds.slope_ok) / 4, where
+        finite = np.isfinite(w)
+        assert np.count_nonzero(finite) >= len(yy) // 2, where
+        assert np.all(np.abs(slope[finite] - 1.0 - r[finite]) <= w[finite] / 4), where
         assert np.max(np.abs(np.sqrt(q) - np.hypot(want_x, want_y))) <= 2 * e / 4, where
     return len(y)
 
@@ -505,6 +533,9 @@ def test_filter_thresholds_lie_outward_of_the_derived_bounds(m):
     # A margin halved or a threshold rounded inwards fails here.
     eps, u = Fraction(hyperbolicity._TRIG32_ERR), Fraction(1, 2**24)
     a, v = 1 + eps, 1 + u
+    # The float64 verdict's edges of slope - 1: it compares the slope with
+    # 1 - 1/m and 1 + 1/m, each rounded to float64.
+    edge_a, edge_b = Fraction(1.0 - 1.0 / m) - 1, Fraction(1.0 + 1.0 / m) - 1
     for k in (1.01 * m, 17.0, 200.0, 1e4):
         b = hyperbolicity._filter_bounds(k, m)
         big_k = Fraction(2 * math.pi) * Fraction(k)
@@ -514,10 +545,18 @@ def test_filter_thresholds_lie_outward_of_the_derived_bounds(m):
         big_b = a * (1 + p * v) * v
         e64 = Fraction(1e-12) * (2 + big_k)
         e = e_x + eps + u * (big_b + a) + e64
-        d = (e + m * eps + m * a * (2 * u + u * u) + u * (big_b + m * a * v * v)
-             + e64 * (2 + 2 * m) + m * Fraction(1, 2**51) * (1 + big_k))
         assert b.e >= e
-        assert Fraction(float(b.slope_ok)) >= d and Fraction(float(b.slope_bad)) <= -d
+        # Each edge is the float32 next to A or B on the side that certifies
+        # less: at or above it (up) or at or below it (down), and its float32
+        # neighbour inwards lies across it.
+        for edge, exact, up in ((b.inside_lo, edge_a, True), (b.inside_hi, edge_b, False),
+                                (b.outside_lo, edge_a, False), (b.outside_hi, edge_b, True)):
+            assert edge.dtype == np.float32
+            inward = Fraction(float(np.nextafter(edge, np.float32(-math.inf if up else math.inf))))
+            if up:
+                assert Fraction(float(edge)) >= exact > inward, (k, edge, exact)
+            else:
+                assert Fraction(float(edge)) <= exact < inward, (k, edge, exact)
         assert Fraction(float(b.norm_ok)) >= (m + 2 * e) ** 2 * (1 + 3 * u)
         assert Fraction(float(b.norm_bad)) <= (m - 2 * e) ** 2 * (1 - 2 * u) and m > 2 * e
         assert Fraction(float(b.width_e)) >= e
@@ -526,11 +565,41 @@ def test_filter_thresholds_lie_outward_of_the_derived_bounds(m):
         for q in (0.5, 17.25, 3e6):
             root = Fraction(math.sqrt(q * (1 + 3 * 2.0**-24))) * (1 + Fraction(1, 2**50))  # >= the exact root
             assert Fraction(float(b.near_min(q))) >= (1 + 3 * u) * (root + 4 * e) ** 2
-        for r_min, r_max, ax_min in ((-0.4, 0.45, 0.9), (-1 / m, 1 / m, 3.0), (0.01, 0.3, float(3 * e))):
-            r_big = max(-Fraction(r_min), Fraction(r_max))
-            w = (1 + 8 * u) * (eps + 2 * e64 + r_big * (1 + 2 * u) * (e + 2 * u * big_b)) / (ax_min - e)
-            lo, hi = b.slope_candidates(r_min, r_max, ax_min)
-            assert Fraction(float(lo)) >= r_min + 2 * w and Fraction(float(hi)) <= r_max - 2 * w
+
+
+def test_unrefined_samples_carry_the_float64_verdicts():
+    # Sample by sample: wherever the filter does not refine, its slope and
+    # norm verdicts are those of the float64 evaluation, and every extremum
+    # of a chunk is attained in a refined sample.  Seeded chunks and the
+    # edge draws of the image check, inside and outside the strips; at
+    # k = 10^5 many samples have |ix| <= E, and every one is refined.
+    rng = np.random.default_rng(30)
+    checked = unbounded = 0
+    for m in (2, 3, 10, 50):
+        for k in (1.01 * m, 17.0, 200.0, 1e4, 1e5):
+            if k <= m:
+                continue
+            params, bounds = MapParams(k), hyperbolicity._filter_bounds(k, m)
+            theta_range = (math.atan(1.0 / m), math.atan(m))
+            for inside in (False, True):
+                y, t = image_draws(params, m, inside, rng, count=20_000)
+                for at in range(0, len(y), hyperbolicity._CHUNK):
+                    yy, tt = y[at:at + hyperbolicity._CHUNK], t[at:at + hyperbolicity._CHUNK]
+                    slope_bad, norm_bad, refine = hyperbolicity._filter(yy, tt, theta_range, bounds)
+                    _, slope, norm, want_slope_bad, want_norm_bad = reference_verdicts(yy, tt, params, m)
+                    kept = ~refine
+                    where = (k, m, inside)
+                    assert np.array_equal(slope_bad[kept], want_slope_bad[kept]), where
+                    assert np.array_equal(norm_bad[kept], want_norm_bad[kept]), where
+                    assert np.nanmin(slope[refine]) == np.nanmin(slope), where
+                    assert np.nanmax(slope[refine]) == np.nanmax(slope), where
+                    assert np.min(norm[refine]) == np.min(norm), where
+                    ax = hyperbolicity._image32(yy, tt, theta_range, bounds)[2]
+                    small = ax <= bounds.width_e
+                    assert np.all(refine[small]), where
+                    unbounded += int(np.count_nonzero(small))
+                    checked += int(np.count_nonzero(kept))
+    assert checked >= 500_000 and unbounded >= 1000, (checked, unbounded)
 
 
 def test_float32_rounding_never_rounds_inward():

@@ -192,6 +192,15 @@ class TestVerifyCones:
             rep = verify_cones(MapParams(k), m, n, seed=m)
             assert 0 < rep.refined < 0.005 * n, (k, rep.refined)
 
+    @pytest.mark.parametrize("sweep", [(7.8, 3, 1, True), (10.0, 5, 1, True), (1e4, 2, 7, False)],
+                             ids=lambda s: f"k{s[0]:g}-m{s[1]}")
+    def test_filter_refines_samples_not_chunks(self, sweep):
+        # Each sample's own slope width picks the extremum candidates: one
+        # small |ix| in a chunk does not send the whole chunk to refinement.
+        k, m, seed, inside = sweep
+        rep = verify_cones(MapParams(k), m, 100_000, seed, inside_strip=inside)
+        assert rep.refined <= 0.01 * rep.drawn, (rep.refined, rep.drawn)
+
     @pytest.mark.parametrize("m", [2, 3, 5, 10])
     def test_filter_sees_little_more_than_the_band(self, monkeypatch, m):
         # Outside the strips only the band next to Delta^(m) reaches the
