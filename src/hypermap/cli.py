@@ -84,7 +84,11 @@ class RunConfig:
         return " ".join(["# hypermap", __version__, f"subcommand={self.subcommand}", *params, f"format={self.format}"])
 
 
-_CSV_BLOCK = 1 << 13
+#: Rows of a CSV table written per ``numfmt.table`` call: large enough that
+#: the call's fixed cost is small, small enough that its work arrays stay
+#: within a few hundred kB, which the allocator reuses from block to block
+#: instead of mapping fresh pages.
+_CSV_BLOCK = 1 << 11
 
 
 def _g(v: float) -> str:
@@ -115,35 +119,25 @@ def _emit(cfg: RunConfig, text: str) -> None:
 def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
     """CSV text of a table given as whole, equally long columns.
 
-    Each column becomes a byte matrix with one row per table row: a float
-    ndarray column through ``numfmt.g17``, which is ``%.17g`` exactly; a
-    bytes ndarray column as it is; any other column cell by cell, floats
-    with ``_g`` and everything else with ``str``.  An integer column that
-    repeats few values, such as a leaf's segment numbers, is cheapest
-    passed as bytes made from its distinct values.  The matrices and the
-    ``,``/newline columns between them are joined side by side by
-    ``numfmt.join``, which drops their NUL padding, in blocks of
-    ``_CSV_BLOCK`` rows so that the work space stays small.
+    ``numfmt.table`` writes a float ndarray column as ``%.17g`` exactly and
+    a bytes ndarray column as it is; any other column is made bytes cell
+    by cell first, floats with ``_g`` and everything else with ``str``.
+    An integer column that repeats few values, such as a leaf's segment
+    numbers, is cheapest passed as bytes made from its distinct values.
+    Each row ends its cells with a ``,`` but the last with a newline, and
+    the rows go through ``numfmt.table`` in blocks of ``_CSV_BLOCK``.
     """
     from . import numfmt  # only CSV tables need the kernel; other subcommands skip its set-up
 
     cells = []
     for col in columns:
-        kind = col.dtype.kind if isinstance(col, np.ndarray) else ""
-        if kind not in ("f", "S"):
+        if not (isinstance(col, np.ndarray) and col.dtype.kind in ("f", "S")):
             col = np.array([_g(v) if isinstance(v, float) else str(v) for v in col], dtype="S")
-        cells.append((kind, col))
-    chunks = [f"{cfg.header()}\n{','.join(names)}\n"]
-    n_rows = len(columns[0])
-    for start in range(0, n_rows, _CSV_BLOCK):
-        rows = slice(start, start + _CSV_BLOCK)
-        comma = np.full((min(_CSV_BLOCK, n_rows - start), 1), ord(","), dtype=np.uint8)
-        parts = []
-        for kind, col in cells:
-            parts += [numfmt.g17(col[rows]) if kind == "f" else col[rows], comma]
-        parts[-1] = np.full_like(comma, ord("\n"))
-        chunks.append(numfmt.join(parts))
-    return "".join(chunks)
+        cells.append(col)
+    ends = b"," * (len(cells) - 1) + b"\n"
+    blocks = [numfmt.table([col[start : start + _CSV_BLOCK] for col in cells], ends)
+              for start in range(0, len(cells[0]), _CSV_BLOCK)]
+    return "".join([f"{cfg.header()}\n{','.join(names)}\n", *blocks])
 
 
 @functools.lru_cache(maxsize=1)

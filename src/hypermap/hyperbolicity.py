@@ -296,11 +296,8 @@ class ConeReport:
             from . import numfmt  # only reports with failures need the kernel
 
             n = len(self.failure_records)
-            # One kernel call for both columns: g17 formats each value on its own row.
-            cells = numfmt.g17(np.fromiter(itertools.chain.from_iterable(self.failure_records), float, 2 * n))
-            y, theta = cells.reshape(n, 2, -1).transpose(1, 0, 2)
-            label, sep, end = (np.full(n, text, dtype=f"S{len(text)}") for text in (b"failure y=", b" theta=", b"\n"))
-            lines.append(numfmt.join([label, y, sep, theta, end])[:-1])
+            y, theta = np.fromiter(itertools.chain.from_iterable(self.failure_records), float, 2 * n).reshape(n, 2).T
+            lines.append(numfmt.table([b"failure y=", y, b" theta=", theta], b"\0\0\0\n")[:-1])
         return "\n".join(lines)
 
 

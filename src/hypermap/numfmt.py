@@ -1,10 +1,12 @@
-"""Exact ``%.17g`` of a float64 array, as a byte matrix.
+"""Exact ``%.17g`` of float64 arrays, and the text tables written with it.
 
-``g17(values)`` returns an (n, 24) ``uint8`` matrix whose row i, with its
-NUL bytes removed, is exactly ``"%.17g" % values[i]``.  Holes may lie
-anywhere in a row, so a caller that joins rows drops every NUL with one
-mask.  Rows are 24 bytes because no ``%.17g`` text is longer
-(``-2.2250738585072014e-308``).
+``table(fields, ends)`` writes rows of text, one per value of its array
+fields: the CSV tables and a cone report's failure lines.  ``g17(values)``
+returns an (n, 24) ``uint8`` matrix whose row i is the text of
+``"%.17g" % values[i]`` padded with NULs.  Both go through one kernel,
+which lays each number out as a cell of three little-endian 64-bit words:
+the text from byte 0 on and NUL holes after it.  Cells are 24 bytes
+because no ``%.17g`` text is longer (``-2.2250738585072014e-308``).
 
 The fast path, for 1e-30 <= |v| < 1e30, the range of the tables:
 
@@ -19,12 +21,17 @@ The fast path, for 1e-30 <= |v| < 1e30, the range of the tables:
 3. The floor of P, not its rounding, checks d: it must lie in
    [10^16, 10^17), else d moves by one and P is formed again.  Rounding
    P up to 10^17 carries into d + 1 with N = 10^16.
-4. The digits of N come from a 4-digit table, and the ``%g`` rule lays
-   them out: fixed notation when -4 <= d < 17, else ``d.ddd`` with an
-   exponent of at least two digits; trailing zeros and a bare point go.
-   Each row is three little-endian 64-bit words, shifted and masked as
-   whole arrays (Adams, *Ryu revisited: printf floating point
-   conversion*, OOPSLA 2019, generates digits at fixed precision alike).
+4. The digits of N come from a table of 4-digit groups, whose entries
+   also hold the index of their last nonzero digit, and the ``%g`` rule
+   lays them out: fixed notation when -4 <= d < 17, else ``d.ddd`` with
+   an exponent of at least two digits; trailing zeros and a bare point
+   go.  The cells are shifted and masked as whole arrays (Adams, *Ryu
+   revisited: printf floating point conversion*, OOPSLA 2019, generates
+   digits at fixed precision alike).  A negative value's sign takes byte
+   0 and a positive value has no byte for it, and the exponent follows
+   the last digit kept.  So every hole trails the text, and byte 23 is
+   always a hole: the longest fast-path texts have 23 bytes, ``-0.000``
+   and 17 digits, or a sign, ``d.``, 16 digits and ``e-dd``.
 
 **Error bound.**  ``T_lo`` is within 2^-53 |T_lo| <= 2^-106 10^s of
 ``10^s - T_hi``, which costs |v| 2^-106 10^s <= 2^-49 of P.  The product
@@ -36,13 +43,29 @@ lies within that much of 1/2; the floor can only be wrong by one at an
 integer, where the rounding is right either way and the range check
 either gives the same digits or sends the value to the fallback.
 
-**Fallback.**  Python's ``"%.17g"`` writes the row of every value whose
+**Fallback.**  Python's ``"%.17g"`` writes the cell of every value whose
 fraction of P lies within 2^-30 of 1/2 (a near tie; exact ties round half
 to even), that is zero, non-finite or subnormal, that lies outside
-[1e-30, 1e30), or whose exponent two corrections did not settle.
+[1e-30, 1e30), or whose exponent two corrections did not settle.  These
+texts start at byte 0 too.  All but one kind fit in 23 bytes: a negative
+value with 17 digits and a three-digit exponent fills all 24
+(``-1.2345678901234567e-100``, ``-4.9406564584124654e-324``).
+
+**Tables.**  A row of ``table`` is one slot per field, each a multiple
+of 8 bytes.  A float field's slot is its cell, with the byte that ends
+the field in byte 23; a bytes field's slot holds its text, NUL padding
+and, in its last byte, that end byte.  The float fields of a call go
+through the kernel in one pass, the values in row order, and each run
+of adjacent float fields is copied into its slots at once.  One mask
+then drops the NUL bytes of every slot, and the call's text is decoded
+once.  A row with a 24-byte text has no free byte for an end, so ``%``
+writes that row on its own.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -52,6 +75,7 @@ WIDTH = 24
 _LO, _HI = 1e-30, 1e30
 #: Decimal exponents the tables cover: those of [_LO, _HI) and one more each way.
 _D_MIN, _D_MAX = -31, 31
+_N_D = _D_MAX - _D_MIN + 1
 _TIE = 2.0**-30
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for float64
 _E16, _E17 = 10**16, 10**17
@@ -83,56 +107,69 @@ def _pow10_tables() -> tuple[np.ndarray, ...]:
 
 
 def _templates(rows: list[bytes]) -> np.ndarray:
-    """(3, len(rows)) little-endian words of 24-byte row templates."""
+    """(3, len(rows)) little-endian words of 24-byte cell templates."""
     return np.frombuffer(b"".join(r.ljust(WIDTH, b"\0") for r in rows), "<u8").reshape(-1, 3).T.copy()
 
 
 def _layout_tables() -> tuple[np.ndarray, ...]:
-    """Per-exponent layout of a row ``sign, digits, exponent``.
+    """The layout of a cell by exponent d and sign s.
 
-    The sign sits at byte 0 and the 17 digits at bytes 1..17.  A row is
-    laid out by shifting the bytes from ``at`` on up by ``by`` bytes and
-    filling the gap with ``fill``: a point after the integer digits, or
-    ``0.`` and zeros in front of a value below 1.  ``keep`` is the index of
-    the last digit kept whatever the trailing zeros, and ``expo`` the
-    exponent text from byte 19 on, in the last word.
+    Digit k of the 17 sits at byte s + k, after a negative value's sign.
+    The bytes from ``at`` on move up by ``bits`` / 8 bytes, and ``fill``
+    fills the gap: the sign, and a point after the integer digits or
+    ``0.`` and zeros in front of a value below 1.  ``trim`` masks a cell
+    whose last nonzero digit is digit k to its text, whose length is
+    ``end``; the exponent text ``expo`` follows it, 0 in fixed notation.
+    ``low`` (the bytes below ``at``) and ``fill`` are indexed by
+    j = d - _D_MIN + _N_D s, ``trim`` and ``end`` by 17 j + k, and
+    ``bits`` and ``expo`` by d - _D_MIN.
     """
     at, by, keep, fill, expo = [], [], [], [], []
     for d in range(_D_MIN, _D_MAX + 1):
         if -4 <= d < 0:
-            at.append(1), by.append(1 - d), keep.append(-1)
-            fill.append(b"\0" + b"0." + b"0" * (-1 - d))
-            expo.append(b"")
+            at.append(0), by.append(1 - d), keep.append(-1)
+            fill.append(b"0." + b"0" * (-1 - d))
+            expo.append(0)
         else:
             fixed = 0 <= d <= 16
             q = d if fixed else 0
-            at.append(q + 2), by.append(1), keep.append(q)
-            fill.append(b"\0" * (q + 2) + b".")
-            expo.append(b"" if fixed else b"\0" * 19 + b"e%+03d" % d)
-    return (np.array(at), np.array(by), np.array(keep),
-            _templates(fill), _templates(expo)[2])
+            at.append(q + 1), by.append(1), keep.append(q)
+            fill.append(b"\0" * (q + 1) + b".")
+            expo.append(0 if fixed else int.from_bytes(b"e%+03d" % d, "little"))
+    end = [s + kept + 1 + (kept > q) * b
+           for s in (0, 1) for q, b in zip(keep, by) for kept in (max(k, q) for k in range(17))]
+    return (_LOW[:, [s + a for s in (0, 1) for a in at]], (8 * np.array(by)).astype(np.uint64),
+            _templates(fill + [b"-" + f for f in fill]),
+            _LOW[:, end], np.array(end), np.array(expo * 2, dtype=np.uint64))
 
 
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """ASCII of 0000..9999 in the low half of 64-bit words, and their trailing zeros."""
+def _digit_tables() -> np.ndarray:
+    """The 4-digit group j of N with value v, at index 10000 j + v.
+
+    The low 32 bits hold the ASCII of v, and the bits above the index of
+    its last nonzero digit among the 17 of N, one of 4 j + 1 .. 4 j + 4,
+    or 0 if v = 0.
+    """
     digit = np.arange(10)
     places = [digit.reshape((10,) + (1,) * (3 - j)) for j in range(4)]  # thousands to units
     chars = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-    for j, place in enumerate(places):
-        chars[..., j] = place + ord("0")
-    zero = [place == 0 for place in places]
-    tz = zero[3] * (1 + zero[2] * (1 + zero[1] * (1 + zero[0])))
-    return chars.reshape(10000, 4).view("<u4").ravel().astype(np.uint64), tz.ravel()
+    last = np.zeros((10, 10, 10, 10), dtype=np.int64)  # within the group: 1..4, or 0 for v = 0
+    for k, place in enumerate(places):
+        chars[..., k] = place + ord("0")
+        last = np.maximum(last, (k + 1) * (place != 0))
+    last = last.ravel()
+    ascii = chars.reshape(10000, 4).view("<u4").ravel().astype(np.uint64)
+    return np.concatenate([ascii | np.where(last > 0, last + 4 * j, 0).astype(np.uint64) << np.uint64(32)
+                           for j in range(4)])
 
 
 _T_HH, _T_HL, _T_HI, _T_LO = _pow10_tables()
-_AT, _BY, _KEEP, _FILL, _EXPO = _layout_tables()
-_DIGITS4, _TZ4 = _digit_tables()
 #: _LOW[j]: the words with bytes 0..j-1 set.
 _LOW = _templates([b"\xff" * j for j in range(WIDTH + 1)])
-_LOW_AT = _LOW[:, _AT]
-_HIGH_AT = ~_LOW_AT
-_BITS = (8 * _BY).astype(np.uint64)
+_LOW_AT, _BITS, _FILL, _TRIM, _END, _EXPO = _layout_tables()
+_DIGITS4 = _digit_tables()
+_GROUP = np.array([[0], [10000], [20000], [30000]])
+_ASCII = np.uint64(0xFFFFFFFF)
 
 
 def _scaled(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +191,7 @@ def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.where(fast, a, 1.0)
     d = np.floor(np.log10(a)).astype(np.int64)
     n, frac = _scaled(a, d)
-    bad = np.flatnonzero((n < _E16) | (n >= _E17))
+    bad = ((n < _E16) | (n >= _E17)).nonzero()[0]
     for _ in range(2):
         if not len(bad):
             break
@@ -167,15 +204,18 @@ def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     carry = n == _E17
     n[carry] = _E16
     d += carry
-    return n, d.clip(_D_MIN, _D_MAX, out=d), fast
+    return n, np.minimum(np.maximum(d, _D_MIN, out=d), _D_MAX, out=d), fast
 
 
-#: Values formatted per pass, which bounds each pass's temporary arrays.
+#: Values formatted per pass of ``g17``, which bounds each pass's temporary arrays.
 _BLOCK = 1 << 13
 
 
-def _digit_words(n: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sign and the 17 digits of N as (3, n) words, and the index of the last nonzero digit."""
+def _digit_words(n: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of N as (3, n) words, and the index of the last nonzero digit.
+
+    s is 1 for a negative value and 0 otherwise; digit k sits at byte s + k.
+    """
     hi8 = n // 10**8
     lo8 = n - hi8 * 10**8
     lead = hi8 // 10**8
@@ -185,62 +225,136 @@ def _digit_words(n: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, np.nd
     np.floor_divide(lo8, 10**4, out=groups[2])
     np.subtract(hi8, groups[0] * 10**4, out=groups[1])
     np.subtract(lo8, groups[2] * 10**4, out=groups[3])
+    groups += _GROUP
     g = _DIGITS4.take(groups, mode="clip")
+    # The last-digit indices sit above the ASCII, so the largest word holds the largest.
+    last = (g.max(axis=0) >> np.uint64(32)).view(np.int64)
+    g &= _ASCII
+    # Group 0 from byte s + 1 on, group 1 across the first two words from byte s + 5, and so on.
+    s8 = s.view(np.uint64) << np.uint64(3)
+    up1 = s8 + np.uint64(8)
+    up5 = s8 + np.uint64(40)
+    down = np.uint64(24) - s8
     words = np.empty((3, len(n)), dtype=np.uint64)
-    words[0] = negative * np.uint64(ord("-")) | (lead.astype(np.uint64) + ord("0")) << 8
-    words[0] |= g[0] << 16 | g[1] << 48
-    words[1] = g[1] >> 16 | g[2] << 16 | g[3] << 48
-    words[2] = g[3] >> 16
-    tz = _TZ4.take(groups, mode="clip")
-    tz_lo = tz[3] + (groups[3] == 0) * tz[2]
-    tz_hi = tz[1] + (groups[1] == 0) * tz[0]
-    return words, 16 - tz_lo - (lo8 == 0) * tz_hi
+    lead += ord("0")
+    np.left_shift(lead.view(np.uint64), s8, out=words[0])
+    words[0] |= np.left_shift(g[0], up1, out=g[0])
+    words[0] |= np.left_shift(g[1], up5, out=g[0])
+    np.right_shift(g[1], down, out=words[1])
+    words[1] |= np.left_shift(g[2], up1, out=g[2])
+    words[1] |= np.left_shift(g[3], up5, out=g[2])
+    np.right_shift(g[3], down, out=words[2])
+    return words, last
 
 
-def _lay_out(words: np.ndarray, last: np.ndarray, d: np.ndarray) -> None:
+def _lay_out(words: np.ndarray, last: np.ndarray, d: np.ndarray, s: np.ndarray) -> None:
     """Lay the digit words out by the %g rule for exponent d, in place (step 4)."""
     i = d - _D_MIN
-    high = _HIGH_AT.take(i, axis=1, mode="clip")
-    high &= words
-    scratch = np.empty((3, len(d)), dtype=np.uint64)
-    words &= _LOW_AT.take(i, axis=1, mode="clip", out=scratch)
+    j = i + _N_D * s
+    low = _LOW_AT.take(j, axis=1, mode="clip")
+    low &= words
+    words ^= low  # the bytes from at on, to be shifted up
     bits = _BITS.take(i)
-    words[1:] |= np.right_shift(high[:-1], np.uint64(64) - bits, out=scratch[:2])
-    high <<= bits
-    words |= high
-    words |= _FILL.take(i, axis=1, mode="clip", out=scratch)
-    kept = np.maximum(last, _KEEP.take(i))
-    end = kept + 2 + (kept + 1 >= _AT.take(i)) * _BY.take(i)
-    words &= _LOW.take(end, axis=1, mode="clip", out=scratch)
-    words[2] |= _EXPO.take(i)
+    carry = np.right_shift(words[:-1], np.uint64(64) - bits)
+    words <<= bits
+    words[1:] |= carry
+    words |= low
+    words |= _FILL.take(j, axis=1, mode="clip", out=low)
+    j *= 17
+    j += last
+    words &= _TRIM.take(j, axis=1, mode="clip", out=low)
+    sci = ((d < -4) | (d > 16)).nonzero()[0]
+    if len(sci):
+        # The exponent from byte end on: in one word, or across two when it starts past byte 4 of one.
+        expo, at = _EXPO.take(i[sci]), _END.take(j[sci]).astype(np.uint64)
+        word, shift = at >> np.uint64(3), (at & np.uint64(7)) << np.uint64(3)
+        words[word, sci] |= expo << shift
+        words[np.minimum(word + np.uint64(1), np.uint64(2)), sci] |= expo >> (np.uint64(64) - shift)
+
+
+def _cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of v as (3, len(v)) words, and the indices of the 24-byte ones."""
+    s = np.signbit(v).view(np.int8).astype(np.int64)
+    n, d, fast = _significand(np.abs(v))
+    words, last = _digit_words(n, s)
+    _lay_out(words, last, d, s)
+    slow = (~fast).nonzero()[0]
+    if not len(slow):
+        return words, slow
+    text = np.array(["%.17g" % x for x in v[slow].tolist()], dtype=f"S{WIDTH}")
+    cells = text.view("<u8").reshape(-1, 3)
+    words[:, slow] = cells.T
+    return words, slow[cells[:, 2] >> np.uint64(56) != 0]  # byte 23 taken
 
 
 def g17(values: np.ndarray) -> np.ndarray:
-    """(n, WIDTH) uint8 rows that are ``"%.17g" % v`` once their NULs are dropped."""
+    """(n, WIDTH) uint8 rows: the text of ``"%.17g" % v`` padded with NULs."""
     v = np.asarray(values, dtype=np.float64).ravel()
     rows = np.empty((len(v), 3), dtype="<u8")
     for start in range(0, len(v), _BLOCK):
-        _g17_block(v[start : start + _BLOCK], rows[start : start + _BLOCK])
+        rows[start : start + _BLOCK] = _cells(v[start : start + _BLOCK])[0].T
     return rows.view(np.uint8)
 
 
-def _g17_block(v: np.ndarray, rows: np.ndarray) -> None:
-    n, d, fast = _significand(np.abs(v))
-    words, last = _digit_words(n, np.signbit(v))
-    _lay_out(words, last, d)
-    rows[...] = words.T
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        text = ["%.17g" % x for x in v[slow].tolist()]
-        rows[slow] = np.array(text, dtype=f"S{WIDTH}").view("<u8").reshape(-1, 3)
+Field = Union[np.ndarray, bytes]
 
 
-def join(columns: list[np.ndarray]) -> str:
-    """ASCII text of byte-matrix columns laid side by side, NUL bytes dropped.
+def table(fields: Sequence[Field], ends: bytes) -> str:
+    """ASCII text of rows that are ``fields[0] ends[0] fields[1] ends[1] ...``.
 
-    Each column holds one row per line of text: a uint8 matrix such as
-    ``g17`` returns, or a bytes (``S``) array.  One mask drops the NULs of
-    every row at once.
+    A field is a float ndarray, written as ``%.17g``; a bytes (``S``)
+    ndarray, written as it is; or ``bytes``, the same text on every row.
+    At least one field is an array; the arrays hold one value a row and
+    are equally long.  ``ends[j]`` is the byte after field j, or NUL for
+    none.  NUL bytes in a field's text are dropped with the padding.  The
+    work arrays grow with the rows, so a caller with many rows passes them
+    a block at a time.
     """
-    block = np.hstack([col.view(np.uint8).reshape(len(col), -1) for col in columns])
-    return block[block != 0].tobytes().decode("ascii")
+    n = next(len(f) for f in fields if isinstance(f, np.ndarray))
+    floats = [j for j, f in enumerate(fields) if isinstance(f, np.ndarray) and f.dtype.kind == "f"]
+    width = [WIDTH - 1 if j in floats else f.dtype.itemsize if isinstance(f, np.ndarray) else len(f)
+             for j, f in enumerate(fields)]
+    # A slot holds its field's text (a float's takes up to 23 bytes) and, in its last byte, the field's end.
+    slots = [(f if isinstance(f, bytes) else b"").ljust(-(-(w + 1) // 8) * 8 - 1, b"\0") + bytes([end])
+             for f, w, end in zip(fields, width, ends)]
+    offset = list(itertools.accumulate(map(len, slots), initial=0))
+    rows = np.empty((n, offset[-1]), dtype=np.uint8)
+    template = np.frombuffer(b"".join(slots), np.uint8)
+    for j, f in enumerate(fields):
+        if j not in floats:
+            cells = rows[:, offset[j] : offset[j + 1]]
+            cells[...] = template[offset[j] : offset[j + 1]]
+            if isinstance(f, np.ndarray):
+                cells[:, : width[j]] = np.ascontiguousarray(f).view(np.uint8).reshape(n, width[j])
+    long = []
+    if floats:
+        values = np.empty((n, len(floats)))
+        for k, j in enumerate(floats):
+            values[:, k] = fields[j]
+        words, cut = _cells(values.ravel())
+        words = words.reshape(3, n, len(floats))
+        words[2] |= np.array([ends[j] << 56 for j in floats], dtype=np.uint64)
+        # One copy for each run of adjacent float fields.
+        for _, run in itertools.groupby(enumerate(floats), lambda kj: kj[1] - kj[0]):
+            (k, j), m = next(run), 1 + sum(1 for _ in run)
+            cells = rows[:, offset[j] : offset[j + m]].view("<u8").reshape(n, m, 3)  # a view: the slot bytes are contiguous
+            cells[...] = words[:, :, k : k + m].transpose(1, 2, 0)
+        long = list(dict.fromkeys((cut // len(floats)).tolist()))
+    pieces, start = [], 0
+    for r in long + [n]:
+        block = rows[start:r]
+        pieces.append(str(block[block != 0], "ascii"))
+        if r < n:
+            pieces.append(_row_text(fields, ends, r))
+        start = r + 1
+    return "".join(pieces)
+
+
+def _row_text(fields: Sequence[Field], ends: bytes, r: int) -> str:
+    """Row r of ``table`` written with ``%``: a row whose float text fills all 24 bytes of its cell."""
+    out = b""
+    for f, end in zip(fields, ends):
+        if isinstance(f, np.ndarray):
+            f = b"%.17g" % f[r] if f.dtype.kind == "f" else f[r]
+        out += (f + bytes([end])).replace(b"\0", b"")
+    return out.decode("ascii")

@@ -1,6 +1,8 @@
 """The package's modules import one another without a cycle."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import hypermap
@@ -44,3 +46,11 @@ def test_package_imports_are_acyclic():
 
     for module in sorted(graph):
         visit(module, [])
+
+
+def test_cli_import_leaves_numfmt_unloaded():
+    # ``numfmt`` builds its tables at import, so only commands that write
+    # tables load it; importing the CLI must not.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hypermap, hypermap.cli; "
+            "sys.exit('hypermap.numfmt' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent)]).returncode == 0

@@ -1,4 +1,4 @@
-"""``numfmt.g17``, ``cli._csv`` and ``ConeReport.to_text`` against Python's per-number ``%.17g``.
+"""``numfmt.g17``, ``numfmt.table``, ``cli._csv`` and ``ConeReport.to_text`` against Python's per-number ``%.17g``.
 
 Every row of ``g17``, with its NUL bytes dropped, must be exactly
 ``"%.17g" % v``; ``_csv`` must give the bytes of the per-cell render that
@@ -212,3 +212,94 @@ class TestConeReportText:
                              min_norm=tiny, slope_range=(-1e-300, 1e300), seed=0, inside_strip=True,
                              failure_records=tuple(zip(values[:n], values[::-1][:n])))
             assert rep.to_text() == reference_text(rep)
+
+
+#: %.17g texts that fill all 24 bytes of a cell: negative, 17 digits and a
+#: three-digit exponent (normal, smallest normal, subnormal, smallest
+#: subnormal, largest double); then the other values outside the fast path
+#: (signed zeros, infinities, nan, subnormals, the range ends) and a few
+#: fast-path texts in exponent notation.
+LONG = [-1.2345678901234567e-100, -2.2250738585072014e-308, -2.2250738585072009e-308, -5e-324,
+        -1.7976931348623157e308]
+SPECIAL = LONG + [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072009e-308,
+                  1e-300, -1e-300, 1.7976931348623157e308, 1e-30, -1e30, 1e-5, -1e17, -1.2345678901234567e-25]
+
+
+class TestCells:
+    """The cell layout ``table`` relies on: text from byte 0 on, NUL holes after it."""
+
+    def test_long_texts_fill_the_cell(self):
+        assert {len("%.17g" % v) for v in LONG} == {numfmt.WIDTH}
+        assert max(len("%.17g" % v) for v in SPECIAL[len(LONG):]) < numfmt.WIDTH
+
+    def test_text_from_byte_0_then_nul_padding(self):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([SPECIAL, edge_values(), bits(rng.integers(0, 2**64, 10**5, dtype=np.uint64)),
+                                 rng.normal(size=10**5) * 10.0 ** rng.integers(-35, 35, 10**5)])
+        rows = numfmt.g17(values)
+        for v, row in zip(values.tolist(), rows):
+            text = ("%.17g" % v).encode()
+            assert bytes(row) == text.ljust(numfmt.WIDTH, b"\0"), (v, bytes(row))
+
+    def test_long_cells_are_reported(self):
+        values = np.array(SPECIAL + [1.5, -2.5] + LONG)
+        words, long = numfmt._cells(values)
+        assert long.tolist() == [i for i, v in enumerate(values.tolist()) if len("%.17g" % v) == numfmt.WIDTH]
+
+
+class TestTable:
+    """``numfmt.table`` through ``cli._csv``, row by row against ``reference_csv``."""
+
+    CFG = TestCsv.CFG
+
+    def assert_rows_match(self, names, columns):
+        got = cli._csv(self.CFG, names, columns).split("\n")
+        rows = [[v.decode() if isinstance(v, bytes) else v for v in row]
+                for row in zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])]
+        want = reference_csv(self.CFG.header(), names, rows).split("\n")
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, (i, g, w)
+
+    @staticmethod
+    def floats(n: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, n)
+
+    def test_special_values_in_every_float_column(self):
+        # The field layout: five float columns.  Row r holds SPECIAL[r // 5] in column r % 5.
+        n = 5 * len(SPECIAL)
+        columns = [self.floats(n, seed) for seed in range(5)]
+        for r in range(n):
+            columns[r % 5][r] = SPECIAL[r // 5]
+        self.assert_rows_match(["a", "b", "c", "d", "e"], columns)
+
+    def test_special_values_next_to_bytes_columns(self):
+        # The tangency layout: bytes columns before, between and after the float columns.
+        n = 4 * len(SPECIAL)
+        kind = np.array([b"curve", b"landmark"] * n, dtype="S")[:n]
+        name = np.array([b"", b"P1", b"", b"P12"] * n, dtype="S")[:n]
+        branch = np.array([b"lower", b"upper"] * n, dtype="S")[:n]
+        floats = [self.floats(n, seed) for seed in range(4)]
+        for r in range(n):
+            floats[r % 4][r] = SPECIAL[r // 4]
+        columns = [kind, name, *floats[:3], branch, floats[3]]
+        self.assert_rows_match(["kind", "name", "ytilde", "y", "x", "branch", "residual"], columns)
+
+    @pytest.mark.parametrize("n", [cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1])
+    def test_block_edges(self, n):
+        # Long and special cells on the first and last rows of each block of rows.
+        x, y = self.floats(n, 1), self.floats(n, 2)
+        block = cli._CSV_BLOCK
+        edges = sorted({r for b in range(0, n, block) for r in (b, min(b + block, n) - 1)})
+        for k, r in enumerate(edges):
+            x[r], y[r] = SPECIAL[k % len(SPECIAL)], LONG[k % len(LONG)]
+        seg = np.array([b"%d" % (i // 7) for i in range(n)], dtype="S")
+        self.assert_rows_match(["seg_id", "x", "y"], [seg, x, y])
+
+    def test_labels_and_missing_ends(self):
+        # The cone report's failure lines: fixed labels and no byte after a field whose end is NUL.
+        y = np.array(SPECIAL + SPECIAL[::-1])
+        theta = np.array(SPECIAL[::-1] + SPECIAL)
+        got = numfmt.table([b"failure y=", y, b" theta=", theta], b"\0\0\0\n")
+        assert got == "".join(f"failure y={a:.17g} theta={b:.17g}\n" for a, b in zip(y.tolist(), theta.tolist()))
