@@ -413,7 +413,7 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
         v = phi(y, params)
         kept = np.isfinite(v) & (abs(v) <= 1e5) & (v != 0.0)
         y, v = y[kept], v[kept]
-        branches = phi_inverse_branch(v, np.array([[1.0], [-1.0]]), params)
+        branches = phi_inverse_branch(v, np.array([[1.0], [-1.0]]), params, each=True)
         roots = np.concatenate([branches, 1.0 - branches])  # phi_inverse's roots, NaN where a branch has none
         # The root r nearest y (the least of a tie, as min() over sorted roots; inf if none).  contract
         # metric: phi(r) matches z to within phi's slope times r's rounding plus phi's own rounding
@@ -453,17 +453,21 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _figure_foliation(cfg: RunConfig, params: MapParams, time: str) -> str:
     elements = _strip_elements(params)
-    if time == "forward":
-        e_field, f_field = "E1", "F1"
-        e_starts = [TorusPoint(0.0, y) for y in (0.05, 0.15, 0.35, 0.45, 0.55, 0.65, 0.85, 0.95)]
-        f_starts = [TorusPoint(x, 0.5) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    else:
-        e_field, f_field = "E-1", "F-1"
-        e_starts = [TorusPoint(0.0, y) for y in (0.05, 0.35, 0.65, 0.95)]
-        f_starts = [TorusPoint(x, 0.0) for x in (0.125, 0.375, 0.625, 0.875)]
     e_arc, f_arc = _FIGURE_ARCS
+    if time == "forward":
+        e_field = "E1"
+        e_starts = [TorusPoint(0.0, y) for y in (0.05, 0.15, 0.35, 0.45, 0.55, 0.65, 0.85, 0.95)]
+        # F1 depends on y alone, so its leaves from (x, 0.5) are the one from
+        # (0, 0.5) shifted by x: trace_leaf forms x + X from the same X.
+        f = trace_leaf("F1", TorusPoint(0.0, 0.5), params, step=cfg.step, max_arc=f_arc)
+        lifted = [np.column_stack([x + f.lifted[:, 0], f.lifted[:, 1]]) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        f_leaves = [Leaf(f.field_id, mod1(p), p, f.arc_length, f.closed) for p in lifted]
+    else:
+        e_field = "E-1"
+        e_starts = [TorusPoint(0.0, y) for y in (0.05, 0.35, 0.65, 0.95)]
+        f_leaves = [trace_leaf("F-1", TorusPoint(x, 0.0), params, step=cfg.step, max_arc=f_arc)
+                    for x in (0.125, 0.375, 0.625, 0.875)]
     e_leaves = [trace_leaf(e_field, p, params, step=cfg.step, max_arc=e_arc) for p in e_starts]
-    f_leaves = [trace_leaf(f_field, p, params, step=cfg.step, max_arc=f_arc) for p in f_starts]
     elements += _leaf_elements(e_leaves, "#c03030")
     elements += _leaf_elements(f_leaves, "#3030c0")
     closed_field = "F1" if time == "forward" else "E-1"

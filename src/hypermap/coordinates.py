@@ -83,10 +83,21 @@ def psi_prime(y: Coord, params: MapParams) -> Coord:
     return -TWO_PI * psi(y, params, "sin")
 
 
-def psi_inverse(v: Coord, params: MapParams) -> Coord:
-    """The y in [0, 1/2] with psi_c(y) = v: acos(v / 2 pi k) / 2 pi, NaN where |v| > 2 pi k."""
+def psi_inverse(v: Coord, params: MapParams, each: bool = False) -> Coord:
+    """The y in [0, 1/2] with psi_c(y) = v: acos(v / 2 pi k) / 2 pi, NaN where |v| > 2 pi k.
+
+    An array takes numpy's arccos, which differs from math.acos in the last
+    bit on ~8 % of inputs, or with ``each`` math.acos one element at a time
+    for the float path's bits (~160 against ~6 ns an element on a shared
+    2-vCPU VM).
+    """
     arg = v / (TWO_PI * params.k)
     if isinstance(arg, np.ndarray):
+        if each:
+            y = np.full(arg.shape, math.nan)
+            inside = abs(arg) <= 1.0
+            y[inside] = [math.acos(a) for a in arg[inside].tolist()]
+            return y / TWO_PI
         with np.errstate(invalid="ignore"):
             return np.arccos(arg) / TWO_PI
     return math.acos(arg) / TWO_PI if abs(arg) <= 1.0 else math.nan
@@ -139,7 +150,7 @@ def phi_prime(y: Coord, params: MapParams) -> Coord:
     return 8.0 * _p2(p) / (p1 * p1) * psi_prime(y, params)
 
 
-def phi_inverse_branch(z: Coord, sign: Coord, params: MapParams) -> Coord:
+def phi_inverse_branch(z: Coord, sign: Coord, params: MapParams, each: bool = False) -> Coord:
     """One quadratic branch of phi^{-1}(z): a root y in [0, 1/2], or NaN.
 
     The sign +-1 picks the branch; an array of signs broadcast against an
@@ -147,10 +158,15 @@ def phi_inverse_branch(z: Coord, sign: Coord, params: MapParams) -> Coord:
 
     Two Newton steps on psi_c(y) - psi_root remove the rounding of the
     acos/cos round trip, except where psi_c' is too small to divide by.
+    They do not remove all of it: from numpy's arccos ~2 % of the roots of
+    an array differ by an ulp from the float path's.  With ``each`` an array
+    takes ``psi_inverse``'s acos one element at a time, and every root is
+    the float path's bit for bit, as the ``verify`` battery needs; tangency
+    curves keep numpy's.
     """
     array = isinstance(z, np.ndarray)
     psi_root = (-(z + 2.0) + sign * (np.sqrt if array else math.sqrt)(3.0 * z * z + 4.0)) / (2.0 * z)
-    y = psi_inverse(psi_root, params)
+    y = psi_inverse(psi_root, params, each)
     for _ in range(2):
         dp = psi_prime(y, params)
         err = psi(y, params) - psi_root
@@ -199,18 +215,6 @@ def phi_tilde(ytilde: Coord, params: MapParams) -> Coord:
     by the stationarity relation and the SVD cross-check.)
     """
     return extended_ratio(*phi_tilde_parts(ytilde, params))
-
-
-def phi_tilde_prime(ytilde: Coord, params: MapParams) -> Coord:
-    """Analytic derivative of phitilde: -2 P1(psi_c) / P2'(psi_c)^2 * psi_c'.
-
-    Both leading signs matter: psi_c' = -4 pi^2 k sin(2 pi ytilde) and the
-    ratio derivative carries its own minus, so phitilde increases on
-    (0, delta^-).
-    """
-    p = psi(ytilde, params)
-    d2 = 2.0 * p + 1.0
-    return -2.0 * _p1(p) / (d2 * d2) * psi_prime(ytilde, params)
 
 
 def forward_angle(y: Coord, params: MapParams) -> Coord:

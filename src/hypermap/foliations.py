@@ -27,10 +27,13 @@ F-1 have no closed leaves, nor have F1 and E-1 where delta^* is undefined
 F-1 accumulate on the closed leaves of the orthogonal picture.
 
 The quadrature runs 3-point Gauss-Legendre on a fine grid in c, refined
-until each interval is short in arc, in turn of the tangent and in relative
-change of w.  Output vertices are fine-grid nodes at most ``step`` apart in
-arc and about 0.01 rad apart in tangent angle; the last one lies at arc
-length ``max_arc`` exactly.  A leaf is ``closed`` only when it starts on a
+until each interval costs at most one allowance: its arc / ``step``, plus its
+turn of the tangent / 0.01 rad, plus its change of ln|w| / 0.25.  Output
+vertices are the grid nodes, less the middle node of pairs of adjacent
+intervals that together take at most one allowance of arc and turn; so
+consecutive vertices are at most ``step`` apart in arc and 0.01 rad in
+tangent angle, as the nodes measure it, and the last one lies at arc length
+``max_arc`` exactly.  A leaf is ``closed`` only when it starts on a
 closed leaf (within 1e-10 in c) and ``max_arc`` covers one period of it; the
 trace is then that period and ends on its start point.
 """
@@ -57,10 +60,6 @@ _MAX_TURN = 0.01
 #: Change of ln|w| that counts as one allowance in the refinement, keeping
 #: the 3-point rule accurate where ``step`` is coarse.
 _MAX_LOG_W = 0.25
-#: A fine interval uses at most 1/_FINE of one allowance: of the arc
-#: ``step``, the turn _MAX_TURN and the change _MAX_LOG_W summed as
-#: fractions.  Vertices picked from the nodes then keep to step and turn.
-_FINE = 4
 #: Refinement passes, and the most pieces one pass cuts an interval into.
 _PASSES = 10
 _MAX_SPLIT = 4096
@@ -269,11 +268,17 @@ def _turns(a: np.ndarray) -> np.ndarray:
 def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Grid:
     """Refine ``nodes`` until every interval is fine, dropping those past arc ``cap``.
 
+    An interval is fine when its cost, arc / step + turn / _MAX_TURN +
+    (change of ln|w|) / _MAX_LOG_W summed as fractions of one allowance, is at
+    most 1; each pass cuts every interval into ceil(1.25 cost) equal pieces,
+    so one that is not fine into two or more.  Once a pass finds every
+    interval fine, each moves m = arc / step + turn / _MAX_TURN by at most 1.
+
     Each pass keeps whole the interval that crosses ``cap`` on its own arc
     estimate, so the grid ends at or past ``cap`` unless a later, finer pass
     reads the arc up to that node lower by more than the margin of ``cap``
     over the arc wanted.  The pilot's arc at its nodes agrees with the
-    refined grid's to better than 1e-8 relative (6.6e-9 at worst over seeded
+    refined grid's to better than 1e-8 relative (6.4e-9 at worst over seeded
     leaves of all four fields, k in [0.06, 300]), so ``trace_leaf`` asks for
     1e-6 past ``max_arc``; a grid that still falls short is not ``complete``
     and is refined again with a doubled cap.
@@ -290,9 +295,9 @@ def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Gr
         turn = _turns(a)
         log_w = np.abs(np.diff(np.log(np.abs(f.speed(a)))))
         cost = ds / step + turn / _MAX_TURN + log_w / _MAX_LOG_W
-        if cost.max(initial=0.0) <= 1.0 / _FINE:
+        if cost.max(initial=0.0) <= 1.0:
             break
-        pieces = np.clip(np.ceil(1.25 * _FINE * cost), 1, _MAX_SPLIT).astype(np.int64)
+        pieces = np.clip(np.ceil(1.25 * cost), 1, _MAX_SPLIT).astype(np.int64)
         nodes = _subdivide(nodes, pieces)
     x = np.concatenate([[0.0], np.cumsum(dx)])
     return _Grid(nodes, x, s, np.concatenate([[0.0], np.cumsum(turn)]), complete)
@@ -301,14 +306,20 @@ def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Gr
 def _vertices(grid: _Grid, step: float) -> np.ndarray:
     """Indices of the nodes kept as vertices, first and last included.
 
-    A node is kept when it is the first to reach a multiple of 1 - 1/_FINE
-    in m = arc / step + turn / _MAX_TURN.  Each fine interval adds at most
-    1/_FINE to m, so consecutive vertices differ by less than 1 in m.
+    Every node is kept but where two adjacent intervals together move
+    m = arc / step + turn / _MAX_TURN by at most 1: such a pair merges into
+    one chord.  One pass offers the pairs starting at even positions, a
+    second the pairs starting at odd positions of what the first kept; no
+    node offered in a pass is a neighbour of another, so the merges of a
+    pass are independent.  Each fine interval moves m by at most 1, so
+    consecutive vertices differ by at most 1 in m.
     """
     m = grid.s / step + grid.turn / _MAX_TURN
-    level = np.floor(m / (1.0 - 1.0 / _FINE))
-    keep = np.flatnonzero(np.diff(level[:-1]) > 0.0) + 1
-    return np.concatenate([[0], keep, [len(m) - 1]])
+    keep = np.arange(len(m))
+    for first in (1, 2):
+        mid = np.arange(first, len(keep) - 1, 2)
+        keep = np.delete(keep, mid[m[keep[mid + 1]] - m[keep[mid - 1]] <= 1.0])
+    return keep
 
 
 def _arc_point(f: _LeafField, grid: _Grid, target: float) -> tuple[float, float]:

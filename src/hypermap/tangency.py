@@ -126,11 +126,6 @@ class NoTangencyReport:
     at_ytilde: float
 
 
-def residual_angle(y: Coord, ytilde: Coord, params: MapParams) -> Coord:
-    """Angle between the forward field at y and the backward field at ytilde."""
-    return _angle_gap(mod_pi(forward_angle(y, params)), mod_pi(backward_angle(ytilde, params)))
-
-
 def _angle_gap(forward: Coord, backward: Coord) -> Coord:
     """Distance mod pi between two canonical angles in [0, pi)."""
     d = gap_mod_pi(forward - backward)

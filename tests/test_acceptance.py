@@ -22,7 +22,6 @@ from hypermap.coordinates import (
     phi,
     phi_prime,
     phi_tilde,
-    phi_tilde_prime,
     phi_parts,
     phi_tilde_parts,
     strip_pair_contains,
@@ -39,6 +38,7 @@ from hypermap.stdmap import (
     psi,
 )
 from hypermap.tangency import no_tangency_scan, tangency_curve, tangency_landmarks
+from test_coordinates import phi_tilde_prime
 
 K_SET = (1.0, 2.0, 5.0, 10.0, 100.0)
 

@@ -19,6 +19,7 @@ import pytest
 from hypermap import __version__, cli
 from hypermap.cli import run
 from hypermap.coordinates import critical_constants, phi, phi_inverse, phi_prime, theta_field
+from hypermap.foliations import trace_leaf
 from hypermap.hyperbolicity import push_vector, verify_cones
 from hypermap.oracle import svd2
 from hypermap.stdmap import TWO_PI, MapParams, TorusPoint, angle_dist_mod_pi, jacobian, map_forward, map_inverse
@@ -324,6 +325,29 @@ class TestVerify:
             params = MapParams(k)
             assert cli._verify_battery(params) == reference_verify_battery(params), k
 
+    def test_phi_inverse_roots_equal_the_scalar_roots(self, monkeypatch):
+        # The battery's array roots are scalar phi_inverse's, bit for bit.
+        calls = []
+        branch = cli.phi_inverse_branch
+
+        def spy(z, sign, params, each=False):
+            y = branch(z, sign, params, each=each)
+            calls.append((z, y))
+            return y
+
+        monkeypatch.setattr(cli, "phi_inverse_branch", spy)
+        compared = 0
+        for k in 10.0 ** np.random.default_rng(28).uniform(math.log10(0.5), 6.0, 40):
+            params = MapParams(float(k))
+            calls.clear()
+            cli._verify_battery(params)
+            [(z, y)] = calls
+            for v, pair in zip(z.tolist(), y.T.tolist()):
+                got = sorted(r for b in pair if not math.isnan(b) for r in (b, 1.0 - b))
+                assert got == phi_inverse(v, params), (k, v)
+                compared += len(got)
+        assert compared > 10_000
+
     def test_header_echoes_the_k_list_only(self):
         for argv, k_list in ((["verify"], "1,2,5,10"), (["verify", "--k-list", "2, 0.5"], "2, 0.5")):
             code, out = run_capture(argv)
@@ -423,6 +447,29 @@ class TestFigures:
         delta_star = math.acos(-1 / (4 * math.pi)) / (2 * math.pi)
         assert f"{1 - delta_star:.6f}" in text
         assert 'stroke="#108010"' in text
+
+    @pytest.mark.parametrize("k", [0.08, 0.6, 0.93, 1.0, 10.0, 100.0])
+    def test_forward_f1_leaves_equal_their_own_traces(self, tmp_path, monkeypatch, k):
+        # The F1 leaves are one trace from (0, 0.5), shifted by each start's x.
+        # figures needs delta^*, so k starts just above 1/(4 pi).
+        drawn = []
+        leaf_elements = cli._leaf_elements
+
+        def spy(leaves, color, width=0.002):
+            leaves = list(leaves)
+            drawn.append((color, leaves))
+            return leaf_elements(leaves, color, width)
+
+        monkeypatch.setattr(cli, "_leaf_elements", spy)
+        code, _ = run_capture(["figures", "--k", repr(k), "--grid", "16", "--out", str(tmp_path)])
+        assert code == 0
+        # Forward figure: E1, F1, closed leaves; then the backward one.
+        f1 = drawn[1][1]
+        assert [leaf.field_id for leaf in f1] == ["F1"] * 5
+        for x, leaf in zip((0.1, 0.3, 0.5, 0.7, 0.9), f1):
+            own = trace_leaf("F1", TorusPoint(x, 0.5), MapParams(k), max_arc=cli._FIGURE_ARCS[1])
+            assert np.array_equal(leaf.lifted, own.lifted) and np.array_equal(leaf.points, own.points)
+            assert (leaf.arc_length, leaf.closed) == (own.arc_length, own.closed)
 
 
 class TestArgumentErrors:

@@ -20,11 +20,11 @@ from hypermap.coordinates import (
     mod_one,
     mod_pi,
     phi,
+    phi_inverse_branch,
     phi_parts,
     phi_prime,
     phi_tilde,
     phi_tilde_parts,
-    phi_tilde_prime,
     psi_inverse,
     psi_prime,
     strip_pair_contains,
@@ -49,6 +49,18 @@ K_SET = (1.0, 2.0, 5.0, 10.0, 100.0)
 
 def consts(k):
     return critical_constants(MapParams(k))
+
+
+def phi_tilde_prime(ytilde, params):
+    """Analytic derivative of phitilde: -2 P1(psi_c) / P2'(psi_c)^2 * psi_c'.
+
+    Both leading signs matter: psi_c' = -4 pi^2 k sin(2 pi ytilde) and the
+    ratio derivative carries its own minus, so phitilde increases on
+    (0, delta^-).
+    """
+    p = psi(ytilde, params)
+    d2 = 2.0 * p + 1.0
+    return -2.0 * ((2.0 * p + 2.0) * p - 1.0) / (d2 * d2) * psi_prime(ytilde, params)
 
 
 def forward_vectors(y, params):
@@ -112,13 +124,15 @@ class TestPsiInverse:
         amp = TWO_PI * 2.0
         for v in (math.nextafter(amp, math.inf), -math.nextafter(amp, math.inf), 1e300, -math.inf, math.nan):
             assert math.isnan(psi_inverse(v, p))
-        got = psi_inverse(np.array([-1.01 * amp, -amp, 0.0, amp, 1.01 * amp]), p)
-        assert np.isnan(got).tolist() == [True, False, False, False, True]
+        for each in (False, True):
+            got = psi_inverse(np.array([-1.01 * amp, -amp, 0.0, amp, 1.01 * amp, math.nan]), p, each)
+            assert np.isnan(got).tolist() == [True, False, False, False, True, True]
 
     def test_float_and_array_paths(self):
         # Both take acos of the same argument; numpy's arccos may differ from
         # libm's acos in the last ulp (about 8 % of arguments on an AVX-512
-        # build), which is two ulps of y where acos lies in [2, pi].
+        # build), which is two ulps of y where acos lies in [2, pi].  With
+        # each, an array takes libm's acos and the float path's bits.
         for k in self.K_INV:
             p, amp = MapParams(k), TWO_PI * k
             v = np.random.default_rng(int(k * 10)).uniform(-1.05 * amp, 1.05 * amp, 4096)
@@ -128,6 +142,7 @@ class TestPsiInverse:
             assert np.array_equal(np.isnan(got), np.isnan(want))
             ok = ~np.isnan(want)
             assert np.all(np.abs(got[ok] - want[ok]) <= 2.0 * np.spacing(want[ok]))
+            assert same_bits(psi_inverse(v, p, each=True), want)
 
     def test_closed_form_constants_bit_for_bit(self):
         # The acos expressions the five constants were written as before psi_inverse.
@@ -203,6 +218,25 @@ class TestFloatOrArray:
                 assert fn(np.float64(y), p) == want and fn(np.array(y), p) == want
                 one = fn(np.array([y]), p)
                 assert isinstance(one, np.ndarray) and one.shape == (1,)
+
+    def test_phi_inverse_branch_each_takes_the_float_path(self):
+        # With each=True an array's roots are the float path's bit for bit, NaN
+        # where a branch has no root; numpy's arccos moves some, by at most
+        # two ulps over these k.
+        rng = np.random.default_rng(42)
+        moved = 0
+        for k in 10.0 ** rng.uniform(math.log10(0.3), 5.0, 40):
+            p = MapParams(float(k))
+            z = phi(rng.random(256), p)
+            z = z[np.isfinite(z) & (z != 0.0)]
+            signs = np.array([[1.0], [-1.0]])
+            want = np.array([[phi_inverse_branch(v, s, p) for v in z.tolist()] for s in (1.0, -1.0)])
+            assert same_bits(phi_inverse_branch(z, signs, p, each=True), want)
+            fast = phi_inverse_branch(z, signs, p)
+            assert np.array_equal(np.isnan(fast), np.isnan(want))
+            assert np.nanmax(np.abs(fast - want) / np.spacing(want), initial=0.0) <= 2.0
+            moved += int(np.sum(fast != want))
+        assert moved > 0  # the paths do differ without each
 
     def test_array_ratio_signed_infinity(self):
         from hypermap.coordinates import extended_ratio

@@ -467,6 +467,81 @@ class TestArcCap:
         assert np.abs(leaf.lifted[-1] - default.lifted[-1]).max() <= 1e-12
 
 
+def rule_leaves(seed: int, n: int):
+    """n (field, start, params, max_arc) per field, k log-uniform on [0.06, 300]
+    and max_arc cycling through 1, 5 and 10.  Every second F1 and E-1 leaf
+    starts 1e-9 to 1e-3 (log-uniform) from a closed leaf, where delta^* exists:
+    a quarter of all leaves."""
+    rng = np.random.default_rng(seed)
+    for field_id in LEAF_FIELDS:
+        for i in range(n):
+            p = MapParams(math.exp(rng.uniform(math.log(0.06), math.log(300.0))))
+            x, y = rng.random(), rng.random()
+            delta_star = critical_constants(p).delta_star
+            if field_id in ("F1", "E-1") and delta_star is not None and i % 2:
+                gap = math.exp(rng.uniform(math.log(1e-9), math.log(1e-3)))
+                c = rng.choice([delta_star, 1.0 - delta_star]) + rng.choice([-1.0, 1.0]) * gap
+                y = c if field_id == "F1" else (x + c) % 1.0
+            yield field_id, TorusPoint(x, float(y)), p, (1.0, 5.0, 10.0)[i % 3]
+
+
+class TestOneAllowance:
+    """Every fine interval costs at most one allowance, and vertices merge
+    adjacent intervals only where the pair keeps to one."""
+
+    STEP = 1e-3
+
+    @pytest.fixture(scope="class")
+    def grids(self):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_fine_grid(mp)
+            for field_id, start, p, max_arc in rule_leaves(33, 12):
+                trace_leaf(field_id, start, p, step=self.STEP, max_arc=max_arc)
+        return calls
+
+    def test_every_interval_costs_at_most_one(self, grids):
+        assert len(grids) >= 4 * 12
+        for f, _, _, grid in grids:
+            a = f.angle(grid.c)
+            _, ds = f.integrals(grid.c[:-1], grid.c[1:])
+            log_w = np.abs(np.diff(np.log(np.abs(f.speed(a)))))
+            cost = ds / self.STEP + foliations._turns(a) / foliations._MAX_TURN + log_w / foliations._MAX_LOG_W
+            assert cost.max() <= 1.0
+
+    def test_vertices_keep_to_one_allowance(self, grids):
+        merged = 0
+        for _, _, _, grid in grids:
+            keep = foliations._vertices(grid, self.STEP)
+            m = grid.s / self.STEP + grid.turn / foliations._MAX_TURN
+            assert keep[0] == 0 and keep[-1] == len(m) - 1
+            assert (np.diff(keep) > 0).all()
+            # m is a cumulative sum: a chord may read above 1 by its rounding.
+            assert np.diff(m[keep]).max(initial=0.0) <= 1.0 + 1e-14 * m[-1]
+            merged += len(m) - len(keep)
+        assert merged > 0
+
+    def test_end_point_agrees_with_16x_finer_grid(self, monkeypatch):
+        # The finer grid refines the same pilot until each interval costs at
+        # most 1/16.  Over 1600 leaves of this kind (seeds 1-10, 40 a field)
+        # the largest end-point difference was 3.9e-9, an E-1 leaf at
+        # k = 0.10 and max_arc 10.
+        def finer(f, nodes, step, cap):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(foliations, "_MAX_TURN", foliations._MAX_TURN / 16)
+                mp.setattr(foliations, "_MAX_LOG_W", foliations._MAX_LOG_W / 16)
+                return FINE_GRID(f, nodes, step / 16, cap)
+
+        worst = 0.0
+        for field_id, start, p, max_arc in rule_leaves(34, 12):
+            leaf = trace_leaf(field_id, start, p, step=self.STEP, max_arc=max_arc)
+            with monkeypatch.context() as mp:
+                mp.setattr(foliations, "_fine_grid", finer)
+                ref = trace_leaf(field_id, start, p, step=self.STEP, max_arc=max_arc)
+            assert leaf.lifted[0].tolist() == ref.lifted[0].tolist()
+            worst = max(worst, np.abs(leaf.lifted[-1] - ref.lifted[-1]).max())
+        assert worst <= 1e-8
+
+
 class TestIntegralsRowIndependent:
     """Each row of ``_LeafField.integrals`` depends on its own interval only.
 

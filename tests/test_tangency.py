@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from hypermap import tangency
-from hypermap.coordinates import (backward_angle, critical_constants, forward_angle, phi, phi_inverse, phi_tilde,
-                                  strip_pair_contains, theta_field)
+from hypermap.coordinates import (backward_angle, critical_constants, forward_angle, mod_pi, phi, phi_inverse,
+                                  phi_tilde, strip_pair_contains, theta_field)
 from hypermap.oracle import svd2
 from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi, jacobian
 from hypermap.tangency import (
@@ -19,7 +19,6 @@ from hypermap.tangency import (
     TangencySelectionError,
     gamma,
     no_tangency_scan,
-    residual_angle,
     tangency_curve,
     tangency_landmarks,
 )
@@ -32,6 +31,11 @@ SCAN_FIXTURE = {2.0: 0.5999198651748792, 10.0: 0.5413487062708713}
 
 def consts(k):
     return critical_constants(MapParams(k))
+
+
+def residual_angle(y, ytilde, params):
+    """Angle between the forward field at y and the backward field at ytilde."""
+    return tangency._angle_gap(mod_pi(forward_angle(y, params)), mod_pi(backward_angle(ytilde, params)))
 
 
 def assert_oracle_tangencies(params):
