@@ -413,7 +413,7 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
         v = phi(y, params)
         kept = np.isfinite(v) & (abs(v) <= 1e5) & (v != 0.0)
         y, v = y[kept], v[kept]
-        branches = phi_inverse_branch(v, np.array([[1.0], [-1.0]]), params, each=True)
+        branches = phi_inverse_branch(v, np.array([[1.0], [-1.0]]), params)
         roots = np.concatenate([branches, 1.0 - branches])  # phi_inverse's roots, NaN where a branch has none
         # The root r nearest y (the least of a tie, as min() over sorted roots; inf if none).  contract
         # metric: phi(r) matches z to within phi's slope times r's rounding plus phi's own rounding

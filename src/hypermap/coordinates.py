@@ -37,9 +37,9 @@ minus sign.
 Each field formula is written once and takes a float (evaluated with math)
 or an ndarray (evaluated elementwise with numpy).  So are the polynomials P1
 and P2, ``psi_inverse``, the height in [0, 1/2] at which psi_c takes a given
-value, through which every strip constant, phi^{-1} and the leaf tracer's
-initial grid go, and ``phi_inverse``, the heights at which phi takes a given
-value, which the strip constants delta_T^-+ and the tangency selector solve
+value, through which every strip constant, phi^{-1}, the tangency heights
+and the leaf tracer's initial grid go, and ``phi_inverse``, the heights at
+which phi takes a given value, which the strip constants delta_T^-+ solve
 with.  psi_c itself is ``stdmap.psi``, shared with the Jacobians.  The float
 and array paths agree exactly up to the angles and psi_inverse, which may
 differ in the last bits (numpy's arctan2 and arccos are not libm's; see
@@ -150,7 +150,7 @@ def phi_prime(y: Coord, params: MapParams) -> Coord:
     return 8.0 * _p2(p) / (p1 * p1) * psi_prime(y, params)
 
 
-def phi_inverse_branch(z: Coord, sign: Coord, params: MapParams, each: bool = False) -> Coord:
+def phi_inverse_branch(z: Coord, sign: Coord, params: MapParams) -> Coord:
     """One quadratic branch of phi^{-1}(z): a root y in [0, 1/2], or NaN.
 
     The sign +-1 picks the branch; an array of signs broadcast against an
@@ -158,15 +158,14 @@ def phi_inverse_branch(z: Coord, sign: Coord, params: MapParams, each: bool = Fa
 
     Two Newton steps on psi_c(y) - psi_root remove the rounding of the
     acos/cos round trip, except where psi_c' is too small to divide by.
-    They do not remove all of it: from numpy's arccos ~2 % of the roots of
-    an array differ by an ulp from the float path's.  With ``each`` an array
-    takes ``psi_inverse``'s acos one element at a time, and every root is
-    the float path's bit for bit, as the ``verify`` battery needs; tangency
-    curves keep numpy's.
+    They do not remove all of it, so an array takes ``psi_inverse``'s acos
+    one element at a time (from numpy's arccos ~2 % of the roots would
+    differ by an ulp), and every root is the float path's bit for bit, as
+    the ``verify`` battery needs.
     """
     array = isinstance(z, np.ndarray)
     psi_root = (-(z + 2.0) + sign * (np.sqrt if array else math.sqrt)(3.0 * z * z + 4.0)) / (2.0 * z)
-    y = psi_inverse(psi_root, params, each)
+    y = psi_inverse(psi_root, params, each=True)
     for _ in range(2):
         dp = psi_prime(y, params)
         err = psi(y, params) - psi_root

@@ -1,19 +1,30 @@
 """The critical curve: tangencies between the forward and backward
 contracted direction fields.
 
-A tangency at the point with coordinates (ytilde, y) means the forward
-field at y and the backward field at ytilde are the same undirected
-direction.  Inside the strips where both case formulas carry compatible
-offsets, this reduces to phi(y) = phitilde(ytilde), solved by the
-multivalued inverse ``coordinates.phi_inverse``
+A tangency at (ytilde, y) means the forward field at y and the backward
+field at ytilde are the same undirected direction: their doubled angles,
+that of (P1, -P1') at psi = psi_c(y) and alpha in [pi/3, 2 pi/3], that of
+(-P2', 2 P2) at psi_c(ytilde), agree mod 2 pi.  So (P1, -P1') is a positive
+multiple of (cos alpha, sin alpha): psi in [-2 pi k, 2 pi k] is a root of
+the ray quadratic
 
-    y = phi^{-1}(z) = acos((-(z+2) +- sqrt(3 z^2 + 4)) / (4 pi k z)) / (2 pi)
+    2 sin(alpha) psi^2 + (2 sin(alpha) + 4 cos(alpha)) psi + 2 cos(alpha) - sin(alpha) = 0
 
-(the radicand 3 z^2 + 4 is always positive).  The selector Gamma intersects
-the inverse with a region that switches at ytilde = delta^*, and always
-contains exactly two values: one on the lower curve (y < 1/2), one on the
-upper (its mirror).  Of the two roots in [0, 1/2] the region holds the
-larger; the smaller lies below delta^-, by only 1/(8 pi^3 k^2) at ytilde = 0.
+that passes the sign test cos(alpha) P1 - sin(alpha) P1' > 0.  Its leading
+coefficient is at least sqrt(3) and its value at psi = -1/2 is
+-3/2 sin(alpha) < 0, so one root lies below -1/2, where -P1' > 0 puts
+(P1, -P1') on the ray itself and the sign test holds, and one above, on the
+opposite ray.  ``_lower_heights`` puts (-P2', 2 P2), a positive multiple,
+for (cos alpha, sin alpha), and takes the height psi_inverse of the smaller
+root, in (1/4, 1/2]; none below -2 pi k.
+
+No other height lies in (0, 1/2), and the upper one is its mirror:
+d/dpsi arg(P1, -P1') = 8 P2/(P1^2 + P1'^2) > 0 and psi_c is monotone there,
+so the forward field turns monotonically over (0, 1/2), by less than the
+2 pi its doubled angle turns over all real psi.  The root ranges over
+[-2.118, -0.964] (alpha = pi/3 to 2 pi/3), so every ytilde has its pair
+from k ~ 0.337119 on, where 2 pi k passes 2.118.
+
 Both curves live inside the tangency strip Delta_hat_T; the horizontal
 strips y in [0, delta^-] and [1 - delta^-, 1] contain no tangencies at all
 because there the forward field points into the second quadrant while the
@@ -68,19 +79,16 @@ from typing import Optional
 
 import numpy as np
 
-from .coordinates import (CriticalConstants, backward_angle, critical_constants, forward_angle, gap_mod_pi, mod_one,
-                          mod_pi, phi_inverse_branch, phi_tilde)
+from .coordinates import (backward_angle, critical_constants, forward_angle, gap_mod_pi, mod_one, mod_pi,
+                          phi_tilde_parts, psi_inverse)
 from .stdmap import Coord, MapParams, ParameterError
-
-#: Cushion used for interval membership at delta-boundaries.
-_EDGE_TOL = 1e-12
 
 #: Fewest ytilde samples tangency_curve accepts.
 MIN_CURVE_SAMPLES = 16
 
 #: Largest k with tangency curves.  One ulp of a height near 1/4 turns the fields
-#: apart by ~1.1e-15 k rad; the curves' worst residual, ~1.8e-15 k (3.8e-9 at
-#: k = 2e6, 1.8e-8 at k = 1e7), must stay under 1e-8.
+#: apart by ~1.1e-15 k rad; the curves' worst residual, ~1.5-2.6e-15 k (5.1e-9
+#: at k = 2e6, 1.8e-8 at k = 1e7), must stay under 1e-8.
 MAX_CURVE_K = 2e6
 
 #: Columns no_tangency_scan evaluates around each turning point of the backward
@@ -95,9 +103,9 @@ _RECHECK = 1e-12
 
 
 class TangencySelectionError(ParameterError):
-    """k lies outside the domain of the tangency selector: the strip
-    constants are undefined, k exceeds ``MAX_CURVE_K``, or the selected
-    height leaves its region (k below the validity threshold).
+    """k lies outside the domain of the tangency curves: the strip constants
+    are undefined, k exceeds ``MAX_CURVE_K``, or a ytilde has no tangency
+    height (its ray root lies below -2 pi k, as some do below k ~ 0.337119).
     """
 
 
@@ -132,48 +140,35 @@ def _angle_gap(forward: Coord, backward: Coord) -> Coord:
     return np.minimum(d, math.pi - d) if isinstance(d, np.ndarray) else min(d, math.pi - d)
 
 
-#: The signs of the two quadratic branches of phi^{-1}, one row each.
-_BRANCHES = np.array([[1.0], [-1.0]])
-
-
-def _select(ytilde: np.ndarray, params: MapParams, consts: CriticalConstants):
-    """Gamma at each ytilde in [0, 1) as (lower, upper, ok); ok is False, and both
-    NaN, where the larger root of phi^{-1} in [0, 1/2] leaves its region:
-    [delta^-, delta^+] where |ytilde - 1/2| >= 1/2 - delta^*, else [delta^+, 1/2]."""
-    dm, ds, dp = consts.delta_minus, consts.delta_star, consts.delta_plus
-    if dm is None or ds is None or dp is None:
+def _lower_heights(ytilde: np.ndarray, params: MapParams) -> np.ndarray:
+    """The lower tangency height at each ytilde from the ray quadratic (module docstring), NaN where none."""
+    if not params.defined["delta_plus"]:
         raise TangencySelectionError("k", f"{params.k:g}: strip constants undefined below k = 0.2174")
     if params.k > MAX_CURVE_K:
         raise TangencySelectionError("k", f"{params.k:g}: tangency curves are computed only up to k = "
                                           f"{MAX_CURVE_K:g}, where a float64 height still meets the "
                                           "1e-8 residual")
-    at_asymptote = (abs(ytilde - ds) <= _EDGE_TOL) | (abs(ytilde - (1.0 - ds)) <= _EDGE_TOL)
-    outer = (ytilde <= ds) | (ytilde >= 1.0 - ds)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lower = np.fmax(*phi_inverse_branch(phi_tilde(ytilde, params), _BRANCHES, params))
-    lo, hi = np.where(outer, dm, dp), np.where(outer, dp, 0.5)
-    ok = at_asymptote | ((lower >= lo - _EDGE_TOL) & (lower <= hi + _EDGE_TOL))
-    lower = np.where(at_asymptote, dp, lower)
-    return np.where(ok, lower, np.nan), np.where(ok, 1.0 - lower, np.nan), ok
+    num, den = phi_tilde_parts(ytilde, params)
+    s, c = -num, -den
+    return psi_inverse((-(2.0 * s + 4.0 * c) - np.sqrt(12.0 * s * s + 16.0 * c * c)) / (4.0 * s), params)
 
 
 def gamma(ytilde: float, params: MapParams) -> tuple[float, float]:
     """The two tangency heights y above a given diagonal coordinate.
 
-    Evaluates phitilde, inverts phi, and intersects with the region
-    dictated by the case split at delta^* and 1 - delta^*.  At the
-    asymptotes of phitilde the limit values are the phi-asymptote preimages
-    delta^+ and 1 - delta^+.  Returns (lower, upper) with lower < upper.
+    The ray root of the module docstring on one sample.  Returns (lower,
+    upper) with lower < upper, mirror images about y = 1/2; raises
+    ``TangencySelectionError`` where ytilde has no tangency.
     """
     ytilde %= 1.0
-    lower, upper, ok = _select(np.array([ytilde]), params, critical_constants(params))
-    if not ok[0]:
+    lower = float(_lower_heights(np.array([ytilde]), params)[0])
+    if math.isnan(lower):
         raise _no_heights(ytilde, params)
-    return float(lower[0]), float(upper[0])
+    return lower, 1.0 - lower
 
 
 def _no_heights(ytilde: float, params: MapParams) -> TangencySelectionError:
-    """The error for a ytilde where the selector finds no pair of heights."""
+    """The error for a ytilde with no pair of tangency heights."""
     return TangencySelectionError("k", f"{params.k:g}: expected 2 tangency heights at ytilde = {ytilde}, "
                                        f"k = {params.k}")
 
@@ -225,17 +220,17 @@ def tangency_curve(
     """Sample both tangency curves over a uniform grid of ytilde.
 
     Returns ytilde, then (y, residual) of the lower curve (y < 1/2) and of
-    the upper curve (y > 1/2): the selector's two values, mirror images
-    about y = 1/2.
+    the upper curve (y > 1/2), mirror images about y = 1/2.
     """
     if n_samples < MIN_CURVE_SAMPLES:
         raise ParameterError("n_samples", f"must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
     ytilde = np.arange(n_samples) / n_samples
-    lower, upper, ok = _select(ytilde, params, critical_constants(params))
-    if not ok.all():
-        raise _no_heights(ytilde[~ok][0], params)
+    lower = _lower_heights(ytilde, params)
+    missing = np.isnan(lower)
+    if missing.any():
+        raise _no_heights(ytilde[missing][0], params)
     b = mod_pi(backward_angle(ytilde, params))
-    y, res = _refined(np.concatenate([lower, upper]), np.concatenate([b, b]), params)
+    y, res = _refined(np.concatenate([lower, 1.0 - lower]), np.concatenate([b, b]), params)
     return ytilde, (y[:n_samples], res[:n_samples]), (y[n_samples:], res[n_samples:])
 
 
@@ -252,22 +247,24 @@ def tangency_landmarks(params: MapParams) -> list[Optional[TangencyPoint]]:
         P1 0          P3 delta^*   P5 1/2           P7 1 - delta^*
         P2 delta^-    P4 delta^+   P6 1 - delta^+   P8 1 - delta^-
 
-    and each height is the lower branch of the tangency selector there:
-    P1/P5 land on delta_T^-+, P3/P7 on delta^+ exactly, and P2/P8 resp.
-    P4/P6 are the extreme heights of the lower curve (where phi takes the
-    k-free values -+ sqrt(3), strictly inside the Delta_hat_T strip).
-    A landmark whose diagonal coordinate is unavailable for this k is None.
+    and each height is the lower curve's there, the ray root of the module
+    docstring: P1/P5 land on delta_T^-+, P3/P7 on delta^+ (the backward
+    field is pi/4 there, whose ray root is -(1 + sqrt(3))/2), and P2/P8
+    resp. P4/P6 are the extreme heights of the lower curve (where phi takes
+    the k-free values -+ sqrt(3), strictly inside the Delta_hat_T strip).
+    A landmark is None where its diagonal coordinate is undefined or has
+    no tangency at this k; all eight are None outside the curves' k domain.
     """
     c = critical_constants(params)
     first = np.array([0.0, c.delta_minus, c.delta_star, c.delta_plus, 0.5], dtype=float)  # None -> NaN
     ytilde = np.concatenate([first, 1.0 - first[3:0:-1]])
     try:
-        lower, _, ok = _select(ytilde, params, c)
+        lower = _lower_heights(ytilde, params)
     except TangencySelectionError:
         return [None] * len(ytilde)
     y, res = _refined(lower, mod_pi(backward_angle(ytilde, params)), params)
-    return [TangencyPoint(*point) if good else None
-            for *point, good in zip(ytilde.tolist(), y.tolist(), res.tolist(), ok.tolist())]
+    return [None if math.isnan(point[1]) else TangencyPoint(*point)
+            for point in zip(ytilde.tolist(), y.tolist(), res.tolist())]
 
 
 def no_tangency_scan(params: MapParams, grid: int) -> NoTangencyReport:

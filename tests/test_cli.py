@@ -330,8 +330,8 @@ class TestVerify:
         calls = []
         branch = cli.phi_inverse_branch
 
-        def spy(z, sign, params, each=False):
-            y = branch(z, sign, params, each=each)
+        def spy(z, sign, params):
+            y = branch(z, sign, params)
             calls.append((z, y))
             return y
 

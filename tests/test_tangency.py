@@ -1,5 +1,5 @@
 """Tests for the tangency curve machinery: the multivalued inverse, the
-selector, the curves, the landmarks, and the tangency-free region."""
+ray root, the curves, the landmarks, and the tangency-free region."""
 
 import math
 import random
@@ -283,12 +283,13 @@ class TestGamma:
             assert lo == pytest.approx(c.delta_T_plus, abs=1e-10)
 
     def test_exactly_two_values(self):
-        # The selector behind gamma, one call a k: every sample has its pair
+        # The ray root behind gamma, one call a k: every sample has its pair
         # (gamma raises where ok is False) and lower < upper.
         ytilde = np.arange(4096) / 4096
         for k in (1.0, 5.0, 20.0):
             params = MapParams(k)
-            lower, upper, ok = tangency._select(ytilde, params, critical_constants(params))
+            lower = tangency._lower_heights(ytilde, params)
+            upper, ok = 1.0 - lower, ~np.isnan(lower)
             assert ok.all(), ytilde[~ok][:5]
             assert np.all(lower < upper), ytilde[~(lower < upper)][:5]
 
@@ -311,6 +312,65 @@ class TestGamma:
     def test_undefined_for_small_k(self):
         with pytest.raises(TangencySelectionError):
             gamma(0.3, MapParams(0.1))
+
+
+class TestRayRoot:
+    """The ray root against the mathematics: the sign changes of the angle
+    difference along y in mpmath, and the sign test on both roots of the
+    quadratic in mpmath."""
+
+    #: The y grid over [0, 1/2]: 1/4 and 1/4 -+ u, with u geometric in ratio 1.05
+    #: from 1/4 down to 1e-10.  Near the quarter point neighbouring heights
+    #: differ by 5 % of their offset; the roots, at psi in [-2.12, -0.96], lie
+    #: (0.024 to 0.054)/k above 1/4, 1.2e-8 at k = 2e6.
+    OFFSETS = 0.25 * 1.05 ** -np.arange(444.0)
+    GRID = np.concatenate([0.25 - OFFSETS, [0.25], 0.25 + OFFSETS[::-1]])
+
+    KS = [0.22, 0.3, 0.336, 0.34, 0.5, 10.0, 1e3, MAX_CURVE_K] + np.exp(
+        np.random.default_rng(33).uniform(math.log(0.2175), math.log(MAX_CURVE_K), 6)).tolist()
+
+    @pytest.mark.parametrize("k", KS)
+    def test_one_sign_change_per_height(self, k):
+        params = MapParams(k)
+        ytilde = np.random.default_rng(34).random(24)
+        lower = tangency._lower_heights(ytilde, params)
+        with mpmath.workdps(30):
+            two_pi_k = 2 * mpmath.pi * mpmath.mpf(k)
+            # A tangency is forward - backward = pi: the lifted forward angle lies in
+            # [pi/2, 3 pi/2] and the backward one in [pi/6, pi/3].  f is forward - pi.
+            f = []
+            for y in self.GRID.tolist():
+                p = two_pi_k * mpmath.cos(2 * mpmath.pi * mpmath.mpf(y))
+                f.append(mpmath.atan2(-(4 * p + 2), 2 * p * p + 2 * p - 1) / 2)
+            # The atan2 branch cut at psi = -1/2 moves it by pi once; that step is no sign change.
+            jumps = np.array([abs(b - a) > mpmath.pi / 2 for a, b in zip(f, f[1:])])
+            assert jumps.sum() == 1, k
+            for yt, got in zip(ytilde.tolist(), lower.tolist()):
+                q = two_pi_k * mpmath.cos(2 * mpmath.pi * mpmath.mpf(yt))
+                backward = mpmath.pi / 2 + mpmath.atan2(-2 * (q * q + q + 1), 2 * q + 1) / 2
+                above = np.array([v > backward for v in f])
+                (steps,) = np.nonzero((above[1:] != above[:-1]) & ~jumps)
+                # The quadratic with (cos alpha, sin alpha) of alpha = 2 theta_B: of
+                # its two roots exactly one passes the sign test.
+                sin_a, cos_a = mpmath.sin(2 * backward), mpmath.cos(2 * backward)
+                disc = mpmath.sqrt(12 * sin_a**2 + 16 * cos_a**2)
+                passing = [r for r in ((-(2 * sin_a + 4 * cos_a) + sign * disc) / (4 * sin_a) for sign in (1, -1))
+                           if cos_a * (2 * r * r + 2 * r - 1) - sin_a * (4 * r + 2) > 0]
+                assert len(passing) == 1, (k, yt)
+                if math.isnan(got):
+                    assert steps.size == 0 and abs(passing[0]) > two_pi_k, (k, yt)
+                else:
+                    assert steps.size == 1 and abs(passing[0]) <= two_pi_k, (k, yt, steps)
+                    i = int(steps[0])
+                    assert self.GRID[i] <= got <= self.GRID[i + 1], (k, yt, got)
+
+    def test_heights_appear_at_every_ytilde_from_k1(self):
+        # k1 = (2 + sqrt(3) + sqrt(13))/(4 sqrt(3) pi): 2 pi k1 is the ray root's
+        # largest magnitude, reached where the backward field is pi/6 (at delta^+).
+        k1 = (2.0 + SQRT3 + math.sqrt(13.0)) / (4.0 * SQRT3 * math.pi)
+        at = np.array([consts(k1).delta_plus])
+        assert np.isnan(tangency._lower_heights(at, MapParams(k1 * (1 - 1e-9))))
+        assert not np.isnan(tangency._lower_heights(at, MapParams(k1 * (1 + 1e-9))))
 
 
 class TestTangencyCurve:
@@ -370,13 +430,13 @@ class TestTangencyCurve:
         params = MapParams(k)
         for n in (16, 1000, 4096):
             ytilde, lower, upper = tangency_curve(params, n)
-            lo, hi, _ = tangency._select(ytilde, params, consts(k))
-            for got, start in ((lower, lo), (upper, hi)):
+            lo = tangency._lower_heights(ytilde, params)
+            for got, start in ((lower, lo), (upper, 1.0 - lo)):
                 want = full_array_refined(start, ytilde, params)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (k, n)
         c = consts(k)
         ytilde = np.array([0.0, c.delta_minus, c.delta_star, c.delta_plus, 0.5])
-        want = full_array_refined(tangency._select(ytilde, params, c)[0], ytilde, params)
+        want = full_array_refined(tangency._lower_heights(ytilde, params), ytilde, params)
         assert [(tp.y, tp.residual) for tp in tangency_landmarks(params)[:5]] == list(zip(*(w.tolist() for w in want)))
 
     @pytest.mark.parametrize("k", [0.6, 3.0, 20.0])
@@ -399,7 +459,7 @@ class TestTangencyCurve:
 
     @pytest.mark.parametrize("k", [0.35, 0.4, 0.45, 0.48, 0.49])
     def test_partly_defined_k_range(self, k):
-        # Below k ~ 0.4931 delta_hat_T^+ is undefined, yet the selector finds
+        # Below k ~ 0.4931 delta_hat_T^+ is undefined, yet the ray root finds
         # both curves.
         assert consts(k).delta_hat_T_plus is None
         assert_oracle_tangencies(MapParams(k))
@@ -407,7 +467,8 @@ class TestTangencyCurve:
     @pytest.mark.parametrize("k", [1e5, 1e6, MAX_CURVE_K])
     def test_large_k_range(self, k):
         # At ytilde = 0 the smaller root of phi^{-1} lies below delta^- by
-        # only 1/(8 pi^3 k^2), 4e-13 at k = 1e5, well inside a 1e-12 cushion.
+        # only 1/(8 pi^3 k^2), 4e-13 at k = 1e5: telling the roots apart by
+        # region would need a cushion, the ray root needs none.
         c = consts(k)
         assert 0.0 < c.delta_minus - phi_inverse(phi_tilde(0.0, MapParams(k)), MapParams(k))[0] < 1e-12
         assert_oracle_tangencies(MapParams(k))
@@ -472,8 +533,9 @@ class TestTangencyLandmarks:
             assert marks[0].x > 0.2
 
     def test_unavailable_below_validity(self):
-        # At k = 0.3 the selector still works near ytilde = 0 but degenerates
-        # at ytilde = delta^+ (both inverse branches leave the acos domain).
+        # At k = 0.3 ytilde = 0 has its ray root, but ytilde = delta^+ has
+        # none: the backward field is pi/6 there, whose root -2.118 lies
+        # below -2 pi k = -1.885.
         marks = tangency_landmarks(MapParams(0.3))
         assert marks[3] is None and marks[5] is None
         assert marks[0] is not None
