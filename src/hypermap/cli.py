@@ -13,6 +13,7 @@ reported under the flag that set it; any other exception propagates.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -30,7 +31,7 @@ from .hyperbolicity import delta_strip, push_vector, verify_cones
 from .oracle import svd2_entries
 from .stdmap import (TWO_PI, MapParams, ParameterError, TorusPoint, angle_dist_mod_pi, canonical_angle,
                      jacobian_entries, map_step, mod1, psi)
-from .tangency import MAX_CURVE_K, tangency_curve, tangency_landmarks, torus_x
+from .tangency import TangencySelectionError, tangency_curve, tangency_landmarks, torus_x
 
 # Unused here: perfbench/tracing.py wraps these by name in this module, as it
 # does push_vector and angle_dist_mod_pi, which the verify battery calls on arrays.
@@ -403,12 +404,12 @@ def _verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
         results.append(("cone_slope_invariance", rep.slope_failures == 0 and rep.min_norm > 1.0,
                         f"slope failures {rep.slope_failures}, min_norm {rep.min_norm:.4f}"))
 
-    if c.all_defined:
-        if k <= MAX_CURVE_K:
-            _, (_, res_lower), (_, res_upper) = tangency_curve(params, 128)
-            worst = float(max(res_lower.max(), res_upper.max()))
-            results.append(("tangency_residual", worst < 1e-8, f"max {worst:.3g}"))
+    with contextlib.suppress(TangencySelectionError):  # no tangency curves at this k
+        _, (_, res_lower), (_, res_upper) = tangency_curve(params, 128)
+        worst = float(max(res_lower.max(), res_upper.max()))
+        results.append(("tangency_residual", worst < 1e-8, f"max {worst:.3g}"))
 
+    if c.all_defined:
         y = 0.05 + 0.9 * np.arange(128) / 128
         v = phi(y, params)
         kept = np.isfinite(v) & (abs(v) <= 1e5) & (v != 0.0)
@@ -499,7 +500,7 @@ def _cmd_figures(cfg: RunConfig, params: MapParams) -> int:
         "phi_forward.svg": _figure_graph(cfg, params, "phi", "forward"),
         "phi_backward.svg": _figure_graph(cfg, params, "phi", "backward"),
     }
-    if critical_constants(params).all_defined and params.k <= MAX_CURVE_K:
+    with contextlib.suppress(TangencySelectionError):  # no tangency curves at this k
         ytilde, (lower, _), (upper, _) = tangency_curve(params, min(cfg.grid, 1024))
         plane = [svgrender.polyline(np.column_stack([ytilde, y]), color)
                  for y, color in zip((lower, upper), _BRANCH_COLORS)]

@@ -112,10 +112,8 @@ requires e64 < 1e-3.  At |psi_c| >= T_band the float64 norm is then at
 least m, the 1e-9 covering the rounding of theta's range, and since |ix|
 exceeds m / sqrt(2) there, the float64 slope lies within
 sigma = 4 e64 + 1e-14 of [1 - 1/(T_band - m), 1 + 1/T_band], well inside
-(1 - 1/m, 1 + 1/m).  Outside Delta^(m), |psi_c| <= T_band + e64 is two
-intervals of y, each from one side of a strip to the other; widened by
-1e-12, far above the rounding of their ends, their grid points outside
-Delta^(m) (below) are the band.
+(1 - 1/m, 1 + 1/m).  The band is the rest of the region outside
+Delta^(m), 2m < |psi_c| < T_band.
 
 Every sweep draws its samples as grid points: heights y = j 2^-53 of
 [0, 1), the points ``random()`` draws from, and theta's draws t = i 2^-53,
@@ -134,47 +132,52 @@ budget.  Sweeps inside the strips and sweeps without a band (T_band + e64
 reaches K, or e64 >= 1e-3, which keeps K far below where the filter has no
 bounds) draw all n samples on every bucket of the region's spans.
 
-Outside the strips most of the band is certified too, cell by cell.  At a
-fixed slope t = tan theta the norm is below m exactly where
+Outside the strips most of the band is certified too, bucket by bucket.
+At a fixed slope t = tan theta the norm is below m exactly where
 
-    Q(psi, t) = (2 psi^2 + 2 psi + 1 - m^2) t^2 + (4 psi + 2) t + 2 - m^2
+    Q(psi, t) = 2 t^2 psi^2 + (2 t^2 + 4 t) psi + (1 - m^2) t^2 + 2 t + 2 - m^2
 
-is negative.  For |psi| >= 2m it is negative at t = 0 and rises in t, so
-the norm fails exactly below its positive root t_root(psi).  Its
-derivative in psi, 2t (2 psi t + t + 2), has the sign of psi wherever
-t >= 1/m, so Q grows with |psi| on each side, and the norm is at least m
-at every slope of the cone above t_root(psi_a) wherever |psi| >= |psi_a|
-on psi_a's side.  The band's four half-sides, one on each side of each
-strip, are cut into cells of grid points at |psi_c| = 2m + h (below) and
-at 2m (T_band / 2m)^(i / _CELLS), i = 1, ..., _CELLS - 1.  A cell's
-|psi_c| is at least psi_lo = |fl(psi_c)| - e64 at its grid point next to
-the strip, and above its cut, the least bucket edge u_cut = b / 64 at or above
-u(t_root(psi_a)) + 1e-9 with psi_a = psi_lo - 4 e64 sqrt(1 + m^2), its
-float64 norm is at least m: the margins are those of T_band.  The cuts
-are made to fall outwards, each the largest of those beyond it.  From
-slope - 1 = 1 / (cot theta + psi), a cell's closed buckets [u_cut, u_top)
-have slope - 1 at most 1 / (psi_lo + cot theta_top) on the + side and at
-least -1 / (psi_lo - cot theta_cut) on the - side, theta widened by 1e-9
-of its range, and since |ix| > m / sqrt(1 + m^2) the float64 slope lies
-within sigma of them.  slope_lo and slope_hi are the least and largest of
-these and of the far region's bounds.
+is negative, that is between its two psi-roots (_failure_layer).  For
+|psi| >= 2m, Q is negative at t = 0 and convex in t, so the norm fails
+exactly below one slope, and Q's derivative in psi, 2t (2 psi t + t + 2),
+has the sign of psi wherever t > 2 / (4m - 1), which lies below 1/m, so
+that slope falls as |psi| grows.  So at each slope the failing psi_c on
+each side of a strip run from the strip edge out to Q's outer root,
+psi_+(t) beyond +2m or psi_-(t) beyond -2m, and at larger slopes they
+stop sooner.  Bucket b holds the slopes from t_b = tan theta_b on,
+theta_b its lower edge less 1e-9 of theta's range, which covers the
+float64 rounding of theta and of the root.
+
+Each of the band's four half-sides, one on each side of each strip, is
+open at bucket b on the reach[b] grid points next to the strip and closed
+beyond them.  The reach is the count psi_inverse gives below |psi_c| =
+|psi_out(t_b)| + 4 e64 sqrt(1 + m^2) + 2 e64, psi_out the outer root.
+The first closed grid point's psi_lo = |fl(psi_c)| - e64 must then lie
+4 e64 sqrt(1 + m^2) beyond the root, or there is no band; its float64
+norm, and that of every grid point beyond it, is at least m at every slope
+of the bucket, the margins being those of T_band.  A bucket whose outer
+root lies inside the strip has reach 0 on that side.  From
+slope - 1 = 1 / (cot theta + psi), the closed grid points of a half-side
+at bucket b have slope - 1 at most 1 / (psi_lo + cot theta_(b+1)) on the
++ side and at least -1 / (psi_lo - cot theta_b) on the - side, theta
+widened by 1e-9 of its range, and since |ix| > m / sqrt(1 + m^2) the
+float64 slope lies within sigma of them.  slope_lo and slope_hi are the least and largest of these
+and of the far region's bounds.
 
 The largest slope of a sweep lies near psi_c = +2m at large theta, where
-the cells are closed, so a box there stays open: on the + side the cells
-below |psi_c| = 2m + h, which is a cell edge too, are open from the bucket
-b_x on, the last bucket edge with cot theta >= 1/m + h.  h = 2.5 r, r the
-root of r^2 = a (1 + (1/m + r)^2) with a = 2.5e-5 pi K (atan m - atan(1/m)),
+the norm holds, so a box there stays open: on the + sides the grid points
+below |psi_c| = 2m + h are open from the bucket b_x on, the last bucket
+edge with cot theta >= 1/m + h.  h = 2.5 r, r the root of
+r^2 = a (1 + (1/m + r)^2) with a = 2.5e-5 pi K (atan m - atan(1/m)),
 capped at T_band - 2m and m - 1/m (no cap binds for k <= 200 and m <= 10).
 Each + half-side holds at least r / 2 pi K of y in psi_c in (2m, 2m + r],
 and cot theta in [1/m, 1/m + r] at least r / (1 + (1/m + r)^2) of theta,
 so at least the share 2.5e-5 of the region's samples lies there, with
 slopes above slope_hi: a sweep of 10^6 samples misses it with probability
-below e^-25.  As the cuts fall outwards and the box starts at the strip,
-the open grid points of each half-side at bucket b are the reach[b] next
-to the strip.  The open rows are, bucket by bucket, those four runs (below
-the first strip, above it, below the second, above it); the closed rows
-are, bucket by bucket, the three runs between them, the far region
-included.
+below e^-25.  The open rows are, bucket by bucket, the four runs of
+reach[b] grid points next to the strip edges (below the first strip,
+above it, below the second, above it); the closed rows are, bucket by
+bucket, the three runs between them, the far region included.
 
 A sweep outside the strips draws the open rows alone.  Of n samples
 uniform on the region's grid points, the number n_open on the open rows is
@@ -197,8 +200,8 @@ share
     (asin(T/K) - asin(2m/K)) / (pi/2 - asin(2m/K))
 
 of the samples, 11 % at k = 60, m = 10 and 66 % at k = 14.6, m = 10, and
-its open rows 5-8 % of that for most (k, m) the benchmark draws (3.4 % of
-the samples at k = 14.6, m = 10), up to 20 % at k = 200, m = 2, where the
+its open rows 4.5-7 % of that for most (k, m) the benchmark draws (3.1 % of
+the samples at k = 14.6, m = 10), up to 19 % at k = 200, m = 2, where the
 box of slope_max holds most of them.
 """
 
@@ -558,13 +561,9 @@ def _evaluate(y: np.ndarray, t: np.ndarray, params: MapParams, m: int, budget: i
 _GRID = 2**53
 
 #: t's top six bits are its bucket b, t = (b _LOW + low) / _GRID: the
-#: cells' cuts are bucket edges b / _BUCKETS.
+#: band's reach is set bucket by bucket.
 _BUCKETS = 64
 _LOW = _GRID // _BUCKETS
-
-#: The band is cut into this many cells a side, geometric in |psi_c|
-#: between 2m and T_band, and once more at the slope_max box's edge.
-_CELLS = 12
 
 #: The least share of the region's samples that the box of slope_max
 #: holds above every slope the closed boxes allow (module docstring).
@@ -650,36 +649,18 @@ def _box_draws(rng: np.random.Generator, boxes: _Boxes, count: int) -> tuple[np.
     return y, t
 
 
-class _Cells(NamedTuple):
-    """The band's cells, one row per half-side: the grid points j = inner + step d,
-    0 <= d < edges[-1], on one side of one strip, d counted from the strip.
-
-    Cell i holds edges[i] <= d < edges[i + 1], where |psi_c| >= psi_lo[i];
-    its buckets cut <= b < top are closed, the others open.  ``reach[b]``
-    is the number of open grid points at bucket b, next to the strip.
-    """
-
-    inner: np.ndarray
-    step: np.ndarray
-    side: np.ndarray  # the sign of psi_c
-    edges: np.ndarray
-    psi_lo: np.ndarray
-    cut: np.ndarray
-    top: np.ndarray
-    reach: np.ndarray
-
-
 class _Band(NamedTuple):
     """The boxes of the region outside Delta^(m) for one (k, m): ``open``,
-    the cells' open buckets, and ``closed``, the rows (bucket, lo, hi) of the
-    rest of the region, made a box set only for a sweep that completes.
+    the grid points next to the strips that ``reach`` leaves open, and
+    ``closed``, the rows (bucket, lo, hi) of the rest of the region, made a
+    box set only for a sweep that completes.
 
     Every grid point of ``closed`` has a float64 norm of at least m and a
     float64 slope in [slope_lo, slope_hi].
     """
 
     psi_bound: float  # T_band: the far-region certificate holds wherever |psi_c| >= T_band
-    cells: _Cells
+    reach: np.ndarray  # open grid points at each bucket next to each strip edge, 4 x _BUCKETS
     open: _Boxes
     closed: tuple[np.ndarray, np.ndarray, np.ndarray]
     size: int  # the region's grid points (j, bucket)
@@ -687,26 +668,24 @@ class _Band(NamedTuple):
     slope_hi: float
 
 
-def _cuts(psi_a: np.ndarray, m: int, lo: float, hi: float) -> np.ndarray:
-    """The least bucket edges above which the norm is at least m wherever psi_c
-    lies at psi_a or beyond it, psi_a signed and |psi_a| near 2m or above.
+def _failure_layer(t: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q's psi-roots psi_- < psi_+ at the slopes t: the norm of the image of
+    a unit vector of slope t is below m exactly for psi_c between them.
 
-    The norm is below m exactly for slopes t below the positive root of
-    (2 psi^2 + 2 psi + 1 - m^2) t^2 + (4 psi + 2) t + 2 - m^2.
+    Q(psi, t) = a psi^2 + b psi + c with a > 0 > c for t > 0 and m >= 2.
     """
-    a = (2.0 * psi_a + 2.0) * psi_a + 1.0 - m * m
-    b = 4.0 * psi_a + 2.0
-    t = (np.sqrt(b * b + 4.0 * (m * m - 2.0) * a) - b) / (2.0 * a)  # no cancellation: the root exceeds 1.2 |b|
-    u = (np.arctan(t) - lo) / (hi - lo)
-    return np.ceil(_BUCKETS * (u + 1e-9)).clip(0, _BUCKETS).astype(np.int64)
+    a, b, c = 2.0 * t * t, (2.0 * t + 4.0) * t, ((1.0 - m * m) * t + 2.0) * t + 2.0 - m * m
+    q = -b - np.sqrt(b * b - 4.0 * a * c)  # no cancellation: -4ac > 0
+    return q / (2.0 * a), 2.0 * c / q
 
 
 def _band(k: float, m: int) -> Optional[_Band]:
-    """The cells and boxes of the module docstring: the band |psi_c| <= T_band
-    outside Delta^(m), its open buckets, and the rest of the region.
+    """The reach and boxes of the module docstring: the band |psi_c| <= T_band
+    outside Delta^(m), its open rows, and the rest of the region.
 
-    None where T_band reaches K (the band would hold every sample), or
-    where e64 or the certified slopes leave the certificate's margins.
+    None where T_band reaches K (the band would hold every sample), where
+    e64 or the certified slopes leave the certificate's margins, or where a
+    first closed grid point lies within the margin of the root.
     """
     big_k = TWO_PI * k
     e64 = _e64(big_k)
@@ -718,18 +697,28 @@ def _band(k: float, m: int) -> Optional[_Band]:
         return None
     params = MapParams(k)
     strip = delta_strip(m, params)
-    # psi_c = +-(T_band + e64) at y_pos < 1/4 and y_neg > 1/4, and at 1 - y_pos
-    # and 1 - y_neg.  The band runs from y_pos across the strip to y_neg
-    # and from 1 - y_neg across the other strip to 1 - y_pos.
-    y_pos, y_neg = psi_inverse(t_band + e64, params), psi_inverse(-(t_band + e64), params)
-    w = 1e-12  # far above the float64 rounding of y_pos and y_neg, a few 2^-53
-    (c1, c2), (c3, c4) = _spans(y_pos - w, y_neg + w)[0]
     (s1, s2), (s3, s4) = _spans(strip.delta_m, strip.delta_neg_m)[0]
-    inner = np.array([s1 - 1, s2 + 1, s3 - 1, s4 + 1])
-    step = np.array([-1, 1, -1, 1])
-    side = np.array([1.0, -1.0, -1.0, 1.0])
-    size = np.array([s1 - c1, c2 - s2, s3 - c3, c4 - s4])
+    # The half-sides, one a row: grid points j = inner + step d, d >= 0.
+    inner = np.array([[s1 - 1], [s2 + 1], [s3 - 1], [s4 + 1]])
+    step = np.array([[-1], [1], [-1], [1]])
+    side = np.array([[1.0], [-1.0], [-1.0], [1.0]])  # the sign of psi_c
     lo, hi = math.atan(1.0 / m), math.atan(m)
+
+    def count_below(level: np.ndarray) -> np.ndarray:
+        """The number of grid points of each half-side, next to the strip, where |psi_c| lies below ``level``."""
+        y = psi_inverse(side * level, params)
+        y[2:] = 1.0 - y[2:]  # the half-sides of the second strip
+        return np.maximum(np.floor((y * _GRID - inner) * step), 0).astype(np.int64)
+
+    # Q's outer psi-root at each bucket's lower edge, theta widened by 1e-9
+    # of its range, and the grid points below it and the margins.
+    eta = 1e-9 * (hi - lo)
+    theta = lo + (hi - lo) * np.arange(_BUCKETS + 1) / _BUCKETS
+    t = np.tan(theta[:-1] - eta)
+    psi_minus, psi_plus = _failure_layer(t, m)
+    layer = np.where(side > 0.0, psi_plus, -psi_minus)
+    margin = 4.0 * e64 * root
+    reach = count_below(layer + margin + 2.0 * e64)
 
     # The box of slope_max: psi_c within h of 2m, cot theta within h of 1/m.
     a = _SETTLE_SHARE * math.pi * big_k * (hi - lo)
@@ -738,49 +727,32 @@ def _band(k: float, m: int) -> Optional[_Band]:
         r = (a / m + math.sqrt(a * a / (m * m) + (1.0 - a) * a * (1.0 + 1.0 / (m * m)))) / (1.0 - a)
     h = min(2.5 * r, t_band - 2.0 * m, m - 1.0 / m)
     b_x = max(0, math.floor(_BUCKETS * (math.atan(1.0 / (1.0 / m + h)) - lo) / (hi - lo)))
-
-    # Cell edges at |psi_c| = 2m (T_band / 2m)^(i / _CELLS) and at 2m + h,
-    # rising, so the distances d from the strip rise too.
-    levels = 2.0 * m * (t_band / (2.0 * m)) ** (np.arange(1, _CELLS) / _CELLS)
-    box = int(np.searchsorted(levels, 2.0 * m + h))  # cells 0 .. box lie below 2m + h
-    y = psi_inverse(np.outer(side, np.insert(levels, box, 2.0 * m + h)), params)
-    y[2:] = 1.0 - y[2:]  # the half-sides of the second strip
-    d = np.clip(np.floor((y * _GRID - inner[:, None]) * step[:, None]), 0, size[:, None])
-    edges = np.concatenate([np.zeros((4, 1)), d, size[:, None]], axis=1).astype(np.int64)
-    j = inner[:, None] + step[:, None] * np.minimum(edges[:, :-1], size[:, None] - 1)
-    psi_lo = np.abs(psi(j * (1.0 / _GRID), params)) - e64
-    cut = _cuts(side[:, None] * (psi_lo - 4.0 * e64 * root), m, lo, hi)
-    cut = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1]  # falling outwards
-    top = np.where((side[:, None] > 0.0) & (np.arange(_CELLS + 1) <= box), b_x, _BUCKETS)
     buckets = np.arange(_BUCKETS)
-    opened = (buckets < cut[..., None]) | (buckets >= top[..., None])
-    reach = np.max(np.where(opened, edges[:, 1:, None], 0), axis=1)  # the open cells are a prefix
-    cells = _Cells(inner, step, side, edges, psi_lo, cut, top, reach)
+    reach = np.where((side > 0.0) & (buckets >= b_x), np.maximum(reach, count_below(np.array(2.0 * m + h))), reach)
 
-    # The closed buckets' slopes: theta at the bucket edges, widened by
-    # 1e-9 of theta's range for its float64 rounding.
-    eta = 1e-9 * (hi - lo)
-    closed = (cut < top) & (edges[:, 1:] > edges[:, :-1])
-    cot_hi = 1.0 / np.tan(lo + (hi - lo) * cut / _BUCKETS - eta)
-    cot_lo = 1.0 / np.tan(lo + (hi - lo) * top / _BUCKETS + eta)
-    below = 1.0 - 1.0 / (psi_lo - cot_hi) - sigma
-    above = 1.0 + 1.0 / (psi_lo + cot_lo) + sigma
-    slope_lo = min(far_lo, float(np.min(below, where=closed & (side[:, None] < 0.0), initial=far_lo)))
-    slope_hi = max(far_hi, float(np.max(above, where=closed & (side[:, None] > 0.0), initial=far_hi)))
+    # The first closed grid point must lie the margin beyond the root.
+    psi_lo = np.abs(psi((inner + step * reach) * (1.0 / _GRID), params)) - e64
+    if not np.all(psi_lo - margin >= layer):
+        return None
+
+    # The closed grid points' slopes: theta at the bucket edges, widened.
+    cot_top = 1.0 / np.tan(theta[1:] + eta)
+    slope_lo = float(np.min(1.0 - 1.0 / (psi_lo - 1.0 / t) - sigma, where=side < 0.0, initial=far_lo))
+    slope_hi = float(np.max(1.0 + 1.0 / (psi_lo + cot_top) + sigma, where=side > 0.0, initial=far_hi))
     if not max(1.0 - slope_lo, slope_hi - 1.0) < 0.9 / m:
         return None
 
     # Rows by bucket, then by j: the open grid points next to each strip
     # edge, and the closed ones between them.
-    ins, back = inner[:, None], step[:, None] < 0
-    open_lo, open_hi = np.where(back, ins + 1 - reach, ins), np.where(back, ins, ins + reach - 1)
+    back = step < 0
+    open_lo, open_hi = np.where(back, inner + 1 - reach, inner), np.where(back, inner, inner + reach - 1)
     open_rows = _boxes(np.repeat(buckets, 4), open_lo.T.ravel(), open_hi.T.ravel())
     gaps = np.array([[0, s2 + 1, s4 + 1], [s1 - 1, s3 - 1, _GRID - 1]])
     lo_rows = gaps[0][:, None] + np.array([np.zeros(_BUCKETS, np.int64), reach[1], reach[3]])
     hi_rows = gaps[1][:, None] - np.array([reach[0], reach[2], np.zeros(_BUCKETS, np.int64)])
     closed_rows = (np.repeat(buckets, 3), lo_rows.T.ravel(), hi_rows.T.ravel())
     region = (s1 + (s3 - s2 - 1) + (_GRID - 1 - s4)) * _BUCKETS
-    return _Band(t_band, cells, open_rows, closed_rows, region, slope_lo, slope_hi)
+    return _Band(t_band, reach, open_rows, closed_rows, region, slope_lo, slope_hi)
 
 
 def verify_cones(
@@ -799,7 +771,7 @@ def verify_cones(
     hypothesis is deliberately violated to demonstrate the check can fail:
     y is then uniform over the grid points of the strips.
 
-    Outside the strips only the open buckets of the band's cells are
+    Outside the strips only the band's open rows, next to the strips, are
     drawn, and the other samples only where they do not settle the report
     (see the module docstring).  The report depends only on the arguments.
     A sweep keeps no state between calls, so library callers may run

@@ -220,15 +220,17 @@ def tangency_curve(
     """Sample both tangency curves over a uniform grid of ytilde.
 
     Returns ytilde, then (y, residual) of the lower curve (y < 1/2) and of
-    the upper curve (y > 1/2), mirror images about y = 1/2.
+    the upper curve (y > 1/2), mirror images about y = 1/2.  A k without
+    curves is named before a short grid, so callers may catch
+    ``TangencySelectionError`` alone to skip the curves.
     """
-    if n_samples < MIN_CURVE_SAMPLES:
-        raise ParameterError("n_samples", f"must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
     ytilde = np.arange(n_samples) / n_samples
     lower = _lower_heights(ytilde, params)
     missing = np.isnan(lower)
     if missing.any():
         raise _no_heights(ytilde[missing][0], params)
+    if n_samples < MIN_CURVE_SAMPLES:
+        raise ParameterError("n_samples", f"must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
     b = mod_pi(backward_angle(ytilde, params))
     y, res = _refined(np.concatenate([lower, 1.0 - lower]), np.concatenate([b, b]), params)
     return ytilde, (y[:n_samples], res[:n_samples]), (y[n_samples:], res[n_samples:])

@@ -23,7 +23,7 @@ from hypermap.foliations import trace_leaf
 from hypermap.hyperbolicity import push_vector, verify_cones
 from hypermap.oracle import svd2
 from hypermap.stdmap import TWO_PI, MapParams, TorusPoint, angle_dist_mod_pi, jacobian, map_forward, map_inverse
-from hypermap.tangency import MAX_CURVE_K, tangency_curve
+from hypermap.tangency import TangencySelectionError, tangency_curve
 
 
 def run_capture(argv):
@@ -284,12 +284,14 @@ def reference_verify_battery(params: MapParams) -> list[tuple[str, bool, str]]:
         results.append(("cone_slope_invariance", rep.slope_failures == 0 and rep.min_norm > 1.0,
                         f"slope failures {rep.slope_failures}, min_norm {rep.min_norm:.4f}"))
 
-    if c.all_defined:
-        if k <= MAX_CURVE_K:
-            _, (_, res_lower), (_, res_upper) = tangency_curve(params, 128)
-            worst = float(max(res_lower.max(), res_upper.max()))
-            results.append(("tangency_residual", worst < 1e-8, f"max {worst:.3g}"))
+    try:
+        _, (_, res_lower), (_, res_upper) = tangency_curve(params, 128)
+        worst = float(max(res_lower.max(), res_upper.max()))
+        results.append(("tangency_residual", worst < 1e-8, f"max {worst:.3g}"))
+    except TangencySelectionError:
+        pass
 
+    if c.all_defined:
         worst = worst_share = 0.0
         for j in range(128):
             y = 0.05 + 0.9 * j / 128
@@ -361,6 +363,14 @@ class TestVerify:
         assert "FAIL" not in out.replace("result PASS", "")
 
 
+    def test_tangency_residual_wherever_the_curves_exist(self):
+        # The curves exist from k ~ 0.337119 on, below the strip constants'
+        # k ~ 0.4931; at k = 0.3 some ytilde have no tangency.
+        code, out = run_capture(["verify", "--k-list", "0.35,0.3"])
+        assert code == 0 and "result PASS" in out
+        assert "k=0.35 tangency_residual" in out
+        assert "k=0.3 tangency_residual" not in out
+
     def test_large_k_passes(self):
         # The round-trip and E1*F1 tolerances scale with the rounding bounds.
         code, out = run_capture(["verify", "--k-list", "50,200,1000"])
@@ -426,6 +436,15 @@ class TestFigures:
         ]
         for p in outdir.glob("*.svg"):
             ET.parse(p)  # well-formed XML
+
+    @pytest.mark.parametrize("k, curves", [("0.35", True), ("0.3", False)])
+    def test_tangency_figures_wherever_the_curves_exist(self, tmp_path, k, curves):
+        outdir = tmp_path / "figs"
+        code, _ = run_capture(["figures", "--k", k, "--grid", "64", "--step", "0.05", "--out", str(outdir)])
+        assert code == 0
+        names = {p.name for p in outdir.glob("*.svg")}
+        assert len(names) == (8 if curves else 6)
+        assert ("tangency_plane.svg" in names) == curves
 
     @pytest.mark.parametrize("k", ["1", "10"])
     def test_polylines_inside_unit_square(self, tmp_path, k):
@@ -501,6 +520,12 @@ class TestArgumentErrors:
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = run(argv)
         return code, err.getvalue()
+
+    def test_figures_name_a_short_grid_only_where_curves_are_drawn(self, tmp_path):
+        code, _ = self.run_error(["figures", "--k", "0.3", "--grid", "8", "--out", str(tmp_path / "a")])
+        assert code == 0
+        code, err = self.run_error(["figures", "--k", "0.35", "--grid", "8", "--out", str(tmp_path / "b")])
+        assert code == 2 and "--grid" in err
 
     def test_tangency_below_validity_names_k(self):
         code, err = self.run_error(["tangency", "--k", "0.3"])

@@ -2,12 +2,13 @@
 
 Where |psi_c| >= T(m) = m + 1 + m sqrt((1 + m^2) / 2), every unit vector
 with slope in (1/m, m) is mapped to a vector of norm at least m whose slope
-lies in [1 - 1/(T - m), 1 + 1/T].  Inside the band each cell certifies the
-same above its cut in theta, with the slope bounds of the closed boxes.
-Interval boxes over (psi, cot theta) prove both: the far region at T(m) and
-at the sweep's slightly larger threshold, and every cell's cut and closed
-buckets.  Bisection finds the least threshold for the norm, and the samples
-the sweep leaves closed are checked in float64 against its bounds.
+lies in [1 - 1/(T - m), 1 + 1/T].  Inside the band each half-side certifies
+the same beyond its reach at each bucket of theta, with the slope bounds of
+the closed rows.  Interval boxes over (psi, cot theta) prove both: the far
+region at T(m) and at the sweep's slightly larger threshold, and every
+bucket's closed row.  Bisection finds the least threshold for the norm, the
+reach is checked against Q's roots in mpmath, and the samples the sweep
+leaves closed are checked in float64 against its bounds.
 """
 
 import math
@@ -84,13 +85,13 @@ def test_interval_boxes_prove_the_certificate(m):
     iv.dps = 30
     try:
         _prove_at(m, hyperbolicity._band(K_PROOF, m))
-        for k in cell_ks(m):
-            _prove_cells(m, k, hyperbolicity._band(k, m))
+        for k in row_ks(m):
+            _prove_rows(m, k, hyperbolicity._band(k, m))
     finally:
         iv.dps = dps
 
 
-def cell_ks(m: int) -> tuple[float, ...]:
+def row_ks(m: int) -> tuple[float, ...]:
     """K_PROOF and the benchmark's least k, or a k whose band reaches half of K."""
     least = max(5.0, 1.01 * m)
     if hyperbolicity._band(least, m) is None:
@@ -115,53 +116,54 @@ def _prove_at(m: int, band) -> None:
         assert prove(boxes, m, lower, upper) >= 2
 
 
-def _prove_cells(m: int, k: float, band) -> None:
-    """Every cell of the band: norm >= m above its cut, on |psi| from its
-    psi_lo less the margin 4 e64 sqrt(1 + m^2), and slopes within the
-    band's bounds, less sigma = 4 e64 + 1e-14, on its closed buckets.
-    psi_lo must lie at or below the exact |psi| of the cell's grid points,
-    which run up to the exact value at its outer end, here widened by e64;
-    theta runs over the buckets, widened by 1e-12 for its float64
-    rounding."""
-    cells = band.cells
+def half_sides(m: int, k: float) -> list[tuple[int, int, int]]:
+    """Each half-side of the band: its grid point next to the strip, the
+    step of j away from the strip and the sign of psi_c."""
+    (s1, s2), (s3, s4) = reference_spans(delta_strip(m, MapParams(k)), True)
+    return [(s1 - 1, -1, 1), (s2 + 1, 1, -1), (s3 - 1, -1, -1), (s4 + 1, 1, 1)]
+
+
+def exact_abs_psi(j: int, big_k) -> mpmath.mpf:
+    return abs(big_k * mpmath.cos(2 * mpmath.pi * mpmath.mpf(int(j)) / 2**53))
+
+
+def _prove_rows(m: int, k: float, band) -> None:
+    """Every bucket b of every half-side: norm >= m at every slope from
+    theta_b up, on |psi| from the exact |psi_c| of the first closed grid
+    point less the margin 4 e64 sqrt(1 + m^2) out to T_band, and slopes
+    within the band's bounds, less sigma = 4 e64 + 1e-14, on the bucket.
+    |psi_c| rises away from the strip, so every closed grid point of the
+    row below T_band lies in that range; beyond it the far region's
+    certificate holds.  theta runs over the buckets, widened by 1e-12 for
+    its float64 rounding."""
     with mpmath.workdps(30):
         big_k = 2 * mpmath.pi * mpmath.mpf(k)
         e64 = mpmath.mpf(1e-12) * (2 + big_k)
         sigma = 4 * e64 + mpmath.mpf(1e-14)
+        margin = 4 * e64 * mpmath.sqrt(1 + m * m)
         lo, hi = mpmath.atan(mpmath.mpf(1) / m), mpmath.atan(m)
+        tol = mpmath.mpf(1e-12)
 
-        def cot(bucket, widen):
-            return 1 / mpmath.tan(lo + (hi - lo) * mpmath.mpf(int(bucket)) / 64 + widen)
+        def cot(bucket: int, widen):
+            return 1 / mpmath.tan(lo + (hi - lo) * mpmath.mpf(bucket) / 64 + widen)
 
-        def abs_psi(j) -> mpmath.mpf:
-            return abs(big_k * mpmath.cos(2 * mpmath.pi * mpmath.mpf(int(j)) / 2**53))
-
+        edge = mpmath.mpf(band.psi_bound)
         lower, upper = mpmath.mpf(band.slope_lo) - 1 + sigma, mpmath.mpf(band.slope_hi) - 1 - sigma
         inf = mpmath.inf
         proved = 0
-        for h in range(4):
-            inner, step, side = int(cells.inner[h]), int(cells.step[h]), float(cells.side[h])
-            for i in range(cells.edges.shape[1] - 1):
-                d_lo, d_hi = int(cells.edges[h, i]), int(cells.edges[h, i + 1])
-                if d_lo == d_hi:
+        for h, (inner, step, side) in enumerate(half_sides(m, k)):
+            for b in range(64):
+                a = exact_abs_psi(inner + step * int(band.reach[h, b]), big_k)
+                assert a > 2 * m, (m, k, h, b)  # outside the strip
+                if a >= edge:
                     continue
-                a, b = abs_psi(inner + step * d_lo), abs_psi(inner + step * (d_hi - 1))
-                assert a <= b and cells.psi_lo[h, i] <= a, (m, k, h, i)  # |psi| rises outwards
-                a = mpmath.mpf(float(cells.psi_lo[h, i]))
-                b += e64
-                cut, top = int(cells.cut[h, i]), int(cells.top[h, i])
-                if cut == 64:
-                    continue
-                tol = mpmath.mpf(1e-12)
-                # Norm above the cut, on the whole cone above it.
-                a_norm = a - 4 * e64 * mpmath.sqrt(1 + m * m)
-                p = (a_norm, b) if side > 0 else (-b, -a_norm)
-                proved += prove([(p, (cot(64, tol), cot(cut, -tol)))], m, -inf, inf)
-                # Slopes on the closed buckets.
-                if cut < top:
-                    p = (a, b) if side > 0 else (-b, -a)
-                    proved += prove([(p, (cot(top, tol), cot(cut, -tol)))], 0, lower, upper)
-        assert proved >= 8
+                # Norm on the whole cone from the bucket's lower edge up.
+                p = (a - margin, edge) if side > 0 else (-edge, -(a - margin))
+                proved += prove([(p, (cot(64, tol), cot(b, -tol)))], m, -inf, inf)
+                # Slopes on the bucket.
+                p = (a, edge) if side > 0 else (-edge, -a)
+                proved += prove([(p, (cot(b + 1, tol), cot(b, -tol)))], 0, lower, upper)
+        assert proved >= 256
 
 
 def least_threshold(m: int) -> float:
@@ -197,6 +199,59 @@ def test_threshold_lies_within_a_quarter_of_the_least(m):
         assert least <= band.psi_bound <= 1.25 * least, (k, band.psi_bound, least)
 
 
+def q_roots(m: int, t) -> tuple:
+    """Q's psi-roots at slope t in mpmath, Q(psi, t) the norm's failure
+    quadratic 2 t^2 psi^2 + (2 t^2 + 4 t) psi + (1 - m^2) t^2 + 2 t + 2 - m^2."""
+    a, b, c = 2 * t * t, 2 * t * t + 4 * t, (1 - m * m) * t * t + 2 * t + 2 - m * m
+    d = mpmath.sqrt(b * b - 4 * a * c)
+    return (-b - d) / (2 * a), (-b + d) / (2 * a)
+
+
+@pytest.mark.parametrize("m", MS)
+def test_reach_lies_within_a_few_grid_points_of_the_layer(m):
+    # A loosened reach keeps the sweep right but draws more samples; this
+    # catches it.  At bucket b a half-side is open on the grid points below
+    # Q's outer root at theta_b less 1e-9 of theta's range, plus the margins
+    # 4 e64 sqrt(1 + m^2) + 2 e64, and on the + sides from the bucket b_x on
+    # also below 2m + h, the slope_max box of the module docstring.
+    checked = 0
+    for k in row_ks(m) + (5.0 * m, 200.0):
+        band = hyperbolicity._band(k, m)
+        if band is None:
+            continue
+        lo_f, hi_f = math.atan(1.0 / m), math.atan(m)
+        big_k_f = 2.0 * math.pi * k
+        a = 2.5e-5 * math.pi * big_k_f * (hi_f - lo_f)
+        r = math.inf
+        if a < 1.0:
+            r = (a / m + math.sqrt(a * a / (m * m) + (1.0 - a) * a * (1.0 + 1.0 / (m * m)))) / (1.0 - a)
+        h_box = min(2.5 * r, band.psi_bound - 2.0 * m, m - 1.0 / m)
+        b_x = max(0, math.floor(64 * (math.atan(1.0 / (1.0 / m + h_box)) - lo_f) / (hi_f - lo_f)))
+        with mpmath.workdps(30):
+            big_k = 2 * mpmath.pi * mpmath.mpf(k)
+            e64 = mpmath.mpf(1e-12) * (2 + big_k)
+            pad = 4 * e64 * mpmath.sqrt(1 + m * m) + 2 * e64
+            lo, hi = mpmath.atan(mpmath.mpf(1) / m), mpmath.atan(m)
+            for h, (inner, step, side) in enumerate(half_sides(m, k)):
+
+                def count_below(level) -> mpmath.mpf:
+                    y = mpmath.acos(side * level / big_k) / (2 * mpmath.pi)
+                    return (mpmath.mpf(1) - y if h >= 2 else y) * 2**53 * step - inner * step
+
+                for b in range(64):
+                    t = mpmath.tan(lo + (hi - lo) * mpmath.mpf(b) / 64 - mpmath.mpf(1e-9 * (hi_f - lo_f)))
+                    roots = q_roots(m, t)
+                    level = (roots[1] if side > 0 else -roots[0]) + pad
+                    want = max(count_below(level), 0)
+                    if side > 0 and b >= b_x:
+                        want = max(want, count_below(2 * m + mpmath.mpf(h_box)))
+                    assert abs(int(band.reach[h, b]) - want) <= 2, (k, h, b, int(band.reach[h, b]), want)
+                    if level < 2 * m:  # no failure layer on this side
+                        assert band.reach[h, b] == 0 or (side > 0 and b >= b_x), (k, h, b)
+                    checked += 1
+    assert checked >= 512
+
+
 @pytest.mark.parametrize("m", [2, 5, 10, 50])
 def test_draws_outside_the_band_meet_the_certificate_in_float64(m):
     # The samples the sweep leaves closed: uniform on the closed rows, and
@@ -210,25 +265,16 @@ def test_draws_outside_the_band_meet_the_certificate_in_float64(m):
         if band is None:
             continue
         params = MapParams(k)
-        _, closed_rows = band_rows(delta_strip(m, params), band.cells.reach)
+        _, closed_rows = band_rows(delta_strip(m, params), band.reach)
         y, t = reference_box_draws(rng, closed_rows, 100_000)
         ends = [(np.concatenate([a + steps, b - steps]),
                  np.concatenate([c * 2**47 + steps, (c + 1) * 2**47 - 1 - steps])) for c, a, b in closed_rows]
         j_ends = np.concatenate([np.repeat(j, len(i)) for j, i in ends])
         i_ends = np.concatenate([np.tile(i, len(j)) for j, i in ends])
         y, t = np.concatenate([y, j_ends * 2.0**-53]), np.concatenate([t, i_ends * 2.0**-53])
-        # Every height beyond the cells lies where |psi_c| exceeds T_band.
-        j = np.round(y * 2**53).astype(np.int64)
-        cells = band.cells
-        far = np.ones(len(j), dtype=bool)
-        for h in range(4):
-            d = (j - cells.inner[h]) * cells.step[h]
-            far &= ~((0 <= d) & (d < cells.edges[h, -1]))
-        p = psi(y, params)
-        assert np.all(np.abs(p[far]) > band.psi_bound), k
         # The float64 image, as the sweep evaluates it.
         theta = lo + t * (hi - lo)
-        ix, iy = _image(p, np.cos(theta), np.sin(theta))
+        ix, iy = _image(psi(y, params), np.cos(theta), np.sin(theta))
         slope = iy / ix
         assert np.all(np.hypot(ix, iy) >= m), k
         assert np.all((band.slope_lo <= slope) & (slope <= band.slope_hi)), k
@@ -272,7 +318,7 @@ def test_the_slope_max_box_settles_the_benchmarks_sweeps(m):
         reach_r = [s1 - math.ceil(y_r * 2**53), math.floor((1.0 - y_r) * 2**53) - s4]  # grid points below 2m + r
         u_r = (math.atan(1.0 / (1.0 / m + r)) - lo) / (hi - lo)
         for h, need in zip((0, 3), reach_r):
-            assert np.all(band.cells.reach[h][math.floor(64 * u_r):] >= need), k
+            assert np.all(band.reach[h][math.floor(64 * u_r):] >= need), k
         share = (2 * min(reach_r) / 2**53) / (band.size / 64 / 2**53) * (1.0 - u_r)
         assert 1e6 * share > -math.log(1e-9), (k, share)
         checked += 1

@@ -1,7 +1,7 @@
 """The sweep's sample stream has the law it documents.
 
 Outside the strips ``verify_cones`` draws Binomial(n, p) samples uniform on
-the open boxes of the band's cells instead of n uniform draws; the
+the open rows of the band instead of n uniform draws; the
 reference tests check its arithmetic on that stream, and these check the
 stream itself: its failure counts against the sweep that draws every
 sample, its open count against n p, and its samples (j, t) against the
@@ -21,7 +21,7 @@ from test_cone_reference import (BUCKETS, LOW, band_rows, box_rows, reference_sp
                                  span_size)
 
 #: (k, m): a narrow band, the widest m = 2 band of the benchmark's range,
-#: and a band holding two thirds of the samples (3.4 % in its open boxes).
+#: and a band holding two thirds of the samples (3.1 % in its open boxes).
 CASES = [(7.0, 3), (20.0, 2), (14.5, 10)]
 SEEDS = range(100)
 N = 100_000
@@ -75,7 +75,7 @@ def test_band_sweeps_keep_the_law_of_the_full_sweep(monkeypatch, k, m):
     params = MapParams(k)
     band = hyperbolicity._band(k, m)
     strip = delta_strip(m, params)
-    open_rows, _ = band_rows(strip, band.cells.reach)
+    open_rows, _ = band_rows(strip, band.reach)
     draws = hyperbolicity._box_draws
     open_counts: list[int] = []
     observed = np.zeros(64, dtype=np.int64)  # open draws in each of 64 bins of equal count
