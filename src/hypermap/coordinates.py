@@ -38,9 +38,9 @@ Each field formula is written once and takes a float (evaluated with math)
 or an ndarray (evaluated elementwise with numpy).  So are the polynomials P1
 and P2, ``psi_inverse``, the height in [0, 1/2] at which psi_c takes a given
 value, through which every strip constant, phi^{-1}, the tangency heights
-and the leaf tracer's initial grid go, and ``phi_inverse``, the heights at
-which phi takes a given value, which the strip constants delta_T^-+ solve
-with.  psi_c itself is ``stdmap.psi``, shared with the Jacobians.  The float
+and the leaf tracer's initial grid go, and ``phi_inverse_branch``, one
+branch of the heights at which phi takes a given value, for delta_T^-+.
+psi_c itself is ``stdmap.psi``, shared with the Jacobians.  The float
 and array paths agree exactly up to the angles and psi_inverse, which may
 differ in the last bits (numpy's arctan2 and arccos are not libm's; see
 forward_angle).  psi_c and the angles try math first, as stdmap.mod1 does,
@@ -405,7 +405,7 @@ def critical_constants(params: MapParams) -> CriticalConstants:
     """
     closed = {name: psi_inverse(level, params) if params.defined[name] else None
               for name, level in DELTA_LEVELS.items()}
-    dm, ds, dp = closed["delta_minus"], closed["delta_star"], closed["delta_plus"]
+    dm, dp = closed["delta_minus"], closed["delta_plus"]
     dtm: Optional[float] = None
     dtp: Optional[float] = None
     if dm is not None and dp is not None:
@@ -414,12 +414,12 @@ def critical_constants(params: MapParams) -> CriticalConstants:
         if not math.isfinite(z):
             raise ParameterError("k", f"{params.k:g}: strip constants not computable, "
                                       "phitilde(0) overflows from k ~ 1.509e153 on")
-        # Each phi^{-1} here has at most one root in [0, delta^*) and the wanted one
-        # in [delta^*, 1/2], below delta^+ for phitilde(0) and above it for
-        # phitilde(1/2).  From k ~ 1e7 on that root lies within an ulp of delta^+
-        # and may round to its other side, where it is moved onto delta^+.
-        roots = [y for y in phi_inverse(z, params) if ds <= y <= 0.5]
-        dtm = min(max(roots), dp) if roots else None
-        roots = [y for y in phi_inverse(phi_tilde(0.5, params), params) if ds <= y <= 0.5]
-        dtp = max(max(roots), dp) if roots else None
+        # phi^{-1} has the wanted root in [delta^*, 1/2] on branch +1 at phitilde(0) < 0,
+        # below delta^+, and on branch -1 at phitilde(1/2) > 0, above it.  From k ~ 1e7 on
+        # that root lies within an ulp of delta^+ and may round to its other side, where
+        # it is moved onto delta^+.
+        y = phi_inverse_branch(z, 1.0, params)
+        dtm = None if math.isnan(y) else min(y, dp)
+        y = phi_inverse_branch(phi_tilde(0.5, params), -1.0, params)
+        dtp = None if math.isnan(y) else max(y, dp)
     return CriticalConstants(k=params.k, **closed, delta_T_minus=dtm, delta_T_plus=dtp)

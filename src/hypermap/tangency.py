@@ -50,15 +50,9 @@ values.  Let F = forward angle mod pi and B = backward angle mod pi.
   So a row needs only the columns bracketing each turning point e,
   floor((y - e) grid) + {-1, 0, 1, 2} mod grid: the nearest on each side
   and one more on each for rounding, about 24 cells a row.
-- Ties go to the first row, then to the smallest column, as in a loop over
-  rows that evaluates every cell; the scan equals that loop bit for bit.
-- The loop takes F from math's atan2 and cos, row by row; the scan takes F
-  for every row from numpy's, which may differ by an ulp (at most 4.4e-16
-  mod pi on the rows of 300 seeded scans) and so move a row's least cell
-  by under 1e-15.  The loop's row therefore lies within twice that of the
-  least row minimum under numpy, and the scan evaluates again with math
-  every row within 1e-12 of it (a row and its mirror about y = 1/2, which
-  tie to a few ulps, in all but one of those scans) and reports from them.
+- Ties go to the first row, then to the smallest column.  Each cell is
+  evaluated by the same numpy operations as in a row-major scan of the full
+  grid, so the scan equals that scan bit for bit.
 
 Angles and torus offsets are reduced mod pi and mod 1 with the masked forms
 of ``coordinates``, which equal np.remainder bit for bit on the ranges their
@@ -95,11 +89,6 @@ MAX_CURVE_K = 2e6
 #: field, relative to the column floor((y - turn) grid) whose ytilde lies just
 #: above it: the nearest column on each side, and one more for rounding.
 _BRACKET = np.arange(-1, 3)
-
-#: no_tangency_scan evaluates again with math the rows whose least cell, with
-#: the forward angle from numpy, lies within this of the least one.  Numpy moves
-#: a row's least cell by under 1e-15 (module docstring).
-_RECHECK = 1e-12
 
 
 class TangencySelectionError(ParameterError):
@@ -169,8 +158,9 @@ def gamma(ytilde: float, params: MapParams) -> tuple[float, float]:
 
 def _no_heights(ytilde: float, params: MapParams) -> TangencySelectionError:
     """The error for a ytilde with no pair of tangency heights."""
-    return TangencySelectionError("k", f"{params.k:g}: expected 2 tangency heights at ytilde = {ytilde}, "
-                                       f"k = {params.k}")
+    return TangencySelectionError("k", f"{params.k:g}: ytilde = {ytilde} has no tangency at this k; every "
+                                       "ytilde has one from k1 = (2 + sqrt(3) + sqrt(13))/(4 sqrt(3) pi) "
+                                       "~ 0.337119 on")
 
 
 def _refined(y: np.ndarray, b: np.ndarray, params: MapParams) -> tuple[np.ndarray, np.ndarray]:
@@ -279,12 +269,9 @@ def no_tangency_scan(params: MapParams, grid: int) -> NoTangencyReport:
 
     Only the cells next to a turning point of the backward field are
     evaluated, about 24 a row; the module docstring shows why the minimum
-    lies among them.  The forward angle of every row comes from one numpy
-    call.  The rows whose least cell lies within 1e-12 of the least one
-    (the loop's row lies within 2e-15 of it) are evaluated again with math,
-    and the report comes from them.  Ties go to the first row, then to the
-    smallest column, so the report equals that of a loop over every cell
-    with math's forward angle bit for bit.
+    lies among them.  Ties go to the first row, then to the smallest
+    column, so the report equals that of a numpy scan of every cell bit
+    for bit.
     """
     if grid < 64:
         raise ParameterError("grid", f"must be >= 64, got {grid}")
@@ -300,11 +287,8 @@ def no_tangency_scan(params: MapParams, grid: int) -> NoTangencyReport:
     cols = (near[:, :, None] + _BRACKET).reshape(y.size, -1) % grid
     yt = mod_one(y[:, None] - cols / grid)
     b = mod_pi(backward_angle(yt, params))
-    least = _angle_gap(mod_pi(forward_angle(y, params))[:, None], b).min(axis=1)
-    rows = np.flatnonzero(least <= least.min() + _RECHECK)
-    # Those rows again with math.atan2, as a loop over rows evaluates them.
-    d = _angle_gap(np.array([mod_pi(forward_angle(v, params)) for v in y[rows].tolist()])[:, None], b[rows])
-    # Among the cells at the minimum: the first row, then the smallest column.
-    key = np.where(d == d.min(), cols[rows] + grid * np.arange(rows.size)[:, None], grid * rows.size)
-    i, j = divmod(int(np.argmin(key)), d.shape[1])
-    return NoTangencyReport(params.k, grid, float(d[i, j]), float(y[rows[i]]), float(yt[rows[i], j]))
+    d = _angle_gap(mod_pi(forward_angle(y, params))[:, None], b)
+    i = int(np.argmin(d.min(axis=1)))  # the first row that holds the least cell
+    at = np.flatnonzero(d[i] == d[i].min())
+    j = at[np.argmin(cols[i, at])]  # its smallest column at the minimum
+    return NoTangencyReport(params.k, grid, float(d[i, j]), float(y[i]), float(yt[i, j]))

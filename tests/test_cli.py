@@ -530,7 +530,12 @@ class TestArgumentErrors:
     def test_tangency_below_validity_names_k(self):
         code, err = self.run_error(["tangency", "--k", "0.3"])
         assert code == 2
-        assert "k = 0.3" in err and "Traceback" not in err
+        assert err.startswith("error: --k 0.3: ") and "Traceback" not in err
+
+    def test_a_ytilde_without_tangency_names_k1(self):
+        want = ("error: --k 0.3: ytilde = 0.375 has no tangency at this k; every ytilde has one from "
+                "k1 = (2 + sqrt(3) + sqrt(13))/(4 sqrt(3) pi) ~ 0.337119 on\n")
+        assert self.run_error(["tangency", "--k", "0.3", "--grid", "8"]) == (2, want)
 
     def test_empty_grid_rejected(self):
         for grid in ("0", "-3"):

@@ -20,6 +20,7 @@ from hypermap.coordinates import (
     mod_one,
     mod_pi,
     phi,
+    phi_inverse,
     phi_inverse_branch,
     phi_parts,
     phi_prime,
@@ -713,6 +714,28 @@ class TestCriticalConstants:
         c = consts(k)
         assert c.all_defined
         assert c.delta_star < c.delta_T_minus <= c.delta_plus <= c.delta_T_plus
+
+    def test_delta_T_from_one_branch_equals_the_two_branch_filter(self):
+        # The reference: every root of phi_inverse, both branches and their
+        # mirrors, kept in [delta^*, 1/2]; the largest, clamped onto delta^+.
+        # Seeded k log-uniform from where delta^+ exists, and uniform near both
+        # ends, where delta_T^+ (below k ~ 0.33) or both (near 1.4e153) are None.
+        rng = random.Random(35)
+        k_plus = (1.0 + SQRT3) / (4.0 * math.pi)
+        ks = [k_plus, 0.22, 0.3, 1e7, 1.4e153] + [
+            f(rng.uniform(lo, hi)) for f, lo, hi, n in ((math.exp, math.log(k_plus), math.log(1.4e153), 3000),
+                                                        (float, k_plus, 0.5, 1500), (float, 1e152, 1.4e153, 1500))
+            for _ in range(n)]
+        undefined = 0
+        for k in ks:
+            c, p = consts(k), MapParams(k)
+            want = []
+            for z, clamp in ((phi_tilde(0.0, p), min), (phi_tilde(0.5, p), max)):
+                roots = [y for y in phi_inverse(z, p) if c.delta_star <= y <= 0.5]
+                want.append(clamp(max(roots), c.delta_plus) if roots else None)
+            assert [c.delta_T_minus, c.delta_T_plus] == want, k
+            undefined += want.count(None)
+        assert 0 < undefined < len(ks)  # both outcomes occur
 
     def test_strip_membership_helpers(self):
         c = consts(2.0)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from hypermap import tangency
-from hypermap.coordinates import (backward_angle, critical_constants, forward_angle, mod_pi, phi, phi_inverse,
-                                  phi_tilde, strip_pair_contains, theta_field)
+from hypermap.coordinates import (backward_angle, critical_constants, forward_angle, mod_one, mod_pi, phi,
+                                  phi_inverse, phi_tilde, strip_pair_contains, theta_field)
 from hypermap.oracle import svd2
 from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi, jacobian
 from hypermap.tangency import (
@@ -69,23 +69,19 @@ def reference_scan_min(params, grid):
     return best
 
 
-def row_loop_scan(params, grid):
-    """no_tangency_scan as a loop over rows that evaluates every cell: the
-    reference the bracketed scan must equal bit for bit."""
+def full_grid_scan(params, grid):
+    """no_tangency_scan over every cell of the mesh, with the same numpy
+    operations on each: the reference the bracketed scan must equal bit for
+    bit.  Row-major argmin breaks ties to the first row, then the smallest
+    column."""
     dm = consts(params.k).delta_minus
     half = grid // 2
-    ys = [dm * j / (half - 1) for j in range(half)]
-    ys += [1.0 - y for y in ys]
-    x = np.arange(grid) / grid
-    best = math.inf
-    best_y = best_yt = 0.0
-    for y in ys:
-        yt = (y - x) % 1.0
-        d = residual_angle(y, yt, params)
-        i = int(np.argmin(d))
-        if d[i] < best:
-            best, best_y, best_yt = float(d[i]), y, float(yt[i])
-    return NoTangencyReport(params.k, grid, best, best_y, best_yt)
+    low = dm * np.arange(half) / (half - 1)
+    y = np.concatenate([low, 1.0 - low])
+    yt = mod_one(y[:, None] - np.arange(grid) / grid)
+    d = tangency._angle_gap(mod_pi(forward_angle(y, params))[:, None], mod_pi(backward_angle(yt, params)))
+    i, j = divmod(int(np.argmin(d)), grid)
+    return NoTangencyReport(params.k, grid, float(d[i, j]), float(y[i]), float(yt[i, j]))
 
 
 def scan_pairs(n, seed, grids=(64, 256)):
@@ -140,44 +136,27 @@ def full_array_refined(y, ytilde, params):
 
 def counting(monkeypatch, name):
     """Replace tangency.<name> by a wrapper that counts the elements passed to
-    it (seen[0]) and its calls with a scalar (seen[1])."""
-    seen = [0, 0]
+    it in seen[0]."""
+    seen = [0]
     inner = getattr(tangency, name)
 
     def counted(coord, params):
         seen[0] += np.size(coord)
-        seen[1] += np.ndim(coord) == 0
         return inner(coord, params)
 
     monkeypatch.setattr(tangency, name, counted)
     return seen
 
 
-def jittering_forward(monkeypatch, seed):
-    """Replace tangency.forward_angle by a wrapper that moves each element of an
-    array result by up to 8 ulps either way; scalar calls are untouched."""
-    rng = np.random.default_rng(seed)
-    inner = tangency.forward_angle
-
-    def jittered(coord, params):
-        a = inner(coord, params)
-        if np.ndim(a) == 0:
-            return a
-        # The angles lie in [pi/2, 3 pi/2], so their bit patterns order like them.
-        return (a.view(np.int64) + rng.integers(-8, 9, a.shape)).view(np.float64)
-
-    monkeypatch.setattr(tangency, "forward_angle", jittered)
-
-
-#: The seeded (k, grid) pairs the bracketed scan must agree with the row loop on:
-#: 300 pairs, a few of them on large grids.
+#: The seeded (k, grid) pairs the bracketed scan must agree with the full-grid
+#: scan on: 300 pairs, a few of them on large grids.
 SEEDED_SCANS = scan_pairs(296, seed=19) + scan_pairs(8, seed=20, grids=(1024, 2048))[4:]
 
 
 @pytest.fixture(scope="module")
-def row_loop_reports():
-    """The row loop's report on each seeded pair."""
-    return [row_loop_scan(MapParams(k), grid) for k, grid in SEEDED_SCANS]
+def full_grid_reports():
+    """The full-grid scan's report on each seeded pair."""
+    return [full_grid_scan(MapParams(k), grid) for k, grid in SEEDED_SCANS]
 
 
 def reference_refine(y, ytilde, params):
@@ -364,13 +343,33 @@ class TestRayRoot:
                     i = int(steps[0])
                     assert self.GRID[i] <= got <= self.GRID[i + 1], (k, yt, got)
 
+    #: k1 = (2 + sqrt(3) + sqrt(13))/(4 sqrt(3) pi): 2 pi k1 is the ray root's
+    #: largest magnitude, reached where the backward field is pi/6 (at delta^+).
+    K1 = (2.0 + SQRT3 + math.sqrt(13.0)) / (4.0 * SQRT3 * math.pi)
+
     def test_heights_appear_at_every_ytilde_from_k1(self):
-        # k1 = (2 + sqrt(3) + sqrt(13))/(4 sqrt(3) pi): 2 pi k1 is the ray root's
-        # largest magnitude, reached where the backward field is pi/6 (at delta^+).
-        k1 = (2.0 + SQRT3 + math.sqrt(13.0)) / (4.0 * SQRT3 * math.pi)
-        at = np.array([consts(k1).delta_plus])
-        assert np.isnan(tangency._lower_heights(at, MapParams(k1 * (1 - 1e-9))))
-        assert not np.isnan(tangency._lower_heights(at, MapParams(k1 * (1 + 1e-9))))
+        at = np.array([consts(self.K1).delta_plus])
+        assert np.isnan(tangency._lower_heights(at, MapParams(self.K1 * (1 - 1e-9))))
+        assert not np.isnan(tangency._lower_heights(at, MapParams(self.K1 * (1 + 1e-9))))
+
+    def test_k1_from_the_root_range_in_mpmath(self):
+        # The backward field spans [pi/6, pi/3], so alpha = 2 theta_B spans
+        # [pi/3, 2 pi/3].  Over it the smaller ray root rises from
+        # -(2 + sqrt 3 + sqrt 13)/(2 sqrt 3) to (2 - sqrt 3 - sqrt 13)/(2 sqrt 3):
+        # its largest magnitude, 2 pi k1, is at alpha = pi/3.
+        with mpmath.workdps(50):
+            sqrt3, sqrt13 = mpmath.sqrt(3), mpmath.sqrt(13)
+            roots = []
+            for i in range(2001):
+                alpha = mpmath.pi / 3 * (1 + mpmath.mpf(i) / 2000)
+                s, c = mpmath.sin(alpha), mpmath.cos(alpha)
+                roots.append((-(2 * s + 4 * c) - mpmath.sqrt(12 * s * s + 16 * c * c)) / (4 * s))
+            assert all(a < b for a, b in zip(roots, roots[1:]))
+            assert mpmath.almosteq(roots[0], -(2 + sqrt3 + sqrt13) / (2 * sqrt3), 1e-45)
+            assert mpmath.almosteq(roots[-1], (2 - sqrt3 - sqrt13) / (2 * sqrt3), 1e-45)
+            k1 = -roots[0] / (2 * mpmath.pi)
+            assert mpmath.almosteq(k1, (2 + sqrt3 + sqrt13) / (4 * sqrt3 * mpmath.pi), 1e-45)
+            assert abs(mpmath.mpf(self.K1) - k1) <= math.ulp(self.K1)
 
 
 class TestTangencyCurve:
@@ -483,7 +482,7 @@ class TestTangencyCurve:
         with pytest.raises(TangencySelectionError) as info:
             tangency_curve(MapParams(0.3), 64)
         assert isinstance(info.value, ValueError)
-        assert "k = 0.3" in str(info.value)
+        assert str(info.value).startswith("k 0.3: ")
 
     def test_sample_count_floor(self):
         with pytest.raises(ValueError):
@@ -575,32 +574,9 @@ class TestNoTangencyScan:
                     theta_field(rep.at_ytilde, MapParams(k), "backward").theta,
                 ) == pytest.approx(rep.min_angle, abs=1e-15)
 
-    def test_equals_the_row_loop_bit_for_bit(self, row_loop_reports):
-        for (k, grid), want in zip(SEEDED_SCANS, row_loop_reports):
+    def test_equals_the_full_grid_scan_bit_for_bit(self, full_grid_reports):
+        for (k, grid), want in zip(SEEDED_SCANS, full_grid_reports):
             assert no_tangency_scan(MapParams(k), grid) == want, (k, grid)
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_recheck_absorbs_array_ulps(self, monkeypatch, row_loop_reports, seed):
-        # The scan picks its rows with the array forward angle and reports
-        # from the scalar one.  Moving every array angle by up to 8 ulps,
-        # where numpy's arctan2 and cos were seen to move it by at most one,
-        # changes no report: the rows the array path ranks within 1e-12 of
-        # the least hold the row loop's answer, and they are evaluated again.
-        # A row and its mirror about y = 1/2 tie to a few ulps, so a scan
-        # that reported from the array path's least row alone would lose
-        # the tie-break.
-        jittering_forward(monkeypatch, seed)
-        for (k, grid), want in zip(SEEDED_SCANS, row_loop_reports):
-            assert no_tangency_scan(MapParams(k), grid) == want, (k, grid)
-
-    def test_rechecks_at_most_four_rows(self, monkeypatch):
-        # A row and its mirror about y = 1/2 tie to a few ulps, so most scans
-        # recheck two.
-        seen = counting(monkeypatch, "forward_angle")
-        for k, grid in SEEDED_SCANS:
-            seen[1] = 0
-            no_tangency_scan(MapParams(k), grid)
-            assert 1 <= seen[1] <= 4, (k, grid, seen[1])
 
     def test_evaluates_o_grid_cells(self, monkeypatch):
         seen = counting(monkeypatch, "backward_angle")

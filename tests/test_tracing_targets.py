@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps module attributes of hypermap by name; every
-name it lists must still resolve, or every traced benchmark run fails."""
+name it lists must still resolve, or every traced benchmark run fails, and
+every import a module keeps only for it must still be listed."""
 
 import ast
 import importlib.util
@@ -17,13 +18,43 @@ from hypermap import svgrender
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_traced_attribute_resolves(monkeypatch):
+def traced_targets(monkeypatch) -> list:
+    """``TARGETS`` of the benchmark's tracer: (module, attribute, span name)."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
     spec.loader.exec_module(tracing)
-    missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in tracing.TARGETS if not hasattr(mod, attr)]
-    assert tracing.TARGETS and missing == []
+    return tracing.TARGETS
+
+
+def test_every_traced_attribute_resolves(monkeypatch):
+    targets = traced_targets(monkeypatch)
+    missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in targets if not hasattr(mod, attr)]
+    assert targets and missing == []
+
+
+def test_every_unused_import_is_one_the_tracer_wraps(monkeypatch):
+    # A module imports a name it never reads only so that the tracer can wrap
+    # it there.  Such a shim must go once the tracer stops wrapping the name.
+    targets = traced_targets(monkeypatch)
+    unread, shims = {}, {}
+    for path in sorted(Path(hypermap.__file__).parent.glob("*.py")):
+        module = "hypermap" if path.stem == "__init__" else f"hypermap.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+                    for alias in node.names}
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                    for name in ast.literal_eval(node.value)}
+        reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        calls = {node.func.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        wrapped = {attr for mod, attr, _ in targets if mod.__name__ == module}
+        unread[module] = imported - reads - exported
+        shims[module] = (wrapped & imported) - calls - exported
+    assert unread["hypermap.cli"] and unread["hypermap.coordinates"]  # the walk sees the shims
+    assert unread == shims
 
 
 def test_polyline_takes_the_points_it_writes_first():
