@@ -26,16 +26,16 @@ F-1 have no closed leaves, nor have F1 and E-1 where delta^* is undefined
 (k < 1/(4 pi)): one period of c is integrated and tiled.  Leaves of E1 and
 F-1 accumulate on the closed leaves of the orthogonal picture.
 
-The quadrature runs 3-point Gauss-Legendre on a fine grid in c, refined
-until each interval costs at most one allowance: its arc / ``step``, plus its
-turn of the tangent / 0.01 rad, plus its change of ln|w| / 0.25.  Output
-vertices are the grid nodes, less the middle node of pairs of adjacent
-intervals that together take at most one allowance of arc and turn; so
-consecutive vertices are at most ``step`` apart in arc and 0.01 rad in
-tangent angle, as the nodes measure it, and the last one lies at arc length
-``max_arc`` exactly.  A leaf is ``closed`` only when it starts on a
-closed leaf (within 1e-10 in c) and ``max_arc`` covers one period of it; the
-trace is then that period and ends on its start point.
+The quadrature runs 3-point Gauss-Legendre on a fine grid in c whose
+intervals each cost at most one allowance: their arc / ``step``, plus their
+turn of the tangent / 0.01 rad, plus their change of ln|w| / 0.25.  The grid
+equidistributes the cost that a coarser pilot grid measures (C. de Boor,
+1974), and its nodes are the output vertices; so consecutive vertices are at
+most ``step`` apart in arc and 0.01 rad in tangent angle, as the nodes
+measure it, and the last one lies at arc length ``max_arc`` exactly.  A leaf
+is ``closed`` only when it starts on a closed leaf (within 1e-10 in c) and
+``max_arc`` covers one period of it; the trace is then that period and ends
+on its start point.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ LEAF_FIELDS = ("E1", "F1", "E-1", "F-1")
 _JOIN = 1e-10
 #: Largest tangent turn between output vertices, in radians.
 _MAX_TURN = 0.01
-#: Change of ln|w| that counts as one allowance in the refinement, keeping
+#: Change of ln|w| that counts as one allowance in an interval's cost, keeping
 #: the 3-point rule accurate where ``step`` is coarse.
 _MAX_LOG_W = 0.25
-#: Refinement passes, and the most pieces one pass cuts an interval into.
+#: Most passes over a grid, and the cost each interval is placed to carry.
 _PASSES = 10
-_MAX_SPLIT = 4096
+_FILL = 0.85
 #: Initial grid: nodes per unit of c, spacing in asinh(psi) (the field turns
 #: where |psi| is of order one, a band of width ~1/k in c) and the ratio of
 #: successive distances from a zero of w.
@@ -210,12 +210,11 @@ class _LeafField:
 
 @dataclass
 class _Grid:
-    """Fine grid of one stretch of a leaf: nodes C, cumulative x, arc and turn."""
+    """Fine grid of one stretch of a leaf: nodes C, cumulative x and arc."""
 
     c: np.ndarray
     x: np.ndarray
     s: np.ndarray
-    turn: np.ndarray
     complete: bool
 
 
@@ -242,14 +241,6 @@ def _pilot(f: _LeafField, length: float, sigma: float, ahead: Optional[float],
     return sigma * np.unique(d[(d >= 0.0) & (d <= length)])
 
 
-def _subdivide(nodes: np.ndarray, pieces: np.ndarray) -> np.ndarray:
-    """Cut interval i of ``nodes`` into pieces[i] equal parts."""
-    first = np.repeat(nodes[:-1], pieces)
-    width = np.repeat(np.diff(nodes) / pieces, pieces)
-    j = np.arange(first.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    return np.append(first + j * width, nodes[-1])
-
-
 def _turns(a: np.ndarray) -> np.ndarray:
     """|change of the direction| between consecutive angles of ``a``, in [0, pi/2].
 
@@ -266,25 +257,26 @@ def _turns(a: np.ndarray) -> np.ndarray:
 
 
 def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Grid:
-    """Refine ``nodes`` until every interval is fine, dropping those past arc ``cap``.
+    """Nodes equidistributed on the cost ``nodes`` measure, dropping those past arc ``cap``.
 
-    An interval is fine when its cost, arc / step + turn / _MAX_TURN +
-    (change of ln|w|) / _MAX_LOG_W summed as fractions of one allowance, is at
-    most 1; each pass cuts every interval into ceil(1.25 cost) equal pieces,
-    so one that is not fine into two or more.  Once a pass finds every
-    interval fine, each moves m = arc / step + turn / _MAX_TURN by at most 1.
+    The cost of an interval is arc / step + turn / _MAX_TURN + (change of
+    ln|w|) / _MAX_LOG_W, summed as fractions of one allowance.  The first
+    pass places ceil(total / _FILL) intervals at equal steps of the cost the
+    pilot ``nodes`` sum up, interpolated linearly within each pilot interval;
+    each later pass measures the grid again and stops once every interval
+    costs at most 1, or places the nodes anew on its own costs.
 
     Each pass keeps whole the interval that crosses ``cap`` on its own arc
     estimate, so the grid ends at or past ``cap`` unless a later, finer pass
     reads the arc up to that node lower by more than the margin of ``cap``
-    over the arc wanted.  The pilot's arc at its nodes agrees with the
-    refined grid's to better than 1e-8 relative (6.4e-9 at worst over seeded
+    over the arc wanted.  The pilot's arc at the grid's last node agrees with
+    the grid's to better than 1e-8 relative (6.7e-9 at worst over seeded
     leaves of all four fields, k in [0.06, 300]), so ``trace_leaf`` asks for
     1e-6 past ``max_arc``; a grid that still falls short is not ``complete``
-    and is refined again with a doubled cap.
+    and is placed again with a doubled cap.
     """
     complete = True
-    for _ in range(_PASSES):
+    for done in range(_PASSES):
         a = f.angle(nodes)
         dx, ds = f.integrals(nodes[:-1], nodes[1:])
         s = np.concatenate([[0.0], np.cumsum(ds)])
@@ -292,34 +284,13 @@ def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Gr
         if n < len(ds):
             complete = False
             nodes, a, dx, ds, s = nodes[: n + 1], a[: n + 1], dx[:n], ds[:n], s[: n + 1]
-        turn = _turns(a)
         log_w = np.abs(np.diff(np.log(np.abs(f.speed(a)))))
-        cost = ds / step + turn / _MAX_TURN + log_w / _MAX_LOG_W
-        if cost.max(initial=0.0) <= 1.0:
+        cost = ds / step + _turns(a) / _MAX_TURN + log_w / _MAX_LOG_W
+        if done == _PASSES - 1 or (done and cost.max(initial=0.0) <= 1.0):
             break
-        pieces = np.clip(np.ceil(1.25 * cost), 1, _MAX_SPLIT).astype(np.int64)
-        nodes = _subdivide(nodes, pieces)
-    x = np.concatenate([[0.0], np.cumsum(dx)])
-    return _Grid(nodes, x, s, np.concatenate([[0.0], np.cumsum(turn)]), complete)
-
-
-def _vertices(grid: _Grid, step: float) -> np.ndarray:
-    """Indices of the nodes kept as vertices, first and last included.
-
-    Every node is kept but where two adjacent intervals together move
-    m = arc / step + turn / _MAX_TURN by at most 1: such a pair merges into
-    one chord.  One pass offers the pairs starting at even positions, a
-    second the pairs starting at odd positions of what the first kept; no
-    node offered in a pass is a neighbour of another, so the merges of a
-    pass are independent.  Each fine interval moves m by at most 1, so
-    consecutive vertices differ by at most 1 in m.
-    """
-    m = grid.s / step + grid.turn / _MAX_TURN
-    keep = np.arange(len(m))
-    for first in (1, 2):
-        mid = np.arange(first, len(keep) - 1, 2)
-        keep = np.delete(keep, mid[m[keep[mid + 1]] - m[keep[mid - 1]] <= 1.0])
-    return keep
+        total = np.concatenate([[0.0], np.cumsum(cost)])
+        nodes = np.interp(np.linspace(0.0, total[-1], math.ceil(total[-1] / _FILL) + 1), total, nodes)
+    return _Grid(nodes, np.concatenate([[0.0], np.cumsum(dx)]), s, complete)
 
 
 def _arc_point(f: _LeafField, grid: _Grid, target: float) -> tuple[float, float]:
@@ -338,17 +309,15 @@ def _arc_point(f: _LeafField, grid: _Grid, target: float) -> tuple[float, float]
     return float(c), float(grid.x[i] + dx[0])
 
 
-def _tile(f: _LeafField, grid: _Grid, step: float, max_arc: float, sigma: float,
+def _tile(f: _LeafField, grid: _Grid, max_arc: float, sigma: float,
           periodic: bool) -> tuple[np.ndarray, np.ndarray]:
     """Vertices (C, x) up to arc max_arc, repeating the grid's period if ``periodic``."""
-    keep = _vertices(grid, step)
     reps = int(max_arc // grid.s[-1]) if periodic and grid.complete else 0
     rem = max_arc - reps * grid.s[-1]
-    head = keep[:-1]
     shift = np.arange(reps)[:, None]
-    cs = [(grid.c[head] + sigma * shift).ravel()]
-    xs = [(grid.x[head] + grid.x[-1] * shift).ravel()]
-    part = keep[grid.s[keep] < rem]
+    cs = [(grid.c[:-1] + sigma * shift).ravel()]
+    xs = [(grid.x[:-1] + grid.x[-1] * shift).ravel()]
+    part = grid.s < rem
     end_c, end_x = _arc_point(f, grid, rem)
     cs += [grid.c[part] + sigma * reps, [end_c + sigma * reps]]
     xs += [grid.x[part] + grid.x[-1] * reps, [end_x + grid.x[-1] * reps]]
@@ -358,7 +327,6 @@ def _tile(f: _LeafField, grid: _Grid, step: float, max_arc: float, sigma: float,
 def _tail(f: _LeafField, grid: _Grid, step: float, max_arc: float, sigma: float,
           zero: float) -> tuple[np.ndarray, np.ndarray]:
     """Vertices (C, x) of the exponential approach to the closed leaf c = base + zero."""
-    keep = _vertices(grid, step)
     c1, x1, s1 = grid.c[-1], grid.x[-1], grid.s[-1]
     e1 = abs(zero - c1)
     a = f.angle(c1)
@@ -374,7 +342,7 @@ def _tail(f: _LeafField, grid: _Grid, step: float, max_arc: float, sigma: float,
         x = x1 + along * t
     else:  # dx/ds = (along sqrt(2 - w^2) - w) / 2, and w^2 < 1e-12 here
         x = x1 + along * t / math.sqrt(2.0) - 0.5 * (c - c1)
-    return np.concatenate([grid.c[keep], c]), np.concatenate([grid.x[keep], x])
+    return np.concatenate([grid.c, c]), np.concatenate([grid.x, x])
 
 
 def _closed_trace(field_id: str, start: TorusPoint, step: float, max_arc: float,
@@ -458,7 +426,7 @@ def trace_leaf(
         grid = _fine_grid(f, nodes, step, cap)
 
     if ahead is None or grid.s[-1] >= max_arc:
-        c, x = _tile(f, grid, step, max_arc, sigma, periodic=ahead is None)
+        c, x = _tile(f, grid, max_arc, sigma, periodic=ahead is None)
     else:
         c, x = _tail(f, grid, step, max_arc, sigma, sigma * ahead)
     lx = start.x + x
@@ -482,11 +450,14 @@ def closed_leaves(field_id: str, params: MapParams) -> list[Leaf]:
     """The exact closed leaves of a foliation, as analytic two-vertex leaves.
 
     F1 has the horizontal lines through the fold tips; E-1 has the two
-    diagonals ytilde = delta^* and 1 - delta^*.  E1 and F-1 have none.
+    diagonals ytilde = delta^* and 1 - delta^*.  E1 and F-1 have none, nor
+    have F1 and E-1 where delta^* is undefined (k < 1/(4 pi)).
     """
     if field_id not in LEAF_FIELDS:
         raise ParameterError("field_id", f"must be one of {LEAF_FIELDS}, got {field_id!r}")
-    if field_id in ("E1", "F-1"):
+    delta_star = critical_constants(params).delta_star if field_id in ("F1", "E-1") else None
+    if delta_star is None:
         return []
     # One period from x = 0 in one step: a step and arc of 2 exceed either period.
-    return [_closed_trace(field_id, TorusPoint(0.0, level), 2.0, 2.0, 1.0) for level in fold_tips(params)]
+    return [_closed_trace(field_id, TorusPoint(0.0, level), 2.0, 2.0, 1.0)
+            for level in (delta_star, 1.0 - delta_star)]

@@ -470,7 +470,7 @@ class TestFigures:
     @pytest.mark.parametrize("k", [0.08, 0.6, 0.93, 1.0, 10.0, 100.0])
     def test_forward_f1_leaves_equal_their_own_traces(self, tmp_path, monkeypatch, k):
         # The F1 leaves are one trace from (0, 0.5), shifted by each start's x.
-        # figures needs delta^*, so k starts just above 1/(4 pi).
+        # k = 0.08 lies just above 1/(4 pi), where the closed leaves appear.
         drawn = []
         leaf_elements = cli._leaf_elements
 

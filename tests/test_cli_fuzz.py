@@ -106,7 +106,6 @@ NAMED = [
     (["figures", "--step", "1e-7"], "--step"),
     (["tangency", "--k", "0.3"], "--k"),
     (["tangency", "--k", "1e-6"], "--k"),
-    (["figures", "--k", "1e-6"], "--k"),
     (["leaf", "--step", "1e300", "--max-arc", "1e300"], "--max-arc"),
     (["verify", "--k-list", "1e300"], "--k-list"),
     (["leaf", "--field", "E1", "--k", "1e300"], "--k"),
@@ -141,6 +140,17 @@ def test_every_input_ends_in_an_exit_code(argv):
 def test_exit_2_names_the_flag(argv, flag):
     rc, err = run(argv)
     assert rc == 2 and err.startswith(f"error: {flag} "), err
+
+
+def test_figures_below_one_over_4pi(tmp_path):
+    # delta^* is undefined below k = 1/(4 pi): F1 and E-1 have no closed
+    # leaves there, so the figure set is drawn without them.
+    for k in ("1e-6", "0.05"):
+        out = tmp_path / k
+        assert cli.run(["figures", "--k", k, "--out", str(out)]) == 0
+        files = sorted(out.iterdir())
+        assert len(files) == 6
+        assert not any('stroke="#108010"' in path.read_text() for path in files)
 
 
 def test_only_a_parameter_error_exits_2(monkeypatch):
