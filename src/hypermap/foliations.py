@@ -114,39 +114,42 @@ def _split(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A lifted polyline cut at the torus seams: all points in the unit
     square as one (m, 2) array, and the index at which each piece starts.
 
-    Each vertex is drawn in the unit square at an integer offset o from the
-    plane.  Per axis, a chord moving up to b ends in the square o = ceil(b) - 1
-    and one moving down in o = floor(b); a chord that does not move keeps o,
-    so a vertex lying on a side stays in its square.  The chord crosses
-    |o_new - o_old| sides of that axis.  Crossings are taken in order of
-    (chord, t, axis): at each, the current piece ends on the side, at
-    p + t (q - p) - o with o the offset after the chord's earlier crossings,
-    and the next piece starts on the opposite side.  The side coordinate is
-    set to exactly 1 or 0, as interpolation could round past it.
+    Each vertex is drawn in the unit square at the integer offset o = floor(p)
+    from the plane, except on a side: per axis, a chord moving up onto a side
+    ends in the square below it, and a chord that does not move keeps o, so a
+    vertex lying on a side stays in its square.  A chord crosses |o_new - o_old|
+    sides of an axis, and only the chords that cross are visited.  Crossings
+    are taken in order of (chord, t, axis): at each, the current piece ends on
+    the side, at p + t (q - p) - o with o the offset after the chord's earlier
+    crossings, and the next piece starts on the opposite side.  The side
+    coordinate is set to exactly 1 or 0, as interpolation could round past it.
+    Between crossing chords the pieces are slices of lifted - o.
     """
     n = len(lifted)
-    p, q = lifted[:-1], lifted[1:]
-    up, down = q > p, q < p
     offset = np.floor(lifted)
-    offset[1:] = np.where(up, np.ceil(q) - 1.0, offset[1:])
-    # A vertex whose chord did not move on an axis takes the offset of the last one that did.
-    last_move = np.repeat(np.arange(n)[:, None], 2, axis=1)
-    last_move[1:][~(up | down)] = 0
-    offset = np.take_along_axis(offset, np.maximum.accumulate(last_move, axis=0), axis=0)
-
-    # One entry per side crossed, chord by chord and axis by axis.
-    crossed = offset[1:] - offset[:-1]
-    count = np.abs(crossed).astype(np.intp).ravel()
-    pair = np.repeat(np.arange(count.size), count)
+    if (lifted[1:] == offset[1:]).any():  # the side rule moves only vertices after the first on a side
+        for v, o in zip(lifted.T, offset.T):
+            on = np.flatnonzero(v[1:] == o[1:]) + 1
+            before = v[on - 1]
+            # A run of equal values is consecutive in ``on`` and takes the offset of the vertex it starts at.
+            last = np.maximum.accumulate(np.where(v[on] != before, np.arange(len(on)), -1))
+            o[on] = np.where(last >= 0, np.where(v[on] > before, o[on] - 1.0, o[on])[last], o[0])
+    new, old = offset[1:].ravel(), offset[:-1].ravel()
+    pair = np.flatnonzero(new != old)  # 2 chord + axis, for each axis a chord crosses on
     if len(pair) == 0:
         return lifted - offset, np.zeros(min(n, 1), dtype=np.intp)
-    chord, axis = np.divmod(pair, 2)
-    nth = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
-    sign = np.sign(crossed.ravel())[pair]
-    old = offset[:-1].ravel()[pair]
+
+    # One entry per side crossed, chord by chord and axis by axis.
+    crossed = new[pair] - old[pair]
+    count = np.abs(crossed).astype(np.intp)
+    which = np.repeat(np.arange(len(pair)), count)
+    chord, axis = np.divmod(pair[which], 2)
+    nth = np.arange(len(which)) - np.repeat(np.cumsum(count) - count, count)
+    sign = np.sign(crossed)[which]
+    old = old[pair][which]
     side = np.where(sign > 0, old + 1.0 + nth, old - nth)
-    a = p.ravel()[pair]
-    t = (side - a) / (q.ravel()[pair] - a)
+    a = lifted[:-1].ravel()[pair][which]
+    t = (side - a) / (lifted[1:].ravel()[pair][which] - a)
 
     # Events in drawing order; the offset at each is the start's plus all earlier moves.
     order = np.lexsort((axis, t, chord))
@@ -154,15 +157,20 @@ def _split(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     events = np.arange(len(t))
     moves = np.zeros((len(t), 2))
     moves[events, axis] = sign
-    seam = p[chord] + t[:, None] * (q[chord] - p[chord]) - (offset[0] + np.cumsum(moves, axis=0) - moves)
+    p, q = lifted[chord], lifted[chord + 1]
+    seam = p + t[:, None] * (q - p) - (offset[0] + np.cumsum(moves, axis=0) - moves)
     # Each event puts two points, the end of one piece and the start of the next, before its chord's end.
     ends = chord + 1 + 2 * events
     out = np.empty((n + 2 * len(t), 2))
-    out[np.arange(n) + 2 * np.searchsorted(chord, np.arange(n))] = lifted - offset
     seam[events, axis] = np.where(sign > 0, 1.0, 0.0)
     out[ends] = seam
     seam[events, axis] = np.where(sign > 0, 0.0, 1.0)
     out[ends + 1] = seam
+    lo = 0  # the vertices up to each crossing chord's end go after the points of all earlier events
+    for e, c in enumerate([*chord.tolist(), n - 1]):
+        if c >= lo:
+            np.subtract(lifted[lo:c + 1], offset[lo:c + 1], out=out[lo + 2 * e:c + 1 + 2 * e])
+            lo = c + 1
     return out, np.concatenate([[0], ends + 1])
 
 
@@ -301,10 +309,13 @@ def _arc_point(f: _LeafField, grid: _Grid, target: float) -> tuple[float, float]
         return float(lo), float(grid.x[i])
     sign = math.copysign(1.0, hi - lo)
     c = lo + (hi - lo) * (target - grid.s[i]) / (grid.s[i + 1] - grid.s[i])
-    for _ in range(4):  # Newton on arc(c), whose slope is 1/|w|
+    for _ in range(4):  # Newton on arc(c), whose slope is 1/|w|; a step depends on c alone, so a repeat is final
         _, ds = f.integrals(np.array([lo]), np.array([c]))
-        c -= sign * (grid.s[i] + ds[0] - target) * abs(f.speed(f.angle(c)))
-        c = min(max(c, min(lo, hi)), max(lo, hi))
+        nxt = c - sign * (grid.s[i] + ds[0] - target) * abs(f.speed(f.angle(c)))
+        nxt = min(max(nxt, min(lo, hi)), max(lo, hi))
+        if nxt == c and math.copysign(1.0, nxt) == math.copysign(1.0, c):  # the same bits, -0.0 apart from 0.0
+            break
+        c = nxt
     dx, _ = f.integrals(np.array([lo]), np.array([c]))
     return float(c), float(grid.x[i] + dx[0])
 

@@ -564,6 +564,46 @@ class TestOneAllowance:
         assert worst <= 1e-8
 
 
+def four_step_arc_point(f, grid, target: float) -> tuple[float, float, int]:
+    """(C, x) of ``_arc_point`` with all four Newton steps taken, and the step
+    whose iterate first repeats the one before it (4 if none before the last)."""
+    i = min(int(np.searchsorted(grid.s, target, side="right")) - 1, len(grid.s) - 2)
+    lo, hi = grid.c[i], grid.c[i + 1]
+    if grid.s[i] == target:
+        return float(lo), float(grid.x[i]), 0
+    sign = math.copysign(1.0, hi - lo)
+    iterates = [lo + (hi - lo) * (target - grid.s[i]) / (grid.s[i + 1] - grid.s[i])]
+    for _ in range(4):
+        c = iterates[-1]
+        _, ds = f.integrals(np.array([lo]), np.array([c]))
+        c -= sign * (grid.s[i] + ds[0] - target) * abs(f.speed(f.angle(c)))
+        iterates.append(min(max(c, min(lo, hi)), max(lo, hi)))
+    c = iterates[-1]
+    dx, _ = f.integrals(np.array([lo]), np.array([c]))
+    repeat = next((j for j in range(1, 4) if iterates[j] == iterates[j - 1]), 4)
+    return float(c), float(grid.x[i] + dx[0]), repeat
+
+
+def test_arc_point_equals_four_newton_steps(monkeypatch):
+    # _arc_point stops once an iterate repeats; that must be the point and x
+    # that four steps give, bit for bit.
+    calls = []
+    arc_point = foliations._arc_point
+
+    def spy(f, grid, target):
+        got = arc_point(f, grid, target)
+        calls.append((got, four_step_arc_point(f, grid, target)))
+        return got
+
+    monkeypatch.setattr(foliations, "_arc_point", spy)
+    for i, (field_id, start, p) in enumerate(seeded_leaves(38, LEAF_FIELDS, 10, (0.5, 30.0))):
+        trace_leaf(field_id, start, p, max_arc=(1.0, 2.5, 5.0)[i % 3])
+    for got, (c, x, _) in calls:
+        assert np.array([got]).view(np.uint64).tolist() == np.array([(c, x)]).view(np.uint64).tolist()
+    # Repeats after the second and the third step, and calls that take all four.
+    assert {2, 3, 4} <= {repeat for _, (_, _, repeat) in calls}
+
+
 class TestIntegralsRowIndependent:
     """Each row of ``_LeafField.integrals`` depends on its own interval only.
 

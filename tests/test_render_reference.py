@@ -138,6 +138,36 @@ class TestSplitMatchesReference:
             leaf = trace_leaf(field_id, start, MapParams(k), step=step, max_arc=max_arc)
             assert_same_pieces(leaf.lifted)
 
+    def test_benchmark_shaped_leaves(self):
+        # The leaf jobs of the benchmark: thousands of vertices, a few seam crossings.
+        rng = np.random.default_rng(38)
+        crossings = 0
+        for field_id in LEAF_FIELDS:
+            for _ in range(2):
+                start = TorusPoint(float(rng.random()), float(rng.random()))
+                leaf = trace_leaf(field_id, start, MapParams(float(rng.uniform(25.0, 35.0))), step=1e-3, max_arc=5.0)
+                assert len(leaf.lifted) > 3000
+                assert_same_pieces(leaf.lifted)
+                crossings += len(leaf.segments()) - 1
+        assert crossings > 8
+
+    @pytest.mark.parametrize("field_id,k", [("E1", 0.3), ("E1", 1.0), ("F1", 0.02), ("F1", 0.05)])
+    def test_traced_vertices_on_sides(self, field_id, k):
+        # y = c along these leaves and the grid tiles one period of c, so from
+        # y = 0 a vertex lies on y = n at every period; a chord moving up onto
+        # it ends in the square below, where floor(y) would not put it.
+        x = float(np.random.default_rng(39).random())
+        up_onto_side = 0
+        for direction in ((1.0, 0.0), (-1.0, 0.0)):
+            leaf = trace_leaf(field_id, TorusPoint(x, 0.0), MapParams(k), step=1e-2, max_arc=10.0,
+                              initial_direction=direction)
+            lifted = leaf.lifted
+            on_side = lifted[1:] == np.floor(lifted[1:])
+            assert on_side.any()
+            up_onto_side += int((on_side & (lifted[1:] > lifted[:-1])).sum())
+            assert_same_pieces(lifted)
+        assert up_onto_side > 0
+
 
 def test_percent_format_matches_f_string():
     special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e16, 1e-16, 0.1, 2.0**53]
