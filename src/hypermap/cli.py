@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -96,11 +96,21 @@ def _g(v: float) -> str:
     return f"{v:.17g}"
 
 
+@contextlib.contextmanager
+def _writing(out: str) -> Iterator[None]:
+    """An OSError from making or writing the --out path out, as ParameterError("out", ...): exit 2.
+    Standard output is written outside it, so that a closed pipe still reaches ``main`` (exit 141)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError("out", f"{out}: {exc.strerror}") from None
+
+
 def _emit(cfg: RunConfig, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if cfg.out not in (None, "-"):
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with _writing(cfg.out), open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
     out = sys.stdout
@@ -300,20 +310,7 @@ def _cmd_tangency(cfg: RunConfig, params: MapParams) -> int:
 def _cmd_cones(cfg: RunConfig, params: MapParams, inside_strip: bool) -> int:
     report = verify_cones(params, cfg.m, cfg.samples, cfg.seed, inside_strip=inside_strip)
     if cfg.format == "csv":
-        rows = [
-            ("k", report.k),
-            ("m", report.m),
-            ("samples", report.samples),
-            ("seed", report.seed),
-            ("region", "inside" if inside_strip else "outside"),
-            ("failures", report.failures),
-            ("slope_failures", report.slope_failures),
-            ("norm_failures", report.norm_failures),
-            ("min_norm", report.min_norm),
-            ("slope_min", report.slope_range[0]),
-            ("slope_max", report.slope_range[1]),
-        ]
-        _emit(cfg, _csv(cfg, ["metric", "value"], list(zip(*rows))))
+        _emit(cfg, _csv(cfg, ["metric", "value"], list(zip(*report.rows()))))
     else:
         _emit(cfg, cfg.header() + "\n" + report.to_text())
     return 0 if report.failures == 0 else 1
@@ -510,11 +507,12 @@ def _cmd_figures(cfg: RunConfig, params: MapParams) -> int:
         files["tangency_plane.svg"] = svgrender.document(plane)
         files["tangency_torus.svg"] = svgrender.document(_torus_curves(params, ytilde, lower, upper))
     outdir = cfg.out or "figures"
-    os.makedirs(outdir, exist_ok=True)
-    for name, content in files.items():
-        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
-            fh.write(content)
-        print(os.path.join(outdir, name))
+    with _writing(outdir):
+        os.makedirs(outdir, exist_ok=True)
+        for name, content in files.items():
+            with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+                fh.write(content)
+    print("\n".join(os.path.join(outdir, name) for name in files))
     return 0
 
 

@@ -150,6 +150,14 @@ def phi_prime(y: Coord, params: MapParams) -> Coord:
     return 8.0 * _p2(p) / (p1 * p1) * psi_prime(y, params)
 
 
+def forward_angle_prime(y: Coord, params: MapParams) -> Coord:
+    """Analytic derivative of forward_angle: 4 P2(psi_c) / (P1(psi_c)^2 + P1'(psi_c)^2) * psi_c'.
+
+    P1'^2 - 4 P1 = 8 P2 > 0, so it vanishes only where psi_c' does, at y = 0 and 1/2."""
+    num, den = phi_parts(y, params)  # (-P1', P1)
+    return 4.0 * _p2(psi(y, params)) / (num * num + den * den) * psi_prime(y, params)
+
+
 def phi_inverse_branch(z: Coord, sign: Coord, params: MapParams) -> Coord:
     """One quadratic branch of phi^{-1}(z): a root y in [0, 1/2], or NaN.
 

@@ -281,20 +281,25 @@ class ConeReport:
     #: Samples the sweep drew and evaluated; the others were settled unseen.
     drawn: int = field(repr=False, compare=False, default=0)
 
-    def to_text(self) -> str:
-        lines = [
-            f"k {self.k:.17g}",
-            f"m {self.m}",
-            f"samples {self.samples}",
-            f"seed {self.seed}",
-            f"region {'inside' if self.inside_strip else 'outside'} Delta^(m)",
-            f"failures {self.failures}",
-            f"slope_failures {self.slope_failures}",
-            f"norm_failures {self.norm_failures}",
-            f"min_norm {self.min_norm:.17g}",
-            f"slope_min {self.slope_range[0]:.17g}",
-            f"slope_max {self.slope_range[1]:.17g}",
+    def rows(self) -> list[tuple[str, object]]:
+        """The metrics of both report formats, as (name, value) in their order."""
+        return [
+            ("k", self.k),
+            ("m", self.m),
+            ("samples", self.samples),
+            ("seed", self.seed),
+            ("region", "inside" if self.inside_strip else "outside"),
+            ("failures", self.failures),
+            ("slope_failures", self.slope_failures),
+            ("norm_failures", self.norm_failures),
+            ("min_norm", self.min_norm),
+            ("slope_min", self.slope_range[0]),
+            ("slope_max", self.slope_range[1]),
         ]
+
+    def to_text(self) -> str:
+        lines = [(f"{name} {value:.17g}" if isinstance(value, float) else f"{name} {value}")
+                 + (" Delta^(m)" if name == "region" else "") for name, value in self.rows()]
         if self.failure_records:
             from . import numfmt  # only reports with failures need the kernel
 

@@ -113,6 +113,8 @@ NAMED = [
     (["cones", "--seed", "-1"], "--seed"),
     (["figures", "--grid", "0"], "--grid"),
     (["tangency", "--k", "1e7"], "--k"),
+    (["constants", "--out", "{tmp}"], "--out"),
+    (["constants", "--out", "{tmp}/missing/out.csv"], "--out"),
 ]
 
 
@@ -166,3 +168,27 @@ def test_only_a_parameter_error_exits_2(monkeypatch):
         run(["tangency", "--grid", "16"])
     monkeypatch.setattr(cli, "tangency_curve", fails(ParameterError("n_samples", "is wrong")))
     assert run(["tangency", "--grid", "16"]) == (2, "error: --grid is wrong\n")
+
+
+@pytest.mark.parametrize("out", ["/dev/null", "{tmp}/file"])
+def test_figures_out_that_is_a_file_exits_2(out):
+    # The figure directory cannot be made where --out names a file.
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(err):
+        out = out.replace("{tmp}", tmp)
+        open(f"{tmp}/file", "w").close()
+        rc = cli.run(["figures", "--k", "1", "--grid", "16", "--out", out])
+    assert (rc, err.getvalue()) == (2, f"error: --out {out}: File exists\n")
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["figures", "--k", "1", "--grid", "16", "--out", "{tmp}"]],
+                         ids=" ".join)
+def test_closed_stdout_is_no_out_error(argv):
+    # A reader that closed standard output is not a bad --out: the
+    # BrokenPipeError reaches main, which exits 141.
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(Closed()), pytest.raises(BrokenPipeError):
+        cli.run([arg.replace("{tmp}", tmp) for arg in argv])

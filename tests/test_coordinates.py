@@ -15,6 +15,7 @@ from hypermap.coordinates import (
     backward_angle,
     critical_constants,
     forward_angle,
+    forward_angle_prime,
     gap_mod_pi,
     hyperbolic_frame,
     mod_one,
@@ -483,6 +484,30 @@ class TestThetaField:
     def test_bad_time_rejected(self):
         with pytest.raises(ValueError):
             theta_field(0.1, MapParams(1.0), "both")
+
+    def test_forward_angle_prime_against_mpmath(self):
+        # mpmath.diff of the forward angle at 40 digits, at seeded (y, k), a
+        # third of them within 1/k of y = 1/4, 1/2 and 3/4.  The reference
+        # turns 2 pi y as psi rounds it, which is psi's rounding (one ulp of
+        # the angle), not the slope's; against it, floats and arrays are
+        # within a few eps.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(39)
+        ks = [math.exp(rng.uniform(math.log(0.01), math.log(2e6))) for _ in range(300)]
+        ys = [(rng.random() if i % 3 else rng.choice([0.25, 0.5, 0.75]) + rng.uniform(-1.0, 1.0) / k) % 1.0
+              for i, k in enumerate(ks)]
+        for y, k in zip(ys, ks):
+            params = MapParams(k)
+            with mpmath.workdps(40):
+                turn, two_pi_k = mpmath.mpf(TWO_PI * y), 2 * mpmath.pi * mpmath.mpf(k)
+
+                def angle(u):
+                    p = two_pi_k * mpmath.cos(turn + 2 * mpmath.pi * (u - y))
+                    return mpmath.atan2(-(4 * p + 2), 2 * p * p + 2 * p - 1) / 2
+
+                want = mpmath.diff(angle, mpmath.mpf(y))
+            for got in (forward_angle_prime(y, params), forward_angle_prime(np.array([y]), params)[0]):
+                assert abs(got - want) <= 16 * math.ulp(1.0) * abs(want), (y, k)
 
 
 class TestUnitVector:

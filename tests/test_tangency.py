@@ -113,25 +113,17 @@ def mp_residual(y, ytilde, k):
         return min(d, mpmath.pi - d)
 
 
-def full_array_refined(y, ytilde, params):
-    """_refined with every step on the whole arrays: the reference for the
-    polish that evaluates only the samples still active."""
-    b = backward_angle(ytilde, params) % math.pi
-
-    def diff(yy):
-        d = (forward_angle(yy, params) % math.pi - b) % math.pi
-        return np.where(d > math.pi / 2.0, d - math.pi, d)
-
-    h = 1e-9
-    active = np.ones(np.shape(y), dtype=bool)
-    for _ in range(3):
-        d0 = diff(y)
-        slope = (diff(y + h) - d0) / h
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -d0 / slope
-        active &= (np.abs(d0) >= 1e-13) & (slope != 0.0) & (np.abs(step) <= 1e-6)
-        y = np.where(active, y + step, y)
-    return y, residual_angle(y, ytilde, params)
+def mp_lower_height(ytilde, k):
+    """The lower tangency height at ytilde in mpmath (40 digits): the height
+    in [0, 1/2] at which psi_c takes the smaller root of the ray quadratic
+    at the doubled backward angle."""
+    with mpmath.workdps(40):
+        two_pi_k = 2 * mpmath.pi * mpmath.mpf(k)
+        q = two_pi_k * mpmath.cos(2 * mpmath.pi * mpmath.mpf(ytilde))
+        alpha = mpmath.pi + mpmath.atan2(-2 * (q * q + q + 1), 2 * q + 1)
+        s, c = mpmath.sin(alpha), mpmath.cos(alpha)
+        root = (-(2 * s + 4 * c) - mpmath.sqrt(12 * s * s + 16 * c * c)) / (4 * s)
+        return mpmath.acos(root / two_pi_k) / (2 * mpmath.pi)
 
 
 def counting(monkeypatch, name):
@@ -421,31 +413,35 @@ class TestTangencyCurve:
                 assert abs(upper[i] - reference_refine(hi, yt, params)) <= 1e-12
                 assert res_lower[i] == pytest.approx(residual_angle(float(lower[i]), yt, params), abs=1e-15)
 
-    @pytest.mark.parametrize("k", [0.5, 0.6, 3.0, 20.0, 150.0, 200.0, 1e4, MAX_CURVE_K])
-    def test_polish_equals_full_array_steps(self, k):
-        # At k = 150 some samples stay active after the first step (a tenth of
-        # the lower curve, two thirds of the upper), and at k >= 1e4 most run
-        # all three steps.
-        params = MapParams(k)
-        for n in (16, 1000, 4096):
-            ytilde, lower, upper = tangency_curve(params, n)
-            lo = tangency._lower_heights(ytilde, params)
-            for got, start in ((lower, lo), (upper, 1.0 - lo)):
-                want = full_array_refined(start, ytilde, params)
-                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (k, n)
-        c = consts(k)
-        ytilde = np.array([0.0, c.delta_minus, c.delta_star, c.delta_plus, 0.5])
-        want = full_array_refined(tangency._lower_heights(ytilde, params), ytilde, params)
-        assert [(tp.y, tp.residual) for tp in tangency_landmarks(params)[:5]] == list(zip(*(w.tolist() for w in want)))
+    def test_moved_heights_near_the_exact_root(self):
+        # Lower heights against the mpmath ray root over seeded k.  A height
+        # the Newton step moved lies within 1.25 ulps of it: psi's rounding of
+        # 2 pi y alone is ~0.6 ulp of y, and the step rounds once more (the
+        # worst here is 1.11 ulps).  The others keep the ray root's bits:
+        # from k ~ 1e3 on some heights move at every k, up to k ~ 20 none do.
+        rng = random.Random(39)
+        for k in [math.exp(rng.uniform(math.log(0.34), math.log(MAX_CURVE_K))) for _ in range(40)]:
+            params = MapParams(k)
+            ytilde, (lower, _), _ = tangency_curve(params, 256)
+            moved = np.flatnonzero(lower != tangency._lower_heights(ytilde, params))
+            assert moved.size or k < 1e3, k
+            for yt, y in zip(ytilde[moved].tolist(), lower[moved].tolist()):
+                assert abs(mpmath.mpf(y) - mp_lower_height(yt, k)) <= 1.25 * np.spacing(y), (k, yt)
 
     @pytest.mark.parametrize("k", [0.6, 3.0, 20.0])
     def test_polish_stops_when_no_sample_moves(self, monkeypatch, k):
-        # One check at y and y + h, whose forward angle the residual reuses:
-        # 2 evaluations a sample (7 with every step on the whole arrays and
-        # the residual evaluated afresh).
+        # One check at every height, whose forward angle the residual reuses:
+        # 1 evaluation a height, since no height moves at these k.
         seen = counting(monkeypatch, "forward_angle")
         tangency_curve(MapParams(k), 4096)
         assert seen[0] <= 2 * 2.1 * 4096
+
+    @pytest.mark.parametrize("k", [1e4, MAX_CURVE_K])
+    def test_polish_evaluates_each_height_at_most_twice(self, monkeypatch, k):
+        # Once at every height, and once more where the Newton step moved it.
+        seen = counting(monkeypatch, "forward_angle")
+        tangency_curve(MapParams(k), 4096)
+        assert seen[0] <= 2 * 2 * 4096
 
     @pytest.mark.parametrize("k", [0.6, 20.0, 1e4])
     def test_backward_field_once_per_sample(self, monkeypatch, k):
