@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, svgrender
 from .coordinates import (backward_angle, critical_constants, forward_angle, mod_pi, phi, phi_inverse_branch,
                           phi_prime, phi_tilde)
-from .foliations import LEAF_FIELDS, MAX_VERTICES, Leaf, closed_leaves, trace_leaf
+from .foliations import LEAF_FIELDS, MAX_VERTICES, Leaf, _split, closed_leaves, trace_leaf
 from .hyperbolicity import delta_strip, push_vector, verify_cones
 from .oracle import svd2_entries
 from .stdmap import (TWO_PI, MapParams, ParameterError, TorusPoint, angle_dist_mod_pi, canonical_angle,
@@ -275,9 +275,8 @@ def _cmd_leaf(cfg: RunConfig, params: MapParams, field: str, x: float, y: float)
         elements = _strip_elements(params) + _leaf_elements([leaf], "#c03030")
         _emit(cfg, svgrender.document(elements))
         return 0
-    segs = leaf.segments()
-    points = np.concatenate(segs)
-    seg_id = np.repeat(np.array([b"%d" % i for i in range(len(segs))]), [len(seg) for seg in segs])
+    points, starts = _split(leaf.lifted)
+    seg_id = np.repeat(np.array([b"%d" % i for i in range(len(starts))]), np.diff(starts, append=len(points)))
     _emit(cfg, _csv(cfg, ["seg_id", "x", "y"], [seg_id, points[:, 0], points[:, 1]]))
     return 0
 

@@ -29,8 +29,9 @@ F-1 accumulate on the closed leaves of the orthogonal picture.
 The quadrature runs 3-point Gauss-Legendre on a fine grid in c whose
 intervals each cost at most one allowance: their arc / ``step``, plus their
 turn of the tangent / 0.01 rad, plus their change of ln|w| / 0.25.  The grid
-equidistributes the cost that a coarser pilot grid measures (C. de Boor,
-1974), and its nodes are the output vertices; so consecutive vertices are at
+equidistributes the cost that a coarser pilot grid measures from the field
+at its nodes alone, up to a margin past ``max_arc`` (C. de Boor, 1974), and
+its nodes are the output vertices; so consecutive vertices are at
 most ``step`` apart in arc and 0.01 rad in tangent angle, as the nodes
 measure it, and the last one lies at arc length ``max_arc`` exactly.  A leaf
 is ``closed`` only when it starts on a closed leaf (within 1e-10 in c) and
@@ -63,6 +64,12 @@ _MAX_LOG_W = 0.25
 #: Most passes over a grid, and the cost each interval is placed to carry.
 _PASSES = 10
 _FILL = 0.85
+#: The pilot pass ends where its trapezoid arc reaches _CUT times the cap.
+#: That arc errs by ~1e-3 at most: (r - 1)(1 + 1/r) / (2 ln r) - 1 = 4.1e-4 a
+#: step of the geometric approach to a zero of w (r = _PILOT_RATIO), 5.3e-4 at
+#: worst over seeded leaves (k in [0.06, 300]).  Ten times that keeps the grid
+#: past the cap, but within 0.1 % below k = 1/(4 pi) some leaves retry.
+_CUT = 1.01
 #: Initial grid: nodes per unit of c, spacing in asinh(psi) (the field turns
 #: where |psi| is of order one, a band of width ~1/k in c) and the ratio of
 #: successive distances from a zero of w.
@@ -233,20 +240,24 @@ def _pilot(f: _LeafField, length: float, sigma: float, ahead: Optional[float],
     ``ahead`` and ``behind`` are the distances of the zeros of w in front of
     and behind the start, when the field has zeros.
     """
-    parts = [np.linspace(0.0, length, math.ceil(length * _PILOT_PER_UNIT) + 1)]
+    # np.linspace's and np.geomspace's nodes, bit for bit: start + i * (span / intervals), the ends exact.
+    n = math.ceil(length * _PILOT_PER_UNIT)
     amp = TWO_PI * f.params.k
     top = math.asinh(amp)
-    levels = np.sinh(np.linspace(-top, top, math.ceil(2.0 * top / _PILOT_XI) + 1))
+    m = math.ceil(2.0 * top / _PILOT_XI)
+    levels = np.sinh(np.append(np.arange(m) * (2.0 * top / m) - top, top))
     v = psi_inverse(np.clip(levels, -amp, amp), f.params)
     first = (sigma * (np.concatenate([v, 1.0 - v]) - f.base)) % 1.0
-    parts.append((first[:, None] + np.arange(math.ceil(length) + 1)).ravel())
+    parts = [np.arange(n) * (length / n), [length], (first[:, None] + np.arange(math.ceil(length) + 1)).ravel()]
     if ahead is not None and behind is not None:
-        n = math.ceil(math.log(ahead / _JOIN) / math.log(_PILOT_RATIO)) + 1
-        parts.append(ahead - np.geomspace(_JOIN, ahead, n))
-        n = math.ceil(math.log((behind + length) / behind) / math.log(_PILOT_RATIO)) + 1
-        parts.append(np.geomspace(behind, behind + length, n) - behind)
+        for lo, hi, sign, shift in ((_JOIN, ahead, -1.0, ahead), (behind, behind + length, 1.0, -behind)):
+            n = math.ceil(math.log(hi / lo) / math.log(_PILOT_RATIO))
+            log_lo, log_hi = np.log10([lo, hi])
+            nodes = np.append(10.0 ** (np.arange(1, n) * ((log_hi - log_lo) / n) + log_lo), [lo, hi])
+            parts.append(sign * nodes + shift)
     d = np.concatenate(parts)
-    return sigma * np.unique(d[(d >= 0.0) & (d <= length)])
+    d = np.sort(d[(d >= 0.0) & (d <= length)])
+    return sigma * d[np.append(True, d[1:] != d[:-1])]
 
 
 def _turns(a: np.ndarray) -> np.ndarray:
@@ -269,36 +280,47 @@ def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Gr
 
     The cost of an interval is arc / step + turn / _MAX_TURN + (change of
     ln|w|) / _MAX_LOG_W, summed as fractions of one allowance.  The first
-    pass places ceil(total / _FILL) intervals at equal steps of the cost the
-    pilot ``nodes`` sum up, interpolated linearly within each pilot interval;
-    each later pass measures the grid again and stops once every interval
-    costs at most 1, or places the nodes anew on its own costs.
+    pass reads the pilot ``nodes``' arc by the trapezoid rule on 1/|w|, ends
+    the interval crossing _CUT * cap where that arc, linear in C, reaches it,
+    and places ceil(total / _FILL) intervals at equal steps of the pilot's
+    cost, interpolated linearly; each later pass measures the grid by the
+    3-point rule and stops once every interval costs at most 1, or places
+    the nodes anew on its own costs.
 
-    Each pass keeps whole the interval that crosses ``cap`` on its own arc
-    estimate, so the grid ends at or past ``cap`` unless a later, finer pass
-    reads the arc up to that node lower by more than the margin of ``cap``
-    over the arc wanted.  The pilot's arc at the grid's last node agrees with
-    the grid's to better than 1e-8 relative (6.7e-9 at worst over seeded
-    leaves of all four fields, k in [0.06, 300]), so ``trace_leaf`` asks for
-    1e-6 past ``max_arc``; a grid that still falls short is not ``complete``
-    and is placed again with a doubled cap.
+    Each later pass keeps whole the interval that crosses ``cap`` on its own
+    arc estimate, and two such passes agree on the arc to better than 1e-8
+    relative (6.7e-9 at worst over seeded leaves of all four fields, k in
+    [0.06, 300]), so ``trace_leaf`` asks for 1e-6 past ``max_arc``.  A grid
+    still short (the pilot's arc, good to ~1e-3, high by more than _CUT
+    allows) is placed again with a doubled cap.  It is ``complete`` if it
+    spans ``nodes``.
     """
     complete = True
     for done in range(_PASSES):
         a = f.angle(nodes)
-        dx, ds = f.integrals(nodes[:-1], nodes[1:])
+        w = np.abs(f.speed(a))
+        if done:
+            dx, ds = f.integrals(nodes[:-1], nodes[1:])
+        else:  # the pilot: the trapezoid rule on 1/|w| at the nodes
+            ds = 0.5 * np.abs(np.diff(nodes)) * (1.0 / w[:-1] + 1.0 / w[1:])
         s = np.concatenate([[0.0], np.cumsum(ds)])
-        n = int(np.searchsorted(s[:-1], cap))
+        end = cap if done else _CUT * cap
+        n = int(np.searchsorted(s[:-1], end))
         if n < len(ds):
             complete = False
-            nodes, a, dx, ds, s = nodes[: n + 1], a[: n + 1], dx[:n], ds[:n], s[: n + 1]
-        log_w = np.abs(np.diff(np.log(np.abs(f.speed(a)))))
+            nodes, a, w, ds, s = nodes[: n + 1], a[: n + 1], w[: n + 1], ds[:n], s[: n + 1]
+            if not done:  # end the crossing interval where its arc, linear in C, reaches ``end``
+                nodes = np.append(nodes[:n], nodes[n - 1] + (nodes[n] - nodes[n - 1]) * (end - s[n - 1]) / ds[n - 1])
+                a[n:] = f.angle(nodes[n:])
+                w[n:] = np.abs(f.speed(a[n:]))
+                ds[n - 1] = end - s[n - 1]
+        log_w = np.abs(np.diff(np.log(w)))
         cost = ds / step + _turns(a) / _MAX_TURN + log_w / _MAX_LOG_W
         if done == _PASSES - 1 or (done and cost.max(initial=0.0) <= 1.0):
             break
         total = np.concatenate([[0.0], np.cumsum(cost)])
         nodes = np.interp(np.linspace(0.0, total[-1], math.ceil(total[-1] / _FILL) + 1), total, nodes)
-    return _Grid(nodes, np.concatenate([[0.0], np.cumsum(dx)]), s, complete)
+    return _Grid(nodes, np.concatenate([[0.0], np.cumsum(dx[: len(ds)])]), s, complete)
 
 
 def _arc_point(f: _LeafField, grid: _Grid, target: float) -> tuple[float, float]:
@@ -310,13 +332,14 @@ def _arc_point(f: _LeafField, grid: _Grid, target: float) -> tuple[float, float]
     sign = math.copysign(1.0, hi - lo)
     c = lo + (hi - lo) * (target - grid.s[i]) / (grid.s[i + 1] - grid.s[i])
     for _ in range(4):  # Newton on arc(c), whose slope is 1/|w|; a step depends on c alone, so a repeat is final
-        _, ds = f.integrals(np.array([lo]), np.array([c]))
+        dx, ds = f.integrals(np.array([lo]), np.array([c]))
         nxt = c - sign * (grid.s[i] + ds[0] - target) * abs(f.speed(f.angle(c)))
         nxt = min(max(nxt, min(lo, hi)), max(lo, hi))
         if nxt == c and math.copysign(1.0, nxt) == math.copysign(1.0, c):  # the same bits, -0.0 apart from 0.0
             break
         c = nxt
-    dx, _ = f.integrals(np.array([lo]), np.array([c]))
+    else:
+        dx, _ = f.integrals(np.array([lo]), np.array([c]))
     return float(c), float(grid.x[i] + dx[0])
 
 
@@ -431,7 +454,8 @@ def trace_leaf(
     nodes = _pilot(f, length, sigma, ahead, behind)
     cap = (1.0 + 1e-6) * max_arc
     grid = _fine_grid(f, nodes, step, cap)
-    # Short only if a finer pass read the arc lower than the pass that cut the grid.
+    # Short only if the pilot read the arc high by more than _CUT allows, or a
+    # finer pass read it lower than the pass that cut the grid.
     while not grid.complete and grid.s[-1] < max_arc:
         cap *= 2.0
         grid = _fine_grid(f, nodes, step, cap)

@@ -144,6 +144,14 @@ def test_exit_2_names_the_flag(argv, flag):
     assert rc == 2 and err.startswith(f"error: {flag} "), err
 
 
+@pytest.mark.parametrize("k", ["1e12", "1e150"])
+@pytest.mark.parametrize("field", ["E1", "E-1"])
+def test_leaf_at_huge_k_exits_0(field, k):
+    # One pilot interval holds an arc of order k there; placing nodes over
+    # all of it runs out of memory.
+    assert run(["leaf", "--field", field, "--k", k, "--max-arc", "0.5"]) == (0, "")
+
+
 def test_figures_below_one_over_4pi(tmp_path):
     # delta^* is undefined below k = 1/(4 pi): F1 and E-1 have no closed
     # leaves there, so the figure set is drawn without them.

@@ -408,37 +408,84 @@ def seeded_leaves(seed: int, fields, n: int, k_range=(0.06, 300.0)):
             yield field_id, TorusPoint(rng.random(), rng.random()), MapParams(k)
 
 
+INTEGRALS = foliations._LeafField.integrals
+
+
+def spy_integrals(monkeypatch) -> list:
+    """Record (intervals, arc) of every ``_LeafField.integrals`` call over more
+    than one interval: the grids each pass measures."""
+    calls = []
+
+    def spy(f, lo, hi):
+        dx, ds = INTEGRALS(f, lo, hi)
+        if len(lo) > 1:
+            calls.append((len(lo), ds.sum()))
+        return dx, ds
+
+    monkeypatch.setattr(foliations._LeafField, "integrals", spy)
+    return calls
+
+
 class TestArcCap:
     """The fine grid stops at the arc the leaf prints."""
 
     @pytest.mark.parametrize("max_arc", [1.0, 2.5, 5.0])
     def test_no_refinement_past_max_arc(self, monkeypatch, max_arc):
-        # The grid spans the pilot trimmed at the cap, so nodes past max_arc lie
-        # in the one pilot interval that crosses it.
+        # The pilot ends where its trapezoid arc reaches _CUT * cap, so the
+        # nodes the first pass places, and every grid node, lie at most the
+        # margin past max_arc: by the grid's arc, within the pilot's error of
+        # 1e-3.
         calls = spy_fine_grid(monkeypatch)
-        past_total = 0
+        measured = spy_integrals(monkeypatch)
+        cut = 0
         for field_id, start, p in seeded_leaves(29, ("E1", "E-1"), 6, (0.5, 30.0)):
             calls.clear()
+            measured.clear()
             trace_leaf(field_id, start, p, max_arc=max_arc)
             assert len(calls) == 1
             f, pilot, cap, grid = calls[0]
             # np.interp maps cost 0 to the pilot's first node exactly.
             assert grid.c[0] == pilot[0]
-            past = grid.s > max_arc
-            if not past.any():
-                # Nothing was trimmed, and the last node is the pilot's last.
-                assert grid.complete and grid.c[-1] == pilot[-1]
+            if grid.complete:
+                # Nothing was cut, and the last node is the pilot's last.
+                assert grid.c[-1] == pilot[-1]
                 continue
-            past_total += int(past.sum())
-            _, ds = f.integrals(pilot[:-1], pilot[1:])
-            n = int(np.searchsorted(np.cumsum(ds)[:-1], cap))
-            lo, hi = sorted(pilot[n : n + 2])
-            assert ((lo <= grid.c[past]) & (grid.c[past] <= hi)).all()
-        assert past_total > 0
+            cut += 1
+            # The first grid a pass measures is the one the pilot placed.
+            assert measured[0][1] <= foliations._CUT * cap * (1.0 + 1e-3)
+            assert cap <= grid.s[-1] <= foliations._CUT * cap
+        assert cut > 0
+
+    def test_pilot_trapezoid_arc_within_its_bound(self, monkeypatch):
+        # _CUT rests on this bound of 1e-3 on the relative error of the
+        # pilot's trapezoid arc, up to each of its nodes; the worst seen over
+        # seeds 30-32 is 5.3e-4.
+        calls = spy_fine_grid(monkeypatch)
+        for field_id, start, p in seeded_leaves(30, LEAF_FIELDS, 8):
+            trace_leaf(field_id, start, p, max_arc=5.0)
+        worst = 0.0
+        for f, pilot, _, _ in calls:
+            w = np.abs(f.speed(f.angle(pilot)))
+            trapezoid = np.cumsum(0.5 * np.abs(np.diff(pilot)) * (1.0 / w[:-1] + 1.0 / w[1:]))
+            gauss = np.cumsum(f.integrals(pilot[:-1], pilot[1:])[1])
+            worst = max(worst, np.abs(trapezoid / gauss - 1.0).max())
+        assert 0.0 < worst <= 1e-3
+
+    @pytest.mark.parametrize("field_id", ["E1", "E-1"])
+    def test_first_placement_at_large_k_is_max_arc_long(self, monkeypatch, field_id):
+        # At k = 1e4 one pilot interval of 1/256 in c holds an arc of ~40;
+        # placing nodes over all of it takes ~3e5.
+        step, max_arc = 1e-3, 0.5
+        measured = spy_integrals(monkeypatch)
+        leaf = trace_leaf(field_id, TorusPoint(0.5, 0.5), MapParams(1e4), step=step, max_arc=max_arc)
+        assert max(n for n, _ in measured) <= 3.0 * max_arc / (step * foliations._FILL)
+        assert len(leaf.lifted) <= 3.0 * max_arc / (step * foliations._FILL)
 
     def test_pilot_arc_agrees_with_refined(self, monkeypatch):
-        # The margin of 1e-6 past max_arc rests on this agreement; the worst
-        # seen over seeds 30-32 and max_arc 1, 5 and 10 is 6.7e-9.
+        # The margin of 1e-6 past max_arc rests on this agreement of the
+        # quadrature over two node sets, as a later pass may read the arc of
+        # the grid the pass before trimmed lower; the worst seen over seeds
+        # 30-32 and max_arc 1, 5 and 10 is 6.7e-9.
         calls = spy_fine_grid(monkeypatch)
         for field_id, start, p in seeded_leaves(30, LEAF_FIELDS, 8):
             trace_leaf(field_id, start, p, max_arc=5.0)
@@ -491,6 +538,18 @@ def rule_leaves(seed: int, n: int):
                 c = rng.choice([delta_star, 1.0 - delta_star]) + rng.choice([-1.0, 1.0]) * gap
                 y = c if field_id == "F1" else (x + c) % 1.0
             yield field_id, TorusPoint(x, float(y)), p, (1.0, 5.0, 10.0)[i % 3]
+
+
+def test_no_doubled_cap_retries(monkeypatch):
+    # The pilot's cut at _CUT * cap leaves every grid long enough: 0 retries
+    # over 2240 traces (rule_leaves, and seeded_leaves at max_arc 1 and 5;
+    # seeds 1-20).
+    calls = spy_fine_grid(monkeypatch)
+    traces = list(rule_leaves(35, 12))
+    traces += [(*leaf, max_arc) for leaf in seeded_leaves(35, LEAF_FIELDS, 8) for max_arc in (1.0, 5.0)]
+    for field_id, start, p, max_arc in traces:
+        trace_leaf(field_id, start, p, max_arc=max_arc)
+    assert len(calls) == len(traces) == 4 * 12 + 4 * 8 * 2
 
 
 class TestOneAllowance:
@@ -596,8 +655,9 @@ def test_arc_point_equals_four_newton_steps(monkeypatch):
         return got
 
     monkeypatch.setattr(foliations, "_arc_point", spy)
-    for i, (field_id, start, p) in enumerate(seeded_leaves(38, LEAF_FIELDS, 10, (0.5, 30.0))):
-        trace_leaf(field_id, start, p, max_arc=(1.0, 2.5, 5.0)[i % 3])
+    for seed in (38, 39):
+        for i, (field_id, start, p) in enumerate(seeded_leaves(seed, LEAF_FIELDS, 10, (0.5, 30.0))):
+            trace_leaf(field_id, start, p, max_arc=(1.0, 2.5, 5.0)[i % 3])
     for got, (c, x, _) in calls:
         assert np.array([got]).view(np.uint64).tolist() == np.array([(c, x)]).view(np.uint64).tolist()
     # Repeats after the second and the third step, and calls that take all four.
