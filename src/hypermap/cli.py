@@ -17,6 +17,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional, Sequence
@@ -160,6 +161,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, summary: str, options: Sequence[str], formats: Sequence[str] = ("csv",),
             out: Optional[str] = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        # A flag value such as -2.5e-3 or -inf is read as --flag=-2.5e-3 is: argparse's own
+        # pattern for a negative number, not a flag, knows only -1 and -.5.  No flag here starts so.
+        p._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
         for flag in options:
             kind, default, text = _OPTIONS[flag]
             p.add_argument(flag, type=kind, default=default, help=text)

@@ -152,6 +152,33 @@ def test_leaf_at_huge_k_exits_0(field, k):
     assert run(["leaf", "--field", field, "--k", k, "--max-arc", "0.5"]) == (0, "")
 
 
+#: (subcommand and flags, flag, a value that argparse's own pattern reads as a flag).
+NEGATIVE = [
+    (["leaf"], "--x", "-2.5e-3"),
+    (["leaf"], "--y", "-1e20"),
+    (["leaf"], "--y", "-inf"),
+    (["leaf", "--max-arc", "1"], "--x", "-NaN"),
+    (["leaf", "--max-arc", "1"], "--y", "-.5E+1"),
+    (["leaf", "--field", "F-1"], "--step", "-1e-3"),
+    (["constants"], "--k", "-1e-3"),
+    (["verify"], "--k-list", "-1e3,2"),
+    (["cones", "--k", "5"], "--seed", "-1e0"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", NEGATIVE, ids=[f"{flag} {value}" for _, flag, value in NEGATIVE])
+def test_negative_value_reads_as_its_equals_form(argv, flag, value):
+    def outputs(args: list[str]) -> tuple[int, str, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.run(args)
+        return rc, out.getvalue(), err.getvalue()
+
+    spaced = outputs(argv + [flag, value])
+    assert spaced == outputs(argv + [f"{flag}={value}"])
+    assert "expected one argument" not in spaced[2]
+
+
 def test_figures_below_one_over_4pi(tmp_path):
     # delta^* is undefined below k = 1/(4 pi): F1 and E-1 have no closed
     # leaves there, so the figure set is drawn without them.

@@ -72,6 +72,10 @@ def cases() -> list[list[str]]:
         ["leaf", "--step", "nan"],
         ["tangency", "--k", "0.3"],
         ["constants", "--k", "2e153"],
+        ["leaf", "--x", "-2.5e-3"],
+        ["leaf", "--y", "-1e20", "--step", "0.3"],
+        ["leaf", "--y", "-inf"],
+        ["constants", "--k", "-1e-3"],
     ]
     return out
 
