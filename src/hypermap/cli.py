@@ -19,8 +19,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,25 +64,11 @@ _FLAGS = {
 }
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    k: float
-    m: Optional[int]
-    grid: int
-    samples: int
-    step: float
-    max_arc: float
-    seed: int
-    out: Optional[str]
-    format: str
-    k_list: Optional[str] = None
-
-    def header(self) -> str:
-        params = [f"k_list={self.k_list}"] if self.subcommand == "verify" else [  # all that verify reads
-            f"k={self.k:.17g}", f"m={self.m if self.m is not None else '-'}", f"grid={self.grid}",
-            f"samples={self.samples}", f"step={self.step:.17g}", f"max_arc={self.max_arc:.17g}", f"seed={self.seed}"]
-        return " ".join(["# hypermap", __version__, f"subcommand={self.subcommand}", *params, f"format={self.format}"])
+def _header(args: argparse.Namespace) -> str:
+    params = [f"k_list={args.k_list}"] if args.subcommand == "verify" else [  # all that verify reads
+        f"k={args.k:.17g}", f"m={args.m if args.m is not None else '-'}", f"grid={args.grid}",
+        f"samples={args.samples}", f"step={args.step:.17g}", f"max_arc={args.max_arc:.17g}", f"seed={args.seed}"]
+    return " ".join(["# hypermap", __version__, f"subcommand={args.subcommand}", *params, f"format={args.format}"])
 
 
 #: Rows of a CSV table written per ``numfmt.table`` call: large enough that
@@ -107,11 +92,11 @@ def _writing(out: str) -> Iterator[None]:
         raise ParameterError("out", f"{out}: {exc.strerror}") from None
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.out not in (None, "-"):
-        with _writing(cfg.out), open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out not in (None, "-"):
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
     out = sys.stdout
@@ -128,7 +113,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
         data = data[out.buffer.write(data) :]
 
 
-def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
+def _csv(args: argparse.Namespace, names: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
     """CSV text of a table given as whole, equally long columns.
 
     ``numfmt.table`` writes a float ndarray column as ``%.17g`` exactly and
@@ -149,18 +134,23 @@ def _csv(cfg: RunConfig, names: Sequence[str], columns: Sequence[Sequence[object
     ends = b"," * (len(cells) - 1) + b"\n"
     blocks = [numfmt.table([col[start : start + _CSV_BLOCK] for col in cells], ends)
               for start in range(0, len(cells[0]), _CSV_BLOCK)]
-    return "".join([f"{cfg.header()}\n{','.join(names)}\n", *blocks])
+    return "".join([f"{_header(args)}\n{','.join(names)}\n", *blocks])
 
 
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="hypermap", description=__doc__)
     top.add_argument("--version", action="version", version=f"hypermap {__version__}")
+    # What the header echoes where the subcommand does not take the flag.
+    top.set_defaults(m=None, k_list=None, **{flag[2:].replace("-", "_"): default
+                                             for flag, (_, default, _) in _OPTIONS.items()})
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, summary: str, options: Sequence[str], formats: Sequence[str] = ("csv",),
+    def add(name: str, command: Callable[[argparse.Namespace, Optional[MapParams]], int], summary: str,
+            options: Sequence[str], formats: Sequence[str] = ("csv",),
             out: Optional[str] = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(command=command)
         # A flag value such as -2.5e-3 or -inf is read as --flag=-2.5e-3 is: argparse's own
         # pattern for a negative number, not a flag, knows only -1 and -.5.  No flag here starts so.
         p._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
@@ -174,36 +164,32 @@ def _build_parser() -> argparse.ArgumentParser:
             p.set_defaults(format=formats[0])  # the one format written, echoed in the header
         return p
 
-    p = add("constants", "strip constants as CSV", ["--k"])
+    p = add("constants", _cmd_constants, "strip constants as CSV", ["--k"])
     p.add_argument("--m", type=int, default=None, help="also emit delta^(+-m)")
 
-    p = add("field", "grid dump of a direction field", ["--k", "--grid"])
+    p = add("field", _cmd_field, "grid dump of a direction field", ["--k", "--grid"])
     p.add_argument("--time", choices=["forward", "backward"], default="forward")
 
-    p = add("leaf", "trace one foliation leaf", ["--k", "--step", "--max-arc"], formats=("csv", "svg"))
+    p = add("leaf", _cmd_leaf, "trace one foliation leaf", ["--k", "--step", "--max-arc"],
+            formats=("csv", "svg"))
     p.add_argument("--field", choices=list(LEAF_FIELDS), default="E1")
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--y", type=float, default=0.6)
 
-    add("tangency", "tangency curve, landmarks and residuals", ["--k", "--grid"], formats=("csv", "svg"))
+    add("tangency", _cmd_tangency, "tangency curve, landmarks and residuals", ["--k", "--grid"],
+        formats=("csv", "svg"))
 
-    p = add("cones", "cone invariance sweep; exit 0 iff zero failures", ["--k", "--samples", "--seed"],
-            formats=("txt", "csv"))
+    p = add("cones", _cmd_cones, "cone invariance sweep; exit 0 iff zero failures",
+            ["--k", "--samples", "--seed"], formats=("txt", "csv"))
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--inside-strip", action="store_true", help="negative control")
 
-    p = add("verify", "invariant battery over a k-list", [], formats=("txt",))
+    p = add("verify", _cmd_verify, "invariant battery over a k-list", [], formats=("txt",))
     p.add_argument("--k-list", default="1,2,5,10", help="comma-separated k values")
 
-    add("figures", "regenerate the SVG figure set", ["--k", "--grid", "--step"], formats=("svg",),
-        out="figures")
+    add("figures", _cmd_figures, "regenerate the SVG figure set", ["--k", "--grid", "--step"],
+        formats=("svg",), out="figures")
     return top
-
-
-def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
-    defaults = {flag[2:].replace("-", "_"): default for flag, (_, default, _) in _OPTIONS.items()}
-    given = {**defaults, "m": None, "k_list": None, **vars(args)}
-    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +197,16 @@ def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_constants(cfg: RunConfig, params: MapParams) -> int:
+def _cmd_constants(args: argparse.Namespace, params: MapParams) -> int:
     c = critical_constants(params)
     rows: list[tuple[str, object, str]] = []
     for name, value in c.as_dict().items():
         rows.append((name, "" if value is None else value, str(value is not None).lower()))
-    if cfg.m is not None:
-        strip = delta_strip(cfg.m, params)
-        rows.append((f"delta_({cfg.m})", strip.delta_m, "true"))
-        rows.append((f"delta_(-{cfg.m})", strip.delta_neg_m, "true"))
-    _emit(cfg, _csv(cfg, ["name", "value", "defined"], list(zip(*rows))))
+    if args.m is not None:
+        strip = delta_strip(args.m, params)
+        rows.append((f"delta_({args.m})", strip.delta_m, "true"))
+        rows.append((f"delta_(-{args.m})", strip.delta_neg_m, "true"))
+    _emit(args, _csv(args, ["name", "value", "defined"], list(zip(*rows))))
     return 0
 
 
@@ -231,13 +217,13 @@ def _field_columns(coord: np.ndarray, params: MapParams, time: str) -> tuple[np.
     return phi_tilde(coord, params), mod_pi(backward_angle(coord, params))
 
 
-def _cmd_field(cfg: RunConfig, params: MapParams, time: str) -> int:
-    if cfg.grid < 1:
-        raise ParameterError("grid", f"must be >= 1, got {cfg.grid}")
-    coord = np.arange(cfg.grid) / cfg.grid
-    ratio, theta = _field_columns(coord, params, time)
+def _cmd_field(args: argparse.Namespace, params: MapParams) -> int:
+    if args.grid < 1:
+        raise ParameterError("grid", f"must be >= 1, got {args.grid}")
+    coord = np.arange(args.grid) / args.grid
+    ratio, theta = _field_columns(coord, params, args.time)
     columns = [coord, ratio, theta, np.cos(theta), np.sin(theta)]
-    _emit(cfg, _csv(cfg, ["coord", "phi", "theta", "e_x", "e_y"], columns))
+    _emit(args, _csv(args, ["coord", "phi", "theta", "e_x", "e_y"], columns))
     return 0
 
 
@@ -273,27 +259,27 @@ def _leaf_elements(leaves: Iterable[Leaf], color: str, width: float = 0.002) -> 
     return out
 
 
-def _cmd_leaf(cfg: RunConfig, params: MapParams, field: str, x: float, y: float) -> int:
-    leaf = trace_leaf(field, TorusPoint(x, y), params, step=cfg.step, max_arc=cfg.max_arc)
-    if cfg.format == "svg":
+def _cmd_leaf(args: argparse.Namespace, params: MapParams) -> int:
+    leaf = trace_leaf(args.field, TorusPoint(args.x, args.y), params, step=args.step, max_arc=args.max_arc)
+    if args.format == "svg":
         elements = _strip_elements(params) + _leaf_elements([leaf], "#c03030")
-        _emit(cfg, svgrender.document(elements))
+        _emit(args, svgrender.document(elements))
         return 0
     points, starts = _split(leaf.lifted)
     seg_id = np.repeat(np.array([b"%d" % i for i in range(len(starts))]), np.diff(starts, append=len(points)))
-    _emit(cfg, _csv(cfg, ["seg_id", "x", "y"], [seg_id, points[:, 0], points[:, 1]]))
+    _emit(args, _csv(args, ["seg_id", "x", "y"], [seg_id, points[:, 0], points[:, 1]]))
     return 0
 
 
-def _cmd_tangency(cfg: RunConfig, params: MapParams) -> int:
+def _cmd_tangency(args: argparse.Namespace, params: MapParams) -> int:
     landmarks = tangency_landmarks(params)
-    curve_ytilde, (y_lower, res_lower), (y_upper, res_upper) = tangency_curve(params, cfg.grid)
-    if cfg.format == "svg":
+    curve_ytilde, (y_lower, res_lower), (y_upper, res_upper) = tangency_curve(params, args.grid)
+    if args.format == "svg":
         elements = _torus_curves(params, curve_ytilde, y_lower, y_upper)
         for tp in landmarks:
             if tp is not None:
                 elements.append(svgrender.circle((tp.x, tp.y), 0.006, "#108010"))
-        _emit(cfg, svgrender.document(elements))
+        _emit(args, svgrender.document(elements))
         return 0
     marks = [(f"P{i}", tp) for i, tp in enumerate(landmarks, start=1) if tp is not None]
     n, n_marks = len(curve_ytilde), len(marks)
@@ -306,16 +292,16 @@ def _cmd_tangency(cfg: RunConfig, params: MapParams) -> int:
     # The landmarks lie on the lower curve.
     branch = np.repeat(np.array([b"lower", b"upper", b"lower"]), [n, n, n_marks])
     columns = [kind, name, ytilde, y, torus_x(ytilde, y), branch, residual]
-    _emit(cfg, _csv(cfg, ["kind", "name", "ytilde", "y", "x", "branch", "residual"], columns))
+    _emit(args, _csv(args, ["kind", "name", "ytilde", "y", "x", "branch", "residual"], columns))
     return 0
 
 
-def _cmd_cones(cfg: RunConfig, params: MapParams, inside_strip: bool) -> int:
-    report = verify_cones(params, cfg.m, cfg.samples, cfg.seed, inside_strip=inside_strip)
-    if cfg.format == "csv":
-        _emit(cfg, _csv(cfg, ["metric", "value"], list(zip(*report.rows()))))
+def _cmd_cones(args: argparse.Namespace, params: MapParams) -> int:
+    report = verify_cones(params, args.m, args.samples, args.seed, inside_strip=args.inside_strip)
+    if args.format == "csv":
+        _emit(args, _csv(args, ["metric", "value"], list(zip(*report.rows()))))
     else:
-        _emit(cfg, cfg.header() + "\n" + report.to_text())
+        _emit(args, _header(args) + "\n" + report.to_text())
     return 0 if report.failures == 0 else 1
 
 
@@ -440,19 +426,19 @@ def _k_list(text: str) -> list[MapParams]:
     return out
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    lines = [cfg.header()]
+def _cmd_verify(args: argparse.Namespace, _params: None) -> int:
+    lines = [_header(args)]
     all_ok = True
-    for params in _k_list(cfg.k_list):
+    for params in _k_list(args.k_list):
         for name, ok, detail in _verify_battery(params):
             all_ok &= ok
             lines.append(f"{'ok  ' if ok else 'FAIL'} k={params.k:g} {name} ({detail})")
     lines.append("result " + ("PASS" if all_ok else "FAIL"))
-    _emit(cfg, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return 0 if all_ok else 1
 
 
-def _figure_foliation(cfg: RunConfig, params: MapParams, time: str) -> str:
+def _figure_foliation(args: argparse.Namespace, params: MapParams, time: str) -> str:
     elements = _strip_elements(params)
     e_arc, f_arc = _FIGURE_ARCS
     if time == "forward":
@@ -460,15 +446,15 @@ def _figure_foliation(cfg: RunConfig, params: MapParams, time: str) -> str:
         e_starts = [TorusPoint(0.0, y) for y in (0.05, 0.15, 0.35, 0.45, 0.55, 0.65, 0.85, 0.95)]
         # F1 depends on y alone, so its leaves from (x, 0.5) are the one from
         # (0, 0.5) shifted by x: trace_leaf forms x + X from the same X.
-        f = trace_leaf("F1", TorusPoint(0.0, 0.5), params, step=cfg.step, max_arc=f_arc)
+        f = trace_leaf("F1", TorusPoint(0.0, 0.5), params, step=args.step, max_arc=f_arc)
         lifted = [np.column_stack([x + f.lifted[:, 0], f.lifted[:, 1]]) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        f_leaves = [Leaf(f.field_id, mod1(p), p, f.arc_length, f.closed) for p in lifted]
+        f_leaves = [Leaf(f.field_id, p, f.arc_length, f.closed) for p in lifted]
     else:
         e_field = "E-1"
         e_starts = [TorusPoint(0.0, y) for y in (0.05, 0.35, 0.65, 0.95)]
-        f_leaves = [trace_leaf("F-1", TorusPoint(x, 0.0), params, step=cfg.step, max_arc=f_arc)
+        f_leaves = [trace_leaf("F-1", TorusPoint(x, 0.0), params, step=args.step, max_arc=f_arc)
                     for x in (0.125, 0.375, 0.625, 0.875)]
-    e_leaves = [trace_leaf(e_field, p, params, step=cfg.step, max_arc=e_arc) for p in e_starts]
+    e_leaves = [trace_leaf(e_field, p, params, step=args.step, max_arc=e_arc) for p in e_starts]
     elements += _leaf_elements(e_leaves, "#c03030")
     elements += _leaf_elements(f_leaves, "#3030c0")
     closed_field = "F1" if time == "forward" else "E-1"
@@ -476,32 +462,32 @@ def _figure_foliation(cfg: RunConfig, params: MapParams, time: str) -> str:
     return svgrender.document(elements)
 
 
-def _figure_graph(cfg: RunConfig, params: MapParams, kind: str, time: str) -> str:
+def _figure_graph(args: argparse.Namespace, params: MapParams, kind: str, time: str) -> str:
     """Unit-square graph of theta/pi or the arctan-compressed phi."""
-    coord = np.arange(cfg.grid + 1) / cfg.grid
+    coord = np.arange(args.grid + 1) / args.grid
     ratio, theta = _field_columns(coord, params, time)
     v = theta / math.pi if kind == "theta" else 0.5 + np.arctan(ratio) / math.pi
     pieces = svgrender.split_at_jumps(np.column_stack([coord, v]), axis=1)
     return svgrender.document([svgrender.polyline(piece, "#202020") for piece in pieces])
 
 
-def _cmd_figures(cfg: RunConfig, params: MapParams) -> int:
-    if cfg.grid < 1:
-        raise ParameterError("grid", f"must be >= 1, got {cfg.grid}")
+def _cmd_figures(args: argparse.Namespace, params: MapParams) -> int:
+    if args.grid < 1:
+        raise ParameterError("grid", f"must be >= 1, got {args.grid}")
     # trace_leaf would name max_arc, which figures fixes; a step <= 0 it names itself.
-    if cfg.step > 0.0 and max(_FIGURE_ARCS) / cfg.step > MAX_VERTICES:
+    if args.step > 0.0 and max(_FIGURE_ARCS) / args.step > MAX_VERTICES:
         raise ParameterError("step", f"must be at least {max(_FIGURE_ARCS) / MAX_VERTICES:g}, "
-                                     f"got {cfg.step!r}")
+                                     f"got {args.step!r}")
     files = {
-        "foliation_forward.svg": _figure_foliation(cfg, params, "forward"),
-        "foliation_backward.svg": _figure_foliation(cfg, params, "backward"),
-        "theta_forward.svg": _figure_graph(cfg, params, "theta", "forward"),
-        "theta_backward.svg": _figure_graph(cfg, params, "theta", "backward"),
-        "phi_forward.svg": _figure_graph(cfg, params, "phi", "forward"),
-        "phi_backward.svg": _figure_graph(cfg, params, "phi", "backward"),
+        "foliation_forward.svg": _figure_foliation(args, params, "forward"),
+        "foliation_backward.svg": _figure_foliation(args, params, "backward"),
+        "theta_forward.svg": _figure_graph(args, params, "theta", "forward"),
+        "theta_backward.svg": _figure_graph(args, params, "theta", "backward"),
+        "phi_forward.svg": _figure_graph(args, params, "phi", "forward"),
+        "phi_backward.svg": _figure_graph(args, params, "phi", "backward"),
     }
     with contextlib.suppress(TangencySelectionError):  # no tangency curves at this k
-        ytilde, (lower, _), (upper, _) = tangency_curve(params, min(cfg.grid, 1024))
+        ytilde, (lower, _), (upper, _) = tangency_curve(params, min(args.grid, 1024))
         plane = [svgrender.polyline(np.column_stack([ytilde, y]), color)
                  for y, color in zip((lower, upper), _BRANCH_COLORS)]
         for i, tp in enumerate(tangency_landmarks(params), start=1):
@@ -509,7 +495,7 @@ def _cmd_figures(cfg: RunConfig, params: MapParams) -> int:
                 plane.append(svgrender.circle((tp.ytilde, tp.y), 0.006, "#108010"))
         files["tangency_plane.svg"] = svgrender.document(plane)
         files["tangency_torus.svg"] = svgrender.document(_torus_curves(params, ytilde, lower, upper))
-    outdir = cfg.out or "figures"
+    outdir = args.out or "figures"
     with _writing(outdir):
         os.makedirs(outdir, exist_ok=True)
         for name, content in files.items():
@@ -521,31 +507,17 @@ def _cmd_figures(cfg: RunConfig, params: MapParams) -> int:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and execute one subcommand; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _cfg_from_args(args)
     try:
-        params = None if cfg.subcommand == "verify" else MapParams(cfg.k)
-        if params is not None and cfg.subcommand != "cones":
+        params = None if args.subcommand == "verify" else MapParams(args.k)
+        if params is not None and args.subcommand != "cones":
             critical_constants(params)  # its overflow bounds the k of every field formula
-        if cfg.subcommand == "constants":
-            return _cmd_constants(cfg, params)
-        if cfg.subcommand == "field":
-            return _cmd_field(cfg, params, args.time)
-        if cfg.subcommand == "leaf":
-            return _cmd_leaf(cfg, params, args.field, args.x, args.y)
-        if cfg.subcommand == "tangency":
-            return _cmd_tangency(cfg, params)
-        if cfg.subcommand == "cones":
-            return _cmd_cones(cfg, params, args.inside_strip)
-        if cfg.subcommand == "verify":
-            return _cmd_verify(cfg)
-        return _cmd_figures(cfg, params)
+        return args.command(args, params)
     except ParameterError as exc:
-        flag = _FLAGS.get((cfg.subcommand, exc.name), "--" + exc.name.replace("_", "-"))
+        flag = _FLAGS.get((args.subcommand, exc.name), "--" + exc.name.replace("_", "-"))
         print(f"error: {flag} {exc.detail}", file=sys.stderr)
         return 2
 

@@ -93,18 +93,22 @@ _GL_W = np.array([5.0, 8.0, 5.0]) / 18.0
 class Leaf:
     """An oriented polyline on the torus.
 
-    ``points`` holds torus coordinates in [0, 1)^2 and ``lifted`` the
-    unwrapped plane copy used for rendering; the two have identical shape
-    (n, 2).  ``segments()`` cuts ``lifted`` at the torus seams into one array
-    of points in the unit square plus the offset at which each piece starts,
-    and returns the pieces as views of that array.
+    ``lifted`` holds the (n, 2) unwrapped plane copy, and ``points`` the
+    torus coordinates in [0, 1)^2 derived from it.  ``segments()`` cuts
+    ``lifted`` at the torus seams into one array of points in the unit
+    square plus the offset at which each piece starts, and returns the
+    pieces as views of that array.
     """
 
     field_id: str
-    points: np.ndarray
     lifted: np.ndarray
     arc_length: float
     closed: bool
+
+    @property
+    def points(self) -> np.ndarray:
+        """``mod1`` of ``lifted``, computed on each access."""
+        return mod1(self.lifted)
 
     def segments(self) -> list[np.ndarray]:
         """Seam-split polylines in the unit square, for rendering.
@@ -388,12 +392,7 @@ def _closed_trace(field_id: str, start: TorusPoint, step: float, max_arc: float,
     t = along * np.linspace(0.0, arc, n + 1) / period
     rise = 0.0 if field_id == "F1" else 1.0
     lifted = np.column_stack([start.x + t, start.y + rise * t])
-    return _make_leaf(field_id, lifted, arc, closed=arc == period)
-
-
-def _make_leaf(field_id: str, lifted: np.ndarray, arc: float, closed: bool) -> Leaf:
-    """Leaf of a lifted polyline, with its torus points in [0, 1)."""
-    return Leaf(field_id=field_id, points=mod1(lifted), lifted=lifted, arc_length=arc, closed=closed)
+    return Leaf(field_id, lifted, arc, closed=arc == period)
 
 
 def trace_leaf(
@@ -466,19 +465,7 @@ def trace_leaf(
         c, x = _tail(f, grid, step, max_arc, sigma, sigma * ahead)
     lx = start.x + x
     ly = start.y + c + (0.0 if forward else x)
-    return _make_leaf(field_id, np.column_stack([lx, ly]), max_arc, closed=False)
-
-
-def fold_tips(params: MapParams) -> tuple[float, float]:
-    """Heights of the two horizontal lines carrying the E1 fold tips.
-
-    These are the zeros of phi, where the contracted forward direction is
-    vertical: y = delta^* and y = 1 - delta^*.
-    """
-    c = critical_constants(params)
-    if c.delta_star is None:
-        raise ParameterError("k", f"{params.k:g}: delta^* is undefined below k = 1/(4 pi)")
-    return (c.delta_star, 1.0 - c.delta_star)
+    return Leaf(field_id, np.column_stack([lx, ly]), max_arc, closed=False)
 
 
 def closed_leaves(field_id: str, params: MapParams) -> list[Leaf]:

@@ -1,12 +1,11 @@
 """Exact ``%.17g`` of float64 arrays, and the text tables written with it.
 
 ``table(fields, ends)`` writes rows of text, one per value of its array
-fields: the CSV tables and a cone report's failure lines.  ``g17(values)``
-returns an (n, 24) ``uint8`` matrix whose row i is the text of
-``"%.17g" % values[i]`` padded with NULs.  Both go through one kernel,
-which lays each number out as a cell of three little-endian 64-bit words:
-the text from byte 0 on and NUL holes after it.  Cells are 24 bytes
-because no ``%.17g`` text is longer (``-2.2250738585072014e-308``).
+fields: the CSV tables and a cone report's failure lines.  Its float
+fields go through one kernel, which lays each number out as a cell of
+three little-endian 64-bit words: the text of ``"%.17g" % v`` from byte 0
+on and NUL holes after it.  Cells are 24 bytes because no ``%.17g`` text
+is longer (``-2.2250738585072014e-308``).
 
 The fast path, for 1e-30 <= |v| < 1e30, the range of the tables:
 
@@ -207,10 +206,6 @@ def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n, np.minimum(np.maximum(d, _D_MIN, out=d), _D_MAX, out=d), fast
 
 
-#: Values formatted per pass of ``g17``, which bounds each pass's temporary arrays.
-_BLOCK = 1 << 13
-
-
 def _digit_words(n: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 17 digits of N as (3, n) words, and the index of the last nonzero digit.
 
@@ -285,15 +280,6 @@ def _cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cells = text.view("<u8").reshape(-1, 3)
     words[:, slow] = cells.T
     return words, slow[cells[:, 2] >> np.uint64(56) != 0]  # byte 23 taken
-
-
-def g17(values: np.ndarray) -> np.ndarray:
-    """(n, WIDTH) uint8 rows: the text of ``"%.17g" % v`` padded with NULs."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    rows = np.empty((len(v), 3), dtype="<u8")
-    for start in range(0, len(v), _BLOCK):
-        rows[start : start + _BLOCK] = _cells(v[start : start + _BLOCK])[0].T
-    return rows.view(np.uint8)
 
 
 Field = Union[np.ndarray, bytes]

@@ -281,6 +281,4 @@ def rk4_leaf(
         raise RuntimeError(f"leaf trace exceeded {max_steps} steps before reaching arc {max_arc}")
 
     lifted = np.column_stack([np.frombuffer(xs, dtype=float), np.frombuffer(ys, dtype=float)])
-    points = lifted - np.floor(lifted)
-    points[points >= 1.0 - 1e-15] = 0.0
-    return Leaf(field_id=field_id, points=points, lifted=lifted, arc_length=arc, closed=False)
+    return Leaf(field_id=field_id, lifted=lifted, arc_length=arc, closed=False)

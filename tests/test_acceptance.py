@@ -27,7 +27,7 @@ from hypermap.coordinates import (
     strip_pair_contains,
     theta_field,
 )
-from hypermap.foliations import fold_tips, trace_leaf
+from hypermap.foliations import trace_leaf
 from hypermap.hyperbolicity import push_vector, verify_cones
 from hypermap.oracle import fd_derivative, svd2
 from hypermap.stdmap import (
@@ -168,7 +168,7 @@ def test_criterion_6_exact_mapping_facts():
 def test_criterion_7_foliation_geometry():
     t0 = time.perf_counter()
     params = MapParams(10.0)
-    ds, _ = fold_tips(params)
+    ds = critical_constants(params).delta_star
 
     leaf = trace_leaf("F1", TorusPoint(0.3, ds), params, step=1e-3, max_arc=10.0)
     dev_line = float(np.abs(leaf.points[:, 1] - ds).max())

@@ -9,8 +9,8 @@ import pytest
 
 from hypermap import foliations
 from hypermap.cli import run
-from hypermap.coordinates import critical_constants, theta_field
-from hypermap.foliations import LEAF_FIELDS, closed_leaves, fold_tips, trace_leaf
+from hypermap.coordinates import critical_constants, phi, theta_field
+from hypermap.foliations import LEAF_FIELDS, closed_leaves, trace_leaf
 from hypermap.oracle import rk4_leaf, svd2
 from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi, jacobian
 
@@ -74,32 +74,41 @@ def chord_excess(leaf, params: MapParams) -> float:
     return worst
 
 
+def tip_heights(k: float) -> tuple[float, float]:
+    """The heights y = delta^* and 1 - delta^* of the E1 fold tips, where phi vanishes."""
+    ds = critical_constants(MapParams(k)).delta_star
+    return ds, 1.0 - ds
+
+
 class TestFoldTips:
+    """The fold tips of E1 lie at y = delta^* and 1 - delta^*."""
+
     def test_values(self):
-        lo, hi = fold_tips(MapParams(5.0))
-        c = critical_constants(MapParams(5.0))
-        assert lo == c.delta_star and hi == 1 - c.delta_star
+        lo, hi = tip_heights(5.0)
+        assert lo == pytest.approx(math.acos(-1.0 / (20.0 * math.pi)) / (2.0 * math.pi), rel=1e-15)
+        assert hi == 1 - lo
+        assert abs(phi(lo, MapParams(5.0))) < 1e-12 and abs(phi(hi, MapParams(5.0))) < 1e-12
 
     def test_k1(self):
-        lo, hi = fold_tips(MapParams(1.0))
+        lo, hi = tip_heights(1.0)
         assert lo == pytest.approx(0.2626786, abs=1e-6)
         assert hi == pytest.approx(1 - 0.2626786, abs=1e-6)
 
     def test_large_k_limit(self):
-        lo, hi = fold_tips(MapParams(10000.0))
+        lo, hi = tip_heights(10000.0)
         assert lo == pytest.approx(0.25, abs=1e-5)
         assert hi == pytest.approx(0.75, abs=1e-5)
 
     def test_vertical_field_there(self):
         p = MapParams(7.0)
-        lo, _ = fold_tips(p)
+        lo, _ = tip_heights(7.0)
         assert angle_dist_mod_pi(theta_field(lo, p).theta, math.pi / 2) < 1e-9
 
 
 class TestClosedLeaves:
     def test_f1_horizontal_lines(self):
         p = MapParams(2.0)
-        ds, mirror = fold_tips(p)
+        ds, mirror = tip_heights(2.0)
         leaves = closed_leaves("F1", p)
         assert len(leaves) == 2
         assert {leaf.lifted[0, 1] for leaf in leaves} == {ds, mirror}
@@ -110,7 +119,7 @@ class TestClosedLeaves:
 
     def test_e_minus1_diagonals(self):
         p = MapParams(2.0)
-        ds, _ = fold_tips(p)
+        ds = critical_constants(p).delta_star
         leaves = closed_leaves("E-1", p)
         assert len(leaves) == 2
         for leaf in leaves:
@@ -128,8 +137,7 @@ class TestClosedLeaves:
         p = MapParams(0.05)
         for field_id in LEAF_FIELDS:
             assert closed_leaves(field_id, p) == []
-        with pytest.raises(ValueError, match="delta"):
-            fold_tips(p)
+        assert critical_constants(p).delta_star is None
 
     def test_diagonal_seam_split(self):
         p = MapParams(2.0)
@@ -150,7 +158,7 @@ class TestClosedLeaves:
             for field_id, rise, arc in (("F1", 0.0, 1.0), ("E-1", 1.0, math.sqrt(2.0))):
                 leaves = closed_leaves(field_id, p)
                 assert len(leaves) == 2
-                for leaf, level in zip(leaves, fold_tips(p)):
+                for leaf, level in zip(leaves, tip_heights(k)):
                     lifted = np.array([[0.0, level], [1.0, level + rise]])
                     points = lifted - np.floor(lifted)
                     points[points >= 1.0 - 1e-15] = 0.0
@@ -194,14 +202,14 @@ class TestPilot:
 class TestTraceLeaf:
     def test_f1_stays_on_fold_line(self):
         p = MapParams(10.0)
-        ds, _ = fold_tips(p)
+        ds = critical_constants(p).delta_star
         leaf = trace_leaf("F1", TorusPoint(0.3, ds), p, step=1e-3, max_arc=10.0)
         assert leaf.closed
         assert np.abs(leaf.points[:, 1] - ds).max() < 1e-6
 
     def test_e_minus1_stays_on_diagonal(self):
         p = MapParams(10.0)
-        ds, _ = fold_tips(p)
+        ds = critical_constants(p).delta_star
         leaf = trace_leaf("E-1", TorusPoint(0.0, ds), p, step=1e-3, max_arc=10.0)
         assert leaf.closed
         yt = (leaf.points[:, 1] - leaf.points[:, 0]) % 1.0
@@ -218,7 +226,7 @@ class TestTraceLeaf:
 
     def test_closed_leaf_endpoints_coincide(self):
         p = MapParams(10.0)
-        ds, _ = fold_tips(p)
+        ds = critical_constants(p).delta_star
         leaf = trace_leaf("F1", TorusPoint(0.3, ds), p, step=1e-3, max_arc=10.0)
         assert leaf.closed
         dx = dist_mod1(np.array([leaf.points[-1, 0]]), leaf.points[0, 0])[0]
@@ -241,7 +249,7 @@ class TestTraceLeaf:
 
     def test_accumulation_on_closed_leaves(self):
         p = MapParams(10.0)
-        ds, _ = fold_tips(p)
+        ds = critical_constants(p).delta_star
         leaf = trace_leaf("F1", TorusPoint(0.0, 0.501), p, step=1e-3, max_arc=50.0)
         tail = leaf.points[int(0.9 * len(leaf.points)):, 1]
         close = np.minimum(dist_mod1(tail, ds), dist_mod1(tail, 1 - ds))
@@ -299,7 +307,7 @@ class TestTraceLeaf:
 
     def test_closed_leaf_shorter_than_its_period(self):
         p = MapParams(10.0)
-        ds, _ = fold_tips(p)
+        ds = critical_constants(p).delta_star
         leaf = trace_leaf("F1", TorusPoint(0.3, ds), p, max_arc=0.25)
         assert not leaf.closed and leaf.arc_length == 0.25
         assert leaf.lifted[-1, 0] == pytest.approx(0.55, abs=1e-15)
@@ -368,7 +376,7 @@ class TestAgainstRk4:
         # Started 1e-3 from the closed leaf c = delta^*, the leaf reaches it
         # within arc ~0.2 and then follows the analytic tail.
         p = MapParams(k)
-        ds, _ = fold_tips(p)
+        ds = critical_constants(p).delta_star
         c = ds + offset
         start = TorusPoint(0.1, c) if field_id == "F1" else TorusPoint(0.1, (0.1 + c) % 1.0)
         leaf = trace_leaf(field_id, start, p, step=1e-3, max_arc=1.0)

@@ -1,8 +1,9 @@
-"""``numfmt.g17``, ``numfmt.table``, ``cli._csv`` and ``ConeReport.to_text`` against Python's per-number ``%.17g``.
+"""``numfmt.table``, ``cli._csv`` and ``ConeReport.to_text`` against Python's per-number ``%.17g``.
 
-Every row of ``g17``, with its NUL bytes dropped, must be exactly
-``"%.17g" % v``; ``_csv`` must give the bytes of the per-cell render that
-``reference_csv`` keeps, and ``to_text`` the text of one f-string a line.
+Every line of ``table([values], b"\n")`` must be exactly ``"%.17g" % v``,
+and every cell of the kernel ``_cells`` that text padded with NULs;
+``_csv`` must give the bytes of the per-cell render that ``reference_csv``
+keeps, and ``to_text`` the text of one f-string a line.
 """
 
 import math
@@ -20,9 +21,9 @@ from test_render_reference import reference_csv
 
 
 def formatted(values) -> list[str]:
-    rows = numfmt.g17(np.asarray(values, dtype=np.float64))
-    assert rows.dtype == np.uint8 and rows.shape == (len(values), numfmt.WIDTH)
-    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in rows]
+    lines = numfmt.table([np.asarray(values, dtype=np.float64)], b"\n").split("\n")
+    assert len(lines) == len(values) + 1 and lines[-1] == ""
+    return lines[:-1]
 
 
 def assert_exact(values) -> None:
@@ -33,11 +34,15 @@ def assert_exact(values) -> None:
 
 def assert_exact_bulk(values: np.ndarray) -> None:
     """Same as assert_exact, comparing one joined text first for speed."""
-    rows = numfmt.g17(values)
-    lines = np.hstack([rows, np.full((len(rows), 1), ord("\n"), dtype=np.uint8)])
-    got = lines[lines != 0].tobytes().decode("ascii")
+    got = numfmt.table([values], b"\n")
     if got != ("%.17g\n" * len(values)) % tuple(values.tolist()):
         assert_exact(values)
+
+
+def cell_bytes(values: np.ndarray) -> np.ndarray:
+    """The kernel's cells of values as (n, WIDTH) bytes."""
+    words, _ = numfmt._cells(values)
+    return np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
 
 
 def bits(patterns) -> np.ndarray:
@@ -74,6 +79,8 @@ def edge_values() -> list[float]:
 
 
 class TestG17:
+    """``%.17g`` through one float column of ``numfmt.table``, a value a line."""
+
     def test_edge_values(self):
         assert_exact(edge_values())
 
@@ -97,26 +104,23 @@ class TestG17:
         assert max(len("%.17g" % v) for v in worst) == numfmt.WIDTH
 
     def test_rows_outlive_later_calls_and_threads(self):
-        # g17 keeps no state between calls: rows from interleaved calls on
-        # several threads stay each call's own.
+        # table keeps no state between calls: texts from interleaved calls
+        # on several threads stay each call's own.
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
         rng = np.random.default_rng(3)
         batches = [rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n) for n in (5, 8192, 20000, 777)]
-        want = [[("%.17g" % v).encode() for v in b.tolist()] for b in batches]
+        want = [("%.17g\n" * len(b)) % tuple(b.tolist()) for b in batches]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                rows = list(pool.map(numfmt.g17, batches * 4, timeout=120))
+                texts = list(pool.map(lambda b: numfmt.table([b], b"\n"), batches * 4, timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        for got, expected in zip(rows, want * 4):
-            assert [bytes(r).replace(b"\0", b"") for r in got] == expected
-
-    def test_empty(self):
-        assert numfmt.g17(np.empty(0)).shape == (0, numfmt.WIDTH)
+        for got, expected in zip(texts, want * 4):
+            assert got == expected
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(20261018)
@@ -144,7 +148,7 @@ class TestG17:
 
 
 class TestCsv:
-    CFG = cli.RunConfig("field", 2.0, None, 1024, 100_000, 1e-3, 10.0, 42, None, "csv")
+    CFG = cli._build_parser().parse_args(["field", "--k", "2"])
     NAMES = ["s", "none", "ints", "int_array", "floats", "bytes"]
 
     def table(self, n: int):
@@ -162,7 +166,7 @@ class TestCsv:
 
     def reference(self, columns) -> str:
         rows = [[v.decode() if isinstance(v, bytes) else v for v in row] for row in zip(*columns)]
-        return reference_csv(self.CFG.header(), self.NAMES, rows)
+        return reference_csv(cli._header(self.CFG), self.NAMES, rows)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 17, cli._CSV_BLOCK + 3])
     def test_mixed_table_matches_per_cell_render(self, n):
@@ -171,7 +175,7 @@ class TestCsv:
 
 
 def reference_text(rep: ConeReport) -> str:
-    """``ConeReport.to_text`` with every line an f-string, as it was before ``g17``."""
+    """``ConeReport.to_text`` with every line an f-string, as it was before ``numfmt``."""
     lines = [
         f"k {rep.k:.17g}",
         f"m {rep.m}",
@@ -191,7 +195,7 @@ def reference_text(rep: ConeReport) -> str:
 
 
 class TestConeReportText:
-    """``ConeReport.to_text`` formats its failure records through ``g17`` and ``join``."""
+    """``ConeReport.to_text`` formats its failure records through ``numfmt.table``."""
 
     @pytest.mark.parametrize("sweep, records", [
         ((MapParams(100.0), 2, 20_000, 29, False), 0),
@@ -236,7 +240,7 @@ class TestCells:
         rng = np.random.default_rng(11)
         values = np.concatenate([SPECIAL, edge_values(), bits(rng.integers(0, 2**64, 10**5, dtype=np.uint64)),
                                  rng.normal(size=10**5) * 10.0 ** rng.integers(-35, 35, 10**5)])
-        rows = numfmt.g17(values)
+        rows = cell_bytes(values)
         for v, row in zip(values.tolist(), rows):
             text = ("%.17g" % v).encode()
             assert bytes(row) == text.ljust(numfmt.WIDTH, b"\0"), (v, bytes(row))
@@ -256,7 +260,7 @@ class TestTable:
         got = cli._csv(self.CFG, names, columns).split("\n")
         rows = [[v.decode() if isinstance(v, bytes) else v for v in row]
                 for row in zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])]
-        want = reference_csv(self.CFG.header(), names, rows).split("\n")
+        want = reference_csv(cli._header(self.CFG), names, rows).split("\n")
         assert len(got) == len(want)
         for i, (g, w) in enumerate(zip(got, want)):
             assert g == w, (i, g, w)

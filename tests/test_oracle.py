@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermap.foliations import fold_tips
+from hypermap.coordinates import critical_constants
 from hypermap.oracle import StepSizeError, fd_derivative, rk4_leaf, svd2, svd2_entries, sweep_min_direction
 from hypermap.stdmap import MapParams, Mat2, TorusPoint, angle_dist_mod_pi, jacobian_entries
 from test_stdmap import IDENTITY, matmul
@@ -266,6 +266,6 @@ class TestRk4Leaf:
 
     def test_step_size_error_names_region(self):
         p = MapParams(20.0)
-        ds, _ = fold_tips(p)
+        ds = critical_constants(p).delta_star
         with pytest.raises(StepSizeError, match="E1 near y"):
             rk4_leaf("E1", TorusPoint(0.5, ds), p, step=0.3, max_arc=2.0)

@@ -8,7 +8,7 @@ import pytest
 
 from hypermap import MapParams, ParameterError, TangencySelectionError, TorusPoint
 from hypermap.coordinates import critical_constants, hyperbolic_frame, phi_inverse, theta_field
-from hypermap.foliations import closed_leaves, fold_tips, trace_leaf
+from hypermap.foliations import closed_leaves, trace_leaf
 from hypermap.hyperbolicity import delta_strip, orbit_expansion, verify_cones
 from hypermap.stdmap import jacobian, orbit_jacobian, psi
 from hypermap.tangency import MAX_CURVE_K, no_tangency_scan, tangency_curve
@@ -35,7 +35,6 @@ CHECKS = {
     "verify_cones n_samples": (lambda: verify_cones(MapParams(5.0), 2, 0, 1), "n_samples", ParameterError),
     "verify_cones seed": (lambda: verify_cones(MapParams(5.0), 2, 10, -1), "seed", ParameterError),
     "delta_strip m": (lambda: delta_strip(1, MapParams(5.0)), "m", ParameterError),
-    "fold_tips k": (lambda: fold_tips(MapParams(0.01)), "k", ParameterError),
     "critical_constants overflow": (
         lambda: critical_constants(MapParams(math.nextafter(LAST_FINITE_K, math.inf))), "k", ParameterError),
     "orbit_jacobian overflow": (lambda: orbit_jacobian(TorusPoint(0.2, 0.3), MapParams(1e5), 57), "n",

@@ -6,6 +6,7 @@ format one cell or point at a time as the CLI used to.  The array-at-a-time
 code must give the same pieces and the same bytes.
 """
 
+import argparse
 import io
 import math
 from contextlib import redirect_stdout
@@ -83,7 +84,9 @@ def reference_split_at_jumps(points, axis: int) -> list[list[list[float]]]:
 
 
 def header(subcommand: str, k: float, step: float = 1e-3, max_arc: float = 10.0, grid: int = 1024) -> str:
-    return cli.RunConfig(subcommand, k, None, grid, 100_000, step, max_arc, 42, None, "csv").header()
+    args = argparse.Namespace(subcommand=subcommand, k=k, m=None, grid=grid, samples=100_000, step=step,
+                              max_arc=max_arc, seed=42, format="csv")
+    return cli._header(args)
 
 
 def run_capture(argv) -> str:
@@ -94,7 +97,7 @@ def run_capture(argv) -> str:
 
 
 def leaf_of(lifted: np.ndarray) -> Leaf:
-    return Leaf("E1", lifted - np.floor(lifted), lifted, 0.0, False)
+    return Leaf("E1", lifted, 0.0, False)
 
 
 def assert_same_pieces(lifted: np.ndarray) -> None:
