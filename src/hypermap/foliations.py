@@ -128,7 +128,8 @@ def _split(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each vertex is drawn in the unit square at the integer offset o = floor(p)
     from the plane, except on a side: per axis, a chord moving up onto a side
     ends in the square below it, and a chord that does not move keeps o, so a
-    vertex lying on a side stays in its square.  A chord crosses |o_new - o_old|
+    vertex lying on a side stays in its square; a first vertex on a side goes
+    with the square its outgoing chord enters.  A chord crosses |o_new - o_old|
     sides of an axis, and only the chords that cross are visited.  Crossings
     are taken in order of (chord, t, axis): at each, the current piece ends on
     the side, at p + t (q - p) - o with o the offset after the chord's earlier
@@ -138,6 +139,8 @@ def _split(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = len(lifted)
     offset = np.floor(lifted)
+    if n > 1 and (lifted[0] == offset[0]).any():  # a first vertex on a side it leaves down or left
+        offset[0] -= (lifted[0] == offset[0]) & (lifted[1] < lifted[0])
     if (lifted[1:] == offset[1:]).any():  # the side rule moves only vertices after the first on a side
         for v, o in zip(lifted.T, offset.T):
             on = np.flatnonzero(v[1:] == o[1:]) + 1

@@ -1,9 +1,8 @@
 """Independent brute-force ground truth used by the test suite.
 
-Four tools live here: a closed-form 2x2 SVD, an exhaustive angle sweep for
-the most contracted direction, a central finite difference and a
-fourth-order Runge-Kutta leaf tracer.  They are deliberately kept apart from
-the production formula paths so no identity is ever validated only against
+Two tools live here: a closed-form 2x2 SVD and an exhaustive angle sweep for
+the most contracted direction.  They are deliberately kept apart from the
+production formula paths so no identity is ever validated only against
 itself.
 
 The SVD's formula is written once, on four floats or arrays, as
@@ -11,36 +10,19 @@ The SVD's formula is written once, on four floats or arrays, as
 use it: the ``verify`` battery checks the closed-form contracted field
 against it on arrays, and ``hyperbolic_frame`` takes its order-n singular
 values and directions from ``svd2``.
-
-Note on signs: the derivative of psi_c(y) = 2 pi k cos(2 pi y) is
-psi_c'(y) = -4 pi^2 k sin(2 pi y); the leading sign is negative.  The finite
-difference here pins that sign.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .stdmap import Coord, DirAngle, MapParams, Mat2, TorusPoint, atan2_each, hypot_each, mod1
-
-if TYPE_CHECKING:
-    from .foliations import Leaf
+from .stdmap import Coord, DirAngle, Mat2, atan2_each, hypot_each
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Largest per-step rotation of the field rk4_leaf accepts.  Under mod-pi
-#: continuity flipping a rotation just above pi/2 is indistinguishable from
-#: one just below, so pi/4 is the widest turn that can be trusted.
-_MAX_TURN_DOT = math.cos(0.25 * math.pi)
-
-
-class StepSizeError(RuntimeError):
-    """The field rotated too much between RK4 vertices for the requested step."""
 
 
 @dataclass(frozen=True)
@@ -167,118 +149,3 @@ def sweep_min_direction(m: Mat2, grid: int = 100_000) -> SweepMinResult:
     if curvature > 0.0:
         best -= 0.5 * math.atan(math.tan(h) * (fp - fm) / curvature)
     return SweepMinResult(DirAngle(best), False)
-
-
-def fd_derivative(fn: Callable[[float], float], y: float, h: float) -> float:
-    """Central difference (fn(y+h) - fn(y-h)) / (2h).
-
-    Non-finite evaluations propagate into the result.
-    """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    return (fn(y + h) - fn(y - h)) / (2.0 * h)
-
-
-def rk4_leaf(
-    field_id: str,
-    start: TorusPoint,
-    params: MapParams,
-    step: float = 1e-3,
-    max_arc: float = 10.0,
-    initial_direction: tuple[float, float] | None = None,
-) -> Leaf:
-    """Leaf by classical RK4 on the unit direction field in the plane.
-
-    The reference for ``foliations.trace_leaf``, which integrates in the
-    field's governing coordinate instead.  Direction fields are only defined
-    mod pi, so every evaluation is flipped, when needed, to keep a positive
-    inner product with the running tangent.  The step is ``step`` times
-    min(1, k * distance of y (ytilde backward) from {1/4, 3/4}), floored at
-    1/(1 + k), since the fields turn on a scale of 1/k in the critical
-    strips; the last step is clipped to end at ``max_arc`` exactly.  The
-    orientation rule is trace_leaf's.  There is no closure detection.
-
-    Raises StepSizeError when the field direction rotates more than pi/4
-    between consecutive vertices, which means the step cannot resolve the
-    field in that region.
-    """
-    # Local imports: both modules build on this one.
-    from .coordinates import backward_angle, forward_angle
-    from .foliations import LEAF_FIELDS, Leaf
-
-    if field_id not in LEAF_FIELDS:
-        raise ValueError(f"field_id must be one of {LEAF_FIELDS}, got {field_id!r}")
-    if not all(math.isfinite(v) and v > 0.0 for v in (step, max_arc)):
-        raise ValueError("step and max_arc must be positive and finite")
-    forward = field_id in ("E1", "F1")
-    offset = 0.5 * math.pi if field_id[0] == "F" else 0.0
-
-    def direction(lx: float, ly: float) -> tuple[float, float]:
-        if forward:
-            ang = forward_angle(mod1(ly), params) + offset
-        else:
-            ang = backward_angle(mod1(ly - lx), params) + offset
-        return math.cos(ang), math.sin(ang)
-
-    def strip_distance(lx: float, ly: float) -> float:
-        c = mod1(ly) if forward else mod1(ly - lx)
-        return min(abs(c - 0.25), abs(c - 0.75), 1.0 - abs(c - 0.75))
-
-    lx, ly = start.x, start.y
-    rx, ry = direction(lx, ly)
-    if initial_direction is not None:
-        if rx * initial_direction[0] + ry * initial_direction[1] < 0.0:
-            rx, ry = -rx, -ry
-    elif rx < 0.0 or (rx == 0.0 and ry < 0.0):
-        rx, ry = -rx, -ry
-
-    xs = array("d", [lx])
-    ys = array("d", [ly])
-    arc = 0.0
-    floor_factor = 1.0 / (1.0 + params.k)
-    max_steps = int(2 * max_arc / (step * floor_factor)) + 64
-
-    for _ in range(max_steps):
-        if arc >= max_arc:
-            break
-        factor = min(1.0, max(params.k * strip_distance(lx, ly), floor_factor))
-        h = min(step * factor, max_arc - arc)
-
-        d1x, d1y = direction(lx, ly)
-        if d1x * rx + d1y * ry < 0.0:
-            d1x, d1y = -d1x, -d1y
-        d2x, d2y = direction(lx + 0.5 * h * d1x, ly + 0.5 * h * d1y)
-        if d2x * d1x + d2y * d1y < 0.0:
-            d2x, d2y = -d2x, -d2y
-        d3x, d3y = direction(lx + 0.5 * h * d2x, ly + 0.5 * h * d2y)
-        if d3x * d1x + d3y * d1y < 0.0:
-            d3x, d3y = -d3x, -d3y
-        d4x, d4y = direction(lx + h * d3x, ly + h * d3y)
-        if d4x * d1x + d4y * d1y < 0.0:
-            d4x, d4y = -d4x, -d4y
-
-        nx = lx + h * (d1x + 2.0 * (d2x + d3x) + d4x) / 6.0
-        ny = ly + h * (d1y + 2.0 * (d2y + d3y) + d4y) / 6.0
-
-        ndx, ndy = direction(nx, ny)
-        if ndx * d1x + ndy * d1y < 0.0:
-            ndx, ndy = -ndx, -ndy
-        if ndx * d1x + ndy * d1y < _MAX_TURN_DOT:
-            coord = mod1(ny) if forward else mod1(ny - nx)
-            raise StepSizeError(
-                f"step {h:.3g} too large for {field_id} near "
-                f"{'y' if forward else 'ytilde'} = {coord:.6f}: "
-                "field direction turned by more than pi/4 between vertices"
-            )
-
-        # The field is unit speed, so parameter time is exact arc length;
-        # summing chord lengths instead would bias the endpoint by O(h^2).
-        arc += h
-        lx, ly, rx, ry = nx, ny, ndx, ndy
-        xs.append(lx)
-        ys.append(ly)
-    else:
-        raise RuntimeError(f"leaf trace exceeded {max_steps} steps before reaching arc {max_arc}")
-
-    lifted = np.column_stack([np.frombuffer(xs, dtype=float), np.frombuffer(ys, dtype=float)])
-    return Leaf(field_id=field_id, lifted=lifted, arc_length=arc, closed=False)

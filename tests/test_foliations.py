@@ -6,12 +6,13 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from hypermap import foliations
 from hypermap.cli import run
 from hypermap.coordinates import critical_constants, phi, theta_field
 from hypermap.foliations import LEAF_FIELDS, closed_leaves, trace_leaf
-from hypermap.oracle import rk4_leaf, svd2
+from hypermap.oracle import svd2
 from hypermap.stdmap import MapParams, TorusPoint, angle_dist_mod_pi, jacobian
 
 
@@ -26,24 +27,93 @@ def winding(leaf) -> tuple[int, int]:
     return round(dx), round(dy)
 
 
-def polyline_distance(pts: np.ndarray, ref: np.ndarray, window: float = 2e-3) -> np.ndarray:
-    """Distance of each point to the polyline ``ref``, near the same arc position.
+#: Working digits of the leaf oracle.
+ORACLE_DIGITS = 20
 
-    Both polylines start at the same point and are parametrised by summed
-    chord length; each point is compared with the ref segments within
-    ``window`` of its own position.
+
+def oracle_field(field_id: str, k: float):
+    """The leaf ODE of ``field_id`` in mpmath: c -> (dx/dc, ds/dc, w).
+
+    c is y forward (E1, F1) and ytilde = y - x backward (E-1, F-1), and w =
+    dc/ds along a unit tangent.  The tangent is the right-singular vector of
+    Df = [[1, psi], [1, 1 + psi]] (forward) or Df^-1 = [[1 + psi, -psi], [-1, 1]]
+    (backward), psi = 2 pi k cos(2 pi c), that the matrix contracts most (E)
+    or expands most (F): an eigenvector of M^T M for its least or greatest
+    eigenvalue.  No formula of the library enters.  Call it under
+    ``mp.workdps``.
     """
-    arc_ref = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(ref, axis=0).T))])
-    arc_pts = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
-    out = np.empty(len(pts))
-    for i, (p, s) in enumerate(zip(pts, arc_pts)):
-        lo = max(int(np.searchsorted(arc_ref, s - window)) - 1, 0)
-        hi = min(int(np.searchsorted(arc_ref, s + window)) + 1, len(ref) - 1)
-        a, b = ref[lo:hi], ref[lo + 1:hi + 1]
-        d = b - a
-        t = np.clip(((p - a) * d).sum(1) / np.maximum((d * d).sum(1), 1e-300), 0.0, 1.0)
-        out[i] = np.hypot(*(a + t[:, None] * d - p).T).min()
-    return out
+    forward = field_id in ("E1", "F1")
+    expanded = field_id[0] == "F"
+    k = mp.mpf(k)
+
+    def field(c):
+        psi = 2 * mp.pi * k * mp.cospi(2 * c)
+        a, b, cc, d = (1, psi, 1, 1 + psi) if forward else (1 + psi, -psi, -1, 1)
+        p, q, r = a * a + cc * cc, a * b + cc * d, b * b + d * d
+        most = (p + r) / 2 + mp.hypot((p - r) / 2, q)
+        lam = most if expanded else (a * d - b * cc) ** 2 / most  # the eigenvalues multiply to det(M)^2
+        # Either row of (M^T M - lam) v = 0 gives v; the one of larger norm keeps its digits.
+        u, v = max(((q, lam - p), (lam - r, q)), key=lambda e: abs(e[0]) + abs(e[1]))
+        w = v if forward else v - u
+        norm = mp.hypot(u, v)
+        return u / w, norm / abs(w), w / norm
+
+    return field
+
+
+def quarter_breaks(lo, hi) -> list:
+    """[lo, the quarter points c in 1/4 + Z/2 inside (lo, hi), hi]: the field
+    turns fastest there, so ``mp.quad`` takes them as interval ends."""
+    quarters = (mp.mpf(j) / 2 + mp.mpf(0.25) for j in range(math.floor(2 * lo - 0.5), math.ceil(2 * hi - 0.5) + 1))
+    return [lo, *(q for q in quarters if lo < q < hi), hi]
+
+
+def oracle_errors(leaf, k: float, every: int = 100) -> tuple[float, float]:
+    """(worst normal distance, end-point error) of ``leaf`` against ``oracle_field``.
+
+    x(c) = x0 + int dx/dc and s(c) = int ds/dc are taken with ``mp.quad``
+    from checkpoint to checkpoint: every ``every``-th vertex, or every
+    (n // 10)-th of a leaf of n vertices if that is more, and the last.  A
+    checkpoint's normal distance from the true leaf is |x_i - x(c_i)|
+    |w(c_i)|, as x moves at fixed c along (1, 0) forward and (1, 1)
+    backward.  The end-point error is |s(c_end) - arc|.
+
+    A leaf that ends within 1e-9 of a closed leaf (a zero of w, which the
+    oracle finds from delta^*) is checked up to its last vertex at least
+    1e-9 from it, where x at fixed c is still well conditioned.  The rest of
+    its arc runs along the closed leaf, at speed 1 in x for F1 and 1/sqrt(2)
+    for E-1, and the end-point error is the larger of the end's x error and
+    its distance in c from the zero.
+    """
+    forward = leaf.field_id in ("E1", "F1")
+    lx, ly = leaf.lifted.T
+    cs = ly if forward else ly - lx
+    last, zero = len(cs) - 1, None
+    with mp.workdps(ORACLE_DIGITS):
+        field = oracle_field(leaf.field_id, k)
+        delta_star = critical_constants(MapParams(k)).delta_star if leaf.field_id in ("F1", "E-1") else None
+        if delta_star is not None:
+            guess = min((z + round(cs[-1] - z) for z in (delta_star, 1.0 - delta_star)), key=lambda z: abs(z - cs[-1]))
+            zero = mp.findroot(lambda c: field(c)[2], mp.mpf(guess))
+            far = np.flatnonzero(np.abs(cs - float(zero)) >= 1e-9)
+            if far[-1] == last:
+                zero = None
+            else:
+                last = int(far[-1])
+        stride = max(every, len(cs) // 10)
+        x, s, worst = mp.mpf(lx[0]), mp.mpf(0), 0.0
+        prev = mp.mpf(cs[0])
+        for i in [*range(stride, last, stride), last]:
+            c = mp.mpf(cs[i])
+            nodes = quarter_breaks(min(prev, c), max(prev, c))
+            x += mp.sign(c - prev) * mp.quad(lambda t: field(t)[0], nodes)
+            s += mp.quad(lambda t: field(t)[1], nodes)
+            worst = max(worst, float(abs(lx[i] - x) * abs(field(c)[2])))
+            prev = c
+        if zero is None:
+            return worst, float(abs(s - leaf.arc_length))
+        along = math.copysign(1.0 if leaf.field_id == "F1" else math.sqrt(0.5), lx[-1] - lx[last])
+        return worst, float(max(abs(lx[-1] - (x + along * (leaf.arc_length - s))), abs(cs[-1] - zero)))
 
 
 def chord_excess(leaf, params: MapParams) -> float:
@@ -327,10 +397,23 @@ class TestTraceLeaf:
             trace_leaf("F-1", TorusPoint(0.125, 0.0), MapParams(1.0), max_arc=1.0),
         ]
         for leaf in leaves:
-            segs = leaf.segments()
-            assert len(segs) >= 2
-            for seg in segs:
+            for seg in leaf.segments():
                 assert np.all(seg >= 0.0) and np.all(seg <= 1.0)
+        assert len(leaves[0].segments()) >= 2 and len(leaves[1].segments()) >= 2
+        # The third stays in the square below its start, from that square's top side on.
+        segs = leaves[2].segments()
+        assert len(segs) == 1 and segs[0][0].tolist() == [0.125, 1.0]
+
+    def test_first_piece_starts_where_the_leaf_leaves_its_side(self):
+        # A leaf that starts on a seam and leaves it downward (y) or leftward
+        # (x) starts in the square its first chord enters, on that square's
+        # top or right side, with no zero-length piece before it.
+        for start, direction, first in ((TorusPoint(0.0, 0.0), None, [0.0, 1.0]),
+                                        (TorusPoint(0.0, 0.6), (-1.0, 0.0), [1.0, 0.6])):
+            leaf = trace_leaf("E1", start, MapParams(1.0), step=0.3, initial_direction=direction)
+            segs = leaf.segments()
+            assert segs[0][0].tolist() == first
+            assert min(np.hypot(*np.diff(seg, axis=0).T).sum() for seg in segs) > 0.0
 
     def test_csv_rows_shape(self):
         p = MapParams(5.0)
@@ -345,13 +428,19 @@ class TestTraceLeaf:
         assert seg_ids == sorted(seg_ids) and set(seg_ids) == set(range(len(leaf.segments())))
 
 
-#: Fields and k for the comparison with the RK4 oracle; delta^* is undefined
+#: Fields and k for the comparison with the leaf oracle; delta^* is undefined
 #: at k = 0.05, where F1 and E-1 have no closed leaves.
 RK4_CASES = [(f, k) for f in ("E1", "F1", "E-1", "F-1") for k in (0.6, 2.0, 10.0, 30.0, 100.0)]
 RK4_CASES += [("F1", 0.05), ("E-1", 0.05)]
 
 
 class TestAgainstRk4:
+    """Leaves at the default step against the mpmath leaf oracle.
+
+    Named for the RK4 tracer these leaves were first compared with; the name
+    keeps the test ids.
+    """
+
     @pytest.mark.parametrize("field_id,k", RK4_CASES)
     def test_matches_oracle(self, field_id, k):
         p = MapParams(k)
@@ -359,10 +448,11 @@ class TestAgainstRk4:
         start = TorusPoint(0.3, 0.37) if field_id in ("E1", "F1") else TorusPoint(0.3, 0.67)
         step = 1e-3
         leaf = trace_leaf(field_id, start, p, step=step, max_arc=0.5)
-        ref = rk4_leaf(field_id, start, p, step=2.5e-4, max_arc=0.5)
         assert leaf.arc_length == 0.5 and not leaf.closed
-        assert np.hypot(*(leaf.lifted[-1] - ref.lifted[-1])) < 1e-9
-        assert polyline_distance(leaf.lifted, ref.lifted).max() < 1e-6
+        # Worst over these cases: normal 8.4e-13 (F-1, k = 30), end 1.0e-11 (F1, k = 0.6).
+        normal, end = oracle_errors(leaf, k)
+        assert normal < 1e-11
+        assert end < 1e-9
         chords = np.diff(leaf.lifted, axis=0)
         assert np.hypot(*chords.T).max() <= step
         turn = np.diff(np.arctan2(chords[:, 1], chords[:, 0]))
@@ -432,6 +522,54 @@ def spy_integrals(monkeypatch) -> list:
 
     monkeypatch.setattr(foliations._LeafField, "integrals", spy)
     return calls
+
+
+class TestLeafOracle:
+    """What the mpmath leaf oracle sees beyond the default-step cases."""
+
+    def test_sees_an_error_in_the_field_angle(self, monkeypatch):
+        # The oracle shares no formula with the library, so a 1e-9 rad error
+        # in the field angle moves the leaf off its true course (~5e-10 in
+        # normal distance here).
+        forward, backward = foliations.forward_angle, foliations.backward_angle
+        monkeypatch.setattr(foliations, "forward_angle", lambda c, p: forward(c, p) + 1e-9)
+        monkeypatch.setattr(foliations, "backward_angle", lambda c, p: backward(c, p) + 1e-9)
+        for field_id, start in (("E1", TorusPoint(0.3, 0.37)), ("E-1", TorusPoint(0.3, 0.67))):
+            leaf = trace_leaf(field_id, start, MapParams(10.0), max_arc=0.5)
+            assert oracle_errors(leaf, 10.0)[0] > 1e-10
+
+    def test_doubled_cap_retries_stay_on_the_leaf(self, monkeypatch):
+        # Within 0.1 % below k = 1/(4 pi), |w| of F1 and E-1 has a shallow
+        # minimum at c = 1/2.  The pilot's trapezoid arc reads high there, so
+        # leaves that start just below it take doubled-cap retries.
+        calls = spy_fine_grid(monkeypatch)
+        rng = np.random.default_rng(41)
+        retried = 0
+        for field_id in ("F1", "E-1"):
+            for _ in range(3):
+                k = (1.0 - 10.0 ** -rng.uniform(3.0, 9.0)) / (4.0 * math.pi)
+                x, c = rng.random(), rng.uniform(0.45, 0.55)
+                start = TorusPoint(x, c if field_id == "F1" else (c + x) % 1.0)
+                calls.clear()
+                leaf = trace_leaf(field_id, start, MapParams(k), max_arc=0.5)
+                retried += len(calls) > 1
+                normal, end = oracle_errors(leaf, k)
+                assert normal < 1e-11
+                assert end < 1e-9
+        assert retried >= 1
+
+    def test_coarse_step_error_as_measured(self):
+        # Today's error at step 0.3, where the quadrature runs on the vertex
+        # grid and no tolerance bounds it.  Worst normal distance measured
+        # over these leaves: E1 1.8e-16, F1 3.6e-7 (k = 69, from the long
+        # intervals next to c = 1/4), E-1 6.1e-10, F-1 3.0e-9.  Each bound is
+        # about twice that (E1: 1e-14, rounding).
+        bounds = {"E1": 1e-14, "F1": 8e-7, "E-1": 1.5e-9, "F-1": 6e-9}
+        worst = dict.fromkeys(LEAF_FIELDS, 0.0)
+        for field_id, start, p in seeded_leaves(1, LEAF_FIELDS, 2):
+            leaf = trace_leaf(field_id, start, p, step=0.3, max_arc=1.0)
+            worst[field_id] = max(worst[field_id], oracle_errors(leaf, p.k, every=10)[0])
+        assert all(worst[f] <= bounds[f] for f in LEAF_FIELDS), worst
 
 
 class TestArcCap:

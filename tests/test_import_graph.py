@@ -9,14 +9,6 @@ import hypermap
 
 PACKAGE = Path(hypermap.__file__).resolve().parent
 
-#: Left out of the graph: ``oracle`` holds the independent references, and it
-#: reads the fields and leaves that it checks.  Production imports its SVD in
-#: two modules: ``coordinates`` (``svd2`` in ``hyperbolic_frame``, which goes
-#: away once the order-n frames get a batched SVD of their own) and ``cli``
-#: (``svd2_entries`` on the ``verify`` battery's arrays, and ``svd2`` bound
-#: for the benchmark's tracer).
-EXCLUDED = {"oracle"}
-
 
 def internal_imports(path: Path) -> set[str]:
     """Every module of the package that ``path`` imports, at any depth of its
@@ -32,8 +24,10 @@ def internal_imports(path: Path) -> set[str]:
 
 
 def test_package_imports_are_acyclic():
-    graph = {path.stem: internal_imports(path) - EXCLUDED for path in PACKAGE.glob("*.py") if path.stem not in EXCLUDED}
+    graph = {path.stem: internal_imports(path) for path in PACKAGE.glob("*.py")}
     assert graph["coordinates"] and graph["cli"]  # the walk sees the imports
+    # The oracle reads nothing of the fields and leaves that it checks.
+    assert graph["oracle"] == {"stdmap"}
     done: set[str] = set()
 
     def visit(node: str, path: list[str]) -> None:

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermap.coordinates import critical_constants
-from hypermap.oracle import StepSizeError, fd_derivative, rk4_leaf, svd2, svd2_entries, sweep_min_direction
-from hypermap.stdmap import MapParams, Mat2, TorusPoint, angle_dist_mod_pi, jacobian_entries
+from hypermap.oracle import svd2, svd2_entries, sweep_min_direction
+from hypermap.stdmap import Mat2, angle_dist_mod_pi, jacobian_entries
 from test_stdmap import IDENTITY, matmul
 
 SQRT5 = math.sqrt(5.0)
@@ -228,44 +227,3 @@ class TestSweepMinDirection:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             sweep_min_direction(IDENTITY, grid=999)
-
-
-class TestFdDerivative:
-    def test_psi_cos_derivative(self):
-        # d/dy [2 pi cos(2 pi y)] = -(2 pi)^2 sin(2 pi y)
-        fn = lambda y: 2 * math.pi * math.cos(2 * math.pi * y)
-        got = fd_derivative(fn, 0.1, 1e-6)
-        want = -((2 * math.pi) ** 2) * math.sin(0.2 * math.pi)
-        assert got == pytest.approx(want, abs=1e-6)
-
-    def test_constant_is_zero(self):
-        assert fd_derivative(lambda y: 4.25, 0.3, 1e-6) == 0.0
-
-    def test_nonfinite_propagates(self):
-        assert math.isnan(fd_derivative(lambda y: math.nan, 0.0, 1e-6))
-
-    def test_h_must_be_positive(self):
-        with pytest.raises(ValueError):
-            fd_derivative(lambda y: y, 0.0, 0.0)
-
-
-class TestRk4Leaf:
-    def test_step_halving_is_fourth_order(self):
-        # One clean halving above the rounding floor; beyond it the
-        # integrator saturates at ~1e-13 absolute on this segment.
-        p = MapParams(2.0)
-
-        def endpoint(h):
-            return rk4_leaf("E1", TorusPoint(0.0, 0.6), p, step=h, max_arc=0.5).lifted[-1]
-
-        ref = endpoint(2.5e-4)
-        e1 = float(np.hypot(*(endpoint(1.6e-2) - ref)))
-        e2 = float(np.hypot(*(endpoint(8e-3) - ref)))
-        assert e1 / e2 >= 12.0
-        assert e2 < 1e-12
-
-    def test_step_size_error_names_region(self):
-        p = MapParams(20.0)
-        ds = critical_constants(p).delta_star
-        with pytest.raises(StepSizeError, match="E1 near y"):
-            rk4_leaf("E1", TorusPoint(0.5, ds), p, step=0.3, max_arc=2.0)

@@ -23,11 +23,15 @@ from hypermap.tangency import tangency_curve, tangency_landmarks
 
 
 def reference_segments(pts: np.ndarray) -> list[np.ndarray]:
-    """The per-vertex seam-splitting loop, as ``Leaf.segments`` had it."""
+    """The per-vertex seam-splitting loop, as ``Leaf.segments`` had it, with
+    its first vertex on a side in the square its outgoing chord enters."""
     if len(pts) == 0:
         return []
     segs: list[np.ndarray] = []
     ox, oy = math.floor(pts[0, 0]), math.floor(pts[0, 1])
+    if len(pts) > 1:
+        ox -= pts[0, 0] == ox and pts[1, 0] < pts[0, 0]
+        oy -= pts[0, 1] == oy and pts[1, 1] < pts[0, 1]
     cur: list[tuple[float, float]] = [(pts[0, 0] - ox, pts[0, 1] - oy)]
     for i in range(1, len(pts)):
         px, py = pts[i - 1]
