@@ -68,7 +68,8 @@ _FILL = 0.85
 #: That arc errs by ~1e-3 at most: (r - 1)(1 + 1/r) / (2 ln r) - 1 = 4.1e-4 a
 #: step of the geometric approach to a zero of w (r = _PILOT_RATIO), 5.3e-4 at
 #: worst over seeded leaves (k in [0.06, 300]).  Ten times that keeps the grid
-#: past the cap, but within 0.1 % below k = 1/(4 pi) some leaves retry.
+#: past the cap; a grid that a later pass still finds short takes in the rest
+#: of the pilot (``_fine_grid``).
 _CUT = 1.01
 #: Initial grid: nodes per unit of c, spacing in asinh(psi) (the field turns
 #: where |psi| is of order one, a band of width ~1/k in c) and the ratio of
@@ -245,7 +246,11 @@ def _pilot(f: _LeafField, length: float, sigma: float, ahead: Optional[float],
     """Initial nodes at travel distances [0, length] from the start, as offsets C.
 
     ``ahead`` and ``behind`` are the distances of the zeros of w in front of
-    and behind the start, when the field has zeros.
+    and behind the start, when the field has zeros.  The nodes approach them
+    geometrically, at ratio _PILOT_RATIO from _JOIN.  Without zeros, F1 and
+    E-1 (below k = 1/(4 pi)) take such nodes on both sides of c = 1/2, where
+    |w| has a shallow minimum and the trapezoid rule would read its peak of
+    1/|w| from the uniform nodes alone.
     """
     # np.linspace's and np.geomspace's nodes, bit for bit: start + i * (span / intervals), the ends exact.
     n = math.ceil(length * _PILOT_PER_UNIT)
@@ -257,11 +262,17 @@ def _pilot(f: _LeafField, length: float, sigma: float, ahead: Optional[float],
     first = (sigma * (np.concatenate([v, 1.0 - v]) - f.base)) % 1.0
     parts = [np.arange(n) * (length / n), [length], (first[:, None] + np.arange(math.ceil(length) + 1)).ravel()]
     if ahead is not None and behind is not None:
-        for lo, hi, sign, shift in ((_JOIN, ahead, -1.0, ahead), (behind, behind + length, 1.0, -behind)):
-            n = math.ceil(math.log(hi / lo) / math.log(_PILOT_RATIO))
-            log_lo, log_hi = np.log10([lo, hi])
-            nodes = np.append(10.0 ** (np.arange(1, n) * ((log_hi - log_lo) / n) + log_lo), [lo, hi])
-            parts.append(sign * nodes + shift)
+        spans = [(_JOIN, ahead, -1.0, ahead), (behind, behind + length, 1.0, -behind)]
+    elif f.forward == f.perp:  # F1 or E-1: around c = 1/2, and its copy a period behind or ahead
+        half = (sigma * (0.5 - f.base)) % 1.0
+        spans = [(_JOIN, 0.5, sign, at) for sign in (-1.0, 1.0) for at in (half, half - sign)]
+    else:
+        spans = []
+    for lo, hi, sign, shift in spans:
+        n = math.ceil(math.log(hi / lo) / math.log(_PILOT_RATIO))
+        log_lo, log_hi = np.log10([lo, hi])
+        nodes = np.append(10.0 ** (np.arange(1, n) * ((log_hi - log_lo) / n) + log_lo), [lo, hi])
+        parts.append(sign * nodes + shift)
     d = np.concatenate(parts)
     d = np.sort(d[(d >= 0.0) & (d <= length)])
     return sigma * d[np.append(True, d[1:] != d[:-1])]
@@ -282,13 +293,13 @@ def _turns(a: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d)
 
 
-def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Grid:
-    """Nodes equidistributed on the cost ``nodes`` measure, dropping those past arc ``cap``.
+def _fine_grid(f: _LeafField, pilot: np.ndarray, step: float, cap: float) -> _Grid:
+    """Nodes equidistributed on the cost ``pilot`` measures, dropping those past arc ``cap``.
 
     The cost of an interval is arc / step + turn / _MAX_TURN + (change of
     ln|w|) / _MAX_LOG_W, summed as fractions of one allowance.  The first
-    pass reads the pilot ``nodes``' arc by the trapezoid rule on 1/|w|, ends
-    the interval crossing _CUT * cap where that arc, linear in C, reaches it,
+    pass reads the ``pilot``'s arc by the trapezoid rule on 1/|w|, ends the
+    interval crossing _CUT * cap where that arc, linear in C, reaches it,
     and places ceil(total / _FILL) intervals at equal steps of the pilot's
     cost, interpolated linearly; each later pass measures the grid by the
     3-point rule and stops once every interval costs at most 1, or places
@@ -297,12 +308,13 @@ def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Gr
     Each later pass keeps whole the interval that crosses ``cap`` on its own
     arc estimate, and two such passes agree on the arc to better than 1e-8
     relative (6.7e-9 at worst over seeded leaves of all four fields, k in
-    [0.06, 300]), so ``trace_leaf`` asks for 1e-6 past ``max_arc``.  A grid
-    still short (the pilot's arc, good to ~1e-3, high by more than _CUT
-    allows) is placed again with a doubled cap.  It is ``complete`` if it
-    spans ``nodes``.
+    [0.06, 300]), so ``trace_leaf`` asks for 1e-6 past ``max_arc``.  A later
+    pass that finds a cut grid short of ``cap`` (the pilot's arc, good to
+    ~1e-3, read high by more than _CUT allows) appends the pilot nodes past
+    the grid's last node and measures them before it cuts.  So the grid is
+    ``complete``, spanning ``pilot``, or reaches ``cap``.
     """
-    complete = True
+    nodes, complete = pilot, True
     for done in range(_PASSES):
         a = f.angle(nodes)
         w = np.abs(f.speed(a))
@@ -311,6 +323,12 @@ def _fine_grid(f: _LeafField, nodes: np.ndarray, step: float, cap: float) -> _Gr
         else:  # the pilot: the trapezoid rule on 1/|w| at the nodes
             ds = 0.5 * np.abs(np.diff(nodes)) * (1.0 / w[:-1] + 1.0 / w[1:])
         s = np.concatenate([[0.0], np.cumsum(ds)])
+        if done and not complete and s[-1] < cap:  # cut short of ``cap``: take in the rest of the pilot
+            nodes, complete = np.append(nodes, pilot[np.abs(pilot) > abs(nodes[-1])]), True
+            a = f.angle(nodes)
+            w = np.abs(f.speed(a))
+            dx, ds = f.integrals(nodes[:-1], nodes[1:])
+            s = np.concatenate([[0.0], np.cumsum(ds)])
         end = cap if done else _CUT * cap
         n = int(np.searchsorted(s[:-1], end))
         if n < len(ds):
@@ -453,14 +471,7 @@ def trace_leaf(
         ahead, behind = (up, down) if sigma > 0.0 else (down, up)
         length = ahead - _JOIN
 
-    nodes = _pilot(f, length, sigma, ahead, behind)
-    cap = (1.0 + 1e-6) * max_arc
-    grid = _fine_grid(f, nodes, step, cap)
-    # Short only if the pilot read the arc high by more than _CUT allows, or a
-    # finer pass read it lower than the pass that cut the grid.
-    while not grid.complete and grid.s[-1] < max_arc:
-        cap *= 2.0
-        grid = _fine_grid(f, nodes, step, cap)
+    grid = _fine_grid(f, _pilot(f, length, sigma, ahead, behind), step, (1.0 + 1e-6) * max_arc)
 
     if ahead is None or grid.s[-1] >= max_arc:
         c, x = _tile(f, grid, max_arc, sigma, periodic=ahead is None)

@@ -132,7 +132,8 @@ def _angle_gap(forward: Coord, backward: Coord) -> Coord:
 def _lower_heights(ytilde: np.ndarray, params: MapParams) -> np.ndarray:
     """The lower tangency height at each ytilde from the ray quadratic (module docstring), NaN where none."""
     if not params.defined["delta_plus"]:
-        raise TangencySelectionError("k", f"{params.k:g}: strip constants undefined below k = 0.2174")
+        raise TangencySelectionError("k", f"{params.k:g}: delta^+ is undefined below k = (1 + sqrt(3))/(4 pi) "
+                                          "~ 0.217410")
     if params.k > MAX_CURVE_K:
         raise TangencySelectionError("k", f"{params.k:g}: tangency curves are computed only up to k = "
                                           f"{MAX_CURVE_K:g}, where a float64 height still meets the "

@@ -532,6 +532,12 @@ class TestArgumentErrors:
         assert code == 2
         assert err.startswith("error: --k 0.3: ") and "Traceback" not in err
 
+    def test_tangency_below_delta_plus_names_its_threshold(self):
+        # 0.2174 lies just below (1 + sqrt(3))/(4 pi) = 0.2174097; a rounded
+        # threshold in the message would contradict the k it rejects.
+        want = "error: --k 0.2174: delta^+ is undefined below k = (1 + sqrt(3))/(4 pi) ~ 0.217410\n"
+        assert self.run_error(["tangency", "--k", "0.2174"]) == (2, want)
+
     def test_a_ytilde_without_tangency_names_k1(self):
         want = ("error: --k 0.3: ytilde = 0.375 has no tangency at this k; every ytilde has one from "
                 "k1 = (2 + sqrt(3) + sqrt(13))/(4 sqrt(3) pi) ~ 0.337119 on\n")

@@ -5,8 +5,9 @@ standard error captured and ``figures`` writing into a fresh directory,
 and records the exit code, the digest of standard output, standard error
 as text and, for ``figures``, the digest of each file.  The cases cover
 every subcommand and format at k in ``KS``, leaves of all four fields at
-steps 1e-3 and 0.3 and next to a closed leaf, ``cones`` with a band,
-without one and inside the strips, ``verify`` and a few argument errors.
+steps 1e-3 and 0.3, next to a closed leaf and just below k = 1/(4 pi),
+``cones`` with a band, without one and inside the strips, ``verify`` and a
+few argument errors.
 
 A change that moves bytes regenerates the table with
 
@@ -40,6 +41,9 @@ FIELDS = ("E1", "F1", "E-1", "F-1")
 #: 5e-11 above delta^*(10) = 0.25126652816307454: a start on the closed leaf
 #: of F1 (y) and of E-1 (ytilde = y at x = 0).
 NEAR_CLOSED = "0.25126652821307454"
+#: Just below k = 1/(4 pi), where delta^* is born: 1 - 4 pi k = 1e-9 and
+#: 1e-10.  The leaf started there once kept millions of vertices.
+NEAR_BIRTH = ("0.0795774714663702", "0.07957747153798993")
 
 
 def cases() -> list[list[str]]:
@@ -76,6 +80,9 @@ def cases() -> list[list[str]]:
         ["leaf", "--y", "-1e20", "--step", "0.3"],
         ["leaf", "--y", "-inf"],
         ["constants", "--k", "-1e-3"],
+        ["tangency", "--k", "0.2174"],
+        *(["leaf", "--field", "F1", "--k", k, "--x", "0.3", "--y", "0.4995", "--max-arc", "0.5"]
+          for k in NEAR_BIRTH),
     ]
     return out
 
