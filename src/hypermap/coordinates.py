@@ -57,10 +57,12 @@ from typing import Optional
 
 import numpy as np
 
+from .oracle import svd2_entries
+from .stdmap import (DELTA_LEVELS, TWO_PI, Coord, DirAngle, MapParams, ParameterError, TimeDirection, TorusPoint,
+                     orbit_entries, psi)
+# Unused here: perfbench/tracing.py wraps them by name in this module.
 from .oracle import svd2
-from .stdmap import (DELTA_LEVELS, TWO_PI, Coord, DirAngle, MapParams, Mat2, ParameterError, TimeDirection,
-                     TorusPoint, orbit_entries, psi)
-from .stdmap import orbit_jacobian  # unused here; perfbench/tracing.py wraps it by name in this module
+from .stdmap import orbit_jacobian
 
 
 class ConformalPointError(ValueError):
@@ -330,33 +332,26 @@ def hyperbolic_frame(p: TorusPoint, params: MapParams, n: int) -> HypFrame:
 
     One walk of the orbit (``orbit_entries``) gives the entries of
     ``orbit_jacobian`` and the product of the step determinants, det
-    D(f^n)_p up to rounding.  F and the directions come from ``svd2``
-    of the entries.  E is |det| / F with that determinant, 1 up to
-    rounding: the smaller singular value of the computed product, like its
-    determinant, cancels to noise once F^2 outgrows 1/eps.
+    D(f^n)_p up to rounding.  F and the directions are the floats of
+    ``oracle.svd2_entries`` on those entries, ``svd2``'s formula without
+    its ``Mat2`` and ``Svd2Result``.  E is |det| / F with that determinant,
+    1 up to rounding: the smaller singular value of the computed product,
+    like its determinant, cancels to noise once F^2 outgrows 1/eps.
 
     An order whose H = E / F falls below the normal float64 range raises
     ``ParameterError`` naming ``n`` (at (0.2, 0.3): from n = 56 at k = 200,
     n = 29 at k = 1e5).  A normal H keeps F^2 under 4.5e307, so the
-    2 (ab + cd) ~ F^2 that svd2's direction formula forms stays finite.
+    2 (ab + cd) ~ F^2 that the direction formula forms stays finite.
     """
-    a, b, c, d, det = orbit_entries(p, params, n)
-    s = svd2(Mat2(a, b, c, d))
-    if s.degenerate or s.dir_min is None or s.dir_max is None:
-        raise ConformalPointError(n, s.sigma_max)
-    e = abs(det) / s.sigma_max
-    h = e / s.sigma_max
+    a, b, c, d, det = orbit_entries(p, params, n)  # finite, or it raises
+    f, _, t_max, t_min = svd2_entries(a, b, c, d)
+    if t_max is None or t_min is None:
+        raise ConformalPointError(n, f)
+    e = abs(det) / f
+    h = e / f
     if not h >= sys.float_info.min:
-        raise ParameterError("n", f"{n}: the order-n frame leaves float64 range at k = {params.k:g}, "
-                                  f"F = {s.sigma_max:.3g}")
-    return HypFrame(
-        order=n,
-        F=s.sigma_max,
-        E=e,
-        H=h,
-        e_dir=s.dir_min,
-        f_dir=s.dir_max,
-    )
+        raise ParameterError("n", f"{n}: the order-n frame leaves float64 range at k = {params.k:g}, F = {f:.3g}")
+    return HypFrame(order=n, F=f, E=e, H=h, e_dir=DirAngle(t_min), f_dir=DirAngle(t_max))
 
 
 @dataclass(frozen=True)

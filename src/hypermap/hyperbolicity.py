@@ -82,18 +82,19 @@ relative slack 1e-12.  Each is then rounded outward to a float32, since
 numpy compares a float32 array with a Python float in float32.  The float64
 expressions the sweep always used then evaluate again the samples whose
 verdicts these bounds cannot certify (a NaN certifies nothing: every
-comparison with it is false) and the extremum candidates; the first
-MAX_FAILURE_RECORDS failures of the sweep get their exact y for the
-records.  Every certified verdict equals the exact one and every extremum
-is attained in a refined sample, so the report is bit-identical to an
-all-float64 sweep.  For 5 <= k <= 200 outside the strips 0.01-2.4 % of the
-drawn samples are refined, the extremum candidates included: they lie next
-to the failure layers.  Inside the strips the image is at most 1 + 2m long,
-and the share refined grows like E / m: 0.03-2.2 % for 5 <= k <= 200,
-12 % at k = 10^3, m = 2, 64 % at k = 10^4, 92 % at k = 2 10^4, where
-E = 0.27 m, and all of them at k = 10^5, where E = 1.35 m.  Where
-K >= 2^60 and float32 could overflow, a chunk is evaluated in float64 at
-once.
+comparison with it is false) and the extremum candidates.  The first
+MAX_FAILURE_RECORDS failures of the sweep are its records: their exact y
+and theta stay float64 array rows from the batch to the report's text,
+with no Python float made for one.  Every certified verdict equals the
+exact one and every extremum is attained in a refined sample, so the
+report is bit-identical to an all-float64 sweep.  For 5 <= k <= 200
+outside the strips 0.01-2.4 % of the drawn samples are refined, the
+extremum candidates included: they lie next to the failure layers.
+Inside the strips the image is at most 1 + 2m long, and the share refined
+grows like E / m: 0.03-2.2 % for 5 <= k <= 200, 12 % at k = 10^3, m = 2,
+64 % at k = 10^4, 92 % at k = 2 10^4, where E = 0.27 m, and all of them
+at k = 10^5, where E = 1.35 m.  Where K >= 2^60 and float32 could
+overflow, a chunk is evaluated in float64 at once.
 
 Most samples outside the strips lie in the uniformly hyperbolic region,
 where a closed-form bound settles them without the filter.  A unit vector
@@ -207,7 +208,6 @@ box of slope_max holds most of them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -215,7 +215,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .coordinates import psi_inverse, strip_pair_contains
-from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, atan2_each, hypot_each, map_step, mod1, psi
+from .stdmap import TWO_PI, Coord, MapParams, ParameterError, TorusPoint, _orbit_psi, atan2_each, hypot_each, psi
 
 #: Samples are drawn and evaluated in batches of at most this many, which
 #: bounds each batch's temporary arrays.
@@ -263,6 +263,11 @@ class ConeReport:
     conclusion has a genuine thin failure layer at psi_c just below -2m
     with entry slopes near 1/m, where the image norm approaches g(m) of the
     module docstring (1 at m = 2); see the module tests for the exact corner.
+
+    ``failure_records`` holds the first MAX_FAILURE_RECORDS failures as the
+    rows (y, theta) of a read-only float64 array of shape (n, 2); the report
+    keeps a copy of what it is given.  Reports are equal when their fields
+    are and their records agree bit for bit.
     """
 
     k: float
@@ -275,11 +280,22 @@ class ConeReport:
     slope_range: tuple[float, float]
     seed: int
     inside_strip: bool
-    failure_records: tuple[tuple[float, float], ...] = field(repr=False, default=())
+    failure_records: np.ndarray = field(repr=False, compare=False, default=())  # any (n, 2) array-like
     #: Samples the filter could not settle and that were evaluated exactly.
     refined: int = field(repr=False, compare=False, default=0)
     #: Samples the sweep drew and evaluated; the others were settled unseen.
     drawn: int = field(repr=False, compare=False, default=0)
+
+    def __post_init__(self) -> None:
+        records = np.array(self.failure_records, dtype=np.float64)
+        records = records.reshape(len(records), 2)
+        records.flags.writeable = False
+        object.__setattr__(self, "failure_records", records)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows() == other.rows() and self.failure_records.tobytes() == other.failure_records.tobytes()
 
     def rows(self) -> list[tuple[str, object]]:
         """The metrics of both report formats, as (name, value) in their order."""
@@ -300,11 +316,10 @@ class ConeReport:
     def to_text(self) -> str:
         lines = [(f"{name} {value:.17g}" if isinstance(value, float) else f"{name} {value}")
                  + (" Delta^(m)" if name == "region" else "") for name, value in self.rows()]
-        if self.failure_records:
+        if len(self.failure_records):
             from . import numfmt  # only reports with failures need the kernel
 
-            n = len(self.failure_records)
-            y, theta = np.fromiter(itertools.chain.from_iterable(self.failure_records), float, 2 * n).reshape(n, 2).T
+            y, theta = self.failure_records.T
             lines.append(numfmt.table([b"failure y=", y, b" theta=", theta], b"\0\0\0\n")[:-1])
         return "\n".join(lines)
 
@@ -515,8 +530,9 @@ def _filter(
 
 
 #: One batch's counts (failures, slope, norm), extrema (min_norm,
-#: slope_min, slope_max), first failure records and refined count.
-_Part = tuple[int, int, int, float, float, float, list[tuple[float, float]], int]
+#: slope_min, slope_max), first failure records as rows (y, theta) and
+#: refined count.
+_Part = tuple[int, int, int, float, float, float, np.ndarray, int]
 
 
 def _evaluate(y: np.ndarray, t: np.ndarray, params: MapParams, m: int, budget: int) -> _Part:
@@ -545,10 +561,10 @@ def _evaluate(y: np.ndarray, t: np.ndarray, params: MapParams, m: int, budget: i
         slope_bad[idx] = exact_slope_bad
         norm_bad[idx] = exact_norm_bad
     bad = slope_bad | norm_bad
-    records: list[tuple[float, float]] = []
+    records = np.empty((0, 2))
     if budget > 0:
         first = np.flatnonzero(bad)[:budget]
-        records = list(zip(y[first].tolist(), (lo + t[first] * (hi - lo)).tolist()))
+        records = np.stack((y[first], lo + t[first] * (hi - lo)), axis=1)
     return (
         int(np.count_nonzero(bad)),
         int(np.count_nonzero(slope_bad)),
@@ -784,6 +800,8 @@ def verify_cones(
     """
     if n_samples < 1:
         raise ParameterError("n_samples", f"must be >= 1, got {n_samples}")
+    if n_samples >= 2**63:  # numpy's binomial takes a C long
+        raise ParameterError("n_samples", f"must be below 2^63, got {n_samples}")
     if seed < 0:
         raise ParameterError("seed", f"must be >= 0, got {seed}")
     strip = delta_strip(m, params)
@@ -824,7 +842,7 @@ def verify_cones(
         slope_range=(min(p[4] for p in parts), max(p[5] for p in parts)),
         seed=seed,
         inside_strip=inside_strip,
-        failure_records=tuple(rec for p in parts for rec in p[6]),
+        failure_records=np.concatenate([p[6] for p in parts]),
         refined=sum(p[7] for p in parts),
         drawn=drawn,
     )
@@ -842,7 +860,9 @@ def orbit_expansion(
     Each step requires the current base point to lie outside Delta^(m);
     entering the strip ends the push early (reported, not an error).  The
     initial slope must lie in the cone (1/m, m); afterwards cone nesting
-    keeps every image slope inside automatically.
+    keeps every image slope inside automatically.  The steps come from the
+    orbit walk ``stdmap._orbit_psi``, and each pushes the vector as
+    ``push_vector`` does, with psi_c from the walk.
     """
     if n < 1:
         raise ParameterError("n", f"must be >= 1, got {n}")
@@ -851,12 +871,11 @@ def orbit_expansion(
     if not (1.0 / m < slope < m):
         raise ParameterError("theta", f"{theta}: the initial slope {slope} lies outside the cone (1/{m}, {m})")
     factors: list[float] = []
-    x, y, ang = p.x, p.y, theta
-    for i in range(n):
+    ang = theta
+    for i, (y, s) in enumerate(_orbit_psi(p, params, n)):
         if strip.contains(y):
             return ExpansionReport(tuple(factors), i)
-        ang, growth = push_vector(y, ang, params)
-        factors.append(growth)
-        x, y = map_step(x, y, params, True)
-        x, y = mod1(x), mod1(y)
+        ix, iy = _image(s, math.cos(ang), math.sin(ang))
+        ang = math.atan2(iy, ix)
+        factors.append(math.hypot(ix, iy))
     return ExpansionReport(tuple(factors), None)

@@ -7,9 +7,10 @@ itself.
 
 The SVD's formula is written once, on four floats or arrays, as
 ``svd2_entries``; ``svd2`` wraps it for a ``Mat2``.  Two production paths
-use it: the ``verify`` battery checks the closed-form contracted field
-against it on arrays, and ``hyperbolic_frame`` takes its order-n singular
-values and directions from ``svd2``.
+use ``svd2_entries``: the ``verify`` battery checks the closed-form
+contracted field against it on arrays, and ``hyperbolic_frame`` takes its
+order-n singular values and directions from it on floats.  No production
+path calls ``svd2``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Literal, Mapping, Union
+from typing import Iterator, Literal, Mapping, Union
 
 import numpy as np
 
@@ -63,6 +63,7 @@ def mod1(v: Coord) -> Coord:
     Values within 1e-15 of 1 snap to 0 so that leaf tracing stays stable
     across the torus seam.  An array gets the float path's bits, -0.0
     included; a non-finite float raises and a non-finite element gives NaN.
+    The orbit walk ``_orbit_psi`` writes the float path out inline.
     """
     try:  # math refuses an array; free for a float, where a type() test costs orbit walks ~10 %
         r = v - math.floor(v)
@@ -174,7 +175,10 @@ class Mat2:
 
 
 def psi(y: Coord, params: MapParams, kind: Literal["cos", "sin"] = "cos") -> Coord:
-    """2 pi k cos(2 pi y) or 2 pi k sin(2 pi y), at a y or a ytilde coordinate."""
+    """2 pi k cos(2 pi y) or 2 pi k sin(2 pi y), at a y or a ytilde coordinate.
+
+    The orbit walk ``_orbit_psi`` writes the float cosine out inline.
+    """
     if kind != "cos" and kind != "sin":
         raise ParameterError("kind", f"must be 'cos' or 'sin', got {kind!r}")
     arg = TWO_PI * y
@@ -186,7 +190,10 @@ def psi(y: Coord, params: MapParams, kind: Literal["cos", "sin"] = "cos") -> Coo
 
 
 def map_step(x: Coord, y: Coord, params: MapParams, forward: bool) -> tuple[Coord, Coord]:
-    """One step of f_k (``forward``) or of its inverse, before the reduction mod 1; numpy's sin has math's bits."""
+    """One step of f_k (``forward``) or of its inverse, before the reduction mod 1; numpy's sin has math's bits.
+
+    The orbit walk ``_orbit_psi`` writes the float step out inline.
+    """
     arg = y if forward else y - x
     try:  # as in mod1: math refuses an array
         shift = params.k * math.sin(TWO_PI * arg)
@@ -208,7 +215,10 @@ def map_inverse(p: TorusPoint, params: MapParams) -> TorusPoint:
 
 
 def jacobian_entries(c: float, forward: bool) -> tuple[float, float, float, float]:
-    """Row-major entries of the forward (or backward) Jacobian where psi = c."""
+    """Row-major entries of the forward (or backward) Jacobian where psi = c.
+
+    ``orbit_entries`` writes them out inline on the orbit walk ``_orbit_psi``.
+    """
     return (1.0, c, 1.0, 1.0 + c) if forward else (1.0 + c, -c, -1.0, 1.0)
 
 
@@ -225,14 +235,39 @@ def jacobian(p: TorusPoint, params: MapParams, time: TimeDirection = "forward") 
     raise ParameterError("time", f"must be 'forward' or 'backward', got {time!r}")
 
 
-def _orbit_psi(p: TorusPoint, params: MapParams, n: int) -> list[float]:
-    """psi at the |n| steps of p's orbit: at y forward for n > 0, else at ytilde backward."""
-    forward, x, y, out = n > 0, p.x, p.y, []
-    for _ in range(abs(n)):
-        out.append(psi(y if forward else mod1(y - x), params))
-        x, y = map_step(x, y, params, forward)
-        x, y = mod1(x), mod1(y)
-    return out
+def _orbit_psi(p: TorusPoint, params: MapParams, n: int) -> Iterator[tuple[float, float]]:
+    """The scalar orbit walk: (h, psi at h) at each of the |n| steps of p's
+    orbit, h = y forward for n > 0, else h = ytilde backward.
+
+    Each step is ``psi``, ``map_step`` and ``mod1`` on floats, written out
+    with their float operations in their order, so it calls no Python
+    function.  ``orbit_entries`` and ``orbit_expansion`` take their steps
+    from it.
+    """
+    k, big_k, floor, cos, sin = params.k, TWO_PI * params.k, math.floor, math.cos, math.sin
+    x, y = p.x, p.y
+    if n > 0:
+        for _ in range(n):
+            arg = TWO_PI * y
+            yield y, big_k * cos(arg)
+            shift = k * sin(arg)
+            x, y = x + shift, x + y + shift
+            x, y = x - floor(x), y - floor(y)
+            if x >= 1.0 or 1.0 - x <= 1e-15:
+                x = 0.0
+            if y >= 1.0 or 1.0 - y <= 1e-15:
+                y = 0.0
+        return
+    for _ in range(-n):
+        arg = y - x
+        y = arg - floor(arg)  # mod1(ytilde), the next y too
+        if y >= 1.0 or 1.0 - y <= 1e-15:
+            y = 0.0
+        yield y, big_k * cos(TWO_PI * y)
+        x -= k * sin(TWO_PI * arg)
+        x -= floor(x)
+        if x >= 1.0 or 1.0 - x <= 1e-15:
+            x = 0.0
 
 
 def orbit_entries(p: TorusPoint, params: MapParams, n: int) -> tuple[float, float, float, float, float]:
@@ -246,13 +281,14 @@ def orbit_entries(p: TorusPoint, params: MapParams, n: int) -> tuple[float, floa
     """
     if n == 0:
         raise ParameterError("n", "must be nonzero, got 0")
-    a, b, c, d, det = 1.0, 0.0, 0.0, 1.0, 1.0
-    for s in _orbit_psi(p, params, n):
-        m11, m12, m21, m22 = jacobian_entries(s, n > 0)
+    a, b, c, d, det, forward = 1.0, 0.0, 0.0, 1.0, 1.0, n > 0
+    for _, s in _orbit_psi(p, params, n):
+        m11, m12, m21, m22 = (1.0, s, 1.0, 1.0 + s) if forward else (1.0 + s, -s, -1.0, 1.0)  # jacobian_entries
         a, b, c, d = m11 * a + m12 * c, m11 * b + m12 * d, m21 * a + m22 * c, m21 * b + m22 * d
         det *= m11 * m22 - m12 * m21
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-            raise ParameterError("n", f"{n}: the orbit Jacobian overflows float64 at k = {params.k:g}")
+    # A non-finite entry keeps its column non-finite at every later step, so one test at the end suffices.
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise ParameterError("n", f"{n}: the orbit Jacobian overflows float64 at k = {params.k:g}")
     t = (det - (a * d - b * c)) / (a * a + b * b + c * c + d * d)
     if math.isfinite(t):
         a, b, c, d = a + t * d, b - t * c, c - t * b, d + t * a

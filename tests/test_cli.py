@@ -538,6 +538,14 @@ class TestArgumentErrors:
         want = "error: --k 0.2174: delta^+ is undefined below k = (1 + sqrt(3))/(4 pi) ~ 0.217410\n"
         assert self.run_error(["tangency", "--k", "0.2174"]) == (2, want)
 
+    def test_cones_samples_beyond_a_c_long_name_samples(self):
+        # numpy's binomial takes a C long: 2^63 samples once ended in an OverflowError
+        # traceback, and inside the strips, which draw no binomial count, ran on.
+        for region in ([], ["--inside-strip"]):
+            argv = ["cones", "--k", "10", "--m", "2", "--samples", "9223372036854775808", *region]
+            want = "error: --samples must be below 2^63, got 9223372036854775808\n"
+            assert self.run_error(argv) == (2, want)
+
     def test_a_ytilde_without_tangency_names_k1(self):
         want = ("error: --k 0.3: ytilde = 0.375 has no tangency at this k; every ytilde has one from "
                 "k1 = (2 + sqrt(3) + sqrt(13))/(4 sqrt(3) pi) ~ 0.337119 on\n")

@@ -2,13 +2,14 @@
 
 ``reference_part`` evaluates every sample with the float64 image formula,
 as the sweep did before the float32 filter; ``hyperbolicity._evaluate`` must
-return the same batch tuples, ``repr`` for ``repr``.  ``reference_report``
-draws a sweep's samples as the module docstring documents, (j, t) uniform
-on rows of one bucket of t and one span of heights: the band's open rows
-and their completion where there is a band, every bucket of
-the region's spans where there is none.  It evaluates every sample drawn in
-float64, and ``verify_cones`` must return that report, ``repr`` for
-``repr`` and byte for byte.
+return the same batch tuples, counts and extrema ``repr`` for ``repr`` and
+failure records bit for bit.  ``reference_report`` draws a sweep's samples
+as the module docstring documents, (j, t) uniform on rows of one bucket of
+t and one span of heights: the band's open rows and their completion where
+there is a band, every bucket of the region's spans where there is none.
+It evaluates every sample drawn in float64, and ``verify_cones`` must
+return that report, ``repr`` for ``repr``, byte for byte and ``==``
+(which compares the records bit for bit).
 """
 
 import math
@@ -25,7 +26,7 @@ from hypermap.hyperbolicity import (MAX_FAILURE_RECORDS, ConeReport, StripSpec, 
                                    verify_cones)
 from hypermap.stdmap import MapParams
 
-_Part = tuple[int, int, int, float, float, float, list[tuple[float, float]]]
+_Part = tuple[int, int, int, float, float, float, np.ndarray]
 GRID = 2**53
 BUCKETS = 64  # t = (b LOW + low) 2^-53, b its bucket
 LOW = 2**47
@@ -71,6 +72,7 @@ def reference_part(y: np.ndarray, t: np.ndarray, params: MapParams, m: int) -> _
     theta, slope, norm, slope_bad, norm_bad = reference_verdicts(y, t, params, m)
     bad = slope_bad | norm_bad
     records = [(float(y[i]), float(theta[i])) for i in np.flatnonzero(bad)[:MAX_FAILURE_RECORDS]]
+    records = np.array(records, dtype=np.float64).reshape(len(records), 2)
     return (
         int(bad.sum()),
         int(slope_bad.sum()),
@@ -80,6 +82,13 @@ def reference_part(y: np.ndarray, t: np.ndarray, params: MapParams, m: int) -> _
         float(np.nanmax(slope)),
         records,
     )
+
+
+def part_bits(part) -> tuple:
+    """A batch's counts and extrema as ``repr``, and its records' dtype, shape
+    and bytes: equal for two batches exactly when every record is equal bit for bit."""
+    records = part[6]
+    return repr(part[:6]), records.dtype, records.shape, records.tobytes()
 
 
 MS = (2, 3, 5, 10, 50)
@@ -109,7 +118,7 @@ def test_chunks_equal_the_reference():
     for args in batch_args(25, seed=2024):
         got = evaluate(args)
         want = reference_part(*args[:4])
-        assert repr(got[:7]) == repr(want), (args[2].k, args[3], len(args[0]), args[4])
+        assert part_bits(got) == part_bits(want), (args[2].k, args[3], len(args[0]), args[4])
         assert 1 <= got[7] <= len(args[0])
         n += 1
     assert n >= 1000
@@ -127,14 +136,14 @@ def test_chunks_on_many_threads_equal_the_reference():
             got = list(pool.map(evaluate, jobs * 2, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert [repr(g[:7]) for g in got] == [repr(w) for w in want * 2]
+    assert [part_bits(g) for g in got] == [part_bits(w) for w in want * 2]
 
 
 def test_chunks_with_no_record_budget_build_no_records():
     for args in batch_args(1, seed=31):
         got = evaluate(args, 0)
         want = reference_part(*args[:4])
-        assert got[6] == []
+        assert got[6].dtype == np.float64 and got[6].shape == (0, 2)
         assert repr(got[:6]) == repr(want[:6])
 
 
@@ -281,12 +290,12 @@ def reference_report(params: MapParams, m: int, n: int, seed: int, inside: bool)
         slope_range=(min(p[4] for p in parts), max(p[5] for p in parts)),
         seed=seed,
         inside_strip=inside,
-        failure_records=tuple(rec for p in parts for rec in p[6])[:MAX_FAILURE_RECORDS],
+        failure_records=np.concatenate([p[6] for p in parts])[:MAX_FAILURE_RECORDS],
     )
 
 
 def assert_same_report(got: ConeReport, want: ConeReport) -> None:
-    """Equal text and repr; a mismatch names its first line, not a diff of two long texts."""
+    """Equal text, repr and ``==``; a mismatch names its first line, not a diff of two long texts."""
     got_lines, want_lines = got.to_text().split("\n"), want.to_text().split("\n")
     if got_lines != want_lines:
         at = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
@@ -299,6 +308,7 @@ def assert_same_report(got: ConeReport, want: ConeReport) -> None:
         pytest.fail(f"reports differ first at line {at + 1}: got {got_lines[at:at + 1]}, want "
                     f"{want_lines[at:at + 1]}; got {counts(got)}, want {counts(want)}", pytrace=False)
     assert repr(got) == repr(want)
+    assert got == want
 
 
 #: The last six sweeps add the benchmark's range (5 <= k <= 200,

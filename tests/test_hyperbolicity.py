@@ -8,6 +8,7 @@ behavior of both halves; the acceptance module asserts the stated criterion
 verbatim and documents the red outcome.
 """
 
+import dataclasses
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -168,6 +169,24 @@ class TestVerifyCones:
             out, norm = push_vector(y, theta, MapParams(5.0))
             ok = (1 - 0.5 < math.tan(out) < 1 + 0.5) and norm >= 2
             assert not ok
+
+    def test_reports_compare_their_records_bit_for_bit(self):
+        rep = verify_cones(MapParams(25.0), 2, 10_000, seed=42, inside_strip=True)
+        records = rep.failure_records
+        assert records.dtype == np.float64 and records.shape == (1000, 2) and not records.flags.writeable
+        same = dataclasses.replace(rep)
+        assert same.failure_records is not records and same == rep and hash(same) == hash(rep)
+        # The last bit of one record, the first y or the last theta.
+        for i, j in ((0, 0), (-1, 1)):
+            bumped = records.copy()
+            bumped[i, j] = np.nextafter(bumped[i, j], np.inf)
+            other = dataclasses.replace(rep, failure_records=bumped)
+            assert other != rep and not other == rep
+            assert isinstance(hash(other), int)
+        assert dataclasses.replace(rep, failure_records=records[:-1]) != rep
+        # Bit for bit: the zeros of two signs differ.
+        zeros = [dataclasses.replace(rep, failure_records=[(y, 0.5)]) for y in (0.0, -0.0)]
+        assert zeros[0] != zeros[1] and zeros[0] == dataclasses.replace(rep, failure_records=np.array([[0.0, 0.5]]))
 
     def test_negative_control_inside_strip(self):
         rep = verify_cones(MapParams(25.0), 2, 10_000, seed=42, inside_strip=True)

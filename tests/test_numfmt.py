@@ -212,9 +212,11 @@ class TestConeReportText:
         values = [0.0, -0.0, tiny, -tiny, 3 * tiny, 2.2250738585072009e-308, 1e-300, -1e-300, 1e300, -1e300,
                   0.25, 1e-30, 1e30, math.inf, -math.inf, math.nan]
         for n in (1, 2, len(values)):
+            records = np.column_stack((values[:n], values[::-1][:n]))
             rep = ConeReport(k=1e300, m=2, samples=n, failures=n, slope_failures=0, norm_failures=n,
                              min_norm=tiny, slope_range=(-1e-300, 1e300), seed=0, inside_strip=True,
-                             failure_records=tuple(zip(values[:n], values[::-1][:n])))
+                             failure_records=records)
+            assert rep.failure_records.shape == (n, 2) and rep.failure_records.tobytes() == records.tobytes()
             assert rep.to_text() == reference_text(rep)
 
 

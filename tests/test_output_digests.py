@@ -81,6 +81,7 @@ def cases() -> list[list[str]]:
         ["leaf", "--y", "-inf"],
         ["constants", "--k", "-1e-3"],
         ["tangency", "--k", "0.2174"],
+        ["cones", "--k", "10", "--m", "2", "--samples", "9223372036854775808"],
         *(["leaf", "--field", "F1", "--k", k, "--x", "0.3", "--y", "0.4995", "--max-arc", "0.5"]
           for k in NEAR_BIRTH),
     ]

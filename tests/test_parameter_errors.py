@@ -33,6 +33,9 @@ CHECKS = {
     "tangency_curve above MAX_CURVE_K": (
         lambda: tangency_curve(MapParams(math.nextafter(MAX_CURVE_K, math.inf)), 16), "k", TangencySelectionError),
     "verify_cones n_samples": (lambda: verify_cones(MapParams(5.0), 2, 0, 1), "n_samples", ParameterError),
+    "verify_cones n_samples 2^63": (lambda: verify_cones(MapParams(10.0), 2, 2**63, 1), "n_samples", ParameterError),
+    "verify_cones n_samples 2^63 inside": (lambda: verify_cones(MapParams(10.0), 2, 2**63, 1, inside_strip=True),
+                                           "n_samples", ParameterError),
     "verify_cones seed": (lambda: verify_cones(MapParams(5.0), 2, 10, -1), "seed", ParameterError),
     "delta_strip m": (lambda: delta_strip(1, MapParams(5.0)), "m", ParameterError),
     "critical_constants overflow": (

@@ -448,7 +448,42 @@ class TestOrbitJacobian:
             orbit_jacobian(TorusPoint(0.1, 0.2), MapParams(1.0), 0)
 
 
+#: Orbits that land within 1e-15 below an integer, where mod1 snaps to 0 and
+#: % 1.0 does not.  (0, 0.5) stepped backward lands at x = -k sin(pi) =
+#: -1.2e-16 k, and (1 - 2^-49, 0.5) stepped forward at x = 1 - 1.8e-15 +
+#: 1.2e-16 k.  psi_c is flat near y = 1/2, so a walk that reduced with % 1.0
+#: would part from these only at the 6th to 14th step, and never at k = 0.5.
+SEAM_ORBITS = ([(TorusPoint(0.0, 0.5), MapParams(k), n) for k in (1.0, 2.0, 3.0, 8.0) for n in (-17, -30)]
+               + [(TorusPoint(1.0 - 2.0**-49, 0.5), MapParams(k), n) for k in (7.0, 8.0, 10.0, 14.0)
+                  for n in (8, 17, 30)])
+
+
+def meets_the_seam(p: TorusPoint, params: MapParams, n: int) -> bool:
+    """Whether a step before the last of p's |n|-step orbit lands where mod1 and % 1.0 differ."""
+    x, y = p.x, p.y
+    for _ in range(abs(n) - 1):
+        x, y = map_step(x, y, params, n > 0)
+        if mod1(x) != x % 1.0 or mod1(y) != y % 1.0:
+            return True
+        x, y = mod1(x), mod1(y)
+    return False
+
+
 class TestFloatWalkEqualsReference:
+    def test_orbits_through_the_seam(self):
+        assert all(meets_the_seam(*case) for case in SEAM_ORBITS)
+        for p, params, n in SEAM_ORBITS:
+            want_m, want_det = reference_orbit_jacobian(p, params, n), reference_orbit_determinant(p, params, n)
+            assert bits(orbit_jacobian(p, params, n)) == bits(want_m), (p, params.k, n)
+            assert bits(orbit_entries(p, params, n)) == bits((*want_m.entries(), want_det)), (p, params.k, n)
+            assert bits(outcome(hyperbolic_frame, p, params, n)) == bits(
+                outcome(reference_hyperbolic_frame, p, params, n)), (p, params.k, n)
+            if n > 0:
+                for m in (2, 3, 5):
+                    theta = math.atan(1.0 + 0.1 * m)
+                    assert bits(orbit_expansion(p, theta, params, m, n)) == bits(
+                        reference_orbit_expansion(p, theta, params, m, n)), (p, params.k, n, m)
+
     def test_orbit_jacobian_and_determinant(self):
         for p, params, n in seeded_orbits(600, 23):
             want_m, want_det = reference_orbit_jacobian(p, params, n), reference_orbit_determinant(p, params, n)
