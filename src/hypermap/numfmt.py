@@ -51,14 +51,14 @@ value with 17 digits and a three-digit exponent fills all 24
 (``-1.2345678901234567e-100``, ``-4.9406564584124654e-324``).
 
 **Tables.**  A row of ``table`` is one slot per field, each a multiple
-of 8 bytes.  A float field's slot is its cell, with the byte that ends
-the field in byte 23; a bytes field's slot holds its text, NUL padding
-and, in its last byte, that end byte.  The float fields of a call go
-through the kernel in one pass, the values in row order, and each run
-of adjacent float fields is copied into its slots at once.  One mask
-then drops the NUL bytes of every slot, and the call's text is decoded
-once.  A row with a 24-byte text has no free byte for an end, so ``%``
-writes that row on its own.
+of 8 bytes.  A bytes field's slot holds its text, NUL padding and, in its
+last byte, the byte that ends the field.  A float field's slot is its
+cell with the end in byte 23, or, in a call where some text fills all 24
+bytes of its cell, the cell, 7 NUL bytes and the end: 32 bytes.  The
+float fields of a call go through the kernel in one pass, field after
+field, and each field's cells are copied into its slots at once.  One
+mask then drops the NUL bytes of every row, and the call's text is
+decoded once.
 """
 
 from __future__ import annotations
@@ -298,49 +298,32 @@ def table(fields: Sequence[Field], ends: bytes) -> str:
     """
     n = next(len(f) for f in fields if isinstance(f, np.ndarray))
     floats = [j for j, f in enumerate(fields) if isinstance(f, np.ndarray) and f.dtype.kind == "f"]
-    width = [WIDTH - 1 if j in floats else f.dtype.itemsize if isinstance(f, np.ndarray) else len(f)
+    full = ()
+    if floats:
+        values = np.empty((len(floats), n))
+        for k, j in enumerate(floats):
+            values[k] = fields[j]
+        words, full = _cells(values.ravel())
+        words = words.reshape(3, len(floats), n)
+    # A float slot holds a 23-byte text and its end in 24 bytes, or in 32 if any text of the call has 24.
+    cell = WIDTH if len(full) else WIDTH - 1
+    width = [cell if j in floats else f.dtype.itemsize if isinstance(f, np.ndarray) else len(f)
              for j, f in enumerate(fields)]
-    # A slot holds its field's text (a float's takes up to 23 bytes) and, in its last byte, the field's end.
+    # A slot holds its field's text, NUL padding and, in its last byte, the field's end.
     slots = [(f if isinstance(f, bytes) else b"").ljust(-(-(w + 1) // 8) * 8 - 1, b"\0") + bytes([end])
              for f, w, end in zip(fields, width, ends)]
-    offset = list(itertools.accumulate(map(len, slots), initial=0))
-    rows = np.empty((n, offset[-1]), dtype=np.uint8)
-    template = np.frombuffer(b"".join(slots), np.uint8)
+    offset = list(itertools.accumulate((len(s) // 8 for s in slots), initial=0))  # in words
+    template = np.frombuffer(b"".join(slots), "<u8")
+    rows = np.empty((n, len(template)), "<u8")
+    text = rows.view(np.uint8)
     for j, f in enumerate(fields):
-        if j not in floats:
-            cells = rows[:, offset[j] : offset[j + 1]]
-            cells[...] = template[offset[j] : offset[j + 1]]
-            if isinstance(f, np.ndarray):
-                cells[:, : width[j]] = np.ascontiguousarray(f).view(np.uint8).reshape(n, width[j])
-    long = []
-    if floats:
-        values = np.empty((n, len(floats)))
-        for k, j in enumerate(floats):
-            values[:, k] = fields[j]
-        words, cut = _cells(values.ravel())
-        words = words.reshape(3, n, len(floats))
-        words[2] |= np.array([ends[j] << 56 for j in floats], dtype=np.uint64)
-        # One copy for each run of adjacent float fields.
-        for _, run in itertools.groupby(enumerate(floats), lambda kj: kj[1] - kj[0]):
-            (k, j), m = next(run), 1 + sum(1 for _ in run)
-            cells = rows[:, offset[j] : offset[j + m]].view("<u8").reshape(n, m, 3)  # a view: the slot bytes are contiguous
-            cells[...] = words[:, :, k : k + m].transpose(1, 2, 0)
-        long = list(dict.fromkeys((cut // len(floats)).tolist()))
-    pieces, start = [], 0
-    for r in long + [n]:
-        block = rows[start:r]
-        pieces.append(str(block[block != 0], "ascii"))
-        if r < n:
-            pieces.append(_row_text(fields, ends, r))
-        start = r + 1
-    return "".join(pieces)
-
-
-def _row_text(fields: Sequence[Field], ends: bytes, r: int) -> str:
-    """Row r of ``table`` written with ``%``: a row whose float text fills all 24 bytes of its cell."""
-    out = b""
-    for f, end in zip(fields, ends):
-        if isinstance(f, np.ndarray):
-            f = b"%.17g" % f[r] if f.dtype.kind == "f" else f[r]
-        out += (f + bytes([end])).replace(b"\0", b"")
-    return out.decode("ascii")
+        at, to = offset[j], offset[j + 1]
+        if j in floats:
+            cells = words[:, floats.index(j)]
+            cells[2] |= template[at + 2]  # a 24-byte slot's end, in byte 23, which no 23-byte text takes
+            rows[:, at : at + 3] = cells.T
+            at += 3
+        rows[:, at:to] = template[at:to]
+        if j not in floats and isinstance(f, np.ndarray):
+            text[:, 8 * at : 8 * at + width[j]] = np.ascontiguousarray(f).view(np.uint8).reshape(n, width[j])
+    return str(text[text != 0], "ascii")

@@ -19,8 +19,9 @@ horizontal lines resp. lines of slope one.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Literal, Mapping, Union
 
@@ -60,12 +61,14 @@ class ParameterError(ValueError):
 def mod1(v: Coord) -> Coord:
     """Reduce a real number, or each element of an array, into [0, 1).
 
-    Values within 1e-15 of 1 snap to 0 so that leaf tracing stays stable
-    across the torus seam.  An array gets the float path's bits, -0.0
-    included; a non-finite float raises and a non-finite element gives NaN.
-    The orbit walk ``_orbit_psi`` writes the float path out inline.
+    Values within 1e-15 of 1 snap to 0, so a coordinate a rounding error
+    below the torus seam lies on it: the x, y and ytilde of a ``TorusPoint``,
+    ``Leaf.points`` and the points of the CLI's ``verify`` battery.  The
+    orbit walk ``_orbit_psi`` writes the float path out inline.  An array
+    gets the float path's bits, -0.0 included; a non-finite float raises
+    and a non-finite element gives NaN.
     """
-    try:  # math refuses an array; free for a float, where a type() test costs orbit walks ~10 %
+    try:  # math refuses an array; a float pays nothing for the try
         r = v - math.floor(v)
     except TypeError:
         r = v - (np.floor(v) + 0.0)  # math.floor(-0.0) is 0, numpy's -0.0
@@ -92,15 +95,17 @@ class MapParams:
     """
 
     k: float
-    defined: Mapping[str, bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.k, (int, float)) and math.isfinite(self.k)):
             raise ParameterError("k", f"must be a finite real, got {self.k!r}")
         if self.k <= 0:
             raise ParameterError("k", f"must be positive, got {self.k}")
-        flags = {name: abs(v) / (TWO_PI * self.k) <= 1.0 for name, v in DELTA_LEVELS.items()}
-        object.__setattr__(self, "defined", MappingProxyType(flags))
+
+    @functools.cached_property
+    def defined(self) -> Mapping[str, bool]:
+        """Whether each level of ``DELTA_LEVELS`` lies in [-2 pi k, 2 pi k], built on first read."""
+        return MappingProxyType({name: abs(v) / (TWO_PI * self.k) <= 1.0 for name, v in DELTA_LEVELS.items()})
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -20,10 +21,10 @@ from hypermap import __version__, cli
 from hypermap.cli import run
 from hypermap.coordinates import critical_constants, phi, phi_inverse, phi_prime, theta_field
 from hypermap.foliations import trace_leaf
-from hypermap.hyperbolicity import push_vector, verify_cones
+from hypermap.hyperbolicity import MAX_SAMPLES, push_vector, verify_cones
 from hypermap.oracle import svd2
 from hypermap.stdmap import TWO_PI, MapParams, TorusPoint, angle_dist_mod_pi, jacobian, map_forward, map_inverse
-from hypermap.tangency import TangencySelectionError, tangency_curve
+from hypermap.tangency import MAX_CURVE_SAMPLES, TangencySelectionError, tangency_curve
 
 
 def run_capture(argv):
@@ -543,8 +544,30 @@ class TestArgumentErrors:
         # traceback, and inside the strips, which draw no binomial count, ran on.
         for region in ([], ["--inside-strip"]):
             argv = ["cones", "--k", "10", "--m", "2", "--samples", "9223372036854775808", *region]
-            want = "error: --samples must be below 2^63, got 9223372036854775808\n"
+            want = "error: --samples must be at most 1000000000, got 9223372036854775808\n"
             assert self.run_error(argv) == (2, want)
+
+    @pytest.mark.parametrize("argv, flag, bound", [
+        (["field", "--k", "1", "--grid", "10000000000"], "--grid", cli.MAX_GRID),
+        (["field", "--k", "1", "--grid", str(cli.MAX_GRID + 1), "--time", "backward"], "--grid", cli.MAX_GRID),
+        (["figures", "--k", "1", "--grid", "100000000"], "--grid", cli.MAX_GRID),
+        (["tangency", "--k", "3", "--grid", "10000000000"], "--grid", MAX_CURVE_SAMPLES),
+        (["tangency", "--k", "0.3", "--grid", str(MAX_CURVE_SAMPLES + 1), "--format", "svg"], "--grid",
+         MAX_CURVE_SAMPLES),
+        (["cones", "--k", "10", "--m", "2", "--samples", "1000000000000000"], "--samples", MAX_SAMPLES),
+        (["cones", "--k", "10", "--m", "2", "--samples", str(MAX_SAMPLES + 1), "--inside-strip"], "--samples",
+         MAX_SAMPLES),
+    ])
+    def test_oversized_work_names_its_flag_at_once(self, argv, flag, bound, tmp_path):
+        # These once ended in a MemoryError traceback or ran on for hours.
+        start = time.perf_counter()
+        code, err = self.run_error([*argv, "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (2, f"error: {flag} must be at most {bound}, got {argv[argv.index(flag) + 1]}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_largest_grid_is_accepted(self):
+        cli._check_grid(cli.MAX_GRID)
 
     def test_a_ytilde_without_tangency_names_k1(self):
         want = ("error: --k 0.3: ytilde = 0.375 has no tangency at this k; every ytilde has one from "

@@ -303,6 +303,19 @@ class TestTable:
         seg = np.array([b"%d" % (i // 7) for i in range(n)], dtype="S")
         self.assert_rows_match(["seg_id", "x", "y"], [seg, x, y])
 
+    def test_blocks_choose_their_slot_widths(self):
+        # Three blocks of rows with 24-byte texts only in the middle one, in the float column before
+        # the bytes column and in the last column: only the middle block's float slots are 32 bytes.
+        block = cli._CSV_BLOCK
+        y, residual = self.floats(3 * block, 3), self.floats(3 * block, 4)
+        for k, r in enumerate(range(block, 2 * block - 1, 97)):
+            y[r], residual[r + 1] = LONG[k % len(LONG)], LONG[-1 - k % len(LONG)]
+        branch = np.array([b"lower", b"upper"] * block + [b"landmark"] * block, dtype="S")
+        for column in (y, residual):
+            assert [len(numfmt._cells(column[b : b + block])[1]) > 0 for b in range(0, 3 * block, block)] == [
+                False, True, False]
+        self.assert_rows_match(["y", "branch", "residual"], [y, branch, residual])
+
     def test_labels_and_missing_ends(self):
         # The cone report's failure lines: fixed labels and no byte after a field whose end is NUL.
         y = np.array(SPECIAL + SPECIAL[::-1])

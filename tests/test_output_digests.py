@@ -82,6 +82,10 @@ def cases() -> list[list[str]]:
         ["constants", "--k", "-1e-3"],
         ["tangency", "--k", "0.2174"],
         ["cones", "--k", "10", "--m", "2", "--samples", "9223372036854775808"],
+        ["field", "--k", "1", "--grid", "10000000000"],
+        ["tangency", "--k", "3", "--grid", "10000000000"],
+        ["figures", "--k", "1", "--grid", "100000000"],
+        ["cones", "--k", "10", "--m", "2", "--samples", "1000000000000000"],
         *(["leaf", "--field", "F1", "--k", k, "--x", "0.3", "--y", "0.4995", "--max-arc", "0.5"]
           for k in NEAR_BIRTH),
     ]

@@ -9,9 +9,9 @@ import pytest
 from hypermap import MapParams, ParameterError, TangencySelectionError, TorusPoint
 from hypermap.coordinates import critical_constants, hyperbolic_frame, phi_inverse, theta_field
 from hypermap.foliations import closed_leaves, trace_leaf
-from hypermap.hyperbolicity import delta_strip, orbit_expansion, verify_cones
+from hypermap.hyperbolicity import MAX_SAMPLES, delta_strip, orbit_expansion, verify_cones
 from hypermap.stdmap import jacobian, orbit_jacobian, psi
-from hypermap.tangency import MAX_CURVE_K, no_tangency_scan, tangency_curve
+from hypermap.tangency import MAX_CURVE_K, MAX_CURVE_SAMPLES, no_tangency_scan, tangency_curve
 
 P = MapParams(1.0)
 START = TorusPoint(0.0, 0.6)
@@ -30,12 +30,21 @@ CHECKS = {
                               ParameterError),
     "tangency_curve n_samples": (lambda: tangency_curve(P, 8), "n_samples", ParameterError),
     "tangency_curve below validity": (lambda: tangency_curve(MapParams(0.3), 64), "k", TangencySelectionError),
+    "tangency_curve below validity on a short grid": (lambda: tangency_curve(MapParams(0.3), 8), "k",
+                                                      TangencySelectionError),
+    # 10^10 samples would take 80 GB: the bound is checked before the grid is allocated.
+    "tangency_curve n_samples above MAX_CURVE_SAMPLES": (lambda: tangency_curve(MapParams(0.3), 10**10), "n_samples",
+                                                         ParameterError),
     "tangency_curve above MAX_CURVE_K": (
         lambda: tangency_curve(MapParams(math.nextafter(MAX_CURVE_K, math.inf)), 16), "k", TangencySelectionError),
     "verify_cones n_samples": (lambda: verify_cones(MapParams(5.0), 2, 0, 1), "n_samples", ParameterError),
     "verify_cones n_samples 2^63": (lambda: verify_cones(MapParams(10.0), 2, 2**63, 1), "n_samples", ParameterError),
     "verify_cones n_samples 2^63 inside": (lambda: verify_cones(MapParams(10.0), 2, 2**63, 1, inside_strip=True),
                                            "n_samples", ParameterError),
+    "verify_cones n_samples above MAX_SAMPLES": (lambda: verify_cones(MapParams(10.0), 2, MAX_SAMPLES + 1, 1),
+                                                 "n_samples", ParameterError),
+    "verify_cones n_samples above MAX_SAMPLES inside": (
+        lambda: verify_cones(MapParams(10.0), 2, MAX_SAMPLES + 1, 1, inside_strip=True), "n_samples", ParameterError),
     "verify_cones seed": (lambda: verify_cones(MapParams(5.0), 2, 10, -1), "seed", ParameterError),
     "delta_strip m": (lambda: delta_strip(1, MapParams(5.0)), "m", ParameterError),
     "critical_constants overflow": (
@@ -77,3 +86,10 @@ def test_strip_constants_end_where_phitilde_overflows():
     assert critical_constants(MapParams(LAST_FINITE_K)).delta_star == 0.25
     with pytest.raises(ParameterError, match="1.509e153"):
         critical_constants(MapParams(math.nextafter(LAST_FINITE_K, math.inf)))
+
+
+def test_the_largest_sample_counts_are_accepted():
+    ytilde, _, _ = tangency_curve(MapParams(3.0), MAX_CURVE_SAMPLES)
+    assert len(ytilde) == MAX_CURVE_SAMPLES
+    # The band settles this report after ~1.4e6 draws.
+    assert verify_cones(MapParams(10.0), 2, MAX_SAMPLES, 1).samples == MAX_SAMPLES
